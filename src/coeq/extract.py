@@ -12,7 +12,7 @@ a primitive-corecursive program realizing its conclusion: logical rules
 become realizer plumbing over the split algebra, data eliminations become
 destructors, rewrites are free, and each coinduction becomes one fresh
 corecursive function producing head bits while stepping the decomposition
-evidence.
+evidence, one parameter per evidence component.
 
 `roundtrip_report` drives the full pipeline over the stock library and
 checks the extracted programs against the originals observationally.
@@ -544,29 +544,73 @@ class ConsR(SymR):
     tail: SymR
 
 
+@dataclass(frozen=True)
+class Case(SymR):
+    """Discriminator dispatch on a boolean term: `left` where it is 0,
+    `right` where it is 1."""
+    bit: Term
+    left: SymR
+    right: SymR
+
+
+def _const_bit(t: Term) -> str | None:
+    if isinstance(t, Con) and not t.args and t.name in ("0", "1"):
+        return t.name
+    return None
+
+
+def _known(r: SymR, bit: Term, value: str) -> SymR:
+    """r on the runs where `bit` is `value`: dispatches on it are resolved."""
+    if isinstance(r, Case):
+        if r.bit == bit:
+            return _known(r.left if value == "0" else r.right, bit, value)
+        return Case(r.bit, _known(r.left, bit, value), _known(r.right, bit, value))
+    if isinstance(r, Pair):
+        return Pair(_known(r.head, bit, value), _known(r.rest, bit, value))
+    if isinstance(r, ConsR):
+        return ConsR(r.head_term, _known(r.tail, bit, value))
+    return r
+
+
+def case(bit: Term, left: SymR, right: SymR) -> SymR:
+    const = _const_bit(bit)
+    if const is not None:
+        return left if const == "0" else right
+    left, right = _known(left, bit, "0"), _known(right, bit, "1")
+    return left if left == right else Case(bit, left, right)
+
+
+def _over(r: Case, f) -> SymR:
+    """f distributed over the branches of a dispatch."""
+    left, right = f(r.left), f(r.right)
+    return left if left == right else Case(r.bit, left, right)
+
+
 def mat(r: SymR) -> Term:
     if isinstance(r, Leaf):
         return r.term
     if isinstance(r, Pair):
         return merge_term(mat(r.head), mat(r.rest))
-    assert isinstance(r, ConsR)
-    return Con("cons", (r.head_term, mat(r.tail)))
+    if isinstance(r, ConsR):
+        return Con("cons", (r.head_term, mat(r.tail)))
+    left = mat(r.left)
+    return Fun(DELTA, (r.bit, left, mat(r.right), left))
 
 
 def even_r(r: SymR) -> SymR:
     if isinstance(r, Pair):
         return r.head
+    if isinstance(r, Case):
+        return _over(r, even_r)
     return Leaf(even_term(mat(r)))
 
 
 def odd_r(r: SymR) -> SymR:
     if isinstance(r, Pair):
         return r.rest
+    if isinstance(r, Case):
+        return _over(r, odd_r)
     return Leaf(odd_term(mat(r)))
-
-
-def sigma0(r: SymR) -> SymR:
-    return even_r(r)
 
 
 def sigma1(r: SymR) -> SymR:
@@ -578,6 +622,9 @@ def head_term_of(r: SymR) -> Term:
         return r.head_term
     if isinstance(r, Pair):
         return head_term_of(r.head)
+    if isinstance(r, Case):
+        left, right = head_term_of(r.left), head_term_of(r.right)
+        return left if left == right else Fun(DELTA, (r.bit, left, right, left))
     return Fun(pi_name(1), (mat(r),))
 
 
@@ -586,14 +633,127 @@ def tail_r(r: SymR) -> SymR:
         return r.tail
     if isinstance(r, Pair):
         return Pair(r.rest, tail_r(r.head))
+    if isinstance(r, Case):
+        return _over(r, tail_r)
     return Leaf(Fun(pi_name(2), (mat(r),)))
 
 
 ZEROS_R = Leaf(zeros_term())
 
 
+# -- runner parameters: the skeleton of a realizer -------------------------------
+
+_HOLE = Var("_")
+
+
+def _alternatives(rs: list[SymR]) -> list[SymR]:
+    out: list[SymR] = []
+    for r in rs:
+        out += _alternatives([r.left, r.right]) if isinstance(r, Case) else [r]
+    return out
+
+
+def _shape(rs: list[SymR]) -> SymR:
+    """The Pair/ConsR structure that every alternative of `rs` has, with
+    holes where they disagree.  Below a ConsR whose heads are constant
+    bits, the tails are shaped once per bit, as a dispatch on the head."""
+    rs = _alternatives(rs)
+    if all(isinstance(r, Pair) for r in rs):
+        return Pair(_shape([r.head for r in rs]), _shape([r.rest for r in rs]))
+    if all(isinstance(r, ConsR) for r in rs):
+        zero = [r.tail for r in rs if _const_bit(r.head_term) != "1"]
+        one = [r.tail for r in rs if _const_bit(r.head_term) != "0"]
+        s0 = _shape(zero) if zero else None
+        s1 = _shape(one) if one else None
+        if s0 is None or s1 is None or s0 == s1:
+            return ConsR(_HOLE, s1 if s0 is None else s0)
+        return ConsR(_HOLE, Case(_HOLE, s0, s1))
+    return Leaf(_HOLE)
+
+
+def _number(shape: SymR, first: int) -> SymR:
+    """The shape with a parameter x<first>, x<first + 1>, ... in each hole;
+    a dispatch below a ConsR is on that ConsR's head parameter."""
+    names = itertools.count(first)
+
+    def go(s: SymR) -> SymR:
+        if isinstance(s, Pair):
+            return Pair(go(s.head), go(s.rest))
+        q = Var(f"x{next(names)}")
+        if isinstance(s, ConsR):
+            t = s.tail
+            return ConsR(q, Case(q, go(t.left), go(t.right))
+                         if isinstance(t, Case) else go(t))
+        return Leaf(q)
+
+    return go(shape)
+
+
+def _tail_given(r: SymR, bit: str) -> SymR:
+    """tail_r(r) on the runs where r's head is `bit`: alternatives headed
+    by the other constant bit are dropped."""
+    def go(r: SymR) -> SymR | None:
+        if isinstance(r, Case):
+            left, right = go(r.left), go(r.right)
+            if left is None or right is None:
+                return right if left is None else left
+            return left if left == right else Case(r.bit, left, right)
+        if isinstance(r, ConsR) and _const_bit(r.head_term) not in (None, bit):
+            return None
+        return tail_r(r)
+
+    t = go(r)
+    return tail_r(r) if t is None else t
+
+
+def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
+    """The value of each parameter of `skel` when the realizer is r.  By
+    the merge/even/odd laws the skeleton over these values is r again."""
+    if isinstance(skel, Leaf):
+        out[skel.term.name] = mat(r)
+    elif isinstance(skel, Pair):
+        _project(even_r(r), skel.head, out)
+        _project(odd_r(r), skel.rest, out)
+    else:
+        out[skel.head_term.name] = head_term_of(r)
+        t = skel.tail
+        if isinstance(t, Case):
+            _project(_tail_given(r, "0"), t.left, out)
+            _project(_tail_given(r, "1"), t.right, out)
+        else:
+            _project(tail_r(r), t, out)
+    return out
+
+
+def _live(roots: Term, nxt: dict[str, Term]) -> list[str]:
+    """The parameters the output reads, directly or through the values
+    passed to other live parameters, in parameter order."""
+    live: set[str] = set()
+    todo = list(variables(roots))
+    while todo:
+        p = todo.pop()
+        if p in nxt and p not in live:
+            live.add(p)
+            todo += variables(nxt[p])
+    return [p for p in nxt if p in live]
+
+
+def _split_chain(t: Term) -> int:
+    """The longest run of nested split_even/split_odd applications in t."""
+    best = 0
+    stack = [(t, 0)]
+    while stack:
+        u, run = stack.pop()
+        run = run + 1 if isinstance(u, Fun) and u.name in (EVEN, ODD) else 0
+        best = max(best, run)
+        stack += [(a, run) for a in u.args]
+    return best
+
+
 @dataclass
 class ExtractionCertificate:
+    """What extraction emitted: one line per runner, the number of
+    runners, and the longest split chain in any emitted term."""
     lines: list[str] = field(default_factory=list)
     split_chain: int = 0
     coinductions: int = 0
@@ -674,18 +834,6 @@ class Extractor:
                 binding[v] = val if sort == "B" else mat(val)
         return substitute(t, binding)
 
-    def _chain_len(self, t: Term) -> int:
-        n = 0
-        while isinstance(t, Fun) and t.name in (EVEN, ODD):
-            n += 1
-            t = t.args[0]
-        return n
-
-    def _track_split(self, r: SymR) -> None:
-        if isinstance(r, Leaf):
-            self.cert.split_chain = max(self.cert.split_chain,
-                                        self._chain_len(r.term))
-
     # -- the walk ----------------------------------------------------------------
 
     def extract(self, d: Derivation, ctx: dict, path: tuple[int, ...] = ()) -> SymR:
@@ -693,9 +841,7 @@ class Extractor:
         handler = getattr(self, "_x_" + rule.replace("-", "_"), None)
         if handler is None:
             raise ExtractError(f"rule '{rule}' outside the supported extraction set")
-        out = handler(d, ctx, path)
-        self._track_split(out)
-        return out
+        return handler(d, ctx, path)
 
     def _x_assume(self, d, ctx, path):
         label = d.attr("label")
@@ -707,47 +853,41 @@ class Extractor:
     def _x_and_intro(self, d, ctx, path):
         a = self.extract(d.premises[0], ctx, path + (0,))
         b = self.extract(d.premises[1], ctx, path + (1,))
-        self.cert.note(path, d.rule, "merge of the two conjunct realizers")
         return Pair(a, Pair(b, ZEROS_R))
 
     def _x_and_elim(self, d, ctx, path):
         w = self.extract(d.premises[0], ctx, path + (0,))
-        self.cert.note(path, d.rule, f"split {d.attr('i')}")
-        return sigma0(w) if d.attr("i") == 1 else sigma1(w)
+        return even_r(w) if d.attr("i") == 1 else sigma1(w)
 
     def _x_or_intro(self, d, ctx, path):
         r = self.extract(d.premises[0], ctx, path + (0,))
         bit = "0" if d.attr("i") == 1 else "1"
-        self.cert.note(path, d.rule, f"tag head bit {bit}")
         return ConsR(Con(bit), r)
 
     def _x_or_elim(self, d, ctx, path):
         w = self.extract(d.premises[0], ctx, path + (0,))
+        bit = head_term_of(w)
         tail = tail_r(w)
-        ctx1 = _extend(ctx, realizers={d.attr("label1"): tail})
-        ctx2 = _extend(ctx, realizers={d.attr("label2"): tail})
-        if isinstance(w, ConsR) and isinstance(w.head_term, Con) \
-                and w.head_term.name in ("0", "1"):
-            pick = 1 if w.head_term.name == "0" else 2
-            self.cert.note(path, d.rule, f"static branch {pick}")
-            return self.extract(d.premises[pick], ctx1 if pick == 1 else ctx2,
-                                path + (pick,))
-        r1 = self.extract(d.premises[1], ctx1, path + (1,))
-        r2 = self.extract(d.premises[2], ctx2, path + (2,))
-        self.cert.note(path, d.rule, "discriminator dispatch on the head bit")
-        return Leaf(Fun(DELTA, (head_term_of(w), mat(r1), mat(r2), mat(r1))))
+        static = _const_bit(bit)
+        if static is not None:
+            pick = 1 if static == "0" else 2
+            ctx2 = _extend(ctx, realizers={d.attr(f"label{pick}"): tail})
+            return self.extract(d.premises[pick], ctx2, path + (pick,))
+        r1 = self.extract(d.premises[1], _extend(
+            ctx, realizers={d.attr("label1"): _known(tail, bit, "0")}), path + (1,))
+        r2 = self.extract(d.premises[2], _extend(
+            ctx, realizers={d.attr("label2"): _known(tail, bit, "1")}), path + (2,))
+        return case(bit, r1, r2)
 
     def _x_ex_intro(self, d, ctx, path):
         body_r = self.extract(d.premises[0], ctx, path + (0,))
         concl = d.conclusion
-        witness = d.attr("witness")
-        wt = self.value_term(witness, ctx)
+        wt = self.value_term(d.attr("witness"), ctx)
         sorts = infer_sorts(concl, self.ds)
         if sorts.get(concl.var) == "B":
             wit_r: SymR = ConsR(wt, ZEROS_R)
         else:
             wit_r = Leaf(wt)
-        self.cert.note(path, d.rule, f"witness value {wt}")
         return Pair(wit_r, Pair(body_r, ZEROS_R))
 
     def _x_ex_elim(self, d, ctx, path):
@@ -755,7 +895,7 @@ class Extractor:
         major = d.premises[0].conclusion
         eigen = d.attr("eigen")
         sorts = infer_sorts(major, self.ds)
-        v0 = sigma0(w)
+        v0 = even_r(w)
         if sorts.get(major.var) == "B":
             value = ("B", head_term_of(v0))
         else:
@@ -794,7 +934,6 @@ class Extractor:
     def _x_data_elim(self, d, ctx, path):
         w = self.extract(d.premises[0], ctx, path + (0,))
         ct, i = d.attr("type"), d.attr("i")
-        self.cert.note(path, d.rule, f"destructor {pi_name(i)}")
         if ct.argument_predicates[i - 1].inductive:
             if i == 1:
                 return ConsR(head_term_of(w), ZEROS_R)
@@ -809,54 +948,68 @@ class Extractor:
         major = self.extract(d.premises[0], ctx, path + (0,))
         cases = [self.extract(p, ctx, path + (1 + i,))
                  for i, p in enumerate(d.premises[1:])]
-        bit = head_term_of(major)
-        self.cert.note(path, d.rule, "boolean case analysis")
-        return Leaf(Fun(DELTA, (bit, mat(cases[0]), mat(cases[1]), mat(cases[0]))))
+        return case(head_term_of(major), cases[0], cases[1])
 
     def _x_coinduction(self, d, ctx, path):
+        """One runner: it emits the head bit of each decomposition step
+        and calls itself on the next subject and the next invariant
+        realizer, that realizer split into one parameter per component of
+        its skeleton, so no evidence is merged and split again at run
+        time."""
         hole = d.attr("var")
         label = d.attr("label")
-        t = d.conclusion.term
-        self.cert.coinductions += 1
         g = self.extract(d.premises[0], ctx, path + (0,))
-        # extract the decomposition step symbolically over the current
-        # context plus the subject value u and invariant realizer v
         items_v = sorted(ctx["values"].items())
         items_r = sorted(ctx["realizers"].items())
-        nparams = len(items_v) + len(items_r)
-        xs = arg_vars(nparams + 2)
+        n_ctx = len(items_v) + len(items_r)
+        xs = arg_vars(n_ctx + 1)
         hctx = {"values": {}, "realizers": {}}
         for i, (name, (sort, _val)) in enumerate(items_v):
             hctx["values"][name] = (sort, xs[i] if sort == "B" else Leaf(xs[i]))
         for i, (lab, _r) in enumerate(items_r):
             hctx["realizers"][lab] = Leaf(xs[len(items_v) + i])
-        u_param, v_param = xs[nparams], xs[nparams + 1]
+        u_param = xs[n_ctx]
         hctx["values"][hole] = ("S", Leaf(u_param))
-        hctx["realizers"][label] = Leaf(v_param)
-        h_sym = self.extract(d.premises[1], hctx, path + (1,))
-        # the runner consumes exactly three slots of the decomposition
-        # evidence; project them now so no evidence tree is rebuilt and
-        # re-split at run time
-        bit_term = head_term_of(sigma0(h_sym))          # the produced bit
-        unext = mat(sigma0(sigma1(h_sym)))              # next subject value
-        vnext = mat(sigma0(sigma1(sigma1(sigma1(h_sym)))))  # next realizer
+
+        def step(v: SymR) -> tuple[Term, Term, SymR]:
+            """Head bit, next subject and next realizer of one step."""
+            h = self.extract(d.premises[1], _extend(hctx, realizers={label: v}),
+                             path + (1,))
+            return (head_term_of(even_r(h)), mat(even_r(sigma1(h))),
+                    even_r(sigma1(sigma1(sigma1(h)))))
+
+        # probe the step with an opaque realizer for its skeleton; runners
+        # nested in the step are emitted by the second extraction only
+        emitted = len(self.defs), len(self.cert.lines)
+        probe = step(Leaf(Var(f"x{n_ctx + 2}")))[2]
+        del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
+        skel = _number(_shape([probe]), n_ctx + 2)
+        bit, unext, vnext = step(skel)
+
+        nxt = {x.name: x for x in xs[:n_ctx]}
+        nxt[u_param.name] = unext
+        evidence_next = _project(vnext, skel, {})
+        nxt.update(evidence_next)
+        first = {x.name: (val if sort == "B" else mat(val))
+                 for x, (_n, (sort, val)) in zip(xs, items_v)}
+        first.update({x.name: mat(r)
+                      for x, (_l, r) in zip(xs[len(items_v):], items_r)})
+        first[u_param.name] = self.value_term(d.conclusion.term, ctx)
+        first.update(_project(g, skel, {}))
+        params = _live(bit, nxt)
+        k = len(params)
+        rename = {p: Var(f"x{i + 1}") for i, p in enumerate(params)}
         r_name = self.fresh_name("run")
         self.defs.append(CorecSchema((SchemaFun(
-            r_name, nparams + 2,
-            (PlainSlot(Component(nparams + 2, bit_term)),
-             RecSlot(1, tuple(Component.projection(nparams + 2, i + 1)
-                              for i in range(nparams))
-                     + (Component(nparams + 2, unext),
-                        Component(nparams + 2, vnext)))),
+            r_name, k,
+            (PlainSlot(Component(k, substitute(bit, rename))),
+             RecSlot(1, tuple(Component(k, substitute(nxt[p], rename))
+                              for p in params))),
             produced=self.cons_name),)))
-        self.cert.note(path, d.rule,
-                       f"corecurrence {r_name} over the projected "
-                       f"decomposition evidence")
-        actuals = [val if sort == "B" else mat(val)
-                   for _n, (sort, val) in items_v]
-        actuals += [mat(r) for _l, r in items_r]
-        u0 = self.value_term(t, ctx)
-        return Leaf(Fun(r_name, tuple(actuals) + (u0, mat(g))))
+        evidence = sum(1 for p in params if p in evidence_next)
+        self.cert.note(path, d.rule, f"runner {r_name}/{k} with {evidence} "
+                                     f"evidence parameters")
+        return Leaf(Fun(r_name, tuple(first[p] for p in params)))
 
 
 def _extend(ctx: dict, values: dict | None = None,
@@ -913,6 +1066,9 @@ def extract(d: Derivation, program: Program, ds: DataSystem,
     base = [e for e in program.body if not reserved_function(e.function)]
     extra = [e for e in compiled.body if not reserved_function(e.function)
              and e.function not in {b.function for b in base}]
+    ex.cert.coinductions = sum(isinstance(s, CorecSchema) for s in ex.defs)
+    ex.cert.split_chain = max(_split_chain(e.rhs) for e in extra
+                              if e.function not in (EVEN, ODD, MERGE, ZEROS))
     merged = assemble_program(ds, base + extra, f0)
     return ExtractionResult(bundle, merged, tuple(free),
                             tuple(l for l, _f in assumptions), ex.cert)

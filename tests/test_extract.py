@@ -3,6 +3,7 @@ import random
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
                      random_stream, stream_prefix, v)
 
+from coeq.cli import parse_workspace
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, extract, prove_corec,
@@ -184,12 +185,17 @@ def test_prove_corec_uses_strongly_positive_invariant():
 
 # -- extraction -------------------------------------------------------------------
 
+def _extract_program(program, ds):
+    verdict = check_primitive_corecursive(program, ds)
+    assert verdict.accepted, verdict.reason
+    compiled = compile_schema(verdict.bundle, ds)
+    d = normalize(prove_corec(verdict.bundle, ds))
+    return extract(d, compiled, ds)
+
+
 def _extract(name):
     entry = stock_library()[name]
-    verdict = check_primitive_corecursive(entry.program, SM)
-    compiled = compile_schema(verdict.bundle, SM)
-    d = normalize(prove_corec(verdict.bundle, SM))
-    return extract(d, compiled, SM), entry
+    return _extract_program(entry.program, SM), entry
 
 
 def test_extract_identity_bisimilar():
@@ -240,7 +246,9 @@ def test_extract_rejects_detours_and_non_sp():
 def test_extraction_certificate_renders():
     result, _ = _extract("even")
     text = result.certificate.render()
-    assert "coinductions\t" in text
+    assert "coinductions\t1" in text
+    assert "max-split-chain\t" in text
+    assert "runner run1/1 with 1 evidence parameters" in text
     assert result.certificate.required_input_depth(32) >= 64
 
 
@@ -264,6 +272,97 @@ def test_extract_realizes_conclusion():
                               tuple(Var(f"x{i + 1}") for i in range(k)))), 32,
             budget=200_000)
         assert realizes(j).holds, name
+
+
+# -- linear runners ---------------------------------------------------------------
+
+SYSTEM_CDS = """system Sm {
+  inductive B;
+  coinductive S;
+  constructor 0 : B;
+  constructor 1 : B;
+  constructor cons : B * S -> S;
+}
+"""
+
+# Four-member families, written as the benchmark's prove workload writes
+# them: (principal, arity, equations).
+FAMILIES = {
+    # f1 -> f2 -> f3 -> f4 -> f1; every second head negated, every third
+    # tail skips two elements
+    "mutual4": ("f1", 1, "f1(x) = cons(pi1(x), f2(pi2(x)));\n"
+                         "  f2(x) = cons(delta(pi1(x), 1, 0, 0), f3(pi2(x)));\n"
+                         "  f3(x) = cons(pi1(x), f4(pi2(pi2(x))));\n"
+                         "  f4(x) = cons(delta(pi1(x), 1, 0, 0), f1(pi2(x)));"),
+    "cycle4": ("c1", 0, "c1 = cons(0, c2);\n  c2 = cons(1, c3);\n"
+                        "  c3 = cons(1, c4);\n  c4 = cons(0, c1);"),
+    "rotate4": ("rot", 4, "rot(x1, x2, x3, x4) = "
+                          "cons(delta(pi1(x1), 1, 0, 0), rot(x2, x3, x4, pi2(x1)));"),
+}
+
+
+def _parse_program(principal, equations):
+    ws = parse_workspace(f"{SYSTEM_CDS}\nprogram {principal} {{\n  {equations}\n}}\n")
+    return ws.pick_program(principal), ws.system
+
+
+def _f0_args(result, args):
+    # value parameter x<i> and realizer parameter h<i> both take input i
+    return tuple(args[int(p[1:]) - 1]
+                 for p in result.value_params + result.realizer_params)
+
+
+def _steps_to_depth(result, ds, arity, depth):
+    """Kernel steps to observe the extracted program to `depth` on the
+    inputs the roundtrip's bisim stage uses first."""
+    rng = random.Random(20240817)
+    names = [f"in{i}" for i in range(arity)]
+    env = DiagramEnv.of({n: random_stream_coterm(rng) for n in names})
+    lhs = Fun(result.principal, _f0_args(result, tuple(fn(n) for n in names)))
+    sess = Session(result.program, ds, env)
+    out = sess.observe(lhs, depth, budget=1_000_000)
+    assert len(approx_bits(out)) == depth
+    return sess.k.steps_total
+
+
+def test_extracted_programs_cost_linear_steps():
+    """Doubling the observation depth of an extracted program at most
+    doubles its kernel steps (within 2.2x), and the program is still
+    primitive corecursive."""
+    cases = [(name, _extract(name)[0], SM, entry.arity)
+             for name, entry in stock_library().items()]
+    for name, (principal, arity, eqs) in FAMILIES.items():
+        program, ds = _parse_program(principal, eqs)
+        cases.append((name, _extract_program(program, ds), ds, arity))
+    for name, result, ds, arity in cases:
+        verdict = check_primitive_corecursive(result.program, ds)
+        assert verdict.accepted, (name, verdict.reason)
+        s32 = _steps_to_depth(result, ds, arity, 32)
+        s64 = _steps_to_depth(result, ds, arity, 64)
+        assert s64 <= 2.2 * s32, (name, s32, s64)
+
+
+def test_rotate_by_two_realizes_within_budget():
+    """rot(x1..x12) = cons(pi1(x1), rot(x3, ..., x12, pi2(x1), pi2(x2))):
+    its extracted program realizes S(rot(x)) at depth 8 within a
+    200,000-step budget."""
+    from coeq.logic import DataAtom
+    n = 12
+    xs = [f"x{i + 1}" for i in range(n)]
+    rest = ", ".join(xs[2:] + ["pi2(x1)", "pi2(x2)"])
+    program, ds = _parse_program(
+        "rot", f"rot({', '.join(xs)}) = cons(pi1(x1), rot({rest}));")
+    result = _extract_program(program, ds)
+    rng = random.Random(12)
+    names = [f"u{i}" for i in range(n)]
+    env = DiagramEnv.of({u: random_stream(rng) for u in names})
+    args = tuple(fn(u) for u in names)
+    j = RealizabilityJudgment.of(
+        result.program, ds, env, dict(zip(xs, args)),
+        Fun(result.principal, _f0_args(result, args)),
+        DataAtom("S", Fun("rot", tuple(Var(x) for x in xs))), 8,
+        budget=200_000)
+    assert realizes(j).holds
 
 
 # -- the roundtrip -----------------------------------------------------------------
