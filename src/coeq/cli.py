@@ -680,10 +680,6 @@ def resolve_workspace(ws: Workspace) -> None:
 # Printing
 # ---------------------------------------------------------------------------
 
-def show_term(t: Term) -> str:
-    return str(t)
-
-
 def show_system(ws: Workspace) -> str:
     ds = ws.system
     lines = [f"system {ws.system_name or 'main'} {{"]
@@ -1039,15 +1035,15 @@ def cmd_classify(args) -> int:
 def cmd_extract(args) -> int:
     r = Reporter(args.format == "tagged")
     ws = _load(args)
-    if args.name in ws.proofs:
-        prog = ws.merged_program() if args.program is None else ws.pick_program(args.program)
-        d = normalize(ws.proofs[args.name])
-    elif args.name in ws.programs:
-        d, prog = prove_corec_program(ws.programs[args.name], ws.system)
-        d = normalize(d)
-    else:
-        raise ResolutionError(f"'{args.name}' names no proof or program")
     try:
+        if args.name in ws.proofs:
+            prog = ws.merged_program() if args.program is None else ws.pick_program(args.program)
+            d = normalize(ws.proofs[args.name])
+        elif args.name in ws.programs:
+            d, prog = prove_corec_program(ws.programs[args.name], ws.system)
+            d = normalize(d)
+        else:
+            raise ResolutionError(f"'{args.name}' names no proof or program")
         result = extract(d, prog, ws.system)
     except ExtractError as e:
         r.text(f"extraction failed: {e}")

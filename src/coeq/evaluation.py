@@ -351,11 +351,3 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
     a = session.observe(t, depth, budget)
     b = session.observe(t2, depth, budget)
     return _diff(a, b)
-
-
-def bisim_depth(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
-                depth: int, session: Session | None = None,
-                ds: DataSystem | None = None) -> OmegaResult:
-    """`derives_omega` at the default step budget."""
-    return derives_omega(program, env, t, t2, depth, DEFAULT_BUDGET,
-                         session=session, ds=ds)

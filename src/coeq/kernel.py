@@ -1,9 +1,8 @@
 """Rewrite kernel: interned terms and budgeted head-normalization.
 
-This module is deliberately written in a flat, allocation-light style
-(ints, tuples, dicts, no dataclasses) so the same source compiles under
-Cython in pure-Python mode; `coeq.kernel` selects the compiled build when
-one is importable and this interpreter otherwise.
+The kernel is written in a flat, allocation-light style (ints, tuples,
+dicts, no dataclasses) because it is the hot path of every verdict: all
+observation, bisimulation and realizability checks end up here.
 
 Terms are hash-consed into integer ids, so equality is `==` on ints and
 memo tables are cheap.  Rewriting is leftmost-outermost: an equation is
@@ -11,11 +10,10 @@ tried by demanding head constructors only at its constructor-pattern
 positions, and match failure is detected from already-forced information
 before any further forcing happens.
 """
-try:
-    import cython
-    COMPILED = cython.compiled
-except ImportError:  # plain interpreter, no cython installed
-    COMPILED = False
+
+# The only backend: this interpreter module.  Kept as a name so reports
+# can record which kernel produced a measurement.
+KERNEL_BACKEND = "pure"
 
 # term kinds
 VAR = 0

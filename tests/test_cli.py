@@ -33,6 +33,15 @@ env E {
 }
 """
 
+# Morse-Thue as a cumulative definition: the recognizer rejects it.
+MT_SOURCE = SM_SOURCE + """
+program mt {
+  notf(x) = delta(x, 1, 0, 0);
+  mrg(x, y) = cons(pi1(x), mrg(y, pi2(x)));
+  mt = 1 : mrg(mt, notf(mt));
+}
+"""
+
 PROOF_SOURCE = SM_SOURCE + """
 proof triv {
   (and-intro (and (S x) (= (flip x) (flip x))) (
@@ -182,13 +191,7 @@ def test_cmd_productive(ws_file, capsys, tmp_path):
     assert code == 0
     assert "primitive-corecursive" in out
     mt = tmp_path / "mt.cds"
-    mt.write_text(SM_SOURCE + """
-program mt {
-  notf(x) = delta(x, 1, 0, 0);
-  mrg(x, y) = cons(pi1(x), mrg(y, pi2(x)));
-  mt = 1 : mrg(mt, notf(mt));
-}
-""")
+    mt.write_text(MT_SOURCE)
     code2, out2, _ = run_main(capsys, "productive", str(mt), "mt")
     assert code2 == 1
     assert "recursive occurrence" in out2
@@ -226,6 +229,18 @@ def test_cmd_extract_program(ws_file, capsys, tmp_path):
     assert "program f0" in text
     ws2 = parse_workspace(text)
     assert "f0" in ws2.programs
+
+
+def test_cmd_extract_rejected_program_fails_cleanly(tmp_path, capsys):
+    mt = tmp_path / "mt.cds"
+    mt.write_text(MT_SOURCE)
+    code, out, err = run_main(capsys, "extract", str(mt), "mt")
+    assert (code, err) == (1, "")
+    assert out.startswith("extraction failed: ")
+    code2, out2, _ = run_main(capsys, "--format", "tagged", "extract",
+                              str(mt), "mt")
+    assert code2 == 1
+    assert "VERDICT\tfailed" in out2
 
 
 def test_cmd_roundtrip_small(capsys):

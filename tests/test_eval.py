@@ -7,8 +7,7 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits,
 
 from coeq.evaluation import (BUDGET_EXHAUSTED, NO_MATCH, ApproxNode, Cut,
                              DiagramEnv, EvalError, Session, Stalled,
-                             bisim_depth, derives_omega, first_stall, observe,
-                             restrict)
+                             derives_omega, first_stall, observe, restrict)
 from coeq.program import assemble_program, Equation
 from coeq.terms import Con, Fun, Var
 
@@ -49,14 +48,14 @@ def test_observe_depth_zero_is_cut():
 
 
 def test_flip_bisim_va_vb():
-    r = bisim_depth(flip_program(), flip_env(), fn("flip", fn("v_a")), fn("v_b"), 8,
-                    ds=SM)
+    r = derives_omega(flip_program(), flip_env(), fn("flip", fn("v_a")), fn("v_b"),
+                      8, ds=SM)
     assert r.equal
 
 
 def test_derives_omega_reflexive():
-    r = bisim_depth(flip_program(), flip_env(), fn("flip", fn("v_a")),
-                    fn("flip", fn("v_a")), 8, ds=SM)
+    r = derives_omega(flip_program(), flip_env(), fn("flip", fn("v_a")),
+                      fn("flip", fn("v_a")), 8, ds=SM)
     assert r.equal
 
 
