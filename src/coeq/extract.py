@@ -123,33 +123,29 @@ class Prover:
                 raise ExtractError(f"variable '{v}' used at both sorts in '{term}'")
             sorts[v] = s
 
-        def walk(t: Term, s: str | None) -> None:
+        def children(t: Term) -> list[tuple[Term, str | None]]:
+            if isinstance(t, Con) and t.name == self.cons_type.constructor.name:
+                return [(t.args[0], "B"), (t.args[1], "S")]
+            if isinstance(t, Fun):
+                if t.name in (pi_name(1), pi_name(2)):
+                    return [(t.args[0], "S")]
+                if t.name == DELTA:
+                    return [(t.args[0], "B")] + [(a, None) for a in t.args[1:]]
+                tpl = self.registry.get(t.name)
+                if tpl is not None:
+                    return [(a, "B" if self.ds.predicate(p).inductive else "S")
+                            for a, p in zip(t.args, tpl.arg_preds)]
+            return [(a, None) for a in t.args]
+
+        # preorder, left to right: the first conflicting variable is the one reported
+        stack: list[tuple[Term, str | None]] = [(term, None)]
+        while stack:
+            t, s = stack.pop()
             if isinstance(t, Var):
                 if s:
                     note(t.name, s)
-                return
-            if isinstance(t, Con) and t.name == self.cons_type.constructor.name:
-                walk(t.args[0], "B")
-                walk(t.args[1], "S")
-                return
-            if isinstance(t, Fun):
-                if t.name in (pi_name(1), pi_name(2)):
-                    walk(t.args[0], "S")
-                    return
-                if t.name == DELTA:
-                    walk(t.args[0], "B")
-                    for a in t.args[1:]:
-                        walk(a, None)
-                    return
-                tpl = self.registry.get(t.name)
-                if tpl is not None:
-                    for a, p in zip(t.args, tpl.arg_preds):
-                        walk(a, "B" if self.ds.predicate(p).inductive else "S")
-                    return
-            for a in t.args:
-                walk(a, None)
-
-        walk(term, None)
+            else:
+                stack.extend(reversed(children(t)))
         for i in range(k):
             sorts.setdefault(f"x{i + 1}", "S")
         return sorts
@@ -256,9 +252,11 @@ class Prover:
                     f"'{f.name}': expected one head component and one corecursive call")
         zz = "zz"
         phi = self._vector_invariant(fns, zz)
+        # phi is the same for every member, so one decomposition premise serves all
+        d_dcm = self._dcm_proof(schema, phi, zz, sub_proofs)
         out: dict[str, Derivation] = {}
         for p, f in enumerate(fns):
-            d = self._member_proof(schema, p, phi, zz, sub_proofs)
+            d = self._member_proof(schema, p, phi, zz, d_dcm)
             out[f.name] = d
             params = tuple(f"x{i + 1}" for i in range(f.arity))
             labels = tuple(f"h{i + 1}" for i in range(f.arity))
@@ -337,7 +335,7 @@ class Prover:
         return body
 
     def _member_proof(self, schema: CorecSchema, p: int, phi: Formula,
-                      zz: str, sub_proofs) -> Derivation:
+                      zz: str, d_dcm: Derivation) -> Derivation:
         fns = schema.functions
         fp = fns[p]
         xs = [Var(f"x{i + 1}") for i in range(fp.arity)]
@@ -346,7 +344,6 @@ class Prover:
         arg_proofs = [assume(hyp_labels[x.name], DataAtom("S", x)) for x in xs]
         premise1 = self._intro_member(fns, phi, zz, p, t,
                                       [x for x in xs], arg_proofs, refl(t))
-        d_dcm = self._dcm_proof(schema, phi, zz, sub_proofs)
         return coinduction("S", zz, phi, t, "w", premise1, d_dcm)
 
     def _dcm_proof(self, schema: CorecSchema, phi: Formula, zz: str,
@@ -360,19 +357,22 @@ class Prover:
                 out = Or(g, out)
             return out
 
-        def case(j: int, d_j: Derivation) -> Derivation:
-            return self._dcm_case(schema, phi, zz, j, d_j, sub_proofs)
-
-        def cases_from(i: int, major: Derivation) -> Derivation:
-            if i == len(fns) - 1:
-                return case(i, major)
+        # or-elimination i splits suffix(i), assumed under labs[i], into
+        # disjunct i and suffix(i + 1); labels are drawn front to back
+        n = len(fns)
+        labs = ["w"]
+        lefts = []
+        for i in range(n - 1):
             l1 = self.labels.fresh()
-            l2 = self.labels.fresh()
-            left = case(i, assume(l1, inst[i]))
-            right = cases_from(i + 1, assume(l2, suffix(i + 1)))
-            return or_elim(major, l1, left, l2, right)
-
-        return cases_from(0, assume("w", phi))
+            labs.append(self.labels.fresh())
+            lefts.append((l1, self._dcm_case(schema, phi, zz, i, assume(l1, inst[i]),
+                                             sub_proofs)))
+        d = self._dcm_case(schema, phi, zz, n - 1, assume(labs[-1], suffix(n - 1)),
+                           sub_proofs)
+        for i in range(n - 2, -1, -1):
+            l1, left = lefts[i]
+            d = or_elim(assume(labs[i], suffix(i)), l1, left, labs[i + 1], d)
+        return d
 
     def _dcm_case(self, schema: CorecSchema, phi: Formula, zz: str, j: int,
                   d_j: Derivation, sub_proofs) -> Derivation:
@@ -458,17 +458,13 @@ class Prover:
                 out = subst_formula(out, ys[jj], Var(es[jj]))
             return out
 
-        def close(i: int, major: Derivation) -> Derivation:
-            body_i = remaining(i)
-            assert isinstance(body_i, Exists)
-            inst = subst_formula(body_i.body, body_i.var, Var(es[i]))
-            if i == k - 1:
-                return ex_elim(major, es[i], a_label, core)
-            lab = self.labels.fresh()
-            minor = close(i + 1, assume(lab, inst))
-            return ex_elim(major, es[i], lab, minor)
-
-        return close(0, d_j)
+        # ex_elim i opens ys[i] as es[i]; its minor premise assumes
+        # remaining(i + 1) under labs[i], the innermost one the chain itself
+        labs = [self.labels.fresh() for _ in range(k - 1)] + [a_label]
+        d = core
+        for i in range(k - 1, 0, -1):
+            d = ex_elim(assume(labs[i - 1], remaining(i)), es[i], labs[i], d)
+        return ex_elim(d_j, es[0], labs[0], d)
 
     def _chain_formula(self, fj, zz: str, vs: list[Term]) -> Formula:
         eq = EqAtom(Var(zz), Fun(fj.name, tuple(vs)))
@@ -1022,26 +1018,20 @@ def _extend(ctx: dict, values: dict | None = None,
     return out
 
 
-def extract(d: Derivation, program: Program, ds: DataSystem,
-            check: bool = True) -> ExtractionResult:
+def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult:
     """Lemma-2 extraction from a detour-free, all-strongly-positive
     derivation: a primitive-corecursive program whose principal maps values
     of the judgment's free variables plus realizers of its open assumptions
     to a realizer of the conclusion."""
-    if check:
-        res = check_proof(ds, program, d)
-        if not res.ok:
-            raise ExtractError(f"derivation does not check: {res.violations[0]}")
-        if has_detour(d):
-            raise ExtractError("derivation has logical detours; normalize first")
-        offending = assert_sp_proof(d)
-        if offending is not None:
-            raise ExtractError(f"non-strongly-positive node at {offending[0]}")
-        assumptions = sorted(res.assumptions.keys(), key=lambda kv: kv[0])
-    else:
-        assumptions = sorted({(n.attr("label"), n.conclusion)
-                              for _p, n in d.nodes() if n.rule == "assume"},
-                             key=lambda kv: kv[0])
+    res = check_proof(ds, program, d)
+    if not res.ok:
+        raise ExtractError(f"derivation does not check: {res.violations[0]}")
+    if has_detour(d):
+        raise ExtractError("derivation has logical detours; normalize first")
+    offending = assert_sp_proof(d)
+    if offending is not None:
+        raise ExtractError(f"non-strongly-positive node at {offending[0]}")
+    assumptions = sorted(res.assumptions.keys(), key=lambda kv: kv[0])
     free = sorted(fv(d.conclusion) | {v for _l, f in assumptions for v in fv(f)})
     ex = Extractor(ds, program)
     ctx = {"values": {}, "realizers": {}}

@@ -1,3 +1,4 @@
+import gc
 import random
 
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
@@ -6,7 +7,7 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
 from coeq.cli import parse_workspace
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
-from coeq.extract import (ExtractError, extract, prove_corec,
+from coeq.extract import (ExtractError, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
 from coeq.logic import (PolarityClass, assert_sp_proof, check_proof,
                         classify_formula, has_detour, normalize)
@@ -181,6 +182,61 @@ def test_prove_corec_uses_strongly_positive_invariant():
     for node in coind:
         phi = node.attr("formula")
         assert classify_formula(phi) is PolarityClass.STRONGLY_POSITIVE
+
+
+def _mutual_family(n):
+    """f1 -> f2 -> ... -> fn -> f1 over one stream, shaped like FAMILIES'
+    mutual4: every second head negated, every third tail skips two."""
+    eqs = []
+    for i in range(1, n + 1):
+        head = "delta(pi1(x), 1, 0, 0)" if i % 2 == 0 else "pi1(x)"
+        tail = "pi2(pi2(x))" if i % 3 == 0 else "pi2(x)"
+        eqs.append(f"f{i}(x) = cons({head}, f{i % n + 1}({tail}));")
+    program, ds = _parse_program("f1", "\n  ".join(eqs))
+    verdict = check_primitive_corecursive(program, ds)
+    assert verdict.accepted, verdict.reason
+    return verdict.bundle, ds
+
+
+def test_schema_builds_one_decomposition_case_per_member(monkeypatch):
+    """All members of a schema share one invariant, so prove_corec builds
+    the decomposition premise once: one case per member, not N per member."""
+    bundle, ds = _mutual_family(12)
+    calls = []
+    original = Prover._dcm_case
+
+    def counting(self, *args):
+        calls.append(args[3])  # the disjunct j
+        return original(self, *args)
+
+    monkeypatch.setattr(Prover, "_dcm_case", counting)
+    prove_corec(bundle, ds)
+    assert sorted(calls) == list(range(12))
+
+
+def test_every_member_of_a_schema_checks():
+    bundle, ds = _mutual_family(12)
+    compiled = compile_schema(bundle, ds)
+    from coeq.logic import DataAtom
+    for m in ("f1", "f6", "f12"):
+        res = check_proof(ds, compiled, prove_corec(bundle, ds, member=m))
+        assert res.ok, (m, res.violations[:3])
+        assert res.conclusion == DataAtom("S", Fun(m, (Var("x1"),)))
+
+
+def test_prove_corec_leaves_no_prover_alive():
+    """The prover holds no reference cycle, so it is freed as soon as
+    prove_corec returns, without waiting for the cycle collector."""
+    for name, entry in stock_library().items():
+        bundle = check_primitive_corecursive(entry.program, SM).bundle
+        gc.collect()
+        gc.disable()
+        try:
+            prove_corec(bundle, SM)
+            alive = sum(isinstance(o, Prover) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0, name
 
 
 # -- extraction -------------------------------------------------------------------
