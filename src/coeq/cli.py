@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .corec import check_primitive_corecursive
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
-                         DiagramEnv, GeneratorBinding, Session, Stalled,
-                         derives_omega, first_stall)
+                         DiagramEnv, EvalError, GeneratorBinding, Session,
+                         Stalled, derives_omega, first_stall)
 from .extract import ExtractError, extract, prove_corec_program, roundtrip_report
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
                     Formula, Imp, Or, check_proof, classify_formula,
@@ -1163,7 +1163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ResolutionError, ValueError, OSError) as e:
+    except (ParseError, ResolutionError, EvalError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -46,10 +46,6 @@ class Component:
         return Component(k + 1, Fun(DELTA, arg_vars(k + 1)))
 
     @staticmethod
-    def previously_defined(name: str, arity: int) -> "Component":
-        return Component(arity, Fun(name, arg_vars(arity)))
-
-    @staticmethod
     def projection(arity: int, i: int) -> "Component":
         return Component(arity, Var(f"x{i}"))
 
@@ -122,12 +118,6 @@ class CorecBundle:
     def schema_of(self, name: str) -> CorecSchema | None:
         for s in self.strata:
             if isinstance(s, CorecSchema) and name in s.names():
-                return s
-        return None
-
-    def composition_of(self, name: str) -> CompositionDef | None:
-        for s in self.strata:
-            if isinstance(s, CompositionDef) and s.name == name:
                 return s
         return None
 
@@ -514,16 +504,12 @@ def cocase_name(m: int) -> str:
 
 
 def compile_schema(item: CorecBundle | CorecSchema | CompositionDef,
-                   ds: DataSystem, principal: str | None = None) -> Program:
+                   ds: DataSystem) -> Program:
     """Emit the equational program of a schema (or a whole stratified
     bundle).  Recursive functions come out in constructor-producing form,
     so the result is directly evaluable; the compiled program validates and
     the recognizer re-extracts an equal schema."""
-    if isinstance(item, CorecBundle):
-        strata = item.strata
-        principal = principal or item.principal
-    else:
-        strata = (item,)
+    strata = item.strata if isinstance(item, CorecBundle) else (item,)
     eqs: list[Equation] = []
     names: list[str] = []
     cocases: set[int] = set()
@@ -566,8 +552,7 @@ def compile_schema(item: CorecBundle | CorecSchema | CompositionDef,
                 eqs.append(Equation(
                     fdef.name, xs,
                     Fun(cocase_name(m), (fdef.selector.apply(xs),) + slot_terms)))
-    if principal is None:
-        principal = names[-1]
+    principal = item.principal if isinstance(item, CorecBundle) else names[-1]
     return assemble_program(ds, eqs, principal)
 
 

@@ -120,11 +120,10 @@ class Session:
     environments and systems themselves are immutable and shareable."""
 
     def __init__(self, program: Program, ds: DataSystem,
-                 env: DiagramEnv | None = None, validate: bool = True):
-        if validate:
-            rep = validate_program(program, ds)
-            if not rep.ok:
-                raise EvalError(f"invalid program: {rep}")
+                 env: DiagramEnv | None = None):
+        rep = validate_program(program, ds)
+        if not rep.ok:
+            raise EvalError(f"invalid program: {rep}")
         self.program = program
         self.ds = ds
         self.env = env or DiagramEnv()

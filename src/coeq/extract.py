@@ -36,8 +36,8 @@ from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
                     subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function)
-from .realize import (EVEN, MERGE, ODD, ZEROS, even_term, infer_sorts,
-                      merge_term, odd_term, zeros_term)
+from .realize import (EVEN, MERGE, ODD, ZEROS, algebra_strata, even_term,
+                      infer_sorts, merge_term, odd_term, zeros_term)
 from .system import DataSystem, random_stream_coterm
 from .terms import Con, Fun, Term, Var, substitute, variables
 
@@ -70,11 +70,10 @@ class _Labels:
 
 
 class Prover:
-    """Builds checked derivations about one compiled program."""
+    """Builds checked derivations about the programs `compile_schema` emits."""
 
-    def __init__(self, ds: DataSystem, program: Program):
+    def __init__(self, ds: DataSystem):
         self.ds = ds
-        self.program = program
         self.registry: dict[str, ProofTemplate] = {}
         self.labels = _Labels("q")
         b = ds.predicate("B")
@@ -150,20 +149,13 @@ class Prover:
             sorts.setdefault(f"x{i + 1}", "S")
         return sorts
 
-    def _pred(self, sort: str) -> str:
-        return "B" if sort == "B" else "S"
-
     # -- the synthesizer -------------------------------------------------------
 
     def typing(self, t: Term, var_sorts: dict[str, str],
-               hyp_labels: dict[str, str],
-               sub_proofs: dict[Term, Derivation] | None = None) -> Derivation:
+               hyp_labels: dict[str, str]) -> Derivation:
         """Derivation of Pred(t) from labeled hypotheses Pred_v(v)."""
-        if sub_proofs and t in sub_proofs:
-            return sub_proofs[t]
         if isinstance(t, Var):
-            pred = self._pred(var_sorts[t.name])
-            return assume(hyp_labels[t.name], DataAtom(pred, t))
+            return assume(hyp_labels[t.name], DataAtom(var_sorts[t.name], t))
         if isinstance(t, Con):
             types = [ty for ty in self.ds.types_of(t.name)
                      if ty.result_predicate.inductive]
@@ -172,11 +164,11 @@ class Prover:
             return data_intro(types[0], ())
         assert isinstance(t, Fun)
         if t.name in (pi_name(1), pi_name(2)):
-            inner = self.typing(t.args[0], var_sorts, hyp_labels, sub_proofs)
+            inner = self.typing(t.args[0], var_sorts, hyp_labels)
             i = 1 if t.name == pi_name(1) else 2
             return data_elim(self.cons_type, i, inner)
         if t.name == DELTA:
-            return self._delta_typing(t, var_sorts, hyp_labels, sub_proofs)
+            return self._delta_typing(t, var_sorts, hyp_labels)
         tpl = self.registry.get(t.name)
         if tpl is None:
             raise ExtractError(f"no typing available for '{t.name}'")
@@ -187,14 +179,14 @@ class Prover:
         for new, arg in zip(fresh, t.args):
             d = subst_derivation(d, new, arg)
         for lab, pred, arg in zip(tpl.labels, tpl.arg_preds, t.args):
-            arg_d = self.typing(arg, var_sorts, hyp_labels, sub_proofs)
+            arg_d = self.typing(arg, var_sorts, hyp_labels)
             d = graft(d, lab, DataAtom(pred, arg), arg_d)
         return d
 
-    def _delta_typing(self, t: Term, var_sorts, hyp_labels, sub_proofs) -> Derivation:
+    def _delta_typing(self, t: Term, var_sorts, hyp_labels) -> Derivation:
         sel = t.args[0]
-        sel_d = self.typing(sel, var_sorts, hyp_labels, sub_proofs)
-        target = self._pred(self.sort_of(t, var_sorts))
+        sel_d = self.typing(sel, var_sorts, hyp_labels)
+        target = self.sort_of(t, var_sorts)
         hole = "q0"
         avoid = variables(t)
         while hole in avoid:
@@ -206,7 +198,7 @@ class Prover:
             cname = ct.constructor.name
             idx = delta_positions[cname]
             branch = t.args[1 + idx]
-            inner = self.typing(branch, var_sorts, hyp_labels, sub_proofs)
+            inner = self.typing(branch, var_sorts, hyp_labels)
             concl = DataAtom(target, Fun(DELTA, (Con(cname),) + t.args[1:]))
             cases.append(rewrite(DELTA, idx, "rl", (1,), inner, concl))
         return induction("B", hole, phi, sel_d, tuple(cases),
@@ -215,32 +207,24 @@ class Prover:
 
     # -- compositions ------------------------------------------------------------
 
-    def register_composition(self, cdef: CompositionDef,
-                             sub_proofs=None) -> Derivation:
+    def register_composition(self, cdef: CompositionDef) -> Derivation:
         k = cdef.arity
         var_sorts = self.infer_arg_sorts(cdef.component.term, k)
         params = tuple(f"x{i + 1}" for i in range(k))
         labels = tuple(f"h{i + 1}" for i in range(k))
         hyp = dict(zip(params, labels))
-        body_d = self.typing(cdef.component.term, var_sorts, hyp, sub_proofs)
-        result = self._pred(self.sort_of(cdef.component.term, var_sorts))
-        eq_idx = self._eq_index(cdef.name, 0)
+        body_d = self.typing(cdef.component.term, var_sorts, hyp)
+        result = self.sort_of(cdef.component.term, var_sorts)
         concl = DataAtom(result, Fun(cdef.name, tuple(Var(p) for p in params)))
-        d = rewrite(cdef.name, eq_idx, "rl", (1,), body_d, concl)
+        # compile_schema emits one equation per definition, so its index is 0
+        d = rewrite(cdef.name, 0, "rl", (1,), body_d, concl)
         self.registry[cdef.name] = ProofTemplate(
-            params, labels, tuple(self._pred(var_sorts[p]) for p in params),
-            result, d)
+            params, labels, tuple(var_sorts[p] for p in params), result, d)
         return d
-
-    def _eq_index(self, fn: str, i: int) -> int:
-        eqs = self.program.equations_of(fn)
-        if not eqs:
-            raise ExtractError(f"no equations for '{fn}' in the compiled program")
-        return i
 
     # -- schemas (the corecursion-to-coinduction proof) ---------------------------
 
-    def register_schema(self, schema: CorecSchema, sub_proofs=None) -> dict[str, Derivation]:
+    def register_schema(self, schema: CorecSchema) -> dict[str, Derivation]:
         fns = schema.functions
         for f in fns:
             if f.selector is not None or f.produced != self.cons_type.constructor.name:
@@ -251,12 +235,12 @@ class Prover:
                 raise ExtractError(
                     f"'{f.name}': expected one head component and one corecursive call")
         zz = "zz"
-        phi = self._vector_invariant(fns, zz)
+        phi = _disjunction(_disjuncts(fns, Var(zz)))
         # phi is the same for every member, so one decomposition premise serves all
-        d_dcm = self._dcm_proof(schema, phi, zz, sub_proofs)
+        d_dcm = self._dcm_proof(fns, phi, zz)
         out: dict[str, Derivation] = {}
         for p, f in enumerate(fns):
-            d = self._member_proof(schema, p, phi, zz, d_dcm)
+            d = self._member_proof(fns, p, phi, zz, d_dcm)
             out[f.name] = d
             params = tuple(f"x{i + 1}" for i in range(f.arity))
             labels = tuple(f"h{i + 1}" for i in range(f.arity))
@@ -264,199 +248,114 @@ class Prover:
                 params, labels, tuple("S" for _ in params), "S", d)
         return out
 
-    def _vector_invariant(self, fns, zz: str) -> Formula:
-        disjuncts = []
-        for f in fns:
-            ys = [f"y{i + 1}" for i in range(f.arity)]
-            eq = EqAtom(Var(zz), Fun(f.name, tuple(Var(y) for y in ys)))
-            body: Formula = eq
-            for y in reversed(ys):
-                body = And(DataAtom("S", Var(y)), body)
-            for y in reversed(ys):
-                body = Exists(y, body)
-            disjuncts.append(body)
-        out = disjuncts[-1]
-        for d in reversed(disjuncts[:-1]):
-            out = Or(d, out)
-        return out
-
     def _intro_exists(self, names: list[str], body: Formula,
                       witnesses: list[Term], d: Derivation) -> Derivation:
-        n = len(names)
-        for i in range(n - 1, -1, -1):
-            inner = body
-            for j in range(n - 1, i, -1):
-                inner = Exists(names[j], inner)
-            partial = inner
+        for i in range(len(names) - 1, -1, -1):
+            partial = _closure(names[i + 1:], body)
             for j in range(i):
                 partial = subst_formula(partial, names[j], witnesses[j])
             d = ex_intro(names[i], partial, witnesses[i], d)
         return d
 
-    def _intro_member(self, fns, phi: Formula, zz: str, p: int, val: Term,
-                      arg_values: list[Term], arg_proofs: list[Derivation],
-                      eq_proof: Derivation) -> Derivation:
+    def _intro_member(self, fns, p: int, val: Term, arg_values: list[Term],
+                      arg_proofs: list[Derivation]) -> Derivation:
         """phi[zz := val] via disjunct p: the existentials and conjunctions
         of 'val is f_p on streams arg_values'."""
         f = fns[p]
         ys = [f"y{i + 1}" for i in range(f.arity)]
-        eq = EqAtom(val, Fun(f.name, tuple(Var(y) for y in ys)))
-        chain: Formula = eq
-        for y in reversed(ys):
-            chain = And(DataAtom("S", Var(y)), chain)
-        d = eq_proof
+        d = refl(val)
         for pd in reversed(arg_proofs):
             d = and_intro(pd, d)
-        d = self._intro_exists(ys, chain, arg_values, d)
+        d = self._intro_exists(ys, _chain(f.name, val, [Var(y) for y in ys]),
+                               arg_values, d)
         # now select disjunct p inside the right-associated chain
-        inst = [self._disjunct_inst(fns, j, zz, val) for j in range(len(fns))]
-
-        def suffix(i: int) -> Formula:
-            out = inst[-1]
-            for g in reversed(inst[i:-1]):
-                out = Or(g, out)
-            return out
-
+        inst = _disjuncts(fns, val)
         if p < len(fns) - 1:
-            d = or_intro(1, d, suffix(p + 1))
+            d = or_intro(1, d, _disjunction(inst[p + 1:]))
         for i in range(p - 1, -1, -1):
             d = or_intro(2, d, inst[i])
         return d
 
-    def _disjunct_inst(self, fns, j: int, zz: str, val: Term) -> Formula:
-        f = fns[j]
-        ys = [f"y{i + 1}" for i in range(f.arity)]
-        eq = EqAtom(val, Fun(f.name, tuple(Var(y) for y in ys)))
-        body: Formula = eq
-        for y in reversed(ys):
-            body = And(DataAtom("S", Var(y)), body)
-        for y in reversed(ys):
-            body = Exists(y, body)
-        return body
-
-    def _member_proof(self, schema: CorecSchema, p: int, phi: Formula,
-                      zz: str, d_dcm: Derivation) -> Derivation:
-        fns = schema.functions
+    def _member_proof(self, fns, p: int, phi: Formula, zz: str,
+                      d_dcm: Derivation) -> Derivation:
         fp = fns[p]
         xs = [Var(f"x{i + 1}") for i in range(fp.arity)]
         t = Fun(fp.name, tuple(xs))
-        hyp_labels = {x.name: f"h{i + 1}" for i, x in enumerate(xs)}
-        arg_proofs = [assume(hyp_labels[x.name], DataAtom("S", x)) for x in xs]
-        premise1 = self._intro_member(fns, phi, zz, p, t,
-                                      [x for x in xs], arg_proofs, refl(t))
+        arg_proofs = [assume(f"h{i + 1}", DataAtom("S", x)) for i, x in enumerate(xs)]
+        premise1 = self._intro_member(fns, p, t, xs, arg_proofs)
         return coinduction("S", zz, phi, t, "w", premise1, d_dcm)
 
-    def _dcm_proof(self, schema: CorecSchema, phi: Formula, zz: str,
-                   sub_proofs) -> Derivation:
-        fns = schema.functions
-        inst = [self._disjunct_inst(fns, j, zz, Var(zz)) for j in range(len(fns))]
-
-        def suffix(i: int) -> Formula:
-            out = inst[-1]
-            for g in reversed(inst[i:-1]):
-                out = Or(g, out)
-            return out
-
-        # or-elimination i splits suffix(i), assumed under labs[i], into
-        # disjunct i and suffix(i + 1); labels are drawn front to back
+    def _dcm_proof(self, fns, phi: Formula, zz: str) -> Derivation:
+        inst = _disjuncts(fns, Var(zz))
+        # or-elimination i splits the disjunction of inst[i:], assumed under
+        # labs[i], into disjunct i and the rest; labels are drawn front to back
         n = len(fns)
         labs = ["w"]
         lefts = []
         for i in range(n - 1):
             l1 = self.labels.fresh()
             labs.append(self.labels.fresh())
-            lefts.append((l1, self._dcm_case(schema, phi, zz, i, assume(l1, inst[i]),
-                                             sub_proofs)))
-        d = self._dcm_case(schema, phi, zz, n - 1, assume(labs[-1], suffix(n - 1)),
-                           sub_proofs)
+            lefts.append((l1, self._dcm_case(fns, phi, zz, i, assume(l1, inst[i]))))
+        d = self._dcm_case(fns, phi, zz, n - 1, assume(labs[-1], inst[-1]))
         for i in range(n - 2, -1, -1):
             l1, left = lefts[i]
-            d = or_elim(assume(labs[i], suffix(i)), l1, left, labs[i + 1], d)
+            d = or_elim(assume(labs[i], _disjunction(inst[i:])), l1, left, labs[i + 1], d)
         return d
 
-    def _dcm_case(self, schema: CorecSchema, phi: Formula, zz: str, j: int,
-                  d_j: Derivation, sub_proofs) -> Derivation:
+    def _dcm_case(self, fns, phi: Formula, zz: str, j: int,
+                  d_j: Derivation) -> Derivation:
         """From a proof of disjunct j (zz is f_j on streams), derive the
         decomposition of zz."""
-        fns = schema.functions
         fj = fns[j]
         k = fj.arity
         es = [f"e{self.labels.fresh()}" for _ in range(k)]
+        e_args = tuple(Var(e) for e in es)
         # peel the existentials, then the conjunction chain
-        chain_vars = [Var(e) for e in es]
-        eq_formula = EqAtom(Var(zz), Fun(fj.name, tuple(chain_vars)))
-        chain: Formula = eq_formula
-        for v in reversed(chain_vars):
-            chain = And(DataAtom("S", v), chain)
         a_label = self.labels.fresh()
-        inner_assumption = assume(a_label, chain)
+        cur: Derivation = assume(a_label, _chain(fj.name, Var(zz), e_args))
         s_proofs: list[Derivation] = []
-        cur: Derivation = inner_assumption
         for _ in range(k):
             s_proofs.append(and_elim(1, cur))
             cur = and_elim(2, cur)
-        d_eq = cur  # zz = f_j(e...)
         # rewrite the call one step: zz = cons(head, f_l(tailargs))
-        head_c = fj.slots[0].component
+        head_term = fj.slots[0].component.apply(e_args)
         tail_slot = fj.slots[1]
-        e_args = tuple(Var(e) for e in es)
-        head_term = head_c.apply(e_args)
         tail_args = [c.apply(e_args) for c in tail_slot.args]
-        callee = fns[tail_slot.target - 1]
-        tail_term = Fun(callee.name, tuple(tail_args))
-        eq_idx = 0
-        stepped = rewrite(fj.name, eq_idx, "lr", (2,), d_eq,
+        tail_term = Fun(fns[tail_slot.target - 1].name, tuple(tail_args))
+        stepped = rewrite(fj.name, 0, "lr", (2,), cur,
                           EqAtom(Var(zz), Con(fj.produced, (head_term, tail_term))))
-        # typings
+        # typings, from hypotheses S(e) later grafted with the chain's proofs
         var_sorts = {e: "S" for e in es}
-        hyp_labels: dict[str, str] = {}
-        tmp_labels = {}
-        for e in es:
-            tmp = self.labels.fresh()
-            tmp_labels[e] = tmp
-            hyp_labels[e] = tmp
-        d_head = self.typing(head_term, var_sorts, hyp_labels, sub_proofs)
-        tail_arg_proofs = [self.typing(a, var_sorts, hyp_labels, sub_proofs)
-                           for a in tail_args]
-        pd_head = d_head
-        for e, sp in zip(es, s_proofs):
-            pd_head = graft(pd_head, tmp_labels[e], DataAtom("S", Var(e)), sp)
-        tails = []
-        for tp in tail_arg_proofs:
+        hyp_labels = {e: self.labels.fresh() for e in es}
+        typed = [self.typing(a, var_sorts, hyp_labels) for a in [head_term] + tail_args]
+        for i, tp in enumerate(typed):
             for e, sp in zip(es, s_proofs):
-                tp = graft(tp, tmp_labels[e], DataAtom("S", Var(e)), sp)
-            tails.append(tp)
-        d_phi_tail = self._intro_member(fns, phi, zz, tail_slot.target - 1,
-                                        tail_term, tail_args, tails,
-                                        refl(tail_term))
-        dcm_formula = build_dcm(self.ds, "S", phi, zz, zz)
-        body = and_intro(pd_head, and_intro(d_phi_tail, stepped))
-        dcm_shape = dcm_formula
+                tp = graft(tp, hyp_labels[e], DataAtom("S", Var(e)), sp)
+            typed[i] = tp
+        d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,
+                                        tail_args, typed[1:])
+        body = and_intro(typed[0], and_intro(d_phi_tail, stepped))
+        dcm_shape = build_dcm(self.ds, "S", phi, zz, zz)
         z_names = []
         while isinstance(dcm_shape, Exists):
             z_names.append(dcm_shape.var)
             dcm_shape = dcm_shape.body
         d = self._intro_exists(z_names, dcm_shape, [head_term, tail_term], body)
-        return self._close_exists(fj, zz, es, a_label, d, d_j)
+        return self._close_exists(fj.name, zz, es, a_label, d, d_j)
 
-    def _close_exists(self, fj, zz: str, es: list[str], a_label: str,
+    def _close_exists(self, fn: str, zz: str, es: list[str], a_label: str,
                       core: Derivation, d_j: Derivation) -> Derivation:
         """Wrap `core` (built from the innermost chain assumption labeled
         a_label) in existential eliminations for e_1..e_k, majored by d_j."""
         k = len(es)
-        ys = [f"y{i + 1}" for i in range(k)]
-        chain = self._chain_formula(fj, zz, [Var(y) for y in ys])
         if k == 0:
-            return graft(core, a_label, chain, d_j)
+            return graft(core, a_label, _chain(fn, Var(zz), []), d_j)
+        ys = [f"y{i + 1}" for i in range(k)]
 
         def remaining(i: int) -> Formula:
             """ex ys[i]..ys[k-1]. chain, with ys[0..i-1] already e's."""
-            out: Formula = chain
-            for jj in range(k - 1, i - 1, -1):
-                out = Exists(ys[jj], out)
-            for jj in range(i):
-                out = subst_formula(out, ys[jj], Var(es[jj]))
-            return out
+            vs = [Var(e) for e in es[:i]] + [Var(y) for y in ys[i:]]
+            return _closure(ys[i:], _chain(fn, Var(zz), vs))
 
         # ex_elim i opens ys[i] as es[i]; its minor premise assumes
         # remaining(i + 1) under labs[i], the innermost one the chain itself
@@ -466,12 +365,37 @@ class Prover:
             d = ex_elim(assume(labs[i - 1], remaining(i)), es[i], labs[i], d)
         return ex_elim(d_j, es[0], labs[0], d)
 
-    def _chain_formula(self, fj, zz: str, vs: list[Term]) -> Formula:
-        eq = EqAtom(Var(zz), Fun(fj.name, tuple(vs)))
-        body: Formula = eq
-        for v in reversed(vs):
-            body = And(DataAtom("S", v), body)
-        return body
+
+def _chain(fn: str, lhs: Term, vs) -> Formula:
+    """S(v1) & ... & S(vk) & lhs = fn(v1..vk)."""
+    out: Formula = EqAtom(lhs, Fun(fn, tuple(vs)))
+    for v in reversed(vs):
+        out = And(DataAtom("S", v), out)
+    return out
+
+
+def _closure(names, body: Formula) -> Formula:
+    """ex names[0] ... ex names[-1]. body"""
+    for y in reversed(names):
+        body = Exists(y, body)
+    return body
+
+
+def _disjunction(fs) -> Formula:
+    """fs[0] | (fs[1] | ... | fs[-1]), nested to the right."""
+    out = fs[-1]
+    for g in reversed(fs[:-1]):
+        out = Or(g, out)
+    return out
+
+
+def _disjuncts(fns, val: Term) -> list[Formula]:
+    """For each member f/k of the vector: ex y1..yk. S(y1) & ... & val = f(y...)."""
+    out = []
+    for f in fns:
+        ys = [f"y{i + 1}" for i in range(f.arity)]
+        out.append(_closure(ys, _chain(f.name, val, [Var(y) for y in ys])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,25 +403,22 @@ class Prover:
 # ---------------------------------------------------------------------------
 
 def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem,
-                sub_proofs: dict[Term, Derivation] | None = None,
                 member: str | None = None) -> Derivation:
     """The corecursion-to-coinduction proof: a checked derivation of
     S(f(x1..xk)) from assumptions S(x1)..S(xk), for the compiled program of
-    the bundle.  `sub_proofs` may supply component typings keyed by their
-    component term; missing ones are synthesized."""
+    the bundle."""
     if isinstance(bundle, CorecSchema):
         bundle = CorecBundle((bundle,), bundle.functions[-1].name)
-    program = compile_schema(bundle, ds)
-    prover = Prover(ds, program)
+    prover = Prover(ds)
     principal = member or bundle.principal
     result: Derivation | None = None
     for stratum in bundle.strata:
         if isinstance(stratum, CompositionDef):
-            d = prover.register_composition(stratum, sub_proofs)
+            d = prover.register_composition(stratum)
             if stratum.name == principal:
                 result = d
         else:
-            ds_map = prover.register_schema(stratum, sub_proofs)
+            ds_map = prover.register_schema(stratum)
             if principal in ds_map:
                 result = ds_map[principal]
     if result is None:
@@ -782,43 +703,21 @@ class ExtractionResult:
         return self.bundle.principal
 
 
-def _algebra_strata() -> list[Stratum]:
-    p1 = Component.destructor(1)
-    p2 = Component.destructor(2)
-    tl2 = Component.compose(p2, [p2])
-    return [
-        CorecSchema((SchemaFun(EVEN, 1, (PlainSlot(p1), RecSlot(1, (tl2,))),
-                               produced="cons"),)),
-        CompositionDef(ODD, 1, Component(1, Fun(EVEN, (Fun(pi_name(2), (Var("x1"),)),)))),
-        CorecSchema((SchemaFun(MERGE, 2,
-                               (PlainSlot(Component(2, Fun(pi_name(1), (Var("x1"),)))),
-                                RecSlot(1, (Component.projection(2, 2),
-                                            Component(2, Fun(pi_name(2), (Var("x1"),)))))),
-                               produced="cons"),)),
-        CorecSchema((SchemaFun(ZEROS, 0,
-                               (PlainSlot(Component(0, Con("0"))), RecSlot(1, ())),
-                               produced="cons"),)),
-    ]
-
-
 class Extractor:
     def __init__(self, ds: DataSystem, program: Program):
         self.ds = ds
-        self.program = program
         self.defs: list[Stratum] = []
         self.counter = itertools.count(1)
         self.cert = ExtractionCertificate()
         self.cons_name = "cons"
-        taken = set(program.functions())
+        self.taken = set(program.functions())
 
-        def fresh_name(base: str) -> str:
-            while True:
-                n = f"{base}{next(self.counter)}"
-                if n not in taken:
-                    taken.add(n)
-                    return n
-
-        self.fresh_name = fresh_name
+    def fresh_name(self, base: str) -> str:
+        while True:
+            n = f"{base}{next(self.counter)}"
+            if n not in self.taken:
+                self.taken.add(n)
+                return n
 
     # -- values ---------------------------------------------------------------
 
@@ -1051,7 +950,7 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     out = ex.extract(d, ctx)
     f0 = ex.fresh_name("f0_") if "f0" in program.functions() else "f0"
     ex.defs.append(CompositionDef(f0, n_in, Component(n_in, mat(out))))
-    bundle = CorecBundle(tuple(_algebra_strata()) + tuple(ex.defs), f0)
+    bundle = CorecBundle(tuple(algebra_strata()) + tuple(ex.defs), f0)
     compiled = compile_schema(bundle, ds)
     base = [e for e in program.body if not reserved_function(e.function)]
     extra = [e for e in compiled.body if not reserved_function(e.function)

@@ -838,19 +838,6 @@ _BINDER_LABEL_ATTRS = {
 }
 
 
-def _labels_of(d: Derivation) -> set[str]:
-    out: set[str] = set()
-    for _p, node in d.nodes():
-        if node.rule == "assume":
-            out.add(node.attr("label"))
-        for key in _BINDER_LABEL_ATTRS.get(node.rule, ()):
-            out.add(node.attr(key))
-        if node.rule == "induction":
-            for labs in node.attr("case_labels") or ():
-                out.update(labs)
-    return out
-
-
 def _relabel(d: Derivation, env: dict[str, str], fresh: "itertools.count",
              avoid: set[str]) -> Derivation:
     """Rename discharge labels that clash with `avoid`, respecting scope."""

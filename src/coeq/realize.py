@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
+                    PlainSlot, RecSlot, SchemaFun, Stratum, compile_schema)
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
 from .logic import (And, DataAtom, EqAtom, Exists, Formula, Imp, Or,
                     PolarityClass, classify_formula)
-from .program import Equation, Program, assemble_program, pi_name
+from .program import Program, assemble_program, pi_name, reserved_function
 from .system import DataSystem
 from .terms import Con, Fun, Term, Var, substitute
 
@@ -27,27 +29,34 @@ MERGE = "split_merge"
 ZEROS = "split_zeros"
 
 
-def algebra_equations() -> list[Equation]:
-    x, y = Var("x"), Var("y")
-
-    def p1(t: Term) -> Term:
-        return Fun(pi_name(1), (t,))
-
-    def p2(t: Term) -> Term:
-        return Fun(pi_name(2), (t,))
-
+def algebra_strata() -> list[Stratum]:
+    """The split algebra as schemas: split_even takes every second element,
+    split_odd = split_even . pi2, split_merge interleaves two streams and
+    split_zeros is 0:0:0:..."""
+    p1 = Component.destructor(1)
+    p2 = Component.destructor(2)
+    tl2 = Component.compose(p2, [p2])
     return [
-        Equation(EVEN, (x,), Con("cons", (p1(x), Fun(EVEN, (p2(p2(x)),))))),
-        Equation(ODD, (x,), Fun(EVEN, (p2(x),))),
-        Equation(MERGE, (x, y), Con("cons", (p1(x), Fun(MERGE, (y, p2(x)))))),
-        Equation(ZEROS, (), Con("cons", (Con("0"), Fun(ZEROS)))),
+        CorecSchema((SchemaFun(EVEN, 1, (PlainSlot(p1), RecSlot(1, (tl2,))),
+                               produced="cons"),)),
+        CompositionDef(ODD, 1, Component(1, Fun(EVEN, (Fun(pi_name(2), (Var("x1"),)),)))),
+        CorecSchema((SchemaFun(MERGE, 2,
+                               (PlainSlot(Component(2, Fun(pi_name(1), (Var("x1"),)))),
+                                RecSlot(1, (Component.projection(2, 2),
+                                            Component(2, Fun(pi_name(2), (Var("x1"),)))))),
+                               produced="cons"),)),
+        CorecSchema((SchemaFun(ZEROS, 0,
+                               (PlainSlot(Component(0, Con("0"))), RecSlot(1, ())),
+                               produced="cons"),)),
     ]
 
 
 def with_algebra(program: Program, ds: DataSystem) -> Program:
     """Extend a program with the split algebra (idempotent)."""
     have = {e.function for e in program.body}
-    extra = [e for e in algebra_equations() if e.function not in have]
+    algebra = compile_schema(CorecBundle(tuple(algebra_strata()), ZEROS), ds)
+    extra = [e for e in algebra.body
+             if not reserved_function(e.function) and e.function not in have]
     if not extra:
         return program
     return assemble_program(ds, list(program.body) + extra, program.principal,
@@ -79,14 +88,6 @@ def split_term(sigma: Term, i: int) -> Term:
     return even_term(t)
 
 
-def split_prime_term(sigma: Term, i: int) -> Term:
-    """sigma_i' = odd^{i+1}(sigma), the leftover complement."""
-    t = sigma
-    for _ in range(i + 1):
-        t = odd_term(t)
-    return t
-
-
 class RealizerAlgebra:
     """An evaluation session whose program carries the split algebra."""
 
@@ -95,12 +96,6 @@ class RealizerAlgebra:
         self.ds = ds
         self.program = with_algebra(program, ds)
         self.session = Session(self.program, ds, env)
-
-    def split(self, sigma: Term, i: int) -> Term:
-        return split_term(sigma, i)
-
-    def merge(self, a: Term, b: Term) -> Term:
-        return merge_term(a, b)
 
     def observe(self, t: Term, depth: int, budget: int = DEFAULT_BUDGET):
         return self.session.observe(t, depth, budget)

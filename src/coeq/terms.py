@@ -68,18 +68,8 @@ def term_size(t: Term) -> int:
     return sum(1 for _ in subterms(t))
 
 
-def term_height(t: Term) -> int:
-    if not t.args:
-        return 1
-    return 1 + max(term_height(a) for a in t.args)
-
-
 def has_fun(t: Term) -> bool:
     return any(isinstance(u, Fun) for u in subterms(t))
-
-
-def has_var(t: Term) -> bool:
-    return any(isinstance(u, Var) for u in subterms(t))
 
 
 def substitute(t: Term, s: Subst) -> Term:
@@ -118,20 +108,3 @@ def rename_apart(t: Term, taken: set[str], suffix: str = "'") -> tuple[Term, Sub
             taken.add(fresh)
     return substitute(t, ren), ren
 
-
-Path = tuple[int, ...]
-
-
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = t.args[i]
-    return t
-
-
-def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    new_args = list(t.args)
-    new_args[i] = replace_at(t.args[i], path[1:], new)
-    return type(t)(t.name, tuple(new_args))

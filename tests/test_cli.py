@@ -176,6 +176,14 @@ program f {
     assert "<stall:budget@500>" in out2
 
 
+
+def test_cmd_eval_binding_named_like_a_function_fails_cleanly(tmp_path, capsys):
+    ws = tmp_path / "clash.cds"
+    ws.write_text(SM_SOURCE.split("env E")[0] + "env E {\n  flip = 0 : flip;\n}\n")
+    code, out, err = run_main(capsys, "eval", str(ws), "flip", "--depth", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: binding 'flip' collides with a function or constructor\n"
+
 def test_cmd_bisim(ws_file, capsys):
     code, out, _ = run_main(capsys, "bisim", ws_file, "flip(v_a)", "v_b",
                             "--depth", "32", "--env", "E")

@@ -7,7 +7,7 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
 from coeq.cli import parse_workspace
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
-from coeq.extract import (ExtractError, Prover, extract, prove_corec,
+from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
 from coeq.logic import (PolarityClass, assert_sp_proof, check_proof,
                         classify_formula, has_detour, normalize)
@@ -74,6 +74,18 @@ def test_merge_constant_streams():
     alg = RealizerAlgebra(prog, SM)
     out = alg.observe(merge_term(fn("zeros"), fn("ones")), 16)
     assert approx_bits(out) == [0, 1] * 8
+
+
+def test_split_algebra_has_one_definition():
+    """The split equations a realizer session evaluates are, as text, the
+    ones extraction emits."""
+    def split_eqs(program):
+        return [str(e) for e in program.body if e.function.startswith("split_")]
+
+    ident = stock_library()["ident"].program
+    emitted = _extract_program(ident, SM).program
+    assert split_eqs(with_algebra(ident, SM)) == split_eqs(emitted)
+    assert len(split_eqs(emitted)) == 4
 
 
 # -- realizes -------------------------------------------------------------------
@@ -252,6 +264,23 @@ def _extract_program(program, ds):
 def _extract(name):
     entry = stock_library()[name]
     return _extract_program(entry.program, SM), entry
+
+
+def test_extract_leaves_no_extractor_alive():
+    """The extractor holds no reference cycle, so it is freed as soon as
+    extract returns, without waiting for the cycle collector."""
+    for name, entry in stock_library().items():
+        verdict = check_primitive_corecursive(entry.program, SM)
+        compiled = compile_schema(verdict.bundle, SM)
+        d = normalize(prove_corec(verdict.bundle, SM))
+        gc.collect()
+        gc.disable()
+        try:
+            extract(d, compiled, SM)
+            alive = sum(isinstance(o, Extractor) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0, name
 
 
 def test_extract_identity_bisimilar():
