@@ -36,10 +36,11 @@ from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
                     subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function)
-from .realize import (EVEN, MERGE, ODD, ZEROS, algebra_strata, even_term,
-                      infer_sorts, merge_term, odd_term, zeros_term)
+from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
+                      even_term, merge_term, odd_term, term_sort, var_sorts,
+                      zeros_term)
 from .system import DataSystem, random_stream_coterm
-from .terms import Con, Fun, Term, Var, substitute, variables
+from .terms import Con, Fun, Term, Var, fresh_name, substitute, variables
 
 
 class ExtractError(Exception):
@@ -52,10 +53,10 @@ class ExtractError(Exception):
 
 @dataclass(frozen=True)
 class ProofTemplate:
-    params: tuple[str, ...]
-    labels: tuple[str, ...]
-    arg_preds: tuple[str, ...]
-    result_pred: str
+    """A typed function f/k: `derivation` proves result_sort(f(x1..xk)) from
+    assumptions h_i: arg_sorts[i - 1](x_i)."""
+    arg_sorts: tuple[str, ...]
+    result_sort: str
     derivation: Derivation
 
 
@@ -83,79 +84,13 @@ class Prover:
         self.cons_type = next(t for t in ds.types_for_result(s))
         self.b_types = ds.types_for_result(b)
 
-    # -- sorts ---------------------------------------------------------------
-
-    def sort_of(self, t: Term, var_sorts: dict[str, str]) -> str:
-        if isinstance(t, Var):
-            try:
-                return var_sorts[t.name]
-            except KeyError:
-                raise ExtractError(f"unknown sort for variable '{t.name}'")
-        if isinstance(t, Con):
-            types = self.ds.types_of(t.name)
-            if not types:
-                raise ExtractError(f"untyped constructor '{t.name}'")
-            return "B" if types[0].result_predicate.inductive else "S"
-        assert isinstance(t, Fun)
-        if t.name == pi_name(1):
-            return "B" if self.cons_type.argument_predicates[0].inductive else "S"
-        if t.name == pi_name(2):
-            return "B" if self.cons_type.argument_predicates[1].inductive else "S"
-        if t.name == DELTA:
-            branch_sorts = {self.sort_of(t.args[1 + i], var_sorts)
-                            for i, c in enumerate(self.ds.vocabulary)
-                            if any(ty.result_predicate.inductive
-                                   for ty in self.ds.types_of(c.name))}
-            if len(branch_sorts) != 1:
-                raise ExtractError(f"mixed branch sorts in '{t}'")
-            return branch_sorts.pop()
-        tpl = self.registry.get(t.name)
-        if tpl is None:
-            raise ExtractError(f"no typing available for '{t.name}'")
-        return "B" if self.ds.predicate(tpl.result_pred).inductive else "S"
-
-    def infer_arg_sorts(self, term: Term, k: int) -> dict[str, str]:
-        sorts: dict[str, str] = {}
-
-        def note(v: str, s: str) -> None:
-            if sorts.get(v, s) != s:
-                raise ExtractError(f"variable '{v}' used at both sorts in '{term}'")
-            sorts[v] = s
-
-        def children(t: Term) -> list[tuple[Term, str | None]]:
-            if isinstance(t, Con) and t.name == self.cons_type.constructor.name:
-                return [(t.args[0], "B"), (t.args[1], "S")]
-            if isinstance(t, Fun):
-                if t.name in (pi_name(1), pi_name(2)):
-                    return [(t.args[0], "S")]
-                if t.name == DELTA:
-                    return [(t.args[0], "B")] + [(a, None) for a in t.args[1:]]
-                tpl = self.registry.get(t.name)
-                if tpl is not None:
-                    return [(a, "B" if self.ds.predicate(p).inductive else "S")
-                            for a, p in zip(t.args, tpl.arg_preds)]
-            return [(a, None) for a in t.args]
-
-        # preorder, left to right: the first conflicting variable is the one reported
-        stack: list[tuple[Term, str | None]] = [(term, None)]
-        while stack:
-            t, s = stack.pop()
-            if isinstance(t, Var):
-                if s:
-                    note(t.name, s)
-            else:
-                stack.extend(reversed(children(t)))
-        for i in range(k):
-            sorts.setdefault(f"x{i + 1}", "S")
-        return sorts
-
     # -- the synthesizer -------------------------------------------------------
 
-    def typing(self, t: Term, var_sorts: dict[str, str],
+    def typing(self, t: Term, sorts: dict[str, str],
                hyp_labels: dict[str, str]) -> Derivation:
         """Derivation of Pred(t) from labeled hypotheses Pred_v(v)."""
         if isinstance(t, Var):
-            return assume(hyp_labels[t.name], DataAtom(var_sorts[t.name], t))
+            return assume(hyp_labels[t.name], DataAtom(sorts[t.name], t))
         if isinstance(t, Con):
             types = [ty for ty in self.ds.types_of(t.name)
                      if ty.result_predicate.inductive]
@@ -164,33 +99,30 @@ class Prover:
             return data_intro(types[0], ())
         assert isinstance(t, Fun)
         if t.name in (pi_name(1), pi_name(2)):
-            inner = self.typing(t.args[0], var_sorts, hyp_labels)
+            inner = self.typing(t.args[0], sorts, hyp_labels)
             i = 1 if t.name == pi_name(1) else 2
             return data_elim(self.cons_type, i, inner)
         if t.name == DELTA:
-            return self._delta_typing(t, var_sorts, hyp_labels)
+            return self._delta_typing(t, sorts, hyp_labels)
         tpl = self.registry.get(t.name)
         if tpl is None:
             raise ExtractError(f"no typing available for '{t.name}'")
         d = tpl.derivation
-        fresh = [f"_p{self.labels.fresh()}" for _ in tpl.params]
-        for old, new in zip(tpl.params, fresh):
-            d = subst_derivation(d, old, Var(new))
+        fresh = [f"_p{self.labels.fresh()}" for _ in t.args]
+        for i, new in enumerate(fresh):
+            d = subst_derivation(d, f"x{i + 1}", Var(new))
         for new, arg in zip(fresh, t.args):
             d = subst_derivation(d, new, arg)
-        for lab, pred, arg in zip(tpl.labels, tpl.arg_preds, t.args):
-            arg_d = self.typing(arg, var_sorts, hyp_labels)
-            d = graft(d, lab, DataAtom(pred, arg), arg_d)
+        for i, (sort, arg) in enumerate(zip(tpl.arg_sorts, t.args)):
+            arg_d = self.typing(arg, sorts, hyp_labels)
+            d = graft(d, f"h{i + 1}", DataAtom(sort, arg), arg_d)
         return d
 
-    def _delta_typing(self, t: Term, var_sorts, hyp_labels) -> Derivation:
+    def _delta_typing(self, t: Term, sorts, hyp_labels) -> Derivation:
         sel = t.args[0]
-        sel_d = self.typing(sel, var_sorts, hyp_labels)
-        target = self.sort_of(t, var_sorts)
-        hole = "q0"
-        avoid = variables(t)
-        while hole in avoid:
-            hole += "'"
+        sel_d = self.typing(sel, sorts, hyp_labels)
+        target = term_sort(t, sorts, self.ds, self.registry)
+        hole = fresh_name("q0", variables(t))
         phi = DataAtom(target, Fun(DELTA, (Var(hole),) + t.args[1:]))
         cases = []
         delta_positions = {c.name: i for i, c in enumerate(self.ds.vocabulary)}
@@ -198,7 +130,7 @@ class Prover:
             cname = ct.constructor.name
             idx = delta_positions[cname]
             branch = t.args[1 + idx]
-            inner = self.typing(branch, var_sorts, hyp_labels)
+            inner = self.typing(branch, sorts, hyp_labels)
             concl = DataAtom(target, Fun(DELTA, (Con(cname),) + t.args[1:]))
             cases.append(rewrite(DELTA, idx, "rl", (1,), inner, concl))
         return induction("B", hole, phi, sel_d, tuple(cases),
@@ -208,18 +140,15 @@ class Prover:
     # -- compositions ------------------------------------------------------------
 
     def register_composition(self, cdef: CompositionDef) -> Derivation:
-        k = cdef.arity
-        var_sorts = self.infer_arg_sorts(cdef.component.term, k)
-        params = tuple(f"x{i + 1}" for i in range(k))
-        labels = tuple(f"h{i + 1}" for i in range(k))
-        hyp = dict(zip(params, labels))
-        body_d = self.typing(cdef.component.term, var_sorts, hyp)
-        result = self.sort_of(cdef.component.term, var_sorts)
-        concl = DataAtom(result, Fun(cdef.name, tuple(Var(p) for p in params)))
+        term = cdef.component.term
+        xs = arg_vars(cdef.arity)
+        found = var_sorts(term, self.ds, self.registry)
+        sorts = {x.name: found.get(x.name, "S") for x in xs}
+        body_d = self.typing(term, sorts, {x.name: f"h{i + 1}" for i, x in enumerate(xs)})
+        result = term_sort(term, sorts, self.ds, self.registry)
         # compile_schema emits one equation per definition, so its index is 0
-        d = rewrite(cdef.name, 0, "rl", (1,), body_d, concl)
-        self.registry[cdef.name] = ProofTemplate(
-            params, labels, tuple(var_sorts[p] for p in params), result, d)
+        d = rewrite(cdef.name, 0, "rl", (1,), body_d, DataAtom(result, Fun(cdef.name, xs)))
+        self.registry[cdef.name] = ProofTemplate(tuple(sorts.values()), result, d)
         return d
 
     # -- schemas (the corecursion-to-coinduction proof) ---------------------------
@@ -242,10 +171,7 @@ class Prover:
         for p, f in enumerate(fns):
             d = self._member_proof(fns, p, phi, zz, d_dcm)
             out[f.name] = d
-            params = tuple(f"x{i + 1}" for i in range(f.arity))
-            labels = tuple(f"h{i + 1}" for i in range(f.arity))
-            self.registry[f.name] = ProofTemplate(
-                params, labels, tuple("S" for _ in params), "S", d)
+            self.registry[f.name] = ProofTemplate(("S",) * f.arity, "S", d)
         return out
 
     def _intro_exists(self, names: list[str], body: Formula,
@@ -325,9 +251,9 @@ class Prover:
         stepped = rewrite(fj.name, 0, "lr", (2,), cur,
                           EqAtom(Var(zz), Con(fj.produced, (head_term, tail_term))))
         # typings, from hypotheses S(e) later grafted with the chain's proofs
-        var_sorts = {e: "S" for e in es}
+        sorts = {e: "S" for e in es}
         hyp_labels = {e: self.labels.fresh() for e in es}
-        typed = [self.typing(a, var_sorts, hyp_labels) for a in [head_term] + tail_args]
+        typed = [self.typing(a, sorts, hyp_labels) for a in [head_term] + tail_args]
         for i, tp in enumerate(typed):
             for e, sp in zip(es, s_proofs):
                 tp = graft(tp, hyp_labels[e], DataAtom("S", Var(e)), sp)
@@ -412,15 +338,18 @@ def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem,
     prover = Prover(ds)
     principal = member or bundle.principal
     result: Derivation | None = None
-    for stratum in bundle.strata:
-        if isinstance(stratum, CompositionDef):
-            d = prover.register_composition(stratum)
-            if stratum.name == principal:
-                result = d
-        else:
-            ds_map = prover.register_schema(stratum)
-            if principal in ds_map:
-                result = ds_map[principal]
+    try:
+        for stratum in bundle.strata:
+            if isinstance(stratum, CompositionDef):
+                d = prover.register_composition(stratum)
+                if stratum.name == principal:
+                    result = d
+            else:
+                ds_map = prover.register_schema(stratum)
+                if principal in ds_map:
+                    result = ds_map[principal]
+    except SortError as e:
+        raise ExtractError(str(e)) from None
     if result is None:
         raise ExtractError(f"principal '{principal}' not defined by the bundle")
     return result
@@ -778,8 +707,7 @@ class Extractor:
         body_r = self.extract(d.premises[0], ctx, path + (0,))
         concl = d.conclusion
         wt = self.value_term(d.attr("witness"), ctx)
-        sorts = infer_sorts(concl, self.ds)
-        if sorts.get(concl.var) == "B":
+        if var_sorts(concl, self.ds, None).get(concl.var) == "B":
             wit_r: SymR = ConsR(wt, ZEROS_R)
         else:
             wit_r = Leaf(wt)
@@ -789,9 +717,8 @@ class Extractor:
         w = self.extract(d.premises[0], ctx, path + (0,))
         major = d.premises[0].conclusion
         eigen = d.attr("eigen")
-        sorts = infer_sorts(major, self.ds)
         v0 = even_r(w)
-        if sorts.get(major.var) == "B":
+        if var_sorts(major, self.ds, None).get(major.var) == "B":
             value = ("B", head_term_of(v0))
         else:
             value = ("S", v0)
@@ -802,20 +729,10 @@ class Extractor:
     def _x_refl(self, d, ctx, path):
         t = d.conclusion.left
         vt = self.value_term(t, ctx)
-        if self._bool_sorted(t, ctx):
+        sorts = {v: sort for v, (sort, _val) in ctx["values"].items()}
+        if term_sort(t, sorts, self.ds, None) == "B":
             return ConsR(vt, ZEROS_R)
         return Leaf(vt)
-
-    def _bool_sorted(self, t: Term, ctx) -> bool:
-        if isinstance(t, Var):
-            entry = ctx["values"].get(t.name)
-            return bool(entry and entry[0] == "B")
-        if isinstance(t, Con):
-            types = self.ds.types_of(t.name)
-            return bool(types) and types[0].result_predicate.inductive
-        if isinstance(t, Fun) and t.name == pi_name(1):
-            return True
-        return False
 
     def _x_rewrite(self, d, ctx, path):
         return self.extract(d.premises[0], ctx, path + (0,))
@@ -936,18 +853,21 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     ctx = {"values": {}, "realizers": {}}
     n_in = len(free) + len(assumptions)
     xs = arg_vars(n_in)
-    sorts = infer_sorts(d.conclusion, ds)
-    for (label, f) in assumptions:
-        for v2, s in infer_sorts(f, ds).items():
-            sorts.setdefault(v2, s)
-    for i, v2 in enumerate(free):
-        if sorts.get(v2) == "B":
-            ctx["values"][v2] = ("B", Fun(pi_name(1), (xs[i],)))
-        else:
-            ctx["values"][v2] = ("S", Leaf(xs[i]))
-    for i, (label, f) in enumerate(assumptions):
-        ctx["realizers"][label] = Leaf(xs[len(free) + i])
-    out = ex.extract(d, ctx)
+    try:
+        sorts = var_sorts(d.conclusion, ds, None)
+        for (label, f) in assumptions:
+            for v2, s in var_sorts(f, ds, None).items():
+                sorts.setdefault(v2, s)
+        for i, v2 in enumerate(free):
+            if sorts.get(v2) == "B":
+                ctx["values"][v2] = ("B", Fun(pi_name(1), (xs[i],)))
+            else:
+                ctx["values"][v2] = ("S", Leaf(xs[i]))
+        for i, (label, f) in enumerate(assumptions):
+            ctx["realizers"][label] = Leaf(xs[len(free) + i])
+        out = ex.extract(d, ctx)
+    except SortError as e:
+        raise ExtractError(str(e)) from None
     f0 = ex.fresh_name("f0_") if "f0" in program.functions() else "f0"
     ex.defs.append(CompositionDef(f0, n_in, Component(n_in, mat(out))))
     bundle = CorecBundle(tuple(algebra_strata()) + tuple(ex.defs), f0)
@@ -1083,10 +1003,12 @@ def _bisim_stage(entry, extraction: ExtractionResult, ds: DataSystem,
     merged = assemble_program(ds, eqs, extraction.principal)
     k = entry.arity
     runs = inputs_per_entry if k > 0 else 1
-    for case in range(runs):
-        names = [f"in{i}" for i in range(k)]
-        env = DiagramEnv.of({n: random_stream_coterm(rng) for n in names})
-        session = Session(merged, ds, env)
+    # every case's inputs under names of their own, so that one session
+    # serves all cases
+    cases = [[f"in{case}_{i}" for i in range(k)] for case in range(runs)]
+    env = DiagramEnv.of({n: random_stream_coterm(rng) for ns in cases for n in ns})
+    session = Session(merged, ds, env)
+    for case, names in enumerate(cases):
         args = tuple(Fun(n) for n in names)
         values = {v2: args[i] for i, v2 in enumerate(extraction.value_params)}
         f0_args = tuple(values[v2] for v2 in extraction.value_params)

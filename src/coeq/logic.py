@@ -17,13 +17,12 @@ which `assert_sp_proof` scans for.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .program import Program, pi_name
 from .system import ConstructorType, DataSystem
-from .terms import Con, Fun, Term, Var, substitute, variables
+from .terms import Con, Fun, Term, Var, fresh_name, substitute, variables
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +107,6 @@ def fv(f: Formula) -> set[str]:
     return fv(f.body) - {f.var}
 
 
-def _fresh_name(base: str, avoid: set[str]) -> str:
-    cand = base
-    while cand in avoid:
-        cand += "'"
-    return cand
-
-
 def subst_formula(f: Formula, var: str, t: Term) -> Formula:
     """Capture-avoiding substitution of t for free occurrences of var."""
     if isinstance(f, DataAtom):
@@ -127,7 +119,7 @@ def subst_formula(f: Formula, var: str, t: Term) -> Formula:
     if f.var == var:
         return f
     if f.var in variables(t) and var in fv(f.body):
-        fresh = _fresh_name(f.var, variables(t) | fv(f.body) | {var})
+        fresh = fresh_name(f.var, variables(t) | fv(f.body) | {var})
         body = subst_formula(f.body, f.var, Var(fresh))
         return type(f)(fresh, subst_formula(body, var, t))
     return type(f)(f.var, subst_formula(f.body, var, t))
@@ -234,7 +226,7 @@ def build_dcm(ds: DataSystem, pred_name: str, phi: Formula, hole: str,
         r = ct.constructor.arity
         zs: list[str] = []
         for i in range(r):
-            z = _fresh_name(f"z{i}", avoid | set(zs))
+            z = fresh_name(f"z{i}", avoid | set(zs))
             zs.append(z)
         eq = EqAtom(Var(x), Con(ct.constructor.name, tuple(Var(z) for z in zs)))
         body: Formula = eq
@@ -497,16 +489,14 @@ class ProofChecker:
 
     def discharge(self, open_: Counter, label: str, f: Formula, path) -> Counter:
         out = Counter(open_)
-        hit = False
+        # vacuous discharge (no open assumption matches) is permitted in
+        # minimal logic
         for (lab, g) in list(out):
             if lab == label:
                 if alpha_eq(g, f):
-                    hit = True
                     del out[(lab, g)]
                 else:
                     self.bad(path, f"discharge of '{label}' expects {f}, found {g}")
-        # vacuous discharge (not hit) is permitted in minimal logic
-        del hit
         return out
 
     def check(self, d: Derivation, path: tuple[int, ...] = ()) -> Counter:
@@ -838,9 +828,21 @@ _BINDER_LABEL_ATTRS = {
 }
 
 
-def _relabel(d: Derivation, env: dict[str, str], fresh: "itertools.count",
-             avoid: set[str]) -> Derivation:
-    """Rename discharge labels that clash with `avoid`, respecting scope."""
+def _binder_labels(d: Derivation) -> list[str]:
+    """The assumption labels a node discharges."""
+    if d.rule == "induction":
+        return [lab for labs in d.attr("case_labels") or () for lab in labs]
+    return [d.attr(k) for k in _BINDER_LABEL_ATTRS.get(d.rule, ())]
+
+
+def _assume_labels(d: Derivation) -> set[str]:
+    return {n.attr("label") for _p, n in d.nodes() if n.rule == "assume"}
+
+
+def _relabel(d: Derivation, env: dict[str, str], avoid: set[str],
+             taken: set[str]) -> Derivation:
+    """Rename discharge labels that clash with `avoid`, respecting scope,
+    to labels outside `taken`, which grows by each label chosen."""
     attrs = dict(d.attrs)
     if d.rule == "assume":
         lab = attrs["label"]
@@ -848,18 +850,14 @@ def _relabel(d: Derivation, env: dict[str, str], fresh: "itertools.count",
             attrs["label"] = env[lab]
         return Derivation(d.rule, d.conclusion, (), tuple(attrs.items()))
     new_env = env
-    binder_keys = _BINDER_LABEL_ATTRS.get(d.rule, ())
-    if d.rule == "induction":
-        case_labels = attrs.get("case_labels") or ()
-        flat = [lab for labs in case_labels for lab in labs]
-    else:
-        flat = [attrs[k] for k in binder_keys]
+    flat = _binder_labels(d)
     if any(lab in avoid for lab in flat):
         new_env = dict(env)
         mapping = {}
         for lab in flat:
             if lab in avoid:
-                nl = f"_l{next(fresh)}"
+                nl = fresh_name(lab, taken)
+                taken.add(nl)
                 mapping[lab] = nl
                 new_env[lab] = nl
         if d.rule == "induction":
@@ -867,35 +865,26 @@ def _relabel(d: Derivation, env: dict[str, str], fresh: "itertools.count",
                 tuple(mapping.get(lab, lab) for lab in labs)
                 for labs in attrs["case_labels"])
         else:
-            for k in binder_keys:
+            for k in _BINDER_LABEL_ATTRS[d.rule]:
                 attrs[k] = mapping.get(attrs[k], attrs[k])
     elif flat:
         # labels rebound here shadow outer renamings
         if any(lab in env for lab in flat):
             new_env = {k: v for k, v in env.items() if k not in flat}
-    prems = tuple(_relabel(p, new_env, fresh, avoid) for p in d.premises)
+    prems = tuple(_relabel(p, new_env, avoid, taken) for p in d.premises)
     return Derivation(d.rule, d.conclusion, prems, tuple(attrs.items()))
-
-
-_FRESH_COUNTER = itertools.count(1)
 
 
 def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Derivation:
     """Replace open assumptions (label, f) in d by `replacement`, renaming
     d's discharge labels away from the replacement's open labels first."""
-    rep_labels = {lab for _p, n in replacement.nodes() if n.rule == "assume"
-                  for lab in [n.attr("label")]}
+    rep_labels = _assume_labels(replacement)
 
     def go(node: Derivation) -> Derivation:
         if node.rule == "assume" and node.attr("label") == label \
                 and alpha_eq(node.conclusion, f):
             return replacement
-        binder = _BINDER_LABEL_ATTRS.get(node.rule, ())
-        rebinds = label in [node.attr(k) for k in binder]
-        if node.rule == "induction":
-            rebinds = rebinds or any(label in labs
-                                     for labs in node.attr("case_labels") or ())
-        if rebinds:
+        if label in _binder_labels(node):
             return node
         prems = tuple(go(p) for p in node.premises)
         if prems == node.premises:
@@ -903,7 +892,7 @@ def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Der
         return Derivation(node.rule, node.conclusion, prems, node.attrs)
 
     if rep_labels:
-        d = _relabel(d, {}, _FRESH_COUNTER, rep_labels)
+        d = _relabel(d, {}, rep_labels, _assume_labels(d) | rep_labels)
     return go(d)
 
 
@@ -960,7 +949,7 @@ def subst_derivation(d: Derivation, var: str, t: Term) -> Derivation:
             return node
         for b in bound:
             if b in tvars:
-                freshv = _fresh_name(b, tvars | {var} | _derivation_vars(node))
+                freshv = fresh_name(b, tvars | {var} | _derivation_vars(node))
                 node = _rename_var(node, b, freshv)
         attrs = dict(node.attrs)
         for k, v in list(attrs.items()):

@@ -17,10 +17,10 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     PlainSlot, RecSlot, SchemaFun, Stratum, compile_schema)
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
-from .logic import (And, DataAtom, EqAtom, Exists, Formula, Imp, Or,
+from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
                     PolarityClass, classify_formula)
-from .program import Program, assemble_program, pi_name, reserved_function
-from .system import DataSystem
+from .program import DELTA, Program, assemble_program, pi_name, reserved_function
+from .system import DataPredicate, DataSystem
 from .terms import Con, Fun, Term, Var, substitute
 
 EVEN = "split_even"
@@ -121,51 +121,83 @@ class RealizerAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Sorts: desk-scale inference of boolean vs stream positions
+# Sorts: an inductive value ('B') rides in a realizer's head, a coinductive
+# one ('S') is its own realizer
 # ---------------------------------------------------------------------------
 
-def infer_sorts(f: Formula, ds: DataSystem) -> dict[str, str]:
-    """Variable sorts ('B' or 'S') from atom positions, defaulting to 'S'.
-    Propagates through constructor arguments and the standard projections."""
+class SortError(ValueError):
+    """A variable, or the boolean branches of a delta, used at both sorts."""
+
+
+def _sort(pred: DataPredicate | None) -> str:
+    return "B" if pred is not None and pred.inductive else "S"
+
+
+def _parts(u: Term | Formula, ds: DataSystem, signature: dict | None) -> list:
+    """The immediate parts of a formula or term, each with the sort its
+    position demands (None where it demands none)."""
+    if isinstance(u, DataAtom):
+        return [(u.term, _sort(ds.predicate(u.predicate)))]
+    if isinstance(u, (EqAtom, And, Or, Imp)):
+        return [(u.left, None), (u.right, None)]
+    if isinstance(u, (Exists, Forall)):
+        return [(u.body, None)]
+    if isinstance(u, Con):
+        types = ds.types_of(u.name)
+        if len(types) == 1:
+            return [(a, _sort(p)) for a, p in zip(u.args, types[0].argument_predicates)]
+    elif u.name in (pi_name(1), pi_name(2)):
+        return [(a, "S") for a in u.args]
+    elif u.name == DELTA:
+        return [(u.args[0], "B")] + [(a, None) for a in u.args[1:]]
+    elif signature and u.name in signature:
+        return list(zip(u.args, signature[u.name].arg_sorts))
+    return [(a, None) for a in u.args]
+
+
+def var_sorts(x: Term | Formula, ds: DataSystem,
+              signature: dict | None) -> dict[str, str]:
+    """The sorts of the variables of a term or formula, from the positions
+    they occur at: arguments of a constructor with one declared type, the
+    stream a projection reads, a delta's selector, the arguments of a
+    function `signature` types (it maps a name to a record with `arg_sorts`
+    and `result_sort`, or is None) and data atoms.  A variable at no such
+    position is left out; callers take it to be 'S'.  The walk is preorder,
+    left to right, so the first conflicting variable is the one reported."""
     sorts: dict[str, str] = {}
-
-    def note(v: str, s: str) -> None:
-        if sorts.get(v, s) != s:
-            raise ValueError(f"variable '{v}' used at both sorts")
-        sorts[v] = s
-
-    def walk_term(t: Term, s: str | None) -> None:
-        if isinstance(t, Var):
-            if s:
-                note(t.name, s)
-            return
-        if isinstance(t, Con):
-            ct = ds.types_of(t.name)
-            if len(ct) == 1:
-                for arg, p in zip(t.args, ct[0].argument_predicates):
-                    walk_term(arg, "B" if p.inductive else "S")
-                return
-        if isinstance(t, Fun) and t.name in (pi_name(1), pi_name(2)) and len(t.args) == 1:
-            walk_term(t.args[0], "S")
-            return
-        for a in t.args:
-            walk_term(a, None)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, DataAtom):
-            pred = ds.predicate(g.predicate)
-            walk_term(g.term, "B" if pred and pred.inductive else "S")
-        elif isinstance(g, EqAtom):
-            walk_term(g.left, None)
-            walk_term(g.right, None)
-        elif isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
-        else:
-            walk(g.body)
-
-    walk(f)
+    stack: list = [(x, None)]
+    while stack:
+        u, s = stack.pop()
+        if not isinstance(u, Var):
+            stack.extend(reversed(_parts(u, ds, signature)))
+        elif s and sorts.setdefault(u.name, s) != s:
+            raise SortError(f"variable '{u.name}' used at both sorts in '{x}'")
     return sorts
+
+
+def term_sort(t: Term, var_sorts: dict[str, str], ds: DataSystem,
+              signature: dict | None) -> str:
+    """The sort of a term: a variable's from `var_sorts` ('S' if absent), a
+    constructor's from its first declared type, 'B' for a stream's head and
+    'S' for its tail, a delta's from its boolean branches, which must agree,
+    and a function's from `signature` ('S' if it does not type it)."""
+    if isinstance(t, Var):
+        return var_sorts.get(t.name, "S")
+    if isinstance(t, Con):
+        types = ds.types_of(t.name)
+        return _sort(types[0].result_predicate if types else None)
+    if t.name == DELTA:
+        sorts = {term_sort(t.args[1 + i], var_sorts, ds, signature)
+                 for i, c in enumerate(ds.vocabulary)
+                 if any(ty.result_predicate.inductive for ty in ds.types_of(c.name))}
+        if len(sorts) != 1:
+            raise SortError(f"mixed branch sorts in '{t}'")
+        return sorts.pop()
+    if t.name == pi_name(1):
+        return "B"
+    if signature and t.name in signature:
+        return signature[t.name].result_sort
+    return "S"
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +249,13 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
     if classify_formula(j.formula) is not PolarityClass.STRONGLY_POSITIVE:
         raise ValueError("realizability is defined for strongly-positive formulas only")
     alg = RealizerAlgebra(j.program, j.ds, j.env)
-    sorts = infer_sorts(j.formula, j.ds)
-
-    def value(t: Term, eta: dict[str, Term]) -> Term:
-        return substitute(t, eta)
+    sorts = var_sorts(j.formula, j.ds, None)
 
     def go(f: Formula, sigma: Term, eta: dict[str, Term],
            path: tuple[str, ...]) -> RealizeResult:
         if isinstance(f, DataAtom):
             pred = j.ds.predicate(f.predicate)
-            tv = value(f.term, eta)
+            tv = substitute(f.term, eta)
             if pred is not None and pred.inductive:
                 b = alg.bool_value(tv, j.budget)
                 h = alg.bool_value(Fun(pi_name(1), (sigma,)), j.budget)
@@ -242,7 +271,7 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
             status = "stalled" if r.status == "stalled" else "fails"
             return RealizeResult(status, path, f"{f}: {r}")
         if isinstance(f, EqAtom):
-            lv, rv = value(f.left, eta), value(f.right, eta)
+            lv, rv = substitute(f.left, eta), substitute(f.right, eta)
             head = alg.head_bit(lv, j.budget)
             if head is None:
                 return RealizeResult("stalled", path, f"observing {f.left}")

@@ -96,14 +96,20 @@ def is_idempotent(s: Subst) -> bool:
     return all(substitute(t, s) == t for t in s.values())
 
 
-def rename_apart(t: Term, taken: set[str], suffix: str = "'") -> tuple[Term, Subst]:
+def fresh_name(base: str, avoid: set[str]) -> str:
+    """`base`, primed as often as it takes to avoid `avoid`."""
+    cand = base
+    while cand in avoid:
+        cand += "'"
+    return cand
+
+
+def rename_apart(t: Term, taken: set[str]) -> tuple[Term, Subst]:
     """Rename t's variables away from `taken`; returns (renamed, renaming)."""
     ren: Subst = {}
     for v in sorted(variables(t)):
         if v in taken:
-            fresh = v + suffix
-            while fresh in taken:
-                fresh += suffix
+            fresh = fresh_name(v, taken)
             ren[v] = Var(fresh)
             taken.add(fresh)
     return substitute(t, ren), ren

@@ -251,6 +251,43 @@ def test_cmd_extract_rejected_program_fails_cleanly(tmp_path, capsys):
     assert "VERDICT\tfailed" in out2
 
 
+SORTS_SOURCE = SM_SOURCE + """
+program g {
+  g(x) = delta(x, pi1(x), 0, 0);
+}
+
+program h {
+  h(x) = delta(pi1(x), 0, x, x);
+}
+
+proof both {
+  (and-intro (and (B y) (S y)) (
+    (assume (B y) () {label a})
+    (assume (S y) () {label b})
+  ) {})
+}
+"""
+
+
+def test_cmd_extract_sort_conflict_is_a_verdict(tmp_path, capsys):
+    f = tmp_path / "sorts.cds"
+    f.write_text(SORTS_SOURCE)
+    code, out, err = run_main(capsys, "--format=tagged", "extract", str(f), "both")
+    assert (code, err) == (1, "")
+    assert "VERDICT\tfailed" in out.splitlines()
+
+
+def test_cmd_prove_corec_sort_conflict_reasons(tmp_path, capsys):
+    f = tmp_path / "sorts.cds"
+    f.write_text(SORTS_SOURCE)
+    for name, reason in (
+            ("g", "variable 'x1' used at both sorts in 'delta(x1, pi1(x1), 0, 0)'"),
+            ("h", "mixed branch sorts in 'delta(pi1(x1), 0, x1, x1)'")):
+        code, out, _ = run_main(capsys, "--format=tagged", "prove-corec", str(f), name)
+        assert code == 1
+        assert out.splitlines() == ["VERDICT\tfailed", f"REASON\t{reason}"]
+
+
 def test_cmd_roundtrip_small(capsys):
     code, out, _ = run_main(capsys, "roundtrip", "--depth", "8", "--inputs", "2")
     assert code == 0

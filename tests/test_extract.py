@@ -5,7 +5,8 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
                      random_stream, stream_prefix, v)
 
 from coeq.cli import parse_workspace
-from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
+from coeq.corec import (CorecSchema, check_primitive_corecursive, compile_schema,
+                        stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
@@ -196,7 +197,7 @@ def test_prove_corec_uses_strongly_positive_invariant():
         assert classify_formula(phi) is PolarityClass.STRONGLY_POSITIVE
 
 
-def _mutual_family(n):
+def _mutual_equations(n):
     """f1 -> f2 -> ... -> fn -> f1 over one stream, shaped like FAMILIES'
     mutual4: every second head negated, every third tail skips two."""
     eqs = []
@@ -204,7 +205,11 @@ def _mutual_family(n):
         head = "delta(pi1(x), 1, 0, 0)" if i % 2 == 0 else "pi1(x)"
         tail = "pi2(pi2(x))" if i % 3 == 0 else "pi2(x)"
         eqs.append(f"f{i}(x) = cons({head}, f{i % n + 1}({tail}));")
-    program, ds = _parse_program("f1", "\n  ".join(eqs))
+    return "\n  ".join(eqs)
+
+
+def _mutual_family(n):
+    program, ds = _parse_program("f1", _mutual_equations(n))
     verdict = check_primitive_corecursive(program, ds)
     assert verdict.accepted, verdict.reason
     return verdict.bundle, ds
@@ -457,6 +462,23 @@ def test_roundtrip_small_depth():
     assert report.ok, report.render()
 
 
+def test_bisim_stage_builds_one_session_per_entry(monkeypatch):
+    """The bisim stage binds all ten inputs of a unary entry in one session."""
+    from importlib import import_module
+    made = []
+
+    class CountingSession(Session):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    # by module path: the package's `extract` attribute is the function
+    monkeypatch.setattr(import_module("coeq.extract"), "Session", CountingSession)
+    report = roundtrip_report(depth=16, library={"ident": stock_library()["ident"]})
+    assert report.ok, report.render()
+    assert len(made) == 1
+
+
 def test_roundtrip_includes_rejection_of_morse_thue():
     from coeq.corec import morse_thue_program, StockEntry
     lib = stock_library()
@@ -468,3 +490,46 @@ def test_roundtrip_includes_rejection_of_morse_thue():
     assert len(stages) == 1 and stages[0].stage == "recognize" and not stages[0].ok
     assert all(all(s.ok for s in ss) for n, ss in report.entries.items()
                if n != "morse_thue")
+
+
+# -- pinned outputs ----------------------------------------------------------------
+
+def _pinned_families():
+    """Mutual, cycle and rotate families with fixed names, shaped like the
+    benchmark's prove workload: (principal, equations) for N = 2, 4, 8, 12."""
+    out = []
+    for n in (2, 4, 8, 12):
+        out.append(("f1", _mutual_equations(n)))
+        out.append(("c1", "\n  ".join(f"c{i} = cons({i % 3 % 2}, c{i % n + 1});"
+                                      for i in range(1, n + 1))))
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        rest = ", ".join(xs[1:] + ["pi2(x1)"])
+        out.append(("rot", f"rot({', '.join(xs)}) = "
+                           f"cons(delta(pi1(x1), 1, 0, 0), rot({rest}));"))
+    return out
+
+
+def _pinned_digest():
+    """SHA-256 over every member's proof, every extracted program and every
+    certificate of the stock entries and the families above."""
+    import hashlib
+    cases = [(entry.program, SM) for entry in stock_library().values()]
+    cases += [_parse_program(p, eqs) for p, eqs in _pinned_families()]
+    h = hashlib.sha256()
+    for program, ds in cases:
+        verdict = check_primitive_corecursive(program, ds)
+        assert verdict.accepted, verdict.reason
+        bundle = verdict.bundle
+        for stratum in bundle.strata:
+            members = stratum.functions if isinstance(stratum, CorecSchema) else (stratum,)
+            for m in members:
+                h.update(repr(prove_corec(bundle, ds, member=m.name)).encode())
+        result = _extract_program(program, ds)
+        h.update(repr(result.program).encode())
+        h.update(result.certificate.render().encode())
+    return h.hexdigest()
+
+
+def test_proofs_and_extractions_are_pinned():
+    assert _pinned_digest() == (
+        "4c69247261c0c60cdae4d92f1d3a578320133f92cfbf5fe5911b4284ad3196c6")

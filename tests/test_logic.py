@@ -316,6 +316,24 @@ def test_forall_detour():
     assert n == assume("u", S(cons(v("a"), v("b"))))
 
 
+def test_normalize_renames_labels_without_capturing_open_assumptions():
+    """Grafting assume(a, A) under a binder labeled a renames the binder,
+    and the new label must not capture the open assumption _l1: B."""
+    a_, b_ = S(v("x")), B(v("y"))
+    d = imp_elim(imp_intro("h", a_, imp_intro("a", b_, and_intro(
+        assume("h", a_), assume("_l1", b_)))), assume("a", a_))
+    n = normalize(d)
+    assert not has_detour(n)
+    assert _check(n).judgment() == _check(d).judgment()
+
+
+def test_normalize_is_deterministic():
+    a_, b_ = S(v("x")), B(v("y"))
+    d = imp_elim(imp_intro("h", a_, imp_intro("a", b_, assume("h", a_))),
+                 assume("a", a_))
+    assert normalize(d) == normalize(d)
+
+
 def test_normalize_idempotent():
     a = assume("u", S(v("x")))
     d = imp_elim(imp_intro("u", S(v("x")),
