@@ -156,14 +156,12 @@ class Workspace:
                 eqs.append(e)
         return assemble_program(self.system, eqs, principal)
 
-    def function_names(self) -> set[str]:
-        out: set[str] = set()
+    def known_names(self) -> set[str]:
+        """Names that denote functions rather than variables: the programs'
+        functions, the env bindings and the standard functions."""
+        out = {e.function for e in standard_functions(self.system)}
         for p in self.programs.values():
             out.update(p.functions())
-        return out
-
-    def binding_names(self) -> set[str]:
-        out: set[str] = set()
         for e in self.envs.values():
             out.update(e.names())
         return out
@@ -206,6 +204,25 @@ class Parser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
+
+    def commas(self, item) -> list:
+        """`item, item, ... )`, possibly empty, through the closing paren."""
+        out = []
+        if self.peek().text != ")":
+            out.append(item())
+            while self.peek().text == ",":
+                self.next()
+                out.append(item())
+        self.expect(")")
+        return out
+
+    def until_close(self, item) -> list:
+        """`item item ... )`, possibly empty, through the closing paren."""
+        out = []
+        while self.peek().text != ")":
+            out.append(item())
+        self.expect(")")
+        return out
 
     # -- stanzas ------------------------------------------------------------------
 
@@ -310,19 +327,13 @@ class Parser:
             patterns: list[Term] = []
             if self.peek().text == "(":
                 self.next()
-                if self.peek().text != ")":
-                    patterns.append(self.parse_pattern(ds))
-                    while self.peek().text == ",":
-                        self.next()
-                        patterns.append(self.parse_pattern(ds))
-                self.expect(")")
+                patterns = self.commas(lambda: self.parse_pattern(ds))
             self.expect("=")
             rhs = self.parse_term(ds)
             self.expect(";")
             raw.append(Equation(fn, tuple(patterns), rhs))
         self.expect("}")
-        known = fnames | self.ws.function_names() | self.ws.binding_names() \
-            | {e.function for e in standard_functions(ds)}
+        known = fnames | self.ws.known_names()
         eqs = [Equation(e.function, e.patterns, _vars_from_funs(e.rhs, known))
                for e in raw]
         if name not in {e.function for e in eqs}:
@@ -364,12 +375,7 @@ class Parser:
         args: list[Term] = []
         if self.peek().text == "(":
             self.next()
-            if self.peek().text != ")":
-                args.append(self.parse_term(ds))
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_term(ds))
-            self.expect(")")
+            args = self.commas(lambda: self.parse_term(ds))
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
@@ -401,13 +407,7 @@ class Parser:
                 and t.text in self.ws.programs:
             gen_name = self.next().text
             self.expect("(")
-            args: list[str] = []
-            if self.peek().text != ")":
-                args.append(self.ident("binding name"))
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.ident("binding name"))
-            self.expect(")")
+            args = self.commas(lambda: self.ident("binding name"))
             prog = self.ws.programs[gen_name]
             return GeneratorBinding(prog, prog.principal, tuple(args))
         nodes: list[CotermNode | None] = []
@@ -452,12 +452,7 @@ class Parser:
                 kids: list[object] = []
                 if self.peek().text == "(":
                     self.next()
-                    if self.peek().text != ")":
-                        kids.append(chain(recvars))
-                        while self.peek().text == ",":
-                            self.next()
-                            kids.append(chain(recvars))
-                    self.expect(")")
+                    kids = self.commas(lambda: chain(recvars))
                 if len(kids) != c.arity:
                     raise self.fail(f"constructor '{name2}' has arity {c.arity}, "
                                     f"got {len(kids)} children")
@@ -511,10 +506,7 @@ class Parser:
         if self.peek().text == "(":
             self.next()
             name = self.ident("term head")
-            args: list[Term] = []
-            while self.peek().text != ")":
-                args.append(self.parse_sexp_term())
-            self.expect(")")
+            args = self.until_close(self.parse_sexp_term)
             return self._resolve_sexp_name(ds, name, tuple(args), True)
         name = self.ident("term")
         return self._resolve_sexp_name(ds, name, (), False)
@@ -525,9 +517,7 @@ class Parser:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}")
             return Con(name, args)
-        known = self.ws.function_names() | self.ws.binding_names() \
-            | {e.function for e in standard_functions(ds)}
-        if applied or name in known:
+        if applied or name in self.ws.known_names():
             return Fun(name, args)
         return Var(name)
 
@@ -544,10 +534,7 @@ class Parser:
         rule = self.ident("rule name")
         conclusion = self.parse_formula()
         self.expect("(")
-        premises: list[Derivation] = []
-        while self.peek().text != ")":
-            premises.append(self.parse_derivation())
-        self.expect(")")
+        premises = self.until_close(self.parse_derivation)
         attrs: list[tuple[str, object]] = []
         self.expect("{")
         while self.peek().text != "}":
@@ -571,10 +558,7 @@ class Parser:
         if key == "type":
             self.expect("(")
             cname = self.ident("constructor")
-            preds: list[str] = []
-            while self.peek().text != ")":
-                preds.append(self.ident("predicate"))
-            self.expect(")")
+            preds = self.until_close(lambda: self.ident("predicate"))
             c = ds.constructor(cname)
             if c is None or len(preds) != c.arity + 1:
                 raise self.fail(f"bad constructor type for '{cname}'")
@@ -585,27 +569,21 @@ class Parser:
                 raise self.fail(f"type '{ct}' is not declared by the system")
             return ct
         if key == "pos":
-            self.expect("(")
-            out: list[int] = []
-            while self.peek().text != ")":
+            def position() -> int:
                 n = self.ident("number")
                 if not n.isdigit():
                     raise self.fail("positions are numbers")
-                out.append(int(n))
-            self.expect(")")
-            return tuple(out)
-        if key in ("case_vars", "case_labels"):
+                return int(n)
+
             self.expect("(")
-            groups: list[tuple[str, ...]] = []
-            while self.peek().text != ")":
+            return tuple(self.until_close(position))
+        if key in ("case_vars", "case_labels"):
+            def group() -> tuple[str, ...]:
                 self.expect("(")
-                group: list[str] = []
-                while self.peek().text != ")":
-                    group.append(self.ident("name"))
-                self.expect(")")
-                groups.append(tuple(group))
-            self.expect(")")
-            return tuple(groups)
+                return tuple(self.until_close(lambda: self.ident("name")))
+
+            self.expect("(")
+            return tuple(self.until_close(group))
         return self.ident("attribute value")
 
 
@@ -848,20 +826,24 @@ class Reporter:
         if not self.tagged:
             self.lines.append(line)
 
-    def emit(self) -> None:
-        for line in self.lines:
-            print(line)
+
+def _program(ws: Workspace, args) -> Program:
+    """The program `--program` names, else the union of all programs."""
+    return ws.merged_program() if args.program is None else ws.pick_program(args.program)
 
 
-def _load(args) -> Workspace:
-    if not args.files:
-        raise ResolutionError("no workspace files given")
-    return parse_files(args.files)
+def _proof(ws: Workspace, name: str) -> Derivation:
+    if name not in ws.proofs:
+        raise ResolutionError(f"unknown proof '{name}'")
+    return ws.proofs[name]
 
 
-def cmd_check(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def cmd_check(args, ws: Workspace, r: Reporter) -> int:
     r.text(f"system {ws.system_name}: ok "
            f"({len(ws.system.vocabulary)} constructors, "
            f"{len(ws.system.predicates)} predicates)")
@@ -872,15 +854,13 @@ def cmd_check(args) -> int:
     for name in ws.envs:
         r.text(f"env {name}: ok")
         r.kv(f"ENV {name}", "ok")
-    r.emit()
     return 0
 
 
 def _session(ws: Workspace, args) -> Session:
-    name = getattr(args, "program", None)
-    prog = ws.merged_program() if name is None else ws.pick_program(name)
+    prog = _program(ws, args)
     env = None
-    if getattr(args, "env", None):
+    if args.env:
         if args.env not in ws.envs:
             raise ResolutionError(f"unknown env '{args.env}'")
         env = ws.envs[args.env]
@@ -894,14 +874,10 @@ def _parse_cli_term(ws: Workspace, text: str) -> Term:
     t = p.parse_term(ws.system)
     if not p.at_end():
         raise p.fail("trailing input after term")
-    known = ws.function_names() | ws.binding_names() \
-        | {e.function for e in standard_functions(ws.system)}
-    return _vars_from_funs(t, known)
+    return _vars_from_funs(t, ws.known_names())
 
 
-def cmd_eval(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
+def cmd_eval(args, ws: Workspace, r: Reporter) -> int:
     sess = _session(ws, args)
     t = _parse_cli_term(ws, args.term)
     a = sess.observe(t, args.depth, args.budget)
@@ -909,19 +885,15 @@ def cmd_eval(args) -> int:
     r.text(rendered)
     r.kv("APPROXIMATION", rendered)
     stall = first_stall(a)
-    if stall is not None:
-        path, leaf = stall
-        r.kv("STALL", f"{list(path)} {leaf.reason}")
-        r.emit()
-        return 1
-    r.kv("STALL", "none")
-    r.emit()
-    return 0
+    if stall is None:
+        r.kv("STALL", "none")
+        return 0
+    path, leaf = stall
+    r.kv("STALL", f"{list(path)} {leaf.reason}")
+    return 1
 
 
-def cmd_bisim(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
+def cmd_bisim(args, ws: Workspace, r: Reporter) -> int:
     sess = _session(ws, args)
     t1 = _parse_cli_term(ws, args.term1)
     t2 = _parse_cli_term(ws, args.term2)
@@ -931,26 +903,19 @@ def cmd_bisim(args) -> int:
     r.kv("VERDICT", res.status)
     if res.status != "equal-up-to-depth":
         r.kv("PATH", list(res.path))
-    r.emit()
     return 0 if res.equal else 1
 
 
-def cmd_productive(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
-    prog = ws.pick_program(args.prog)
-    verdict = check_primitive_corecursive(prog, ws.system)
+def cmd_productive(args, ws: Workspace, r: Reporter) -> int:
+    verdict = check_primitive_corecursive(ws.pick_program(args.prog), ws.system)
     r.text(verdict.report())
     r.kv("VERDICT", "primitive-corecursive" if verdict.accepted else "rejected")
     if not verdict.accepted:
         r.kv("REASON", verdict.reason)
-    r.emit()
     return 0 if verdict.accepted else 1
 
 
-def cmd_prove_corec(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
+def cmd_prove_corec(args, ws: Workspace, r: Reporter) -> int:
     prog = ws.pick_program(args.prog)
     try:
         d, compiled = prove_corec_program(prog, ws.system)
@@ -958,30 +923,22 @@ def cmd_prove_corec(args) -> int:
         r.text(f"failed: {e}")
         r.kv("VERDICT", "failed")
         r.kv("REASON", str(e))
-        r.emit()
         return 1
     res = check_proof(ws.system, compiled, d)
     r.kv("VERDICT", "proved" if res.ok else "failed")
-    if res.ok:
-        r.text(res.judgment())
-        r.kv("JUDGMENT", res.judgment())
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(show_derivation(d) + "\n")
-        r.emit()
-        return 0
-    r.text("generated proof failed to check")
-    r.emit()
-    return 1
+    if not res.ok:
+        r.text("generated proof failed to check")
+        return 1
+    r.text(res.judgment())
+    r.kv("JUDGMENT", res.judgment())
+    if args.out:
+        _write(args.out, show_derivation(d))
+    return 0
 
 
-def cmd_check_proof(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
-    if args.name not in ws.proofs:
-        raise ResolutionError(f"unknown proof '{args.name}'")
-    prog = ws.merged_program() if args.program is None else ws.pick_program(args.program)
-    res = check_proof(ws.system, prog, ws.proofs[args.name])
+def cmd_check_proof(args, ws: Workspace, r: Reporter) -> int:
+    d = _proof(ws, args.name)
+    res = check_proof(ws.system, _program(ws, args), d)
     if res.ok:
         r.text(res.judgment())
         r.kv("VERDICT", "ok")
@@ -991,22 +948,14 @@ def cmd_check_proof(args) -> int:
             r.text(str(v))
             r.kv("VIOLATION", str(v))
         r.kv("VERDICT", "invalid")
-    r.emit()
     return 0 if res.ok else 1
 
 
-def cmd_normalize(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
-    if args.name not in ws.proofs:
-        raise ResolutionError(f"unknown proof '{args.name}'")
-    prog = ws.merged_program() if args.program is None else ws.pick_program(args.program)
-    d = ws.proofs[args.name]
-    before = check_proof(ws.system, prog, d)
-    if not before.ok:
+def cmd_normalize(args, ws: Workspace, r: Reporter) -> int:
+    d = _proof(ws, args.name)
+    if not check_proof(ws.system, _program(ws, args), d).ok:
         r.text("input proof does not check")
         r.kv("VERDICT", "invalid")
-        r.emit()
         return 1
     n = normalize(d)
     out = show_derivation(n)
@@ -1014,30 +963,21 @@ def cmd_normalize(args) -> int:
     r.kv("VERDICT", "ok")
     r.kv("DETOUR-FREE", str(not has_detour(n)).lower())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    r.emit()
+        _write(args.out, out)
     return 0
 
 
-def cmd_classify(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
-    p = Parser(tokenize(args.formula), ws)
-    f = p.parse_formula()
-    cls = classify_formula(f)
+def cmd_classify(args, ws: Workspace, r: Reporter) -> int:
+    cls = classify_formula(Parser(tokenize(args.formula), ws).parse_formula())
     r.text(cls.value)
     r.kv("CLASS", cls.value)
-    r.emit()
     return 0
 
 
-def cmd_extract(args) -> int:
-    r = Reporter(args.format == "tagged")
-    ws = _load(args)
+def cmd_extract(args, ws: Workspace, r: Reporter) -> int:
     try:
         if args.name in ws.proofs:
-            prog = ws.merged_program() if args.program is None else ws.pick_program(args.program)
+            prog = _program(ws, args)
             d = normalize(ws.proofs[args.name])
         elif args.name in ws.programs:
             d, prog = prove_corec_program(ws.programs[args.name], ws.system)
@@ -1048,12 +988,10 @@ def cmd_extract(args) -> int:
     except ExtractError as e:
         r.text(f"extraction failed: {e}")
         r.kv("VERDICT", "failed")
-        r.emit()
         return 1
     text = show_program(result.principal, result.program)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(show_system(ws) + "\n\n" + text + "\n")
+        _write(args.out, show_system(ws) + "\n\n" + text)
         r.text(f"wrote {args.out}")
     else:
         r.text(text)
@@ -1063,21 +1001,51 @@ def cmd_extract(args) -> int:
     for line in result.certificate.render().splitlines():
         r.text("  " + line)
         r.kv("CERT", line)
-    r.emit()
     return 0
 
 
-def cmd_roundtrip(args) -> int:
-    r = Reporter(args.format == "tagged")
+def cmd_roundtrip(args, ws: None, r: Reporter) -> int:
     report = roundtrip_report(depth=args.depth, seed=args.seed,
                               inputs_per_entry=args.inputs)
     r.text(report.render())
     for name, stages in report.entries.items():
-        verdict = "pass" if all(s.ok for s in stages) else "fail"
-        r.kv(f"ENTRY {name}", verdict)
+        r.kv(f"ENTRY {name}", "pass" if all(s.ok for s in stages) else "fail")
     r.kv("VERDICT", "pass" if report.ok else "fail")
-    r.emit()
     return 0 if report.ok else 1
+
+
+_FILES = {"nargs": "+", "help": "workspace .cds files"}
+_DEPTH = ("--depth", {"type": int, "default": 16})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET})
+_ENV = ("--env", {})
+_PROGRAM = ("--program", {})
+_OUT = ("--out", {})
+
+# (name, help, positionals, options, command); a command that takes
+# workspace `files` gets them parsed and resolved before it runs.
+COMMANDS = (
+    ("check", "validate system, programs and envs", ("files",), (), cmd_check),
+    ("eval", "observe a term to a depth", ("files", "term"),
+     (_DEPTH, _BUDGET, _ENV, _PROGRAM), cmd_eval),
+    ("bisim", "observational equality to a depth", ("files", "term1", "term2"),
+     (_DEPTH, _BUDGET, _ENV, _PROGRAM), cmd_bisim),
+    ("productive", "primitive-corecurrence check", ("files", "prog"), (),
+     cmd_productive),
+    ("prove-corec", "corecursion to coinduction proof", ("files", "prog"),
+     (_OUT,), cmd_prove_corec),
+    ("check-proof", "check a derivation", ("files", "name"), (_PROGRAM,),
+     cmd_check_proof),
+    ("normalize", "remove logical detours", ("files", "name"),
+     (_PROGRAM, _OUT), cmd_normalize),
+    ("classify", "polarity class of a formula", ("files", "formula"), (),
+     cmd_classify),
+    ("extract", "realizability extraction", ("files", "name"),
+     (_PROGRAM, _OUT), cmd_extract),
+    ("roundtrip", "stock-library pipeline", (),
+     (("--depth", {"type": int, "default": 64}),
+      ("--seed", {"type": int, "default": 20240817}),
+      ("--inputs", {"type": int, "default": 10})), cmd_roundtrip),
+)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -1087,85 +1055,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "evaluate, check productivity, check proofs, extract")
     ap.add_argument("--format", choices=["text", "tagged"], default="text")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def files(p):
-        p.add_argument("files", nargs="+", help="workspace .cds files")
-
-    p = sub.add_parser("check", help="validate system, programs and envs")
-    files(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("eval", help="observe a term to a depth")
-    files(p)
-    p.add_argument("term")
-    p.add_argument("--depth", type=int, default=16)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--env")
-    p.add_argument("--program")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("bisim", help="observational equality to a depth")
-    files(p)
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--depth", type=int, default=16)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--env")
-    p.add_argument("--program")
-    p.set_defaults(fn=cmd_bisim)
-
-    p = sub.add_parser("productive", help="primitive-corecurrence check")
-    files(p)
-    p.add_argument("prog")
-    p.set_defaults(fn=cmd_productive)
-
-    p = sub.add_parser("prove-corec", help="corecursion to coinduction proof")
-    files(p)
-    p.add_argument("prog")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_prove_corec)
-
-    p = sub.add_parser("check-proof", help="check a derivation")
-    files(p)
-    p.add_argument("name")
-    p.add_argument("--program")
-    p.set_defaults(fn=cmd_check_proof)
-
-    p = sub.add_parser("normalize", help="remove logical detours")
-    files(p)
-    p.add_argument("name")
-    p.add_argument("--program")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("classify", help="polarity class of a formula")
-    files(p)
-    p.add_argument("formula")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("extract", help="realizability extraction")
-    files(p)
-    p.add_argument("name")
-    p.add_argument("--program")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_extract)
-
-    p = sub.add_parser("roundtrip", help="stock-library pipeline")
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("--inputs", type=int, default=10)
-    p.set_defaults(fn=cmd_roundtrip)
+    for name, help_, positionals, options, fn in COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for pos in positionals:
+            p.add_argument(pos, **(_FILES if pos == "files" else {}))
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    """Run one command: exit 0 for a positive verdict, 1 for a negative
+    one, 2 for an error, reported as one line on stderr."""
+    args = build_arg_parser().parse_args(argv)
+    r = Reporter(args.format == "tagged")
     try:
-        return args.fn(args)
+        ws = parse_files(args.files) if "files" in args else None
+        code = args.fn(args, ws, r)
     except (ParseError, ResolutionError, EvalError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    for line in r.lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

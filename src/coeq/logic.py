@@ -150,6 +150,8 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
             return False
         return all(_teq(a2, b2, env) for a2, b2 in zip(s.args, t.args))
 
+    if a is b or a == b:
+        return True
     return go(a, b, ())
 
 
@@ -820,19 +822,28 @@ class NormalizationLimit(Exception):
     pass
 
 
-_BINDER_LABEL_ATTRS = {
-    "imp-intro": ("label",),
-    "or-elim": ("label1", "label2"),
-    "ex-elim": ("label",),
-    "coinduction": ("label",),
-}
-
-
-def _binder_labels(d: Derivation) -> list[str]:
-    """The assumption labels a node discharges."""
+def _scopes(d: Derivation) -> dict:
+    """Where `d` binds: premise index, or "formula" for the hole of an
+    (co)induction invariant -> (labels, variables) bound there."""
+    a = d.attr
+    if d.rule == "imp-intro":
+        return {0: ((a("label"),), ())}
+    if d.rule == "or-elim":
+        return {1: ((a("label1"),), ()), 2: ((a("label2"),), ())}
+    if d.rule == "ex-elim":
+        return {1: ((a("label"),), (a("eigen"),))}
+    if d.rule == "all-intro":
+        return {0: ((), (a("eigen"),))}
+    if d.rule == "coinduction":
+        return {1: ((a("label"),), (a("var"),)), "formula": ((), (a("var"),))}
     if d.rule == "induction":
-        return [lab for labs in d.attr("case_labels") or () for lab in labs]
-    return [d.attr(k) for k in _BINDER_LABEL_ATTRS.get(d.rule, ())]
+        cases = zip(a("case_labels") or (), a("case_vars") or ())
+        return {**{1 + k: (tuple(labs), tuple(vs)) for k, (labs, vs) in enumerate(cases)},
+                "formula": ((), (a("var"),))}
+    return {}
+
+
+_UNBOUND = ((), ())
 
 
 def _assume_labels(d: Derivation) -> set[str]:
@@ -849,30 +860,29 @@ def _relabel(d: Derivation, env: dict[str, str], avoid: set[str],
         if lab in env:
             attrs["label"] = env[lab]
         return Derivation(d.rule, d.conclusion, (), tuple(attrs.items()))
-    new_env = env
-    flat = _binder_labels(d)
-    if any(lab in avoid for lab in flat):
-        new_env = dict(env)
-        mapping = {}
-        for lab in flat:
+    scopes = _scopes(d)
+    mapping = {}
+    for labels, _vars in scopes.values():
+        for lab in labels:
             if lab in avoid:
-                nl = fresh_name(lab, taken)
-                taken.add(nl)
-                mapping[lab] = nl
-                new_env[lab] = nl
-        if d.rule == "induction":
+                mapping[lab] = fresh_name(lab, taken)
+                taken.add(mapping[lab])
+    if mapping:
+        for k in ("label", "label1", "label2"):
+            if k in attrs:
+                attrs[k] = mapping.get(attrs[k], attrs[k])
+        if "case_labels" in attrs:
             attrs["case_labels"] = tuple(
                 tuple(mapping.get(lab, lab) for lab in labs)
                 for labs in attrs["case_labels"])
-        else:
-            for k in _BINDER_LABEL_ATTRS[d.rule]:
-                attrs[k] = mapping.get(attrs[k], attrs[k])
-    elif flat:
-        # labels rebound here shadow outer renamings
-        if any(lab in env for lab in flat):
-            new_env = {k: v for k, v in env.items() if k not in flat}
-    prems = tuple(_relabel(p, new_env, avoid, taken) for p in d.premises)
-    return Derivation(d.rule, d.conclusion, prems, tuple(attrs.items()))
+    prems = []
+    for i, p in enumerate(d.premises):
+        labels = scopes.get(i, _UNBOUND)[0]
+        # labels bound here shadow outer renamings
+        inner = {k: v for k, v in env.items() if k not in labels}
+        inner.update((lab, mapping[lab]) for lab in labels if lab in mapping)
+        prems.append(_relabel(p, inner, avoid, taken))
+    return Derivation(d.rule, d.conclusion, tuple(prems), tuple(attrs.items()))
 
 
 def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Derivation:
@@ -884,9 +894,9 @@ def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Der
         if node.rule == "assume" and node.attr("label") == label \
                 and alpha_eq(node.conclusion, f):
             return replacement
-        if label in _binder_labels(node):
-            return node
-        prems = tuple(go(p) for p in node.premises)
+        scopes = _scopes(node)
+        prems = tuple(p if label in scopes.get(i, _UNBOUND)[0] else go(p)
+                      for i, p in enumerate(node.premises))
         if prems == node.premises:
             return node
         return Derivation(node.rule, node.conclusion, prems, node.attrs)
@@ -894,16 +904,6 @@ def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Der
     if rep_labels:
         d = _relabel(d, {}, rep_labels, _assume_labels(d) | rep_labels)
     return go(d)
-
-
-def _bound_vars(node: Derivation) -> list[str]:
-    if node.rule in ("ex-elim", "all-intro"):
-        return [node.attr("eigen")]
-    if node.rule == "induction":
-        return [v for vs in node.attr("case_vars") or () for v in vs]
-    if node.rule == "coinduction":
-        return [node.attr("var")]
-    return []
 
 
 def _derivation_vars(d: Derivation) -> set[str]:
@@ -939,25 +939,31 @@ def _rename_var(node: Derivation, old: str, new: str) -> Derivation:
 
 def subst_derivation(d: Derivation, var: str, t: Term) -> Derivation:
     """Substitute a term for a variable throughout a derivation, renaming
-    eigenvariables that would capture.  A node that itself binds `var`
-    (eigenvariable shadowing) is left alone."""
+    bound variables that would capture.  Where a node binds `var` itself
+    (eigenvariable shadowing), that scope is left alone."""
     tvars = variables(t)
 
     def go(node: Derivation) -> Derivation:
-        bound = _bound_vars(node)
-        if var in bound:
-            return node
-        for b in bound:
-            if b in tvars:
-                freshv = fresh_name(b, tvars | {var} | _derivation_vars(node))
-                node = _rename_var(node, b, freshv)
+        scopes = _scopes(node)
+        shadowed = {i for i, (_labels, vs) in scopes.items() if var in vs}
+        captured = [b for i, (_labels, vs) in scopes.items() if i not in shadowed
+                    for b in vs if b in tvars]
+        for b in dict.fromkeys(captured):
+            # rename b where this node binds it: in its attributes and the
+            # premises in its scope, not in its conclusion or other premises
+            freshv = fresh_name(b, tvars | {var} | _derivation_vars(node))
+            renamed = _rename_var(node, b, freshv)
+            prems = tuple(r if b in scopes.get(i, _UNBOUND)[1] else p for i, (p, r)
+                          in enumerate(zip(node.premises, renamed.premises)))
+            node = Derivation(node.rule, node.conclusion, prems, renamed.attrs)
         attrs = dict(node.attrs)
         for k, v in list(attrs.items()):
             if isinstance(v, Term):
                 attrs[k] = substitute(v, {var: t})
-            elif isinstance(v, Formula):
+            elif isinstance(v, Formula) and k not in shadowed:
                 attrs[k] = subst_formula(v, var, t)
-        prems = tuple(go(p) for p in node.premises)
+        prems = tuple(p if i in shadowed else go(p)
+                      for i, p in enumerate(node.premises))
         return Derivation(node.rule, subst_formula(node.conclusion, var, t),
                           prems, tuple(attrs.items()))
 

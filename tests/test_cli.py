@@ -1,12 +1,15 @@
+import hashlib
 import io
+import pathlib
 import sys
 
 import pytest
 
-from coeq.cli import (ParseError, Parser, Workspace, main, parse_workspace,
-                      show_approximation, show_derivation, show_workspace,
-                      tokenize)
+from coeq.cli import (ParseError, Parser, Workspace, main, parse_files,
+                      parse_workspace, show_approximation, show_derivation,
+                      show_program, show_system, show_workspace, tokenize)
 from coeq.evaluation import GeneratorBinding, Session
+from coeq.extract import prove_corec_program
 from coeq.logic import check_proof
 from coeq.system import RegularCoterm
 from coeq.terms import Con, Fun, Var
@@ -181,8 +184,18 @@ def test_cmd_eval_binding_named_like_a_function_fails_cleanly(tmp_path, capsys):
     ws = tmp_path / "clash.cds"
     ws.write_text(SM_SOURCE.split("env E")[0] + "env E {\n  flip = 0 : flip;\n}\n")
     code, out, err = run_main(capsys, "eval", str(ws), "flip", "--depth", "4")
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     assert err == "error: binding 'flip' collides with a function or constructor\n"
+
+
+def test_internal_error_exits_2_with_one_line(ws_file, capsys, monkeypatch):
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Session, "observe", boom)
+    assert run_main(capsys, "eval", ws_file, "flip(v_a)", "--env", "E") \
+        == (2, "", "internal error: RuntimeError: boom\n")
+
 
 def test_cmd_bisim(ws_file, capsys):
     code, out, _ = run_main(capsys, "bisim", ws_file, "flip(v_a)", "v_b",
@@ -299,3 +312,90 @@ def test_tagged_format(ws_file, capsys):
                             "flip(v_a)", "v_b", "--depth", "8", "--env", "E")
     assert code == 0
     assert "VERDICT\tequal-up-to-depth" in out
+
+
+# -- pinned transcript -------------------------------------------------------------
+
+# SHA-256 of the exit codes, stdout and written files of the invocations
+# below; error invocations are left out.
+TRANSCRIPT_SHA256 = "e72f6e5c253abb167fae29266244334c470cbc51bbe66898dd0584145c6284dc"
+
+STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
+                  / "workspaces" / "streams.cds")
+
+EXTRA_PROOFS = """
+proof bad {
+  (and-intro (and (S x) (= x y)) (
+    (assume (S x) () {label u})
+    (refl (= x y) () {})
+  ) {})
+}
+
+proof detour {
+  (imp-elim (S x) (
+    (imp-intro (imp (S x) (S x)) (
+      (and-elim (S x) (
+        (and-intro (and (S x) (S x)) (
+          (assume (S x) () {label h})
+          (assume (S x) () {label h})
+        ) {})
+      ) {i 1})
+    ) {label h})
+    (assume (S x) () {label a})
+  ) {})
+}
+"""
+
+
+def _transcript_runs(tmp_path):
+    """Invocations on streams.cds, then on a workspace holding the compiled
+    flip program, the proof `prove-corec --out` wrote, an invalid proof and
+    a detour proof."""
+    proof_file = tmp_path / "flip.proof"
+    yield ("check", STREAMS_CDS)
+    yield ("eval", STREAMS_CDS, "flip(v_a)", "--depth", "8", "--env", "E")
+    yield ("eval", STREAMS_CDS, "b(v_a, v_b)", "--program", "b")
+    yield ("eval", STREAMS_CDS, "b(v_a, v_a)", "--program", "b", "--depth", "6")
+    yield ("bisim", STREAMS_CDS, "flip(v_a)", "v_b", "--depth", "32")
+    yield ("bisim", STREAMS_CDS, "v_a", "v_b", "--depth", "8", "--env", "E")
+    for prog in ("flip", "mt", "b"):
+        yield ("productive", STREAMS_CDS, prog)
+    yield ("prove-corec", STREAMS_CDS, "flip", "--out", str(proof_file))
+    yield ("prove-corec", STREAMS_CDS, "mt")
+    for formula in ("(ex y (and (S y) (= (flip y) z)))",
+                    "(imp (S x) (S (flip x)))",
+                    "(or (B x) (all y (S y)))"):
+        yield ("classify", STREAMS_CDS, formula)
+    yield ("extract", STREAMS_CDS, "even")
+    yield ("extract", STREAMS_CDS, "mt")
+
+    ws = parse_files([STREAMS_CDS])
+    _d, compiled = prove_corec_program(ws.programs["flip"], ws.system)
+    built = tmp_path / "built.cds"
+    built.write_text(show_system(ws) + "\n\n" + show_program("flip", compiled)
+                     + "\n\nproof flipped {\n" + proof_file.read_text()
+                     + "}\n" + EXTRA_PROOFS)
+    for name in ("flipped", "bad", "detour"):
+        yield ("check-proof", str(built), name)
+        yield ("normalize", str(built), name, "--out", str(tmp_path / f"{name}.nf"))
+    yield ("extract", str(built), "flipped", "--out", str(tmp_path / "x.cds"))
+    yield ("extract", str(built), "detour")
+
+
+def test_cli_transcript_is_pinned(tmp_path, capsys):
+    """stdout, exit code and written files of every command, both formats."""
+    h = hashlib.sha256()
+    tmp = str(tmp_path)
+
+    def record(argv):
+        code, out, err = run_main(capsys, *argv)
+        assert err == "", (argv, err)
+        h.update(f"{code}\n{out}".replace(tmp, "<tmp>").encode())
+
+    for fmt in ("text", "tagged"):
+        for argv in _transcript_runs(tmp_path):
+            record(("--format", fmt) + argv)
+    record(("roundtrip", "--depth", "6", "--inputs", "2"))
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == TRANSCRIPT_SHA256

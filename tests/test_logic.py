@@ -386,3 +386,45 @@ def test_graft_avoids_label_capture():
     # the grafted 'h' stays open; the discharging 'h' was renamed
     assert ("h", B(v("y"))) in res.assumptions
     assert res.conclusion == Imp(S(v("x")), And(S(v("x")), B(v("y"))))
+
+
+def test_normalize_grafts_into_the_major_premise_of_a_binder():
+    """or-elim binds its labels in the minor premises only: an assumption
+    h in its major premise belongs to the enclosing imp-intro."""
+    p = S(v("x"))
+    a_ = Or(p, p)
+    d = imp_elim(imp_intro("h", a_, or_elim(assume("h", a_), "h", assume("h", p),
+                                            "k", assume("k", p))),
+                 or_intro(1, assume("a", p), p))
+    assert _check(d).judgment() == "{a: S(x)} |- S(x)"
+    assert _check(normalize(d)).judgment() == _check(d).judgment()
+
+
+def test_normalize_substitutes_into_the_major_premise_of_a_binder():
+    """ex-elim binds its eigenvariable in the minor premise only: e in the
+    major premise is the outer eigenvariable, instantiated by reduction."""
+    x, y, z, e = v("x"), v("y"), v("z"), v("e")
+    inner = ex_elim(ex_intro("z", S(z), e, assume("h", S(e))), "e", "g",
+                    ex_intro("z", S(z), e, assume("g", S(e))))
+    d = ex_elim(ex_intro("y", S(y), x, assume("a", S(x))), "e", "h", inner)
+    assert _check(d).judgment() == "{a: S(x)} |- (ex z. S(z))"
+    assert _check(normalize(d)).judgment() == _check(d).judgment()
+
+
+def test_normalize_renames_a_capturing_eigenvariable_only_in_its_scope():
+    """Instantiating w by y under an ex-elim with eigenvariable y renames
+    that eigenvariable in the minor premise, not the free y of the major."""
+    y = v("y")
+    ex = Exists("z", S(v("z")))
+    major = imp_elim(assume("u", Imp(S(y), ex)), assume("k", S(y)))
+    body = ex_elim(major, "y", "h", refl(v("w")))
+    d = all_elim(all_intro("q", EqAtom(v("q"), v("q")), "w", body), y)
+    assert _check(d).judgment() == "{k: S(y), u: (S(y) -> (ex z. S(z)))} |- y = y"
+    assert _check(normalize(d)).judgment() == _check(d).judgment()
+
+
+def test_subst_derivation_leaves_an_invariants_hole_alone():
+    d = induction("B", "n", EqAtom(v("n"), v("n")), assume("u", B(v("x"))),
+                  (refl(ZERO), refl(ONE)), ((), ()), ((), ()))
+    assert _check(d).ok
+    assert subst_derivation(d, "n", v("x")) == d
