@@ -41,8 +41,10 @@ FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line: int, col: int, path: str | None = None):
+        where = f"{path}:{line}:{col}" if path else f"{line}:{col}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -611,8 +613,20 @@ def parse_workspace(source: str) -> Workspace:
 
 
 def parse_files(paths: list[str]) -> Workspace:
-    src = "\n".join(open(p, encoding="utf-8").read() for p in paths)
-    return parse_workspace(src)
+    """One workspace from all files; a parse error names its file and is
+    numbered within it."""
+    texts = [open(p, encoding="utf-8").read() for p in paths]
+    try:
+        return parse_workspace("\n".join(texts))
+    except ParseError as e:
+        line = e.line
+        for path, text in zip(paths, texts):
+            # each file spans its own lines and the joining newline
+            lines = text.count("\n") + 1
+            if line <= lines:
+                break
+            line -= lines
+        raise ParseError(e.message, line, e.col, path) from None
 
 
 class ResolutionError(Exception):

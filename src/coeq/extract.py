@@ -10,9 +10,10 @@ dispatch, and grafted proofs of previously defined functions).
 `extract` walks a detour-free, all-strongly-positive derivation and emits
 a primitive-corecursive program realizing its conclusion: logical rules
 become realizer plumbing over the split algebra, data eliminations become
-destructors, rewrites are free, and each coinduction becomes one fresh
-corecursive function producing head bits while stepping the decomposition
-evidence, one parameter per evidence component.
+destructors, rewrites are free, and each coinduction becomes one mutual
+schema of fresh corecursive functions, one per member state the invariant
+realizer reaches, each producing head bits while stepping the
+decomposition evidence, one parameter per evidence component.
 
 `roundtrip_report` drives the full pipeline over the stock library and
 checks the extracted programs against the originals observationally.
@@ -501,55 +502,26 @@ def _alternatives(rs: list[SymR]) -> list[SymR]:
 
 def _shape(rs: list[SymR]) -> SymR:
     """The Pair/ConsR structure that every alternative of `rs` has, with
-    holes where they disagree.  Below a ConsR whose heads are constant
-    bits, the tails are shaped once per bit, as a dispatch on the head."""
+    holes where they disagree."""
     rs = _alternatives(rs)
     if all(isinstance(r, Pair) for r in rs):
         return Pair(_shape([r.head for r in rs]), _shape([r.rest for r in rs]))
     if all(isinstance(r, ConsR) for r in rs):
-        zero = [r.tail for r in rs if _const_bit(r.head_term) != "1"]
-        one = [r.tail for r in rs if _const_bit(r.head_term) != "0"]
-        s0 = _shape(zero) if zero else None
-        s1 = _shape(one) if one else None
-        if s0 is None or s1 is None or s0 == s1:
-            return ConsR(_HOLE, s1 if s0 is None else s0)
-        return ConsR(_HOLE, Case(_HOLE, s0, s1))
+        return ConsR(_HOLE, _shape([r.tail for r in rs]))
     return Leaf(_HOLE)
 
 
 def _number(shape: SymR, first: int) -> SymR:
-    """The shape with a parameter x<first>, x<first + 1>, ... in each hole;
-    a dispatch below a ConsR is on that ConsR's head parameter."""
+    """The shape with a parameter x<first>, x<first + 1>, ... in each hole."""
     names = itertools.count(first)
 
     def go(s: SymR) -> SymR:
         if isinstance(s, Pair):
             return Pair(go(s.head), go(s.rest))
         q = Var(f"x{next(names)}")
-        if isinstance(s, ConsR):
-            t = s.tail
-            return ConsR(q, Case(q, go(t.left), go(t.right))
-                         if isinstance(t, Case) else go(t))
-        return Leaf(q)
+        return ConsR(q, go(s.tail)) if isinstance(s, ConsR) else Leaf(q)
 
     return go(shape)
-
-
-def _tail_given(r: SymR, bit: str) -> SymR:
-    """tail_r(r) on the runs where r's head is `bit`: alternatives headed
-    by the other constant bit are dropped."""
-    def go(r: SymR) -> SymR | None:
-        if isinstance(r, Case):
-            left, right = go(r.left), go(r.right)
-            if left is None or right is None:
-                return right if left is None else left
-            return left if left == right else Case(r.bit, left, right)
-        if isinstance(r, ConsR) and _const_bit(r.head_term) not in (None, bit):
-            return None
-        return tail_r(r)
-
-    t = go(r)
-    return tail_r(r) if t is None else t
 
 
 def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
@@ -562,26 +534,62 @@ def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
         _project(odd_r(r), skel.rest, out)
     else:
         out[skel.head_term.name] = head_term_of(r)
-        t = skel.tail
-        if isinstance(t, Case):
-            _project(_tail_given(r, "0"), t.left, out)
-            _project(_tail_given(r, "1"), t.right, out)
-        else:
-            _project(tail_r(r), t, out)
+        _project(tail_r(r), skel.tail, out)
     return out
 
 
-def _live(roots: Term, nxt: dict[str, Term]) -> list[str]:
-    """The parameters the output reads, directly or through the values
-    passed to other live parameters, in parameter order."""
-    live: set[str] = set()
-    todo = list(variables(roots))
-    while todo:
-        p = todo.pop()
-        if p in nxt and p not in live:
-            live.add(p)
-            todo += variables(nxt[p])
-    return [p for p in nxt if p in live]
+def _drop(r: SymR, n: int) -> SymR:
+    for _ in range(n):
+        r = tail_r(r)
+    return r
+
+
+def _or_path(r: SymR, phi: Formula,
+             dynamic) -> tuple[tuple[str, ...], SymR, Formula]:
+    """The constant head bits by which r selects a disjunct of the
+    disjunction tree phi, the rest of r, and the formula that rest
+    realizes.  The path ends at a disjunct, at a position in `dynamic`, or
+    at a head that is not a constant bit."""
+    path: tuple[str, ...] = ()
+    while isinstance(phi, Or) and path not in dynamic:
+        bit = _const_bit(head_term_of(r))
+        if bit is None:
+            break
+        path += (bit,)
+        phi = phi.left if bit == "0" else phi.right
+        r = tail_r(r)
+    return path, r, phi
+
+
+@dataclass
+class _State:
+    """One reachable member state of a coinduction, keyed by the or-path
+    bits its invariant realizer carries as constants: the skeleton of the
+    rest of that realizer, the state's parameters in order and, once
+    stepped, its head bit, its successor and the value of each successor
+    parameter."""
+    skel: SymR
+    params: list[str]
+    bit: Term | None = None
+    succ: tuple[str, ...] = ()
+    nxt: dict[str, Term] = field(default_factory=dict)
+
+
+def _live(states: dict[tuple[str, ...], _State]) -> dict[tuple[str, ...], list[str]]:
+    """Per state, the parameters its output reads, directly or through the
+    values passed to live parameters of its successor, in parameter order."""
+    live: dict[tuple[str, ...], set[str]] = {p: set() for p in states}
+    changed = True
+    while changed:
+        changed = False
+        for p, st in states.items():
+            need = set(variables(st.bit))
+            for q in live[st.succ]:
+                need |= variables(st.nxt[q])
+            if need != live[p]:
+                live[p] = need
+                changed = True
+    return {p: [q for q in st.params if q in live[p]] for p, st in states.items()}
 
 
 def _split_chain(t: Term) -> int:
@@ -598,8 +606,9 @@ def _split_chain(t: Term) -> int:
 
 @dataclass
 class ExtractionCertificate:
-    """What extraction emitted: one line per runner, the number of
-    runners, and the longest split chain in any emitted term."""
+    """What extraction emitted: one line per coinduction naming its
+    runners, the number of coinductions, and the longest split chain in
+    any emitted term."""
     lines: list[str] = field(default_factory=list)
     split_chain: int = 0
     coinductions: int = 0
@@ -763,13 +772,17 @@ class Extractor:
         return case(head_term_of(major), cases[0], cases[1])
 
     def _x_coinduction(self, d, ctx, path):
-        """One runner: it emits the head bit of each decomposition step
-        and calls itself on the next subject and the next invariant
+        """One runner per reachable member state, emitted as one mutual
+        schema.  A state is the path of constant bits by which the
+        invariant realizer selects a disjunct of the invariant; its runner
+        emits the head bit of each decomposition step and calls the
+        successor state's runner on the next subject and the next invariant
         realizer, that realizer split into one parameter per component of
-        its skeleton, so no evidence is merged and split again at run
-        time."""
-        hole = d.attr("var")
-        label = d.attr("label")
+        the successor's skeleton, so no evidence is merged and split again
+        at run time.  A position of the disjunction tree whose bit is not
+        constant on every reachable realizer is read at run time instead,
+        by the one runner of the state that stops there."""
+        hole, label, phi = d.attr("var"), d.attr("label"), d.attr("formula")
         g = self.extract(d.premises[0], ctx, path + (0,))
         items_v = sorted(ctx["values"].items())
         items_r = sorted(ctx["realizers"].items())
@@ -782,6 +795,7 @@ class Extractor:
             hctx["realizers"][lab] = Leaf(xs[len(items_v) + i])
         u_param = xs[n_ctx]
         hctx["values"][hole] = ("S", Leaf(u_param))
+        fixed = [x.name for x in xs]
 
         def step(v: SymR) -> tuple[Term, Term, SymR]:
             """Head bit, next subject and next realizer of one step."""
@@ -790,38 +804,82 @@ class Extractor:
             return (head_term_of(even_r(h)), mat(even_r(sigma1(h))),
                     even_r(sigma1(sigma1(sigma1(h)))))
 
-        # probe the step with an opaque realizer for its skeleton; runners
-        # nested in the step are emitted by the second extraction only
+        # probe the step with an opaque realizer: each alternative of the
+        # next realizer is a shape a state's evidence can take.  Runners
+        # nested in the step are emitted by the state steps only
         emitted = len(self.defs), len(self.cert.lines)
-        probe = step(Leaf(Var(f"x{n_ctx + 2}")))[2]
+        probe = _alternatives([step(Leaf(Var(f"x{n_ctx + 2}")))[2]])
         del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
-        skel = _number(_shape([probe]), n_ctx + 2)
-        bit, unext, vnext = step(skel)
+        probe_paths = [_or_path(a, phi, ())[0] for a in probe]
 
-        nxt = {x.name: x for x in xs[:n_ctx]}
-        nxt[u_param.name] = unext
-        evidence_next = _project(vnext, skel, {})
-        nxt.update(evidence_next)
-        first = {x.name: (val if sort == "B" else mat(val))
-                 for x, (_n, (sort, val)) in zip(xs, items_v)}
+        # walk from the initial realizer, following the unique successor,
+        # until a state repeats.  The states are positions in phi's
+        # disjunction tree, so the walk ends within that tree's size; a
+        # position whose bit is not constant on some reachable realizer
+        # joins the runtime dispatches, and the walk starts again
+        dynamic: set[tuple[str, ...]] = set()
+        while True:
+            states: dict[tuple[str, ...], _State] = {}
+
+            def enter(r: SymR) -> tuple[tuple[str, ...], dict[str, Term]]:
+                """The state r realizes and its parameters' values."""
+                key, rest, left = _or_path(r, phi, dynamic)
+                if isinstance(left, Or) and key not in dynamic:
+                    dynamic.add(key)
+                if key not in states:
+                    fits = [_drop(a, len(key)) for a, ap in zip(probe, probe_paths)
+                            if ap[:len(key)] == key[:len(ap)]]
+                    skel = _number(_shape(fits or [rest]), n_ctx + 2)
+                    states[key] = _State(skel, fixed + list(_project(rest, skel, {})))
+                return key, _project(rest, states[key].skel, {})
+
+            demoted = len(dynamic)
+            start, first = enter(g)
+            key = start
+            while states[key].bit is None and len(dynamic) == demoted:
+                st = states[key]
+                skel = st.skel
+                for b in reversed(key):
+                    skel = ConsR(Con(b), skel)
+                st.bit, unext, vnext = step(skel)
+                st.succ, st.nxt = enter(vnext)
+                st.nxt.update({x: Var(x) for x in fixed[:n_ctx]})
+                st.nxt[u_param.name] = unext
+                key = st.succ
+            if len(dynamic) == demoted:
+                break
+            del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
+
+        first.update({x.name: (val if sort == "B" else mat(val))
+                      for x, (_n, (sort, val)) in zip(xs, items_v)})
         first.update({x.name: mat(r)
                       for x, (_l, r) in zip(xs[len(items_v):], items_r)})
         first[u_param.name] = self.value_term(d.conclusion.term, ctx)
-        first.update(_project(g, skel, {}))
-        params = _live(bit, nxt)
-        k = len(params)
-        rename = {p: Var(f"x{i + 1}") for i, p in enumerate(params)}
-        r_name = self.fresh_name("run")
-        self.defs.append(CorecSchema((SchemaFun(
-            r_name, k,
-            (PlainSlot(Component(k, substitute(bit, rename))),
-             RecSlot(1, tuple(Component(k, substitute(nxt[p], rename))
-                              for p in params))),
-            produced=self.cons_name),)))
-        evidence = sum(1 for p in params if p in evidence_next)
-        self.cert.note(path, d.rule, f"runner {r_name}/{k} with {evidence} "
-                                     f"evidence parameters")
-        return Leaf(Fun(r_name, tuple(first[p] for p in params)))
+        live = _live(states)
+        order = list(states)
+        # a state the walk leaves for good calls only later ones, so it is
+        # declared after them: the cycle first, then the lead-in backwards
+        loop = order.index(states[order[-1]].succ)
+        order = order[loop:] + order[loop - 1::-1] if loop else order
+        names = {p: self.fresh_name("run") for p in states}
+        funs = []
+        for p in order:
+            st, ps = states[p], live[p]
+            k = len(ps)
+            rename = {q: Var(f"x{i + 1}") for i, q in enumerate(ps)}
+            funs.append(SchemaFun(
+                names[p], k,
+                (PlainSlot(Component(k, substitute(st.bit, rename))),
+                 RecSlot(order.index(st.succ) + 1,
+                         tuple(Component(k, substitute(st.nxt[q], rename))
+                               for q in live[st.succ]))),
+                produced=self.cons_name))
+        self.defs.append(CorecSchema(tuple(funs)))
+        evidence = sum(q not in fixed for p in states for q in live[p])
+        runners = ", ".join(f"{names[p]}/{len(live[p])}" for p in states)
+        self.cert.note(path, d.rule, f"runner{'s' if len(states) > 1 else ''} "
+                                     f"{runners} with {evidence} evidence parameters")
+        return Leaf(Fun(names[start], tuple(first[q] for q in live[start])))
 
 
 def _extend(ctx: dict, values: dict | None = None,

@@ -887,16 +887,33 @@ def _relabel(d: Derivation, env: dict[str, str], avoid: set[str],
 
 def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Derivation:
     """Replace open assumptions (label, f) in d by `replacement`, renaming
-    d's discharge labels away from the replacement's open labels first."""
+    d's discharge labels away from the replacement's open labels first,
+    and the variables bound above a replaced occurrence away from the
+    replacement's free variables."""
     rep_labels = _assume_labels(replacement)
+    rep_vars: set[str] | None = None   # computed when a binder needs them
 
     def go(node: Derivation) -> Derivation:
+        nonlocal rep_vars
         if node.rule == "assume" and node.attr("label") == label \
                 and alpha_eq(node.conclusion, f):
             return replacement
         scopes = _scopes(node)
-        prems = tuple(p if label in scopes.get(i, _UNBOUND)[0] else go(p)
-                      for i, p in enumerate(node.premises))
+        prems = []
+        for i, p in enumerate(node.premises):
+            labels, bound = scopes.get(i, _UNBOUND)
+            q = p if label in labels else go(p)
+            if bound and q is not p:
+                if rep_vars is None:
+                    rep_vars = _free_vars(replacement)
+                captured = [b for b in bound if b in rep_vars]
+                if captured:
+                    # the renamed binder may scope earlier premises too
+                    for b in captured:
+                        node = _rename_bound(node, b, rep_vars)
+                    return go(node)
+            prems.append(q)
+        prems = tuple(prems)
         if prems == node.premises:
             return node
         return Derivation(node.rule, node.conclusion, prems, node.attrs)
@@ -904,6 +921,23 @@ def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Der
     if rep_labels:
         d = _relabel(d, {}, rep_labels, _assume_labels(d) | rep_labels)
     return go(d)
+
+
+def _free_vars(d: Derivation) -> set[str]:
+    """The variables free in d's conclusion or in its open assumptions."""
+    out = set(fv(d.conclusion))
+    todo = [(d, frozenset(), frozenset())]
+    while todo:
+        node, labels, bound = todo.pop()
+        if node.rule == "assume":
+            if node.attr("label") not in labels:
+                out |= fv(node.conclusion) - bound
+            continue
+        scopes = _scopes(node)
+        for i, p in enumerate(node.premises):
+            labs, vs = scopes.get(i, _UNBOUND)
+            todo.append((p, labels | set(labs), bound | set(vs)))
+    return out
 
 
 def _derivation_vars(d: Derivation) -> set[str]:
@@ -937,6 +971,17 @@ def _rename_var(node: Derivation, old: str, new: str) -> Derivation:
                       prems, tuple(attrs.items()))
 
 
+def _rename_bound(node: Derivation, b: str, avoid: set[str]) -> Derivation:
+    """Rename the variable b where `node` binds it, in its attributes and
+    the premises in its scope (not in its conclusion or other premises),
+    to a name outside `avoid` and the node's own variables."""
+    scopes = _scopes(node)
+    renamed = _rename_var(node, b, fresh_name(b, avoid | _derivation_vars(node)))
+    prems = tuple(r if b in scopes.get(i, _UNBOUND)[1] else p for i, (p, r)
+                  in enumerate(zip(node.premises, renamed.premises)))
+    return Derivation(node.rule, node.conclusion, prems, renamed.attrs)
+
+
 def subst_derivation(d: Derivation, var: str, t: Term) -> Derivation:
     """Substitute a term for a variable throughout a derivation, renaming
     bound variables that would capture.  Where a node binds `var` itself
@@ -949,13 +994,7 @@ def subst_derivation(d: Derivation, var: str, t: Term) -> Derivation:
         captured = [b for i, (_labels, vs) in scopes.items() if i not in shadowed
                     for b in vs if b in tvars]
         for b in dict.fromkeys(captured):
-            # rename b where this node binds it: in its attributes and the
-            # premises in its scope, not in its conclusion or other premises
-            freshv = fresh_name(b, tvars | {var} | _derivation_vars(node))
-            renamed = _rename_var(node, b, freshv)
-            prems = tuple(r if b in scopes.get(i, _UNBOUND)[1] else p for i, (p, r)
-                          in enumerate(zip(node.premises, renamed.premises)))
-            node = Derivation(node.rule, node.conclusion, prems, renamed.attrs)
+            node = _rename_bound(node, b, tvars | {var})
         attrs = dict(node.attrs)
         for k, v in list(attrs.items()):
             if isinstance(v, Term):

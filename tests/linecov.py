@@ -1,0 +1,119 @@
+"""Line coverage of src/coeq by the test suite, with the standard library only.
+
+    python tests/linecov.py [pytest arguments]
+
+runs pytest in this process under a `sys.settrace` line collector, then
+prints, for each module of src/coeq, the statements that never ran, as
+line ranges, and the totals.  Without arguments it runs the whole suite.
+
+A statement counts as run when a line of its own (for a compound
+statement, of its header) executed; docstrings and other statements that
+compile to no code are not counted.  This is not a test module: pytest
+does not collect it, and the tier-1 run leaves it out, because tracing
+makes the suite several times slower and would break the suite's wall
+clock bounds.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coeq"
+
+
+def _code_lines(code) -> set[int]:
+    """The lines that have bytecode, in `code` and every nested body."""
+    out: set[int] = set()
+    todo = [code]
+    while todo:
+        c = todo.pop()
+        out.update(line for _start, _end, line in c.co_lines() if line is not None)
+        todo += [k for k in c.co_consts if isinstance(k, type(code))]
+    return out
+
+
+def _statements(tree: ast.AST):
+    """(first line, lines that run it) of every statement but docstrings."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt):
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        body = getattr(node, "body", None)
+        last = body[0].lineno - 1 if isinstance(body, list) and body else node.end_lineno
+        yield node.lineno, range(first, max(node.lineno, last) + 1)
+
+
+def _ranges(lines: list[int]) -> str:
+    out, start, prev = [], None, None
+    for n in lines + [None]:
+        if start is not None and (n is None or n != prev + 1):
+            out.append(str(start) if start == prev else f"{start}-{prev}")
+            start = None
+        if start is None:
+            start = n
+        prev = n
+    return ", ".join(out)
+
+
+def report(hits: dict[str, set[int]]) -> str:
+    lines, total, unrun_total = [], 0, 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        code = _code_lines(compile(source, str(path), "exec"))
+        ran = hits.get(str(path), set())
+        counted = [(line, [n for n in span if n in code])
+                   for line, span in _statements(ast.parse(source))]
+        counted = [(line, span) for line, span in counted if span]
+        unrun = sorted({line for line, span in counted if not ran.intersection(span)})
+        total += len(counted)
+        unrun_total += len(unrun)
+        lines.append(f"{path.name}\t{len(unrun)} of {len(counted)} unrun"
+                     + (f"\t{_ranges(unrun)}" if unrun else ""))
+    lines.append(f"total\t{unrun_total} of {total} unrun")
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    import pytest
+
+    prefix = str(PACKAGE) + os.sep
+    hits: dict[str, set[int]] = {}
+    # code file name -> its absolute path inside the package, or None
+    inside: dict[str, str | None] = {}
+
+    def trace(frame, event, _arg):
+        name = frame.f_code.co_filename
+        if name not in inside:
+            full = os.path.abspath(name)
+            inside[name] = full if full.startswith(prefix) else None
+        if inside[name] is None:
+            return None
+        seen = hits.setdefault(inside[name], set())
+        seen.add(frame.f_lineno)
+
+        def local(frame, event, _arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return local
+        return local
+
+    threading.settrace(trace)
+    sys.settrace(trace)
+    try:
+        code = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    print(report(hits))
+    return int(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -84,6 +84,18 @@ def test_parse_errors_have_positions():
     assert "arity" in str(e2.value)
 
 
+def test_parse_error_names_its_file(tmp_path, capsys):
+    """A syntax error in the second of two files is reported as
+    file:line:col, counted within that file."""
+    a, b = tmp_path / "a.cds", tmp_path / "b.cds"
+    a.write_text(SM_SOURCE.split("program")[0].strip() + "\n", encoding="utf-8")
+    b.write_text("program f {\n  f(x) = cons(pi1(x), f(pi2(x)));\n}\n\n"
+                 "program g { g(x) = ; }\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "check", str(a), str(b))
+    assert (code, out) == (2, "")
+    assert err == f"error: {b}:5:20: expected term (found ';')\n"
+
+
 def test_unknown_constructor_in_pattern_rejected():
     with pytest.raises(ParseError) as e:
         parse_workspace(SM_SOURCE + "\nprogram bad { f(g(x)) = 0; }")

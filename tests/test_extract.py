@@ -5,19 +5,20 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
                      random_stream, stream_prefix, v)
 
 from coeq.cli import parse_workspace
-from coeq.corec import (CorecSchema, check_primitive_corecursive, compile_schema,
+from coeq.corec import (Component, CorecSchema, PlainSlot, RecSlot, SchemaFun,
+                        check_primitive_corecursive, compile_schema,
                         stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
-from coeq.logic import (PolarityClass, assert_sp_proof, check_proof,
-                        classify_formula, has_detour, normalize)
+from coeq.logic import (Derivation, PolarityClass, assert_sp_proof, assume,
+                        check_proof, classify_formula, has_detour, normalize)
 from coeq.program import assemble_program
 from coeq.realize import (RealizabilityJudgment, RealizerAlgebra, even_term,
                           merge_term, odd_term, realizes, split_term,
                           with_algebra)
 from coeq.system import coterm_bits, random_stream_coterm
-from coeq.terms import Con, Fun, Var
+from coeq.terms import Con, Fun, Var, subterms
 
 
 # -- split/merge algebra -------------------------------------------------------
@@ -455,6 +456,126 @@ def test_rotate_by_two_realizes_within_budget():
     assert realizes(j).holds
 
 
+# -- member-specialised runners ----------------------------------------------------
+
+def _cycle_equations(n):
+    """c1 -> c2 -> ... -> cn -> c1, nullary, heads i % 3 % 2."""
+    return "\n  ".join(f"c{i} = cons({i % 3 % 2}, c{i % n + 1});" for i in range(1, n + 1))
+
+
+def _schema_names(bundle):
+    return {f.name for s in bundle.strata if isinstance(s, CorecSchema)
+            for f in s.functions if not f.name.startswith("split_")}
+
+
+def _canonical_runners(program, schema_names):
+    """The equations of the schema functions reachable from the principal,
+    each function renamed to its index in order of discovery (callees in
+    order of occurrence).  compile_schema names every parameter x1..xk, so
+    variables are canonical already."""
+    order, todo, seen = [], [program.principal], set()
+    while todo:
+        f = todo.pop(0)
+        if f in seen:
+            continue
+        seen.add(f)
+        if f in schema_names:
+            order.append(f)
+        for e in program.equations_of(f):
+            todo += [u.name for u in subterms(e.rhs) if isinstance(u, Fun)
+                     and u.name in program.user_functions()]
+    index = {f: f"F{i}" for i, f in enumerate(order)}
+
+    def ren(t):
+        if isinstance(t, Var):
+            return t
+        return type(t)(index.get(t.name, t.name), tuple(ren(a) for a in t.args))
+
+    return [(index[f], e.patterns, ren(e.rhs)) for f in order
+            for e in program.equations_of(f)]
+
+
+def _member_cases():
+    cases = [(name, entry.program, SM) for name, entry in stock_library().items()]
+    for n in (2, 4, 8):
+        cases.append((f"mutual{n}",) + _parse_program("f1", _mutual_equations(n)))
+        cases.append((f"cycle{n}",) + _parse_program("c1", _cycle_equations(n)))
+    return cases
+
+
+def test_extracted_runners_are_the_compiled_original():
+    """extract . prove is the identity up to renaming on primitive-corecursive
+    programs: the extracted runners are the compiled original's schema
+    functions, one runner per member, with functions renamed."""
+    for name, program, ds in _member_cases():
+        verdict = check_primitive_corecursive(program, ds)
+        compiled = compile_schema(verdict.bundle, ds)
+        result = _extract_program(program, ds)
+        want = _canonical_runners(compiled, _schema_names(verdict.bundle))
+        got = _canonical_runners(result.program, _schema_names(result.bundle))
+        assert got == want, name
+        assert check_primitive_corecursive(result.program, ds).accepted, name
+
+
+def _original_steps(program, ds, arity, depth):
+    rng = random.Random(20240817)
+    names = [f"in{i}" for i in range(arity)]
+    env = DiagramEnv.of({n: random_stream_coterm(rng) for n in names})
+    sess = Session(program, ds, env)
+    out = sess.observe(Fun(program.principal, tuple(fn(n) for n in names)), depth,
+                       budget=1_000_000)
+    assert len(approx_bits(out)) == depth
+    return sess.k.steps_total
+
+
+def test_many_member_runners_cost_the_original_steps():
+    """To depth 64, the extracted programs of 24-member schemas take at most
+    1.1x the original's kernel steps: no member tag is read per element."""
+    for principal, arity, eqs in (("f1", 1, _mutual_equations(24)),
+                                  ("c1", 0, _cycle_equations(24))):
+        program, ds = _parse_program(principal, eqs)
+        result = _extract_program(program, ds)
+        extracted = _steps_to_depth(result, ds, arity, 64)
+        original = _original_steps(program, ds, arity, 64)
+        assert extracted <= 1.1 * original, (principal, extracted, original)
+
+
+def test_runner_without_a_static_member_dispatches_at_run_time():
+    """When the invariant's realizer comes from an assumption, no member is
+    known statically: one runner reads the member bits at run time, and it
+    still computes alt."""
+    bundle = check_primitive_corecursive(stock_library()["alt"].program, SM).bundle
+    compiled = compile_schema(bundle, SM)
+    d = normalize(prove_corec(bundle, SM))
+    init = d.premises[0].conclusion
+    d = Derivation(d.rule, d.conclusion, (assume("a", init), d.premises[1]), d.attrs)
+    result = extract(d, compiled, SM)
+    assert result.realizer_params == ("a",)
+    assert "runner run1/" in result.certificate.render()
+    assert len(_schema_names(result.bundle)) == 1
+    sess = Session(result.program, SM)
+    out = sess.observe(Fun(result.principal, (cons(ZERO, fn("split_zeros")),)), 16)
+    assert approx_bits(out) == [0, 1] * 8
+
+
+def test_state_off_the_cycle_is_declared_after_it():
+    """A schema whose principal is not on its own cycle (s1 -> s2 -> s2)
+    extracts into a lead-in runner declared after the cycle it calls, so
+    the extracted program is still recognized."""
+    def member(name, bit):
+        return SchemaFun(name, 0, (PlainSlot(Component(0, Con(bit))), RecSlot(1, ())),
+                         produced="cons")
+
+    # s2 first, so that the compiled original is itself recognized
+    schema = CorecSchema((member("s2", "1"), member("s1", "0")))
+    compiled = compile_schema(schema, SM)
+    result = extract(normalize(prove_corec(schema, SM, member="s1")), compiled, SM)
+    assert "runners run1/0, run2/0" in result.certificate.render()
+    assert check_primitive_corecursive(result.program, SM).accepted
+    out = Session(result.program, SM).observe(Fun(result.principal), 8)
+    assert approx_bits(out) == [0] + [1] * 7
+
+
 # -- the roundtrip -----------------------------------------------------------------
 
 def test_roundtrip_small_depth():
@@ -500,8 +621,7 @@ def _pinned_families():
     out = []
     for n in (2, 4, 8, 12):
         out.append(("f1", _mutual_equations(n)))
-        out.append(("c1", "\n  ".join(f"c{i} = cons({i % 3 % 2}, c{i % n + 1});"
-                                      for i in range(1, n + 1))))
+        out.append(("c1", _cycle_equations(n)))
         xs = [f"x{i}" for i in range(1, n + 1)]
         rest = ", ".join(xs[1:] + ["pi2(x1)"])
         out.append(("rot", f"rot({', '.join(xs)}) = "
@@ -509,14 +629,18 @@ def _pinned_families():
     return out
 
 
-def _pinned_digest():
-    """SHA-256 over every member's proof, every extracted program and every
-    certificate of the stock entries and the families above."""
-    import hashlib
+def _pinned_cases():
     cases = [(entry.program, SM) for entry in stock_library().values()]
     cases += [_parse_program(p, eqs) for p, eqs in _pinned_families()]
+    return cases
+
+
+def _proofs_digest():
+    """SHA-256 over every member's proof of the stock entries and the
+    families above."""
+    import hashlib
     h = hashlib.sha256()
-    for program, ds in cases:
+    for program, ds in _pinned_cases():
         verdict = check_primitive_corecursive(program, ds)
         assert verdict.accepted, verdict.reason
         bundle = verdict.bundle
@@ -524,12 +648,26 @@ def _pinned_digest():
             members = stratum.functions if isinstance(stratum, CorecSchema) else (stratum,)
             for m in members:
                 h.update(repr(prove_corec(bundle, ds, member=m.name)).encode())
+    return h.hexdigest()
+
+
+def _extractions_digest():
+    """SHA-256 over every extracted program and certificate of the stock
+    entries and the families above."""
+    import hashlib
+    h = hashlib.sha256()
+    for program, ds in _pinned_cases():
         result = _extract_program(program, ds)
         h.update(repr(result.program).encode())
         h.update(result.certificate.render().encode())
     return h.hexdigest()
 
 
-def test_proofs_and_extractions_are_pinned():
-    assert _pinned_digest() == (
-        "4c69247261c0c60cdae4d92f1d3a578320133f92cfbf5fe5911b4284ad3196c6")
+def test_proofs_are_pinned():
+    assert _proofs_digest() == (
+        "2829e94b4f1bb9c1a40efa8b370cd2e6e1e552aa2408ccf626eb2a6d3341e24c")
+
+
+def test_extractions_are_pinned():
+    assert _extractions_digest() == (
+        "5e8c4a4bffa9e999f64cf3442aaa231d312f4a66a88c0a8790cdf88eee8c6826")

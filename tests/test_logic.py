@@ -423,6 +423,21 @@ def test_normalize_renames_a_capturing_eigenvariable_only_in_its_scope():
     assert _check(normalize(d)).judgment() == _check(d).judgment()
 
 
+def test_normalize_renames_an_eigenvariable_free_in_the_grafted_proof():
+    """Grafting a proof whose open assumption k mentions y under an ex-elim
+    with eigenvariable y renames that eigenvariable, so the normal form
+    checks with the same judgment."""
+    x, y = v("x"), v("y")
+    body = ex_elim(assume("e", Exists("z", S(v("z")))), "y", "g", assume("h", S(x)))
+    d = imp_elim(imp_intro("h", S(x), body),
+                 imp_elim(assume("k", Imp(S(y), S(x))), assume("m", S(y))))
+    assert _check(d).judgment() == \
+        "{e: (ex z. S(z)), k: (S(y) -> S(x)), m: S(y)} |- S(x)"
+    n = normalize(d)
+    assert not has_detour(n)
+    assert _check(n).judgment() == _check(d).judgment()
+
+
 def test_subst_derivation_leaves_an_invariants_hole_alone():
     d = induction("B", "n", EqAtom(v("n"), v("n")), assume("u", B(v("x"))),
                   (refl(ZERO), refl(ONE)), ((), ()), ((), ()))
