@@ -184,8 +184,10 @@ class Session:
                     for ch in node.children:
                         if isinstance(ch, int):
                             kid = self.k.sym(self._node_name(name, ch), FUN, 0)
+                        elif ch in names:
+                            kid = self.k.sym(ch, FUN, 0)
                         else:
-                            kid = self.k.sym(str(ch), FUN, 0)
+                            raise EvalError(f"coterm '{name}' uses unknown binding '{ch}'")
                         kids.append(self.k.mk(FUN, kid, ()))
                     layer = self.k.mk(CON, self._con_sids[node.constructor], tuple(kids))
                     node_sid = self.k.sym(self._node_name(name, i), FUN, 0)
@@ -215,9 +217,9 @@ class Session:
             return self.k.mk(CON, self._con_sids[t.name], args)
         return self.k.mk(FUN, self.k.sym(t.name, FUN, len(t.args)), args)
 
-    def decode(self, tid: int, max_depth: int = 64) -> Term:
+    def decode(self, tid: int) -> Term:
         """Interned term back to a tree, iteratively; subterms deeper than
-        max_depth print as the variable '...' (stalled terms can be huge)."""
+        64 print as the variable '...' (stalled terms can be huge)."""
         k = self.k
 
         def build(t: int, d: int) -> Term:
@@ -252,17 +254,9 @@ class Session:
             assert result is not None
             return result
 
-        return build(tid, max_depth)
+        return build(tid, 64)
 
     # -- observation ---------------------------------------------------------
-
-    def observe_tid(self, tid: int, depth: int, budget: int) -> Approximation:
-        """Depth accounting: a constructor node of arity >= 1 costs one
-        unit of depth, a nullary constructor costs none, so a stream
-        observed to depth d shows d elements.  Depth 0 evaluates nothing."""
-        if depth <= 0:
-            return Cut(0)
-        return self._obs(tid, depth, budget, 0)
 
     def _obs(self, tid: int, depth: int, budget: int, at: int) -> Approximation:
         status, out, _steps = self.k.head_normalize(tid, budget)
@@ -282,7 +276,12 @@ class Session:
         return ApproxNode(name, children, at)
 
     def observe(self, t: Term, depth: int, budget: int = DEFAULT_BUDGET) -> Approximation:
-        return self.observe_tid(self.encode(t), depth, budget)
+        """Depth accounting: a constructor node of arity >= 1 costs one
+        unit of depth, a nullary constructor costs none, so a stream
+        observed to depth d shows d elements.  Depth 0 evaluates nothing."""
+        if depth <= 0:
+            return Cut(0)
+        return self._obs(self.encode(t), depth, budget, 0)
 
 
 # -- the three public operations ---------------------------------------------

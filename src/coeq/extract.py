@@ -32,7 +32,7 @@ from .evaluation import DiagramEnv, Session, derives_omega
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
                     and_elim, and_intro, assert_sp_proof, assume, build_dcm,
                     check_proof, coinduction, data_elim, data_intro, ex_elim,
-                    ex_intro, fv, graft, has_detour, induction, normalize,
+                    ex_intro, fv, has_detour, induction, normalize,
                     or_elim, or_intro, refl, rewrite, subst_derivation,
                     subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
@@ -62,13 +62,12 @@ class ProofTemplate:
 
 
 class _Labels:
-    def __init__(self, prefix: str = "l"):
-        self.prefix = prefix
+    def __init__(self):
         self.n = 0
 
     def fresh(self) -> str:
         self.n += 1
-        return f"{self.prefix}{self.n}"
+        return f"q{self.n}"
 
 
 class Prover:
@@ -77,7 +76,7 @@ class Prover:
     def __init__(self, ds: DataSystem):
         self.ds = ds
         self.registry: dict[str, ProofTemplate] = {}
-        self.labels = _Labels("q")
+        self.labels = _Labels()
         b = ds.predicate("B")
         s = ds.predicate("S")
         if b is None or s is None or not b.inductive or s.inductive:
@@ -108,16 +107,13 @@ class Prover:
         tpl = self.registry.get(t.name)
         if tpl is None:
             raise ExtractError(f"no typing available for '{t.name}'")
-        d = tpl.derivation
-        fresh = [f"_p{self.labels.fresh()}" for _ in t.args]
-        for i, new in enumerate(fresh):
-            d = subst_derivation(d, f"x{i + 1}", Var(new))
-        for new, arg in zip(fresh, t.args):
-            d = subst_derivation(d, new, arg)
-        for i, (sort, arg) in enumerate(zip(tpl.arg_sorts, t.args)):
-            arg_d = self.typing(arg, sorts, hyp_labels)
-            d = graft(d, f"h{i + 1}", DataAtom(sort, arg), arg_d)
-        return d
+        # one label per argument is drawn and unused, so that proofs keep
+        # the label numbers their pinned digests record
+        self.labels.n += len(t.args)
+        return subst_derivation(
+            tpl.derivation, {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
+            {f"h{i + 1}": self.typing(arg, sorts, hyp_labels)
+             for i, arg in enumerate(t.args)})
 
     def _delta_typing(self, t: Term, sorts, hyp_labels) -> Derivation:
         sel = t.args[0]
@@ -178,9 +174,8 @@ class Prover:
     def _intro_exists(self, names: list[str], body: Formula,
                       witnesses: list[Term], d: Derivation) -> Derivation:
         for i in range(len(names) - 1, -1, -1):
-            partial = _closure(names[i + 1:], body)
-            for j in range(i):
-                partial = subst_formula(partial, names[j], witnesses[j])
+            partial = subst_formula(_closure(names[i + 1:], body),
+                                    dict(zip(names[:i], witnesses[:i])))
             d = ex_intro(names[i], partial, witnesses[i], d)
         return d
 
@@ -255,10 +250,8 @@ class Prover:
         sorts = {e: "S" for e in es}
         hyp_labels = {e: self.labels.fresh() for e in es}
         typed = [self.typing(a, sorts, hyp_labels) for a in [head_term] + tail_args]
-        for i, tp in enumerate(typed):
-            for e, sp in zip(es, s_proofs):
-                tp = graft(tp, hyp_labels[e], DataAtom("S", Var(e)), sp)
-            typed[i] = tp
+        chain = {hyp_labels[e]: sp for e, sp in zip(es, s_proofs)}
+        typed = [subst_derivation(tp, {}, chain) for tp in typed]
         d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,
                                         tail_args, typed[1:])
         body = and_intro(typed[0], and_intro(d_phi_tail, stepped))
@@ -276,7 +269,7 @@ class Prover:
         a_label) in existential eliminations for e_1..e_k, majored by d_j."""
         k = len(es)
         if k == 0:
-            return graft(core, a_label, _chain(fn, Var(zz), []), d_j)
+            return subst_derivation(core, {}, {a_label: d_j})
         ys = [f"y{i + 1}" for i in range(k)]
 
         def remaining(i: int) -> Formula:

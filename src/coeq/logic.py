@@ -17,6 +17,7 @@ which `assert_sp_proof` scans for.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -107,22 +108,30 @@ def fv(f: Formula) -> set[str]:
     return fv(f.body) - {f.var}
 
 
-def subst_formula(f: Formula, var: str, t: Term) -> Formula:
-    """Capture-avoiding substitution of t for free occurrences of var."""
+def subst_formula(f: Formula, s: dict[str, Term]) -> Formula:
+    """Simultaneous capture-avoiding substitution of s[x] for the free
+    occurrences of each variable x in s.  Unchanged subformulas are shared."""
     if isinstance(f, DataAtom):
-        return DataAtom(f.predicate, substitute(f.term, {var: t}))
+        t = substitute(f.term, s)
+        return f if t is f.term else DataAtom(f.predicate, t)
     if isinstance(f, EqAtom):
-        return EqAtom(substitute(f.left, {var: t}), substitute(f.right, {var: t}))
+        left, right = substitute(f.left, s), substitute(f.right, s)
+        return f if left is f.left and right is f.right else EqAtom(left, right)
     if isinstance(f, (And, Or, Imp)):
-        return type(f)(subst_formula(f.left, var, t), subst_formula(f.right, var, t))
+        left, right = subst_formula(f.left, s), subst_formula(f.right, s)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     assert isinstance(f, (Exists, Forall))
-    if f.var == var:
-        return f
-    if f.var in variables(t) and var in fv(f.body):
-        fresh = fresh_name(f.var, variables(t) | fv(f.body) | {var})
-        body = subst_formula(f.body, f.var, Var(fresh))
-        return type(f)(fresh, subst_formula(body, var, t))
-    return type(f)(f.var, subst_formula(f.body, var, t))
+    if f.var in s:
+        s = {x: t for x, t in s.items() if x != f.var}
+    if any(f.var in variables(t) for t in s.values()):
+        body_fv = fv(f.body)
+        s = {x: t for x, t in s.items() if x in body_fv}
+        if any(f.var in variables(t) for t in s.values()):
+            tvars = set().union(*(variables(t) for t in s.values()))
+            fresh = fresh_name(f.var, tvars | body_fv | set(s))
+            return type(f)(fresh, subst_formula(f.body, {**s, f.var: Var(fresh)}))
+    body = subst_formula(f.body, s)
+    return f if body is f.body else type(f)(f.var, body)
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
@@ -235,7 +244,7 @@ def build_dcm(ds: DataSystem, pred_name: str, phi: Formula, hole: str,
         for i in range(r - 1, -1, -1):
             ei = ct.argument_predicates[i]
             if ei.name == pred_name:
-                conj: Formula = subst_formula(phi, hole, Var(zs[i]))
+                conj: Formula = subst_formula(phi, {hole: Var(zs[i])})
             else:
                 conj = DataAtom(ei.name, Var(zs[i]))
             body = And(conj, body)
@@ -330,7 +339,7 @@ def all_intro(var: str, body: Formula, eigen: str, d: Derivation) -> Derivation:
 def all_elim(d: Derivation, witness: Term) -> Derivation:
     assert isinstance(d.conclusion, Forall)
     return Derivation("all-elim",
-                      subst_formula(d.conclusion.body, d.conclusion.var, witness),
+                      subst_formula(d.conclusion.body, {d.conclusion.var: witness}),
                       (d,), (("witness", witness),))
 
 
@@ -385,7 +394,7 @@ def induction(pred: str, hole: str, phi: Formula, d_major: Derivation,
               case_vars: tuple[tuple[str, ...], ...],
               case_labels: tuple[tuple[str, ...], ...]) -> Derivation:
     t = _atom_term(d_major.conclusion)
-    return Derivation("induction", subst_formula(phi, hole, t),
+    return Derivation("induction", subst_formula(phi, {hole: t}),
                       (d_major,) + cases,
                       (("pred", pred), ("var", hole), ("formula", phi),
                        ("case_vars", case_vars), ("case_labels", case_labels)))
@@ -580,7 +589,7 @@ class ProofChecker:
         w = d.attr("witness")
         if not isinstance(f, Exists) or len(d.premises) != 1 or not isinstance(w, Term):
             return self.bad(path, "existential introduction malformed")
-        if not alpha_eq(d.premises[0].conclusion, subst_formula(f.body, f.var, w)):
+        if not alpha_eq(d.premises[0].conclusion, subst_formula(f.body, {f.var: w})):
             return self.bad(path, "premise is not the body at the witness")
         return opens[0]
 
@@ -591,7 +600,7 @@ class ProofChecker:
         major = d.premises[0].conclusion
         if not isinstance(major, Exists):
             return self.bad(path, "major premise is not existential")
-        inst = subst_formula(major.body, major.var, Var(eigen))
+        inst = subst_formula(major.body, {major.var: Var(eigen)})
         rest = self.discharge(opens[1], d.attr("label"), inst, path)
         if not alpha_eq(d.premises[1].conclusion, f):
             return self.bad(path, "conclusion does not match the minor premise")
@@ -607,7 +616,7 @@ class ProofChecker:
         if not isinstance(f, Forall) or len(d.premises) != 1 or not isinstance(eigen, str):
             return self.bad(path, "universal introduction malformed")
         if not alpha_eq(d.premises[0].conclusion,
-                        subst_formula(f.body, f.var, Var(eigen))):
+                        subst_formula(f.body, {f.var: Var(eigen)})):
             return self.bad(path, "premise is not the body at the eigenvariable")
         if eigen in fv(f):
             return self.bad(path, f"eigenvariable '{eigen}' free in conclusion")
@@ -621,7 +630,7 @@ class ProofChecker:
         major = d.premises[0].conclusion if d.premises else None
         if not isinstance(major, Forall) or not isinstance(w, Term):
             return self.bad(path, "universal elimination malformed")
-        if not alpha_eq(f, subst_formula(major.body, major.var, w)):
+        if not alpha_eq(f, subst_formula(major.body, {major.var: w})):
             return self.bad(path, "conclusion is not the body at the witness")
         return opens[0]
 
@@ -744,7 +753,7 @@ class ProofChecker:
         major = d.premises[0].conclusion
         if not isinstance(major, DataAtom) or major.predicate != pred_name:
             return self.bad(path, "major premise is not the inductive atom")
-        if not alpha_eq(f, subst_formula(phi, hole, major.term)):
+        if not alpha_eq(f, subst_formula(phi, {hole: major.term})):
             return self.bad(path, "conclusion is not the formula at the major term")
         if len(case_vars) != len(types) or len(case_labels) != len(types):
             return self.bad(path, "case variable/label vectors malformed")
@@ -756,14 +765,14 @@ class ProofChecker:
             if len(vs) != r or len(labs) != r:
                 return self.bad(path, f"case {k + 1}: expected {r} eigenvariables/labels")
             case = d.premises[1 + k]
-            want = subst_formula(phi, hole,
-                                 Con(ct.constructor.name, tuple(Var(v) for v in vs)))
+            want = subst_formula(
+                phi, {hole: Con(ct.constructor.name, tuple(Var(v) for v in vs))})
             if not alpha_eq(case.conclusion, want):
                 return self.bad(path, f"case {k + 1} concludes {case.conclusion}, wants {want}")
             rest = Counter(opens[1 + k])
             for j in range(r):
                 ei = ct.argument_predicates[j]
-                hyp = subst_formula(phi, hole, Var(vs[j])) if ei.name == pred_name \
+                hyp = subst_formula(phi, {hole: Var(vs[j])}) if ei.name == pred_name \
                     else DataAtom(ei.name, Var(vs[j]))
                 rest = self.discharge(rest, labs[j], hyp, path)
             bad_vs = set(vs) & (fv(phi) - {hole})
@@ -792,7 +801,7 @@ class ProofChecker:
                                   "decomposition premise")
         if not isinstance(f, DataAtom) or f.predicate != pred_name:
             return self.bad(path, "conclusion is not the coinductive atom")
-        if not alpha_eq(d.premises[0].conclusion, subst_formula(phi, hole, f.term)):
+        if not alpha_eq(d.premises[0].conclusion, subst_formula(phi, {hole: f.term})):
             return self.bad(path, "first premise is not the invariant at the subject term")
         want_dcm = build_dcm(self.ds, pred_name, phi, hole, hole)
         if not alpha_eq(d.premises[1].conclusion, want_dcm):
@@ -846,167 +855,131 @@ def _scopes(d: Derivation) -> dict:
 _UNBOUND = ((), ())
 
 
-def _assume_labels(d: Derivation) -> set[str]:
-    return {n.attr("label") for _p, n in d.nodes() if n.rule == "assume"}
+def subst_derivation(d: Derivation, terms: dict[str, Term],
+                     proofs: dict[str, Derivation | str]) -> Derivation:
+    """Simultaneous capture-avoiding substitution: each free variable x in
+    `terms` becomes terms[x], and each open assumption labelled l in
+    `proofs` becomes the derivation proofs[l] (or, when proofs[l] is a
+    label, the same assumption under that label).  A binder shadows the
+    names it binds; a binder above a replaced occurrence that binds a label
+    or variable free in what is inserted there is renamed within its
+    scope.  Subtrees that do not change are shared."""
+    opened: dict[str, tuple[set[str], set[str]]] = {}
 
+    def inserted(terms, proofs) -> tuple[set[str], set[str]]:
+        labels, names = set(), set()
+        for t in terms.values():
+            names |= variables(t)
+        for lab, p in proofs.items():
+            if lab not in opened:
+                opened[lab] = ({p}, set()) if isinstance(p, str) else _open(p)
+            labels |= opened[lab][0]
+            names |= opened[lab][1]
+        return labels, names
 
-def _relabel(d: Derivation, env: dict[str, str], avoid: set[str],
-             taken: set[str]) -> Derivation:
-    """Rename discharge labels that clash with `avoid`, respecting scope,
-    to labels outside `taken`, which grows by each label chosen."""
-    attrs = dict(d.attrs)
-    if d.rule == "assume":
-        lab = attrs["label"]
-        if lab in env:
-            attrs["label"] = env[lab]
-        return Derivation(d.rule, d.conclusion, (), tuple(attrs.items()))
-    scopes = _scopes(d)
-    mapping = {}
-    for labels, _vars in scopes.values():
-        for lab in labels:
-            if lab in avoid:
-                mapping[lab] = fresh_name(lab, taken)
-                taken.add(mapping[lab])
-    if mapping:
-        for k in ("label", "label1", "label2"):
-            if k in attrs:
-                attrs[k] = mapping.get(attrs[k], attrs[k])
-        if "case_labels" in attrs:
-            attrs["case_labels"] = tuple(
-                tuple(mapping.get(lab, lab) for lab in labs)
-                for labs in attrs["case_labels"])
-    prems = []
-    for i, p in enumerate(d.premises):
-        labels = scopes.get(i, _UNBOUND)[0]
-        # labels bound here shadow outer renamings
-        inner = {k: v for k, v in env.items() if k not in labels}
-        inner.update((lab, mapping[lab]) for lab in labels if lab in mapping)
-        prems.append(_relabel(p, inner, avoid, taken))
-    return Derivation(d.rule, d.conclusion, tuple(prems), tuple(attrs.items()))
+    def drop(m: dict, names) -> dict:
+        if not any(n in m for n in names):
+            return m
+        return {k: v for k, v in m.items() if k not in names}
 
-
-def graft(d: Derivation, label: str, f: Formula, replacement: Derivation) -> Derivation:
-    """Replace open assumptions (label, f) in d by `replacement`, renaming
-    d's discharge labels away from the replacement's open labels first,
-    and the variables bound above a replaced occurrence away from the
-    replacement's free variables."""
-    rep_labels = _assume_labels(replacement)
-    rep_vars: set[str] | None = None   # computed when a binder needs them
-
-    def go(node: Derivation) -> Derivation:
-        nonlocal rep_vars
-        if node.rule == "assume" and node.attr("label") == label \
-                and alpha_eq(node.conclusion, f):
-            return replacement
-        scopes = _scopes(node)
-        prems = []
-        for i, p in enumerate(node.premises):
-            labels, bound = scopes.get(i, _UNBOUND)
-            q = p if label in labels else go(p)
-            if bound and q is not p:
-                if rep_vars is None:
-                    rep_vars = _free_vars(replacement)
-                captured = [b for b in bound if b in rep_vars]
-                if captured:
-                    # the renamed binder may scope earlier premises too
-                    for b in captured:
-                        node = _rename_bound(node, b, rep_vars)
-                    return go(node)
-            prems.append(q)
-        prems = tuple(prems)
-        if prems == node.premises:
+    def go(node: Derivation, terms, proofs) -> Derivation:
+        if not terms and not proofs:
             return node
-        return Derivation(node.rule, node.conclusion, prems, node.attrs)
+        if node.rule == "assume":
+            label = node.attr("label")
+            new = proofs.get(label, label)
+            if isinstance(new, Derivation):
+                return new
+            f = subst_formula(node.conclusion, terms)
+            return node if new == label and f is node.conclusion else assume(new, f)
+        scopes = _scopes(node)
+        parts: dict = dict(enumerate(node.premises))
+        if "formula" in scopes:
+            parts["formula"] = node.attr("formula")
+        # an eigenvariable must also stay out of parts it does not scope,
+        # such as the major premise of ex-elim, so every part counts
+        bound_labels = {lab for labs, _xs in scopes.values() for lab in labs}
+        bound_names = {x for _labs, xs in scopes.values() for x in xs}
+        done = {}
+        for k, part in parts.items():
+            labels, names = scopes.get(k, _UNBOUND)
+            t, p = drop(terms, names), drop(proofs, labels)
+            done[k] = subst_formula(part, t) if k == "formula" else go(part, t, p)
+            if done[k] is not part and scopes:
+                free_labels, free_names = inserted(t, p)
+                caught_labels = free_labels & bound_labels
+                caught_names = free_names & bound_names
+                if caught_labels or caught_names:
+                    node = _rename_binder(node, caught_labels, caught_names,
+                                          free_labels | free_names)
+                    return go(node, terms, proofs)
+        prems = tuple(done[i] for i in range(len(node.premises)))
+        attrs = tuple((k, done["formula"] if k == "formula"
+                       else substitute(v, terms) if isinstance(v, Term) else v)
+                      for k, v in node.attrs)
+        f = subst_formula(node.conclusion, terms)
+        if f is node.conclusion and all(map(operator.is_, prems, node.premises)) \
+                and all(a[1] is b[1] for a, b in zip(attrs, node.attrs)):
+            return node
+        return Derivation(node.rule, f, prems, attrs)
 
-    if rep_labels:
-        d = _relabel(d, {}, rep_labels, _assume_labels(d) | rep_labels)
-    return go(d)
+    return go(d, terms, proofs)
 
 
-def _free_vars(d: Derivation) -> set[str]:
-    """The variables free in d's conclusion or in its open assumptions."""
-    out = set(fv(d.conclusion))
+def _rename_binder(node: Derivation, labels: set[str], names: set[str],
+                   avoid: set[str]) -> Derivation:
+    """Rename the `labels` and variables `names` that `node` binds, within
+    their scopes, to names outside `avoid` and those occurring in `node`."""
+    taken = set(avoid)
+    for _p, n in node.nodes():
+        taken |= fv(n.conclusion)
+        taken.update(v for _k, v in n.attrs if isinstance(v, str))
+
+    def fresh(olds: set[str]) -> dict[str, str]:
+        out = {}
+        for old in sorted(olds):
+            out[old] = fresh_name(old, taken)
+            taken.add(out[old])
+        return out
+
+    new_labels, new_names = fresh(labels), fresh(names)
+    prems = list(node.premises)
+    attrs = dict(node.attrs)
+    for k, (labs, xs) in _scopes(node).items():
+        t = {x: Var(new_names[x]) for x in xs if x in new_names}
+        if k == "formula":
+            attrs[k] = subst_formula(attrs[k], t)
+        else:
+            prems[k] = subst_derivation(
+                prems[k], t, {lab: new_labels[lab] for lab in labs if lab in new_labels})
+    for keys, new in ((("label", "label1", "label2"), new_labels),
+                      (("eigen", "var"), new_names)):
+        for k in keys:
+            if k in attrs:
+                attrs[k] = new.get(attrs[k], attrs[k])
+    for k, new in (("case_labels", new_labels), ("case_vars", new_names)):
+        if k in attrs:
+            attrs[k] = tuple(tuple(new.get(x, x) for x in xs) for xs in attrs[k])
+    return Derivation(node.rule, node.conclusion, tuple(prems), tuple(attrs.items()))
+
+
+def _open(d: Derivation) -> tuple[set[str], set[str]]:
+    """The labels of d's open assumptions, and the variables free in its
+    conclusion or in those assumptions."""
+    labels, names = set(), fv(d.conclusion)
     todo = [(d, frozenset(), frozenset())]
     while todo:
-        node, labels, bound = todo.pop()
+        node, bound_labels, bound_names = todo.pop()
         if node.rule == "assume":
-            if node.attr("label") not in labels:
-                out |= fv(node.conclusion) - bound
+            if node.attr("label") not in bound_labels:
+                labels.add(node.attr("label"))
+                names |= fv(node.conclusion) - bound_names
             continue
         scopes = _scopes(node)
         for i, p in enumerate(node.premises):
-            labs, vs = scopes.get(i, _UNBOUND)
-            todo.append((p, labels | set(labs), bound | set(vs)))
-    return out
-
-
-def _derivation_vars(d: Derivation) -> set[str]:
-    out: set[str] = set()
-    for _p, node in d.nodes():
-        out |= fv(node.conclusion)
-        for _k, v in node.attrs:
-            if isinstance(v, Term):
-                out |= variables(v)
-            elif isinstance(v, Formula):
-                out |= fv(v)
-            elif isinstance(v, str):
-                out.add(v)
-    return out
-
-
-def _rename_var(node: Derivation, old: str, new: str) -> Derivation:
-    """Blind consistent renaming; `new` must be globally fresh."""
-    attrs = dict(node.attrs)
-    for k, v in list(attrs.items()):
-        if isinstance(v, Term):
-            attrs[k] = substitute(v, {old: Var(new)})
-        elif isinstance(v, Formula):
-            attrs[k] = subst_formula(v, old, Var(new))
-        elif k in ("eigen", "var") and v == old:
-            attrs[k] = new
-        elif k == "case_vars":
-            attrs[k] = tuple(tuple(new if q == old else q for q in vs) for vs in v)
-    prems = tuple(_rename_var(p, old, new) for p in node.premises)
-    return Derivation(node.rule, subst_formula(node.conclusion, old, Var(new)),
-                      prems, tuple(attrs.items()))
-
-
-def _rename_bound(node: Derivation, b: str, avoid: set[str]) -> Derivation:
-    """Rename the variable b where `node` binds it, in its attributes and
-    the premises in its scope (not in its conclusion or other premises),
-    to a name outside `avoid` and the node's own variables."""
-    scopes = _scopes(node)
-    renamed = _rename_var(node, b, fresh_name(b, avoid | _derivation_vars(node)))
-    prems = tuple(r if b in scopes.get(i, _UNBOUND)[1] else p for i, (p, r)
-                  in enumerate(zip(node.premises, renamed.premises)))
-    return Derivation(node.rule, node.conclusion, prems, renamed.attrs)
-
-
-def subst_derivation(d: Derivation, var: str, t: Term) -> Derivation:
-    """Substitute a term for a variable throughout a derivation, renaming
-    bound variables that would capture.  Where a node binds `var` itself
-    (eigenvariable shadowing), that scope is left alone."""
-    tvars = variables(t)
-
-    def go(node: Derivation) -> Derivation:
-        scopes = _scopes(node)
-        shadowed = {i for i, (_labels, vs) in scopes.items() if var in vs}
-        captured = [b for i, (_labels, vs) in scopes.items() if i not in shadowed
-                    for b in vs if b in tvars]
-        for b in dict.fromkeys(captured):
-            node = _rename_bound(node, b, tvars | {var})
-        attrs = dict(node.attrs)
-        for k, v in list(attrs.items()):
-            if isinstance(v, Term):
-                attrs[k] = substitute(v, {var: t})
-            elif isinstance(v, Formula) and k not in shadowed:
-                attrs[k] = subst_formula(v, var, t)
-        prems = tuple(p if i in shadowed else go(p)
-                      for i, p in enumerate(node.premises))
-        return Derivation(node.rule, subst_formula(node.conclusion, var, t),
-                          prems, tuple(attrs.items()))
-
-    return go(d)
+            labs, xs = scopes.get(i, _UNBOUND)
+            todo.append((p, bound_labels.union(labs), bound_names.union(xs)))
+    return labels, names
 
 
 def _reduce_node(d: Derivation) -> Derivation | None:
@@ -1015,38 +988,22 @@ def _reduce_node(d: Derivation) -> Derivation | None:
         return d.premises[0].premises[d.attr("i") - 1]
     if d.rule == "imp-elim" and d.premises[0].rule == "imp-intro":
         intro = d.premises[0]
-        hyp = intro.conclusion.left
-        return graft(intro.premises[0], intro.attr("label"), hyp, d.premises[1])
+        return subst_derivation(intro.premises[0], {},
+                                {intro.attr("label"): d.premises[1]})
     if d.rule == "or-elim" and d.premises[0].rule == "or-intro":
-        intro = d.premises[0]
-        i = intro.attr("i")
-        minor = d.premises[i]
+        i = d.premises[0].attr("i")
         label = d.attr("label1") if i == 1 else d.attr("label2")
-        side = intro.conclusion.left if i == 1 else intro.conclusion.right
-        return graft(minor, label, side, intro.premises[0])
+        return subst_derivation(d.premises[i], {},
+                                {label: d.premises[0].premises[0]})
     if d.rule == "ex-elim" and d.premises[0].rule == "ex-intro":
         intro = d.premises[0]
-        w = intro.attr("witness")
-        eigen = d.attr("eigen")
-        ex = intro.conclusion
-        inst = subst_formula(ex.body, ex.var, Var(eigen))
-        body = graft(d.premises[1], d.attr("label"), inst,
-                     _placeholder(inst))
-        body = subst_derivation(body, eigen, w)
-        hyp = subst_formula(ex.body, ex.var, w)
-        return graft(body, _PLACEHOLDER_LABEL, hyp, intro.premises[0])
+        return subst_derivation(d.premises[1], {d.attr("eigen"): intro.attr("witness")},
+                                {d.attr("label"): intro.premises[0]})
     if d.rule == "all-elim" and d.premises[0].rule == "all-intro":
         intro = d.premises[0]
-        return subst_derivation(intro.premises[0], intro.attr("eigen"),
-                                d.attr("witness"))
+        return subst_derivation(intro.premises[0],
+                                {intro.attr("eigen"): d.attr("witness")}, {})
     return None
-
-
-_PLACEHOLDER_LABEL = "_graft_hole"
-
-
-def _placeholder(f: Formula) -> Derivation:
-    return assume(_PLACEHOLDER_LABEL, f)
 
 
 def _reduce_leftmost(d: Derivation) -> Derivation | None:

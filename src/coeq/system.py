@@ -200,8 +200,8 @@ class RegularCoterm:
             out.append(Violation("bad-entry", f"entry {self.entry} out of range"))
         return ValidationReport(tuple(out))
 
-    def is_cyclic_from(self, start: int | None = None) -> bool:
-        start = self.entry if start is None else start
+    def is_cyclic_from(self) -> bool:
+        """Whether a cycle is reachable from the entry node."""
         state: dict[int, int] = {}  # 0 = on stack, 1 = done
 
         def visit(i: int) -> bool:
@@ -216,12 +216,11 @@ class RegularCoterm:
             state[i] = 1
             return False
 
-        return visit(start)
+        return visit(self.entry)
 
-    def unfold(self, depth: int, start: int | None = None) -> Term:
+    def unfold(self, depth: int) -> Term:
         """Finite approximation to the given depth; cut points become
         variables named '_cut' (only meaningful for inspection/tests)."""
-        start = self.entry if start is None else start
 
         def go(i: int, d: int) -> Term:
             if d == 0:
@@ -235,31 +234,30 @@ class RegularCoterm:
                     kids.append(Fun(str(ch)))
             return Con(n.constructor, tuple(kids))
 
-        return go(start, depth)
+        return go(self.entry, depth)
 
 
-def stream_coterm(bits: list[int], loop_to: int, cons: str = "cons",
-                  names: tuple[str, str] = ("0", "1")) -> RegularCoterm:
+def stream_coterm(bits: list[int], loop_to: int) -> RegularCoterm:
     """Regular boolean stream: emits `bits`, then loops back to position
     `loop_to`.  Node layout: leaf nodes for the bit constants first, then
     one cons node per position."""
-    nodes: list[CotermNode] = [CotermNode(names[0]), CotermNode(names[1])]
+    nodes: list[CotermNode] = [CotermNode("0"), CotermNode("1")]
     base = 2
     k = len(bits)
     if not (0 <= loop_to < k):
         raise ValueError("loop_to out of range")
     for i, b in enumerate(bits):
         nxt = base + (i + 1 if i + 1 < k else loop_to)
-        nodes.append(CotermNode(cons, (b, nxt)))
+        nodes.append(CotermNode("cons", (b, nxt)))
     return RegularCoterm(tuple(nodes), entry=base)
 
 
-def random_stream_coterm(rng, max_nodes: int = 6, cons: str = "cons",
-                         names: tuple[str, str] = ("0", "1")) -> RegularCoterm:
-    """Seeded random regular boolean stream: a cyclic list of cons nodes."""
-    n = rng.randint(1, max_nodes)
+def random_stream_coterm(rng) -> RegularCoterm:
+    """Seeded random regular boolean stream: a cyclic list of one to six
+    cons nodes."""
+    n = rng.randint(1, 6)
     bits = [rng.randint(0, 1) for _ in range(n)]
-    return stream_coterm(bits, rng.randrange(n), cons, names)
+    return stream_coterm(bits, rng.randrange(n))
 
 
 def coterm_bits(ct: RegularCoterm, n: int) -> list[int]:

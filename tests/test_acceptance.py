@@ -111,7 +111,7 @@ def test_criterion_5_bounding_condition_guard():
     body = and_intro(data_intro(ZERO_T, ()),
                      and_intro(refl(v("w")), fake_eq))
     inner = dcm_formula.body
-    step1 = ex_intro("z1", subst_formula(inner, "z0", ZERO).body, v("w"), body)
+    step1 = ex_intro("z1", subst_formula(inner, {"z0": ZERO}).body, v("w"), body)
     fake_dcm = ex_intro("z0", inner, ZERO, step1)
     assert fake_dcm.conclusion == dcm_formula
     fabricated = coinduction("S", "x", phi, v("t"), "w", refl(v("t")), fake_dcm)

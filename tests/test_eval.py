@@ -2,7 +2,7 @@ import random
 
 import pytest
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits,
-                     bisim_b_program, cons, flip_env, flip_program, fn,
+                     bisim_b_program, cons, coterm_layer, flip_env, flip_program, fn,
                      nat_program, random_stream, stream_coterm, stream_prefix, v)
 
 from coeq.evaluation import (BUDGET_EXHAUSTED, NO_MATCH, ApproxNode, Cut,
@@ -221,6 +221,13 @@ def test_generator_binding():
 def test_env_name_collision_rejected():
     env = DiagramEnv.of({"flip": alternating_stream()})
     with pytest.raises(EvalError):
+        Session(flip_program(), SM, env)
+
+
+def test_coterm_child_naming_no_binding_rejected():
+    """v_a = 0 : nope, with no binding nope: an input error, not a stall."""
+    env = DiagramEnv.of({"v_a": coterm_layer(0, "nope")})
+    with pytest.raises(EvalError, match="unknown binding 'nope'"):
         Session(flip_program(), SM, env)
 
 

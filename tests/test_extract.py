@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 
@@ -11,7 +12,7 @@ from coeq.corec import (Component, CorecSchema, PlainSlot, RecSlot, SchemaFun,
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
-from coeq.logic import (Derivation, PolarityClass, assert_sp_proof, assume,
+from coeq.logic import (And, Derivation, PolarityClass, assert_sp_proof, assume,
                         check_proof, classify_formula, has_detour, normalize)
 from coeq.program import assemble_program
 from coeq.realize import (RealizabilityJudgment, RealizerAlgebra, even_term,
@@ -187,6 +188,44 @@ def test_prove_corec_all_library_normal_and_sp():
         assert res2.ok, (name, res2.violations[:3])
         assert res2.conclusion == res.conclusion
         assert assert_sp_proof(n) is None, name
+
+
+def _mutate(d: Derivation, path, **changes) -> Derivation:
+    """d with the node at `path` replaced by a copy with `changes`."""
+    if not path:
+        return dataclasses.replace(d, **changes)
+    i = path[0]
+    prems = d.premises[:i] + (_mutate(d.premises[i], path[1:], **changes),) \
+        + d.premises[i + 1:]
+    return dataclasses.replace(d, premises=prems)
+
+
+def _with_attr(node: Derivation, key: str, value) -> tuple:
+    return tuple((k, value if k == key else v) for k, v in node.attrs)
+
+
+def test_checker_names_the_mutated_node_of_a_prove_corec_proof():
+    """Each mutant of flip's proof (a changed conclusion, discharge label,
+    rewrite index or eigenvariable) is rejected at the mutated node."""
+    d, compiled, _ = _prove("flip")
+    assert check_proof(SM, compiled, d).ok
+    first = {}
+    for path, node in d.nodes():
+        first.setdefault(node.rule, (path, node))
+    mutants = []
+    path, node = first["and-intro"]
+    mutants.append((path, _mutate(d, path, conclusion=And(node.conclusion.right,
+                                                          node.conclusion.left))))
+    path, node = first["coinduction"]
+    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "label", "w2"))))
+    path, node = first["rewrite"]
+    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "idx", 1 - node.attr("idx")))))
+    path, node = first["ex-elim"]
+    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "eigen", "e_new"))))
+    for path, mutant in mutants:
+        res = check_proof(SM, compiled, mutant)
+        assert not res.ok
+        assert res.violations[0].path == path, (path, res.violations)
 
 
 def test_prove_corec_uses_strongly_positive_invariant():

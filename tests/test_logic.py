@@ -6,11 +6,11 @@ from coeq.logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
                         Imp, Or, PolarityClass, alpha_eq, and_elim, and_intro,
                         assert_sp_proof, assume, build_dcm, check_proof,
                         classify_formula, coinduction, data_elim, data_intro,
-                        ex_elim, ex_intro, fv, graft, has_detour, imp_elim,
+                        ex_elim, ex_intro, fv, has_detour, imp_elim,
                         imp_intro, induction, inj, normalize, or_elim,
                         or_intro, refl, rewrite, sep, subst_formula,
                         subst_derivation, all_intro, all_elim)
-from coeq.program import Equation
+from coeq.program import Equation, assemble_program
 from coeq.system import ConstructorType
 from coeq.terms import Con, Fun, Term, Var
 
@@ -108,7 +108,7 @@ def test_build_dcm_stream_shape():
     dcm = build_dcm(SM, "S", phi, "z", "x")
     want = Exists("z0", Exists("z1", And(
         B(v("z0")),
-        And(subst_formula(phi, "z", v("z1")),
+        And(subst_formula(phi, {"z": v("z1")}),
             EqAtom(v("x"), cons(v("z0"), v("z1")))))))
     assert alpha_eq(dcm, want)
 
@@ -203,7 +203,7 @@ def test_coinduction_fabricated_dcm_rejected():
                      and_intro(refl(v("w")), fake_eq))
     assert isinstance(dcm_formula, Exists)
     inner = dcm_formula.body            # ex z1. B(z0) & (...)
-    step1 = ex_intro("z1", subst_formula(inner, "z0", ZERO).body, v("w"), body)
+    step1 = ex_intro("z1", subst_formula(inner, {"z0": ZERO}).body, v("w"), body)
     fake_dcm = ex_intro("z0", inner, ZERO, step1)
     assert fake_dcm.conclusion == dcm_formula
     bad = coinduction("S", "x", phi, v("t"), "w", refl(v("t")), fake_dcm)
@@ -380,7 +380,7 @@ def test_graft_avoids_label_capture():
     inner = imp_intro("h", S(v("x")), and_intro(assume("h", S(v("x"))),
                                                 assume("g", B(v("y")))))
     replacement = assume("h", B(v("y")))  # open label 'h' must not be captured
-    out = graft(inner, "g", B(v("y")), replacement)
+    out = subst_derivation(inner, {}, {"g": replacement})
     res = _check(out)
     assert res.ok
     # the grafted 'h' stays open; the discharging 'h' was renamed
@@ -442,4 +442,143 @@ def test_subst_derivation_leaves_an_invariants_hole_alone():
     d = induction("B", "n", EqAtom(v("n"), v("n")), assume("u", B(v("x"))),
                   (refl(ZERO), refl(ONE)), ((), ()), ((), ()))
     assert _check(d).ok
-    assert subst_derivation(d, "n", v("x")) == d
+    assert subst_derivation(d, {"n": v("x")}, {}) == d
+
+
+def test_normalize_keeps_a_users_assumption_named_graft_hole():
+    """Labels may contain '_': an open assumption named _graft_hole is the
+    user's own and survives the ex-elim reduction."""
+    sv = S(v("v"))
+    d = ex_elim(ex_intro("x", S(v("x")), v("v"), assume("p", sv)), "y", "a",
+                and_intro(assume("_graft_hole", sv), assume("k", sv)))
+    assert _check(d).judgment() == \
+        "{_graft_hole: S(v), k: S(v), p: S(v)} |- (S(v) & S(v))"
+    assert _check(normalize(d)).judgment() == \
+        "{_graft_hole: S(v), k: S(v)} |- (S(v) & S(v))"
+
+
+# -- formulas up to bound names ---------------------------------------------
+
+def test_checker_compares_formulas_up_to_bound_names():
+    exu, exz = Exists("u", S(v("u"))), Exists("z", S(v("z")))
+    d = imp_elim(assume("f", Imp(exz, S(v("x")))), assume("e", exu))
+    assert _check(d).judgment() == \
+        "{e: (ex u. S(u)), f: ((ex z. S(z)) -> S(x))} |- S(x)"
+
+
+def test_alpha_eq_walks_bound_names():
+    body = lambda x: And(S(v(x)), EqAtom(v(x), cons(v(x), v("w"))))
+    assert alpha_eq(Exists("u", body("u")), Exists("z", body("z")))
+    assert alpha_eq(Forall("u", Or(B(v("u")), Imp(B(v("u")), B(v("w"))))),
+                    Forall("z", Or(B(v("z")), Imp(B(v("z")), B(v("w"))))))
+    assert not alpha_eq(Exists("u", S(v("u"))), Forall("u", S(v("u"))))
+    assert not alpha_eq(Exists("u", S(v("u"))), Exists("z", S(v("u"))))
+    assert not alpha_eq(Exists("u", S(v("u"))), Exists("z", B(v("z"))))
+    assert not alpha_eq(Exists("u", EqAtom(v("u"), ZERO)),
+                        Exists("z", EqAtom(ZERO, v("z"))))
+    assert not alpha_eq(Exists("u", S(fn("f", v("u")))), Exists("z", S(fn("g", v("z")))))
+    # the inner binder shadows the outer one on both sides
+    assert alpha_eq(Exists("u", Exists("u", S(v("u")))), Exists("z", Exists("y", S(v("y")))))
+    assert not alpha_eq(Exists("u", Exists("u", S(v("u")))),
+                        Exists("z", Exists("y", S(v("z")))))
+
+
+def test_all_elim_instantiates_without_capture():
+    f = Forall("x", Exists("y", EqAtom(v("x"), v("y"))))
+    d = all_elim(assume("f", f), v("y"))
+    assert d.conclusion == Exists("y'", EqAtom(v("y"), v("y'")))
+    assert _check(d).ok
+
+
+# -- normalize through every binder ------------------------------------------
+
+def _check_mixed(d):
+    return check_proof(MIXED, flip_program(), d)
+
+
+def test_normalize_renames_induction_case_variables_and_hole():
+    """Instantiating w by c(n, m) under an induction with hole n and case
+    variable m renames both, within their scopes."""
+    n_t = MIXED.types_for_result(MIXED.predicate("N"))
+    assert [t.constructor.name for t in n_t] == ["0", "s"]
+    w = v("w")
+    ind = induction("N", "n", EqAtom(w, w), assume("u", DataAtom("N", v("x"))),
+                    (refl(w), assume("ih", EqAtom(w, w))), ((), ("m",)), ((), ("ih",)))
+    d = all_elim(all_intro("q", EqAtom(v("q"), v("q")), "w", ind),
+                 Con("c", (v("n"), v("m"))))
+    assert _check_mixed(d).judgment() == "{u: N(x)} |- c(n, m) = c(n, m)"
+    out = normalize(d)
+    assert out.attr("var") != "n" and out.attr("case_vars") != ((), ("m",))
+    assert _check_mixed(out).judgment() == _check_mixed(d).judgment()
+
+
+def test_normalize_renames_an_induction_case_label():
+    """Grafting a proof with open label ih into an induction case that
+    binds ih renames the case label, and its uses under an inner binder."""
+    by, bx = B(v("y")), B(v("x"))
+    phi = Imp(by, And(by, bx))
+    case0 = imp_intro("z", by, and_intro(assume("z", by), assume("a", bx)))
+    case1 = imp_intro("z", by, and_intro(
+        and_elim(1, imp_elim(assume("ih", phi), assume("z", by))), assume("a", bx)))
+    ind = induction("N", "n", phi, assume("u", DataAtom("N", v("x"))),
+                    (case0, case1), ((), ("m",)), ((), ("ih",)))
+    d = imp_elim(imp_intro("a", bx, ind), assume("ih", bx))
+    assert _check_mixed(d).judgment() == \
+        "{ih: B(x), u: N(x)} |- (B(y) -> (B(y) & B(x)))"
+    out = normalize(d)
+    assert out.attr("case_labels") == ((), ("ih'",))
+    assert _check_mixed(out).judgment() == _check_mixed(d).judgment()
+
+
+def _ones_program():
+    return assemble_program(SM, [Equation("ones", (), cons(ONE, fn("ones")))], "ones")
+
+
+def test_normalize_renames_a_coinduction_label_and_hole():
+    """S(ones) by coinduction on x = ones, whose decomposition premise uses
+    a: B(1).  Grafting a proof of B(1) with open label w and x free renames
+    the coinduction's label w and its hole x."""
+    x, ones = v("x"), fn("ones")
+    phi = EqAtom(x, ones)
+    dcm = build_dcm(SM, "S", phi, "x", "x")
+    step = rewrite("ones", 0, "lr", (2,), assume("w", phi), EqAtom(x, cons(ONE, ones)))
+    body = and_intro(assume("a", B(ONE)), and_intro(refl(ones), step))
+    inner = subst_formula(dcm.body, {"z0": ONE})
+    d_dcm = ex_intro("z0", dcm.body, ONE, ex_intro("z1", inner.body, ones, body))
+    co = coinduction("S", "x", phi, ones, "w", refl(ones), d_dcm)
+    rep = imp_elim(assume("w", Imp(S(x), B(ONE))), assume("k", S(x)))
+    d = imp_elim(imp_intro("a", B(ONE), co), rep)
+    res = check_proof(SM, _ones_program(), d)
+    assert res.judgment() == "{k: S(x), w: (S(x) -> B(1))} |- S(ones)"
+    out = normalize(d)
+    assert out.attr("label") != "w" and out.attr("var") != "x"
+    assert check_proof(SM, _ones_program(), out).judgment() == res.judgment()
+
+
+def test_normalize_renames_an_all_intro_eigenvariable():
+    x, y = v("x"), v("y")
+    gen = all_intro("q", And(B(x), EqAtom(v("q"), v("q"))), "y",
+                    and_intro(assume("a", B(x)), refl(y)))
+    d = imp_elim(imp_intro("a", B(x), gen),
+                 imp_elim(assume("k", Imp(S(y), B(x))), assume("m", S(y))))
+    assert _check(d).judgment() == \
+        "{k: (S(y) -> B(x)), m: S(y)} |- (all q. (B(x) & q = q))"
+    out = normalize(d)
+    assert out.attr("eigen") == "y'"
+    assert _check(out).judgment() == _check(d).judgment()
+
+
+def test_normalize_reduces_a_detour_below_the_root():
+    a = assume("u", S(v("x")))
+    d = and_intro(refl(v("t")), and_elim(1, and_intro(a, refl(v("t")))))
+    assert normalize(d) == and_intro(refl(v("t")), a)
+
+
+def test_subst_derivation_renames_an_eigenvariable_it_would_make_free_in_the_major():
+    """The eigenvariable y of an ex-elim scopes only the minor premise, but
+    must not occur free in the major one either: substituting y for w
+    there renames it."""
+    d = ex_elim(assume("u", Exists("z", EqAtom(v("z"), v("w")))), "y", "h", refl(ZERO))
+    out = subst_derivation(d, {"w": v("y")}, {})
+    assert out.attr("eigen") == "y'"
+    assert _check(out).judgment() == "{u: (ex z. z = y)} |- 0 = 0"
