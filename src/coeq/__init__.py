@@ -10,7 +10,7 @@ coinduction proofs via realizability.
 
 from .corec import (CorecBundle, CorecSchema, ProductivityVerdict,
                     check_primitive_corecursive, compile_schema, stock_library)
-from .evaluation import DiagramEnv, Session, derives_omega, observe
+from .evaluation import DiagramEnv, Session, derives_omega
 from .extract import extract, prove_corec, roundtrip_report
 from .kernel import KERNEL_BACKEND
 from .logic import (assert_sp_proof, build_dcm, check_proof, classify_formula,
@@ -26,7 +26,7 @@ __all__ = [
     "validate_system", "syntactic_class", "canonical_member",
     "unify", "check_compatibility", "standard_functions", "deep_destructor",
     "validate_program",
-    "DiagramEnv", "Session", "observe", "derives_omega",
+    "DiagramEnv", "Session", "derives_omega",
     "CorecSchema", "CorecBundle", "ProductivityVerdict",
     "check_primitive_corecursive", "compile_schema", "stock_library",
     "classify_formula", "check_proof", "normalize", "assert_sp_proof",

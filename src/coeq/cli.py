@@ -35,7 +35,7 @@ from .program import (Equation, Program, assemble_program, reserved_function,
                       standard_functions, validate_program)
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm, validate_system)
-from .terms import Con, Fun, Term, Var
+from .terms import Con, Fun, Term, Var, variables
 
 FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
@@ -336,7 +336,9 @@ class Parser:
             raw.append(Equation(fn, tuple(patterns), rhs))
         self.expect("}")
         known = fnames | self.ws.known_names()
-        eqs = [Equation(e.function, e.patterns, _vars_from_funs(e.rhs, known))
+        # a name the patterns bind is a variable on the right-hand side
+        eqs = [Equation(e.function, e.patterns,
+                        _vars_from_funs(e.rhs, known - variables(e.definiendum)))
                for e in raw]
         if name not in {e.function for e in eqs}:
             raise self.fail(f"program '{name}' does not define '{name}'")
@@ -649,23 +651,9 @@ def resolve_workspace(ws: Workspace) -> None:
         if not rep.ok:
             raise ResolutionError(f"programs conflict: {rep}")
     for name, env in ws.envs.items():
-        bound = set(env.names())
-        for b, value in env.bindings:
-            if isinstance(value, RegularCoterm):
-                crep = value.validate(ws.system)
-                if not crep.ok:
-                    raise ResolutionError(f"env '{name}', binding '{b}': {crep}")
-                for node in value.nodes:
-                    for ch in node.children:
-                        if isinstance(ch, str) and ch not in bound:
-                            raise ResolutionError(
-                                f"env '{name}', binding '{b}': unknown "
-                                f"binding '{ch}'")
-            else:
-                for a in value.args:
-                    if a not in bound:
-                        raise ResolutionError(
-                            f"env '{name}', binding '{b}': unknown binding '{a}'")
+        rep = env.validate(ws.system)
+        if not rep.ok:
+            raise ResolutionError(f"env '{name}', {rep.violations[0].message}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ subterm named.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function, validate_program)
@@ -359,9 +359,7 @@ def _cocase_slot_count(f: str, program: Program) -> int | None:
 
 
 def _corecurrence(program: Program, ds: DataSystem, scc: list[str],
-                  accepted: dict[str, int],
-                  cocases: dict[str, int] | None = None) -> CorecSchema:
-    cocases = cocases or {}
+                  accepted: dict[str, int], cocases: dict[str, int]) -> CorecSchema:
     target_index = {f: i + 1 for i, f in enumerate(scc)}
     funs: list[SchemaFun] = []
     for f in scc:
@@ -556,42 +554,21 @@ def compile_schema(item: CorecBundle | CorecSchema | CompositionDef,
     return assemble_program(ds, eqs, principal)
 
 
+def _anonymous(s: Stratum) -> Stratum:
+    """A stratum with its schema members' names blanked; members call each
+    other by index, so this is the stratum up to renaming of the vector."""
+    if isinstance(s, CorecSchema):
+        return CorecSchema(tuple(replace(f, name="") for f in s.functions))
+    return s
+
+
 def schema_equal(a: CorecSchema, b: CorecSchema) -> bool:
     """Structural equality up to renaming of the vector functions."""
-    if len(a.functions) != len(b.functions):
-        return False
-    for fa, fb in zip(a.functions, b.functions):
-        if (fa.arity, fa.produced, len(fa.slots)) != (fb.arity, fb.produced, len(fb.slots)):
-            return False
-        if (fa.selector is None) != (fb.selector is None):
-            return False
-        if fa.selector is not None and fa.selector != fb.selector:
-            return False
-        for sa, sb in zip(fa.slots, fb.slots):
-            if type(sa) is not type(sb):
-                return False
-            if isinstance(sa, PlainSlot):
-                if sa.component != sb.component:
-                    return False
-            else:
-                if (sa.target, sa.args) != (sb.target, sb.args):
-                    return False
-    return True
+    return _anonymous(a) == _anonymous(b)
 
 
 def bundle_equal(a: CorecBundle, b: CorecBundle) -> bool:
-    if len(a.strata) != len(b.strata):
-        return False
-    for sa, sb in zip(a.strata, b.strata):
-        if isinstance(sa, CompositionDef):
-            if not isinstance(sb, CompositionDef):
-                return False
-            if (sa.name, sa.arity, sa.component) != (sb.name, sb.arity, sb.component):
-                return False
-        else:
-            if not isinstance(sb, CorecSchema) or not schema_equal(sa, sb):
-                return False
-    return True
+    return [_anonymous(s) for s in a.strata] == [_anonymous(s) for s in b.strata]
 
 
 # -- stock corpus -------------------------------------------------------------

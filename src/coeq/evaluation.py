@@ -10,13 +10,13 @@ which is the finite-depth reading of observational equivalence.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
 from .program import Program, validate_program
-from .system import DataSystem, RegularCoterm
+from .system import DataSystem, RegularCoterm, ValidationReport, Violation
 from .terms import Con, Fun, Term, Var
 
 DEFAULT_BUDGET = 10_000
@@ -43,6 +43,26 @@ class DiagramEnv:
 
     def names(self) -> list[str]:
         return [n for n, _ in self.bindings]
+
+    def validate(self, ds: DataSystem) -> ValidationReport:
+        """Each name bound once, each coterm well formed, and every coterm
+        child and generator argument a bound name."""
+        names = self.names()
+        out = [Violation("duplicate-binding", f"binding '{n}': bound more than once")
+               for n, c in Counter(names).items() if c > 1]
+        bound = set(names)
+        for name, value in self.bindings:
+            if isinstance(value, GeneratorBinding):
+                refs = value.args
+            else:
+                rep = value.validate(ds)
+                if not rep.ok:
+                    out.append(Violation("bad-coterm", f"binding '{name}': {rep}"))
+                refs = tuple(ch for node in value.nodes for ch in node.children
+                             if isinstance(ch, str))
+            out.extend(Violation("unknown-binding", f"binding '{name}': unknown binding '{r}'")
+                       for r in refs if r not in bound)
+        return ValidationReport(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -98,9 +118,9 @@ def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
     return a
 
 
-def first_stall(a: Approximation, path: tuple[int, ...] = ()) -> tuple[tuple[int, ...], Stalled] | None:
+def first_stall(a: Approximation) -> tuple[tuple[int, ...], Stalled] | None:
     """Shallowest, leftmost stalled leaf, with its destructor path."""
-    queue: deque[tuple[tuple[int, ...], Approximation]] = deque([(path, a)])
+    queue: deque[tuple[tuple[int, ...], Approximation]] = deque([((), a)])
     while queue:
         p, node = queue.popleft()
         if isinstance(node, Stalled):
@@ -117,7 +137,12 @@ class EvalError(Exception):
 
 class Session:
     """Program + environment + memo table.  Single-threaded; programs,
-    environments and systems themselves are immutable and shareable."""
+    environments and systems themselves are immutable and shareable.
+
+    The kernel's symbol table is the one record of what a name means: the
+    constructors, then the functions of the main program and of every
+    generator program (a function already defined keeps its equations),
+    then the bindings, none of which may reuse a name declared before."""
 
     def __init__(self, program: Program, ds: DataSystem,
                  env: DiagramEnv | None = None):
@@ -127,134 +152,84 @@ class Session:
         self.program = program
         self.ds = ds
         self.env = env or DiagramEnv()
-        self.k = kernel.KernelSession()
-        self._con_sids: dict[str, int] = {}
-        self._fun_names: set[str] = set()
-        self._env_names: set[str] = set()
+        rep = self.env.validate(ds)
+        if not rep.ok:
+            raise EvalError(f"invalid environment: {rep}")
+        k = self.k = kernel.KernelSession()
         for c in ds.vocabulary:
-            self._con_sids[c.name] = self.k.sym(c.name, CON, c.arity)
-        self._equation_strings: set[str] = set()
-        self._load_program(program)
-        self._load_env(self.env)
-
-    # -- loading -----------------------------------------------------------
-
-    def _load_program(self, program: Program) -> None:
-        arities: dict[str, int] = {}
-        for e in program.body:
-            arities.setdefault(e.function, len(e.patterns))
-        for fn, ar in arities.items():
-            if fn in self._env_names:
-                raise EvalError(f"name '{fn}' is both a binding and a function")
-            self.k.sym(fn, FUN, ar)
-            self._fun_names.add(fn)
-        for e in program.body:
-            key = str(e)
-            if key in self._equation_strings:
+            k.sym(c.name, CON, c.arity)
+        for prog in [program] + [v.program for _, v in self.env.bindings
+                                 if isinstance(v, GeneratorBinding)]:
+            eqs = [e for e in prog.body if k.sym_ids.get(e.function) not in k.rules]
+            for e in eqs:
+                k.sym(e.function, FUN, len(e.patterns))
+            for e in eqs:
+                k.add_rule(k.sym_ids[e.function],
+                           tuple(self.encode(p) for p in e.patterns), self.encode(e.rhs))
+        for name, _ in self.env.bindings:
+            if name in k.sym_ids:
+                raise EvalError(f"binding '{name}' collides with a function or constructor")
+        for name, value in self.env.bindings:
+            sid = k.sym(name, FUN, 0)
+            if isinstance(value, GeneratorBinding):
+                k.set_env(sid, k.mk(
+                    FUN, k.sym(value.principal, FUN, len(value.args)),
+                    tuple(k.mk(FUN, k.sym(a, FUN, 0), ()) for a in value.args)))
                 continue
-            self._equation_strings.add(key)
-            fn_sid = self.k.sym(e.function, FUN, len(e.patterns))
-            pats = tuple(self.encode(p) for p in e.patterns)
-            rhs = self.encode(e.rhs)
-            self.k.add_rule(fn_sid, pats, rhs)
-
-    def _node_name(self, binding: str, index: int) -> str:
-        return f"{binding}@{index}"
-
-    def _load_env(self, env: DiagramEnv) -> None:
-        names = env.names()
-        if len(set(names)) != len(names):
-            raise EvalError("duplicate environment binding")
-        for name, _ in env.bindings:
-            if name in self._fun_names or name in self._con_sids:
-                raise EvalError(
-                    f"binding '{name}' collides with a function or constructor")
-        for name, value in env.bindings:
-            if isinstance(value, GeneratorBinding):
-                self._load_program(value.program)
-        for name, value in env.bindings:
-            sid = self.k.sym(name, FUN, 0)
-            self._env_names.add(name)
-            if isinstance(value, RegularCoterm):
-                rep = value.validate(self.ds)
-                if not rep.ok:
-                    raise EvalError(f"binding '{name}': {rep}")
-                for i, node in enumerate(value.nodes):
-                    kids = []
-                    for ch in node.children:
-                        if isinstance(ch, int):
-                            kid = self.k.sym(self._node_name(name, ch), FUN, 0)
-                        elif ch in names:
-                            kid = self.k.sym(ch, FUN, 0)
-                        else:
-                            raise EvalError(f"coterm '{name}' uses unknown binding '{ch}'")
-                        kids.append(self.k.mk(FUN, kid, ()))
-                    layer = self.k.mk(CON, self._con_sids[node.constructor], tuple(kids))
-                    node_sid = self.k.sym(self._node_name(name, i), FUN, 0)
-                    self.k.set_env(node_sid, layer)
-                    if i == value.entry:
-                        self.k.set_env(sid, layer)
-            else:
-                call = self.k.mk(
-                    FUN, self.k.sym(value.principal, FUN, len(value.args)),
-                    tuple(self.k.mk(FUN, self.k.sym(a, FUN, 0), ()) for a in value.args))
-                self.k.set_env(sid, call)
-        for name, value in env.bindings:
-            if isinstance(value, GeneratorBinding):
-                for a in value.args:
-                    if a not in self._env_names:
-                        raise EvalError(f"generator '{name}' uses unknown binding '{a}'")
+            # node i of a coterm is the nullary function '<name>@<i>'
+            for i, node in enumerate(value.nodes):
+                kids = tuple(
+                    k.mk(FUN, k.sym(f"{name}@{ch}" if isinstance(ch, int) else ch, FUN, 0), ())
+                    for ch in node.children)
+                layer = k.mk(CON, k.sym_ids[node.constructor], kids)
+                k.set_env(k.sym(f"{name}@{i}", FUN, 0), layer)
+                if i == value.entry:
+                    k.set_env(sid, layer)
 
     # -- term translation ---------------------------------------------------
 
     def encode(self, t: Term) -> int:
+        k = self.k
         if isinstance(t, Var):
-            return self.k.var(t.name)
+            return k.var(t.name)
         args = tuple(self.encode(a) for a in t.args)
         if isinstance(t, Con):
-            if t.name not in self._con_sids:
+            sid = k.sym_ids.get(t.name, -1)
+            if sid < 0 or k.sym_kinds[sid] != CON:
                 raise EvalError(f"unknown constructor '{t.name}'")
-            return self.k.mk(CON, self._con_sids[t.name], args)
-        return self.k.mk(FUN, self.k.sym(t.name, FUN, len(t.args)), args)
+            return k.mk(CON, sid, args)
+        return k.mk(FUN, k.sym(t.name, FUN, len(t.args)), args)
 
     def decode(self, tid: int) -> Term:
         """Interned term back to a tree, iteratively; subterms deeper than
         64 print as the variable '...' (stalled terms can be huge)."""
         k = self.k
-
-        def build(t: int, d: int) -> Term:
-            stack: list[tuple[int, int, list[Term], int]] = []
-            kind = k.t_kind[t]
-            if d <= 0 and k.t_args[t]:
-                return Var("...")
-            stack.append((t, d, [], 0))
-            result: Term | None = None
-            while stack:
-                cur, dd, acc, idx = stack.pop()
-                if result is not None:
-                    acc.append(result)
-                    result = None
-                args = k.t_args[cur]
-                if idx < len(args):
-                    stack.append((cur, dd, acc, idx + 1))
-                    child = args[idx]
-                    if dd <= 1 and k.t_args[child]:
-                        result = Var("...")
-                    else:
-                        stack.append((child, dd - 1, [], 0))
-                    continue
-                kind = k.t_kind[cur]
-                name = k.sym_names[k.t_sym[cur]]
-                if kind == VAR:
-                    result = Var(name)
-                elif kind == CON:
-                    result = Con(name, tuple(acc))
+        stack: list[tuple[int, int, list[Term], int]] = [(tid, 64, [], 0)]
+        result: Term | None = None
+        while stack:
+            cur, dd, acc, idx = stack.pop()
+            if result is not None:
+                acc.append(result)
+                result = None
+            args = k.t_args[cur]
+            if idx < len(args):
+                stack.append((cur, dd, acc, idx + 1))
+                child = args[idx]
+                if dd <= 1 and k.t_args[child]:
+                    result = Var("...")
                 else:
-                    result = Fun(name, tuple(acc))
-            assert result is not None
-            return result
-
-        return build(tid, 64)
+                    stack.append((child, dd - 1, [], 0))
+                continue
+            kind = k.t_kind[cur]
+            name = k.sym_names[k.t_sym[cur]]
+            if kind == VAR:
+                result = Var(name)
+            elif kind == CON:
+                result = Con(name, tuple(acc))
+            else:
+                result = Fun(name, tuple(acc))
+        assert result is not None
+        return result
 
     # -- observation ---------------------------------------------------------
 
@@ -284,18 +259,7 @@ class Session:
         return self._obs(self.encode(t), depth, budget, 0)
 
 
-# -- the three public operations ---------------------------------------------
-
-def observe(program: Program, env: DiagramEnv | None, t: Term, depth: int,
-            budget: int = DEFAULT_BUDGET, session: Session | None = None,
-            ds: DataSystem | None = None) -> Approximation:
-    """Depth-bounded unfolding of t under the program and environment."""
-    if session is None:
-        if ds is None:
-            raise ValueError("observe needs either a session or a data system")
-        session = Session(program, ds, env)
-    return session.observe(t, depth, budget)
-
+# -- finite-depth bisimulation ---------------------------------------------------
 
 @dataclass(frozen=True)
 class OmegaResult:

@@ -37,7 +37,8 @@ class KernelSession:
     the WHNF memo.  Single-threaded by design."""
 
     def __init__(self):
-        self.sym_ids = {}       # name -> sid
+        self.sym_ids = {}       # name -> sid of a constructor or function
+        self.var_ids = {}       # name -> sid of a variable
         self.sym_names = []     # sid -> name
         self.sym_kinds = []     # sid -> VAR/CON/FUN
         self.sym_arities = []   # sid -> arity
@@ -54,14 +55,18 @@ class KernelSession:
     # -- symbols ----------------------------------------------------------
 
     def sym(self, name, kind, arity):
-        sid = self.sym_ids.get(name, -1)
+        """The sid of a name, declared on first use.  Variables have a
+        namespace of their own: each is local to one equation, so a
+        variable may share its name with a function or constructor."""
+        ids = self.var_ids if kind == VAR else self.sym_ids
+        sid = ids.get(name, -1)
         if sid >= 0:
             if self.sym_kinds[sid] != kind or self.sym_arities[sid] != arity:
                 raise ValueError(
                     "symbol %r redeclared with different kind/arity" % name)
             return sid
         sid = len(self.sym_names)
-        self.sym_ids[name] = sid
+        ids[name] = sid
         self.sym_names.append(name)
         self.sym_kinds.append(kind)
         self.sym_arities.append(arity)

@@ -827,6 +827,9 @@ def check_proof(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
 # Normalization (logical detour elimination)
 # ---------------------------------------------------------------------------
 
+NORMALIZE_MAX_STEPS = 10_000
+
+
 class NormalizationLimit(Exception):
     pass
 
@@ -1018,15 +1021,15 @@ def _reduce_leftmost(d: Derivation) -> Derivation | None:
     return None
 
 
-def normalize(d: Derivation, max_steps: int = 10_000) -> Derivation:
+def normalize(d: Derivation) -> Derivation:
     """Remove logical detours; raises NormalizationLimit if the step bound
     is hit (which signals a kernel bug, not an expected outcome)."""
-    for _ in range(max_steps):
+    for _ in range(NORMALIZE_MAX_STEPS):
         r = _reduce_leftmost(d)
         if r is None:
             return d
         d = r
-    raise NormalizationLimit(f"no normal form within {max_steps} steps")
+    raise NormalizationLimit(f"no normal form within {NORMALIZE_MAX_STEPS} steps")
 
 
 def has_detour(d: Derivation) -> bool:

@@ -88,38 +88,6 @@ def split_term(sigma: Term, i: int) -> Term:
     return even_term(t)
 
 
-class RealizerAlgebra:
-    """An evaluation session whose program carries the split algebra."""
-
-    def __init__(self, program: Program, ds: DataSystem,
-                 env: DiagramEnv | None = None):
-        self.ds = ds
-        self.program = with_algebra(program, ds)
-        self.session = Session(self.program, ds, env)
-
-    def observe(self, t: Term, depth: int, budget: int = DEFAULT_BUDGET):
-        return self.session.observe(t, depth, budget)
-
-    def equal(self, a: Term, b: Term, depth: int,
-              budget: int = DEFAULT_BUDGET) -> OmegaResult:
-        return derives_omega(self.program, None, a, b, depth, budget,
-                             session=self.session)
-
-    def head_bit(self, t: Term, budget: int = DEFAULT_BUDGET) -> str | None:
-        """Name of the head constructor of a value, None on stall."""
-        a = self.session.observe(t, 1, budget)
-        if isinstance(a, ApproxNode):
-            return a.constructor
-        return None
-
-    def bool_value(self, t: Term, budget: int = DEFAULT_BUDGET) -> str | None:
-        """A boolean-valued term's constant, None on stall."""
-        a = self.session.observe(t, 1, budget)
-        if isinstance(a, ApproxNode) and not a.children:
-            return a.constructor
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Sorts: an inductive value ('B') rides in a realizer's head, a coinductive
 # one ('S') is its own realizer
@@ -248,8 +216,22 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
     disjunction selects by the head bit."""
     if classify_formula(j.formula) is not PolarityClass.STRONGLY_POSITIVE:
         raise ValueError("realizability is defined for strongly-positive formulas only")
-    alg = RealizerAlgebra(j.program, j.ds, j.env)
+    program = with_algebra(j.program, j.ds)
+    session = Session(program, j.ds, j.env)
     sorts = var_sorts(j.formula, j.ds, None)
+
+    def head_bit(t: Term) -> str | None:
+        """Name of the head constructor of a value, None on stall."""
+        a = session.observe(t, 1, j.budget)
+        return a.constructor if isinstance(a, ApproxNode) else None
+
+    def bool_value(t: Term) -> str | None:
+        """A boolean-valued term's constant, None on stall."""
+        a = session.observe(t, 1, j.budget)
+        return a.constructor if isinstance(a, ApproxNode) and not a.children else None
+
+    def equal(a: Term, b: Term) -> OmegaResult:
+        return derives_omega(program, None, a, b, j.depth, j.budget, session=session)
 
     def go(f: Formula, sigma: Term, eta: dict[str, Term],
            path: tuple[str, ...]) -> RealizeResult:
@@ -257,39 +239,39 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
             pred = j.ds.predicate(f.predicate)
             tv = substitute(f.term, eta)
             if pred is not None and pred.inductive:
-                b = alg.bool_value(tv, j.budget)
-                h = alg.bool_value(Fun(pi_name(1), (sigma,)), j.budget)
+                b = bool_value(tv)
+                h = bool_value(Fun(pi_name(1), (sigma,)))
                 if b is None or h is None:
                     return RealizeResult("stalled", path, f"observing {f}")
                 if b != h:
                     return RealizeResult("fails", path,
                                          f"head encodes {h}, value is {b}")
                 return HOLDS
-            r = alg.equal(sigma, tv, j.depth, j.budget)
+            r = equal(sigma, tv)
             if r.equal:
                 return HOLDS
             status = "stalled" if r.status == "stalled" else "fails"
             return RealizeResult(status, path, f"{f}: {r}")
         if isinstance(f, EqAtom):
             lv, rv = substitute(f.left, eta), substitute(f.right, eta)
-            head = alg.head_bit(lv, j.budget)
+            head = head_bit(lv)
             if head is None:
                 return RealizeResult("stalled", path, f"observing {f.left}")
             if head in ("0", "1"):
-                bl = alg.bool_value(lv, j.budget)
-                br = alg.bool_value(rv, j.budget)
-                hs = alg.bool_value(Fun(pi_name(1), (sigma,)), j.budget)
+                bl = bool_value(lv)
+                br = bool_value(rv)
+                hs = bool_value(Fun(pi_name(1), (sigma,)))
                 if None in (bl, br, hs):
                     return RealizeResult("stalled", path, f"observing {f}")
                 if bl == br == hs:
                     return HOLDS
                 return RealizeResult("fails", path,
                                      f"{f}: values {bl}, {br}, head {hs}")
-            r1 = alg.equal(lv, rv, j.depth, j.budget)
+            r1 = equal(lv, rv)
             if not r1.equal:
                 status = "stalled" if r1.status == "stalled" else "fails"
                 return RealizeResult(status, path, f"{f}: {r1}")
-            r2 = alg.equal(sigma, lv, j.depth, j.budget)
+            r2 = equal(sigma, lv)
             if not r2.equal:
                 status = "stalled" if r2.status == "stalled" else "fails"
                 return RealizeResult(status, path, f"realizer != value: {r2}")
@@ -300,7 +282,7 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
                 return r
             return go(f.right, split_term(sigma, 1), eta, path + ("and-right",))
         if isinstance(f, Or):
-            bit = alg.bool_value(Fun(pi_name(1), (sigma,)), j.budget)
+            bit = bool_value(Fun(pi_name(1), (sigma,)))
             if bit is None:
                 return RealizeResult("stalled", path, "selector head")
             if bit not in ("0", "1"):

@@ -14,15 +14,15 @@ from helpers import (SM, ONE, ZERO, alternating_stream, approx_bits,
 from coeq.corec import (check_primitive_corecursive, compile_schema,
                         morse_thue_program, stock_library)
 from coeq.evaluation import (DiagramEnv, Session, Stalled, derives_omega,
-                             first_stall, observe, restrict)
+                             first_stall, restrict)
 from coeq.extract import prove_corec, roundtrip_report
 from coeq.logic import (Derivation, EqAtom, Exists, assert_sp_proof, assume,
                         and_intro, build_dcm, check_proof, coinduction,
                         data_intro, ex_intro, has_detour, normalize, refl,
                         subst_formula)
 from coeq.program import assemble_program
-from coeq.realize import (RealizerAlgebra, even_term, merge_term, odd_term,
-                          split_term)
+from coeq.realize import (even_term, merge_term, odd_term, split_term,
+                          with_algebra)
 from coeq.system import coterm_bits, random_stream_coterm
 from coeq.terms import Con, Fun, Var
 
@@ -155,17 +155,20 @@ def test_criterion_8_split_merge_algebra():
     for _ in range(200):
         sigma, tau = random_stream(rng), random_stream(rng)
         env = DiagramEnv.of({"s": sigma, "t": tau})
-        alg = RealizerAlgebra(base, SM, env)
+        alg = Session(with_algebra(base, SM), SM, env)
         s, t = fn("s"), fn("t")
-        assert alg.equal(merge_term(even_term(s), odd_term(s)), s, 64).equal
-        assert alg.equal(even_term(merge_term(s, t)), s, 64).equal
-        assert alg.equal(odd_term(merge_term(s, t)), t, 64).equal
+        assert derives_omega(alg.program, None, merge_term(even_term(s), odd_term(s)), s, 64,
+                             session=alg).equal
+        assert derives_omega(alg.program, None, even_term(merge_term(s, t)), s, 64,
+                             session=alg).equal
+        assert derives_omega(alg.program, None, odd_term(merge_term(s, t)), t, 64,
+                             session=alg).equal
     rng2 = random.Random(2222)
     for _ in range(20):
         sigma = random_stream(rng2)
         bits = stream_prefix(sigma, 16)
         env = DiagramEnv.of({"s": sigma})
-        alg = RealizerAlgebra(base, SM, env)
+        alg = Session(with_algebra(base, SM), SM, env)
         for i in range(4):
             got = approx_bits(alg.observe(split_term(fn("s"), i), 1))
             assert got == [bits[2 ** i - 1]], i

@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from coeq.cli import (ParseError, Parser, Workspace, main, parse_files,
-                      parse_workspace, show_approximation, show_derivation,
-                      show_program, show_system, show_workspace, tokenize)
-from coeq.evaluation import GeneratorBinding, Session
+from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
+                      parse_files, parse_workspace, resolve_workspace,
+                      show_approximation, show_derivation, show_program,
+                      show_system, show_workspace, tokenize)
+from coeq.evaluation import DiagramEnv, GeneratorBinding, Session
 from coeq.extract import prove_corec_program
 from coeq.logic import check_proof
-from coeq.system import RegularCoterm
+from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
 SM_SOURCE = """
@@ -200,6 +201,66 @@ def test_cmd_eval_binding_named_like_a_function_fails_cleanly(tmp_path, capsys):
     assert err == "error: binding 'flip' collides with a function or constructor\n"
 
 
+SYSTEM_SOURCE = SM_SOURCE.split("program flip")[0]
+FLIP_SOURCE = SM_SOURCE.split("env E")[0]
+IDENT = "program ident { ident(x) = pi1(x) : ident(pi2(x)); }\n"
+
+
+def _ws(tmp_path, source: str) -> str:
+    f = tmp_path / "ws.cds"
+    f.write_text(source)
+    return str(f)
+
+
+def test_cmd_eval_binding_named_like_an_equation_variable(tmp_path, capsys):
+    ws = _ws(tmp_path, SYSTEM_SOURCE + "env E { x1 = rec a. 0 : a; }\n" + IDENT)
+    assert run_main(capsys, "eval", ws, "ident(x1)", "--env", "E", "--depth", "4") \
+        == (0, "0:0:0:0:<cut@4>\n", "")
+
+
+def test_cmd_eval_binding_may_not_hide_a_generator_programs_function(tmp_path, capsys):
+    ws = _ws(tmp_path, SYSTEM_SOURCE + "program ones { ones = 1 : ones; }\n" + IDENT
+             + "env E { g = ones(); ones = rec a. 0 : a; }\n")
+    err = "error: binding 'ones' collides with a function or constructor\n"
+    for program in (("--program", "ident"), ()):
+        assert run_main(capsys, "eval", ws, "g", *program, "--env", "E",
+                        "--depth", "4") == (2, "", err)
+
+
+def test_program_after_an_env_reads_its_pattern_variables_as_variables(tmp_path, capsys):
+    ws = _ws(tmp_path, SYSTEM_SOURCE + "env E { x = rec a. 0 : a; }\n" + IDENT)
+    code, out, _ = run_main(capsys, "check", ws)
+    assert (code, out.splitlines()[1:]) == (0, ["program ident: ok", "env E: ok"])
+    assert run_main(capsys, "eval", ws, "ident(x)", "--depth", "2") \
+        == (0, "0:0:<cut@2>\n", "")
+
+
+@pytest.mark.parametrize("binding", ["v = 0 : nope;", "v = flip(nope);"])
+def test_cmd_check_rejects_an_unknown_binding(tmp_path, capsys, binding):
+    ws = _ws(tmp_path, FLIP_SOURCE + f"env E {{ {binding} }}\n")
+    assert run_main(capsys, "check", ws) \
+        == (2, "", "error: env 'E', binding 'v': unknown binding 'nope'\n")
+
+
+ZEROS = RegularCoterm((CotermNode("0"), CotermNode("cons", (0, 1))), entry=1)
+
+
+@pytest.mark.parametrize("bindings, message", [
+    ((("a", ZEROS), ("a", ZEROS)), "env 'E', binding 'a': bound more than once"),
+    ((("a", RegularCoterm((CotermNode("cons", (0,)),), 0)),),
+     "env 'E', binding 'a': [bad-out-degree] node 0: constructor 'cons' has "
+     "arity 2, node has 1 children"),
+])
+def test_resolve_workspace_reports_an_ill_formed_env(bindings, message):
+    """No parsed env is ill-formed like these, so the check `coeq check`
+    runs is called on a built one."""
+    ws = parse_workspace(SM_SOURCE)
+    ws.envs["E"] = DiagramEnv(bindings)
+    with pytest.raises(ResolutionError) as e:
+        resolve_workspace(ws)
+    assert str(e.value) == message
+
+
 def test_internal_error_exits_2_with_one_line(ws_file, capsys, monkeypatch):
     def boom(self, *args, **kwargs):
         raise RuntimeError("boom")
@@ -217,6 +278,12 @@ def test_cmd_bisim(ws_file, capsys):
     code2, out2, _ = run_main(capsys, "bisim", ws_file, "v_a", "v_b",
                               "--depth", "4", "--env", "E")
     assert code2 == 1
+
+
+def test_cmd_bisim_stall_exits_1(ws_file, capsys):
+    assert run_main(capsys, "bisim", ws_file, "1 : flip(q)", "v_b",
+                    "--depth", "4", "--env", "E") \
+        == (1, "stalled(path [2], no-matching-equation)\n", "")
 
 
 def test_cmd_productive(ws_file, capsys, tmp_path):

@@ -5,10 +5,13 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits,
                      bisim_b_program, cons, coterm_layer, flip_env, flip_program, fn,
                      nat_program, random_stream, stream_coterm, stream_prefix, v)
 
+from coeq.corec import stock_library
 from coeq.evaluation import (BUDGET_EXHAUSTED, NO_MATCH, ApproxNode, Cut,
-                             DiagramEnv, EvalError, Session, Stalled,
-                             derives_omega, first_stall, observe, restrict)
+                             DiagramEnv, EvalError, GeneratorBinding, Session,
+                             StallReason, Stalled, derives_omega, first_stall,
+                             restrict)
 from coeq.program import assemble_program, Equation
+from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
 
@@ -208,7 +211,6 @@ def test_derives_omega_collapses_to_plain_derivability_on_data_terms():
 
 
 def test_generator_binding():
-    from coeq.evaluation import GeneratorBinding
     env = DiagramEnv.of({
         "a": alternating_stream(),
         "fa": GeneratorBinding(flip_program(), "flip", ("a",)),
@@ -240,3 +242,86 @@ def test_session_rejects_invalid_program():
     bad = assemble_program(SM, [Equation("f", (v("x"),), fn("nope", v("x")))], "f")
     with pytest.raises(EvalError):
         Session(bad, SM)
+
+
+def test_binding_named_like_an_equation_variable():
+    """The standard equations bind x1; a binding x1 is another symbol."""
+    env = DiagramEnv.of({"x1": stream_coterm([0], loop_to=0)})
+    sess = Session(stock_library()["ident"].program, SM, env)
+    assert approx_bits(sess.observe(fn("ident", fn("x1")), 4)) == [0, 0, 0, 0]
+
+
+def test_binding_may_not_hide_a_generator_programs_function():
+    lib = stock_library()
+    env = DiagramEnv.of({"g": GeneratorBinding(lib["ones"].program, "ones"),
+                         "ones": stream_coterm([0], loop_to=0)})
+    with pytest.raises(EvalError, match="binding 'ones' collides with a function"):
+        Session(lib["ident"].program, SM, env)
+
+
+BAD_COTERM = RegularCoterm((CotermNode("cons", (0,)),), entry=0)
+
+# (bindings, the one violation DiagramEnv.validate reports)
+INVALID_ENVS = [
+    ((("a", alternating_stream()), ("a", alternating_stream())),
+     "[duplicate-binding] binding 'a': bound more than once"),
+    ((("a", BAD_COTERM),),
+     "[bad-coterm] binding 'a': [bad-out-degree] node 0: constructor 'cons' "
+     "has arity 2, node has 1 children"),
+    ((("a", coterm_layer(0, "nope")),),
+     "[unknown-binding] binding 'a': unknown binding 'nope'"),
+    ((("a", GeneratorBinding(flip_program(), "flip", ("nope",))),),
+     "[unknown-binding] binding 'a': unknown binding 'nope'"),
+]
+
+
+@pytest.mark.parametrize("bindings, violation", INVALID_ENVS)
+def test_invalid_environment_rejected(bindings, violation):
+    env = DiagramEnv(bindings)
+    assert str(env.validate(SM)) == violation
+    with pytest.raises(EvalError) as e:
+        Session(flip_program(), SM, env)
+    assert str(e.value) == f"invalid environment: {violation}"
+
+
+def test_unknown_constructor_in_observed_term():
+    sess = Session(flip_program(), SM, flip_env())
+    for name in ("2", "flip"):
+        with pytest.raises(EvalError, match=f"unknown constructor '{name}'"):
+            sess.observe(cons(Con(name), fn("v_a")), 1)
+
+
+def test_deep_stalled_term_is_truncated():
+    prog, nat = nat_program()
+    leaf = Session(prog, nat).observe(fn("f", Con("s", (Con("s", (Con("0"),)),))),
+                                      1, budget=100)
+    assert isinstance(leaf, Stalled)
+    assert leaf.reason == StallReason(BUDGET_EXHAUSTED, 100)
+    t, depth = leaf.term, 0
+    while t.args:
+        t, depth = t.args[0], depth + 1
+    assert (t, depth) == (Var("..."), 64)
+
+
+def test_bisim_reports_the_first_stalled_path():
+    a = alternating_stream()
+    bits = stream_prefix(a, 4)
+    bprime = stream_coterm(bits[:3] + [1 - bits[3]] + [0, 1], loop_to=4)
+    env = DiagramEnv.of({"a": a, "bp": bprime})
+    sess = Session(bisim_b_program(), SM, env)
+    r = derives_omega(sess.program, None, fn("b", fn("a"), fn("bp")), fn("a"), 8,
+                      session=sess)
+    assert (r.status, r.path, r.reason) == ("stalled", (2, 2, 2), StallReason(NO_MATCH))
+    assert not r.equal
+    assert str(r) == "stalled(path [2, 2, 2], no-matching-equation)"
+
+
+def test_derives_omega_needs_a_session_or_a_data_system():
+    with pytest.raises(ValueError, match="needs either a session or a data system"):
+        derives_omega(flip_program(), None, ZERO, ZERO, 1)
+
+
+def test_stall_at_the_depth_bound_is_a_cut():
+    sess = Session(flip_program(), SM, flip_env())
+    a = sess.observe(cons(ONE, fn("flip", Var("q"))), 1)
+    assert a == ApproxNode("cons", (ApproxNode("1", (), 1), Cut(1)), 0)

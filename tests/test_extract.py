@@ -15,9 +15,8 @@ from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
 from coeq.logic import (And, Derivation, PolarityClass, assert_sp_proof, assume,
                         check_proof, classify_formula, has_detour, normalize)
 from coeq.program import assemble_program
-from coeq.realize import (RealizabilityJudgment, RealizerAlgebra, even_term,
-                          merge_term, odd_term, realizes, split_term,
-                          with_algebra)
+from coeq.realize import (RealizabilityJudgment, even_term, merge_term,
+                          odd_term, realizes, split_term, with_algebra)
 from coeq.system import coterm_bits, random_stream_coterm
 from coeq.terms import Con, Fun, Var, subterms
 
@@ -26,7 +25,7 @@ from coeq.terms import Con, Fun, Var, subterms
 
 def _alg(env=None):
     lib = stock_library()
-    return RealizerAlgebra(lib["ident"].program, SM, env)
+    return Session(with_algebra(lib["ident"].program, SM), SM, env)
 
 
 def test_split_even_positions():
@@ -55,7 +54,7 @@ def test_merge_inverts_split():
         env = DiagramEnv.of({"u": ct})
         alg = _alg(env)
         t = merge_term(even_term(fn("u")), odd_term(fn("u")))
-        r = alg.equal(t, fn("u"), 32)
+        r = derives_omega(alg.program, None, t, fn("u"), 32, session=alg)
         assert r.equal
 
 
@@ -65,8 +64,10 @@ def test_split_of_merge_projects():
         a, b = random_stream(rng), random_stream(rng)
         env = DiagramEnv.of({"a": a, "b": b})
         alg = _alg(env)
-        assert alg.equal(even_term(merge_term(fn("a"), fn("b"))), fn("a"), 32).equal
-        assert alg.equal(odd_term(merge_term(fn("a"), fn("b"))), fn("b"), 32).equal
+        assert derives_omega(alg.program, None, even_term(merge_term(fn("a"), fn("b"))),
+                             fn("a"), 32, session=alg).equal
+        assert derives_omega(alg.program, None, odd_term(merge_term(fn("a"), fn("b"))),
+                             fn("b"), 32, session=alg).equal
 
 
 def test_merge_constant_streams():
@@ -74,7 +75,7 @@ def test_merge_constant_streams():
     eqs = [e for e in lib["zeros"].program.body if e.function == "zeros"]
     eqs += [e for e in lib["ones"].program.body if e.function == "ones"]
     prog = assemble_program(SM, eqs, "zeros")
-    alg = RealizerAlgebra(prog, SM)
+    alg = Session(with_algebra(prog, SM), SM)
     out = alg.observe(merge_term(fn("zeros"), fn("ones")), 16)
     assert approx_bits(out) == [0, 1] * 8
 
