@@ -654,6 +654,9 @@ def resolve_workspace(ws: Workspace) -> None:
         rep = env.validate(ws.system)
         if not rep.ok:
             raise ResolutionError(f"env '{name}', {rep.violations[0].message}")
+        clash = env.collision(ws.system, ws.programs.values())
+        if clash:
+            raise ResolutionError(clash)
 
 
 # ---------------------------------------------------------------------------
@@ -794,21 +797,34 @@ def show_workspace(ws: Workspace) -> str:
 
 
 def show_approximation(a: Approximation) -> str:
-    """Stream-flattened rendering: `1:0:1:0:<cut@4>`."""
-    if isinstance(a, Cut):
-        return f"<cut@{a.depth}>"
-    if isinstance(a, Stalled):
-        if a.reason.kind == "no-matching-equation":
-            return "<stall:no-match>"
-        return f"<stall:budget@{a.reason.steps}>"
-    assert isinstance(a, ApproxNode)
-    if a.constructor == "cons" and len(a.children) == 2 \
-            and isinstance(a.children[0], ApproxNode) \
-            and not a.children[0].children:
-        return f"{a.children[0].constructor}:{show_approximation(a.children[1])}"
-    if not a.children:
-        return a.constructor
-    return f"{a.constructor}({', '.join(show_approximation(c) for c in a.children)})"
+    """Stream-flattened rendering: `1:0:1:0:<cut@4>`.  Written with an
+    explicit stack of pieces, so any observation depth prints."""
+    out: list[str] = []
+    todo: list[Approximation | str] = [a]
+    while todo:
+        a = todo.pop()
+        if isinstance(a, str):
+            out.append(a)
+        elif isinstance(a, Cut):
+            out.append(f"<cut@{a.depth}>")
+        elif isinstance(a, Stalled):
+            out.append("<stall:no-match>" if a.reason.kind == "no-matching-equation"
+                       else f"<stall:budget@{a.reason.steps}>")
+        elif a.constructor == "cons" and len(a.children) == 2 \
+                and isinstance(a.children[0], ApproxNode) \
+                and not a.children[0].children:
+            out.append(f"{a.children[0].constructor}:")
+            todo.append(a.children[1])
+        elif not a.children:
+            out.append(a.constructor)
+        else:
+            out.append(f"{a.constructor}(")
+            todo.append(")")
+            for i in reversed(range(len(a.children))):
+                todo.append(a.children[i])
+                if i:
+                    todo.append(", ")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A session joins a validated program, a data system, and a diagram
 environment binding fresh nullary identifiers to regular coterms or to
 generator programs.  `observe` unfolds a term to a depth-bounded
-constructor tree; stalls (no matching equation, or a spent step budget)
-are recorded as leaves, never raised.  `derives_omega` compares the head
-constructors of two terms under every destructor path up to a depth,
-which is the finite-depth reading of observational equivalence.
+constructor tree, forcing nodes in left-to-right preorder with an explicit
+stack; stalls (no matching equation, or a spent step budget) are recorded
+as leaves, never raised.  `derives_omega` is the finite-depth reading of
+observational equivalence: one breadth-first walk over pairs of kernel
+terms that forces both sides in lockstep, stops at the first differing
+head or stall, and skips a pair of term ids it has already compared.
 """
 from __future__ import annotations
 
@@ -63,6 +65,19 @@ class DiagramEnv:
             out.extend(Violation("unknown-binding", f"binding '{name}': unknown binding '{r}'")
                        for r in refs if r not in bound)
         return ValidationReport(tuple(out))
+
+    def collision(self, ds: DataSystem, programs) -> str | None:
+        """The error for the first binding named like a constructor, or like
+        a function of one of `programs` or of a generator program; None if
+        there is none.  Sessions and workspace resolution both ask this."""
+        taken = {c.name for c in ds.vocabulary}
+        for prog in list(programs) + [v.program for _, v in self.bindings
+                                      if isinstance(v, GeneratorBinding)]:
+            taken.update(prog.functions())
+        for name in self.names():
+            if name in taken:
+                return f"binding '{name}' collides with a function or constructor"
+        return None
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,9 @@ class Session:
     The kernel's symbol table is the one record of what a name means: the
     constructors, then the functions of the main program and of every
     generator program (a function already defined keeps its equations),
-    then the bindings, none of which may reuse a name declared before."""
+    then the bindings, none of which may reuse a name declared before.
+    Node i of a coterm binding `a` is a nullary function in a namespace of
+    its own (`KernelSession.node`), printed `a@i`: no surface name reaches it."""
 
     def __init__(self, program: Program, ds: DataSystem,
                  env: DiagramEnv | None = None):
@@ -155,6 +172,9 @@ class Session:
         rep = self.env.validate(ds)
         if not rep.ok:
             raise EvalError(f"invalid environment: {rep}")
+        clash = self.env.collision(ds, [program])
+        if clash:
+            raise EvalError(clash)
         k = self.k = kernel.KernelSession()
         for c in ds.vocabulary:
             k.sym(c.name, CON, c.arity)
@@ -166,9 +186,6 @@ class Session:
             for e in eqs:
                 k.add_rule(k.sym_ids[e.function],
                            tuple(self.encode(p) for p in e.patterns), self.encode(e.rhs))
-        for name, _ in self.env.bindings:
-            if name in k.sym_ids:
-                raise EvalError(f"binding '{name}' collides with a function or constructor")
         for name, value in self.env.bindings:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):
@@ -176,13 +193,12 @@ class Session:
                     FUN, k.sym(value.principal, FUN, len(value.args)),
                     tuple(k.mk(FUN, k.sym(a, FUN, 0), ()) for a in value.args)))
                 continue
-            # node i of a coterm is the nullary function '<name>@<i>'
             for i, node in enumerate(value.nodes):
-                kids = tuple(
-                    k.mk(FUN, k.sym(f"{name}@{ch}" if isinstance(ch, int) else ch, FUN, 0), ())
-                    for ch in node.children)
+                kids = tuple(k.mk(FUN, k.node(name, ch) if isinstance(ch, int)
+                                  else k.sym(ch, FUN, 0), ())
+                             for ch in node.children)
                 layer = k.mk(CON, k.sym_ids[node.constructor], kids)
-                k.set_env(k.sym(f"{name}@{i}", FUN, 0), layer)
+                k.set_env(k.node(name, i), layer)
                 if i == value.entry:
                     k.set_env(sid, layer)
 
@@ -233,30 +249,56 @@ class Session:
 
     # -- observation ---------------------------------------------------------
 
-    def _obs(self, tid: int, depth: int, budget: int, at: int) -> Approximation:
+    def force(self, tid: int, budget: int) -> tuple[int, StallReason | None]:
+        """Head-normalize tid: (WHNF tid, None), or (the form it stalled
+        at, why)."""
         status, out, _steps = self.k.head_normalize(tid, budget)
-        if status != WHNF:
-            if at >= depth:
-                return Cut(at)
-            if status == STALL_NOMATCH:
-                return Stalled(self.decode(out), StallReason(NO_MATCH), at)
-            return Stalled(self.decode(out), StallReason(BUDGET_EXHAUSTED, budget), at)
-        args = self.k.t_args[out]
-        name = self.k.sym_names[self.k.t_sym[out]]
-        if not args:
-            return ApproxNode(name, (), at)
-        if at >= depth:
-            return Cut(at)
-        children = tuple(self._obs(a, depth, budget, at + 1) for a in args)
-        return ApproxNode(name, children, at)
+        if status == WHNF:
+            return out, None
+        if status == STALL_NOMATCH:
+            return out, StallReason(NO_MATCH)
+        return out, StallReason(BUDGET_EXHAUSTED, budget)
 
     def observe(self, t: Term, depth: int, budget: int = DEFAULT_BUDGET) -> Approximation:
         """Depth accounting: a constructor node of arity >= 1 costs one
         unit of depth, a nullary constructor costs none, so a stream
-        observed to depth d shows d elements.  Depth 0 evaluates nothing."""
+        observed to depth d shows d elements.  Depth 0 evaluates nothing.
+
+        Nodes are forced in left-to-right preorder; an explicit stack of
+        open nodes (constructor, arguments, depth, children so far) keeps
+        any depth clear of the interpreter's recursion limit."""
         if depth <= 0:
             return Cut(0)
-        return self._obs(self.encode(t), depth, budget, 0)
+        k = self.k
+        open_nodes: list[tuple[str, tuple[int, ...], int, list[Approximation]]] = []
+        tid, at = self.encode(t), 0
+        while True:
+            out, reason = self.force(tid, budget)
+            node: Approximation
+            if reason is not None:
+                node = Cut(at) if at >= depth else Stalled(self.decode(out), reason, at)
+            else:
+                args = k.t_args[out]
+                name = k.sym_names[k.t_sym[out]]
+                if not args:
+                    node = ApproxNode(name, (), at)
+                elif at >= depth:
+                    node = Cut(at)
+                else:
+                    open_nodes.append((name, args, at, []))
+                    tid, at = args[0], at + 1
+                    continue
+            # close every node whose last child this was, then go right
+            while open_nodes:
+                name, args, at, children = open_nodes[-1]
+                children.append(node)
+                if len(children) < len(args):
+                    tid, at = args[len(children)], at + 1
+                    break
+                open_nodes.pop()
+                node = ApproxNode(name, tuple(children), at)
+            else:
+                return node
 
 
 # -- finite-depth bisimulation ---------------------------------------------------
@@ -283,33 +325,50 @@ class OmegaResult:
 EQUAL = OmegaResult("equal-up-to-depth")
 
 
-def _diff(a: Approximation, b: Approximation) -> OmegaResult:
-    queue: deque[tuple[tuple[int, ...], Approximation, Approximation]] = deque([((), a, b)])
-    while queue:
-        path, x, y = queue.popleft()
-        if isinstance(x, Stalled) or isinstance(y, Stalled):
-            reason = x.reason if isinstance(x, Stalled) else y.reason
-            return OmegaResult("stalled", path, reason)
-        if isinstance(x, Cut) or isinstance(y, Cut):
-            continue
-        assert isinstance(x, ApproxNode) and isinstance(y, ApproxNode)
-        if x.constructor != y.constructor:
-            return OmegaResult("differs", path)
-        for i, (cx, cy) in enumerate(zip(x.children, y.children)):
-            queue.append((path + (i + 1,), cx, cy))
-    return EQUAL
-
-
 def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
                   depth: int, budget: int = DEFAULT_BUDGET,
                   session: Session | None = None,
                   ds: DataSystem | None = None) -> OmegaResult:
     """Discriminator agreement of all deep destructions of t and t2 down to
-    `depth`: equal-up-to-depth, or the first differing/stalled path."""
+    `depth`: equal-up-to-depth, or the first differing/stalled path.
+
+    One breadth-first walk over pairs of kernel terms under the same
+    destructor path, forcing both sides of a pair when it reaches it.  It
+    stops at the first pair where a side stalls below `depth` (t's side
+    checked first) or whose heads differ.  At the depth bound only two
+    nullary heads are compared; any other pair there is a cut.  A pair of
+    term ids met before is skipped: BFS first met it no deeper, so its
+    subtree was already compared at least as far.  Depth 0 forces nothing.
+
+    Where no forcing runs out of budget, the verdict is that of observing
+    both terms to `depth` and comparing the trees breadth first, for no
+    more rewrite steps.  A forcing that runs out of budget depends on what
+    the memo already holds, so there the verdict can differ from that
+    comparison, as it can already between (t, t2) and (t2, t)."""
     if session is None:
         if ds is None:
             raise ValueError("derives_omega needs either a session or a data system")
         session = Session(program, ds, env)
-    a = session.observe(t, depth, budget)
-    b = session.observe(t2, depth, budget)
-    return _diff(a, b)
+    if depth <= 0:
+        return EQUAL
+    k = session.k
+    queue = deque([((), session.encode(t), session.encode(t2), 0)])
+    seen: set[tuple[int, int]] = set()
+    while queue:
+        path, x, y, at = queue.popleft()
+        if (x, y) in seen:
+            continue
+        seen.add((x, y))
+        hx, rx = session.force(x, budget)
+        if rx is not None and at < depth:
+            return OmegaResult("stalled", path, rx)
+        hy, ry = session.force(y, budget)
+        if ry is not None and at < depth:
+            return OmegaResult("stalled", path, ry)
+        if at >= depth and (rx or ry or k.t_args[hx] or k.t_args[hy]):
+            continue   # a cut: only two nullary heads are compared at the bound
+        if k.t_sym[hx] != k.t_sym[hy]:
+            return OmegaResult("differs", path)
+        queue.extend((path + (i + 1,), cx, cy, at + 1)
+                     for i, (cx, cy) in enumerate(zip(k.t_args[hx], k.t_args[hy])))
+    return EQUAL

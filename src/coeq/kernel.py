@@ -39,6 +39,7 @@ class KernelSession:
     def __init__(self):
         self.sym_ids = {}       # name -> sid of a constructor or function
         self.var_ids = {}       # name -> sid of a variable
+        self.node_ids = {}      # (binding, index) -> sid of a coterm node
         self.sym_names = []     # sid -> name
         self.sym_kinds = []     # sid -> VAR/CON/FUN
         self.sym_arities = []   # sid -> arity
@@ -65,8 +66,22 @@ class KernelSession:
                 raise ValueError(
                     "symbol %r redeclared with different kind/arity" % name)
             return sid
+        return self._declare(ids, name, name, kind, arity)
+
+    def node(self, binding, index):
+        """The sid of node `index` of the coterm bound to `binding`: a
+        nullary function in a namespace of its own, so no name a program
+        or an environment declares can stand for it.  It prints as
+        '<binding>@<index>'."""
+        sid = self.node_ids.get((binding, index), -1)
+        if sid >= 0:
+            return sid
+        return self._declare(self.node_ids, (binding, index),
+                             "%s@%d" % (binding, index), FUN, 0)
+
+    def _declare(self, ids, key, name, kind, arity):
         sid = len(self.sym_names)
-        ids[name] = sid
+        ids[key] = sid
         self.sym_names.append(name)
         self.sym_kinds.append(kind)
         self.sym_arities.append(arity)

@@ -9,7 +9,8 @@ from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
                       parse_files, parse_workspace, resolve_workspace,
                       show_approximation, show_derivation, show_program,
                       show_system, show_workspace, tokenize)
-from coeq.evaluation import DiagramEnv, GeneratorBinding, Session
+from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, GeneratorBinding,
+                             Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
 from coeq.logic import check_proof
 from coeq.system import CotermNode, RegularCoterm
@@ -478,3 +479,39 @@ def test_cli_transcript_is_pinned(tmp_path, capsys):
     for path in sorted(tmp_path.iterdir()):
         h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert h.hexdigest() == TRANSCRIPT_SHA256
+
+
+def test_cmd_eval_and_bisim_at_depth_10000(ws_file, capsys):
+    """Observation and bisimulation keep their own stacks: no depth the
+    CLI accepts reaches the interpreter's recursion limit."""
+    assert run_main(capsys, "eval", ws_file, "flip(v_a)", "--depth", "10000",
+                    "--env", "E") == (0, "1:0:" * 5000 + "<cut@10000>\n", "")
+    for t1, t2 in (("flip(v_a)", "v_b"), ("flip(flip(v_r))", "v_a")):
+        assert run_main(capsys, "bisim", ws_file, t1, t2, "--depth", "10000",
+                        "--env", "E") == (0, "equal-up-to-depth\n", "")
+
+
+def test_coterm_nodes_are_out_of_reach_of_binding_names(tmp_path, capsys):
+    ws = _ws(tmp_path, FLIP_SOURCE + "env E { a = rec r. 0 : r; a@0 = rec s. 1 : s; }\n")
+    for term, bits in (("a", "0:0:0:0:"), ("a@0", "1:1:1:1:")):
+        assert run_main(capsys, "eval", ws, term, "--depth", "4") \
+            == (0, bits + "<cut@4>\n", "")
+
+
+@pytest.mark.parametrize("env, name", [("g = ones(); ones = rec a. 0 : a;", "ones"),
+                                       ("flip = rec a. 0 : a;", "flip")])
+def test_cmd_check_rejects_a_binding_named_like_a_function(tmp_path, capsys, env, name):
+    """`coeq check` runs the check `coeq eval` runs, on every program."""
+    ws = _ws(tmp_path, FLIP_SOURCE + "program ones { ones = 1 : ones; }\n"
+             + f"env E {{ {env} }}\n")
+    err = f"error: binding '{name}' collides with a function or constructor\n"
+    for argv in (("check", ws), ("eval", ws, "ones", "--program", "ones")):
+        assert run_main(capsys, *argv) == (2, "", err)
+
+
+def test_show_approximation_renders_trees_and_streams():
+    a = ApproxNode("pair", (
+        ApproxNode("cons", (ApproxNode("1", (), 2), Cut(2)), 1),
+        ApproxNode("s", (Stalled(Var("x"), StallReason(NO_MATCH), 2),), 1),
+        ApproxNode("0", (), 1)), 0)
+    assert show_approximation(a) == "pair(1:<cut@2>, s(<stall:no-match>), 0)"

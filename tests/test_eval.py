@@ -6,8 +6,8 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits,
                      nat_program, random_stream, stream_coterm, stream_prefix, v)
 
 from coeq.corec import stock_library
-from coeq.evaluation import (BUDGET_EXHAUSTED, NO_MATCH, ApproxNode, Cut,
-                             DiagramEnv, EvalError, GeneratorBinding, Session,
+from coeq.evaluation import (BUDGET_EXHAUSTED, DEFAULT_BUDGET, NO_MATCH, ApproxNode,
+                             Cut, DiagramEnv, EvalError, GeneratorBinding, Session,
                              StallReason, Stalled, derives_omega, first_stall,
                              restrict)
 from coeq.program import assemble_program, Equation
@@ -325,3 +325,48 @@ def test_stall_at_the_depth_bound_is_a_cut():
     sess = Session(flip_program(), SM, flip_env())
     a = sess.observe(cons(ONE, fn("flip", Var("q"))), 1)
     assert a == ApproxNode("cons", (ApproxNode("1", (), 1), Cut(1)), 0)
+
+
+def test_coterm_nodes_have_a_namespace_of_their_own():
+    """A binding may be named like another binding's node: 'a@0'."""
+    env = DiagramEnv.of({"a": stream_coterm([0], loop_to=0),
+                         "a@0": stream_coterm([1], loop_to=0)})
+    sess = Session(flip_program(), SM, env)
+    assert approx_bits(sess.observe(fn("a"), 4)) == [0, 0, 0, 0]
+    assert approx_bits(sess.observe(fn("a@0"), 4)) == [1, 1, 1, 1]
+
+
+def test_a_non_law_costs_no_more_than_forcing_both_roots():
+    """flip(v_a) and v_a differ at the first head, which forcing the roots
+    already made constructors: nothing deeper is forced."""
+    t, t2 = fn("flip", fn("v_a")), fn("v_a")
+    roots = Session(flip_program(), SM, flip_env())
+    for term in (t, t2):
+        roots.k.head_normalize(roots.encode(term), DEFAULT_BUDGET)
+    sess = Session(flip_program(), SM, flip_env())
+    r = derives_omega(sess.program, None, t, t2, 64, session=sess)
+    assert (r.status, r.path) == ("differs", (1,))
+    assert sess.k.steps_total <= roots.k.steps_total
+
+
+def test_a_law_costs_what_observing_both_sides_costs():
+    """On an equal pair the walk forces every term the two observations
+    force, and a repeated pair was free to them already."""
+    t, t2 = fn("flip", fn("flip", fn("v_a"))), fn("v_a")
+    both = Session(flip_program(), SM, flip_env())
+    both.observe(t, 64)
+    both.observe(t2, 64)
+    sess = Session(flip_program(), SM, flip_env())
+    assert derives_omega(sess.program, None, t, t2, 64, session=sess).equal
+    assert sess.k.steps_total == both.k.steps_total
+
+
+def test_a_left_stall_leaves_the_right_side_unforced():
+    """f(s(0)) matches no equation; f(s(s(0))) would spend the whole budget."""
+    prog, nat = nat_program()
+    sess = Session(prog, nat)
+    r = derives_omega(prog, None, fn("f", Con("s", (Con("0"),))),
+                      fn("f", Con("s", (Con("s", (Con("0"),)),))), 4, budget=1000,
+                      session=sess)
+    assert (r.status, r.path, r.reason) == ("stalled", (), StallReason(NO_MATCH))
+    assert sess.k.steps_total == 0
