@@ -413,6 +413,9 @@ class Parser:
             self.expect("(")
             args = self.commas(lambda: self.ident("binding name"))
             prog = self.ws.programs[gen_name]
+            if len(args) != prog.arity:
+                raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
+                                f"applied to {len(args)} arguments")
             return GeneratorBinding(prog, prog.principal, tuple(args))
         nodes: list[CotermNode | None] = []
 
@@ -1032,9 +1035,20 @@ def cmd_roundtrip(args, ws: None, r: Reporter) -> int:
     return 0 if report.ok else 1
 
 
+def _count(text: str) -> int:
+    """A depth or budget: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1   # reported as a negative number is
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
+    return n
+
+
 _FILES = {"nargs": "+", "help": "workspace .cds files"}
-_DEPTH = ("--depth", {"type": int, "default": 16})
-_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET})
+_DEPTH = ("--depth", {"type": _count, "default": 16})
+_BUDGET = ("--budget", {"type": _count, "default": DEFAULT_BUDGET})
 _ENV = ("--env", {})
 _PROGRAM = ("--program", {})
 _OUT = ("--out", {})
@@ -1060,7 +1074,7 @@ COMMANDS = (
     ("extract", "realizability extraction", ("files", "name"),
      (_PROGRAM, _OUT), cmd_extract),
     ("roundtrip", "stock-library pipeline", (),
-     (("--depth", {"type": int, "default": 64}),
+     (("--depth", {"type": _count, "default": 64}),
       ("--seed", {"type": int, "default": 20240817}),
       ("--inputs", {"type": int, "default": 10})), cmd_roundtrip),
 )

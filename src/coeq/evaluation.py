@@ -9,6 +9,12 @@ as leaves, never raised.  `derives_omega` is the finite-depth reading of
 observational equivalence: one breadth-first walk over pairs of kernel
 terms that forces both sides in lockstep, stops at the first differing
 head or stall, and skips a pair of term ids it has already compared.
+
+At the depth bound only a nullary constructor survives, so `observe` and
+`derives_omega` force a term there only if it can end in one.  A term
+that `KernelSession.never_nullary` rules out (a constructor with
+arguments, or a call whose every unfolding is one or stalls, such as a
+stream function's tail) is a cut, unforced.
 """
 from __future__ import annotations
 
@@ -189,9 +195,8 @@ class Session:
         for name, value in self.env.bindings:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):
-                k.set_env(sid, k.mk(
-                    FUN, k.sym(value.principal, FUN, len(value.args)),
-                    tuple(k.mk(FUN, k.sym(a, FUN, 0), ()) for a in value.args)))
+                k.set_env(sid, self.encode(
+                    Fun(value.principal, tuple(Fun(a) for a in value.args))))
                 continue
             for i, node in enumerate(value.nodes):
                 kids = tuple(k.mk(FUN, k.node(name, ch) if isinstance(ch, int)
@@ -214,7 +219,15 @@ class Session:
             if sid < 0 or k.sym_kinds[sid] != CON:
                 raise EvalError(f"unknown constructor '{t.name}'")
             return k.mk(CON, sid, args)
-        return k.mk(FUN, k.sym(t.name, FUN, len(t.args)), args)
+        sid = k.sym_ids.get(t.name, -1)
+        if sid < 0:
+            sid = k.sym(t.name, FUN, len(args))
+        elif k.sym_kinds[sid] == CON:
+            raise EvalError(f"'{t.name}' is a constructor, not a function")
+        elif k.sym_arities[sid] != len(args):
+            raise EvalError(f"function '{t.name}' has arity {k.sym_arities[sid]}, "
+                            f"applied to {len(args)} arguments")
+        return k.mk(FUN, sid, args)
 
     def decode(self, tid: int) -> Term:
         """Interned term back to a tree, iteratively; subterms deeper than
@@ -263,6 +276,8 @@ class Session:
         """Depth accounting: a constructor node of arity >= 1 costs one
         unit of depth, a nullary constructor costs none, so a stream
         observed to depth d shows d elements.  Depth 0 evaluates nothing.
+        A node at the bound is forced only if it can end in a nullary
+        constructor (`KernelSession.never_nullary`); else it is a cut.
 
         Nodes are forced in left-to-right preorder; an explicit stack of
         open nodes (constructor, arguments, depth, children so far) keeps
@@ -273,14 +288,15 @@ class Session:
         open_nodes: list[tuple[str, tuple[int, ...], int, list[Approximation]]] = []
         tid, at = self.encode(t), 0
         while True:
-            out, reason = self.force(tid, budget)
             node: Approximation
-            if reason is not None:
-                node = Cut(at) if at >= depth else Stalled(self.decode(out), reason, at)
+            if at >= depth and k.never_nullary(tid):
+                node = Cut(at)
             else:
-                args = k.t_args[out]
-                name = k.sym_names[k.t_sym[out]]
-                if not args:
+                out, reason = self.force(tid, budget)
+                args, name = k.t_args[out], k.sym_names[k.t_sym[out]]
+                if reason is not None:
+                    node = Cut(at) if at >= depth else Stalled(self.decode(out), reason, at)
+                elif not args:
                     node = ApproxNode(name, (), at)
                 elif at >= depth:
                     node = Cut(at)
@@ -336,7 +352,9 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
     destructor path, forcing both sides of a pair when it reaches it.  It
     stops at the first pair where a side stalls below `depth` (t's side
     checked first) or whose heads differ.  At the depth bound only two
-    nullary heads are compared; any other pair there is a cut.  A pair of
+    nullary heads are compared; any other pair there is a cut.  So a pair
+    there is forced only if neither side is `never_nullary`, and its right
+    side only if the left one ended nullary.  A pair of
     term ids met before is skipped: BFS first met it no deeper, so its
     subtree was already compared at least as far.  Depth 0 forces nothing.
 
@@ -359,14 +377,22 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
         if (x, y) in seen:
             continue
         seen.add((x, y))
-        hx, rx = session.force(x, budget)
-        if rx is not None and at < depth:
-            return OmegaResult("stalled", path, rx)
-        hy, ry = session.force(y, budget)
-        if ry is not None and at < depth:
-            return OmegaResult("stalled", path, ry)
-        if at >= depth and (rx or ry or k.t_args[hx] or k.t_args[hy]):
-            continue   # a cut: only two nullary heads are compared at the bound
+        if at >= depth:   # a cut unless both sides end in nullary heads
+            if k.never_nullary(x) or k.never_nullary(y):
+                continue
+            hx, rx = session.force(x, budget)
+            if rx is not None or k.t_args[hx]:
+                continue
+            hy, ry = session.force(y, budget)
+            if ry is not None or k.t_args[hy]:
+                continue
+        else:
+            hx, rx = session.force(x, budget)
+            if rx is not None:
+                return OmegaResult("stalled", path, rx)
+            hy, ry = session.force(y, budget)
+            if ry is not None:
+                return OmegaResult("stalled", path, ry)
         if k.t_sym[hx] != k.t_sym[hy]:
             return OmegaResult("differs", path)
         queue.extend((path + (i + 1,), cx, cy, at + 1)

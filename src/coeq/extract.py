@@ -987,6 +987,9 @@ def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
                      library: dict | None = None, seed: int = 20240817,
                      inputs_per_entry: int = 10,
                      budget: int = 100_000) -> RoundtripReport:
+    if depth < 0 or inputs_per_entry < 1:
+        raise ValueError(f"roundtrip needs depth >= 0 and at least one input per "
+                         f"entry (depth {depth}, inputs {inputs_per_entry})")
     from .system import boolean_stream_system
     ds = ds or boolean_stream_system()
     library = library or stock_library()

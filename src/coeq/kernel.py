@@ -52,6 +52,7 @@ class KernelSession:
         self.memo = {}          # tid -> whnf tid (successes)
         self.nomatch = {}       # tid -> stuck tid (definitive no-match stalls)
         self.steps_total = 0
+        self._may_end_nullary = None   # fn sids, computed on first use
 
     # -- symbols ----------------------------------------------------------
 
@@ -108,9 +109,54 @@ class KernelSession:
 
     def add_rule(self, fn_sid, pattern_tids, rhs_tid):
         self.rules.setdefault(fn_sid, []).append((pattern_tids, rhs_tid))
+        self._may_end_nullary = None
 
     def set_env(self, env_sid, unfold_tid):
         self.env[env_sid] = unfold_tid
+        self._may_end_nullary = None
+
+    # -- forcing that cannot end in a nullary constructor -------------------
+
+    def never_nullary(self, tid):
+        """True when forcing tid cannot end in a nullary constructor: it
+        is a constructor with arguments, or a call of a function in the
+        greatest fixpoint of "every right-hand side (the env unfold if
+        there is one, else each rule's) is a constructor with arguments or
+        a call of a function in the set".  A function with neither only
+        stalls, so it is in the set.  The complement is computed on first
+        use and kept until a rule or unfold is added; a function declared
+        later has neither, and is rightly outside it."""
+        k = self.t_kind[tid]
+        if k == CON:
+            return bool(self.t_args[tid])
+        if k == VAR:
+            return False
+        if self._may_end_nullary is None:
+            self._may_end_nullary = self._nullary_reachable()
+        return self.t_sym[tid] not in self._may_end_nullary
+
+    def _nullary_reachable(self):
+        """The functions whose forcing may end in a nullary constructor
+        (least fixpoint): a right-hand side that is a variable or a
+        nullary constructor puts its function in, and so does a call of a
+        function already in."""
+        rhss = list(self.env.items())   # an unfold comes before any rule
+        rhss += [(sid, rhs) for sid, eqs in self.rules.items() if sid not in self.env
+                 for _, rhs in eqs]
+        callers = {}   # fn sid -> sids with a right-hand side calling it
+        out, todo = set(), []
+        for sid, rhs in rhss:
+            k = self.t_kind[rhs]
+            if k == FUN:
+                callers.setdefault(self.t_sym[rhs], []).append(sid)
+            elif k == VAR or not self.t_args[rhs]:
+                todo.append(sid)
+        while todo:
+            sid = todo.pop()
+            if sid not in out:
+                out.add(sid)
+                todo.extend(callers.get(sid, ()))
+        return out
 
     # -- substitution on interned terms ------------------------------------
 

@@ -515,3 +515,56 @@ def test_show_approximation_renders_trees_and_streams():
         ApproxNode("s", (Stalled(Var("x"), StallReason(NO_MATCH), 2),), 1),
         ApproxNode("0", (), 1)), 0)
     assert show_approximation(a) == "pair(1:<cut@2>, s(<stall:no-match>), 0)"
+
+
+@pytest.mark.parametrize("argv", [("--inputs", "0"), ("--depth", "8", "--inputs", "-1")])
+def test_cmd_roundtrip_without_inputs_is_an_error(capsys, argv):
+    """No input means no bisimulation case: not a passing roundtrip."""
+    code, out, err = run_main(capsys, "--format", "tagged", "roundtrip", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: roundtrip needs depth >= 0 and at least one input")
+
+
+@pytest.mark.parametrize("command, terms", [("eval", ("flip(v_a)",)),
+                                            ("bisim", ("flip(v_a)", "v_b"))])
+@pytest.mark.parametrize("flag", ["--depth", "--budget"])
+def test_a_negative_depth_or_budget_is_a_usage_error(capsys, command, terms, flag):
+    with pytest.raises(SystemExit) as e:
+        main([command, STREAMS_CDS, *terms, "--env", "E", flag, "-1"])
+    assert e.value.code == 2
+    assert f"argument {flag}: expected an integer >= 0, not '-1'" in capsys.readouterr().err
+    code, _, err = run_main(capsys, command, STREAMS_CDS, *terms, "--env", "E", flag, "0")
+    assert (code, err) == (0 if flag == "--depth" else 1, "")
+
+
+def test_cmd_roundtrip_rejects_a_negative_depth(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--format", "tagged", "roundtrip", "--depth", "-3"])
+    assert e.value.code == 2
+    assert "argument --depth: expected an integer >= 0, not '-3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("term, name, arity, applied", [
+    ("flip(v_a, v_b)", "flip", 1, 2), ("delta(v_a)", "delta", 4, 1),
+    ("flip(v_a(v_b))", "v_a", 0, 1)])
+def test_cmd_eval_reports_a_wrong_arity_function_call(capsys, term, name, arity, applied):
+    assert run_main(capsys, "eval", STREAMS_CDS, term, "--env", "E") == (
+        2, "", f"error: function '{name}' has arity {arity}, "
+               f"applied to {applied} arguments\n")
+
+
+def test_a_generator_binding_of_the_wrong_arity_is_a_parse_error(tmp_path, capsys):
+    ws = _ws(tmp_path, FLIP_SOURCE + "env E { a = rec r. 0 : r; g = flip(a, a); }\n")
+    for argv in (("check", ws), ("eval", ws, "g", "--depth", "4")):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(": program 'flip' has arity 1, applied to 2 arguments "
+                            "(found ';')\n")
+
+
+def test_an_ill_sorted_tail_is_forced_at_the_depth_bound(tmp_path, capsys):
+    """h(x) = pi1(x) is a bit: the tail g prints at depth 1 is forced."""
+    ws = _ws(tmp_path, SYSTEM_SOURCE
+             + "program g { g(x) = cons(pi1(x), h(x)); h(x) = pi1(x); }\n"
+             + "env E { v = rec a. 0 : a; }\n")
+    assert run_main(capsys, "eval", ws, "g(v)", "--depth", "1") == (0, "0:0\n", "")

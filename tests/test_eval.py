@@ -10,7 +10,8 @@ from coeq.evaluation import (BUDGET_EXHAUSTED, DEFAULT_BUDGET, NO_MATCH, ApproxN
                              Cut, DiagramEnv, EvalError, GeneratorBinding, Session,
                              StallReason, Stalled, derives_omega, first_stall,
                              restrict)
-from coeq.program import assemble_program, Equation
+from coeq.kernel import CON, FUN, KernelSession
+from coeq.program import assemble_program, Equation, reserved_function
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
@@ -284,6 +285,18 @@ def test_invalid_environment_rejected(bindings, violation):
     assert str(e.value) == f"invalid environment: {violation}"
 
 
+def test_a_call_of_the_wrong_arity_is_an_error():
+    env = DiagramEnv.of({"a": alternating_stream(),
+                         "g": GeneratorBinding(flip_program(), "flip", ("a", "a"))})
+    with pytest.raises(EvalError, match="function 'flip' has arity 1, applied to 2"):
+        Session(flip_program(), SM, env)
+    sess = Session(flip_program(), SM, flip_env())
+    for term, msg in ((fn("delta", fn("v_a")), "function 'delta' has arity 4, applied to 1"),
+                      (fn("cons", fn("v_a"), fn("v_b")), "'cons' is a constructor")):
+        with pytest.raises(EvalError, match=msg):
+            sess.observe(term, 1)
+
+
 def test_unknown_constructor_in_observed_term():
     sess = Session(flip_program(), SM, flip_env())
     for name in ("2", "flip"):
@@ -370,3 +383,104 @@ def test_a_left_stall_leaves_the_right_side_unforced():
                       session=sess)
     assert (r.status, r.path, r.reason) == ("stalled", (), StallReason(NO_MATCH))
     assert sess.k.steps_total == 0
+
+
+# -- what is forced at the depth bound ------------------------------------------
+
+def _ill_sorted_session():
+    """g's tail h(x) = pi1(x) is a bit, not a stream: only the rules, not
+    the sorts, say whether a term at the bound can end nullary."""
+    prog = assemble_program(SM, [
+        Equation("g", (v("x"),), cons(fn("pi1", v("x")), fn("h", v("x")))),
+        Equation("h", (v("x"),), fn("pi1", v("x"))),
+    ], "g")
+    return Session(prog, SM, DiagramEnv.of({"v": stream_coterm([0], loop_to=0)}))
+
+
+def test_a_tail_that_ends_nullary_is_forced_at_the_bound():
+    sess = _ill_sorted_session()
+    zero = ApproxNode("0", (), 1)
+    assert sess.observe(fn("g", fn("v")), 1) == ApproxNode("cons", (zero, zero), 0)
+    r = derives_omega(sess.program, None, fn("g", fn("v")), cons(ZERO, ONE), 1,
+                      session=sess)
+    assert (r.status, r.path) == ("differs", (2,))
+
+
+def test_never_nullary_follows_right_hand_sides():
+    """A right-hand side that is a variable (pi1, delta) or calls such a
+    function can end nullary; a stream function, a generator binding, a
+    cons node and a function with no rule cannot; odd calls even, which is
+    resolved by the fixpoint."""
+    env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
+                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+    lib = stock_library()
+    eqs = [e for p in (lib["odd"].program, flip_program()) for e in p.body
+           if not reserved_function(e.function)]
+    eqs.append(Equation("h", (v("x"),), fn("pi1", v("x"))))
+    sess = Session(assemble_program(SM, eqs, "odd"), SM, env)
+    k = sess.k
+
+    def never(t):
+        return k.never_nullary(sess.encode(t))
+
+    va = fn("v_a")
+    for t in (fn("odd", va), fn("even", va), fn("flip", va), fn("v_f"), va,
+              fn("nope", va), cons(ZERO, va)):
+        assert never(t), t
+    for t in (fn("pi1", va), fn("delta", va, ZERO, ONE, ONE), fn("h", va), ZERO):
+        assert not never(t), t
+    layer = k.env[k.sym_ids["v_a"]]
+    head_node, tail_node = k.t_args[layer]
+    assert (k.never_nullary(head_node), k.never_nullary(tail_node)) == (False, True)
+
+
+def test_never_nullary_sees_a_rule_added_after_it_was_asked():
+    k = KernelSession()
+    zero = k.mk(CON, k.sym("0", CON, 0), ())
+    f = k.mk(FUN, k.sym("f", FUN, 0), ())
+    assert k.never_nullary(f)   # no rule: forcing f stalls
+    k.add_rule(k.sym_ids["f"], (), zero)
+    assert not k.never_nullary(f)
+
+
+def test_a_generator_binding_or_a_cons_node_at_the_bound_is_not_forced():
+    env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
+                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+    sess = Session(flip_program(), SM, env)
+    for t in (fn("v_f"), fn("v_a")):
+        assert sess.observe(cons(ZERO, t), 1) == ApproxNode(
+            "cons", (ApproxNode("0", (), 1), Cut(1)), 0)
+        assert derives_omega(sess.program, None, cons(ZERO, t), cons(ZERO, fn("v_f")),
+                             1, session=sess).equal
+    assert sess.k.steps_total == 0
+    # v_a's tail at depth 1 is a cons node: v_a and its head bit cost one step each
+    assert sess.observe(fn("v_a"), 1) == ApproxNode(
+        "cons", (ApproxNode("0", (), 1), Cut(1)), 0)
+    assert sess.k.steps_total == 2
+
+
+def test_observing_flip_to_depth_4_leaves_the_tail_at_the_bound_unforced():
+    """Five steps for the input's first layer and its two bit nodes, then
+    one for each later input node and one per flip rule; the flip call at
+    depth 4 is not forced (its two steps were spent before)."""
+    sess = Session(flip_program(), SM,
+                   DiagramEnv.of({"v_a": stream_coterm([0, 1, 1, 0, 1], loop_to=0)}))
+    assert approx_bits(sess.observe(fn("flip", fn("v_a")), 4)) == [1, 0, 0, 1]
+    assert sess.k.steps_total == 10
+
+
+def test_the_walk_forces_a_pair_at_the_bound_only_while_it_could_be_two_nullary_heads():
+    """pi2's right-hand side is a variable, so pi2(v_a) may end nullary; it
+    ends in a cons here.  flip's tail cannot end nullary."""
+    sess = Session(flip_program(), SM, flip_env())
+    k = sess.k
+
+    def walk(t, t2):
+        return derives_omega(sess.program, None, cons(ZERO, t), cons(ZERO, t2), 1,
+                             session=sess)
+    tail, flip_tail = fn("pi2", fn("v_a")), fn("flip", fn("v_a"))
+    assert walk(flip_tail, tail).equal and walk(tail, flip_tail).equal
+    assert k.steps_total == 0
+    assert walk(tail, fn("pi2", fn("v_b"))).equal
+    assert sess.encode(tail) in k.memo
+    assert sess.encode(fn("pi2", fn("v_b"))) not in k.memo

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import random
 
+import pytest
+
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
                      random_stream, stream_prefix, v)
 
@@ -17,7 +19,7 @@ from coeq.logic import (And, Derivation, PolarityClass, assert_sp_proof, assume,
 from coeq.program import assemble_program
 from coeq.realize import (RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
-from coeq.system import coterm_bits, random_stream_coterm
+from coeq.system import coterm_bits, random_stream_coterm, stream_coterm
 from coeq.terms import Con, Fun, Var, subterms
 
 
@@ -405,6 +407,45 @@ def test_extract_realizes_conclusion():
         assert realizes(j).holds, name
 
 
+# Kernel steps of `realizes` at depth 8 on each stock entry's extraction: the
+# stream tails at the bound are not forced, since they cannot end nullary.
+REALIZE_STEPS_DEPTH_8 = {"ident": 36, "even": 43, "odd": 45, "flip": 51, "merge": 40,
+                         "zeros": 3, "ones": 3, "zipxor": 80, "alt": 5}
+
+
+def test_realizability_at_depth_8_steps_are_pinned(monkeypatch):
+    from importlib import import_module
+    from coeq.logic import DataAtom
+    sessions = []
+
+    class RecordingSession(Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(import_module("coeq.realize"), "Session", RecordingSession)
+    steps = {}
+    for name in stock_library():
+        result, entry = _extract(name)
+        k = entry.arity
+        names = [f"u{i}" for i in range(k)]
+        env = DiagramEnv.of({n: stream_coterm([1, 0, 0][: i + 1] + [1], i)
+                             for i, n in enumerate(names)})
+        args = tuple(fn(n) for n in names)
+        # value parameters x_i and realizer parameters h_i both take input i
+        f0_args = tuple(args[int(p[1:]) - 1]
+                        for p in result.value_params + result.realizer_params)
+        j = RealizabilityJudgment.of(
+            result.program, SM, env, {f"x{i + 1}": args[i] for i in range(k)},
+            Fun(result.principal, f0_args),
+            DataAtom("S", Fun(entry.program.principal,
+                              tuple(Var(f"x{i + 1}") for i in range(k)))), 8)
+        sessions.clear()
+        assert realizes(j).holds, name
+        steps[name] = sum(s.k.steps_total for s in sessions)
+    assert steps == REALIZE_STEPS_DEPTH_8
+
+
 # -- linear runners ---------------------------------------------------------------
 
 SYSTEM_CDS = """system Sm {
@@ -638,6 +679,13 @@ def test_bisim_stage_builds_one_session_per_entry(monkeypatch):
     report = roundtrip_report(depth=16, library={"ident": stock_library()["ident"]})
     assert report.ok, report.render()
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"inputs_per_entry": 0}, {"depth": -3}])
+def test_roundtrip_rejects_a_vacuous_run(kwargs):
+    """With no inputs, no case of an entry of positive arity is compared."""
+    with pytest.raises(ValueError, match="roundtrip needs depth >= 0 and at least one"):
+        roundtrip_report(**kwargs)
 
 
 def test_roundtrip_includes_rejection_of_morse_thue():
