@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from helpers import (SM, ONE, ZERO, cons, fn, flip_program, random_stream, v,
                      approx_bits, stream_prefix, bisim_b_program)
 
@@ -7,6 +9,7 @@ from coeq.corec import (Component, CompositionDef, CorecSchema, PlainSlot,
                         RecSlot, SchemaFun, bundle_equal,
                         check_primitive_corecursive, compile_schema,
                         morse_thue_program, schema_equal, stock_library)
+from coeq.cli import parse_workspace
 from coeq.evaluation import DiagramEnv, Session, derives_omega
 from coeq.program import Equation, assemble_program, validate_program
 from coeq.terms import Con, Fun, Var
@@ -250,3 +253,84 @@ def test_cocase_form_over_two_successors():
     for _ in range(8):
         assert node.constructor == "t"
         node = node.children[0]
+
+
+SM_SYSTEM = """system Sm {
+  inductive B; coinductive S;
+  constructor 0 : B; constructor 1 : B; constructor cons : B * S -> S;
+}
+"""
+WORD_SYSTEM = """system W {
+  coinductive W; constructor s : W -> W; constructor t : W -> W;
+}
+"""
+COLIST_SYSTEM = """system L {
+  coinductive L; constructor nil : L; constructor s : L -> L;
+}
+"""
+WORD_COCASE = """  cocase1(s(y), v1) = s(v1); cocase1(t(y), v1) = t(v1);
+  cocase2(s(y), v1, v2) = s(v1); cocase2(t(y), v1, v2) = t(v1);
+"""
+
+REJECTIONS = [
+    ("forward reference", SM_SYSTEM, "f(x) = h(x); h(x) = pi2(x);",
+     "forward reference: 'f' uses 'h' declared later", "f(x) = h(x)"),
+    ("unguarded", SM_SYSTEM, "f(x) = f(pi2(x));",
+     "unguarded recursion: right-hand side 'f(pi2(x))' of a recursive function "
+     "is not constructor-headed", "f(x) = f(pi2(x))"),
+    ("inductive output", SM_SYSTEM,
+     "f(cons(y, w)) = cons(y, f(w)); f(0) = 0; f(1) = 1;",
+     "produced constructor '0' builds no coinductive data", "f(0) = 0"),
+    ("mixed arities", COLIST_SYSTEM, "f(nil) = nil; f(s(w)) = s(f(w));",
+     "mixed arities among produced constructors ['nil', 's']", "f(nil) = nil"),
+    ("inconsistent dispatch", WORD_SYSTEM,
+     WORD_COCASE + "f(s(w)) = cocase1(s(w), f(w)); f(t(w)) = cocase2(w, f(w), w);",
+     "inconsistent output dispatch in 'f'", "f(t(w)) = cocase2(w, f(w), w)"),
+    ("recursive selector", WORD_SYSTEM,
+     WORD_COCASE + "f(x) = cocase1(f(x), f(pi1(x)));",
+     "recursive occurrence under non-component context: 'f(x1)' in 'f(x1)'",
+     "f(x) = cocase1(f(x), f(pi1(x)))"),
+    ("call inside a call", SM_SYSTEM, "f(x) = cons(pi1(x), f(f(pi2(x))));",
+     "recursive occurrence under non-component context: 'f(pi2(x))' inside "
+     "recursive call 'f(f(pi2(x)))'", "f(x) = cons(pi1(x), f(f(pi2(x))))"),
+    ("call under a destructor", SM_SYSTEM, "f(x) = cons(pi1(x), pi2(f(x)));",
+     "recursive occurrence under non-component context: 'f(x)' in 'pi2(f(x))'",
+     "f(x) = cons(pi1(x), pi2(f(x)))"),
+    ("case-dependent target", SM_SYSTEM,
+     "f(cons(0, w)) = cons(0, f(w)); f(cons(1, w)) = cons(1, g(w)); "
+     "g(x) = cons(0, f(x));",
+     "case-dependent recursion target ['f', 'g'] in slot 2",
+     "f(cons(0, w)) = cons(0, f(w))"),
+    ("mixed slot", SM_SYSTEM,
+     "f(cons(0, w)) = cons(0, f(w)); f(cons(1, w)) = cons(1, w);",
+     "slot 2 of 'f' mixes direct values and recursive calls across cases",
+     "f(cons(0, w)) = cons(0, f(w))"),
+    ("non-exhaustive", SM_SYSTEM, "f(cons(0, w)) = cons(0, f(w));",
+     "non-exhaustive patterns: cases {0} at 'pi1(x1)' match no predicate's "
+     "constructor set", "f(cons(0, w)) = cons(0, f(w))"),
+]
+
+
+@pytest.mark.parametrize("system, body, reason, offending",
+                         [r[1:] for r in REJECTIONS], ids=[r[0] for r in REJECTIONS])
+def test_every_rejection_names_its_reason_and_equation(system, body, reason, offending):
+    ws = parse_workspace(system + "program f {\n" + body + "\n}\n")
+    verdict = check_primitive_corecursive(ws.programs["f"], ws.system)
+    assert (verdict.accepted, verdict.reason, str(verdict.offending)) \
+        == (False, reason, offending)
+    assert verdict.report() == f"rejected: {reason}\n  at equation: {offending}"
+
+
+def test_report_of_a_composition_and_a_selector_function():
+    ws = parse_workspace(WORD_SYSTEM + """program f {
+  g(x) = pi1(x);
+  f(s(w)) = t(f(g(w)));
+  f(t(w)) = s(f(w));
+}
+""")
+    verdict = check_primitive_corecursive(ws.programs["f"], ws.system)
+    assert verdict.report() == "\n".join([
+        "primitive-corecursive",
+        "  g/1: composition pi1(x1)",
+        "  f/1: corecurrence selector h = delta(x1, t(s(pi1(x1))), s(t(pi1(x1))))",
+        "    slot 1: call f (l = 1) on [delta(x1, g(pi1(x1)), pi1(x1))]"])
