@@ -8,12 +8,25 @@ patterns are merged into single components by compiling the case analysis
 into discriminator dispatch; the merge demands exhaustive patterns, which
 is what separates total corecursive case analysis from partial programs.
 
+The recognizer splits the functions into strongly connected components of
+the call graph.  A non-recursive one is a composition; a recursive one,
+of any number of mutually corecursive functions, is one schema, and each
+member's equations take one of three shapes:
+
+- they all produce one coinductive constructor;
+- they produce several coinductive constructors of one arity, and a
+  selector, a component whose value's head is the produced constructor,
+  chooses between them;
+- each is a compiled dispatch f(x...) = cocaseM(h(x...), e_1 .. e_M),
+  and h is the selector.
+
 Recursion is accepted only in the argument slots directly under the
-produced constructor; anything else is rejected with the offending
-subterm named.
+produced constructor (or the dispatch); anything else is rejected with
+the offending subterm named.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
@@ -191,16 +204,17 @@ def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
     constructor set of some predicate, otherwise the definition is partial
     and is rejected.
     """
-    if not rows:
-        raise _Reject("no cases left", equation)
+    # every function has an equation, and `branch` merges no empty row set
+    assert rows
     split_at = -1
     for i in range(len(subjects)):
         if any(not isinstance(r[0][i], Var) for r in rows):
             split_at = i
             break
     if split_at < 0:
-        if len(rows) > 1:
-            raise _Reject("overlapping variable cases", equation)
+        # rows that agree at every split unify, and validate_program has
+        # rejected equations whose patterns unify
+        assert len(rows) == 1
         pats, rhs = rows[0]
         return substitute(rhs, {p.name: s for p, s in zip(pats, subjects)
                                 if isinstance(p, Var)})
@@ -247,38 +261,47 @@ def _used_functions(t: Term) -> set[str]:
 
 def _sccs(order: list[str], deps: dict[str, set[str]]) -> list[list[str]]:
     """Strongly connected components in reverse topological order
-    (Tarjan), members listed in declaration order."""
+    (Tarjan, with an explicit stack), members listed in declaration order."""
+    decl_index = {f: i for i, f in enumerate(order)}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
     on: set[str] = set()
     out: list[list[str]] = []
-    counter = [0]
+    work: list[tuple[str, Iterator[str]]] = []
 
-    def visit(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def enter(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on.add(v)
-        for w in sorted(deps.get(v, ()), key=order.index):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(sorted(comp, key=order.index))
+        work.append((v, iter(sorted(deps.get(v, ()), key=decl_index.__getitem__))))
 
-    for v in order:
-        if v not in index:
-            visit(v)
+    for root in order:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    enter(w)
+                    break
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(comp, key=decl_index.__getitem__))
     return out
 
 
@@ -293,7 +316,7 @@ def check_primitive_corecursive(program: Program, ds: DataSystem) -> Productivit
             for f in order}
     try:
         strata: list[Stratum] = []
-        accepted: dict[str, int] = {}
+        accepted: set[str] = set()
         cocases: dict[str, int] = {}
         for f in order:
             m = _cocase_slot_count(f, program)
@@ -303,43 +326,43 @@ def check_primitive_corecursive(program: Program, ds: DataSystem) -> Productivit
             recursive = any(g in scc for f in scc for g in deps[f])
             first_decl = min(decl_index[f] for f in scc)
             for f in scc:
-                for g in deps[f]:
+                for g in sorted(deps[f], key=decl_index.__getitem__):
                     if g not in scc and decl_index[g] > first_decl:
                         raise _Reject(
                             f"forward reference: '{f}' uses '{g}' declared later",
                             program.equations_of(f)[0])
-            if not recursive:
-                (f,) = scc
-                strata.append(_composition(program, ds, f, accepted))
-                accepted[f] = len(program.equations_of(f)[0].patterns)
+            if recursive:
+                targets = {f: i + 1 for i, f in enumerate(scc)}
+                strata.append(CorecSchema(tuple(
+                    _schema_fun(ds, program.equations_of(f), targets, accepted, cocases)
+                    for f in scc)))
             else:
-                schema = _corecurrence(program, ds, scc, accepted, cocases)
-                strata.append(schema)
-                for sf in schema.functions:
-                    accepted[sf.name] = sf.arity
+                (f,) = scc
+                eqs = program.equations_of(f)
+                strata.append(CompositionDef(
+                    f, len(eqs[0].patterns),
+                    _component(ds, eqs, [e.rhs for e in eqs], accepted)))
+            accepted.update(scc)
         bundle = CorecBundle(tuple(strata), program.principal)
         return ProductivityVerdict(True, bundle=bundle)
     except _Reject as r:
         return ProductivityVerdict(False, reason=r.reason, offending=r.equation)
 
 
-def _check_component_term(t: Term, ds: DataSystem, accepted: dict[str, int],
-                          equation: Equation | None) -> None:
-    for u in subterms(t):
+def _component(ds: DataSystem, eqs: list[Equation], results: list[Term],
+               accepted: set[str]) -> Component:
+    """Merge one result term per equation of `eqs` into one component over
+    the arguments.  Every function it calls must be accepted already; a
+    recursive call only gets here from a cocase selector."""
+    k = len(eqs[0].patterns)
+    merged = _merge_cases(ds, [(e.patterns, t) for e, t in zip(eqs, results)],
+                          list(arg_vars(k)), _Fresh(), eqs[0])
+    for u in subterms(merged):
         if isinstance(u, Fun) and not reserved_function(u.name) and u.name not in accepted:
             raise _Reject(
-                f"recursive occurrence under non-component context: '{u}' in '{t}'",
-                equation)
-
-
-def _composition(program: Program, ds: DataSystem, f: str,
-                 accepted: dict[str, int]) -> CompositionDef:
-    eqs = program.equations_of(f)
-    k = len(eqs[0].patterns)
-    rows = [(e.patterns, e.rhs) for e in eqs]
-    merged = _merge_cases(ds, rows, list(arg_vars(k)), _Fresh(), eqs[0])
-    _check_component_term(merged, ds, accepted, eqs[0])
-    return CompositionDef(f, k, Component(k, merged))
+                f"recursive occurrence under non-component context: '{u}' in '{merged}'",
+                eqs[0])
+    return Component(k, merged)
 
 
 def _cocase_slot_count(f: str, program: Program) -> int | None:
@@ -358,18 +381,22 @@ def _cocase_slot_count(f: str, program: Program) -> int | None:
     return m
 
 
-def _corecurrence(program: Program, ds: DataSystem, scc: list[str],
-                  accepted: dict[str, int], cocases: dict[str, int]) -> CorecSchema:
-    target_index = {f: i + 1 for i, f in enumerate(scc)}
-    funs: list[SchemaFun] = []
-    for f in scc:
-        eqs = program.equations_of(f)
-        k = len(eqs[0].patterns)
-        if all(isinstance(e.rhs, Fun) and e.rhs.name in cocases for e in eqs):
-            funs.append(_cocase_call_fun(program, ds, f, k, scc, target_index,
-                                         accepted, cocases))
-            continue
-        produced: list[str] = []
+def _schema_fun(ds: DataSystem, eqs: list[Equation], targets: dict[str, int],
+                accepted: set[str], cocases: dict[str, int]) -> SchemaFun:
+    """One member of a corecursive vector, in one of the three shapes the
+    module docstring lists: only the selector rows and the per-slot result
+    terms differ between them."""
+    f = eqs[0].function
+    k = len(eqs[0].patterns)
+    produced: list[str] = []
+    selector: list[Term] | None = None
+    if all(isinstance(e.rhs, Fun) and e.rhs.name in cocases for e in eqs):
+        for e in eqs:
+            if cocases[e.rhs.name] != cocases[eqs[0].rhs.name]:
+                raise _Reject(f"inconsistent output dispatch in '{f}'", e)
+        selector = [e.rhs.args[0] for e in eqs]
+        slot_terms = [e.rhs.args[1:] for e in eqs]
+    else:
         for e in eqs:
             if not isinstance(e.rhs, Con):
                 raise _Reject(
@@ -381,55 +408,33 @@ def _corecurrence(program: Program, ds: DataSystem, scc: list[str],
                        for t in ds.types_of(e.rhs.name)):
                 raise _Reject(
                     f"produced constructor '{e.rhs.name}' builds no coinductive data", e)
+        if len({ds.constructor(c).arity for c in produced}) > 1:
+            raise _Reject(
+                f"mixed arities among produced constructors {sorted(produced)}", eqs[0])
         if len(produced) > 1:
-            arities = {ds.constructor(c).arity for c in produced}
-            if len(arities) > 1:
-                raise _Reject(
-                    "mixed arities among produced constructors "
-                    f"{sorted(produced)}", eqs[0])
-            funs.append(_cocase_fun(program, ds, f, k, scc, target_index, accepted))
-            continue
-        c = ds.constructor(produced[0])
-        slots: list[Slot] = []
-        for i in range(c.arity):
-            slots.append(_merge_slot(program, ds, f, k, i, scc, target_index,
-                                     accepted, eqs,
-                                     [e.rhs.args[i] for e in eqs]))
-        funs.append(SchemaFun(f, k, tuple(slots), produced=c.name))
-    return CorecSchema(tuple(funs))
+            # the selector steers only by its head constructor
+            fill = Con(ds.vocabulary[0].name)
+            selector = [Con(e.rhs.name, (e.patterns[0] if e.patterns else fill,)
+                            * len(e.rhs.args)) for e in eqs]
+        slot_terms = [e.rhs.args for e in eqs]
+    sel = None if selector is None else _component(ds, eqs, selector, accepted)
+    slots = tuple(_merge_slot(ds, i, targets, accepted, eqs, [ts[i] for ts in slot_terms])
+                  for i in range(len(slot_terms[0])))
+    return SchemaFun(f, k, slots, produced=produced[0] if len(produced) == 1 else None,
+                     selector=sel)
 
 
-def _cocase_call_fun(program: Program, ds: DataSystem, f: str, k: int,
-                     scc: list[str], target_index: dict[str, int],
-                     accepted: dict[str, int],
-                     cocases: dict[str, int]) -> SchemaFun:
-    """Re-extract a compiled cocase-form definition
-    f(x...) = cocaseM(h(x...), e_1 .. e_M)."""
-    eqs = program.equations_of(f)
-    m = cocases[eqs[0].rhs.name]
-    for e in eqs:
-        if cocases.get(e.rhs.name) != m or len(e.rhs.args) != m + 1:
-            raise _Reject(f"inconsistent output dispatch in '{f}'", e)
-    sel_rows = [(e.patterns, e.rhs.args[0]) for e in eqs]
-    selector = _merge_cases(ds, sel_rows, list(arg_vars(k)), _Fresh(), eqs[0])
-    _check_component_term(selector, ds, accepted, eqs[0])
-    slots: list[Slot] = []
-    for i in range(m):
-        slots.append(_merge_slot(program, ds, f, k, i, scc, target_index,
-                                 accepted, eqs,
-                                 [e.rhs.args[1 + i] for e in eqs]))
-    return SchemaFun(f, k, tuple(slots), selector=Component(k, selector))
-
-
-def _classify_slot_term(t: Term, scc: list[str], equation: Equation) -> tuple[str, Term]:
-    occ = [u for u in subterms(t) if isinstance(u, Fun) and u.name in scc]
+def _is_call(t: Term, targets: dict[str, int], equation: Equation) -> bool:
+    """Whether slot term t is a recursive call; a recursive occurrence
+    anywhere else is rejected."""
+    occ = [u for u in subterms(t) if isinstance(u, Fun) and u.name in targets]
     if not occ:
-        return ("plain", t)
-    if isinstance(t, Fun) and t.name in scc:
+        return False
+    if isinstance(t, Fun) and t.name in targets:
         inner = [u for a in t.args for u in subterms(a)
-                 if isinstance(u, Fun) and u.name in scc]
+                 if isinstance(u, Fun) and u.name in targets]
         if not inner:
-            return ("rec", t)
+            return True
         raise _Reject(
             f"recursive occurrence under non-component context: '{inner[0]}' "
             f"inside recursive call '{t}'", equation)
@@ -438,61 +443,22 @@ def _classify_slot_term(t: Term, scc: list[str], equation: Equation) -> tuple[st
         equation)
 
 
-def _merge_slot(program: Program, ds: DataSystem, f: str, k: int, i: int,
-                scc: list[str], target_index: dict[str, int],
-                accepted: dict[str, int], eqs: list[Equation],
-                terms: list[Term]) -> Slot:
-    kinds = []
-    for e, t in zip(eqs, terms):
-        kinds.append((_classify_slot_term(t, scc, e), e))
-    tags = {kind for (kind, _t), _e in kinds}
-    if tags == {"plain"}:
-        rows = [(e.patterns, t) for (_k, t), e in kinds]
-        merged = _merge_cases(ds, rows, list(arg_vars(k)), _Fresh(), eqs[0])
-        _check_component_term(merged, ds, accepted, eqs[0])
-        return PlainSlot(Component(k, merged))
-    if tags == {"rec"}:
-        targets = {t.name for (_k, t), _e in kinds}
-        if len(targets) > 1:
+def _merge_slot(ds: DataSystem, i: int, targets: dict[str, int], accepted: set[str],
+                eqs: list[Equation], terms: list[Term]) -> Slot:
+    calls = [_is_call(t, targets, e) for e, t in zip(eqs, terms)]
+    if not any(calls):
+        return PlainSlot(_component(ds, eqs, terms, accepted))
+    if all(calls):
+        callees = sorted({t.name for t in terms})
+        if len(callees) > 1:
             raise _Reject(
-                f"case-dependent recursion target {sorted(targets)} in slot {i + 1}",
-                eqs[0])
-        callee = targets.pop()
-        callee_arity = len(kinds[0][0][1].args)
-        args: list[Component] = []
-        for j in range(callee_arity):
-            rows = [(e.patterns, t.args[j]) for (_k, t), e in kinds]
-            merged = _merge_cases(ds, rows, list(arg_vars(k)), _Fresh(), eqs[0])
-            _check_component_term(merged, ds, accepted, eqs[0])
-            args.append(Component(k, merged))
-        return RecSlot(target_index[callee], tuple(args))
+                f"case-dependent recursion target {callees} in slot {i + 1}", eqs[0])
+        args = tuple(_component(ds, eqs, [t.args[j] for t in terms], accepted)
+                     for j in range(len(terms[0].args)))
+        return RecSlot(targets[callees[0]], args)
     raise _Reject(
-        f"slot {i + 1} of '{f}' mixes direct values and recursive calls across cases",
-        eqs[0])
-
-
-def _cocase_fun(program: Program, ds: DataSystem, f: str, k: int,
-                scc: list[str], target_index: dict[str, int],
-                accepted: dict[str, int]) -> SchemaFun:
-    """Varying produced constructors of a common arity: extract a cocase
-    selector whose value's head picks the constructor."""
-    eqs = program.equations_of(f)
-    r = ds.constructor(eqs[0].rhs.name).arity
-    sel_rows = []
-    for e in eqs:
-        args = tuple(e.patterns[0] if e.patterns else Con(ds.vocabulary[0].name)
-                     for _ in range(r))
-        # selector value only steers by its head constructor
-        sel_rows.append((e.patterns, Con(e.rhs.name, args)))
-    fresh = _Fresh()
-    selector = _merge_cases(ds, sel_rows, list(arg_vars(k)), fresh, eqs[0])
-    _check_component_term(selector, ds, accepted, eqs[0])
-    slots: list[Slot] = []
-    for i in range(r):
-        slots.append(_merge_slot(program, ds, f, k, i, scc, target_index,
-                                 accepted, eqs,
-                                 [e.rhs.args[i] for e in eqs]))
-    return SchemaFun(f, k, tuple(slots), selector=Component(k, selector))
+        f"slot {i + 1} of '{eqs[0].function}' mixes direct values and recursive "
+        "calls across cases", eqs[0])
 
 
 # -- compilation --------------------------------------------------------------
@@ -560,11 +526,6 @@ def _anonymous(s: Stratum) -> Stratum:
     if isinstance(s, CorecSchema):
         return CorecSchema(tuple(replace(f, name="") for f in s.functions))
     return s
-
-
-def schema_equal(a: CorecSchema, b: CorecSchema) -> bool:
-    """Structural equality up to renaming of the vector functions."""
-    return _anonymous(a) == _anonymous(b)
 
 
 def bundle_equal(a: CorecBundle, b: CorecBundle) -> bool:

@@ -491,6 +491,16 @@ def test_cmd_eval_and_bisim_at_depth_10000(ws_file, capsys):
                         "--env", "E") == (0, "equal-up-to-depth\n", "")
 
 
+def test_cmd_productive_on_a_2000_member_cycle_family(tmp_path, capsys):
+    """The call graph's components are found without recursion."""
+    n = 2000
+    body = "".join(f"  c{i} = cons({i % 2}, c{(i + 1) % n});\n" for i in range(n))
+    ws = _ws(tmp_path, SYSTEM_SOURCE + "program c0 {\n" + body + "}\n")
+    code, out, err = run_main(capsys, "--format", "tagged", "productive", ws, "c0")
+    assert (code, err) == (0, "")
+    assert "VERDICT\tprimitive-corecursive\n" in out
+
+
 def test_coterm_nodes_are_out_of_reach_of_binding_names(tmp_path, capsys):
     ws = _ws(tmp_path, FLIP_SOURCE + "env E { a = rec r. 0 : r; a@0 = rec s. 1 : s; }\n")
     for term, bits in (("a", "0:0:0:0:"), ("a@0", "1:1:1:1:")):

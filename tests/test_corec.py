@@ -5,11 +5,11 @@ import pytest
 from helpers import (SM, ONE, ZERO, cons, fn, flip_program, random_stream, v,
                      approx_bits, stream_prefix, bisim_b_program)
 
-from coeq.corec import (Component, CompositionDef, CorecSchema, PlainSlot,
-                        RecSlot, SchemaFun, bundle_equal,
-                        check_primitive_corecursive, compile_schema,
-                        morse_thue_program, schema_equal, stock_library)
 from coeq.cli import parse_workspace
+from coeq.corec import (Component, CompositionDef, CorecBundle, CorecSchema,
+                        PlainSlot, RecSlot, SchemaFun, _sccs, bundle_equal,
+                        check_primitive_corecursive, compile_schema,
+                        morse_thue_program, stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega
 from coeq.program import Equation, assemble_program, validate_program
 from coeq.terms import Con, Fun, Var
@@ -243,7 +243,10 @@ def test_cocase_form_over_two_successors():
     assert validate_program(compiled, ds).ok
     v2 = check_primitive_corecursive(compiled, ds)
     assert v2.accepted, v2.reason
-    assert schema_equal(verdict.schema, v2.schema)
+    # the compiled program declares its output-dispatch helper first
+    helper, *rest = v2.bundle.strata
+    assert isinstance(helper, CompositionDef) and helper.name == "cocase1"
+    assert bundle_equal(verdict.bundle, CorecBundle(tuple(rest), v2.bundle.principal))
     # s^w swaps to t^w
     word = RegularCoterm((CotermNode("s", (0,)),), 0)
     env = DiagramEnv.of({"u": word})
@@ -321,6 +324,17 @@ def test_every_rejection_names_its_reason_and_equation(system, body, reason, off
     assert verdict.report() == f"rejected: {reason}\n  at equation: {offending}"
 
 
+def test_forward_reference_names_the_first_declared_callee():
+    """Not the first in a set's hash order, which varies between runs."""
+    calls = "x"
+    for i in range(1, 10):
+        calls = f"g{i}({calls})"
+    body = f"f(x) = pi1({calls});" + "".join(f" g{i}(x) = pi2(x);" for i in range(1, 10))
+    ws = parse_workspace(SM_SYSTEM + "program f {\n" + body + "\n}\n")
+    verdict = check_primitive_corecursive(ws.programs["f"], ws.system)
+    assert verdict.reason == "forward reference: 'f' uses 'g1' declared later"
+
+
 def test_report_of_a_composition_and_a_selector_function():
     ws = parse_workspace(WORD_SYSTEM + """program f {
   g(x) = pi1(x);
@@ -334,3 +348,44 @@ def test_report_of_a_composition_and_a_selector_function():
         "  g/1: composition pi1(x1)",
         "  f/1: corecurrence selector h = delta(x1, t(s(pi1(x1))), s(t(pi1(x1))))",
         "    slot 1: call f (l = 1) on [delta(x1, g(pi1(x1)), pi1(x1))]"])
+
+
+def _recursive_sccs(order, deps):
+    """Recursive Tarjan, the reference for `_sccs` on graphs small enough
+    for the interpreter's recursion limit."""
+    index, low, stack, on, out = {}, {}, [], set(), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on.add(v)
+        for w in sorted(deps.get(v, ()), key=order.index):
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            out.append(sorted(comp, key=order.index))
+
+    for v in order:
+        if v not in index:
+            visit(v)
+    return out
+
+
+def test_sccs_match_recursive_tarjan_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        order = [f"f{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.4))
+        deps = {f: {g for g in order if rng.random() < p} for f in order}
+        assert _sccs(order, deps) == _recursive_sccs(order, deps), deps
