@@ -695,46 +695,6 @@ def show_program(name: str, prog: Program) -> str:
     return "\n".join(lines)
 
 
-def show_env(name: str, env: DiagramEnv) -> str:
-    lines = [f"env {name} {{"]
-    for b, value in env.bindings:
-        lines.append(f"  {b} = {show_binding(value)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def show_binding(value) -> str:
-    if isinstance(value, GeneratorBinding):
-        return f"{value.principal}({', '.join(value.args)})"
-    ct: RegularCoterm = value
-    names: dict[int, str] = {}
-    counter = [0]
-
-    def show(ref, stack) -> str:
-        if isinstance(ref, str):
-            return ref
-        if ref in stack:
-            if ref not in names:
-                counter[0] += 1
-                names[ref] = f"rv_{counter[0]}"
-            return names[ref]
-        node = ct.nodes[ref]
-        kids = [show(ch, stack | {ref}) for ch in node.children]
-        if node.constructor == "cons" and len(kids) == 2:
-            inner = f"{kids[0]} : {kids[1]}"
-        elif kids:
-            inner = f"{node.constructor}({', '.join(kids)})"
-        else:
-            inner = node.constructor
-        if ref in names:
-            return f"(rec {names[ref]}. {inner})"
-        return inner
-
-    # two passes so cycle names exist before the rec wrapper prints
-    show(ct.entry, frozenset())
-    return show(ct.entry, frozenset())
-
-
 def show_formula(f: Formula) -> str:
     if isinstance(f, DataAtom):
         return f"({f.predicate} {show_sexp_term(f.term)})"
@@ -786,17 +746,6 @@ def show_derivation(d: Derivation, indent: int = 0) -> str:
     inner = "\n".join(show_derivation(p, indent + 1) for p in d.premises)
     return (f"{pad}({d.rule} {show_formula(d.conclusion)} (\n{inner}\n"
             f"{pad}) {{{attrs}}})")
-
-
-def show_workspace(ws: Workspace) -> str:
-    parts = [show_system(ws)]
-    for name, p in ws.programs.items():
-        parts.append(show_program(name, p))
-    for name, e in ws.envs.items():
-        parts.append(show_env(name, e))
-    for name, d in ws.proofs.items():
-        parts.append(f"proof {name} {{\n{show_derivation(d, 1)}\n}}")
-    return "\n\n".join(parts) + "\n"
 
 
 def show_approximation(a: Approximation) -> str:

@@ -47,16 +47,8 @@ class Component:
     term: Term
 
     @staticmethod
-    def constructor(name: str, r: int) -> "Component":
-        return Component(r, Con(name, arg_vars(r)))
-
-    @staticmethod
     def destructor(i: int) -> "Component":
         return Component(1, Fun(pi_name(i), (Var("x1"),)))
-
-    @staticmethod
-    def discriminator(k: int) -> "Component":
-        return Component(k + 1, Fun(DELTA, arg_vars(k + 1)))
 
     @staticmethod
     def projection(arity: int, i: int) -> "Component":
@@ -128,12 +120,6 @@ class CorecBundle:
     strata: tuple[Stratum, ...]
     principal: str
 
-    def schema_of(self, name: str) -> CorecSchema | None:
-        for s in self.strata:
-            if isinstance(s, CorecSchema) and name in s.names():
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class ProductivityVerdict:
@@ -141,12 +127,6 @@ class ProductivityVerdict:
     bundle: CorecBundle | None = None
     reason: str | None = None
     offending: Equation | None = None
-
-    @property
-    def schema(self) -> CorecSchema | None:
-        if self.bundle is None:
-            return None
-        return self.bundle.schema_of(self.bundle.principal)
 
     def report(self) -> str:
         if not self.accepted:

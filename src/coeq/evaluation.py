@@ -125,6 +125,9 @@ def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
 
     Mirrors the observation rule: nodes survive below the boundary, and a
     nullary constructor survives *at* the boundary (it costs no depth).
+    Criterion 10 (tests/test_acceptance.py::
+    test_criterion_10_approximation_consistency) checks that restricting a
+    depth d+1 observation to d gives the depth d observation.
     """
     if depth <= 0:
         return Cut(0)

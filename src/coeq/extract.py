@@ -322,15 +322,14 @@ def _disjuncts(fns, val: Term) -> list[Formula]:
 # prove_corec
 # ---------------------------------------------------------------------------
 
-def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem,
-                member: str | None = None) -> Derivation:
+def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem) -> Derivation:
     """The corecursion-to-coinduction proof: a checked derivation of
     S(f(x1..xk)) from assumptions S(x1)..S(xk), for the compiled program of
     the bundle."""
     if isinstance(bundle, CorecSchema):
         bundle = CorecBundle((bundle,), bundle.functions[-1].name)
     prover = Prover(ds)
-    principal = member or bundle.principal
+    principal = bundle.principal
     result: Derivation | None = None
     try:
         for stratum in bundle.strata:
@@ -610,11 +609,6 @@ class ExtractionCertificate:
         where = "/".join(str(i) for i in path) or "root"
         self.lines.append(f"{where}\t{rule}\t{what}")
 
-    def required_input_depth(self, output_depth: int) -> int:
-        # conservative static bound; merge/split round trips created and
-        # consumed inside one extraction are depth-neutral at runtime
-        return output_depth * (2 ** max(1, self.split_chain)) + 8
-
     def render(self) -> str:
         head = [f"coinductions\t{self.coinductions}",
                 f"max-split-chain\t{self.split_chain}"]
@@ -709,7 +703,7 @@ class Extractor:
         body_r = self.extract(d.premises[0], ctx, path + (0,))
         concl = d.conclusion
         wt = self.value_term(d.attr("witness"), ctx)
-        if var_sorts(concl, self.ds, None).get(concl.var) == "B":
+        if var_sorts(concl.body, self.ds, None).get(concl.var) == "B":
             wit_r: SymR = ConsR(wt, ZEROS_R)
         else:
             wit_r = Leaf(wt)
@@ -720,7 +714,7 @@ class Extractor:
         major = d.premises[0].conclusion
         eigen = d.attr("eigen")
         v0 = even_r(w)
-        if var_sorts(major, self.ds, None).get(major.var) == "B":
+        if var_sorts(major.body, self.ds, None).get(major.var) == "B":
             value = ("B", head_term_of(v0))
         else:
             value = ("S", v0)

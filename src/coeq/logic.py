@@ -332,11 +332,15 @@ def ex_elim(d_ex: Derivation, eigen: str, label: str, d_body: Derivation) -> Der
                       (("eigen", eigen), ("label", label)))
 
 
+# One builder per checker rule; only tests call the next four.
+
 def all_intro(var: str, body: Formula, eigen: str, d: Derivation) -> Derivation:
+    """Checked by tests/test_logic.py::test_forall_detour."""
     return Derivation("all-intro", Forall(var, body), (d,), (("eigen", eigen),))
 
 
 def all_elim(d: Derivation, witness: Term) -> Derivation:
+    """Checked by tests/test_logic.py::test_all_elim_instantiates_without_capture."""
     assert isinstance(d.conclusion, Forall)
     return Derivation("all-elim",
                       subst_formula(d.conclusion.body, {d.conclusion.var: witness}),
@@ -348,6 +352,7 @@ def refl(t: Term) -> Derivation:
 
 
 def inj(i: int, d: Derivation) -> Derivation:
+    """Checked by tests/test_logic.py::test_separation_and_injectivity."""
     eq = d.conclusion
     assert isinstance(eq, EqAtom)
     return Derivation("inj", EqAtom(eq.left.args[i - 1], eq.right.args[i - 1]),
@@ -355,6 +360,7 @@ def inj(i: int, d: Derivation) -> Derivation:
 
 
 def sep(d: Derivation, concl: Formula) -> Derivation:
+    """Checked by tests/test_logic.py::test_separation_and_injectivity."""
     return Derivation("sep", concl, (d,))
 
 
@@ -452,25 +458,26 @@ def _match_extend(pattern: Term, subject: Term, binds: dict[str, Term]) -> bool:
                for p, s in zip(pattern.args, subject.args))
 
 
-def _atom_slots(f: Formula) -> list[Term]:
-    if isinstance(f, DataAtom):
-        return [f.term]
-    if isinstance(f, EqAtom):
-        return [f.left, f.right]
-    raise ValueError("not an atomic formula")
+def _atom_slots(f: DataAtom | EqAtom) -> list[Term]:
+    return [f.term] if isinstance(f, DataAtom) else [f.left, f.right]
 
 
-def _atom_get(f: Formula, pos: tuple[int, ...]) -> Term | None:
-    try:
-        t = _atom_slots(f)[pos[0] - 1]
-        for i in pos[1:]:
-            t = t.args[i - 1]
-        return t
-    except (IndexError, ValueError):
-        return None
+def _atom_get(f: DataAtom | EqAtom, pos: tuple[int, ...]) -> Term | None:
+    """The subterm of an atom at a position: the first index picks the
+    atom's term (or an equation's side), each further one an argument, all
+    counted from 1.  None when the position is empty or leaves the atom."""
+    t, args = None, _atom_slots(f)
+    for i in pos:
+        if not isinstance(i, int) or not 1 <= i <= len(args):
+            return None
+        t = args[i - 1]
+        args = t.args
+    return t
 
 
-def _atom_put(f: Formula, pos: tuple[int, ...], new: Term) -> Formula | None:
+def _atom_put(f: DataAtom | EqAtom, pos: tuple[int, ...], new: Term) -> Formula:
+    """The atom with its subterm at `pos`, a position `_atom_get` found in
+    it, replaced by `new`."""
     def put(t: Term, rest: tuple[int, ...]) -> Term:
         if not rest:
             return new
@@ -478,11 +485,8 @@ def _atom_put(f: Formula, pos: tuple[int, ...], new: Term) -> Formula | None:
         args[rest[0] - 1] = put(t.args[rest[0] - 1], rest[1:])
         return type(t)(t.name, tuple(args))
 
-    try:
-        slots = _atom_slots(f)
-        slots[pos[0] - 1] = put(slots[pos[0] - 1], pos[1:])
-    except (IndexError, ValueError):
-        return None
+    slots = _atom_slots(f)
+    slots[pos[0] - 1] = put(slots[pos[0] - 1], pos[1:])
     if isinstance(f, DataAtom):
         return DataAtom(f.predicate, slots[0])
     return EqAtom(slots[0], slots[1])
@@ -526,6 +530,8 @@ class ProofChecker:
         label = d.attr("label")
         if not isinstance(label, str) or not label:
             return self.bad(path, "assumption without a label")
+        if d.premises:
+            return self.bad(path, "assumption takes no premises")
         return Counter({(label, f): 1})
 
     def _r_imp_intro(self, d, f, opens, path):
@@ -556,7 +562,7 @@ class ProofChecker:
 
     def _r_and_elim(self, d, f, opens, path):
         i = d.attr("i")
-        major = d.premises[0].conclusion if d.premises else None
+        major = d.premises[0].conclusion if len(d.premises) == 1 else None
         if i not in (1, 2) or not isinstance(major, And):
             return self.bad(path, "conjunction elimination malformed")
         want = major.left if i == 1 else major.right
@@ -627,7 +633,7 @@ class ProofChecker:
 
     def _r_all_elim(self, d, f, opens, path):
         w = d.attr("witness")
-        major = d.premises[0].conclusion if d.premises else None
+        major = d.premises[0].conclusion if len(d.premises) == 1 else None
         if not isinstance(major, Forall) or not isinstance(w, Term):
             return self.bad(path, "universal elimination malformed")
         if not alpha_eq(f, subst_formula(major.body, {major.var: w})):
@@ -641,7 +647,9 @@ class ProofChecker:
 
     def _r_inj(self, d, f, opens, path):
         i = d.attr("i")
-        major = d.premises[0].conclusion if d.premises else None
+        if len(d.premises) != 1:
+            return self.bad(path, "injectivity needs one premise")
+        major = d.premises[0].conclusion
         if not isinstance(major, EqAtom) or not isinstance(major.left, Con) \
                 or not isinstance(major.right, Con) \
                 or major.left.name != major.right.name:
@@ -653,7 +661,9 @@ class ProofChecker:
         return opens[0]
 
     def _r_sep(self, d, f, opens, path):
-        major = d.premises[0].conclusion if d.premises else None
+        if len(d.premises) != 1:
+            return self.bad(path, "separation needs one premise")
+        major = d.premises[0].conclusion
         if not isinstance(major, EqAtom) or not isinstance(major.left, Con) \
                 or not isinstance(major.right, Con) \
                 or major.left.name == major.right.name:
@@ -717,7 +727,9 @@ class ProofChecker:
             return self.bad(path, "data elimination requires a coinductive result")
         if not isinstance(i, int) or not (1 <= i <= ct.constructor.arity):
             return self.bad(path, "data elimination index out of range")
-        major = d.premises[0].conclusion if d.premises else None
+        if len(d.premises) != 1:
+            return self.bad(path, "data elimination needs one premise")
+        major = d.premises[0].conclusion
         if not isinstance(major, DataAtom) or major.predicate != ct.result_predicate.name:
             return self.bad(path, "major premise is not the coinductive atom")
         t = major.term

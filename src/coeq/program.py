@@ -145,6 +145,9 @@ class DeepDestructor:
 
 
 def deep_destructor(path: list[int] | tuple[int, ...], ds: DataSystem | None = None) -> DeepDestructor:
+    """The destructor context pi_{i1}(...pi_{ik}(x)) of a path i1..ik, each
+    index within the system's arities; checked by
+    tests/test_spec_examples.py::test_deep_destructor_two_steps_reaches_tail."""
     if ds is not None:
         m = ds.max_arity
         for i in path:

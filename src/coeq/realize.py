@@ -125,21 +125,33 @@ def _parts(u: Term | Formula, ds: DataSystem, signature: dict | None) -> list:
 
 def var_sorts(x: Term | Formula, ds: DataSystem,
               signature: dict | None) -> dict[str, str]:
-    """The sorts of the variables of a term or formula, from the positions
-    they occur at: arguments of a constructor with one declared type, the
-    stream a projection reads, a delta's selector, the arguments of a
-    function `signature` types (it maps a name to a record with `arg_sorts`
-    and `result_sort`, or is None) and data atoms.  A variable at no such
-    position is left out; callers take it to be 'S'.  The walk is preorder,
-    left to right, so the first conflicting variable is the one reported."""
+    """The sorts of the free variables of a term or formula, from the
+    positions they occur at: arguments of a constructor with one declared
+    type, the stream a projection reads, a delta's selector, the arguments
+    of a function `signature` types (it maps a name to a record with
+    `arg_sorts` and `result_sort`, or is None) and data atoms.  A variable
+    at no such position is left out; callers take it to be 'S'.  A
+    quantifier's variable is sorted from its own body, apart from any other
+    variable of that name: it is left out too, and `var_sorts(q.body, ...)`
+    gives its sort.  The walk is preorder, left to right, so the first
+    conflicting variable is the one reported."""
     sorts: dict[str, str] = {}
+    # a bound name -> the sorts of its enclosing binders, innermost last
+    scopes: dict[str, list[dict[str, str]]] = {}
     stack: list = [(x, None)]
     while stack:
         u, s = stack.pop()
-        if not isinstance(u, Var):
+        if isinstance(u, str):
+            scopes[u].pop()  # the end of a binder's scope
+        elif isinstance(u, Var):
+            table = scopes[u.name][-1] if scopes.get(u.name) else sorts
+            if s and table.setdefault(u.name, s) != s:
+                raise SortError(f"variable '{u.name}' used at both sorts in '{x}'")
+        else:
+            if isinstance(u, (Exists, Forall)):
+                scopes.setdefault(u.var, []).append({})
+                stack.append((u.var, None))
             stack.extend(reversed(_parts(u, ds, signature)))
-        elif s and sorts.setdefault(u.name, s) != s:
-            raise SortError(f"variable '{u.name}' used at both sorts in '{x}'")
     return sorts
 
 
@@ -218,7 +230,7 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
         raise ValueError("realizability is defined for strongly-positive formulas only")
     program = with_algebra(j.program, j.ds)
     session = Session(program, j.ds, j.env)
-    sorts = var_sorts(j.formula, j.ds, None)
+    var_sorts(j.formula, j.ds, None)  # raises on a variable used at both sorts
 
     def head_bit(t: Term) -> str | None:
         """Name of the head constructor of a value, None on stall."""
@@ -292,7 +304,7 @@ def realizes(j: RealizabilityJudgment) -> RealizeResult:
             return go(side, Fun(pi_name(2), (sigma,)), eta, path + (tag,))
         assert isinstance(f, Exists)
         witness_value = split_term(sigma, 0)
-        if sorts.get(f.var) == "B":
+        if var_sorts(f.body, j.ds, None).get(f.var) == "B":
             witness_value = Fun(pi_name(1), (witness_value,))
         eta2 = dict(eta)
         eta2[f.var] = witness_value

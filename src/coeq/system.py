@@ -145,7 +145,8 @@ class UnknownIdentifierError(Exception):
 
 
 def syntactic_class(t: Term, ds: DataSystem) -> str:
-    """Smallest of the classes 'data' < 'base' < 'program' containing t."""
+    """Smallest of the classes 'data' < 'base' < 'program' containing t.
+    Checked by tests/test_system.py::test_syntactic_class."""
     cls = "data"
     stack = [t]
     while stack:
@@ -200,42 +201,6 @@ class RegularCoterm:
             out.append(Violation("bad-entry", f"entry {self.entry} out of range"))
         return ValidationReport(tuple(out))
 
-    def is_cyclic_from(self) -> bool:
-        """Whether a cycle is reachable from the entry node."""
-        state: dict[int, int] = {}  # 0 = on stack, 1 = done
-
-        def visit(i: int) -> bool:
-            if state.get(i) == 0:
-                return True
-            if state.get(i) == 1:
-                return False
-            state[i] = 0
-            for ch in self.nodes[i].children:
-                if isinstance(ch, int) and visit(ch):
-                    return True
-            state[i] = 1
-            return False
-
-        return visit(self.entry)
-
-    def unfold(self, depth: int) -> Term:
-        """Finite approximation to the given depth; cut points become
-        variables named '_cut' (only meaningful for inspection/tests)."""
-
-        def go(i: int, d: int) -> Term:
-            if d == 0:
-                return Var("_cut")
-            n = self.nodes[i]
-            kids = []
-            for ch in n.children:
-                if isinstance(ch, int):
-                    kids.append(go(ch, d - 1))
-                else:
-                    kids.append(Fun(str(ch)))
-            return Con(n.constructor, tuple(kids))
-
-        return go(self.entry, depth)
-
 
 def stream_coterm(bits: list[int], loop_to: int) -> RegularCoterm:
     """Regular boolean stream: emits `bits`, then loops back to position
@@ -260,23 +225,6 @@ def random_stream_coterm(rng) -> RegularCoterm:
     return stream_coterm(bits, rng.randrange(n))
 
 
-def coterm_bits(ct: RegularCoterm, n: int) -> list[int]:
-    """First n head-bits of a boolean-stream coterm (positional oracle).
-
-    Only follows integer children; raises on cross-binding references.
-    """
-    out: list[int] = []
-    i = ct.entry
-    for _ in range(n):
-        node = ct.nodes[i]
-        head, tail = node.children
-        if isinstance(head, str) or isinstance(tail, str):
-            raise ValueError("coterm_bits needs a self-contained stream coterm")
-        out.append(0 if ct.nodes[head].constructor == "0" else 1)
-        i = tail
-    return out
-
-
 _YES = "yes"
 _NO = "no"
 _YES_UPTO = "yes-up-to-depth"
@@ -290,7 +238,8 @@ def canonical_member(ds: DataSystem, pred: DataPredicate, v: RegularCoterm,
     Inductive predicates are decided exactly on well-founded spines (cycles
     through inductive positions mean 'no'); coinductive predicates check the
     constructor/typing discipline along every path down to `depth` and answer
-    at best 'yes-up-to-depth'.
+    at best 'yes-up-to-depth'.  Checked against a least-fixpoint oracle by
+    tests/test_system.py::test_inductive_membership_agrees_with_enumeration.
     """
     # key: (node index, predicate name); value on stack marker for the
     # least-fixpoint reading of inductive recursion.
@@ -363,36 +312,5 @@ def boolean_stream_system() -> DataSystem:
             ConstructorType(zero, (), b),
             ConstructorType(one, (), b),
             ConstructorType(cons, (b, s), s),
-        ),
-    )
-
-
-def mixed_example_system() -> DataSystem:
-    """Booleans, naturals, infinite s/t-words, streams of naturals, and
-    lists of such streams (constructors reused across predicates)."""
-    zero = Constructor("0", 0)
-    one = Constructor("1", 0)
-    nil = Constructor("[]", 0)
-    s = Constructor("s", 1)
-    t = Constructor("t", 1)
-    c = Constructor("c", 2)
-    b = DataPredicate("B", Kind.INDUCTIVE, 0)
-    n = DataPredicate("N", Kind.INDUCTIVE, 1)
-    j = DataPredicate("J", Kind.COINDUCTIVE, 2)
-    st = DataPredicate("S", Kind.COINDUCTIVE, 3)
-    li = DataPredicate("L", Kind.INDUCTIVE, 4)
-    return DataSystem(
-        vocabulary=(zero, one, nil, s, t, c),
-        predicates=(b, n, j, st, li),
-        types=(
-            ConstructorType(zero, (), b),
-            ConstructorType(zero, (), n),
-            ConstructorType(one, (), b),
-            ConstructorType(nil, (), li),
-            ConstructorType(s, (n,), n),
-            ConstructorType(s, (j,), j),
-            ConstructorType(t, (j,), j),
-            ConstructorType(c, (n, st), st),
-            ConstructorType(c, (st, li), li),
         ),
     )

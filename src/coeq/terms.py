@@ -64,10 +64,6 @@ def variables(t: Term) -> set[str]:
     return {u.name for u in subterms(t) if isinstance(u, Var)}
 
 
-def term_size(t: Term) -> int:
-    return sum(1 for _ in subterms(t))
-
-
 def has_fun(t: Term) -> bool:
     return any(isinstance(u, Fun) for u in subterms(t))
 
@@ -90,10 +86,6 @@ def compose(outer: Subst, inner: Subst) -> Subst:
     for v, t in outer.items():
         out.setdefault(v, t)
     return out
-
-
-def is_idempotent(s: Subst) -> bool:
-    return all(substitute(t, s) == t for t in s.values())
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:

@@ -1,14 +1,48 @@
-"""Shared builders for tests: the boolean-stream system, common programs,
-small term constructors, and seeded random stream generators."""
+"""Shared builders and oracles for tests: the boolean-stream and mixed
+example systems, common programs, small term constructors, seeded random
+stream generators, and term and substitution measures."""
 from __future__ import annotations
 
 import random
 
 from coeq.evaluation import DiagramEnv
 from coeq.program import Equation, Program, assemble_program
-from coeq.system import (RegularCoterm, boolean_stream_system,
-                         mixed_example_system, stream_coterm)
-from coeq.terms import Con, Fun, Term, Var
+from coeq.system import (Constructor, ConstructorType, CotermNode,
+                         DataPredicate, DataSystem, Kind, RegularCoterm,
+                         boolean_stream_system, stream_coterm)
+from coeq.terms import Con, Fun, Subst, Term, Var, substitute, subterms
+
+
+def mixed_example_system() -> DataSystem:
+    """Booleans, naturals, infinite s/t-words, streams of naturals, and
+    lists of such streams (constructors reused across predicates)."""
+    zero = Constructor("0", 0)
+    one = Constructor("1", 0)
+    nil = Constructor("[]", 0)
+    s = Constructor("s", 1)
+    t = Constructor("t", 1)
+    c = Constructor("c", 2)
+    b = DataPredicate("B", Kind.INDUCTIVE, 0)
+    n = DataPredicate("N", Kind.INDUCTIVE, 1)
+    j = DataPredicate("J", Kind.COINDUCTIVE, 2)
+    st = DataPredicate("S", Kind.COINDUCTIVE, 3)
+    li = DataPredicate("L", Kind.INDUCTIVE, 4)
+    return DataSystem(
+        vocabulary=(zero, one, nil, s, t, c),
+        predicates=(b, n, j, st, li),
+        types=(
+            ConstructorType(zero, (), b),
+            ConstructorType(zero, (), n),
+            ConstructorType(one, (), b),
+            ConstructorType(nil, (), li),
+            ConstructorType(s, (n,), n),
+            ConstructorType(s, (j,), j),
+            ConstructorType(t, (j,), j),
+            ConstructorType(c, (n, st), st),
+            ConstructorType(c, (st, li), li),
+        ),
+    )
+
 
 SM = boolean_stream_system()
 MIXED = mixed_example_system()
@@ -64,7 +98,6 @@ def flip_env() -> DiagramEnv:
 
 def coterm_layer(bit: int, tail_ref: str) -> RegularCoterm:
     """One cons layer whose tail is a cross-binding reference."""
-    from coeq.system import CotermNode
     nodes = (CotermNode("0"), CotermNode("1"), CotermNode("cons", (bit, tail_ref)))
     return RegularCoterm(nodes, entry=2)
 
@@ -83,13 +116,21 @@ def random_stream(rng: random.Random, max_nodes: int = 6) -> RegularCoterm:
 
 
 def stream_prefix(ct: RegularCoterm, n: int) -> list[int]:
-    from coeq.system import coterm_bits
-    return coterm_bits(ct, n)
+    """First n head-bits of a self-contained boolean-stream coterm
+    (positional oracle); raises on cross-binding references."""
+    out: list[int] = []
+    i = ct.entry
+    for _ in range(n):
+        head, tail = ct.nodes[i].children
+        if isinstance(head, str) or isinstance(tail, str):
+            raise ValueError("stream_prefix needs a self-contained stream coterm")
+        out.append(0 if ct.nodes[head].constructor == "0" else 1)
+        i = tail
+    return out
 
 
 def nat_program() -> Program:
     """The divergence example over 0/s: f(0)=0, f(s(s x)) = f(s(s(s x)))."""
-    from coeq.system import Constructor, ConstructorType, DataPredicate, DataSystem, Kind
     zero = Constructor("0", 0)
     s = Constructor("s", 1)
     n = DataPredicate("N", Kind.INDUCTIVE, 0)
@@ -117,3 +158,11 @@ def approx_bits(approx) -> list[int]:
         out.append(0 if head.constructor == "0" else 1)
         node = node.children[1]
     return out
+
+
+def term_size(t: Term) -> int:
+    return sum(1 for _ in subterms(t))
+
+
+def is_idempotent(s: Subst) -> bool:
+    return all(substitute(t, s) == t for t in s.values())

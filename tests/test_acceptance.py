@@ -23,7 +23,7 @@ from coeq.logic import (Derivation, EqAtom, Exists, assert_sp_proof, assume,
 from coeq.program import assemble_program
 from coeq.realize import (even_term, merge_term, odd_term, split_term,
                           with_algebra)
-from coeq.system import coterm_bits, random_stream_coterm
+from coeq.system import random_stream_coterm
 from coeq.terms import Con, Fun, Var
 
 ZERO_T = SM.types[0]

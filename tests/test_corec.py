@@ -19,8 +19,8 @@ def test_even_is_primitive_corecursive():
     lib = stock_library()
     verdict = check_primitive_corecursive(lib["even"].program, SM)
     assert verdict.accepted
-    schema = verdict.schema
-    assert schema is not None
+    schema = verdict.bundle.strata[-1]
+    assert isinstance(schema, CorecSchema)
     (f,) = schema.functions
     assert f.produced == "cons"
     assert isinstance(f.slots[0], PlainSlot)
@@ -33,7 +33,7 @@ def test_even_is_primitive_corecursive():
 def test_flip_pattern_form_accepted_with_discriminator_head():
     verdict = check_primitive_corecursive(flip_program(), SM)
     assert verdict.accepted
-    (f,) = verdict.schema.functions
+    (f,) = verdict.bundle.strata[-1].functions
     head = f.slots[0]
     assert isinstance(head, PlainSlot)
     # the case analysis became a discriminator dispatch on the head bit
@@ -143,7 +143,7 @@ def test_mutual_vector_alternates():
     entry = stock_library()["alt"]
     verdict = check_primitive_corecursive(entry.program, SM)
     assert verdict.accepted
-    schema = verdict.schema
+    schema = verdict.bundle.strata[-1]
     assert [f.name for f in schema.functions] == ["alt", "altb"]
     assert schema.functions[0].slots[1].target == 2
     assert schema.functions[1].slots[1].target == 1
@@ -202,15 +202,14 @@ def test_soundness_sweep_small():
 
 def test_component_algebra():
     d1 = Component.destructor(1)
-    k3 = Component.discriminator(3)
+    k3 = Component(4, Fun("delta", (Var("x1"), Var("x2"), Var("x3"), Var("x4"))))
     comp = Component.compose(k3, [d1, Component.projection(1, 1),
                                   Component.projection(1, 1),
                                   Component.projection(1, 1)])
     assert comp.arity == 1
     assert comp.term == Fun("delta", (Fun("pi1", (Var("x1"),)),
                                       Var("x1"), Var("x1"), Var("x1")))
-    c0 = Component.constructor("0", 0)
-    assert c0.term == Con("0")
+    assert Component(0, Con("0")).apply(()) == Con("0")
 
 
 def _word_system():
@@ -237,7 +236,7 @@ def test_cocase_form_over_two_successors():
     ], "swap")
     verdict = check_primitive_corecursive(swap, ds)
     assert verdict.accepted, verdict.reason
-    (f,) = verdict.schema.functions
+    (f,) = verdict.bundle.strata[-1].functions
     assert f.selector is not None
     compiled = compile_schema(verdict.bundle, ds)
     assert validate_program(compiled, ds).ok

@@ -8,8 +8,8 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
                      random_stream, stream_prefix, v)
 
 from coeq.cli import parse_workspace
-from coeq.corec import (Component, CorecSchema, PlainSlot, RecSlot, SchemaFun,
-                        check_primitive_corecursive, compile_schema,
+from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
+                        SchemaFun, check_primitive_corecursive, compile_schema,
                         stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
@@ -19,7 +19,7 @@ from coeq.logic import (And, Derivation, PolarityClass, assert_sp_proof, assume,
 from coeq.program import assemble_program
 from coeq.realize import (RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
-from coeq.system import coterm_bits, random_stream_coterm, stream_coterm
+from coeq.system import random_stream_coterm, stream_coterm
 from coeq.terms import Con, Fun, Var, subterms
 
 
@@ -207,28 +207,74 @@ def _with_attr(node: Derivation, key: str, value) -> tuple:
     return tuple((k, value if k == key else v) for k, v in node.attrs)
 
 
+def _break(node: Derivation, program) -> dict | None:
+    """A change to one node of a checked proof (a premise, label, equation
+    index, eigenvariable, witness, case variable, rule argument or
+    conclusion) that the node's own rule rejects; None when the node has
+    no such change here (say, both conjuncts are the same formula)."""
+    from coeq.logic import EqAtom, alpha_eq, fv
+    rule, c = node.rule, node.conclusion
+    if rule == "assume":
+        return {"attrs": _with_attr(node, "label", "")}
+    if rule == "and-intro" and not alpha_eq(c.left, c.right):
+        return {"premises": node.premises[::-1]}
+    if rule == "and-elim":
+        major = node.premises[0].conclusion
+        if not alpha_eq(major.left, major.right):
+            return {"attrs": _with_attr(node, "i", 3 - node.attr("i"))}
+    if rule == "or-intro" and not alpha_eq(c.left, c.right):
+        return {"attrs": _with_attr(node, "i", 3 - node.attr("i"))}
+    if rule in ("or-elim", "refl"):
+        return {"conclusion": EqAtom(Var("z_new"), Var("z_new2"))}
+    if rule == "ex-intro" and c.var in fv(c.body):
+        return {"attrs": _with_attr(node, "witness", Var("w_new"))}
+    if rule == "ex-elim":
+        return {"attrs": _with_attr(node, "eigen", "e_new")}
+    if rule == "coinduction":
+        return {"attrs": _with_attr(node, "label", "w2")}
+    if rule == "rewrite":
+        n = len(program.equations_of(node.attr("fn")))
+        if n > 1:
+            return {"attrs": _with_attr(node, "idx", (node.attr("idx") + 1) % n)}
+    if rule == "data-elim":
+        return {"attrs": _with_attr(node, "i", 3 - node.attr("i"))}
+    if rule == "data-intro":
+        zero_t, one_t = SM.types[:2]
+        other = one_t if node.attr("type") == zero_t else zero_t
+        return {"attrs": _with_attr(node, "type", other)}
+    if rule == "induction":
+        vs = node.attr("case_vars")
+        return {"attrs": _with_attr(node, "case_vars", ((vs[0] + ("k_new",)),) + vs[1:])}
+    return None
+
+
 def test_checker_names_the_mutated_node_of_a_prove_corec_proof():
-    """Each mutant of flip's proof (a changed conclusion, discharge label,
-    rewrite index or eigenvariable) is rejected at the mutated node."""
-    d, compiled, _ = _prove("flip")
-    assert check_proof(SM, compiled, d).ok
-    first = {}
-    for path, node in d.nodes():
-        first.setdefault(node.rule, (path, node))
-    mutants = []
-    path, node = first["and-intro"]
-    mutants.append((path, _mutate(d, path, conclusion=And(node.conclusion.right,
-                                                          node.conclusion.left))))
-    path, node = first["coinduction"]
-    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "label", "w2"))))
-    path, node = first["rewrite"]
-    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "idx", 1 - node.attr("idx")))))
-    path, node = first["ex-elim"]
-    mutants.append((path, _mutate(d, path, attrs=_with_attr(node, "eigen", "e_new"))))
-    for path, mutant in mutants:
-        res = check_proof(SM, compiled, mutant)
-        assert not res.ok
-        assert res.violations[0].path == path, (path, res.violations)
+    """In every stock entry's proof, the first node of each rule, both
+    outside the decomposition (DCM) premise of the coinduction and inside
+    it, is broken in turn (see `_break`); the checker rejects each mutant
+    and names the broken node first."""
+    kinds, broken = set(), set()
+    for name in stock_library():
+        d, compiled, _ = _prove(name)
+        assert check_proof(SM, compiled, d).ok
+        dcm = [path + (1,) for path, node in d.nodes() if node.rule == "coinduction"]
+        first = {}
+        for path, node in d.nodes():
+            in_dcm = any(path[:len(p)] == p for p in dcm)
+            first.setdefault((node.rule, in_dcm), (path, node))
+        kinds |= set(first)
+        for (rule, in_dcm), (path, node) in sorted(first.items()):
+            changes = _break(node, compiled)
+            if changes is None:
+                continue
+            res = check_proof(SM, compiled, _mutate(d, path, **changes))
+            assert not res.ok, (name, rule, path)
+            assert res.violations[0].path == path, (name, rule, path, res.violations[0])
+            broken.add((rule, in_dcm))
+    # the one rewrite outside a DCM premise (in odd) uses odd's only
+    # equation, so no other index names an equation of odd
+    assert broken == kinds - {("rewrite", False)}
+    assert len(broken) == 19
 
 
 def test_prove_corec_uses_strongly_positive_invariant():
@@ -279,7 +325,8 @@ def test_every_member_of_a_schema_checks():
     compiled = compile_schema(bundle, ds)
     from coeq.logic import DataAtom
     for m in ("f1", "f6", "f12"):
-        res = check_proof(ds, compiled, prove_corec(bundle, ds, member=m))
+        proof = prove_corec(dataclasses.replace(bundle, principal=m), ds)
+        res = check_proof(ds, compiled, proof)
         assert res.ok, (m, res.violations[:3])
         assert res.conclusion == DataAtom("S", Fun(m, (Var("x1"),)))
 
@@ -382,7 +429,39 @@ def test_extraction_certificate_renders():
     assert "coinductions\t1" in text
     assert "max-split-chain\t" in text
     assert "runner run1/1 with 1 evidence parameters" in text
-    assert result.certificate.required_input_depth(32) >= 64
+
+
+def test_a_bound_name_reused_at_two_sorts_extracts():
+    """`y` is bound at sort B in one conjunct and at sort S in the other:
+    each quantifier's variable is sorted from its own body, so the proof
+    extracts, the extraction is primitive corecursive, and it realizes the
+    conclusion."""
+    from coeq.logic import DataAtom, and_intro, data_intro, ex_intro
+    d = and_intro(ex_intro("y", DataAtom("B", Var("y")), ZERO, data_intro(SM.types[0], ())),
+                  ex_intro("y", DataAtom("S", Var("y")), Var("x"),
+                           assume("h", DataAtom("S", Var("x")))))
+    program = stock_library()["ident"].program
+    assert check_proof(SM, program, d).judgment() == \
+        "{h: S(x)} |- ((ex y. B(y)) & (ex y. S(y)))"
+    result = extract(d, program, SM)
+    assert check_primitive_corecursive(result.program, SM).accepted
+    env = DiagramEnv.of({"u": alternating_stream()})
+    j = RealizabilityJudgment.of(result.program, SM, env, {"x": fn("u")},
+                                 Fun(result.principal, (fn("u"), fn("u"))), d.conclusion, 8)
+    assert realizes(j).holds
+
+
+def test_var_sorts_scopes_bound_variables():
+    from coeq.logic import And, DataAtom, Exists, Forall
+    from coeq.realize import SortError, var_sorts
+    B = lambda name: DataAtom("B", Var(name))
+    S = lambda name: DataAtom("S", Var(name))
+    assert var_sorts(And(Exists("y", B("y")), Exists("y", S("y"))), SM, None) == {}
+    assert var_sorts(And(S("y"), Forall("y", B("y"))), SM, None) == {"y": "S"}
+    assert var_sorts(Exists("y", And(B("y"), Exists("y", S("y")))), SM, None) == {}
+    assert var_sorts(Exists("y", And(B("y"), S("x"))).body, SM, None) == {"y": "B", "x": "S"}
+    with pytest.raises(SortError, match="variable 'y' used at both sorts"):
+        var_sorts(And(S("x"), Exists("y", And(B("y"), S("y")))), SM, None)
 
 
 def test_extract_realizes_conclusion():
@@ -650,7 +729,8 @@ def test_state_off_the_cycle_is_declared_after_it():
     # s2 first, so that the compiled original is itself recognized
     schema = CorecSchema((member("s2", "1"), member("s1", "0")))
     compiled = compile_schema(schema, SM)
-    result = extract(normalize(prove_corec(schema, SM, member="s1")), compiled, SM)
+    proof = prove_corec(CorecBundle((schema,), "s1"), SM)
+    result = extract(normalize(proof), compiled, SM)
     assert "runners run1/0, run2/0" in result.certificate.render()
     assert check_primitive_corecursive(result.program, SM).accepted
     out = Session(result.program, SM).observe(Fun(result.principal), 8)
@@ -735,7 +815,8 @@ def _proofs_digest():
         for stratum in bundle.strata:
             members = stratum.functions if isinstance(stratum, CorecSchema) else (stratum,)
             for m in members:
-                h.update(repr(prove_corec(bundle, ds, member=m.name)).encode())
+                member = dataclasses.replace(bundle, principal=m.name)
+                h.update(repr(prove_corec(member, ds)).encode())
     return h.hexdigest()
 
 

@@ -1,6 +1,7 @@
 """The rewrite kernel is one interpreter module, git holds only sources (no
 generated C, no built extensions, no stale test logs), and every definition
-in the package is used somewhere."""
+in the package is used by the package or the benchmark, or is on the short
+list of paper definitions that only a test checks."""
 import ast
 import fnmatch
 import pathlib
@@ -65,20 +66,59 @@ def _exempt(name: str) -> bool:
         or name.startswith(("_r_", "_x_"))
 
 
+# Paper definitions that no command, module or benchmark calls, kept
+# because the named test checks them.
+CHECKED_BY_TESTS = {
+    ("system.py", "syntactic_class"): "test_system.py::test_syntactic_class",
+    ("system.py", "canonical_member"):
+        "test_system.py::test_inductive_membership_agrees_with_enumeration",
+    ("evaluation.py", "restrict"):
+        "test_acceptance.py::test_criterion_10_approximation_consistency",
+    ("program.py", "deep_destructor"):
+        "test_spec_examples.py::test_deep_destructor_two_steps_reaches_tail",
+    ("logic.py", "all_intro"): "test_logic.py::test_forall_detour",
+    ("logic.py", "all_elim"): "test_logic.py::test_all_elim_instantiates_without_capture",
+    ("logic.py", "inj"): "test_logic.py::test_separation_and_injectivity",
+    ("logic.py", "sep"): "test_logic.py::test_separation_and_injectivity",
+}
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _mentions(test: str, name: str) -> bool:
+    """Whether the test function `file::function` refers to `name`."""
+    file, function = test.split("::")
+    for node in _parse(ROOT / "tests" / file).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return any(seen == name for seen, _line in _references(node))
+    return False
+
+
 def test_every_definition_is_referenced():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src", "tests", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+    """A definition counts as used when a module of the package other than
+    the re-exporting `__init__.py`, or the benchmark, refers to it; a test's
+    reference counts only for the definitions in CHECKED_BY_TESTS."""
+    modules = {path: _parse(path) for path in sorted((ROOT / "src" / "coeq").glob("*.py"))
+               if path.name != "__init__.py"}
+    users = dict(modules)
+    users.update((path, _parse(path)) for path in sorted((ROOT / "perfbench").rglob("*.py")))
     seen: dict[str, list[tuple[pathlib.Path, int]]] = {}
-    for path, tree in trees.items():
+    for path, tree in users.items():
         for name, line in _references(tree):
             seen.setdefault(name, []).append((path, line))
-    dead = []
-    for path in sorted((ROOT / "src" / "coeq").glob("*.py")):
-        for name, first, last in _definitions(trees[path]):
-            if _exempt(name):
+    dead, kept = [], set()
+    for path, tree in modules.items():
+        for name, first, last in _definitions(tree):
+            if _exempt(name) or any(where != path or not first <= line <= last
+                                    for where, line in seen.get(name, ())):
                 continue
-            if not any(where != path or not first <= line <= last
-                       for where, line in seen.get(name, ())):
+            if (path.name, name) in CHECKED_BY_TESTS:
+                kept.add((path.name, name))
+            else:
                 dead.append(f"{path.name}:{first} {name}")
-    assert not dead, "referenced nowhere:\n" + "\n".join(dead)
+    assert not dead, "used by no command, module or benchmark:\n" + "\n".join(dead)
+    assert kept == set(CHECKED_BY_TESTS), "allowlisted but used elsewhere or gone"
+    unchecked = [key for key, test in CHECKED_BY_TESTS.items() if not _mentions(test, key[1])]
+    assert not unchecked, f"allowlisted but not checked by the named test: {unchecked}"

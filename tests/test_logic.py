@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from helpers import MIXED, SM, ZERO, ONE, cons, fn, flip_program, v
 
 from coeq.logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
@@ -240,6 +241,216 @@ def test_rewrite_inside_equality_atom():
     stepped = rewrite("flip", 0, "lr", (2,), start,
                       EqAtom(v("q"), cons(ONE, fn("flip", v("w")))))
     assert _check(stepped).ok
+
+
+# -- malformed nodes -------------------------------------------------------------
+
+EXTRA = assume("w", S(v("y")))
+
+ONE_PREMISE_NODES = {
+    "and-elim": and_elim(1, and_intro(assume("u", S(v("x"))), assume("v", S(v("y"))))),
+    "all-elim": all_elim(assume("f", Forall("q", S(v("q")))), v("x")),
+    "inj": inj(1, assume("u", EqAtom(cons(v("a"), v("b")), cons(v("c"), v("d"))))),
+    "sep": sep(assume("u", EqAtom(ZERO, ONE)), S(v("z"))),
+    "data-elim": data_elim(CONS_T, 2, assume("u", S(cons(v("x"), v("y"))))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ONE_PREMISE_NODES))
+def test_a_second_premise_is_rejected(rule):
+    """A one-premise rule with a second premise is rejected at the node,
+    rather than checking and dropping that premise's open assumptions."""
+    good = ONE_PREMISE_NODES[rule]
+    assert _check(good).ok
+    bad = Derivation(rule, good.conclusion, good.premises + (EXTRA,), good.attrs)
+    res = _check(bad)
+    assert not res.ok
+    assert res.violations[0].path == ()
+    assert "one premise" in res.violations[0].message or "malformed" in res.violations[0].message
+
+
+def test_an_assumption_with_a_premise_is_rejected():
+    bad = Derivation("assume", S(v("x")), (EXTRA,), (("label", "u"),))
+    res = _check(bad)
+    assert [(x.path, x.message) for x in res.violations] == [
+        ((), "assumption takes no premises")]
+
+
+def test_rewrite_position_zero_is_outside_the_atom():
+    """Positions count from 1: a 0 at any level names no subterm, where a
+    Python index would read it as the last one."""
+    start = assume("u", EqAtom(v("q"), fn("flip", cons(ZERO, v("w")))))
+    after = EqAtom(v("q"), cons(ONE, fn("flip", v("w"))))
+    assert _check(rewrite("flip", 0, "lr", (2,), start, after)).ok
+    for pos in ((0,), (0, 2)):
+        res = _check(rewrite("flip", 0, "lr", pos, start, after))
+        assert [(x.path, x.message) for x in res.violations] == [
+            ((), "rewrite position outside the atom")], pos
+    inner = assume("u", S(cons(ZERO, fn("flip", cons(ZERO, v("w"))))))
+    res = _check(rewrite("flip", 0, "lr", (1, 0), inner,
+                         S(cons(ZERO, cons(ONE, fn("flip", v("w")))))))
+    assert [x.message for x in res.violations] == ["rewrite position outside the atom"]
+
+
+def _rejections():
+    """(system, malformed node, the one violation it gets, at the root):
+    one case for each way a rule rejects a node."""
+    x, y, e, q, t = v("x"), v("y"), v("e"), v("q"), v("t")
+    u = assume("u", S(x))
+    f_imp = assume("f", Imp(S(x), S(y)))
+    pair = assume("p", EqAtom(cons(v("a"), v("b")), cons(v("c"), v("d"))))
+    flip_redex = fn("flip", cons(ZERO, v("w")))
+
+    def node(rule, concl, premises=(), **attrs):
+        return Derivation(rule, concl, tuple(premises), tuple(attrs.items()))
+
+    def rw(idx, direction, pos, d, concl):
+        return rewrite("flip", idx, direction, pos, d, concl)
+
+    n_zero, n_s = MIXED.types[1], MIXED.types[4]   # 0 : N, s : N -> N
+    c_s = MIXED.types[7]                             # c : N * S -> S
+    ind = dict(pred="N", var="n", formula=EqAtom(v("n"), v("n")),
+               case_vars=((), ("m",)), case_labels=((), ("ih",)))
+    n_x = assume("b", DataAtom("N", x))
+    m = v("m")
+    # cons : B * S -> S next to pair : S * S -> S, so that destructor-shape
+    # elimination of the first argument cannot tell B from S
+    from coeq.system import Constructor, DataSystem
+    pair_c = Constructor("pair", 2)
+    b_p, s_p = SM.predicates
+    two = DataSystem(SM.vocabulary + (pair_c,), SM.predicates,
+                     SM.types + (ConstructorType(pair_c, (s_p, s_p), s_p),))
+    phi = EqAtom(v("z"), v("z"))
+    sm, mixed = SM, MIXED
+    return [
+        (sm, node("cut", S(x)), "unknown rule 'cut'"),
+        (sm, node("assume", S(x)), "assumption without a label"),
+        (sm, node("imp-intro", S(x), [u], label="u"), "implication introduction malformed"),
+        (sm, node("imp-intro", Imp(S(x), S(y)), [u], label="u"),
+         "premise does not match implication conclusion"),
+        (sm, node("imp-elim", S(y), [u]), "implication elimination needs two premises"),
+        (sm, node("imp-elim", S(y), [u, u]), "major premise is not an implication"),
+        (sm, node("imp-elim", S(y), [f_imp, assume("k", S(y))]),
+         "minor premise does not match antecedent"),
+        (sm, node("imp-elim", S(x), [f_imp, u]), "conclusion does not match consequent"),
+        (sm, node("and-elim", S(y), [assume("p", And(S(x), S(y)))], i=1),
+         "conclusion is not the selected conjunct"),
+        (sm, node("or-intro", S(x), [u], i=1), "disjunction introduction malformed"),
+        (sm, node("or-intro", Or(S(y), S(x)), [u], i=1),
+         "premise does not match selected disjunct"),
+        (sm, node("or-elim", S(x), [u]), "disjunction elimination needs three premises"),
+        (sm, node("or-elim", S(x), [u, u, u], label1="a", label2="b"),
+         "major premise is not a disjunction"),
+        (sm, node("or-elim", S(y), [assume("o", Or(S(x), S(x))), u, u], label1="a",
+                  label2="b"), "minor premises must both conclude the conclusion"),
+        (sm, node("ex-intro", S(x), [u], witness=x), "existential introduction malformed"),
+        (sm, node("ex-intro", Exists("z", S(v("z"))), [u], witness=y),
+         "premise is not the body at the witness"),
+        (sm, node("ex-elim", S(x), [u], eigen="e"), "existential elimination malformed"),
+        (sm, node("ex-elim", S(x), [u, u], eigen="e", label="h"),
+         "major premise is not existential"),
+        (sm, node("ex-elim", S(y), [assume("o", Exists("z", S(v("z")))), u], eigen="e",
+                  label="h"), "conclusion does not match the minor premise"),
+        (sm, ex_elim(assume("o", Exists("z", S(v("z")))), "e", "h", assume("h", S(e))),
+         "eigenvariable 'e' escapes"),
+        (sm, ex_elim(assume("o", Exists("z", S(v("z")))), "e", "h",
+                     and_elim(1, and_intro(u, assume("k", S(e))))),
+         "eigenvariable 'e' free in open assumption 'k'"),
+        (sm, node("all-intro", S(x), [u], eigen="e"), "universal introduction malformed"),
+        (sm, all_intro("q", S(q), "e", u), "premise is not the body at the eigenvariable"),
+        (sm, all_intro("q", EqAtom(q, e), "e", refl(e)),
+         "eigenvariable 'e' free in conclusion"),
+        (sm, all_intro("q", S(q), "x", u), "eigenvariable 'x' free in open assumption 'u'"),
+        (sm, node("all-elim", S(y), [assume("f", Forall("q", S(q)))], witness=x),
+         "conclusion is not the body at the witness"),
+        (sm, node("refl", EqAtom(x, y)), "reflexivity concludes t = t only"),
+        (sm, node("inj", EqAtom(x, x), [u], i=1), "injectivity needs c(...) = c(...)"),
+        (sm, node("inj", EqAtom(x, x), [pair], i=3), "injectivity index out of range"),
+        (sm, node("inj", EqAtom(v("b"), v("d")), [pair], i=1),
+         "conclusion is not the selected argument equality"),
+        (sm, node("sep", S(x), [pair]), "separation needs c(...) = d(...) with c distinct from d"),
+        (sm, node("rewrite", S(x), fn="flip", idx=0, dir="lr", pos=(1,)),
+         "rewrite needs one premise"),
+        (sm, rw(0, "lr", (1,), assume("p", And(S(x), S(x))), S(x)),
+         "rewrite acts on atomic formulas"),
+        (sm, rw(7, "lr", (1,), u, S(x)), "no equation flip#7 in the program"),
+        (sm, rw(0, "up", (1,), u, S(x)), "rewrite direction must be lr or rl"),
+        (sm, node("rewrite", S(x), [u], fn="flip", idx=0, dir="lr"), "rewrite position missing"),
+        (sm, rw(0, "lr", (1,), assume("k", EqAtom(flip_redex, y)),
+                EqAtom(cons(ONE, fn("flip", v("w"))), v("z"))),
+         "rewrite changes more than the stated position"),
+        (sm, node("data-intro", B(ZERO), type="0"),
+         "data introduction needs a declared constructor type"),
+        (sm, node("data-intro", S(ZERO), type=ZERO_T), "data introduction malformed"),
+        (sm, node("data-intro", B(ONE), type=ZERO_T),
+         "conclusion term is not the constructor applied"),
+        (mixed, node("data-intro", DataAtom("N", Con("s", (ZERO,))), [n_x], type=n_s),
+         "argument premise 1 is not N(0)"),
+        (sm, node("data-elim", S(x), [u], type="cons", i=1),
+         "data elimination needs a declared constructor type"),
+        (sm, node("data-elim", B(x), [u], type=ZERO_T, i=1),
+         "data elimination requires a coinductive result"),
+        (sm, node("data-elim", B(x), [u], type=CONS_T, i=3), "data elimination index out of range"),
+        (sm, node("data-elim", B(x), [assume("b", B(x))], type=CONS_T, i=1),
+         "major premise is not the coinductive atom"),
+        (two, node("data-elim", B(fn("pi1", x)), [u], type=CONS_T, i=1),
+         "destructor-shape elimination ambiguous at position 1"),
+        (sm, node("data-elim", S(x), [assume("u", S(cons(x, y)))], type=CONS_T, i=2),
+         "conclusion is not S(y)"),
+        (mixed, node("induction", EqAtom(x, x), [n_x], **dict(ind, pred="S")),
+         "induction needs an inductive predicate and a formula"),
+        (mixed, node("induction", EqAtom(x, x), [n_x], **ind),
+         "induction needs the major premise plus 2 case premises"),
+        (mixed, node("induction", EqAtom(x, x), [u, refl(ZERO), refl(m)], **ind),
+         "major premise is not the inductive atom"),
+        (mixed, node("induction", EqAtom(y, y), [n_x, refl(ZERO), refl(m)], **ind),
+         "conclusion is not the formula at the major term"),
+        (mixed, node("induction", EqAtom(x, x), [n_x, refl(ZERO), refl(m)],
+                     **dict(ind, case_vars=())),
+         "case variable/label vectors malformed"),
+        (mixed, node("induction", EqAtom(x, x), [n_x, refl(ZERO), refl(m)],
+                     **dict(ind, case_vars=(("k",), ("m",)), case_labels=(("h",), ("ih",)))),
+         "case 1: expected 0 eigenvariables/labels"),
+        (mixed, node("induction", EqAtom(x, x), [n_x, refl(ONE), refl(m)], **ind),
+         "case 1 concludes 1 = 1, wants 0 = 0"),
+        (mixed, node("induction", EqAtom(x, m), [n_x, assume("c", EqAtom(ZERO, m)),
+                                                 assume("d", EqAtom(Con("s", (m,)), m))],
+                     **dict(ind, formula=EqAtom(v("n"), m))),
+         "case 2: eigenvariables ['m'] occur in the invariant"),
+        (mixed, node("induction", EqAtom(x, x),
+                     [n_x, refl(ZERO), assume("k", EqAtom(Con("s", (m,)), Con("s", (m,))))],
+                     **ind),
+         "case 2: eigenvariable escapes into open assumption 'k'"),
+        (sm, coinduction("B", "z", phi, t, "w", refl(t), refl(t)),
+         "coinduction needs a coinductive predicate and a formula"),
+        (sm, coinduction("S", "z", Imp(S(v("z")), S(v("z"))), t, "w", refl(t), refl(t)),
+         "coinduction invariant must be strongly positive"),
+        (sm, node("coinduction", B(t), [refl(t), refl(t)], pred="S", var="z", formula=phi,
+                  label="w"), "conclusion is not the coinductive atom"),
+        (sm, coinduction("S", "z", phi, t, "w", refl(y), refl(t)),
+         "first premise is not the invariant at the subject term"),
+        (sm, coinduction("S", "z", phi, t, "w", refl(t), refl(t)),
+         f"decomposition premise concludes t = t, wants {build_dcm(SM, 'S', phi, 'z', 'z')}"),
+    ]
+
+
+def test_every_rejection_names_its_node():
+    """Each rejection a rule can make, on a node whose premises check: the
+    node gets exactly that one violation, at its own path."""
+    for ds, d, message in _rejections():
+        res = check_proof(ds, flip_program(), d)
+        assert [(x.path, x.message) for x in res.violations] == [((), message)], d.rule
+        assert res.judgment() == f"invalid: at root: {message}"
+
+
+def test_judgment_of_a_disjunction_and_a_nested_rewrite():
+    assert _check(or_intro(1, assume("u", S(v("x"))), S(v("y")))).judgment() == \
+        "{u: S(x)} |- (S(x) | S(y))"
+    start = assume("u", S(cons(ZERO, fn("flip", cons(ZERO, v("w"))))))
+    stepped = rewrite("flip", 0, "lr", (1, 2), start,
+                      S(cons(ZERO, cons(ONE, fn("flip", v("w"))))))
+    assert _check(stepped).judgment() == "{u: S(cons(0, flip(cons(0, w))))} |- " \
+        "S(cons(0, cons(1, flip(w))))"
 
 
 def test_induction_boolean_case_analysis():

@@ -1,13 +1,13 @@
 import itertools
 import random
 
-from helpers import MIXED, ONE, SM, ZERO, cons, fn, flip_program, v
+from helpers import (MIXED, ONE, SM, ZERO, cons, fn, flip_program,
+                     is_idempotent, term_size, v)
 
 from coeq.program import (DELTA, Equation, assemble_program,
                           check_compatibility, deep_destructor, pi_name,
                           standard_functions, unify, validate_program)
-from coeq.terms import (Con, Fun, Var, is_idempotent, substitute, term_size,
-                        variables)
+from coeq.terms import Con, Fun, Var, substitute, variables
 
 
 def test_unify_binds_variable():
