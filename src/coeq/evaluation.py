@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
-from .program import Program, validate_program
+from .program import Program, pi_name, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
 from .terms import Con, Fun, Term, Var
 
@@ -195,6 +195,8 @@ class Session:
             for e in eqs:
                 k.add_rule(k.sym_ids[e.function],
                            tuple(self.encode(p) for p in e.patterns), self.encode(e.rhs))
+        for i in range(1, ds.max_arity + 1):   # validation made their rules the standard ones
+            k.projections[k.sym_ids[pi_name(i)]] = i
         for name, value in self.env.bindings:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):

@@ -9,6 +9,14 @@ memo tables are cheap.  Rewriting is leftmost-outermost: an equation is
 tried by demanding head constructors only at its constructor-pattern
 positions, and match failure is detected from already-forced information
 before any further forcing happens.
+
+One kind of redex is reduced first, when a call is forced: a projection
+`pi_i(d)` anywhere in the call whose argument is known data (a constructor
+term, or an environment term whose unfold is a constructor layer, such as
+a coterm node), innermost first.  It costs one step, as the projection's
+equation would.  So the tail `ident(pi2(x@3))` of a stream function is
+forced as `ident(x@4)`, a term that recurs with the input's period and
+hits the memo.
 """
 
 # The only backend: this interpreter module.  Kept as a name so reports
@@ -51,6 +59,8 @@ class KernelSession:
         self.env = {}           # env fn sid -> unfold tid
         self.memo = {}          # tid -> whnf tid (successes)
         self.nomatch = {}       # tid -> stuck tid (definitive no-match stalls)
+        self.projections = {}   # fn sid -> i of a projection pi_i
+        self.reduced = {}       # tid -> tid with its projections of known data reduced
         self.steps_total = 0
         self._may_end_nullary = None   # fn sids, computed on first use
 
@@ -260,6 +270,57 @@ class KernelSession:
             return ("n", needs)
         return ("s", tid)
 
+    # -- projections of known data -------------------------------------------
+
+    def _reduce_projections(self, tid, steps, budget):
+        """(tid with every projection of known data in it reduced, innermost
+        first; steps), or (-1, steps) if the budget runs out first.
+
+        One step for each projection reduced, and one for an environment
+        term unfolded for the first time (its unfold goes in the memo, as
+        forcing it would put it).  A subterm's result is kept in `reduced`
+        once it is complete, so it depends on the term and the environment
+        only, and is paid for once per session."""
+        red, t_args, t_sym, projections = self.reduced, self.t_args, self.t_sym, self.projections
+        stack = [tid]
+        while stack:
+            t = stack[len(stack) - 1]
+            if t in red:
+                stack.pop()
+                continue
+            args = t_args[t]
+            todo = [a for a in args if t_args[a] and a not in red]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            new = tuple([red.get(a, a) for a in args])
+            i = projections.get(t_sym[t], 0)
+            layer = -1
+            if i:
+                d = new[0]
+                layer = self.env.get(t_sym[d], d)   # a coterm binding or node unfolds
+                if self.t_kind[layer] != CON:
+                    layer = -1
+                elif layer != d and d not in self.memo:
+                    if steps >= budget:
+                        return (-1, steps)
+                    steps += 1
+                    self.memo[d] = layer
+            if layer >= 0:
+                if steps >= budget:
+                    return (-1, steps)
+                steps += 1
+                largs = t_args[layer]
+                out = largs[i - 1] if i <= len(largs) else layer
+            elif new == args:
+                out = t
+            else:
+                out = self.mk(self.t_kind[t], t_sym[t], new)
+                red[out] = out
+            red[t] = out
+        return (red[tid], steps)
+
     # -- head normalization -------------------------------------------------
 
     def head_normalize(self, tid, budget):
@@ -270,9 +331,12 @@ class KernelSession:
         on STALL_BUDGET the current form when the budget ran out.
 
         One step is one equation application or one environment unfold.
-        Forcing of subterms demanded by pattern matching shares the same
-        budget.  Successful head-normalizations and definitive no-match
-        stalls are memoized for the life of the session.
+        A step also covers one projection of known data, reduced when the
+        call it sits in is forced, before that call's equations are tried
+        (`_reduce_projections`).  Forcing of subterms demanded by pattern
+        matching shares the same budget.  Successful head-normalizations
+        and definitive no-match stalls are memoized for the life of the
+        session.
         """
         steps = 0
         stack = [tid]
@@ -288,12 +352,23 @@ class KernelSession:
                 tag = "s"
                 payload = self.nomatch[cur]
             else:
-                tag, payload = self._try_step(cur)
+                red = self.reduced.get(cur, -1)
+                if red < 0 and self.t_args[cur] and self.t_sym[cur] in self.rules:
+                    red, steps = self._reduce_projections(cur, steps, budget)
+                    if red < 0:
+                        self.steps_total += steps
+                        return (STALL_BUDGET, root_current, steps)
+                if red >= 0 and red != cur:
+                    tag, payload = "p", red   # a rewrite whose steps are paid
+                else:
+                    tag, payload = self._try_step(cur)
             if tag == "r":
                 if steps >= budget:
                     self.steps_total += steps
                     return (STALL_BUDGET, root_current, steps)
                 steps += 1
+                tag = "p"   # paid now
+            if tag == "p":
                 stack[len(stack) - 1] = payload
                 chains[len(chains) - 1].append(payload)
                 if len(stack) == 1:

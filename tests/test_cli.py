@@ -2,6 +2,7 @@ import hashlib
 import io
 import pathlib
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -505,6 +506,25 @@ def test_cmd_eval_and_bisim_at_depth_10000(ws_file, capsys):
     for t1, t2 in (("flip(v_a)", "v_b"), ("flip(flip(v_r))", "v_a")):
         assert run_main(capsys, "bisim", ws_file, t1, t2, "--depth", "10000",
                         "--env", "E") == (0, "equal-up-to-depth\n", "")
+
+
+def test_cmd_eval_of_even_to_depth_10000_costs_a_period_of_steps(capsys, monkeypatch):
+    """even's tail names a node of v_r once its projections are reduced, so
+    after the input's period every level is a memo hit."""
+    sessions = []
+
+    class RecordingSession(Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(import_module("coeq.cli"), "Session", RecordingSession)
+    code, out, _ = run_main(capsys, "--format", "tagged", "eval", STREAMS_CDS,
+                            "even(v_r)", "--depth", "10000", "--env", "E")
+    assert code == 0
+    assert out.splitlines() == ["APPROXIMATION\t" + "0:" * 10000 + "<cut@10000>",
+                                "STALL\tnone"]
+    assert [s.k.steps_total for s in sessions] == [12]
 
 
 def test_cmd_productive_on_a_2000_member_cycle_family(tmp_path, capsys):

@@ -10,7 +10,7 @@ from coeq.evaluation import (BUDGET_EXHAUSTED, DEFAULT_BUDGET, NO_MATCH, ApproxN
                              Cut, DiagramEnv, EvalError, GeneratorBinding, Session,
                              StallReason, Stalled, derives_omega, first_stall,
                              restrict)
-from coeq.kernel import CON, FUN, KernelSession
+from coeq.kernel import CON, FUN, STALL_BUDGET, WHNF, KernelSession
 from coeq.program import assemble_program, Equation, reserved_function
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
@@ -484,3 +484,62 @@ def test_the_walk_forces_a_pair_at_the_bound_only_while_it_could_be_two_nullary_
     assert walk(tail, fn("pi2", fn("v_b"))).equal
     assert sess.encode(tail) in k.memo
     assert sess.encode(fn("pi2", fn("v_b"))) not in k.memo
+
+
+# -- projections of known data ------------------------------------------------
+
+def _stock_session(name, env):
+    lib = stock_library()
+    eqs = [e for p in (lib[name].program, flip_program()) for e in p.body
+           if not reserved_function(e.function)]
+    return Session(assemble_program(SM, eqs, name), SM, env)
+
+
+def test_a_forcing_never_spends_more_than_its_budget():
+    """even(pi2(pi2(pi2(v_r)))) reduces its three projections when it is
+    forced: one step for each node unfolded and one for each projection,
+    then one for even's rule.  A budget that runs out part way stalls at
+    the unreduced term, or at the reduced one before the rule, having
+    spent exactly the budget."""
+    env = DiagramEnv.of({"v_r": stream_coterm([0, 1], loop_to=0)})
+    t = fn("even", fn("pi2", fn("pi2", fn("pi2", fn("v_r")))))
+    got = []
+    for budget in range(1, 9):
+        sess = _stock_session("even", env)
+        status, out, steps = sess.k.head_normalize(sess.encode(t), budget)
+        assert steps <= budget
+        got.append((status, steps))
+        if status == STALL_BUDGET:
+            assert sess.decode(out) == (t if budget < 6 else fn("even", fn("v_r@3")))
+    assert got == [(STALL_BUDGET, b) for b in range(1, 7)] + [(WHNF, 7)] * 2
+
+
+def test_projections_of_unknown_data_wait_for_their_call():
+    """A projection of a generator binding, of a variable or of a call is
+    not reduced: only ident's rule fires.  A projection of a coterm names
+    the node it reaches."""
+    env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
+                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+    sess = _stock_session("ident", env)
+    for p in (fn("pi1", fn("v_f")), fn("pi2", Var("q")), fn("pi2", fn("flip", fn("v_a")))):
+        status, out, steps = sess.k.head_normalize(sess.encode(fn("ident", p)), 1)
+        assert (status, steps) == (WHNF, 1)
+        assert sess.decode(out) == cons(fn("pi1", p), fn("ident", fn("pi2", p)))
+    status, out, steps = sess.k.head_normalize(
+        sess.encode(fn("ident", fn("pi2", fn("v_a")))), DEFAULT_BUDGET)
+    assert (status, steps) == (WHNF, 3)
+    node = fn("v_a@3")
+    assert sess.decode(out) == cons(fn("pi1", node), fn("ident", fn("pi2", node)))
+
+
+def test_b_stalls_where_projected_inputs_differ():
+    """b's no-match stall keeps its kind and its depth when its inputs are
+    projections of coterms, reduced to nodes: one position before the
+    depth 3 of test_bisim_program_stalls_at_first_difference."""
+    a = alternating_stream()
+    bits = stream_prefix(a, 4)
+    bprime = stream_coterm(bits[:3] + [1 - bits[3]] + [0, 1], loop_to=4)
+    sess = Session(bisim_b_program(), SM, DiagramEnv.of({"a": a, "bp": bprime}))
+    path, leaf = first_stall(sess.observe(fn("b", fn("pi2", fn("a")), fn("pi2", fn("bp"))),
+                                          32, budget=10_000))
+    assert (leaf.depth, leaf.reason.kind) == (2, NO_MATCH)

@@ -487,9 +487,12 @@ def test_extract_realizes_conclusion():
 
 
 # Kernel steps of `realizes` at depth 8 on each stock entry's extraction: the
-# stream tails at the bound are not forced, since they cannot end nullary.
-REALIZE_STEPS_DEPTH_8 = {"ident": 36, "even": 43, "odd": 45, "flip": 51, "merge": 40,
-                         "zeros": 3, "ones": 3, "zipxor": 80, "alt": 5}
+# stream tails at the bound are not forced, since they cannot end nullary,
+# and a tail's projections of input nodes are reduced when it is forced, so
+# the tails of ident, even, odd, merge and zipxor recur with the input's
+# period.
+REALIZE_STEPS_DEPTH_8 = {"ident": 17, "even": 15, "odd": 12, "flip": 51, "merge": 34,
+                         "zeros": 3, "ones": 3, "zipxor": 34, "alt": 5}
 
 
 def test_realizability_at_depth_8_steps_are_pinned(monkeypatch):
@@ -523,6 +526,28 @@ def test_realizability_at_depth_8_steps_are_pinned(monkeypatch):
         assert realizes(j).holds, name
         steps[name] = sum(s.k.steps_total for s in sessions)
     assert steps == REALIZE_STEPS_DEPTH_8
+
+
+@pytest.mark.parametrize("name", ["ident", "even", "odd", "merge", "zipxor"])
+def test_observing_deeper_costs_no_more_steps_once_the_input_recurs(name):
+    """The stream tails of these programs and of their extractions name
+    input nodes once their projections are reduced, so every level after
+    the input's period is a memo hit: depth 256 costs what depth 64 does."""
+    result, entry = _extract(name)
+    names = [f"u{i}" for i in range(entry.arity)]
+    env = DiagramEnv.of({n: stream_coterm([1, 0, 0][: i + 1] + [1], i)
+                         for i, n in enumerate(names)})
+    args = tuple(fn(n) for n in names)
+    f0_args = tuple(args[int(p[1:]) - 1]
+                    for p in result.value_params + result.realizer_params)
+    for program, term in ((entry.program, Fun(name, args)),
+                          (result.program, Fun(result.principal, f0_args))):
+        steps = []
+        for depth in (64, 256):
+            sess = Session(program, SM, env)
+            assert first_stall(sess.observe(term, depth)) is None
+            steps.append(sess.k.steps_total)
+        assert steps[0] == steps[1], program.principal
 
 
 # -- linear runners ---------------------------------------------------------------
