@@ -185,8 +185,9 @@ class Parser:
         self.i += 1
         return t
 
-    def fail(self, msg: str) -> ParseError:
-        t = self.peek()
+    def fail(self, msg: str, at: Tok | None = None) -> ParseError:
+        """An error at token `at`, by default the next one."""
+        t = at or self.peek()
         return ParseError(msg + (f" (found {t.text!r})" if t.text else " (at end)"),
                           t.line, t.col)
 
@@ -197,12 +198,15 @@ class Parser:
             raise self.fail(f"expected {text!r}")
         return t
 
-    def ident(self, what: str = "identifier") -> str:
+    def ident_tok(self, what: str = "identifier") -> Tok:
         t = self.next()
         if t.kind != "ident":
             self.i -= 1
             raise self.fail(f"expected {what}")
-        return t.text
+        return t
+
+    def ident(self, what: str = "identifier") -> str:
+        return self.ident_tok(what).text
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
@@ -245,23 +249,23 @@ class Parser:
         return self.ws
 
     def parse_system(self) -> None:
-        name = self.ident("system name")
+        name = self.ident_tok("system name")
         if self.ws.system is not None:
-            raise self.fail("a workspace holds one system")
+            raise self.fail("a workspace holds one system", name)
         self.expect("{")
         preds: list[DataPredicate] = []
         cons: dict[str, Constructor] = {}
         vocab_order: list[str] = []
-        types: list[tuple[str, list[str], str]] = []
+        types: list[tuple[str, list[Tok], Tok]] = []
         while self.peek().text != "}":
             kw = self.ident("declaration")
             if kw in ("inductive", "coinductive"):
                 while True:
-                    pname = self.ident("predicate name")
-                    if pname in FORMULA_HEADS:
-                        raise self.fail(f"'{pname}' is reserved")
+                    pname = self.ident_tok("predicate name")
+                    if pname.text in FORMULA_HEADS:
+                        raise self.fail(f"'{pname.text}' is reserved", pname)
                     preds.append(DataPredicate(
-                        pname,
+                        pname.text,
                         Kind.INDUCTIVE if kw == "inductive" else Kind.COINDUCTIVE,
                         len(preds)))
                     if self.peek().text == ",":
@@ -270,17 +274,18 @@ class Parser:
                     break
                 self.expect(";")
             elif kw == "constructor":
-                cname = self.ident("constructor name")
+                ctok = self.ident_tok("constructor name")
+                cname = ctok.text
                 self.expect(":")
-                args: list[str] = []
-                first = self.ident("predicate name")
+                args: list[Tok] = []
+                first = self.ident_tok("predicate name")
                 if self.peek().text in ("*", "->"):
                     args.append(first)
                     while self.peek().text == "*":
                         self.next()
-                        args.append(self.ident("predicate name"))
+                        args.append(self.ident_tok("predicate name"))
                     self.expect("->")
-                    result = self.ident("predicate name")
+                    result = self.ident_tok("predicate name")
                 else:
                     result = first
                 self.expect(";")
@@ -289,7 +294,7 @@ class Parser:
                     vocab_order.append(cname)
                 elif cons[cname].arity != len(args):
                     raise self.fail(f"constructor '{cname}' redeclared at a "
-                                    f"different arity")
+                                    f"different arity", ctok)
                 types.append((cname, args, result))
             else:
                 self.i -= 1
@@ -297,10 +302,10 @@ class Parser:
         self.expect("}")
         by_name = {p.name: p for p in preds}
 
-        def pred(nm: str) -> DataPredicate:
-            if nm not in by_name:
-                raise self.fail(f"unknown predicate '{nm}'")
-            return by_name[nm]
+        def pred(tok: Tok) -> DataPredicate:
+            if tok.text not in by_name:
+                raise self.fail(f"unknown predicate '{tok.text}'", tok)
+            return by_name[tok.text]
 
         self.ws.system = DataSystem(
             vocabulary=tuple(cons[c] for c in vocab_order),
@@ -308,7 +313,7 @@ class Parser:
             types=tuple(ConstructorType(cons[c], tuple(pred(a) for a in args),
                                         pred(res))
                         for c, args, res in types))
-        self.ws.system_name = name
+        self.ws.system_name = name.text
 
     def _need_system(self) -> DataSystem:
         if self.ws.system is None:
@@ -396,11 +401,11 @@ class Parser:
         self.expect("{")
         bindings: dict[str, RegularCoterm | GeneratorBinding] = {}
         while self.peek().text != "}":
-            v = self.ident("binding name")
-            if v in bindings:
-                raise self.fail(f"binding '{v}' rebound")
+            v = self.ident_tok("binding name")
+            if v.text in bindings:
+                raise self.fail(f"binding '{v.text}' rebound", v)
             self.expect("=")
-            bindings[v] = self.parse_binding_rhs(ds)
+            bindings[v.text] = self.parse_binding_rhs(ds)
             self.expect(";")
         self.expect("}")
         self.ws.envs[name] = DiagramEnv.of(bindings)
@@ -482,10 +487,8 @@ class Parser:
     def parse_formula(self) -> Formula:
         ds = self._need_system()
         self.expect("(")
-        if self.peek().text == "=":
-            head = self.next().text
-        else:
-            head = self.ident("formula head")
+        head_tok = self.next() if self.peek().text == "=" else self.ident_tok("formula head")
+        head = head_tok.text
         if head == "and" or head == "or" or head == "imp":
             left = self.parse_formula()
             right = self.parse_formula()
@@ -503,7 +506,7 @@ class Parser:
             self.expect(")")
             return EqAtom(left, right)
         if ds.predicate(head) is None:
-            raise self.fail(f"unknown predicate '{head}'")
+            raise self.fail(f"unknown predicate '{head}'", head_tok)
         term = self.parse_sexp_term()
         self.expect(")")
         return DataAtom(head, term)
@@ -565,7 +568,7 @@ class Parser:
         if key == "type":
             self.expect("(")
             cname = self.ident("constructor")
-            preds = self.until_close(lambda: self.ident("predicate"))
+            preds = self.until_close(lambda: self.ident_tok("predicate"))
             c = ds.constructor(cname)
             if c is None or len(preds) != c.arity + 1:
                 raise self.fail(f"bad constructor type for '{cname}'")
@@ -594,10 +597,10 @@ class Parser:
         return self.ident("attribute value")
 
 
-def _pred_of(ds: DataSystem, name: str, p: Parser) -> DataPredicate:
-    out = ds.predicate(name)
+def _pred_of(ds: DataSystem, name: Tok, p: Parser) -> DataPredicate:
+    out = ds.predicate(name.text)
     if out is None:
-        raise p.fail(f"unknown predicate '{name}'")
+        raise p.fail(f"unknown predicate '{name.text}'", name)
     return out
 
 

@@ -196,7 +196,7 @@ class Session:
                 k.add_rule(k.sym_ids[e.function],
                            tuple(self.encode(p) for p in e.patterns), self.encode(e.rhs))
         for i in range(1, ds.max_arity + 1):   # validation made their rules the standard ones
-            k.projections[k.sym_ids[pi_name(i)]] = i
+            k.projections.add(k.sym_ids[pi_name(i)])
         for name, value in self.env.bindings:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):

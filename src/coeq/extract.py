@@ -71,7 +71,7 @@ class _Labels:
 
 
 class Prover:
-    """Builds checked derivations about the programs `compile_schema` emits."""
+    """Builds derivations about the programs `compile_schema` emits."""
 
     def __init__(self, ds: DataSystem):
         self.ds = ds
@@ -323,9 +323,9 @@ def _disjuncts(fns, val: Term) -> list[Formula]:
 # ---------------------------------------------------------------------------
 
 def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem) -> Derivation:
-    """The corecursion-to-coinduction proof: a checked derivation of
-    S(f(x1..xk)) from assumptions S(x1)..S(xk), for the compiled program of
-    the bundle."""
+    """The corecursion-to-coinduction proof: a derivation of S(f(x1..xk))
+    from assumptions S(x1)..S(xk), for the compiled program of the bundle.
+    It is not checked here; its callers check it with `check_proof`."""
     if isinstance(bundle, CorecSchema):
         bundle = CorecBundle((bundle,), bundle.functions[-1].name)
     prover = Prover(ds)

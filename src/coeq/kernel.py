@@ -8,15 +8,16 @@ Terms are hash-consed into integer ids, so equality is `==` on ints and
 memo tables are cheap.  Rewriting is leftmost-outermost: an equation is
 tried by demanding head constructors only at its constructor-pattern
 positions, and match failure is detected from already-forced information
-before any further forcing happens.
+before any further forcing happens.  One method, `_rewrite`, chooses
+every rewrite: of a call being forced, and of a projection of known data.
 
 One kind of redex is reduced first, when a call is forced: a projection
 `pi_i(d)` anywhere in the call whose argument is known data (a constructor
 term, or an environment term whose unfold is a constructor layer, such as
-a coterm node), innermost first.  It costs one step, as the projection's
-equation would.  So the tail `ident(pi2(x@3))` of a stream function is
-forced as `ident(x@4)`, a term that recurs with the input's period and
-hits the memo.
+a coterm node), innermost first.  It is reduced by firing its own standard
+equation, for one step.  So the tail `ident(pi2(x@3))` of a stream
+function is forced as `ident(x@4)`, a term that recurs with the input's
+period and hits the memo.
 """
 
 # The only backend: this interpreter module.  Kept as a name so reports
@@ -33,11 +34,10 @@ WHNF = 0
 STALL_NOMATCH = 1
 STALL_BUDGET = 2
 
-# per-equation match outcomes
-_M_MATCH = 0
-_M_FAIL = 1
-_M_NEEDS = 2
-_M_STUCK = 3
+# per-equation match outcomes other than a tid to force
+_MATCH = -1
+_FAIL = -2
+_STUCK = -3
 
 
 class KernelSession:
@@ -59,7 +59,7 @@ class KernelSession:
         self.env = {}           # env fn sid -> unfold tid
         self.memo = {}          # tid -> whnf tid (successes)
         self.nomatch = {}       # tid -> stuck tid (definitive no-match stalls)
-        self.projections = {}   # fn sid -> i of a projection pi_i
+        self.projections = set()   # fn sids of the destructors pi_i
         self.reduced = {}       # tid -> tid with its projections of known data reduced
         self.steps_total = 0
         self._may_end_nullary = None   # fn sids, computed on first use
@@ -185,90 +185,57 @@ class KernelSession:
     # -- matching ----------------------------------------------------------
 
     def _match_eq(self, pats, args, binds):
-        """Try one equation against argument tids.
-
-        Returns (_M_MATCH, 0) with `binds` filled, (_M_FAIL, 0),
-        (_M_NEEDS, child_tid) for the leftmost unforced demanded position,
-        or (_M_STUCK, 0) when a demanded position is irreducible.
-        Failure wins over stuck/needs: a definitive mismatch anywhere kills
-        the equation without forcing anything else.
-        """
+        """Try one equation against argument tids: _MATCH with `binds`
+        filled, _FAIL, _STUCK when a demanded position is irreducible, or
+        the tid of the leftmost unforced demanded position.  Failure wins
+        over stuck and needs: a definitive mismatch anywhere kills the
+        equation without forcing anything else."""
         needs = -1
         stuck = False
         stack = [(pats[i], args[i]) for i in range(len(pats) - 1, -1, -1)]
         while stack:
-            pat, sub = stack.pop()
-            pk = self.t_kind[pat]
-            if pk == VAR:
-                binds[pat] = sub
+            pat, head = stack.pop()
+            if self.t_kind[pat] == VAR:
+                binds[pat] = head
                 continue
-            # constructor pattern: need subject's head
-            head = sub
-            while True:
-                hk = self.t_kind[head]
-                if hk == CON:
-                    break
-                if hk == VAR:
+            # constructor pattern: need the subject's head (a memo entry is one)
+            if self.t_kind[head] == FUN:
+                head = self.memo.get(head, head)
+            if self.t_kind[head] != CON:
+                if self.t_kind[head] == VAR or head in self.nomatch:
                     stuck = True
-                    head = -1
-                    break
-                nxt = self.memo.get(head, -1)
-                if nxt < 0:
-                    if head in self.nomatch:
-                        stuck = True
-                        head = -1
-                    elif needs < 0:
-                        needs = head
-                    head = -2 if head >= 0 else head
-                    break
-                head = nxt
-            if head == -1:
-                continue  # irreducible here; other positions may still fail
-            if head == -2:
-                continue  # unforced; recorded in `needs`
+                elif needs < 0:
+                    needs = head
+                continue  # other positions may still fail
             if self.t_sym[head] != self.t_sym[pat]:
-                return (_M_FAIL, 0)
+                return _FAIL
             pargs = self.t_args[pat]
             hargs = self.t_args[head]
             for i in range(len(pargs) - 1, -1, -1):
                 stack.append((pargs[i], hargs[i]))
         if needs >= 0:
-            return (_M_NEEDS, needs)
-        if stuck:
-            return (_M_STUCK, 0)
-        return (_M_MATCH, 0)
+            return needs
+        return _STUCK if stuck else _MATCH
 
-    def _try_step(self, tid):
-        """One unit of progress on tid.
-
-        Returns (tag, payload): tag 'w' WHNF, 'r' rewritten (payload new
-        tid), 'n' needs child forced (payload child tid), 's' definitive
-        no-match stall.
-        """
-        k = self.t_kind[tid]
-        if k == CON:
-            return ("w", tid)
-        if k == VAR:
-            return ("s", tid)
-        sid = self.t_sym[tid]
+    def _rewrite(self, sid, args):
+        """The one rewrite of the call sid(args), the only place a rewrite
+        is chosen: (the term it rewrites to, -1), that is its environment
+        unfold, else the instance of the first equation that matches; or
+        (-1, the leftmost demanded position to force first); or (-1, -1), a
+        definitive no-match.  A variable has neither an unfold nor
+        equations, so it is a no-match."""
         unfold = self.env.get(sid, -1)
         if unfold >= 0:
-            return ("r", unfold)
-        eqs = self.rules.get(sid)
-        if not eqs:
-            return ("s", tid)
-        args = self.t_args[tid]
+            return (unfold, -1)
         needs = -1
-        for pats_rhs in eqs:
+        for pats, rhs in self.rules.get(sid, ()):
             binds = {}
-            outcome, payload = self._match_eq(pats_rhs[0], args, binds)
-            if outcome == _M_MATCH:
-                return ("r", self.subst(pats_rhs[1], binds))
-            if outcome == _M_NEEDS and needs < 0:
-                needs = payload
-        if needs >= 0:
-            return ("n", needs)
-        return ("s", tid)
+            m = self._match_eq(pats, args, binds)
+            if m == _MATCH:
+                return (self.subst(rhs, binds), -1)
+            if m >= 0 and needs < 0:
+                needs = m
+        return (-1, needs)
 
     # -- projections of known data -------------------------------------------
 
@@ -276,12 +243,15 @@ class KernelSession:
         """(tid with every projection of known data in it reduced, innermost
         first; steps), or (-1, steps) if the budget runs out first.
 
-        One step for each projection reduced, and one for an environment
-        term unfolded for the first time (its unfold goes in the memo, as
-        forcing it would put it).  A subterm's result is kept in `reduced`
-        once it is complete, so it depends on the term and the environment
-        only, and is paid for once per session."""
-        red, t_args, t_sym, projections = self.reduced, self.t_args, self.t_sym, self.projections
+        A projection `pi_i(d)` of known data (a constructor term, or an
+        environment term whose unfold is a constructor layer) is reduced by
+        firing its own standard equation (`_rewrite`), for one step; an
+        environment term unfolded for the first time costs one more (its
+        unfold goes in the memo, as forcing it would put it).  A subterm's
+        result is kept in `reduced` once it is complete, so it depends on
+        the term and the environment only, and is paid for once per
+        session."""
+        red, t_args, t_sym = self.reduced, self.t_args, self.t_sym
         stack = [tid]
         while stack:
             t = stack[len(stack) - 1]
@@ -295,29 +265,25 @@ class KernelSession:
                 continue
             stack.pop()
             new = tuple([red.get(a, a) for a in args])
-            i = projections.get(t_sym[t], 0)
-            layer = -1
-            if i:
+            out = -1
+            if t_sym[t] in self.projections:
                 d = new[0]
                 layer = self.env.get(t_sym[d], d)   # a coterm binding or node unfolds
-                if self.t_kind[layer] != CON:
-                    layer = -1
-                elif layer != d and d not in self.memo:
+                if self.t_kind[layer] == CON:
+                    if layer != d and d not in self.memo:
+                        if steps >= budget:
+                            return (-1, steps)
+                        steps += 1
+                        self.memo[d] = layer
                     if steps >= budget:
                         return (-1, steps)
                     steps += 1
-                    self.memo[d] = layer
-            if layer >= 0:
-                if steps >= budget:
-                    return (-1, steps)
-                steps += 1
-                largs = t_args[layer]
-                out = largs[i - 1] if i <= len(largs) else layer
-            elif new == args:
+                    out, _ = self._rewrite(t_sym[t], new)
+            if out < 0:
                 out = t
-            else:
-                out = self.mk(self.t_kind[t], t_sym[t], new)
-                red[out] = out
+                if new != args:
+                    out = self.mk(self.t_kind[t], t_sym[t], new)
+                    red[out] = out
             red[t] = out
         return (red[tid], steps)
 
@@ -330,65 +296,57 @@ class KernelSession:
         constructor form; on STALL_NOMATCH the irreducible form reached;
         on STALL_BUDGET the current form when the budget ran out.
 
-        One step is one equation application or one environment unfold.
-        A step also covers one projection of known data, reduced when the
-        call it sits in is forced, before that call's equations are tried
-        (`_reduce_projections`).  Forcing of subterms demanded by pattern
-        matching shares the same budget.  Successful head-normalizations
-        and definitive no-match stalls are memoized for the life of the
-        session.
+        Each term on the forcing stack is looked up in `memo`, then in
+        `nomatch`, then in `reduced`; only then is it a WHNF (a constructor
+        term) or rewritten by `_rewrite`, which chooses every rewrite.  One
+        step is one equation application or one environment unfold.  A
+        call's projections of known data are reduced when it is forced,
+        before its own rewrite, by their standard equations
+        (`_reduce_projections`), one step each.  Forcing of subterms
+        demanded by pattern matching shares the same budget.  Successful
+        head-normalizations and definitive no-match stalls are memoized
+        for the life of the session.
         """
+        memo, nomatch = self.memo, self.nomatch
         steps = 0
-        stack = [tid]
-        chains = [[tid]]
-        root_current = tid
+        stack = [tid]      # the term forced, then each demanded position
+        chains = [[tid]]   # the forms each stack entry took, for the memo
         while True:
             cur = stack[len(stack) - 1]
-            done = self.memo.get(cur, -1)
-            if done >= 0:
-                tag = "w"
-                payload = done
-            elif cur in self.nomatch:
-                tag = "s"
-                payload = self.nomatch[cur]
-            else:
-                red = self.reduced.get(cur, -1)
-                if red < 0 and self.t_args[cur] and self.t_sym[cur] in self.rules:
-                    red, steps = self._reduce_projections(cur, steps, budget)
-                    if red < 0:
-                        self.steps_total += steps
-                        return (STALL_BUDGET, root_current, steps)
-                if red >= 0 and red != cur:
-                    tag, payload = "p", red   # a rewrite whose steps are paid
-                else:
-                    tag, payload = self._try_step(cur)
-            if tag == "r":
-                if steps >= budget:
-                    self.steps_total += steps
-                    return (STALL_BUDGET, root_current, steps)
-                steps += 1
-                tag = "p"   # paid now
-            if tag == "p":
-                stack[len(stack) - 1] = payload
-                chains[len(chains) - 1].append(payload)
-                if len(stack) == 1:
-                    root_current = payload
-            elif tag == "w":
-                for t in chains[len(chains) - 1]:
-                    self.memo[t] = payload
-                stack.pop()
-                chains.pop()
-                if not stack:
-                    self.steps_total += steps
-                    return (WHNF, payload, steps)
-            elif tag == "n":
-                stack.append(payload)
-                chains.append([payload])
-            else:  # definitive no-match stall of `cur`
-                for t in chains[len(chains) - 1]:
-                    self.nomatch[t] = payload
-                if len(stack) == 1:
-                    self.steps_total += steps
-                    return (STALL_NOMATCH, root_current, steps)
-                stack.pop()
-                chains.pop()
+            out = memo.get(cur, -1)
+            if out < 0 and cur not in nomatch:
+                nxt = self.reduced.get(cur, -1)
+                if nxt < 0 and self.t_args[cur] and self.t_sym[cur] in self.rules:
+                    nxt, steps = self._reduce_projections(cur, steps, budget)
+                    if nxt < 0:
+                        break
+                if nxt < 0 or nxt == cur:   # no projection to reduce: rewrite cur
+                    if self.t_kind[cur] == CON:
+                        out = cur
+                    else:
+                        nxt, child = self._rewrite(self.t_sym[cur], self.t_args[cur])
+                        if child >= 0:
+                            stack.append(child)
+                            chains.append([child])
+                            continue
+                        if nxt >= 0:
+                            if steps >= budget:
+                                break
+                            steps += 1
+                if out < 0 and nxt >= 0:
+                    stack[len(stack) - 1] = nxt
+                    chains[len(chains) - 1].append(nxt)
+                    continue
+            # cur is a WHNF `out`, or a definitive no-match stall
+            table, value = (memo, out) if out >= 0 else (nomatch, nomatch.get(cur, cur))
+            for t in chains.pop():
+                table[t] = value
+            stack.pop()
+            if not stack:
+                break
+        self.steps_total += steps
+        if stack:
+            return (STALL_BUDGET, stack[0], steps)
+        if out >= 0:
+            return (WHNF, out, steps)
+        return (STALL_NOMATCH, cur, steps)

@@ -614,3 +614,66 @@ def test_an_ill_sorted_tail_is_forced_at_the_depth_bound(tmp_path, capsys):
              + "program g { g(x) = cons(pi1(x), h(x)); h(x) = pi1(x); }\n"
              + "env E { v = rec a. 0 : a; }\n")
     assert run_main(capsys, "eval", ws, "g(v)", "--depth", "1") == (0, "0:0\n", "")
+
+
+@pytest.mark.parametrize("term, depth, out, code", [
+    ("y", 8, "<stall:no-match>\n", 1),
+    ("nosuch(v_a)", 8, "<stall:no-match>\n", 1),
+    ("nosuch(v_a) : nosuch(v_a)", 2, "cons(<stall:no-match>, <stall:no-match>)\n", 1),
+    ("0 : y", 1, "0:<cut@1>\n", 0)])
+def test_cmd_eval_of_a_variable_or_an_undefined_call(capsys, term, depth, out, code):
+    """A variable, and a call with neither equations nor a binding, stall
+    with no match; met a second time, the stall comes from the memo.  A
+    variable at the depth bound may end in a nullary constructor, so it
+    is forced, and a constructor with arguments is cut there."""
+    assert run_main(capsys, "eval", STREAMS_CDS, term, "--env", "E",
+                    "--depth", str(depth)) == (code, out, "")
+
+
+ONE_LINE_SYSTEM = ("system Sm { inductive B; coinductive S; constructor 0 : B; "
+                   "constructor 1 : B; constructor cons : B * S -> S; }\n")
+
+
+@pytest.mark.parametrize("source, error", [
+    (ONE_LINE_SYSTEM + "%", "2:1: unexpected character '%'"),
+    (ONE_LINE_SYSTEM + "system T { inductive B; }",
+     "2:8: a workspace holds one system (found 'T')"),
+    ("system X { inductive and; }", "1:22: 'and' is reserved (found 'and')"),
+    ("system X { inductive B; coinductive S;\n  constructor cons : B * S -> S;\n"
+     "  constructor cons : S; }",
+     "3:15: constructor 'cons' redeclared at a different arity (found 'cons')"),
+    ("system X {\n  constructor c : Nope;\n}", "2:19: unknown predicate 'Nope' (found 'Nope')"),
+    (ONE_LINE_SYSTEM + "env E { a = 0 : a; a = 1 : a; }",
+     "2:20: binding 'a' rebound (found 'a')"),
+    (ONE_LINE_SYSTEM + "env E { a = rec x. x; }",
+     "2:21: a cycle must pass through a constructor (found ';')"),
+    (ONE_LINE_SYSTEM + "env E { a = rec x. rec y. x; }", "2:28: degenerate cycle (found ';')"),
+    (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (0 Q)}) }",
+     "2:37: unknown predicate 'Q' (found 'Q')"),
+    (ONE_LINE_SYSTEM + "proof p { (assume (Q x) () {}) }",
+     "2:20: unknown predicate 'Q' (found 'Q')"),
+    ("program f { f(x) = x; }", "1:11: no system declared yet (found '{')"),
+], ids=["character", "two-systems", "reserved", "arity", "system-predicate", "rebound",
+        "cycle", "degenerate", "type-predicate", "formula-predicate", "no-system"])
+def test_a_malformed_workspace_is_reported_at_the_offending_token(tmp_path, capsys,
+                                                                  source, error):
+    """A parse error names its line and column, and the token there: the
+    offending name itself where the error is found after reading it."""
+    ws = _ws(tmp_path, source)
+    assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
+
+
+def test_programs_that_define_a_function_differently_conflict(tmp_path, capsys):
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + "program f { f(x) = g(x); g(x) = x; }\n"
+             "program h { h(x) = g(x); g(x) = cons(0, x); }\n")
+    assert run_main(capsys, "check", ws) == (
+        2, "", "error: programs conflict: [overlap] equations 'g(x) = x' and "
+               "'g(x) = cons(0, x)' overlap; unifier {x -> x'}\n")
+
+
+def test_a_predicate_list_and_a_parenthesised_term_parse():
+    ws = parse_workspace("system X { inductive B, N; coinductive S; constructor 0 : B; "
+                         "constructor 1 : B; constructor cons : B * S -> S; }\n"
+                         "program f { f(x) = (x); }\n")
+    assert [p.name for p in ws.system.predicates] == ["B", "N", "S"]
+    assert ws.programs["f"].body[0].rhs == Var("x")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits,
+from helpers import (MIXED, SM, ZERO, ONE, alternating_stream, approx_bits,
                      bisim_b_program, cons, coterm_layer, flip_env, flip_program, fn,
                      nat_program, random_stream, stream_coterm, stream_prefix, v)
 
@@ -11,9 +11,10 @@ from coeq.evaluation import (BUDGET_EXHAUSTED, DEFAULT_BUDGET, NO_MATCH, ApproxN
                              StallReason, Stalled, derives_omega, first_stall,
                              restrict)
 from coeq.kernel import CON, FUN, STALL_BUDGET, WHNF, KernelSession
-from coeq.program import assemble_program, Equation, reserved_function
+from coeq.program import (assemble_program, Equation, is_pi, pi_name, reserved_function,
+                          standard_functions)
 from coeq.system import CotermNode, RegularCoterm
-from coeq.terms import Con, Fun, Var
+from coeq.terms import Con, Fun, Var, substitute
 
 
 def test_flip_observation_depth_4():
@@ -512,6 +513,58 @@ def test_a_forcing_never_spends_more_than_its_budget():
         if status == STALL_BUDGET:
             assert sess.decode(out) == (t if budget < 6 else fn("even", fn("v_r@3")))
     assert got == [(STALL_BUDGET, b) for b in range(1, 7)] + [(WHNF, 7)] * 2
+
+
+def test_projections_of_known_data_follow_their_standard_equations():
+    """Over MIXED (constructors of arity 0, 1 and 2), forcing f(pi_i(d))
+    with f(x) = x reduces the projection as its standard equation says,
+    pi2(s(x)) = s(x) included.  It costs one step for each projection, one
+    for each coterm node unfolded for the first time, and one for f's
+    rule.  Coterm w is c(w@1, w@2) with w@1 = 0 and w@2 = s(w@1)."""
+    w = RegularCoterm((CotermNode("c", (1, 2)), CotermNode("0"), CotermNode("s", (1,))))
+    prog = assemble_program(MIXED, [Equation("f", (Var("x"),), Var("x"))], "f")
+    std = {(e.function, e.patterns[0].name): e
+           for e in standard_functions(MIXED) if is_pi(e.function)}
+    leaves = (Con("1"), Con("[]"))
+    cases = []
+    for c in MIXED.vocabulary:
+        d = Con(c.name, leaves[:c.arity])
+        for i in (1, 2):
+            e = std[(pi_name(i), c.name)]
+            binds = {x.name: a for x, a in zip(e.patterns[0].args, d.args)}
+            cases.append((i, d, substitute(e.rhs, binds), 2))
+    s_node = Con("s", (fn("w@1"),))
+    cases += [(1, fn("w"), ZERO, 4), (2, fn("w"), s_node, 4),
+              (1, fn("pi1", fn("w")), ZERO, 5), (2, fn("pi1", fn("w")), ZERO, 5),
+              (1, fn("pi2", fn("w")), ZERO, 6), (2, fn("pi2", fn("w")), s_node, 5)]
+    assert Con("s", (Con("1"),)) in [want for i, _, want, _ in cases if i == 2]
+    for i, d, want, cost in cases:
+        sess = Session(prog, MIXED, DiagramEnv.of({"w": w}))
+        status, out, steps = sess.k.head_normalize(
+            sess.encode(fn("f", fn(pi_name(i), d))), DEFAULT_BUDGET)
+        assert (status, sess.decode(out), steps) == (WHNF, want, cost), (i, d)
+
+
+def test_a_constructor_term_rebuilt_by_an_earlier_forcing_is_forced_to_its_rebuilt_form():
+    """Observing merge(cons(pi1(v_a), v_b), v_b) reduces the projection
+    inside its constructor argument; forcing that constructor term later
+    in the session gives the rebuilt term, not the term as written."""
+    env = DiagramEnv.of({"v_a": stream_coterm([0, 1], 0), "v_b": stream_coterm([1], 0)})
+    sess = _stock_session("merge", env)
+    arg = cons(fn("pi1", fn("v_a")), fn("v_b"))
+    sess.observe(fn("merge", arg, fn("v_b")), 3)
+    out, reason = sess.force(sess.encode(arg), DEFAULT_BUDGET)
+    assert reason is None
+    assert sess.decode(out) == cons(fn("v_a@0"), fn("v_b"))
+
+
+def test_a_symbol_redeclared_with_another_kind_or_arity_is_an_error():
+    k = KernelSession()
+    sid = k.sym("f", FUN, 1)
+    assert k.sym("f", FUN, 1) == sid
+    for kind, arity in ((FUN, 2), (CON, 1)):
+        with pytest.raises(ValueError, match="'f' redeclared"):
+            k.sym("f", kind, arity)
 
 
 def test_projections_of_unknown_data_wait_for_their_call():
