@@ -315,16 +315,16 @@ class Parser:
                         for c, args, res in types))
         self.ws.system_name = name.text
 
-    def _need_system(self) -> DataSystem:
+    def _need_system(self, at: Tok | None = None) -> DataSystem:
         if self.ws.system is None:
-            raise self.fail("no system declared yet")
+            raise self.fail("no system declared yet", at)
         return self.ws.system
 
     # -- programs --------------------------------------------------------------------
 
     def parse_program(self) -> None:
-        name = self.ident("program name")
-        ds = self._need_system()
+        name_tok = self.ident_tok("program name")
+        name, ds = name_tok.text, self._need_system(name_tok)
         self.expect("{")
         raw: list[Equation] = []
         fnames = {name}
@@ -396,8 +396,8 @@ class Parser:
     # -- environments -------------------------------------------------------------------
 
     def parse_env(self) -> None:
-        name = self.ident("env name")
-        ds = self._need_system()
+        name = self.ident_tok("env name")
+        ds = self._need_system(name)
         self.expect("{")
         bindings: dict[str, RegularCoterm | GeneratorBinding] = {}
         while self.peek().text != "}":
@@ -408,7 +408,7 @@ class Parser:
             bindings[v.text] = self.parse_binding_rhs(ds)
             self.expect(";")
         self.expect("}")
-        self.ws.envs[name] = DiagramEnv.of(bindings)
+        self.ws.envs[name.text] = DiagramEnv.of(bindings)
 
     def parse_binding_rhs(self, ds: DataSystem):
         t = self.peek()
@@ -420,7 +420,7 @@ class Parser:
             prog = self.ws.programs[gen_name]
             if len(args) != prog.arity:
                 raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
-                                f"applied to {len(args)} arguments")
+                                f"applied to {len(args)} arguments", t)
             return GeneratorBinding(prog, prog.principal, tuple(args))
         nodes: list[CotermNode | None] = []
 
@@ -453,9 +453,9 @@ class Parser:
                 nodes.append(None)
                 inner = chain({**recvars, rv: slot})
                 if not isinstance(inner, int) or inner == slot:
-                    raise self.fail("a cycle must pass through a constructor")
+                    raise self.fail("a cycle must pass through a constructor", tok)
                 if nodes[inner] is None:
-                    raise self.fail("degenerate cycle")
+                    raise self.fail("degenerate cycle", tok)
                 nodes[slot] = nodes[inner]
                 return slot
             name2 = self.ident("coterm")

@@ -20,6 +20,12 @@ member's equations take one of three shapes:
 - each is a compiled dispatch f(x...) = cocaseM(h(x...), e_1 .. e_M),
   and h is the selector.
 
+The helper cocaseM belongs to `compile_schema`: a program's cocaseM is
+the helper only if its equations are `cocase_equations` up to variable
+names, and the helper is never a stratum.  Any other cocaseM is an
+ordinary function, and one that clashes with a selector's helper is
+rejected.
+
 Recursion is accepted only in the argument slots directly under the
 produced constructor (or the dispatch); anything else is rejected with
 the offending subterm named.
@@ -294,15 +300,17 @@ def check_primitive_corecursive(program: Program, ds: DataSystem) -> Productivit
     deps = {f: {g for e in program.equations_of(f) for g in _used_functions(e.rhs)
                 if g in decl_index}
             for f in order}
+    # the output-dispatch helpers belong to compile_schema: no stratum
+    helpers = {f: m for f in order if f != program.principal
+               and (m := _dispatch_slots(f)) is not None
+               and len(program.equations_of(f)[0].patterns) == m + 1
+               and _canonical(program.equations_of(f)) == _canonical(cocase_equations(ds, m))}
     try:
         strata: list[Stratum] = []
-        accepted: set[str] = set()
-        cocases: dict[str, int] = {}
-        for f in order:
-            m = _cocase_slot_count(f, program)
-            if m is not None:
-                cocases[f] = m
+        accepted: set[str] = set(helpers)
         for scc in _sccs(order, deps):
+            if scc[0] in helpers:
+                continue
             recursive = any(g in scc for f in scc for g in deps[f])
             first_decl = min(decl_index[f] for f in scc)
             for f in scc:
@@ -313,9 +321,17 @@ def check_primitive_corecursive(program: Program, ds: DataSystem) -> Productivit
                             program.equations_of(f)[0])
             if recursive:
                 targets = {f: i + 1 for i, f in enumerate(scc)}
-                strata.append(CorecSchema(tuple(
-                    _schema_fun(ds, program.equations_of(f), targets, accepted, cocases)
-                    for f in scc)))
+                schema = CorecSchema(tuple(
+                    _schema_fun(ds, program.equations_of(f), targets, accepted, helpers)
+                    for f in scc))
+                for fun in schema.functions:
+                    helper = cocase_name(len(fun.slots))
+                    if fun.selector is not None and helper in decl_index \
+                            and helper not in helpers:
+                        raise _Reject(f"'{fun.name}' dispatches its output through "
+                                      f"'{helper}', which the program defines as "
+                                      "another function", program.equations_of(fun.name)[0])
+                strata.append(schema)
             else:
                 (f,) = scc
                 eqs = program.equations_of(f)
@@ -345,24 +361,8 @@ def _component(ds: DataSystem, eqs: list[Equation], results: list[Term],
     return Component(k, merged)
 
 
-def _cocase_slot_count(f: str, program: Program) -> int | None:
-    """Recognize an output-dispatch helper: one equation per constructor,
-    cocase(c(y...), v1..vm) = c(v1..vr).  Returns m, or None."""
-    if not f.startswith("cocase") or not f[6:].isdigit():
-        return None
-    m = int(f[6:])
-    for e in program.equations_of(f):
-        if len(e.patterns) != m + 1 or not isinstance(e.patterns[0], Con):
-            return None
-        r = len(e.patterns[0].args)
-        want = Con(e.patterns[0].name, e.patterns[1:r + 1])
-        if e.rhs != want:
-            return None
-    return m
-
-
 def _schema_fun(ds: DataSystem, eqs: list[Equation], targets: dict[str, int],
-                accepted: set[str], cocases: dict[str, int]) -> SchemaFun:
+                accepted: set[str], helpers: dict[str, int]) -> SchemaFun:
     """One member of a corecursive vector, in one of the three shapes the
     module docstring lists: only the selector rows and the per-slot result
     terms differ between them."""
@@ -370,9 +370,9 @@ def _schema_fun(ds: DataSystem, eqs: list[Equation], targets: dict[str, int],
     k = len(eqs[0].patterns)
     produced: list[str] = []
     selector: list[Term] | None = None
-    if all(isinstance(e.rhs, Fun) and e.rhs.name in cocases for e in eqs):
+    if all(isinstance(e.rhs, Fun) and e.rhs.name in helpers for e in eqs):
         for e in eqs:
-            if cocases[e.rhs.name] != cocases[eqs[0].rhs.name]:
+            if helpers[e.rhs.name] != helpers[eqs[0].rhs.name]:
                 raise _Reject(f"inconsistent output dispatch in '{f}'", e)
         selector = [e.rhs.args[0] for e in eqs]
         slot_terms = [e.rhs.args[1:] for e in eqs]
@@ -447,38 +447,45 @@ def cocase_name(m: int) -> str:
     return f"cocase{m}"
 
 
-def compile_schema(item: CorecBundle | CorecSchema | CompositionDef,
-                   ds: DataSystem) -> Program:
-    """Emit the equational program of a schema (or a whole stratified
-    bundle).  Recursive functions come out in constructor-producing form,
-    so the result is directly evaluable; the compiled program validates and
-    the recognizer re-extracts an equal schema."""
-    strata = item.strata if isinstance(item, CorecBundle) else (item,)
+def _dispatch_slots(name: str) -> int | None:
+    """M if `name` is cocase<M>, else None."""
+    m = name[len("cocase"):]
+    return int(m) if m.isdigit() and name == cocase_name(int(m)) else None
+
+
+def cocase_equations(ds: DataSystem, m: int) -> list[Equation]:
+    """The output-dispatch helper over M slots: one equation per constructor
+    of arity at most M, cocaseM(c(y1..yr), v1..vM) = c(v1..vr)."""
+    vs = tuple(Var(f"v{i + 1}") for i in range(m))
+    return [Equation(cocase_name(m),
+                     (Con(c.name, tuple(Var(f"y{i + 1}") for i in range(c.arity))),) + vs,
+                     Con(c.name, vs[:c.arity]))
+            for c in ds.vocabulary if c.arity <= m]
+
+
+def _canonical(eqs: list[Equation]) -> set[tuple[Term, Term]]:
+    """The equations with their variables renamed by position in the
+    definiendum: equal sets are equal up to variable names."""
+    out = set()
+    for e in eqs:
+        vs = [u.name for u in subterms(e.definiendum) if isinstance(u, Var)]
+        ren = {v: Var(f"_{i}") for i, v in enumerate(vs)}
+        out.add((substitute(e.definiendum, ren), substitute(e.rhs, ren)))
+    return out
+
+
+def compile_schema(bundle: CorecBundle, ds: DataSystem) -> Program:
+    """Emit the equational program of a stratified bundle.  Recursive
+    functions come out in constructor-producing form, so the result is
+    directly evaluable; the compiled program validates and the recognizer
+    re-extracts an equal bundle.  The cocaseM helper a selector dispatches
+    through is this function's: it comes first and is never a stratum."""
     eqs: list[Equation] = []
-    names: list[str] = []
-    cocases: set[int] = set()
-    for s in strata:
-        if isinstance(s, CorecSchema):
-            for fdef in s.functions:
-                if fdef.selector is not None:
-                    cocases.add(len(fdef.slots))
-    # output-dispatch helpers come first: later definitions may only use
-    # earlier ones
-    for m in sorted(cocases):
-        vs = tuple(Var(f"v{i + 1}") for i in range(m))
-        for c in ds.vocabulary:
-            if c.arity > m:
-                continue
-            ys = tuple(Var(f"y{i + 1}") for i in range(c.arity))
-            eqs.append(Equation(cocase_name(m), (Con(c.name, ys),) + vs,
-                                Con(c.name, vs[:c.arity])))
-    for s in strata:
+    for s in bundle.strata:
         if isinstance(s, CompositionDef):
-            names.append(s.name)
             eqs.append(Equation(s.name, arg_vars(s.arity), s.component.term))
             continue
         vector = s.names()
-        names.extend(vector)
         for fdef in s.functions:
             xs = arg_vars(fdef.arity)
 
@@ -496,8 +503,12 @@ def compile_schema(item: CorecBundle | CorecSchema | CompositionDef,
                 eqs.append(Equation(
                     fdef.name, xs,
                     Fun(cocase_name(m), (fdef.selector.apply(xs),) + slot_terms)))
-    principal = item.principal if isinstance(item, CorecBundle) else names[-1]
-    return assemble_program(ds, eqs, principal)
+    defined = {e.function for e in eqs}
+    ms = {m for e in eqs for u in subterms(e.rhs) if isinstance(u, Fun)
+          and u.name not in defined and (m := _dispatch_slots(u.name)) is not None}
+    # the helpers come first: later definitions may only use earlier ones
+    helpers = [h for m in sorted(ms) for h in cocase_equations(ds, m)]
+    return assemble_program(ds, helpers + eqs, bundle.principal)
 
 
 def _anonymous(s: Stratum) -> Stratum:

@@ -322,12 +322,10 @@ def _disjuncts(fns, val: Term) -> list[Formula]:
 # prove_corec
 # ---------------------------------------------------------------------------
 
-def prove_corec(bundle: CorecBundle | CorecSchema, ds: DataSystem) -> Derivation:
+def prove_corec(bundle: CorecBundle, ds: DataSystem) -> Derivation:
     """The corecursion-to-coinduction proof: a derivation of S(f(x1..xk))
     from assumptions S(x1)..S(xk), for the compiled program of the bundle.
     It is not checked here; its callers check it with `check_proof`."""
-    if isinstance(bundle, CorecSchema):
-        bundle = CorecBundle((bundle,), bundle.functions[-1].name)
     prover = Prover(ds)
     principal = bundle.principal
     result: Derivation | None = None

@@ -4,7 +4,9 @@ program carries.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .system import DataSystem, ValidationReport, Violation
 from .terms import (Con, Fun, Subst, Term, Var, compose, has_fun, rename_apart,
@@ -156,14 +158,15 @@ def deep_destructor(path: list[int] | tuple[int, ...], ds: DataSystem | None = N
     return DeepDestructor(tuple(path))
 
 
+def _missing_standard(ds: DataSystem, body: Iterable[Equation]) -> list[Equation]:
+    present = set(body)
+    return [e for e in standard_functions(ds) if e not in present]
+
+
 def assemble_program(ds: DataSystem, equations: list[Equation], principal: str,
                      arity: int | None = None) -> Program:
     """Build a program, adding the standard equations if absent."""
-    body = list(equations)
-    present = {(e.function, e.patterns, e.rhs) for e in body}
-    for e in standard_functions(ds):
-        if (e.function, e.patterns, e.rhs) not in present:
-            body.append(e)
+    body = list(equations) + _missing_standard(ds, equations)
     if arity is None:
         own = [e for e in body if e.function == principal]
         arity = len(own[0].patterns) if own else 0
@@ -194,24 +197,16 @@ def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
         for v in sorted(variables(e.rhs)):
             if v not in seen_vars:
                 out.append(Violation("unbound-variable", f"{where}: rhs variable '{v}' not bound by the patterns"))
-        for u in subterms(e.definiendum):
+        for u in chain(subterms(e.definiendum), subterms(e.rhs)):
             if isinstance(u, Con):
                 c = ds.constructor(u.name)
                 if c is None:
                     out.append(Violation("unknown-constructor", f"{where}: unknown constructor '{u.name}'"))
                 elif c.arity != len(u.args):
                     out.append(Violation("constructor-arity", f"{where}: '{u.name}' has arity {c.arity}, used with {len(u.args)}"))
-        for u in subterms(e.rhs):
-            if isinstance(u, Con):
-                c = ds.constructor(u.name)
-                if c is None:
-                    out.append(Violation("unknown-constructor", f"{where}: unknown constructor '{u.name}'"))
-                elif c.arity != len(u.args):
-                    out.append(Violation("constructor-arity", f"{where}: '{u.name}' has arity {c.arity}, used with {len(u.args)}"))
-    defined = set(arities)
     for e in p.body:
         for u in subterms(e.rhs):
-            if isinstance(u, Fun) and u.name not in defined:
+            if isinstance(u, Fun) and u.name not in arities:
                 out.append(Violation("unknown-function", f"equation '{e}': unknown function '{u.name}'"))
             if isinstance(u, Fun) and u.name in arities and arities[u.name] != len(u.args):
                 out.append(Violation("arity-mismatch", f"equation '{e}': '{u.name}' used with {len(u.args)} arguments, defined with {arities[u.name]}"))
@@ -219,21 +214,17 @@ def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
     by_fn: dict[str, list[Equation]] = {}
     for e in p.body:
         by_fn.setdefault(e.function, []).append(e)
-    for fn, eqs in by_fn.items():
-        for i in range(len(eqs)):
-            for j in range(i + 1, len(eqs)):
-                comp = check_compatibility(eqs[i], eqs[j])
-                if not comp.compatible:
-                    w = ", ".join(f"{v} -> {t}" for v, t in sorted(comp.witness.items()))
-                    out.append(Violation(
-                        "overlap",
-                        f"equations '{eqs[i]}' and '{eqs[j]}' overlap; unifier {{{w}}}"))
+    for eqs in by_fn.values():
+        for e1, e2 in combinations(eqs, 2):
+            comp = check_compatibility(e1, e2)
+            if not comp.compatible:
+                w = ", ".join(f"{v} -> {t}" for v, t in sorted(comp.witness.items()))
+                out.append(Violation(
+                    "overlap", f"equations '{e1}' and '{e2}' overlap; unifier {{{w}}}"))
     # Standard functions must be present verbatim.
-    present = {(e.function, str(e.definiendum), str(e.rhs)) for e in p.body}
-    for e in standard_functions(ds):
-        if (e.function, str(e.definiendum), str(e.rhs)) not in present:
-            out.append(Violation("missing-standard", f"standard equation '{e}' missing"))
-    if p.principal not in defined:
+    for e in _missing_standard(ds, p.body):
+        out.append(Violation("missing-standard", f"standard equation '{e}' missing"))
+    if p.principal not in arities:
         out.append(Violation("no-principal", f"principal function '{p.principal}' has no equations"))
     elif arities.get(p.principal) != p.arity:
         out.append(Violation("principal-arity", f"principal '{p.principal}' arity {arities.get(p.principal)} != declared {p.arity}"))

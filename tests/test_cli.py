@@ -605,7 +605,7 @@ def test_a_generator_binding_of_the_wrong_arity_is_a_parse_error(tmp_path, capsy
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith(": program 'flip' has arity 1, applied to 2 arguments "
-                            "(found ';')\n")
+                            "(found 'flip')\n")
 
 
 def test_an_ill_sorted_tail_is_forced_at_the_depth_bound(tmp_path, capsys):
@@ -646,15 +646,17 @@ ONE_LINE_SYSTEM = ("system Sm { inductive B; coinductive S; constructor 0 : B; "
     (ONE_LINE_SYSTEM + "env E { a = 0 : a; a = 1 : a; }",
      "2:20: binding 'a' rebound (found 'a')"),
     (ONE_LINE_SYSTEM + "env E { a = rec x. x; }",
-     "2:21: a cycle must pass through a constructor (found ';')"),
-    (ONE_LINE_SYSTEM + "env E { a = rec x. rec y. x; }", "2:28: degenerate cycle (found ';')"),
+     "2:13: a cycle must pass through a constructor (found 'rec')"),
+    (ONE_LINE_SYSTEM + "env E { a = rec x. rec y. x; }", "2:20: degenerate cycle (found 'rec')"),
     (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (0 Q)}) }",
      "2:37: unknown predicate 'Q' (found 'Q')"),
     (ONE_LINE_SYSTEM + "proof p { (assume (Q x) () {}) }",
      "2:20: unknown predicate 'Q' (found 'Q')"),
-    ("program f { f(x) = x; }", "1:11: no system declared yet (found '{')"),
+    ("program f { f(x) = x; }", "1:9: no system declared yet (found 'f')"),
+    ("env E { a = rec x. 0 : x; }", "1:5: no system declared yet (found 'E')"),
 ], ids=["character", "two-systems", "reserved", "arity", "system-predicate", "rebound",
-        "cycle", "degenerate", "type-predicate", "formula-predicate", "no-system"])
+        "cycle", "degenerate", "type-predicate", "formula-predicate", "no-system",
+        "env-no-system"])
 def test_a_malformed_workspace_is_reported_at_the_offending_token(tmp_path, capsys,
                                                                   source, error):
     """A parse error names its line and column, and the token there: the

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import (SM, ONE, ZERO, cons, fn, flip_program, random_stream, v,
-                     approx_bits, stream_prefix, bisim_b_program)
+from helpers import (SM, ONE, ZERO, compile_roundtrip, cons, fn, flip_program,
+                     random_stream, v, approx_bits, stream_prefix, bisim_b_program)
 
 from coeq.cli import parse_workspace
 from coeq.corec import (Component, CompositionDef, CorecBundle, CorecSchema,
@@ -11,6 +11,7 @@ from coeq.corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                         check_primitive_corecursive, compile_schema,
                         morse_thue_program, stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega
+from coeq.extract import roundtrip_report
 from coeq.program import Equation, assemble_program, validate_program
 from coeq.terms import Con, Fun, Var
 
@@ -91,7 +92,7 @@ def test_identity_schema_compiles_to_identity_equations():
         (PlainSlot(Component.destructor(1)),
          RecSlot(1, (Component.destructor(2),))),
         produced="cons"),))
-    prog = compile_schema(schema, SM)
+    prog = compile_schema(CorecBundle((schema,), "ident"), SM)
     assert validate_program(prog, SM).ok
     (eq,) = [e for e in prog.body if e.function == "ident"]
     assert eq.rhs == Con("cons", (Fun("pi1", (Var("x1"),)),
@@ -242,10 +243,8 @@ def test_cocase_form_over_two_successors():
     assert validate_program(compiled, ds).ok
     v2 = check_primitive_corecursive(compiled, ds)
     assert v2.accepted, v2.reason
-    # the compiled program declares its output-dispatch helper first
-    helper, *rest = v2.bundle.strata
-    assert isinstance(helper, CompositionDef) and helper.name == "cocase1"
-    assert bundle_equal(verdict.bundle, CorecBundle(tuple(rest), v2.bundle.principal))
+    # the compiled program's output-dispatch helper is no stratum
+    assert bundle_equal(verdict.bundle, v2.bundle)
     # s^w swaps to t^w
     word = RegularCoterm((CotermNode("s", (0,)),), 0)
     env = DiagramEnv.of({"u": word})
@@ -264,6 +263,12 @@ SM_SYSTEM = """system Sm {
 """
 WORD_SYSTEM = """system W {
   coinductive W; constructor s : W -> W; constructor t : W -> W;
+}
+"""
+BW_SYSTEM = """system BW {
+  inductive B; coinductive W;
+  constructor 0 : B; constructor 1 : B;
+  constructor s : B * W -> W; constructor t : B * W -> W;
 }
 """
 COLIST_SYSTEM = """system L {
@@ -310,6 +315,21 @@ REJECTIONS = [
     ("non-exhaustive", SM_SYSTEM, "f(cons(0, w)) = cons(0, f(w));",
      "non-exhaustive patterns: cases {0} at 'pi1(x1)' match no predicate's "
      "constructor set", "f(cons(0, w)) = cons(0, f(w))"),
+    ("partial helper", WORD_SYSTEM,
+     "cocase1(s(y), v1) = s(v1); f(x) = cocase1(x, f(pi1(x)));",
+     "non-exhaustive patterns: cases {s} at 'x1' match no predicate's "
+     "constructor set", "cocase1(s(y), v1) = s(v1)"),
+    ("odd helper", BW_SYSTEM,
+     "cocase2(0, v1, v2) = 0; cocase2(1, v1, v2) = 1; "
+     "cocase2(s(y1, y2), 0, v2) = s(0, v2); cocase2(t(y1, y2), v1, v2) = t(v1, v2); "
+     "f(x) = cocase2(x, pi1(x), f(pi2(x)));",
+     "non-exhaustive patterns: cases {0, 1, s, t} at 'x1' match no predicate's "
+     "constructor set", "cocase2(0, v1, v2) = 0"),
+    ("helper clash", WORD_SYSTEM,
+     "cocase1(s(y), v1) = t(v1); cocase1(t(y), v1) = s(v1); "
+     "f(s(w)) = t(f(w)); f(t(w)) = s(f(w));",
+     "'f' dispatches its output through 'cocase1', which the program defines "
+     "as another function", "f(s(w)) = t(f(w))"),
 ]
 
 
@@ -321,6 +341,20 @@ def test_every_rejection_names_its_reason_and_equation(system, body, reason, off
     assert (verdict.accepted, verdict.reason, str(verdict.offending)) \
         == (False, reason, offending)
     assert verdict.report() == f"rejected: {reason}\n  at equation: {offending}"
+
+
+@pytest.mark.parametrize("program", [
+    "program f {\n  cocase100000(x) = x;\n"
+    "  f(s(w)) = t(f(cocase100000(w))); f(t(w)) = s(f(w));\n}\n",
+    "program cocase1 {\n" + WORD_COCASE.splitlines()[0] + "\n}\n",
+], ids=["other-arity", "principal"])
+def test_a_cocase_function_of_another_arity_or_the_principal_is_a_stratum(program):
+    ws = parse_workspace(WORD_SYSTEM + program)
+    (p,) = ws.programs.values()
+    verdict = check_primitive_corecursive(p, ws.system)
+    assert verdict.accepted, verdict.reason
+    assert verdict.bundle.strata[0].name == p.functions()[0]
+    assert validate_program(compile_schema(verdict.bundle, ws.system), ws.system).ok
 
 
 def test_forward_reference_names_the_first_declared_callee():
@@ -388,3 +422,48 @@ def test_sccs_match_recursive_tarjan_on_random_graphs():
         p = rng.choice((0.1, 0.2, 0.4))
         deps = {f: {g for g in order if rng.random() < p} for f in order}
         assert _sccs(order, deps) == _recursive_sccs(order, deps), deps
+
+
+# -- compile ∘ recognize with an output-dispatch helper ---------------------------
+
+def test_a_selector_entry_passes_the_compile_stage_of_the_roundtrip():
+    from coeq.corec import StockEntry
+    ws = parse_workspace(WORD_SYSTEM + "program swap {\n"
+                         "  swap(s(w)) = t(swap(w)); swap(t(w)) = s(swap(w));\n}\n")
+    library = {"swap": StockEntry("swap", ws.programs["swap"], 1, "swap letters")}
+    stages = roundtrip_report(depth=8, ds=ws.system, library=library).entries["swap"]
+    assert [(s.stage, s.ok, s.detail) for s in stages] == [
+        ("recognize", True, ""), ("compile", True, ""),
+        ("prove-corec", False, "proof generation expects a boolean-stream system")]
+
+
+def test_compiling_a_recognized_compiled_program_again_validates():
+    ws = parse_workspace(WORD_SYSTEM + "program swap {\n"
+                         "  swap(s(w)) = t(swap(w)); swap(t(w)) = s(swap(w));\n}\n")
+    _v1, compiled, _v2, again = compile_roundtrip(ws.programs["swap"], ws.system)
+    assert validate_program(again, ws.system).ok
+    assert again == compiled
+
+
+def test_a_compiled_selector_function_over_letters_with_bits_is_recognized():
+    """The helper covers 0 and 1 as well as the letters, which no
+    predicate's constructor set matches: it is no stratum to merge."""
+    ws = parse_workspace(BW_SYSTEM + "program f {\n"
+                         "  f(s(b, w)) = t(b, f(w)); f(t(b, w)) = s(b, f(w));\n}\n")
+    v1, compiled, v2, _again = compile_roundtrip(ws.programs["f"], ws.system)
+    assert [e.function for e in compiled.body[:4]] == ["cocase2"] * 4
+    assert bundle_equal(v1.bundle, v2.bundle)
+
+
+def test_a_recognized_helper_is_never_a_stratum():
+    ws = parse_workspace(WORD_SYSTEM + "program f {\n" + WORD_COCASE
+                         + "  g(x) = cocase1(x, pi1(x));\n"
+                           "  f(x) = cocase1(g(x), f(pi1(x)));\n}\n")
+    verdict = check_primitive_corecursive(ws.programs["f"], ws.system)
+    assert verdict.accepted, verdict.reason
+    names = [s.name if isinstance(s, CompositionDef) else s.names()
+             for s in verdict.bundle.strata]
+    assert names == ["g", ["f"]]
+    compiled = compile_schema(verdict.bundle, ws.system)
+    assert [e.function for e in compiled.body[:2]] == ["cocase1"] * 2
+    assert "cocase2" not in compiled.functions()

@@ -753,8 +753,9 @@ def test_state_off_the_cycle_is_declared_after_it():
 
     # s2 first, so that the compiled original is itself recognized
     schema = CorecSchema((member("s2", "1"), member("s1", "0")))
-    compiled = compile_schema(schema, SM)
-    proof = prove_corec(CorecBundle((schema,), "s1"), SM)
+    bundle = CorecBundle((schema,), "s1")
+    compiled = compile_schema(bundle, SM)
+    proof = prove_corec(bundle, SM)
     result = extract(normalize(proof), compiled, SM)
     assert "runners run1/0, run2/0" in result.certificate.render()
     assert check_primitive_corecursive(result.program, SM).accepted
