@@ -215,24 +215,38 @@ class Session:
     # -- term translation ---------------------------------------------------
 
     def encode(self, t: Term) -> int:
+        """The tid of t, interned bottom-up and left to right; an explicit
+        stack keeps any nesting depth clear of the recursion limit."""
         k = self.k
-        if isinstance(t, Var):
-            return k.var(t.name)
-        args = tuple(self.encode(a) for a in t.args)
-        if isinstance(t, Con):
-            sid = k.sym_ids.get(t.name, -1)
-            if sid < 0 or k.sym_kinds[sid] != CON:
-                raise EvalError(f"unknown constructor '{t.name}'")
-            return k.mk(CON, sid, args)
-        sid = k.sym_ids.get(t.name, -1)
-        if sid < 0:
-            sid = k.sym(t.name, FUN, len(args))
-        elif k.sym_kinds[sid] == CON:
-            raise EvalError(f"'{t.name}' is a constructor, not a function")
-        elif k.sym_arities[sid] != len(args):
-            raise EvalError(f"function '{t.name}' has arity {k.sym_arities[sid]}, "
-                            f"applied to {len(args)} arguments")
-        return k.mk(FUN, sid, args)
+        done: list[int] = []   # tids of the finished subterms, in order
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        while stack:
+            u, args_done = stack.pop()
+            if isinstance(u, Var):
+                done.append(k.var(u.name))
+                continue
+            if not args_done:
+                stack.append((u, True))
+                stack.extend((a, False) for a in reversed(u.args))
+                continue
+            cut = len(done) - len(u.args)
+            args = tuple(done[cut:])
+            del done[cut:]
+            sid = k.sym_ids.get(u.name, -1)
+            if isinstance(u, Con):
+                if sid < 0 or k.sym_kinds[sid] != CON:
+                    raise EvalError(f"unknown constructor '{u.name}'")
+                done.append(k.mk(CON, sid, args))
+                continue
+            if sid < 0:
+                sid = k.sym(u.name, FUN, len(args))
+            elif k.sym_kinds[sid] == CON:
+                raise EvalError(f"'{u.name}' is a constructor, not a function")
+            elif k.sym_arities[sid] != len(args):
+                raise EvalError(f"function '{u.name}' has arity {k.sym_arities[sid]}, "
+                                f"applied to {len(args)} arguments")
+            done.append(k.mk(FUN, sid, args))
+        return done[0]
 
     def decode(self, tid: int) -> Term:
         """Interned term back to a tree, iteratively; subterms deeper than

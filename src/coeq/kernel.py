@@ -12,12 +12,16 @@ before any further forcing happens.  One method, `_rewrite`, chooses
 every rewrite: of a call being forced, and of a projection of known data.
 
 One kind of redex is reduced first, when a call is forced: a projection
-`pi_i(d)` anywhere in the call whose argument is known data (a constructor
-term, or an environment term whose unfold is a constructor layer, such as
-a coterm node), innermost first.  It is reduced by firing its own standard
-equation, for one step.  So the tail `ident(pi2(x@3))` of a stream
-function is forced as `ident(x@4)`, a term that recurs with the input's
-period and hits the memo.
+`pi_i(d)` anywhere in the call whose argument is known data, innermost
+first.  Known data is a constructor term, an environment term whose
+unfold is a constructor layer (such as a coterm node), or a call the
+session has already forced to a constructor (`d` is in the memo, and
+`d ->* memo[d]` by rewrites the session performed).  Such a projection is
+reduced by firing its own standard equation, for one step: what forcing
+it costs anyway.  So the tail `ident(pi2(x@3))` of a stream function is
+forced as `ident(x@4)`, and the tail `even(pi2(pi2(merge(a, b))))` of a
+composed law as `even(merge(a', b'))`; both recur with the inputs'
+periods and hit the memo.
 """
 
 # The only backend: this interpreter module.  Kept as a name so reports
@@ -60,7 +64,8 @@ class KernelSession:
         self.memo = {}          # tid -> whnf tid (successes)
         self.nomatch = {}       # tid -> stuck tid (definitive no-match stalls)
         self.projections = set()   # fn sids of the destructors pi_i
-        self.reduced = {}       # tid -> tid with its projections of known data reduced
+        self.reduced = {}       # tid -> tid with its projections of known data reduced,
+                                # as known when tid was first walked
         self.steps_total = 0
         self._may_end_nullary = None   # fn sids, computed on first use
 
@@ -243,14 +248,15 @@ class KernelSession:
         """(tid with every projection of known data in it reduced, innermost
         first; steps), or (-1, steps) if the budget runs out first.
 
-        A projection `pi_i(d)` of known data (a constructor term, or an
-        environment term whose unfold is a constructor layer) is reduced by
-        firing its own standard equation (`_rewrite`), for one step; an
-        environment term unfolded for the first time costs one more (its
-        unfold goes in the memo, as forcing it would put it).  A subterm's
-        result is kept in `reduced` once it is complete, so it depends on
-        the term and the environment only, and is paid for once per
-        session."""
+        A projection `pi_i(d)` of known data (a constructor term, an
+        environment term whose unfold is a constructor layer, or a call
+        already in the memo) is reduced by firing its own standard equation
+        (`_rewrite`), for one step; an environment term unfolded for the
+        first time costs one more (its unfold goes in the memo, as forcing
+        it would put it).  A subterm's result is kept in `reduced` once it
+        is complete and paid for once per session.  It records what the
+        memo held when the subterm was first walked: a projection of a call
+        forced only later stays as it was."""
         red, t_args, t_sym = self.reduced, self.t_args, self.t_sym
         stack = [tid]
         while stack:
@@ -268,13 +274,15 @@ class KernelSession:
             out = -1
             if t_sym[t] in self.projections:
                 d = new[0]
-                layer = self.env.get(t_sym[d], d)   # a coterm binding or node unfolds
-                if self.t_kind[layer] == CON:
-                    if layer != d and d not in self.memo:
+                layer = self.memo.get(d, -1)   # forced before: a call, or a node unfolded
+                if layer < 0:
+                    layer = self.env.get(t_sym[d], d)   # a coterm binding or node unfolds
+                    if layer != d and self.t_kind[layer] == CON:
                         if steps >= budget:
                             return (-1, steps)
                         steps += 1
                         self.memo[d] = layer
+                if self.t_kind[layer] == CON:
                     if steps >= budget:
                         return (-1, steps)
                     steps += 1

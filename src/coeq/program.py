@@ -210,12 +210,16 @@ def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
                 out.append(Violation("unknown-function", f"equation '{e}': unknown function '{u.name}'"))
             if isinstance(u, Fun) and u.name in arities and arities[u.name] != len(u.args):
                 out.append(Violation("arity-mismatch", f"equation '{e}': '{u.name}' used with {len(u.args)} arguments, defined with {arities[u.name]}"))
-    # Pairwise compatibility within each function symbol.
+    # Pairwise compatibility within each function symbol; two distinct
+    # standard equations are compatible by construction.
     by_fn: dict[str, list[Equation]] = {}
     for e in p.body:
         by_fn.setdefault(e.function, []).append(e)
+    standard = set(standard_functions(ds))
     for eqs in by_fn.values():
         for e1, e2 in combinations(eqs, 2):
+            if e1 != e2 and e1 in standard and e2 in standard:
+                continue
             comp = check_compatibility(e1, e2)
             if not comp.compatible:
                 w = ", ".join(f"{v} -> {t}" for v, t in sorted(comp.witness.items()))

@@ -29,6 +29,16 @@ def test_flip_observation_depth_4():
     assert node == Cut(4)
 
 
+def test_observing_a_term_nested_ten_thousand_levels_deep():
+    """flip(flip(...(v_a)...)) nested 10,000 levels is encoded and forced
+    without recursion: an even number of flips is v_a itself."""
+    t = fn("v_a")
+    for _ in range(10_000):
+        t = fn("flip", t)
+    sess = Session(flip_program(), SM, flip_env())
+    assert approx_bits(sess.observe(t, 2, budget=10**6)) == [0, 1]
+
+
 def test_no_matching_equation_stall():
     prog, nat = nat_program()
     sess = Session(prog, nat)
@@ -568,8 +578,8 @@ def test_a_symbol_redeclared_with_another_kind_or_arity_is_an_error():
 
 
 def test_projections_of_unknown_data_wait_for_their_call():
-    """A projection of a generator binding, of a variable or of a call is
-    not reduced: only ident's rule fires.  A projection of a coterm names
+    """A projection of a generator binding, of a variable or of a call not
+    yet forced is not reduced: only ident's rule fires.  A projection of a coterm names
     the node it reaches."""
     env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
                          "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
@@ -583,6 +593,65 @@ def test_projections_of_unknown_data_wait_for_their_call():
     assert (status, steps) == (WHNF, 3)
     node = fn("v_a@3")
     assert sess.decode(out) == cons(fn("pi1", node), fn("ident", fn("pi2", node)))
+
+
+def _stock_union(*names):
+    """One program of the named stock entries' equations, each once."""
+    lib = stock_library()
+    eqs = []
+    for name in names:
+        eqs += [e for e in lib[name].program.body
+                if not reserved_function(e.function) and e not in eqs]
+    return assemble_program(SM, eqs, names[0])
+
+
+def test_a_projection_of_a_call_already_forced_is_known_data():
+    """Once merge(v_a, v_b) is forced, pi2(merge(v_a, v_b)) is a projection
+    of known data: forcing ident(pi2(merge(v_a, v_b))) reduces it by its
+    standard equation, for one step, before ident's rule fires.  In a fresh
+    session the call is not yet forced, and only ident's rule fires."""
+    env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
+                         "v_b": stream_coterm([1], loop_to=0)})
+    prog = _stock_union("ident", "merge")
+    call = fn("merge", fn("v_a"), fn("v_b"))
+    t = fn("ident", fn("pi2", call))
+    fresh = Session(prog, SM, env)
+    status, out, steps = fresh.k.head_normalize(fresh.encode(t), DEFAULT_BUDGET)
+    assert (status, steps) == (WHNF, 1)
+    p = fn("pi2", call)
+    assert fresh.decode(out) == cons(fn("pi1", p), fn("ident", fn("pi2", p)))
+    sess = Session(prog, SM, env)
+    assert sess.k.head_normalize(sess.encode(call), DEFAULT_BUDGET)[::2] == (WHNF, 1)
+    status, out, steps = sess.k.head_normalize(sess.encode(t), DEFAULT_BUDGET)
+    assert (status, steps) == (WHNF, 2)
+    tail = fn("merge", fn("v_b"), fn("pi2", fn("v_a")))
+    assert sess.decode(out) == cons(fn("pi1", tail), fn("ident", fn("pi2", tail)))
+
+
+COMPOSED_LAWS = (
+    (fn("merge", fn("even", fn("in0")), fn("odd", fn("in0"))), fn("in0")),
+    (fn("even", fn("merge", fn("in0"), fn("in1"))), fn("in0")),
+    (fn("odd", fn("merge", fn("in0"), fn("in1"))), fn("in1")),
+    (fn("zipxor", fn("zipxor", fn("in0"), fn("in1")), fn("in1")), fn("in0")),
+)
+
+
+@pytest.mark.parametrize("lhs, rhs", COMPOSED_LAWS, ids=[str(l) for l, _ in COMPOSED_LAWS])
+def test_a_composed_stream_law_costs_the_same_steps_at_any_depth(lhs, rhs):
+    """The tails of a composition of stream functions, such as
+    even(pi2(pi2(merge(a, b)))), are reduced through calls already forced,
+    so they recur with the inputs' periods (3 and 5 past their loops) and
+    hit the memo: checking the law costs the same steps at depths 64, 256
+    and 1,024, one fresh session each."""
+    prog = _stock_union("ident", "even", "odd", "merge", "zipxor")
+    env = DiagramEnv.of({"in0": stream_coterm([0, 1, 1], loop_to=1),
+                         "in1": stream_coterm([1, 0, 0, 1, 0], loop_to=2)})
+    steps = []
+    for depth in (64, 256, 1024):
+        sess = Session(prog, SM, env)
+        assert derives_omega(prog, env, lhs, rhs, depth, session=sess).equal
+        steps.append(sess.k.steps_total)
+    assert steps[0] == steps[1] == steps[2], steps
 
 
 def test_b_stalls_where_projected_inputs_differ():

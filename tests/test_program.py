@@ -1,10 +1,10 @@
 import itertools
 import random
 
-from helpers import (MIXED, ONE, SM, ZERO, cons, fn, flip_program,
+from helpers import (COLIST, MIXED, ONE, SM, WORD, ZERO, cons, fn, flip_program,
                      is_idempotent, term_size, v)
 
-from coeq.program import (DELTA, Equation, assemble_program,
+from coeq.program import (DELTA, Equation, Program, assemble_program,
                           check_compatibility, deep_destructor, pi_name,
                           standard_functions, unify, validate_program)
 from coeq.terms import Con, Fun, Var, substitute, variables
@@ -128,10 +128,18 @@ def test_standard_functions_shape_for_stream_system():
 
 
 def test_standard_functions_pairwise_compatible():
-    eqs = standard_functions(MIXED)
-    for i in range(len(eqs)):
-        for j in range(i + 1, len(eqs)):
-            assert check_compatibility(eqs[i], eqs[j]).compatible
+    """validate_program skips pairs of standard equations, which this
+    shows compatible on every data system the tests use."""
+    for ds in (SM, WORD, COLIST, MIXED):
+        for e1, e2 in itertools.combinations(standard_functions(ds), 2):
+            assert check_compatibility(e1, e2).compatible, (e1, e2)
+
+
+def test_a_standard_equation_given_twice_overlaps_itself():
+    p = assemble_program(SM, [Equation("f", (v("x"),), v("x"))], "f")
+    twice = Program(p.body + (standard_functions(SM)[0],), "f", 1)
+    rep = validate_program(twice, SM)
+    assert [x.code for x in rep.violations] == ["overlap"]
 
 
 def test_deep_destructor_builds_contexts():
@@ -165,7 +173,6 @@ def test_validate_unknown_function():
 
 
 def test_validate_missing_standard_functions():
-    from coeq.program import Program
     p = Program((Equation("f", (v("x"),), v("x")),), "f", 1)
     rep = validate_program(p, SM)
     assert any(x.code == "missing-standard" for x in rep.violations)
