@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function, validate_program)
-from .system import DataSystem
+from .system import DataSystem, boolean_stream_system
 from .terms import Con, Fun, Term, Var, substitute, subterms
 
 
@@ -533,15 +533,10 @@ class StockEntry:
     description: str
 
 
-def _sm() -> DataSystem:
-    from .system import boolean_stream_system
-    return boolean_stream_system()
-
-
 def stock_library() -> dict[str, StockEntry]:
     """Named corecursive programs over boolean streams; every entry passes
     the recognizer."""
-    ds = _sm()
+    ds = boolean_stream_system()
     x, y, w = Var("x"), Var("y"), Var("w")
     zero, one = Con("0"), Con("1")
 
@@ -595,7 +590,7 @@ def stock_library() -> dict[str, StockEntry]:
 
 def morse_thue_program() -> Program:
     """x = 1 : merge(x, not x) — cumulative corecursion, not accepted."""
-    ds = _sm()
+    ds = boolean_stream_system()
     x, y = Var("x"), Var("y")
     return assemble_program(ds, [
         Equation("notf", (x,), Fun(DELTA, (x, Con("1"), Con("0"), Con("0")))),

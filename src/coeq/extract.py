@@ -40,7 +40,7 @@ from .program import (DELTA, Equation, Program, assemble_program, pi_name,
 from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
                       even_term, merge_term, odd_term, term_sort, var_sorts,
                       zeros_term)
-from .system import DataSystem, random_stream_coterm
+from .system import DataSystem, boolean_stream_system, random_stream_coterm
 from .terms import Con, Fun, Term, Var, fresh_name, substitute, variables
 
 
@@ -982,7 +982,6 @@ def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
     if depth < 0 or inputs_per_entry < 1:
         raise ValueError(f"roundtrip needs depth >= 0 and at least one input per "
                          f"entry (depth {depth}, inputs {inputs_per_entry})")
-    from .system import boolean_stream_system
     ds = ds or boolean_stream_system()
     library = library or stock_library()
     report = RoundtripReport(depth, {})

@@ -9,10 +9,10 @@ program equations as atomic rewrite inferences, induction, and
 coinduction restricted to strongly-positive invariant formulas with the
 decomposition premise required.
 
-`normalize` removes logical detours (an introduction feeding its matching
-elimination as major premise); on detour-free derivations with
-strongly-positive endpoints every node formula stays strongly positive,
-which `assert_sp_proof` scans for.
+`normalize` removes logical detours in one bottom-up pass, each
+contraction counted against `NORMALIZE_MAX_STEPS`; on detour-free
+derivations with strongly-positive endpoints every node formula stays
+strongly positive, which `assert_sp_proof` scans for.
 """
 from __future__ import annotations
 
@@ -416,9 +416,6 @@ def coinduction(pred: str, hole: str, phi: Formula, t: Term, label: str,
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
-
-Assumptions = Counter  # Counter[(label, Formula)]
-
 
 @dataclass(frozen=True)
 class ProofViolation:
@@ -843,7 +840,7 @@ NORMALIZE_MAX_STEPS = 10_000
 
 
 class NormalizationLimit(Exception):
-    pass
+    """normalize needed more than NORMALIZE_MAX_STEPS contractions: a kernel bug."""
 
 
 def _scopes(d: Derivation) -> dict:
@@ -867,7 +864,18 @@ def _scopes(d: Derivation) -> dict:
     return {}
 
 
-_UNBOUND = ((), ())
+def _run(gen):
+    """The value of a generator that yields a generator per recursive call
+    and is sent its value: recursion on our own stack, of any depth."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+    return value
 
 
 def subst_derivation(d: Derivation, terms: dict[str, Term],
@@ -897,7 +905,7 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
             return m
         return {k: v for k, v in m.items() if k not in names}
 
-    def go(node: Derivation, terms, proofs) -> Derivation:
+    def go(node: Derivation, terms, proofs):   # run by _run
         if not terms and not proofs:
             return node
         if node.rule == "assume":
@@ -917,9 +925,9 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
         bound_names = {x for _labs, xs in scopes.values() for x in xs}
         done = {}
         for k, part in parts.items():
-            labels, names = scopes.get(k, _UNBOUND)
+            labels, names = scopes.get(k, ((), ()))
             t, p = drop(terms, names), drop(proofs, labels)
-            done[k] = subst_formula(part, t) if k == "formula" else go(part, t, p)
+            done[k] = subst_formula(part, t) if k == "formula" else (yield go(part, t, p))
             if done[k] is not part and scopes:
                 free_labels, free_names = inserted(t, p)
                 caught_labels = free_labels & bound_labels
@@ -927,7 +935,7 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
                 if caught_labels or caught_names:
                     node = _rename_binder(node, caught_labels, caught_names,
                                           free_labels | free_names)
-                    return go(node, terms, proofs)
+                    return (yield go(node, terms, proofs))
         prems = tuple(done[i] for i in range(len(node.premises)))
         attrs = tuple((k, done["formula"] if k == "formula"
                        else substitute(v, terms) if isinstance(v, Term) else v)
@@ -938,7 +946,7 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
             return node
         return Derivation(node.rule, f, prems, attrs)
 
-    return go(d, terms, proofs)
+    return _run(go(d, terms, proofs))
 
 
 def _rename_binder(node: Derivation, labels: set[str], names: set[str],
@@ -992,67 +1000,69 @@ def _open(d: Derivation) -> tuple[set[str], set[str]]:
             continue
         scopes = _scopes(node)
         for i, p in enumerate(node.premises):
-            labs, xs = scopes.get(i, _UNBOUND)
+            labs, xs = scopes.get(i, ((), ()))
             todo.append((p, bound_labels.union(labs), bound_names.union(xs)))
     return labels, names
 
 
-def _reduce_node(d: Derivation) -> Derivation | None:
-    """One detour reduction at the root, if the root is a redex."""
-    if d.rule == "and-elim" and d.premises[0].rule == "and-intro":
-        return d.premises[0].premises[d.attr("i") - 1]
-    if d.rule == "imp-elim" and d.premises[0].rule == "imp-intro":
-        intro = d.premises[0]
+# Detours: an elimination whose major premise is its matching introduction.
+_INTRO_OF = {"and-elim": "and-intro", "imp-elim": "imp-intro",
+             "or-elim": "or-intro", "ex-elim": "ex-intro",
+             "all-elim": "all-intro"}
+
+
+def _is_detour(d: Derivation) -> bool:
+    return bool(d.premises) and d.premises[0].rule == _INTRO_OF.get(d.rule)
+
+
+def _reduce_node(d: Derivation) -> Derivation:
+    """The contractum of the detour at d's root."""
+    intro = d.premises[0]
+    if d.rule == "and-elim":
+        return intro.premises[d.attr("i") - 1]
+    if d.rule == "imp-elim":
         return subst_derivation(intro.premises[0], {},
                                 {intro.attr("label"): d.premises[1]})
-    if d.rule == "or-elim" and d.premises[0].rule == "or-intro":
-        i = d.premises[0].attr("i")
+    if d.rule == "or-elim":
+        i = intro.attr("i")
         label = d.attr("label1") if i == 1 else d.attr("label2")
-        return subst_derivation(d.premises[i], {},
-                                {label: d.premises[0].premises[0]})
-    if d.rule == "ex-elim" and d.premises[0].rule == "ex-intro":
-        intro = d.premises[0]
+        return subst_derivation(d.premises[i], {}, {label: intro.premises[0]})
+    if d.rule == "ex-elim":
         return subst_derivation(d.premises[1], {d.attr("eigen"): intro.attr("witness")},
                                 {d.attr("label"): intro.premises[0]})
-    if d.rule == "all-elim" and d.premises[0].rule == "all-intro":
-        intro = d.premises[0]
-        return subst_derivation(intro.premises[0],
-                                {intro.attr("eigen"): d.attr("witness")}, {})
-    return None
-
-
-def _reduce_leftmost(d: Derivation) -> Derivation | None:
-    red = _reduce_node(d)
-    if red is not None:
-        return red
-    for i, p in enumerate(d.premises):
-        r = _reduce_leftmost(p)
-        if r is not None:
-            prems = d.premises[:i] + (r,) + d.premises[i + 1:]
-            return Derivation(d.rule, d.conclusion, prems, d.attrs)
-    return None
+    return subst_derivation(intro.premises[0],
+                            {intro.attr("eigen"): d.attr("witness")}, {})
 
 
 def normalize(d: Derivation) -> Derivation:
-    """Remove logical detours; raises NormalizationLimit if the step bound
-    is hit (which signals a kernel bug, not an expected outcome)."""
-    for _ in range(NORMALIZE_MAX_STEPS):
-        r = _reduce_leftmost(d)
-        if r is None:
-            return d
-        d = r
-    raise NormalizationLimit(f"no normal form within {NORMALIZE_MAX_STEPS} steps")
+    """The detour-free form of d, in one bottom-up pass: premises first, then
+    the node's own detour is contracted and the contractum normalized in
+    turn.  Raises NormalizationLimit after NORMALIZE_MAX_STEPS contractions."""
+    normal: dict[int, Derivation] = {}   # id -> node known normal; keeps it alive
+    steps = 0
+
+    def go(node: Derivation):   # run by _run
+        nonlocal steps
+        while id(node) not in normal:
+            prems = []
+            for p in node.premises:
+                prems.append((yield go(p)))
+            if not all(map(operator.is_, prems, node.premises)):
+                node = Derivation(node.rule, node.conclusion, tuple(prems), node.attrs)
+            if not _is_detour(node):
+                normal[id(node)] = node
+                continue
+            steps += 1
+            if steps > NORMALIZE_MAX_STEPS:
+                raise NormalizationLimit(f"no normal form within {steps - 1} contractions")
+            node = _reduce_node(node)
+        return node
+
+    return _run(go(d))
 
 
 def has_detour(d: Derivation) -> bool:
-    pairs = {"and-elim": "and-intro", "imp-elim": "imp-intro",
-             "or-elim": "or-intro", "ex-elim": "ex-intro",
-             "all-elim": "all-intro"}
-    for _p, node in d.nodes():
-        want = pairs.get(node.rule)
-        if want and node.premises and node.premises[0].rule == want:
-            return True
-    return False
+    return any(_is_detour(node) for _p, node in d.nodes())
 
 
 def assert_sp_proof(d: Derivation) -> tuple[tuple[int, ...], Formula] | None:

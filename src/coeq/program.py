@@ -173,10 +173,6 @@ def assemble_program(ds: DataSystem, equations: list[Equation], principal: str,
     return Program(tuple(body), principal, arity)
 
 
-def _is_base_term(t: Term) -> bool:
-    return not has_fun(t)
-
-
 def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
     out: list[Violation] = []
     arities: dict[str, int] = {}
@@ -187,7 +183,7 @@ def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
             out.append(Violation("arity-mismatch", f"{where}: '{e.function}' used with {len(e.patterns)} and {known} arguments"))
         seen_vars: list[str] = []
         for pat in e.patterns:
-            if not _is_base_term(pat):
+            if has_fun(pat):
                 out.append(Violation("non-base-pattern", f"{where}: pattern '{pat}' contains a function symbol"))
             for u in subterms(pat):
                 if isinstance(u, Var):

@@ -1,13 +1,15 @@
 """Shared builders and oracles for tests: the boolean-stream, word, colist
-and mixed example systems, common programs, small term constructors,
-seeded random stream, coterm and program generators, and term and
-substitution measures."""
+and mixed example systems, common programs and stream program families,
+small term constructors, seeded random stream, coterm and program
+generators, a detour injector for proofs, and term and substitution
+measures."""
 from __future__ import annotations
 
 import random
 
 from coeq.corec import check_primitive_corecursive, cocase_equations, compile_schema
 from coeq.evaluation import DiagramEnv
+from coeq.logic import Derivation, assume, imp_elim, imp_intro
 from coeq.program import DELTA, Equation, Program, assemble_program, pi_name
 from coeq.system import (Constructor, ConstructorType, CotermNode,
                          DataPredicate, DataSystem, Kind, RegularCoterm,
@@ -191,6 +193,49 @@ def term_size(t: Term) -> int:
 
 def is_idempotent(s: Subst) -> bool:
     return all(substitute(t, s) == t for t in s.values())
+
+
+def stream_family(kind: str, n: int) -> Program:
+    """An n-member family of stream programs, shaped like the prove
+    workload's: "mutual" is f1 -> f2 -> ... -> fn -> f1, every second head
+    negated and every third tail skipping two; "cycle" is the nullary
+    c1 = b1 : c2, ..., cn = bn : c1; "rotate" is n-ary merge that emits the
+    negated head of x1 and rotates x1's tail to the back."""
+    x = v("x")
+    negated = lambda t: Fun(DELTA, (pi1(t), ONE, ZERO, ZERO))
+    if kind == "mutual":
+        eqs = [Equation(f"f{i}", (x,),
+                        cons(negated(x) if i % 2 == 0 else pi1(x),
+                             fn(f"f{i % n + 1}", pi2(pi2(x)) if i % 3 == 0 else pi2(x))))
+               for i in range(1, n + 1)]
+        return assemble_program(SM, eqs, "f1")
+    if kind == "cycle":
+        eqs = [Equation(f"c{i}", (), cons((ZERO, ONE)[i % 2], fn(f"c{i % n + 1}")))
+               for i in range(1, n + 1)]
+        return assemble_program(SM, eqs, "c1")
+    assert kind == "rotate", kind
+    xs = tuple(v(f"x{i}") for i in range(1, n + 1))
+    rhs = cons(negated(xs[0]), fn("rot", *xs[1:], pi2(xs[0])))
+    return assemble_program(SM, [Equation("rot", xs, rhs)], "rot")
+
+
+def inject_detours(d: Derivation, every: int) -> Derivation:
+    """d with every `every`-th node in preorder, D : A, wrapped as
+    imp-elim(imp-intro_l(assume_l A), D): a detour whose contractum is D.
+    Built bottom-up with a loop, not recursion."""
+    nodes = list(d.nodes())
+    built: dict[tuple[int, ...], Derivation] = {}
+    for i in range(len(nodes) - 1, -1, -1):
+        path, node = nodes[i]
+        if node.premises:
+            prems = tuple(built.pop(path + (k,)) for k in range(len(node.premises)))
+            node = Derivation(node.rule, node.conclusion, prems, node.attrs)
+        if i % every == every - 1:
+            label = f"_detour{i}"
+            node = imp_elim(imp_intro(label, node.conclusion,
+                                      assume(label, node.conclusion)), node)
+        built[path] = node
+    return built[()]
 
 
 def compile_roundtrip(program: Program, ds: DataSystem):

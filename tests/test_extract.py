@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
-                     random_stream, stream_prefix, v)
+                     flip_env, pi2, random_stream, stream_prefix, v)
 
 from coeq.cli import parse_workspace
 from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
@@ -14,12 +14,14 @@ from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
-from coeq.logic import (And, Derivation, PolarityClass, assert_sp_proof, assume,
-                        check_proof, classify_formula, has_detour, normalize)
-from coeq.program import assemble_program
-from coeq.realize import (RealizabilityJudgment, even_term, merge_term,
+from coeq.logic import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
+                        assert_sp_proof, assume, check_proof, classify_formula,
+                        has_detour, normalize)
+from coeq.program import Equation, assemble_program
+from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
-from coeq.system import random_stream_coterm, stream_coterm
+from coeq.system import (Constructor, ConstructorType, DataSystem,
+                         random_stream_coterm, stream_coterm)
 from coeq.terms import Con, Fun, Var, subterms
 
 
@@ -151,6 +153,78 @@ def test_realizes_rejects_non_sp():
                                  fn("split_zeros"), phi, 4)
     with pytest.raises(ValueError):
         realizes(j)
+
+
+def _three_booleans() -> DataSystem:
+    """SM with a third boolean constant 2, which no selector bit may be."""
+    two = Constructor("2", 0)
+    return DataSystem(SM.vocabulary + (two,), SM.predicates,
+                      SM.types + (ConstructorType(two, (), SM.predicates[0]),))
+
+
+_x, _y = Var("x"), Var("y")
+_ZEROS = fn("split_zeros")
+_STALLS = v("q")   # a free variable: observing it stalls at once
+
+# (case, eta, realizer, formula, str of the result); unlisted names of eta
+# are free, so they stall.  v_a = 0 : v_b and v_b = 1 : v_a.
+REALIZE_FAILURES = [
+    ("stream atom fails", {"x": fn("v_b")}, _ZEROS, DataAtom("S", _x),
+     "fails at root: S(x): differs(path [1])"),
+    ("stream atom stalls", {"x": fn("v_b")}, _STALLS, DataAtom("S", _x),
+     "stalled at root: S(x): stalled(path [], no-matching-equation)"),
+    ("boolean atom stalls", {}, _ZEROS, DataAtom("B", _x),
+     "stalled at root: observing B(x)"),
+    ("boolean atom fails", {"x": ONE}, _ZEROS, DataAtom("B", _x),
+     "fails at root: head encodes 0, value is 1"),
+    ("equation head stalls", {}, _ZEROS, EqAtom(_y, ZERO),
+     "stalled at root: observing y"),
+    ("boolean equation stalls", {"x": ZERO}, _ZEROS, EqAtom(_x, _y),
+     "stalled at root: observing x = y"),
+    ("boolean equation fails", {"x": ZERO}, _ZEROS, EqAtom(_x, ONE),
+     "fails at root: x = 1: values 0, 1, head 0"),
+    ("stream equation fails", {"x": fn("v_a"), "y": fn("v_b")}, _ZEROS, EqAtom(_x, _y),
+     "fails at root: x = y: differs(path [1])"),
+    ("stream equation stalls", {"x": fn("v_a")}, _ZEROS, EqAtom(_x, _y),
+     "stalled at root: x = y: stalled(path [], no-matching-equation)"),
+    ("equation realizer fails", {"x": fn("v_b")}, _ZEROS,
+     EqAtom(_x, fn("ident", _x)),
+     "fails at root: realizer != value: differs(path [1])"),
+    ("equation realizer stalls", {"x": fn("v_b")}, _STALLS,
+     EqAtom(_x, fn("ident", _x)),
+     "stalled at root: realizer != value: stalled(path [], no-matching-equation)"),
+    ("left conjunct fails", {"x": ONE}, _ZEROS, And(DataAtom("B", _x), EqAtom(_x, _x)),
+     "fails at and-left: head encodes 0, value is 1"),
+    ("right conjunct fails", {"x": ZERO, "y": pi2(fn("v_a"))}, _ZEROS,
+     And(DataAtom("B", _x), EqAtom(_y, _y)),
+     "fails at and-right: realizer != value: differs(path [1])"),
+    ("selector stalls", {"x": ONE}, _STALLS, Or(DataAtom("B", _x), EqAtom(_x, _x)),
+     "stalled at root: selector head"),
+    ("chosen disjunct fails", {"x": ONE}, _ZEROS, Or(DataAtom("B", _x), EqAtom(_x, _x)),
+     "fails at or-left: head encodes 0, value is 1"),
+]
+
+
+@pytest.mark.parametrize("case, eta, realizer, formula, expected", REALIZE_FAILURES,
+                         ids=[row[0] for row in REALIZE_FAILURES])
+def test_realizes_names_the_clause_that_fails_or_stalls(case, eta, realizer, formula,
+                                                         expected):
+    j = RealizabilityJudgment.of(stock_library()["ident"].program, SM, flip_env(),
+                                 eta, realizer, formula, 4)
+    result = realizes(j)
+    assert not result.holds
+    assert str(result) == expected
+
+
+def test_a_selector_bit_that_is_no_boolean_fails():
+    ds = _three_booleans()
+    zeros = assemble_program(ds, [Equation("zeros", (), cons(ZERO, fn("zeros")))], "zeros")
+    j = RealizabilityJudgment.of(zeros, ds, None, {"x": ONE}, cons(Con("2"), fn("zeros")),
+                                 Or(DataAtom("B", _x), EqAtom(_x, _x)), 4)
+    result = realizes(j)
+    assert (result.status, result.path) == ("fails", ())
+    assert str(result) == "fails at root: selector head is '2'"
+    assert str(HOLDS) == "holds-up-to-depth"
 
 
 # -- prove_corec ----------------------------------------------------------------

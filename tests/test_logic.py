@@ -1,7 +1,13 @@
 import random
+import time
 
 import pytest
-from helpers import MIXED, SM, ZERO, ONE, cons, fn, flip_program, v
+from helpers import (MIXED, SM, ZERO, ONE, cons, fn, flip_program, inject_detours,
+                     stream_family, v)
+
+from coeq import logic
+from coeq.corec import check_primitive_corecursive, stock_library
+from coeq.extract import prove_corec
 
 from coeq.logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
                         Imp, Or, PolarityClass, alpha_eq, and_elim, and_intro,
@@ -793,3 +799,75 @@ def test_subst_derivation_renames_an_eigenvariable_it_would_make_free_in_the_maj
     out = subst_derivation(d, {"w": v("y")}, {})
     assert out.attr("eigen") == "y'"
     assert _check(out).judgment() == "{u: (ex z. z = y)} |- 0 = 0"
+
+
+# -- normalize in one bottom-up pass ---------------------------------------------
+
+def test_a_proof_ten_thousand_levels_deep_normalizes():
+    """One and-detour under 10,000 nested and-intros.  The result is walked
+    with a loop, which checks every node, so it is detour-free: dataclass
+    equality and repr recurse, and a scan by `nodes()` builds a path per
+    node, which costs time quadratic in the depth."""
+    x = v("x")
+    d = and_elim(1, and_intro(assume("h", S(x)), refl(x)))
+    for _ in range(10_000):
+        d = and_intro(d, refl(x))
+    n = normalize(d)
+    for _ in range(10_000):
+        assert n.rule == "and-intro" and n.premises[1].rule == "refl"
+        n = n.premises[0]
+    assert n.rule == "assume" and n.attr("label") == "h"
+
+
+def test_a_detour_over_a_body_ten_thousand_levels_deep_normalizes():
+    """Contracting imp-elim(imp-intro_h(B), a) substitutes a for h through
+    a body B of 10,000 nested imp-elims."""
+    x = v("x")
+    body = assume("h", S(x))
+    for _ in range(10_000):
+        body = imp_elim(assume("k", Imp(S(x), S(x))), body)
+    n = normalize(imp_elim(imp_intro("h", S(x), body), assume("a", S(x))))
+    for _ in range(10_000):
+        assert n.rule == "imp-elim" and n.premises[0].attr("label") == "k"
+        n = n.premises[1]
+    assert n.rule == "assume" and n.attr("label") == "a"
+
+
+def test_normalize_raises_past_its_contraction_bound(monkeypatch):
+    x = v("x")
+    d = inject_detours(and_intro(assume("h", S(x)), refl(x)), 1)
+    assert sum(1 for _p, node in d.nodes() if node.rule == "imp-elim") == 3
+    monkeypatch.setattr(logic, "NORMALIZE_MAX_STEPS", 2)
+    with pytest.raises(logic.NormalizationLimit):
+        normalize(d)
+    monkeypatch.setattr(logic, "NORMALIZE_MAX_STEPS", 3)
+    assert normalize(d) == and_intro(assume("h", S(x)), refl(x))
+
+
+def _member_proof(program):
+    verdict = check_primitive_corecursive(program, SM)
+    assert verdict.accepted, verdict.reason
+    return prove_corec(verdict.bundle, SM)
+
+
+def test_injected_detours_normalize_back_to_the_original_proof():
+    """prove_corec proofs of the stock programs and of three families, with
+    a detour injected at every 1st to 4th node, normalize to themselves."""
+    programs = [entry.program for entry in stock_library().values()]
+    programs += [stream_family(kind, n) for kind in ("mutual", "cycle", "rotate")
+                 for n in (1, 2, 3, 8, 16)]
+    for program in programs:
+        proof = _member_proof(program)
+        for every in (1, 2, 3, 4):
+            assert normalize(inject_detours(proof, every)) == proof, \
+                (program.principal, every)
+
+
+def test_a_128_member_family_proof_normalizes_within_two_seconds():
+    """One member's proof of a 128-member mutual family, with a detour at
+    every 4th node (about 2,800), normalizes well within 2 s."""
+    d = inject_detours(_member_proof(stream_family("mutual", 128)), 4)
+    start = time.perf_counter()
+    n = normalize(d)
+    assert time.perf_counter() - start < 2.0
+    assert not has_detour(n)
