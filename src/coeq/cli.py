@@ -364,27 +364,53 @@ class Parser:
         return check(t)
 
     def parse_term(self, ds: DataSystem) -> Term:
-        left = self.parse_term_atom(ds)
-        if self.peek().text == ":":
-            self.next()
-            right = self.parse_term(ds)
-            c = ds.constructor("cons")
-            if c is None or c.arity != 2:
-                raise self.fail("':' needs a binary constructor named 'cons'")
-            return Con("cons", (left, right))
-        return left
+        """`atom (':' term)?`, where an atom is `(term)`, `name` or
+        `name(term, ...)`.  Open parentheses, open argument lists and the
+        left operands of ':' wait on an explicit stack, so any nesting
+        depth parses without recursion."""
+        stack: list[tuple] = []   # ("(",), ("call", name, args) or (":", left)
+        while True:
+            if self.peek().text == "(":   # an atom starts
+                self.next()
+                stack.append(("(",))
+                continue
+            name = self.ident("term")
+            if self.peek().text == "(":
+                self.next()
+                if self.peek().text != ")":
+                    stack.append(("call", name, []))
+                    continue
+                self.next()
+            t = self._atom(ds, name, [])
+            while True:   # t is a complete atom
+                if self.peek().text == ":":
+                    self.next()
+                    stack.append((":", t))
+                    break
+                if stack and stack[-1][0] == ":":   # t ends the right operand of each ':'
+                    c = ds.constructor("cons")
+                    if c is None or c.arity != 2:
+                        raise self.fail("':' needs a binary constructor named 'cons'")
+                    while stack and stack[-1][0] == ":":
+                        t = Con("cons", (stack.pop()[1], t))
+                if not stack:
+                    return t
+                frame = stack[-1]
+                if frame[0] == "(":
+                    stack.pop()
+                    self.expect(")")
+                    continue
+                frame[2].append(t)
+                if self.peek().text == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                stack.pop()
+                t = self._atom(ds, frame[1], frame[2])
 
-    def parse_term_atom(self, ds: DataSystem) -> Term:
-        if self.peek().text == "(":
-            self.next()
-            t = self.parse_term(ds)
-            self.expect(")")
-            return t
-        name = self.ident("term")
-        args: list[Term] = []
-        if self.peek().text == "(":
-            self.next()
-            args = self.commas(lambda: self.parse_term(ds))
+    def _atom(self, ds: DataSystem, name: str, args: list[Term]) -> Term:
+        """`name(args)` once its closing paren is read: a constructor at its
+        arity, else a function call."""
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
@@ -606,12 +632,22 @@ def _pred_of(ds: DataSystem, name: Tok, p: Parser) -> DataPredicate:
 
 def _vars_from_funs(t: Term, known: set[str]) -> Term:
     """Nullary applications of unknown names were parsed as functions;
-    inside program right-hand sides they are variables."""
-    if isinstance(t, Fun) and not t.args and t.name not in known:
-        return Var(t.name)
-    if not t.args:
-        return t
-    return type(t)(t.name, tuple(_vars_from_funs(a, known) for a in t.args))
+    inside program right-hand sides they are variables.  Rebuilt bottom-up
+    on an explicit stack, so any nesting depth is clear of the recursion
+    limit."""
+    done: list[Term] = []   # the finished subterms, in order
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, args_done = stack.pop()
+        if not u.args:
+            done.append(Var(u.name) if isinstance(u, Fun) and u.name not in known else u)
+        elif not args_done:
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+        else:
+            cut = len(done) - len(u.args)
+            done[cut:] = [type(u)(u.name, tuple(done[cut:]))]
+    return done[0]
 
 
 def parse_workspace(source: str) -> Workspace:

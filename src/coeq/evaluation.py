@@ -167,8 +167,13 @@ class Session:
     constructors, then the functions of the main program and of every
     generator program (a function already defined keeps its equations),
     then the bindings, none of which may reuse a name declared before.
-    Node i of a coterm binding `a` is a nullary function in a namespace of
-    its own (`KernelSession.node`), printed `a@i`: no surface name reaches it."""
+    A coterm binding `a` is its entry node: `a` unfolds to the entry's
+    constructor layer, and a child that is the entry is `a` itself.  A leaf
+    node (a nullary constructor) is that constant wherever it is a child,
+    so it costs no unfold; it keeps an unfold only as the entry, as in
+    `a = 0`.  Any other node i with children is a nullary function in a
+    namespace of its own (`KernelSession.node`), printed `a@i`: no surface
+    name reaches it."""
 
     def __init__(self, program: Program, ds: DataSystem,
                  env: DiagramEnv | None = None):
@@ -203,14 +208,19 @@ class Session:
                 k.set_env(sid, self.encode(
                     Fun(value.principal, tuple(Fun(a) for a in value.args))))
                 continue
-            for i, node in enumerate(value.nodes):
-                kids = tuple(k.mk(FUN, k.node(name, ch) if isinstance(ch, int)
-                                  else k.sym(ch, FUN, 0), ())
-                             for ch in node.children)
-                layer = k.mk(CON, k.sym_ids[node.constructor], kids)
-                k.set_env(k.node(name, i), layer)
-                if i == value.entry:
-                    k.set_env(sid, layer)
+            nodes, entry = value.nodes, value.entry
+            # each node as a child: a leaf is its constant, the entry node is
+            # the binding, any other node a symbol of its own
+            refs = [k.mk(CON, k.sym_ids[n.constructor], ()) if not n.children
+                    else k.mk(FUN, sid if i == entry else k.node(name, i), ())
+                    for i, n in enumerate(nodes)]
+            for i, node in enumerate(nodes):
+                if node.children or i == entry:
+                    kids = tuple(refs[ch] if isinstance(ch, int)
+                                 else k.mk(FUN, k.sym(ch, FUN, 0), ())
+                                 for ch in node.children)
+                    k.set_env(sid if i == entry else k.node(name, i),
+                              k.mk(CON, k.sym_ids[node.constructor], kids))
 
     # -- term translation ---------------------------------------------------
 

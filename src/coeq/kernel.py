@@ -18,10 +18,11 @@ unfold is a constructor layer (such as a coterm node), or a call the
 session has already forced to a constructor (`d` is in the memo, and
 `d ->* memo[d]` by rewrites the session performed).  Such a projection is
 reduced by firing its own standard equation, for one step: what forcing
-it costs anyway.  So the tail `ident(pi2(x@3))` of a stream function is
-forced as `ident(x@4)`, and the tail `even(pi2(pi2(merge(a, b))))` of a
-composed law as `even(merge(a', b'))`; both recur with the inputs'
-periods and hit the memo.
+it costs anyway.  So the tail `ident(pi2(x))` of a stream function on a
+coterm binding `x` (which is its entry node) is forced as `ident(x@3)`,
+and the tail `even(pi2(pi2(merge(a, b))))` of a composed law as
+`even(merge(a', b'))`; both recur with the inputs' periods and hit the
+memo.
 """
 
 # The only backend: this interpreter module.  Kept as a name so reports

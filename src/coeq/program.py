@@ -174,6 +174,17 @@ def assemble_program(ds: DataSystem, equations: list[Equation], principal: str,
 
 
 def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
+    """The program's violations over `ds`.  A program is immutable, so its
+    report is computed once per data system and kept on the program
+    (keyed by the system's identity, which the entry keeps alive)."""
+    reports = p.__dict__.setdefault("_reports", {})
+    hit = reports.get(id(ds))
+    if hit is None:
+        hit = reports[id(ds)] = (ds, _validate(p, ds))
+    return hit[1]
+
+
+def _validate(p: Program, ds: DataSystem) -> ValidationReport:
     out: list[Violation] = []
     arities: dict[str, int] = {}
     for e in p.body:

@@ -524,7 +524,7 @@ def test_cmd_eval_of_even_to_depth_10000_costs_a_period_of_steps(capsys, monkeyp
     assert code == 0
     assert out.splitlines() == ["APPROXIMATION\t" + "0:" * 10000 + "<cut@10000>",
                                 "STALL\tnone"]
-    assert [s.k.steps_total for s in sessions] == [12]
+    assert [s.k.steps_total for s in sessions] == [6]
 
 
 def test_cmd_productive_on_a_2000_member_cycle_family(tmp_path, capsys):
@@ -663,6 +663,70 @@ def test_a_malformed_workspace_is_reported_at_the_offending_token(tmp_path, caps
     offending name itself where the error is found after reading it."""
     ws = _ws(tmp_path, source)
     assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
+
+
+NO_CONS_SYSTEM = "system X { inductive B; coinductive S; constructor 0 : B; }\n"
+
+
+@pytest.mark.parametrize("source, error", [
+    (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (cons B)}) }",
+     "2:42: bad constructor type for 'cons' (found '}')"),
+    (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (0 S)}) }",
+     "2:39: type '0 : S' is not declared by the system (found '}')"),
+    (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {pos (1 a)}) }",
+     "2:37: positions are numbers (found ')')"),
+    (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {i a}) }",
+     "2:32: attribute 'i' needs a number (found '}')"),
+    (ONE_LINE_SYSTEM + "env E { a = cons(0); }",
+     "2:20: constructor 'cons' has arity 2, got 1 children (found ';')"),
+    (ONE_LINE_SYSTEM + "env E { a = 0(a); }",
+     "2:17: constructor '0' has arity 0, got 1 children (found ';')"),
+    (ONE_LINE_SYSTEM + "env E { a = b; }",
+     "2:14: a binding must start with a constructor, rec, or a program call (found ';')"),
+    (NO_CONS_SYSTEM + "env E { a = 0 : a; }",
+     "2:17: ':' needs a binary constructor named 'cons' (found 'a')"),
+    (NO_CONS_SYSTEM + "program f { f = 0 : f(); }",
+     "2:24: ':' needs a binary constructor named 'cons' (found ';')"),
+    (ONE_LINE_SYSTEM + "program f { g = 0; }",
+     "2:21: program 'f' does not define 'f' (at end)"),
+], ids=["type-arity", "type-undeclared", "pos", "number", "coterm-arity",
+        "coterm-leaf-arity", "binding-start", "coterm-cons", "term-cons", "no-principal"])
+def test_a_malformed_attribute_coterm_or_program_is_reported_where_it_is_found(
+        tmp_path, capsys, source, error):
+    """These errors are found once the construct is read, and name the
+    token after it."""
+    ws = _ws(tmp_path, source)
+    assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("eval", "flip(v_a)", "--env", "Nope"), "unknown env 'Nope'"),
+    (("bisim", "v_a", "v_a", "--env", "Nope"), "unknown env 'Nope'"),
+    (("eval", "flip(v_a)", "--program", "nope"), "unknown program 'nope'"),
+    (("productive", "nope"), "unknown program 'nope'"),
+    (("prove-corec", "nope"), "unknown program 'nope'"),
+    (("check-proof", "nope"), "unknown proof 'nope'"),
+    (("normalize", "nope"), "unknown proof 'nope'"),
+    (("extract", "nope"), "'nope' names no proof or program"),
+    (("eval", "v_a v_b"), "1:5: trailing input after term (found 'v_b')"),
+])
+def test_an_unknown_name_or_a_malformed_term_is_a_command_error(ws_file, capsys, argv,
+                                                                  error):
+    command, *rest = argv
+    assert run_main(capsys, command, ws_file, *rest) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("term, budget, out", [
+    ("flip(" * 10_000 + "v_a" + ")" * 10_000, "100000", "0:1:0:1:<cut@4>\n"),
+    ("(" * 10_000 + "v_a" + ")" * 10_000, "10000", "0:1:0:1:<cut@4>\n"),
+    ("0 : " * 10_000 + "v_a", "10000", "0:0:0:0:<cut@4>\n"),
+    ("v_a()", "10000", "0:1:0:1:<cut@4>\n"),
+], ids=["nested-calls", "nested-parentheses", "cons-chain", "empty-arguments"])
+def test_cmd_eval_parses_a_term_ten_thousand_levels_deep(capsys, term, budget, out):
+    """The term parser keeps its own stack: no nesting of calls,
+    parentheses or conses reaches the interpreter's recursion limit."""
+    assert run_main(capsys, "eval", STREAMS_CDS, term, "--depth", "4", "--env", "E",
+                    "--budget", budget) == (0, out, "")
 
 
 def test_programs_that_define_a_function_differently_conflict(tmp_path, capsys):

@@ -360,6 +360,59 @@ def test_coterm_nodes_have_a_namespace_of_their_own():
     assert approx_bits(sess.observe(fn("a@0"), 4)) == [1, 1, 1, 1]
 
 
+def test_a_binding_and_its_entry_node_are_one_term():
+    """A node whose child is the entry names the binding itself: the entry
+    node has no symbol of its own, so it prints as the binding's name."""
+    sess = _stock_session("ident", DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0)}))
+    k = sess.k
+    assert ("v_a", 2) not in k.node_ids
+    last = k.env[k.node("v_a", 3)]
+    assert k.t_args[last][1] == sess.encode(fn("v_a"))
+    status, out, _ = k.head_normalize(
+        sess.encode(fn("ident", fn("pi2", fn("pi2", fn("v_a"))))), DEFAULT_BUDGET)
+    assert (status, sess.decode(out)) == (
+        WHNF, cons(fn("pi1", fn("v_a")), fn("ident", fn("pi2", fn("v_a")))))
+
+
+def test_observing_ident_on_a_stream_that_loops_to_its_entry_fires_ident_once_per_node():
+    """Three cons nodes, the last looping back to the entry: ident fires
+    three times at any depth, and each node costs one unfold, one pi1 and
+    one pi2."""
+    sess = _stock_session("ident", DiagramEnv.of({"v_a": stream_coterm([0, 1, 1], loop_to=0)}))
+    k, ident = sess.k, sess.k.sym_ids["ident"]
+    fired = []
+    rewrite = k._rewrite
+
+    def counting_rewrite(sid, args):
+        out = rewrite(sid, args)
+        if sid == ident and out[0] >= 0:
+            fired.append(args)
+        return out
+    k._rewrite = counting_rewrite
+    assert approx_bits(sess.observe(fn("ident", fn("v_a")), 12)) == [0, 1, 1] * 4
+    assert len(fired) == 3
+    assert k.steps_total == 3 * 4
+
+
+def test_a_leaf_node_is_its_constructor():
+    """pi1 of a stream binding is forced in two steps (the binding's unfold
+    and pi1's rule) to the constant itself, not to a node to unfold."""
+    sess = Session(flip_program(), SM, flip_env())
+    status, out, steps = sess.k.head_normalize(sess.encode(fn("pi1", fn("v_a"))),
+                                               DEFAULT_BUDGET)
+    assert (status, sess.decode(out), steps) == (WHNF, ZERO, 2)
+
+
+def test_a_binding_whose_coterm_is_a_single_leaf_observes():
+    """`a = 0` keeps an unfold of its own, and a stream may name it."""
+    env = DiagramEnv.of({"a": RegularCoterm((CotermNode("0"),)),
+                         "s": RegularCoterm((CotermNode("cons", ("a", 0)),))})
+    sess = Session(flip_program(), SM, env)
+    assert sess.observe(fn("a"), 4) == ApproxNode("0", (), 0)
+    assert approx_bits(sess.observe(fn("s"), 3)) == [0, 0, 0]
+    assert approx_bits(sess.observe(fn("flip", fn("s")), 3)) == [1, 1, 1]
+
+
 def test_a_non_law_costs_no_more_than_forcing_both_roots():
     """flip(v_a) and v_a differ at the first head, which forcing the roots
     already made constructors: nothing deeper is forced."""
@@ -464,20 +517,20 @@ def test_a_generator_binding_or_a_cons_node_at_the_bound_is_not_forced():
         assert derives_omega(sess.program, None, cons(ZERO, t), cons(ZERO, fn("v_f")),
                              1, session=sess).equal
     assert sess.k.steps_total == 0
-    # v_a's tail at depth 1 is a cons node: v_a and its head bit cost one step each
+    # v_a's tail at depth 1 is a cons node: v_a costs one step, its head bit is a constant
     assert sess.observe(fn("v_a"), 1) == ApproxNode(
         "cons", (ApproxNode("0", (), 1), Cut(1)), 0)
-    assert sess.k.steps_total == 2
+    assert sess.k.steps_total == 1
 
 
 def test_observing_flip_to_depth_4_leaves_the_tail_at_the_bound_unforced():
-    """Five steps for the input's first layer and its two bit nodes, then
-    one for each later input node and one per flip rule; the flip call at
-    depth 4 is not forced (its two steps were spent before)."""
+    """One step for each of the four input nodes the flip rules demand (v_a
+    and three more) and one per flip rule; the bits are constants, and the
+    flip call at depth 4 is not forced."""
     sess = Session(flip_program(), SM,
                    DiagramEnv.of({"v_a": stream_coterm([0, 1, 1, 0, 1], loop_to=0)}))
     assert approx_bits(sess.observe(fn("flip", fn("v_a")), 4)) == [1, 0, 0, 1]
-    assert sess.k.steps_total == 10
+    assert sess.k.steps_total == 8
 
 
 def test_the_walk_forces_a_pair_at_the_bound_only_while_it_could_be_two_nullary_heads():
@@ -508,10 +561,10 @@ def _stock_session(name, env):
 
 def test_a_forcing_never_spends_more_than_its_budget():
     """even(pi2(pi2(pi2(v_r)))) reduces its three projections when it is
-    forced: one step for each node unfolded and one for each projection,
-    then one for even's rule.  A budget that runs out part way stalls at
-    the unreduced term, or at the reduced one before the rule, having
-    spent exactly the budget."""
+    forced: one step for each node unfolded (v_r is its entry node, so two)
+    and one for each projection, then one for even's rule.  A budget that
+    runs out part way stalls at the unreduced term, or at the reduced one
+    before the rule, having spent exactly the budget."""
     env = DiagramEnv.of({"v_r": stream_coterm([0, 1], loop_to=0)})
     t = fn("even", fn("pi2", fn("pi2", fn("pi2", fn("v_r")))))
     got = []
@@ -521,8 +574,8 @@ def test_a_forcing_never_spends_more_than_its_budget():
         assert steps <= budget
         got.append((status, steps))
         if status == STALL_BUDGET:
-            assert sess.decode(out) == (t if budget < 6 else fn("even", fn("v_r@3")))
-    assert got == [(STALL_BUDGET, b) for b in range(1, 7)] + [(WHNF, 7)] * 2
+            assert sess.decode(out) == (t if budget < 5 else fn("even", fn("v_r@3")))
+    assert got == [(STALL_BUDGET, b) for b in range(1, 6)] + [(WHNF, 6)] * 3
 
 
 def test_projections_of_known_data_follow_their_standard_equations():
@@ -530,7 +583,7 @@ def test_projections_of_known_data_follow_their_standard_equations():
     with f(x) = x reduces the projection as its standard equation says,
     pi2(s(x)) = s(x) included.  It costs one step for each projection, one
     for each coterm node unfolded for the first time, and one for f's
-    rule.  Coterm w is c(w@1, w@2) with w@1 = 0 and w@2 = s(w@1)."""
+    rule.  Coterm w is c(0, w@2) with w@2 = s(0): its leaf is the constant 0."""
     w = RegularCoterm((CotermNode("c", (1, 2)), CotermNode("0"), CotermNode("s", (1,))))
     prog = assemble_program(MIXED, [Equation("f", (Var("x"),), Var("x"))], "f")
     std = {(e.function, e.patterns[0].name): e
@@ -543,10 +596,10 @@ def test_projections_of_known_data_follow_their_standard_equations():
             e = std[(pi_name(i), c.name)]
             binds = {x.name: a for x, a in zip(e.patterns[0].args, d.args)}
             cases.append((i, d, substitute(e.rhs, binds), 2))
-    s_node = Con("s", (fn("w@1"),))
-    cases += [(1, fn("w"), ZERO, 4), (2, fn("w"), s_node, 4),
-              (1, fn("pi1", fn("w")), ZERO, 5), (2, fn("pi1", fn("w")), ZERO, 5),
-              (1, fn("pi2", fn("w")), ZERO, 6), (2, fn("pi2", fn("w")), s_node, 5)]
+    s_node = Con("s", (ZERO,))
+    cases += [(1, fn("w"), ZERO, 3), (2, fn("w"), s_node, 4),
+              (1, fn("pi1", fn("w")), ZERO, 4), (2, fn("pi1", fn("w")), ZERO, 4),
+              (1, fn("pi2", fn("w")), ZERO, 5), (2, fn("pi2", fn("w")), s_node, 5)]
     assert Con("s", (Con("1"),)) in [want for i, _, want, _ in cases if i == 2]
     for i, d, want, cost in cases:
         sess = Session(prog, MIXED, DiagramEnv.of({"w": w}))
@@ -565,7 +618,7 @@ def test_a_constructor_term_rebuilt_by_an_earlier_forcing_is_forced_to_its_rebui
     sess.observe(fn("merge", arg, fn("v_b")), 3)
     out, reason = sess.force(sess.encode(arg), DEFAULT_BUDGET)
     assert reason is None
-    assert sess.decode(out) == cons(fn("v_a@0"), fn("v_b"))
+    assert sess.decode(out) == cons(ZERO, fn("v_b"))
 
 
 def test_a_symbol_redeclared_with_another_kind_or_arity_is_an_error():

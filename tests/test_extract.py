@@ -565,8 +565,8 @@ def test_extract_realizes_conclusion():
 # and a tail's projections of input nodes are reduced when it is forced, so
 # the tails of ident, even, odd, merge and zipxor recur with the input's
 # period.
-REALIZE_STEPS_DEPTH_8 = {"ident": 17, "even": 15, "odd": 12, "flip": 51, "merge": 34,
-                         "zeros": 3, "ones": 3, "zipxor": 34, "alt": 5}
+REALIZE_STEPS_DEPTH_8 = {"ident": 11, "even": 8, "odd": 10, "flip": 49, "merge": 28,
+                         "zeros": 3, "ones": 3, "zipxor": 28, "alt": 5}
 
 
 def test_realizability_at_depth_8_steps_are_pinned(monkeypatch):

@@ -189,6 +189,40 @@ def test_validate_rejects_nonlinear_and_unbound():
     assert any(x.code == "unbound-variable" for x in rep2.violations)
 
 
+def test_a_program_is_validated_once_per_data_system(monkeypatch):
+    """Sessions, bisimulation walks and direct calls share one report per
+    program and system; a new program or another system is validated anew."""
+    from importlib import import_module
+    from helpers import flip_env
+    from coeq.evaluation import EvalError, Session, derives_omega
+    program_module = import_module("coeq.program")
+    calls = []
+    validate = program_module._validate
+
+    def counting(p, ds):
+        calls.append(ds)
+        return validate(p, ds)
+    monkeypatch.setattr(program_module, "_validate", counting)
+    flip = flip_program()
+    for _ in range(3):
+        Session(flip, SM, flip_env())
+        assert derives_omega(flip, flip_env(), fn("v_a"), fn("v_a"), 4, ds=SM).equal
+    assert validate_program(flip, SM).ok
+    assert calls == [SM]
+    bad = assemble_program(SM, [Equation("f", (v("x"),), ZERO),
+                                Equation("f", (ZERO,), ONE)], "f")
+    messages = set()
+    for _ in range(3):
+        try:
+            Session(bad, SM)
+        except EvalError as e:
+            messages.add(str(e))
+    assert len(messages) == 1 and "overlap" in messages.pop()
+    assert calls == [SM, SM]
+    validate_program(flip, MIXED)
+    assert calls == [SM, SM, MIXED]
+
+
 def _data_terms_to_depth(depth):
     """Ground 0/1/cons terms of height <= depth."""
     level = [ZERO, ONE]
