@@ -16,12 +16,21 @@ cycle in a regular coterm; an env right-hand side `f(v1 ...)` names a
 program of the workspace applied to other bindings.  Formulas are
 s-expressions: (S t), (= t t'), (and f g), (or f g), (imp f g),
 (ex x f), (all x f).
+
+A name that is not a constructor is a variable unless the workspace, or
+the program being read, defines it as a function (an env binding counts as
+one); in a pattern it is always a variable, and on a right-hand side the
+equation's pattern variables stay variables.  An applied s-expression
+name, `(f)` or `(f x)`, is always a call.  `roundtrip --depth` and
+`--inputs` must be at least 1.
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corec import check_primitive_corecursive
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
@@ -35,7 +44,7 @@ from .program import (Equation, Program, assemble_program, reserved_function,
                       standard_functions, validate_program)
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm, validate_system)
-from .terms import Con, Fun, Term, Var, variables
+from .terms import Con, Fun, Term, Var, subterms, variables
 
 FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
@@ -53,12 +62,12 @@ class ParseError(Exception):
 # Tokens
 # ---------------------------------------------------------------------------
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'[]$@")
+# A name may hold '-' before another of its characters.
+_TOKEN = re.compile(r"(?P<blank>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<punct>->|[{}(),;:*=.])"
+                    r"|(?P<ident>(?:[\w'\[\]$@]|-(?=[\w'\[\]$@]))+)", re.ASCII)
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str   # "ident" | "punct" | "eof"
     text: str
     line: int
@@ -67,50 +76,20 @@ class Tok:
 
 def tokenize(src: str) -> list[Tok]:
     toks: list[Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("->", i):
-            toks.append(Tok("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}(),;:*=.":
-            toks.append(Tok("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c in _IDENT_CHARS or (c == "-" and i + 1 < n and src[i + 1] in _IDENT_CHARS):
-            j = i
-            while j < n:
-                ch = src[j]
-                if ch in _IDENT_CHARS:
-                    j += 1
-                elif ch == "-" and j + 1 < n and src[j + 1] in _IDENT_CHARS:
-                    j += 1
-                else:
-                    break
-            toks.append(Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Tok("eof", "", line, col))
+    line, bol, end = 1, 0, 0   # the line, the offset it begins at, the end of the last match
+    for m in _TOKEN.finditer(src):
+        if m.start() != end:
+            break
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "blank" and "\n" in text:
+            line += text.count("\n")
+            bol = m.start() + text.rindex("\n") + 1
+        elif kind in ("punct", "ident"):
+            toks.append(Tok(kind, text, line, m.start() - bol + 1))
+    if end < len(src):
+        raise ParseError(f"unexpected character {src[end]!r}", line, end - bol + 1)
+    # the end of input is at the column after the last line's text, or at a comment
+    toks.append(Tok("eof", "", line, len(src[bol:].partition("#")[0]) + 1))
     return toks
 
 
@@ -170,10 +149,14 @@ class Workspace:
 
 
 class Parser:
-    def __init__(self, toks: list[Tok], ws: Workspace | None = None):
+    def __init__(self, toks: list[Tok], ws: Workspace | None = None,
+                 functions: set[str] | frozenset[str] = frozenset()):
         self.toks = toks
         self.i = 0
         self.ws = ws or Workspace()
+        # the names a bare name is read as a call of rather than as a
+        # variable, fixed for a stanza or a command-line term
+        self.functions = functions
 
     # -- cursor ----------------------------------------------------------------
 
@@ -326,42 +309,44 @@ class Parser:
         name_tok = self.ident_tok("program name")
         name, ds = name_tok.text, self._need_system(name_tok)
         self.expect("{")
-        raw: list[Equation] = []
-        fnames = {name}
+        known = self.ws.known_names() | self._equation_heads()
+        eqs: list[Equation] = []
         while self.peek().text != "}":
             fn = self.ident("function name")
-            fnames.add(fn)
             patterns: list[Term] = []
             if self.peek().text == "(":
                 self.next()
                 patterns = self.commas(lambda: self.parse_pattern(ds))
+            # a name the patterns bind is a variable on the right-hand side
+            self.functions = known - variables(Fun(fn, tuple(patterns)))
             self.expect("=")
             rhs = self.parse_term(ds)
             self.expect(";")
-            raw.append(Equation(fn, tuple(patterns), rhs))
+            eqs.append(Equation(fn, tuple(patterns), rhs))
         self.expect("}")
-        known = fnames | self.ws.known_names()
-        # a name the patterns bind is a variable on the right-hand side
-        eqs = [Equation(e.function, e.patterns,
-                        _vars_from_funs(e.rhs, known - variables(e.definiendum)))
-               for e in raw]
         if name not in {e.function for e in eqs}:
             raise self.fail(f"program '{name}' does not define '{name}'")
         self.ws.programs[name] = assemble_program(ds, eqs, name)
 
+    def _equation_heads(self) -> set[str]:
+        """The functions a program defines: the names that open its
+        equations, read ahead to its closing brace."""
+        heads, j = set(), self.i   # the token after '{'
+        while self.toks[j].text != "}" and self.toks[j].kind != "eof":
+            if self.toks[j - 1].text in ("{", ";") and self.toks[j].kind == "ident":
+                heads.add(self.toks[j].text)
+            j += 1
+        return heads
+
     def parse_pattern(self, ds: DataSystem) -> Term:
+        """A term with no call; read with no function names, so a bare
+        name in it is a variable."""
+        self.functions = frozenset()
         t = self.parse_term(ds)
-
-        def check(u: Term) -> Term:
+        for u in subterms(t):
             if isinstance(u, Fun):
-                if u.args:
-                    raise self.fail(f"'{u.name}' is not a constructor")
-                return Var(u.name)
-            if not u.args:
-                return u
-            return type(u)(u.name, tuple(check(a) for a in u.args))
-
-        return check(t)
+                raise self.fail(f"'{u.name}' is not a constructor")
+        return t
 
     def parse_term(self, ds: DataSystem) -> Term:
         """`atom (':' term)?`, where an atom is `(term)`, `name` or
@@ -410,14 +395,17 @@ class Parser:
 
     def _atom(self, ds: DataSystem, name: str, args: list[Term]) -> Term:
         """`name(args)` once its closing paren is read: a constructor at its
-        arity, else a function call."""
+        arity, a call, or, with no arguments and not among the functions, a
+        variable."""
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}, "
                                 f"applied to {len(args)} arguments")
             return Con(name, tuple(args))
-        return Fun(name, tuple(args))
+        if args or name in self.functions:
+            return Fun(name, tuple(args))
+        return Var(name)
 
     # -- environments -------------------------------------------------------------------
 
@@ -448,65 +436,85 @@ class Parser:
                 raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
                                 f"applied to {len(args)} arguments", t)
             return GeneratorBinding(prog, prog.principal, tuple(args))
+        # `atom (':' chain)?`, where an atom is `(chain)`, `rec x. chain`, a
+        # constructor and its children, a cycle variable or a binding's name.
+        # Open atoms, ("(",), ("rec", slot, tok, recvars) and ("con", c, kids),
+        # and the left operands of ':', (":", left, slot), wait on a stack, so
+        # any nesting depth parses without recursion.  A node takes its slot
+        # when its ':' or rec is read, or once its constructor's children are.
         nodes: list[CotermNode | None] = []
+        stack: list[tuple] = []
+        recvars: dict[str, int] = {}
 
-        def chain(recvars: dict[str, int]):
-            left = atom(recvars)
-            if self.peek().text == ":":
-                self.next()
-                c = ds.constructor("cons")
-                if c is None or c.arity != 2:
-                    raise self.fail("':' needs a binary constructor named 'cons'")
-                slot = len(nodes)
-                nodes.append(None)
-                right = chain(recvars)
-                nodes[slot] = CotermNode("cons", (left, right))
-                return slot
-            return left
+        def made(c: Constructor, kids: list) -> int:
+            if len(kids) != c.arity:
+                raise self.fail(f"constructor '{c.name}' has arity {c.arity}, "
+                                f"got {len(kids)} children")
+            nodes.append(CotermNode(c.name, tuple(kids)))
+            return len(nodes) - 1
 
-        def atom(recvars: dict[str, int]):
-            tok = self.peek()
+        while True:
+            tok = self.peek()   # an atom starts
             if tok.text == "(":
                 self.next()
-                out = chain(recvars)
-                self.expect(")")
-                return out
+                stack.append(("(",))
+                continue
             if tok.text == "rec":
                 self.next()
-                rv = self.ident("cycle variable")
+                stack.append(("rec", len(nodes), tok, recvars))
+                recvars = {**recvars, self.ident("cycle variable"): len(nodes)}
                 self.expect(".")
-                slot = len(nodes)
                 nodes.append(None)
-                inner = chain({**recvars, rv: slot})
-                if not isinstance(inner, int) or inner == slot:
-                    raise self.fail("a cycle must pass through a constructor", tok)
-                if nodes[inner] is None:
-                    raise self.fail("degenerate cycle", tok)
-                nodes[slot] = nodes[inner]
-                return slot
-            name2 = self.ident("coterm")
-            c = ds.constructor(name2)
-            if c is not None:
-                kids: list[object] = []
+                continue
+            name = self.ident("coterm")
+            c = ds.constructor(name)
+            if c is None:
+                v = recvars.get(name, name)   # else another binding's name
+            else:
                 if self.peek().text == "(":
                     self.next()
-                    kids = self.commas(lambda: chain(recvars))
-                if len(kids) != c.arity:
-                    raise self.fail(f"constructor '{name2}' has arity {c.arity}, "
-                                    f"got {len(kids)} children")
-                nodes.append(CotermNode(name2, tuple(kids)))
-                return len(nodes) - 1
-            if name2 in recvars:
-                return recvars[name2]
-            return name2  # cross-binding reference
-
-        entry = chain({})
-        if not isinstance(entry, int):
-            raise self.fail("a binding must start with a constructor, rec, "
-                            "or a program call")
-        filled = tuple(n if n is not None else CotermNode("?", ())
-                       for n in nodes)
-        return RegularCoterm(filled, entry)
+                    if self.peek().text != ")":
+                        stack.append(("con", c, []))
+                        continue
+                    self.next()
+                v = made(c, [])
+            while True:   # v is a complete atom
+                if self.peek().text == ":":
+                    self.next()
+                    c = ds.constructor("cons")
+                    if c is None or c.arity != 2:
+                        raise self.fail("':' needs a binary constructor named 'cons'")
+                    stack.append((":", v, len(nodes)))
+                    nodes.append(None)
+                    break
+                while stack and stack[-1][0] == ":":   # v ends the right operand of each ':'
+                    _, left, slot = stack.pop()
+                    nodes[slot] = CotermNode("cons", (left, v))
+                    v = slot
+                if not stack:
+                    if not isinstance(v, int):
+                        raise self.fail("a binding must start with a constructor, rec, "
+                                        "or a program call")
+                    return RegularCoterm(tuple(nodes), v)
+                frame = stack.pop()
+                if frame[0] == "(":
+                    self.expect(")")
+                elif frame[0] == "rec":
+                    _, slot, rec_tok, recvars = frame
+                    if not isinstance(v, int) or v == slot:
+                        raise self.fail("a cycle must pass through a constructor", rec_tok)
+                    if nodes[v] is None:
+                        raise self.fail("degenerate cycle", rec_tok)
+                    nodes[slot] = nodes[v]
+                    v = slot
+                else:
+                    frame[2].append(v)
+                    if self.peek().text == ",":
+                        self.next()
+                        stack.append(frame)
+                        break
+                    self.expect(")")
+                    v = made(frame[1], frame[2])
 
     # -- formulas and proofs ---------------------------------------------------------------
 
@@ -538,28 +546,29 @@ class Parser:
         return DataAtom(head, term)
 
     def parse_sexp_term(self) -> Term:
+        """`name` or `(name term ...)`: a constructor at its arity, a call
+        if applied or among the functions, else a variable."""
         ds = self._need_system()
-        if self.peek().text == "(":
+        applied = self.peek().text == "("
+        if applied:
             self.next()
             name = self.ident("term head")
-            args = self.until_close(self.parse_sexp_term)
-            return self._resolve_sexp_name(ds, name, tuple(args), True)
-        name = self.ident("term")
-        return self._resolve_sexp_name(ds, name, (), False)
-
-    def _resolve_sexp_name(self, ds, name, args, applied) -> Term:
+            args = tuple(self.until_close(self.parse_sexp_term))
+        else:
+            name, args = self.ident("term"), ()
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}")
             return Con(name, args)
-        if applied or name in self.ws.known_names():
+        if applied or name in self.functions:
             return Fun(name, args)
         return Var(name)
 
     def parse_proof(self) -> None:
         name = self.ident("proof name")
         self.expect("{")
+        self.functions = self.ws.known_names()
         d = self.parse_derivation()
         self.expect("}")
         self.ws.proofs[name] = d
@@ -628,26 +637,6 @@ def _pred_of(ds: DataSystem, name: Tok, p: Parser) -> DataPredicate:
     if out is None:
         raise p.fail(f"unknown predicate '{name.text}'", name)
     return out
-
-
-def _vars_from_funs(t: Term, known: set[str]) -> Term:
-    """Nullary applications of unknown names were parsed as functions;
-    inside program right-hand sides they are variables.  Rebuilt bottom-up
-    on an explicit stack, so any nesting depth is clear of the recursion
-    limit."""
-    done: list[Term] = []   # the finished subterms, in order
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        u, args_done = stack.pop()
-        if not u.args:
-            done.append(Var(u.name) if isinstance(u, Fun) and u.name not in known else u)
-        elif not args_done:
-            stack.append((u, True))
-            stack.extend((a, False) for a in reversed(u.args))
-        else:
-            cut = len(done) - len(u.args)
-            done[cut:] = [type(u)(u.name, tuple(done[cut:]))]
-    return done[0]
 
 
 def parse_workspace(source: str) -> Workspace:
@@ -879,11 +868,11 @@ def _session(ws: Workspace, args) -> Session:
 
 
 def _parse_cli_term(ws: Workspace, text: str) -> Term:
-    p = Parser(tokenize(text), ws)
+    p = Parser(tokenize(text), ws, ws.known_names())
     t = p.parse_term(ws.system)
     if not p.at_end():
         raise p.fail("trailing input after term")
-    return _vars_from_funs(t, ws.known_names())
+    return t
 
 
 def cmd_eval(args, ws: Workspace, r: Reporter) -> int:
@@ -977,7 +966,8 @@ def cmd_normalize(args, ws: Workspace, r: Reporter) -> int:
 
 
 def cmd_classify(args, ws: Workspace, r: Reporter) -> int:
-    cls = classify_formula(Parser(tokenize(args.formula), ws).parse_formula())
+    p = Parser(tokenize(args.formula), ws, ws.known_names())
+    cls = classify_formula(p.parse_formula())
     r.text(cls.value)
     r.kv("CLASS", cls.value)
     return 0

@@ -975,12 +975,14 @@ def _rename_functions(program: Program, suffix: str, ds: DataSystem) -> Program:
     return assemble_program(ds, eqs, mapping[program.principal])
 
 
+ROUNDTRIP_BUDGET = 100_000   # steps for each case of the bisimulation stage
+
+
 def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
                      library: dict | None = None, seed: int = 20240817,
-                     inputs_per_entry: int = 10,
-                     budget: int = 100_000) -> RoundtripReport:
-    if depth < 0 or inputs_per_entry < 1:
-        raise ValueError(f"roundtrip needs depth >= 0 and at least one input per "
+                     inputs_per_entry: int = 10) -> RoundtripReport:
+    if depth < 1 or inputs_per_entry < 1:
+        raise ValueError(f"roundtrip needs depth >= 1 and at least one input per "
                          f"entry (depth {depth}, inputs {inputs_per_entry})")
     ds = ds or boolean_stream_system()
     library = library or stock_library()
@@ -1033,14 +1035,13 @@ def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
         if not rec.accepted:
             continue
         ok_bisim, detail = _bisim_stage(entry, extraction, ds, depth, seed,
-                                        inputs_per_entry, budget)
+                                        inputs_per_entry)
         stages.append(StageResult("bisim", ok_bisim, detail))
     return report
 
 
 def _bisim_stage(entry, extraction: ExtractionResult, ds: DataSystem,
-                 depth: int, seed: int, inputs_per_entry: int,
-                 budget: int) -> tuple[bool, str]:
+                 depth: int, seed: int, inputs_per_entry: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     orig = _rename_functions(entry.program, "_orig", ds)
     eqs = [e for e in extraction.program.body if not reserved_function(e.function)]
@@ -1055,21 +1056,16 @@ def _bisim_stage(entry, extraction: ExtractionResult, ds: DataSystem,
     session = Session(merged, ds, env)
     for case, names in enumerate(cases):
         args = tuple(Fun(n) for n in names)
-        values = {v2: args[i] for i, v2 in enumerate(extraction.value_params)}
-        f0_args = tuple(values[v2] for v2 in extraction.value_params)
-        f0_args += tuple(values[_label_var(l)] if _label_var(l) in values
-                         else args[0] if args else Fun(ZEROS)
-                         for l in extraction.realizer_params)
+        # the prover names the entry's arguments x1 .. xk (`arg_vars`), and
+        # its assumptions that they are streams h1 .. hk
+        values = {x.name: a for x, a in zip(arg_vars(k), args)}
+        values.update((f"h{i}", a) for i, a in enumerate(args, 1))
+        f0_args = tuple(values[p] for p in extraction.value_params
+                        + extraction.realizer_params)
         lhs = Fun(extraction.principal, f0_args)
         rhs = Fun(entry.program.principal + "_orig", args)
-        r = derives_omega(merged, env, lhs, rhs, depth, budget, session=session)
+        r = derives_omega(merged, env, lhs, rhs, depth, ROUNDTRIP_BUDGET,
+                          session=session)
         if not r.equal:
             return False, f"case {case}: {r}"
     return True, ""
-
-
-def _label_var(label: str) -> str:
-    # assumption labels for argument streams are h1..hk matching x1..xk
-    if label.startswith("h") and label[1:].isdigit():
-        return f"x{label[1:]}"
-    return label

@@ -80,10 +80,11 @@ def test_parse_rec_coterm_semantics():
 
 def test_parse_parenthesized_rec_coterm():
     """A `rec` coterm in parentheses closes a cycle inside a longer one."""
-    ws = parse_workspace(SM_SOURCE + "\nenv P { v_p = 1 : (rec a. 0 : a); }")
+    ws = parse_workspace(SM_SOURCE + "\nenv P { v_p = 1 : (rec a. 0 : a); v_q = rec b. 1() : b; }")
     sess = Session(ws.programs["flip"], ws.system, ws.envs["P"])
     from helpers import approx_bits
     assert approx_bits(sess.observe(Fun("v_p"), 5)) == [1, 0, 0, 0, 0]
+    assert approx_bits(sess.observe(Fun("v_q"), 3)) == [1, 1, 1]
 
 
 def test_parse_errors_have_positions():
@@ -93,6 +94,8 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as e2:
         parse_workspace(SM_SOURCE + "\nprogram bad { f(cons(0)) = 0; }")
     assert "arity" in str(e2.value)
+    with pytest.raises(ParseError, match="^2:7: unexpected character '%'"):
+        tokenize("a\nb c d %  e")
 
 
 def test_parse_error_names_its_file(tmp_path, capsys):
@@ -568,7 +571,7 @@ def test_cmd_roundtrip_without_inputs_is_an_error(capsys, argv):
     """No input means no bisimulation case: not a passing roundtrip."""
     code, out, err = run_main(capsys, "--format", "tagged", "roundtrip", *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: roundtrip needs depth >= 0 and at least one input")
+    assert err.startswith("error: roundtrip needs depth >= 1 and at least one input")
 
 
 @pytest.mark.parametrize("command, terms", [("eval", ("flip(v_a)",)),
@@ -727,6 +730,57 @@ def test_cmd_eval_parses_a_term_ten_thousand_levels_deep(capsys, term, budget, o
     parentheses or conses reaches the interpreter's recursion limit."""
     assert run_main(capsys, "eval", STREAMS_CDS, term, "--depth", "4", "--env", "E",
                     "--budget", budget) == (0, out, "")
+
+
+@pytest.mark.parametrize("binding", [
+    "0 : " * 10_000 + "v_b",
+    "(" * 10_000 + "0 : v_b" + ")" * 10_000,
+    "cons(0, " * 10_000 + "v_b" + ")" * 10_000,
+], ids=["cons-chain", "nested-parentheses", "nested-cons"])
+def test_cmd_eval_observes_an_env_binding_ten_thousand_levels_deep(tmp_path, capsys,
+                                                                   binding):
+    """The coterm parser keeps its own stack, as the term parser does."""
+    ws = _ws(tmp_path, FLIP_SOURCE + f"env E {{ v_c = {binding}; v_b = rec a. 1 : a; }}\n")
+    out = "0:0:0:0:<cut@4>\n" if binding.startswith(("0", "cons")) else "0:1:1:1:<cut@4>\n"
+    assert run_main(capsys, "eval", ws, "v_c", "--depth", "4") == (0, out, "")
+
+
+def test_a_bare_name_is_a_call_where_the_workspace_or_its_program_defines_it():
+    """In a program, a bare name is a call when the workspace or the program
+    defines it as a function, even further down, and a variable when the
+    equation's patterns bind it; in a pattern it is a variable; in a proof a
+    bare name is a call when the workspace defines it, and an applied one
+    always is."""
+    ws = Parser(tokenize(SYSTEM_SOURCE + "program f { f(x) = cons(0, g); g = cons(1, x);"
+                         " h(g) = g; }\nproof p { (refl (= (x) (f g y)) () {}) }\n")
+                ).parse_workspace()
+    f_eq, g_eq, h_eq = ws.programs["f"].body[:3]
+    assert f_eq.rhs == Con("cons", (Con("0"), Fun("g"))) and f_eq.patterns == (Var("x"),)
+    assert g_eq.rhs == Con("cons", (Con("1"), Var("x")))
+    assert h_eq.patterns == (Var("g"),) and h_eq.rhs == Var("g")
+    assert ws.proofs["p"].conclusion.left == Fun("x")
+    assert ws.proofs["p"].conclusion.right == Fun("f", (Fun("g"), Var("y")))
+
+
+def test_the_function_names_are_read_once_per_stanza(monkeypatch):
+    """Reading a proof asks the workspace for its function names once, however
+    many names the proof holds."""
+    calls = []
+    known_names = Workspace.known_names
+    monkeypatch.setattr(Workspace, "known_names",
+                        lambda self: calls.append(1) or known_names(self))
+    counts = []
+    for n in (2, 12):
+        ws = parse_workspace(SM_SOURCE + "program f1 {\n  f1(x) = cons(pi1(x), f2(pi2(x)));\n"
+                             + "".join(f"  f{i}(x) = cons(pi1(x), f{i % n + 1}(pi2(x)));\n"
+                                       for i in range(2, n + 1)) + "}\n")
+        d, compiled = prove_corec_program(ws.programs["f1"], ws.system)
+        text = (show_system(ws) + "\n" + show_program("f1", compiled)
+                + "\nproof p {\n" + show_derivation(d) + "\n}\n")
+        calls.clear()
+        assert parse_workspace(text).proofs["p"] == d
+        counts.append((len(calls), len(text)))
+    assert counts[0][0] == counts[1][0] == 2 and counts[1][1] > 4 * counts[0][1]
 
 
 def test_programs_that_define_a_function_differently_conflict(tmp_path, capsys):

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
-                     flip_env, pi2, random_stream, stream_prefix, v)
+                     flip_env, pi2, random_stream, stream_family, stream_prefix, v)
 
 from coeq.cli import parse_workspace
 from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
-                        SchemaFun, check_primitive_corecursive, compile_schema,
-                        stock_library)
+                        SchemaFun, StockEntry, check_primitive_corecursive,
+                        compile_schema, stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
@@ -864,12 +864,22 @@ def test_bisim_stage_builds_one_session_per_entry(monkeypatch):
 @pytest.mark.parametrize("kwargs", [{"inputs_per_entry": 0}, {"depth": -3}])
 def test_roundtrip_rejects_a_vacuous_run(kwargs):
     """With no inputs, no case of an entry of positive arity is compared."""
-    with pytest.raises(ValueError, match="roundtrip needs depth >= 0 and at least one"):
+    with pytest.raises(ValueError, match="roundtrip needs depth >= 1 and at least one"):
         roundtrip_report(**kwargs)
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_roundtrip_passes_on_a_rotate_family_of_ten_or_more_arguments(n):
+    """The extraction's value parameters sort as strings (x1, x10, x2, ...);
+    each is fed the input the prover named it after, not the input at its
+    position in that order."""
+    library = {"rot": StockEntry("rot", stream_family("rotate", n), n, "")}
+    report = roundtrip_report(depth=16, library=library, inputs_per_entry=3)
+    assert report.ok, report.render()
+
+
 def test_roundtrip_includes_rejection_of_morse_thue():
-    from coeq.corec import morse_thue_program, StockEntry
+    from coeq.corec import morse_thue_program
     lib = stock_library()
     lib = dict(lib)
     lib["morse_thue"] = StockEntry("morse_thue", morse_thue_program(), 0,

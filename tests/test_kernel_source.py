@@ -35,28 +35,31 @@ def test_no_generated_artifacts_in_git():
 
 def _definitions(tree: ast.Module):
     """Top-level functions and classes, and the methods of top-level
-    classes: (name, first line, last line)."""
+    classes: (name, first line, last line, whether a method)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs[:2]):
-                    yield item.name, item.lineno, item.end_lineno
+                    yield item.name, item.lineno, item.end_lineno, True
 
 
 def _references(tree: ast.Module):
-    """Names a module mentions: (name, line)."""
+    """Names a module mentions: (name, line, whether a method could be
+    meant).  A method is reached only through an attribute, or by a
+    string that getattr dispatch looks up; a bare name or an import
+    means a module-level definition."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], node.lineno
+            yield node.name.rpartition(".")[2], node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, True
 
 
 def _exempt(name: str) -> bool:
@@ -92,27 +95,29 @@ def _mentions(test: str, name: str) -> bool:
     file, function = test.split("::")
     for node in _parse(ROOT / "tests" / file).body:
         if isinstance(node, ast.FunctionDef) and node.name == function:
-            return any(seen == name for seen, _line in _references(node))
+            return any(seen == name for seen, _line, _method in _references(node))
     return False
 
 
 def test_every_definition_is_referenced():
     """A definition counts as used when a module of the package other than
-    the re-exporting `__init__.py`, or the benchmark, refers to it; a test's
-    reference counts only for the definitions in CHECKED_BY_TESTS."""
+    the re-exporting `__init__.py`, or the benchmark, refers to it, a method
+    through an attribute or a string; a test's reference counts only for
+    the definitions in CHECKED_BY_TESTS."""
     modules = {path: _parse(path) for path in sorted((ROOT / "src" / "coeq").glob("*.py"))
                if path.name != "__init__.py"}
     users = dict(modules)
     users.update((path, _parse(path)) for path in sorted((ROOT / "perfbench").rglob("*.py")))
-    seen: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    seen: dict[str, list[tuple[pathlib.Path, int, bool]]] = {}
     for path, tree in users.items():
-        for name, line in _references(tree):
-            seen.setdefault(name, []).append((path, line))
+        for name, line, method in _references(tree):
+            seen.setdefault(name, []).append((path, line, method))
     dead, kept = [], set()
     for path, tree in modules.items():
-        for name, first, last in _definitions(tree):
-            if _exempt(name) or any(where != path or not first <= line <= last
-                                    for where, line in seen.get(name, ())):
+        for name, first, last, is_method in _definitions(tree):
+            if _exempt(name) or any((where != path or not first <= line <= last)
+                                    and (method or not is_method)
+                                    for where, line, method in seen.get(name, ())):
                 continue
             if (path.name, name) in CHECKED_BY_TESTS:
                 kept.add((path.name, name))

@@ -819,6 +819,18 @@ def test_a_proof_ten_thousand_levels_deep_normalizes():
     assert n.rule == "assume" and n.attr("label") == "h"
 
 
+def test_has_detour_scans_a_proof_ten_thousand_levels_deep_in_linear_time():
+    """`has_detour` walks the premises without building each node's path."""
+    x = v("x")
+    d = and_elim(1, and_intro(assume("h", S(x)), refl(x)))
+    for _ in range(10_000):
+        d = and_intro(d, refl(x))
+    n = normalize(d)
+    start = time.perf_counter()
+    assert has_detour(d) and not has_detour(n)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_a_detour_over_a_body_ten_thousand_levels_deep_normalizes():
     """Contracting imp-elim(imp-intro_h(B), a) substitutes a for h through
     a body B of 10,000 nested imp-elims."""

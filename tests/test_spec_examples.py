@@ -2,9 +2,12 @@
 not already pin down."""
 import random
 
+import pytest
+
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons,
                      flip_env, flip_program, fn, random_stream, v)
 
+from coeq.cli import main
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import extract, prove_corec, roundtrip_report
@@ -45,9 +48,13 @@ def test_verdict_report_names_slots():
     assert "slot 2: call even (l = 1)" in text
 
 
-def test_roundtrip_depth_zero_trivially_equal():
-    rep = roundtrip_report(depth=0, inputs_per_entry=1)
-    assert rep.ok
+def test_roundtrip_at_depth_zero_is_an_error(capsys):
+    """At depth 0 the bisimulation stage compares nothing, so it cannot
+    pass: the report is refused, and `coeq roundtrip` exits 2."""
+    with pytest.raises(ValueError, match=r"roundtrip needs depth >= 1 .*\(depth 0,"):
+        roundtrip_report(depth=0, inputs_per_entry=1)
+    assert main(["roundtrip", "--depth", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: roundtrip needs depth >= 1")
 
 
 def test_soundness_spot_check_checked_derivations_are_productive():
