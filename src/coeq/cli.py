@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .corec import check_primitive_corecursive
@@ -44,7 +43,7 @@ from .program import (Equation, Program, assemble_program, reserved_function,
                       standard_functions, validate_program)
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm, validate_system)
-from .terms import Con, Fun, Term, Var, subterms, variables
+from .terms import Con, Fun, Record, Term, Var, subterms, variables
 
 FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
@@ -97,13 +96,18 @@ def tokenize(src: str) -> list[Tok]:
 # Workspace
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Workspace:
-    system: DataSystem | None = None
-    system_name: str = ""
-    programs: dict[str, Program] = field(default_factory=dict)
-    envs: dict[str, DiagramEnv] = field(default_factory=dict)
-    proofs: dict[str, Derivation] = field(default_factory=dict)
+class Workspace(Record, frozen=False):
+    __slots__ = ("system", "system_name", "programs", "envs", "proofs")
+
+    def __init__(self, system: DataSystem | None = None, system_name: str = "",
+                 programs: dict[str, Program] | None = None,
+                 envs: dict[str, DiagramEnv] | None = None,
+                 proofs: dict[str, Derivation] | None = None):
+        self.system = system
+        self.system_name = system_name
+        self.programs = {} if programs is None else programs
+        self.envs = {} if envs is None else envs
+        self.proofs = {} if proofs is None else proofs
 
     def sole_program(self) -> tuple[str, Program]:
         if len(self.programs) != 1:
@@ -369,15 +373,11 @@ class Parser:
             t = self._atom(ds, name, [])
             while True:   # t is a complete atom
                 if self.peek().text == ":":
-                    self.next()
+                    self._need_cons(ds, self.next())
                     stack.append((":", t))
                     break
-                if stack and stack[-1][0] == ":":   # t ends the right operand of each ':'
-                    c = ds.constructor("cons")
-                    if c is None or c.arity != 2:
-                        raise self.fail("':' needs a binary constructor named 'cons'")
-                    while stack and stack[-1][0] == ":":
-                        t = Con("cons", (stack.pop()[1], t))
+                while stack and stack[-1][0] == ":":   # t ends the right operand of each ':'
+                    t = Con("cons", (stack.pop()[1], t))
                 if not stack:
                     return t
                 frame = stack[-1]
@@ -392,6 +392,11 @@ class Parser:
                 self.expect(")")
                 stack.pop()
                 t = self._atom(ds, frame[1], frame[2])
+
+    def _need_cons(self, ds: DataSystem, colon: Tok) -> None:
+        c = ds.constructor("cons")
+        if c is None or c.arity != 2:
+            raise self.fail("':' needs a binary constructor named 'cons'", colon)
 
     def _atom(self, ds: DataSystem, name: str, args: list[Term]) -> Term:
         """`name(args)` once its closing paren is read: a constructor at its
@@ -438,7 +443,7 @@ class Parser:
             return GeneratorBinding(prog, prog.principal, tuple(args))
         # `atom (':' chain)?`, where an atom is `(chain)`, `rec x. chain`, a
         # constructor and its children, a cycle variable or a binding's name.
-        # Open atoms, ("(",), ("rec", slot, tok, recvars) and ("con", c, kids),
+        # Open atoms, ("(",), ("rec", slot, tok, recvars) and ("con", c, kids, tok),
         # and the left operands of ':', (":", left, slot), wait on a stack, so
         # any nesting depth parses without recursion.  A node takes its slot
         # when its ':' or rec is read, or once its constructor's children are.
@@ -446,10 +451,10 @@ class Parser:
         stack: list[tuple] = []
         recvars: dict[str, int] = {}
 
-        def made(c: Constructor, kids: list) -> int:
+        def made(c: Constructor, kids: list, tok: Tok) -> int:
             if len(kids) != c.arity:
                 raise self.fail(f"constructor '{c.name}' has arity {c.arity}, "
-                                f"got {len(kids)} children")
+                                f"got {len(kids)} children", tok)
             nodes.append(CotermNode(c.name, tuple(kids)))
             return len(nodes) - 1
 
@@ -466,24 +471,21 @@ class Parser:
                 self.expect(".")
                 nodes.append(None)
                 continue
-            name = self.ident("coterm")
-            c = ds.constructor(name)
+            tok = self.ident_tok("coterm")
+            c = ds.constructor(tok.text)
             if c is None:
-                v = recvars.get(name, name)   # else another binding's name
+                v = recvars.get(tok.text, tok.text)   # else another binding's name
             else:
                 if self.peek().text == "(":
                     self.next()
                     if self.peek().text != ")":
-                        stack.append(("con", c, []))
+                        stack.append(("con", c, [], tok))
                         continue
                     self.next()
-                v = made(c, [])
+                v = made(c, [], tok)
             while True:   # v is a complete atom
                 if self.peek().text == ":":
-                    self.next()
-                    c = ds.constructor("cons")
-                    if c is None or c.arity != 2:
-                        raise self.fail("':' needs a binary constructor named 'cons'")
+                    self._need_cons(ds, self.next())
                     stack.append((":", v, len(nodes)))
                     nodes.append(None)
                     break
@@ -514,7 +516,7 @@ class Parser:
                         stack.append(frame)
                         break
                     self.expect(")")
-                    v = made(frame[1], frame[2])
+                    v = made(frame[1], frame[2], frame[3])
 
     # -- formulas and proofs ---------------------------------------------------------------
 
@@ -589,39 +591,36 @@ class Parser:
         self.expect(")")
         return Derivation(rule, conclusion, tuple(premises), tuple(attrs))
 
+    def _number(self, msg: str) -> int:
+        n = self.ident_tok("number")
+        if not n.text.isdigit():
+            raise self.fail(msg, n)
+        return int(n.text)
+
     def parse_attr_value(self, key: str, ds: DataSystem):
         key = key.replace("-", "_")
         if key in ("i", "idx"):
-            n = self.ident("number")
-            if not n.isdigit():
-                raise self.fail(f"attribute '{key}' needs a number")
-            return int(n)
+            return self._number(f"attribute '{key}' needs a number")
         if key == "witness":
             return self.parse_sexp_term()
         if key == "formula":
             return self.parse_formula()
         if key == "type":
             self.expect("(")
-            cname = self.ident("constructor")
+            ctok = self.ident_tok("constructor")
             preds = self.until_close(lambda: self.ident_tok("predicate"))
-            c = ds.constructor(cname)
+            c = ds.constructor(ctok.text)
             if c is None or len(preds) != c.arity + 1:
-                raise self.fail(f"bad constructor type for '{cname}'")
+                raise self.fail(f"bad constructor type for '{ctok.text}'", ctok)
             ct = ConstructorType(
                 c, tuple(_pred_of(ds, p, self) for p in preds[:-1]),
                 _pred_of(ds, preds[-1], self))
             if ct not in ds.types:
-                raise self.fail(f"type '{ct}' is not declared by the system")
+                raise self.fail(f"type '{ct}' is not declared by the system", ctok)
             return ct
         if key == "pos":
-            def position() -> int:
-                n = self.ident("number")
-                if not n.isdigit():
-                    raise self.fail("positions are numbers")
-                return int(n)
-
             self.expect("(")
-            return tuple(self.until_close(position))
+            return tuple(self.until_close(lambda: self._number("positions are numbers")))
         if key in ("case_vars", "case_labels"):
             def group() -> tuple[str, ...]:
                 self.expect("(")

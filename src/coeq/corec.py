@@ -33,24 +33,25 @@ the offending subterm named.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function, validate_program)
 from .system import DataSystem, boolean_stream_system
-from .terms import Con, Fun, Term, Var, substitute, subterms
+from .terms import Con, Fun, Record, Term, Var, _set, substitute, subterms
 
 
 def arg_vars(k: int) -> tuple[Term, ...]:
     return tuple(Var(f"x{i + 1}") for i in range(k))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A previously-available function of the component algebra, as a term
     over x1..x{arity}."""
-    arity: int
-    term: Term
+    __slots__ = ("arity", "term")
+
+    def __init__(self, arity: int, term: Term):
+        _set(self, "arity", arity)
+        _set(self, "term", term)
 
     @staticmethod
     def destructor(i: int) -> "Component":
@@ -79,60 +80,76 @@ class Component:
         return substitute(self.term, {f"x{i + 1}": a for i, a in enumerate(args)})
 
 
-@dataclass(frozen=True)
-class PlainSlot:
-    component: Component
+class PlainSlot(Record):
+    __slots__ = ("component",)
+
+    def __init__(self, component: Component):
+        _set(self, "component", component)
 
 
-@dataclass(frozen=True)
-class RecSlot:
-    target: int  # 1-based index into the schema vector
-    args: tuple[Component, ...]
+class RecSlot(Record):
+    __slots__ = ("target", "args")
+
+    def __init__(self, target: int, args: tuple[Component, ...]):
+        _set(self, "target", target)   # 1-based index into the schema vector
+        _set(self, "args", args)
 
 
 Slot = PlainSlot | RecSlot
 
 
-@dataclass(frozen=True)
-class SchemaFun:
-    name: str
-    arity: int
-    slots: tuple[Slot, ...]
-    produced: str | None = None        # single produced constructor (stream form)
-    selector: Component | None = None  # cocase selector (general form)
+class SchemaFun(Record):
+    __slots__ = ("name", "arity", "slots", "produced", "selector")
+
+    def __init__(self, name: str, arity: int, slots: tuple[Slot, ...],
+                 produced: str | None = None, selector: Component | None = None):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "slots", slots)
+        _set(self, "produced", produced)   # single produced constructor (stream form)
+        _set(self, "selector", selector)   # cocase selector (general form)
 
 
-@dataclass(frozen=True)
-class CorecSchema:
-    functions: tuple[SchemaFun, ...]
+class CorecSchema(Record):
+    __slots__ = ("functions",)
+
+    def __init__(self, functions: tuple[SchemaFun, ...]):
+        _set(self, "functions", functions)
 
     def names(self) -> list[str]:
         return [f.name for f in self.functions]
 
 
-@dataclass(frozen=True)
-class CompositionDef:
-    name: str
-    arity: int
-    component: Component
+class CompositionDef(Record):
+    __slots__ = ("name", "arity", "component")
+
+    def __init__(self, name: str, arity: int, component: Component):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "component", component)
 
 
 Stratum = CompositionDef | CorecSchema
 
 
-@dataclass(frozen=True)
-class CorecBundle:
+class CorecBundle(Record):
     """Stratified definitions: each stratum uses only earlier ones."""
-    strata: tuple[Stratum, ...]
-    principal: str
+    __slots__ = ("strata", "principal")
+
+    def __init__(self, strata: tuple[Stratum, ...], principal: str):
+        _set(self, "strata", strata)
+        _set(self, "principal", principal)
 
 
-@dataclass(frozen=True)
-class ProductivityVerdict:
-    accepted: bool
-    bundle: CorecBundle | None = None
-    reason: str | None = None
-    offending: Equation | None = None
+class ProductivityVerdict(Record):
+    __slots__ = ("accepted", "bundle", "reason", "offending")
+
+    def __init__(self, accepted: bool, bundle: CorecBundle | None = None,
+                 reason: str | None = None, offending: Equation | None = None):
+        _set(self, "accepted", accepted)
+        _set(self, "bundle", bundle)
+        _set(self, "reason", reason)
+        _set(self, "offending", offending)
 
     def report(self) -> str:
         if not self.accepted:
@@ -515,7 +532,8 @@ def _anonymous(s: Stratum) -> Stratum:
     """A stratum with its schema members' names blanked; members call each
     other by index, so this is the stratum up to renaming of the vector."""
     if isinstance(s, CorecSchema):
-        return CorecSchema(tuple(replace(f, name="") for f in s.functions))
+        return CorecSchema(tuple(SchemaFun("", f.arity, f.slots, f.produced, f.selector)
+                                 for f in s.functions))
     return s
 
 
@@ -525,12 +543,14 @@ def bundle_equal(a: CorecBundle, b: CorecBundle) -> bool:
 
 # -- stock corpus -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StockEntry:
-    name: str
-    program: Program
-    arity: int
-    description: str
+class StockEntry(Record):
+    __slots__ = ("name", "program", "arity", "description")
+
+    def __init__(self, name: str, program: Program, arity: int, description: str):
+        _set(self, "name", name)
+        _set(self, "program", program)
+        _set(self, "arity", arity)
+        _set(self, "description", description)
 
 
 def stock_library() -> dict[str, StockEntry]:

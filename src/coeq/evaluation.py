@@ -19,31 +19,34 @@ stream function's tail) is a cut, unforced.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
 from .program import Program, pi_name, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
-from .terms import Con, Fun, Term, Var
+from .terms import Con, Fun, Record, Term, Var, _set
 
 DEFAULT_BUDGET = 10_000
 NO_MATCH = "no-matching-equation"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class GeneratorBinding:
+class GeneratorBinding(Record):
     """v = f(w_1 ... w_k): the binding unfolds to a call of a program's
     principal function on other environment identifiers."""
-    program: Program
-    principal: str
-    args: tuple[str, ...] = ()
+    __slots__ = ("program", "principal", "args")
+
+    def __init__(self, program: Program, principal: str, args: tuple[str, ...] = ()):
+        _set(self, "program", program)
+        _set(self, "principal", principal)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class DiagramEnv:
-    bindings: tuple[tuple[str, RegularCoterm | GeneratorBinding], ...] = ()
+class DiagramEnv(Record):
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: tuple[tuple[str, RegularCoterm | GeneratorBinding], ...] = ()):
+        _set(self, "bindings", bindings)
 
     @staticmethod
     def of(mapping: dict[str, RegularCoterm | GeneratorBinding]) -> "DiagramEnv":
@@ -86,10 +89,12 @@ class DiagramEnv:
         return None
 
 
-@dataclass(frozen=True)
-class StallReason:
-    kind: str                 # NO_MATCH or BUDGET_EXHAUSTED
-    steps: int | None = None  # budget that was exhausted
+class StallReason(Record):
+    __slots__ = ("kind", "steps")
+
+    def __init__(self, kind: str, steps: int | None = None):
+        _set(self, "kind", kind)     # NO_MATCH or BUDGET_EXHAUSTED
+        _set(self, "steps", steps)   # budget that was exhausted
 
     def __str__(self) -> str:
         if self.kind == BUDGET_EXHAUSTED:
@@ -97,27 +102,33 @@ class StallReason:
         return self.kind
 
 
-class Approximation:
+class Approximation(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ApproxNode(Approximation):
-    constructor: str
-    children: tuple[Approximation, ...]
-    depth: int
+    __slots__ = ("constructor", "children", "depth")
+
+    def __init__(self, constructor: str, children: tuple[Approximation, ...], depth: int):
+        _set(self, "constructor", constructor)
+        _set(self, "children", children)
+        _set(self, "depth", depth)
 
 
-@dataclass(frozen=True)
 class Cut(Approximation):
-    depth: int
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        _set(self, "depth", depth)
 
 
-@dataclass(frozen=True)
 class Stalled(Approximation):
-    term: Term
-    reason: StallReason
-    depth: int
+    __slots__ = ("term", "reason", "depth")
+
+    def __init__(self, term: Term, reason: StallReason, depth: int):
+        _set(self, "term", term)
+        _set(self, "reason", reason)
+        _set(self, "depth", depth)
 
 
 def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
@@ -348,11 +359,14 @@ class Session:
 
 # -- finite-depth bisimulation ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaResult:
-    status: str                    # "equal-up-to-depth" | "differs" | "stalled"
-    path: tuple[int, ...] = ()
-    reason: StallReason | None = None
+class OmegaResult(Record):
+    __slots__ = ("status", "path", "reason")
+
+    def __init__(self, status: str, path: tuple[int, ...] = (),
+                 reason: StallReason | None = None):
+        _set(self, "status", status)   # "equal-up-to-depth" | "differs" | "stalled"
+        _set(self, "path", path)
+        _set(self, "reason", reason)
 
     @property
     def equal(self) -> bool:

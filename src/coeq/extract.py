@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     PlainSlot, RecSlot, SchemaFun, Stratum, arg_vars,
@@ -41,7 +40,7 @@ from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
                       even_term, merge_term, odd_term, term_sort, var_sorts,
                       zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import Con, Fun, Term, Var, fresh_name, substitute, variables
+from .terms import Con, Fun, Record, Term, Var, _set, fresh_name, substitute, variables
 
 
 class ExtractError(Exception):
@@ -52,13 +51,15 @@ class ExtractError(Exception):
 # Component typing proofs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProofTemplate:
+class ProofTemplate(Record):
     """A typed function f/k: `derivation` proves result_sort(f(x1..xk)) from
     assumptions h_i: arg_sorts[i - 1](x_i)."""
-    arg_sorts: tuple[str, ...]
-    result_sort: str
-    derivation: Derivation
+    __slots__ = ("arg_sorts", "result_sort", "derivation")
+
+    def __init__(self, arg_sorts: tuple[str, ...], result_sort: str, derivation: Derivation):
+        _set(self, "arg_sorts", arg_sorts)
+        _set(self, "result_sort", result_sort)
+        _set(self, "derivation", derivation)
 
 
 class _Labels:
@@ -360,34 +361,42 @@ def prove_corec_program(program: Program, ds: DataSystem) -> tuple[Derivation, P
 # Extraction: symbolic realizers
 # ---------------------------------------------------------------------------
 
-class SymR:
+class SymR(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Leaf(SymR):
-    term: Term
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        _set(self, "term", term)
 
 
-@dataclass(frozen=True)
 class Pair(SymR):
-    head: SymR
-    rest: SymR
+    __slots__ = ("head", "rest")
+
+    def __init__(self, head: SymR, rest: SymR):
+        _set(self, "head", head)
+        _set(self, "rest", rest)
 
 
-@dataclass(frozen=True)
 class ConsR(SymR):
-    head_term: Term
-    tail: SymR
+    __slots__ = ("head_term", "tail")
+
+    def __init__(self, head_term: Term, tail: SymR):
+        _set(self, "head_term", head_term)
+        _set(self, "tail", tail)
 
 
-@dataclass(frozen=True)
 class Case(SymR):
     """Discriminator dispatch on a boolean term: `left` where it is 0,
     `right` where it is 1."""
-    bit: Term
-    left: SymR
-    right: SymR
+    __slots__ = ("bit", "left", "right")
+
+    def __init__(self, bit: Term, left: SymR, right: SymR):
+        _set(self, "bit", bit)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _const_bit(t: Term) -> str | None:
@@ -551,18 +560,21 @@ def _or_path(r: SymR, phi: Formula,
     return path, r, phi
 
 
-@dataclass
-class _State:
+class _State(Record, frozen=False):
     """One reachable member state of a coinduction, keyed by the or-path
     bits its invariant realizer carries as constants: the skeleton of the
     rest of that realizer, the state's parameters in order and, once
     stepped, its head bit, its successor and the value of each successor
     parameter."""
-    skel: SymR
-    params: list[str]
-    bit: Term | None = None
-    succ: tuple[str, ...] = ()
-    nxt: dict[str, Term] = field(default_factory=dict)
+    __slots__ = ("skel", "params", "bit", "succ", "nxt")
+
+    def __init__(self, skel: SymR, params: list[str], bit: Term | None = None,
+                 succ: tuple[str, ...] = (), nxt: dict[str, Term] | None = None):
+        self.skel = skel
+        self.params = params
+        self.bit = bit
+        self.succ = succ
+        self.nxt = {} if nxt is None else nxt
 
 
 def _live(states: dict[tuple[str, ...], _State]) -> dict[tuple[str, ...], list[str]]:
@@ -594,14 +606,17 @@ def _split_chain(t: Term) -> int:
     return best
 
 
-@dataclass
-class ExtractionCertificate:
+class ExtractionCertificate(Record, frozen=False):
     """What extraction emitted: one line per coinduction naming its
     runners, the number of coinductions, and the longest split chain in
     any emitted term."""
-    lines: list[str] = field(default_factory=list)
-    split_chain: int = 0
-    coinductions: int = 0
+    __slots__ = ("lines", "split_chain", "coinductions")
+
+    def __init__(self, lines: list[str] | None = None, split_chain: int = 0,
+                 coinductions: int = 0):
+        self.lines = [] if lines is None else lines
+        self.split_chain = split_chain
+        self.coinductions = coinductions
 
     def note(self, path: tuple[int, ...], rule: str, what: str) -> None:
         where = "/".join(str(i) for i in path) or "root"
@@ -613,13 +628,16 @@ class ExtractionCertificate:
         return "\n".join(head + self.lines)
 
 
-@dataclass
-class ExtractionResult:
-    bundle: CorecBundle
-    program: Program
-    value_params: tuple[str, ...]       # free variables, in parameter order
-    realizer_params: tuple[str, ...]    # assumption labels, in parameter order
-    certificate: ExtractionCertificate
+class ExtractionResult(Record, frozen=False):
+    __slots__ = ("bundle", "program", "value_params", "realizer_params", "certificate")
+
+    def __init__(self, bundle: CorecBundle, program: Program, value_params: tuple[str, ...],
+                 realizer_params: tuple[str, ...], certificate: ExtractionCertificate):
+        self.bundle = bundle
+        self.program = program
+        self.value_params = value_params         # free variables, in parameter order
+        self.realizer_params = realizer_params   # assumption labels, in parameter order
+        self.certificate = certificate
 
     @property
     def principal(self) -> str:
@@ -930,17 +948,21 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
 # The Theorem-2 round trip
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StageResult:
-    stage: str
-    ok: bool
-    detail: str = ""
+class StageResult(Record, frozen=False):
+    __slots__ = ("stage", "ok", "detail")
+
+    def __init__(self, stage: str, ok: bool, detail: str = ""):
+        self.stage = stage
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class RoundtripReport:
-    depth: int
-    entries: dict[str, list[StageResult]]
+class RoundtripReport(Record, frozen=False):
+    __slots__ = ("depth", "entries")
+
+    def __init__(self, depth: int, entries: dict[str, list[StageResult]]):
+        self.depth = depth
+        self.entries = entries
 
     @property
     def ok(self) -> bool:

@@ -19,79 +19,143 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
 from .program import Program, pi_name
 from .system import ConstructorType, DataSystem
-from .terms import Con, Fun, Term, Var, fresh_name, substitute, variables
+from .terms import (Con, Fun, Record, Term, Var, _set, fresh_name, substitute,
+                    variables)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class DataAtom(Formula):
-    predicate: str
-    term: Term
+    __slots__ = ("predicate", "term")
+
+    def __init__(self, predicate: str, term: Term):
+        _set(self, "predicate", predicate)
+        _set(self, "term", term)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.predicate, self.term) == (other.predicate, other.term)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.predicate, self.term))
 
     def __str__(self) -> str:
         return f"{self.predicate}({self.term})"
 
 
-@dataclass(frozen=True, slots=True)
-class EqAtom(Formula):
-    left: Term
-    right: Term
+class _Binary(Formula):
+    """The fields of an equation and of a binary connective.  Each subclass
+    has its own __eq__ and __hash__ (see Record)."""
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class EqAtom(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Imp(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"({self.left} -> {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class _Quantified(Formula):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+
+class Exists(_Quantified):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.body))
 
     def __str__(self) -> str:
         return f"(ex {self.var}. {self.body})"
 
 
-@dataclass(frozen=True, slots=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Forall(_Quantified):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.body))
 
     def __str__(self) -> str:
         return f"(all {self.var}. {self.body})"
@@ -264,12 +328,24 @@ def build_dcm(ds: DataSystem, pred_name: str, phi: Formula, hole: str,
 Attrs = tuple[tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    conclusion: Formula
-    premises: tuple["Derivation", ...] = ()
-    attrs: Attrs = ()
+class Derivation(Record):
+    __slots__ = ("rule", "conclusion", "premises", "attrs")
+
+    def __init__(self, rule: str, conclusion: Formula,
+                 premises: tuple[Derivation, ...] = (), attrs: Attrs = ()):
+        _set(self, "rule", rule)
+        _set(self, "conclusion", conclusion)
+        _set(self, "premises", premises)
+        _set(self, "attrs", attrs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rule, self.conclusion, self.premises, self.attrs) == \
+                (other.rule, other.conclusion, other.premises, other.attrs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rule, self.conclusion, self.premises, self.attrs))
 
     def attr(self, key: str, default=None):
         for k, v in self.attrs:
@@ -426,22 +502,27 @@ def coinduction(pred: str, hole: str, phi: Formula, t: Term, label: str,
 # Checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProofViolation:
-    path: tuple[int, ...]
-    message: str
+class ProofViolation(Record):
+    __slots__ = ("path", "message")
+
+    def __init__(self, path: tuple[int, ...], message: str):
+        _set(self, "path", path)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         where = "/".join(str(i) for i in self.path) or "root"
         return f"at {where}: {self.message}"
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    conclusion: Formula | None
-    assumptions: Counter
-    violations: list[ProofViolation]
+class CheckResult(Record, frozen=False):
+    __slots__ = ("ok", "conclusion", "assumptions", "violations")
+
+    def __init__(self, ok: bool, conclusion: Formula | None, assumptions: Counter,
+                 violations: list[ProofViolation]):
+        self.ok = ok
+        self.conclusion = conclusion
+        self.assumptions = assumptions
+        self.violations = violations
 
     def judgment(self) -> str:
         if not self.ok:
@@ -1076,10 +1157,18 @@ def has_detour(d: Derivation) -> bool:
 
 def assert_sp_proof(d: Derivation) -> tuple[tuple[int, ...], Formula] | None:
     """None when every node formula is strongly positive; otherwise the
-    first offending node (path, formula)."""
-    offenders = [(path, node.conclusion) for path, node in d.nodes()
-                 if classify_formula(node.conclusion)
-                 is not PolarityClass.STRONGLY_POSITIVE]
-    if not offenders:
-        return None
-    return min(offenders, key=lambda pf: (len(pf[0]), pf[0]))
+    shallowest, leftmost offending node (path, formula).  The walk is
+    breadth first, so that node is the first offender it meets, and it
+    keeps a parent link per node, so only that node's path is built."""
+    nodes, parent, first = [d], [0], []   # first[k]: where nodes[k]'s premises start
+    for k, node in enumerate(nodes):   # the loop reaches what it appends
+        if classify_formula(node.conclusion) is not PolarityClass.STRONGLY_POSITIVE:
+            path = []
+            while k:
+                path.append(k - first[parent[k]])
+                k = parent[k]
+            return tuple(reversed(path)), node.conclusion
+        first.append(len(nodes))
+        nodes.extend(node.premises)
+        parent.extend([k] * len(node.premises))
+    return None

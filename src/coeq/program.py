@@ -5,12 +5,11 @@ program carries.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .system import DataSystem, ValidationReport, Violation
-from .terms import (Con, Fun, Subst, Term, Var, compose, has_fun, rename_apart,
-                    substitute, subterms, variables)
+from .terms import (Con, Fun, Record, Subst, Term, Var, _set, compose, has_fun,
+                    rename_apart, substitute, subterms, variables)
 
 DELTA = "delta"
 
@@ -27,11 +26,13 @@ def reserved_function(name: str) -> bool:
     return name == DELTA or is_pi(name)
 
 
-@dataclass(frozen=True)
-class Equation:
-    function: str
-    patterns: tuple[Term, ...]
-    rhs: Term
+class Equation(Record):
+    __slots__ = ("function", "patterns", "rhs")
+
+    def __init__(self, function: str, patterns: tuple[Term, ...], rhs: Term):
+        _set(self, "function", function)
+        _set(self, "patterns", patterns)
+        _set(self, "rhs", rhs)
 
     @property
     def definiendum(self) -> Term:
@@ -41,11 +42,14 @@ class Equation:
         return f"{self.definiendum} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Program:
-    body: tuple[Equation, ...]
-    principal: str
-    arity: int
+class Program(Record):
+    # validate_program caches its reports in the instance's __dict__
+    __slots__ = ("body", "principal", "arity", "__dict__")
+
+    def __init__(self, body: tuple[Equation, ...], principal: str, arity: int):
+        _set(self, "body", body)
+        _set(self, "principal", principal)
+        _set(self, "arity", arity)
 
     def equations_of(self, fn: str) -> list[Equation]:
         return [e for e in self.body if e.function == fn]
@@ -89,10 +93,12 @@ def unify(t1: Term, t2: Term) -> Subst | None:
     return subst
 
 
-@dataclass(frozen=True)
-class Compatibility:
-    compatible: bool
-    witness: Subst | None = None
+class Compatibility(Record):
+    __slots__ = ("compatible", "witness")
+
+    def __init__(self, compatible: bool, witness: Subst | None = None):
+        _set(self, "compatible", compatible)
+        _set(self, "witness", witness)
 
 
 def check_compatibility(e1: Equation, e2: Equation) -> Compatibility:
@@ -132,10 +138,12 @@ def standard_functions(ds: DataSystem) -> list[Equation]:
     return eqs
 
 
-@dataclass(frozen=True)
-class DeepDestructor:
+class DeepDestructor(Record):
     """A composition of destructors; the empty path is the identity."""
-    path: tuple[int, ...]
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple[int, ...]):
+        _set(self, "path", path)
 
     def apply(self, t: Term) -> Term:
         for i in reversed(self.path):

@@ -11,7 +11,6 @@ values ride in stream heads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     PlainSlot, RecSlot, SchemaFun, Stratum, compile_schema)
@@ -21,7 +20,7 @@ from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
                     PolarityClass, classify_formula)
 from .program import DELTA, Program, assemble_program, pi_name, reserved_function
 from .system import DataPredicate, DataSystem
-from .terms import Con, Fun, Term, Var, substitute
+from .terms import Con, Fun, Record, Term, Var, _set, substitute
 
 EVEN = "split_even"
 ODD = "split_odd"
@@ -184,16 +183,20 @@ def term_sort(t: Term, var_sorts: dict[str, str], ds: DataSystem,
 # realizes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealizabilityJudgment:
-    program: Program
-    ds: DataSystem
-    env: DiagramEnv | None
-    eta: tuple[tuple[str, Term], ...]      # variable -> value term
-    realizer: Term
-    formula: Formula
-    depth: int
-    budget: int = DEFAULT_BUDGET
+class RealizabilityJudgment(Record):
+    __slots__ = ("program", "ds", "env", "eta", "realizer", "formula", "depth", "budget")
+
+    def __init__(self, program: Program, ds: DataSystem, env: DiagramEnv | None,
+                 eta: tuple[tuple[str, Term], ...], realizer: Term, formula: Formula,
+                 depth: int, budget: int = DEFAULT_BUDGET):
+        _set(self, "program", program)
+        _set(self, "ds", ds)
+        _set(self, "env", env)
+        _set(self, "eta", eta)   # variable -> value term
+        _set(self, "realizer", realizer)
+        _set(self, "formula", formula)
+        _set(self, "depth", depth)
+        _set(self, "budget", budget)
 
     @staticmethod
     def of(program, ds, env, eta: dict[str, Term], realizer, formula, depth,
@@ -202,11 +205,13 @@ class RealizabilityJudgment:
                                      realizer, formula, depth, budget)
 
 
-@dataclass(frozen=True)
-class RealizeResult:
-    status: str                       # holds-up-to-depth | fails | stalled
-    path: tuple[str, ...] = ()
-    detail: str = ""
+class RealizeResult(Record):
+    __slots__ = ("status", "path", "detail")
+
+    def __init__(self, status: str, path: tuple[str, ...] = (), detail: str = ""):
+        _set(self, "status", status)   # holds-up-to-depth | fails | stalled
+        _set(self, "path", path)
+        _set(self, "detail", detail)
 
     @property
     def holds(self) -> bool:

@@ -4,9 +4,7 @@ typing of constructors, and depth-bounded membership in the canonical model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from .terms import Con, Fun, Term, Var
+from .terms import Con, Fun, Record, Term, Var, _set
 
 
 class Kind(enum.Enum):
@@ -14,29 +12,37 @@ class Kind(enum.Enum):
     COINDUCTIVE = "coinductive"
 
 
-@dataclass(frozen=True, slots=True)
-class Constructor:
-    name: str
-    arity: int
+class Constructor(Record):
+    __slots__ = ("name", "arity")
+
+    def __init__(self, name: str, arity: int):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
 
 
-@dataclass(frozen=True, slots=True)
-class DataPredicate:
-    name: str
-    kind: Kind
-    index: int
+class DataPredicate(Record):
+    __slots__ = ("name", "kind", "index")
+
+    def __init__(self, name: str, kind: Kind, index: int):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
     @property
     def inductive(self) -> bool:
         return self.kind is Kind.INDUCTIVE
 
 
-@dataclass(frozen=True, slots=True)
-class ConstructorType:
+class ConstructorType(Record):
     """A functional type c : E_1 x ... x E_r -> E_0 for a constructor."""
-    constructor: Constructor
-    argument_predicates: tuple[DataPredicate, ...]
-    result_predicate: DataPredicate
+    __slots__ = ("constructor", "argument_predicates", "result_predicate")
+
+    def __init__(self, constructor: Constructor,
+                 argument_predicates: tuple[DataPredicate, ...],
+                 result_predicate: DataPredicate):
+        _set(self, "constructor", constructor)
+        _set(self, "argument_predicates", argument_predicates)
+        _set(self, "result_predicate", result_predicate)
 
     def __str__(self) -> str:
         if not self.argument_predicates:
@@ -45,11 +51,15 @@ class ConstructorType:
         return f"{self.constructor.name} : {args} -> {self.result_predicate.name}"
 
 
-@dataclass(frozen=True)
-class DataSystem:
-    vocabulary: tuple[Constructor, ...]
-    predicates: tuple[DataPredicate, ...]
-    types: tuple[ConstructorType, ...]
+class DataSystem(Record):
+    __slots__ = ("vocabulary", "predicates", "types")
+
+    def __init__(self, vocabulary: tuple[Constructor, ...],
+                 predicates: tuple[DataPredicate, ...],
+                 types: tuple[ConstructorType, ...]):
+        _set(self, "vocabulary", vocabulary)
+        _set(self, "predicates", predicates)
+        _set(self, "types", types)
 
     def constructor(self, name: str) -> Constructor | None:
         for c in self.vocabulary:
@@ -82,18 +92,22 @@ class DataSystem:
         return max((c.arity for c in self.vocabulary), default=0)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    code: str
-    message: str
+class Violation(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        _set(self, "code", code)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -173,16 +187,20 @@ def syntactic_class(t: Term, ds: DataSystem) -> str:
 # reference to another environment binding (resolved by the eval session).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class CotermNode:
-    constructor: str
-    children: tuple[object, ...] = ()  # each child: int (node index) or str (binding ref)
+class CotermNode(Record):
+    __slots__ = ("constructor", "children")
+
+    def __init__(self, constructor: str, children: tuple[object, ...] = ()):
+        _set(self, "constructor", constructor)
+        _set(self, "children", children)   # each: int (node index) or str (binding ref)
 
 
-@dataclass(frozen=True)
-class RegularCoterm:
-    nodes: tuple[CotermNode, ...]
-    entry: int = 0
+class RegularCoterm(Record):
+    __slots__ = ("nodes", "entry")
+
+    def __init__(self, nodes: tuple[CotermNode, ...], entry: int = 0):
+        _set(self, "nodes", nodes)
+        _set(self, "entry", entry)
 
     def validate(self, ds: DataSystem) -> ValidationReport:
         out: list[Violation] = []

@@ -6,11 +6,66 @@ base-terms add variables, program-terms add defined function symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
+_set = object.__setattr__   # how a frozen record's __init__ assigns a field
 
-class Term:
+
+class Record:
+    """Base of coeq's record classes, in place of frozen dataclasses.
+
+    A subclass lists its fields in ``__slots__`` (with ``"__dict__"`` if
+    code stores more on an instance), after those of its record bases, and
+    assigns each in its own ``__init__``, through ``_set`` unless it is
+    declared ``frozen=False``.  Records of one class are equal when their
+    field tuples are, the hash is the field tuple's, and the repr is
+    ``Name(field=value, ...)``, as a dataclass's are.  A frozen record
+    refuses assignment; a mutable one has no hash.
+
+    Terms, formulas and derivations spell out ``__eq__`` and ``__hash__``:
+    they run hundreds of thousands of times in a proof pass, and a tuple
+    display of the fields is about twice as fast as the generic getter.
+    Each of those classes has its own copy, even where a base could share
+    one: CPython specializes an attribute read for one class, and a method
+    shared by classes that alternate (And and Or, Con and Fun) ran about
+    9 % slower per call.
+    """
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__"]
+        if own:
+            cls._fields = fields = cls._fields + tuple(own)
+            get = attrgetter(*fields)
+            cls._values = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % fv for fv in zip(self._fields, self._values(self))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Record):
     __slots__ = ()
 
     @property
@@ -18,18 +73,32 @@ class Term:
         return ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Con(Term):
-    name: str
-    args: tuple[Term, ...] = ()
+class _Apply(Term):
+    """A constructor or function symbol applied to arguments.  Con and Fun
+    each have their own __eq__ and __hash__ (see Record)."""
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -37,15 +106,28 @@ class Con(Term):
         return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True, slots=True)
-class Fun(Term):
-    name: str
-    args: tuple[Term, ...] = ()
+class Con(_Apply):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
+
+
+class Fun(_Apply):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
 
 Subst = dict[str, Term]

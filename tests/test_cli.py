@@ -673,31 +673,33 @@ NO_CONS_SYSTEM = "system X { inductive B; coinductive S; constructor 0 : B; }\n"
 
 @pytest.mark.parametrize("source, error", [
     (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (cons B)}) }",
-     "2:42: bad constructor type for 'cons' (found '}')"),
+     "2:35: bad constructor type for 'cons' (found 'cons')"),
     (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {type (0 S)}) }",
-     "2:39: type '0 : S' is not declared by the system (found '}')"),
+     "2:35: type '0 : S' is not declared by the system (found '0')"),
     (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {pos (1 a)}) }",
-     "2:37: positions are numbers (found ')')"),
+     "2:36: positions are numbers (found 'a')"),
     (ONE_LINE_SYSTEM + "proof p { (assume (S x) () {i a}) }",
-     "2:32: attribute 'i' needs a number (found '}')"),
+     "2:31: attribute 'i' needs a number (found 'a')"),
     (ONE_LINE_SYSTEM + "env E { a = cons(0); }",
-     "2:20: constructor 'cons' has arity 2, got 1 children (found ';')"),
+     "2:13: constructor 'cons' has arity 2, got 1 children (found 'cons')"),
     (ONE_LINE_SYSTEM + "env E { a = 0(a); }",
-     "2:17: constructor '0' has arity 0, got 1 children (found ';')"),
+     "2:13: constructor '0' has arity 0, got 1 children (found '0')"),
     (ONE_LINE_SYSTEM + "env E { a = b; }",
      "2:14: a binding must start with a constructor, rec, or a program call (found ';')"),
     (NO_CONS_SYSTEM + "env E { a = 0 : a; }",
-     "2:17: ':' needs a binary constructor named 'cons' (found 'a')"),
+     "2:15: ':' needs a binary constructor named 'cons' (found ':')"),
     (NO_CONS_SYSTEM + "program f { f = 0 : f(); }",
-     "2:24: ':' needs a binary constructor named 'cons' (found ';')"),
+     "2:19: ':' needs a binary constructor named 'cons' (found ':')"),
     (ONE_LINE_SYSTEM + "program f { g = 0; }",
      "2:21: program 'f' does not define 'f' (at end)"),
 ], ids=["type-arity", "type-undeclared", "pos", "number", "coterm-arity",
         "coterm-leaf-arity", "binding-start", "coterm-cons", "term-cons", "no-principal"])
 def test_a_malformed_attribute_coterm_or_program_is_reported_where_it_is_found(
         tmp_path, capsys, source, error):
-    """These errors are found once the construct is read, and name the
-    token after it."""
+    """These errors are found once the construct is read.  Each names the
+    construct's own token: the constructor of a type or coterm node, the
+    number, the ':'.  A binding that is a bare name and a program without
+    its principal function have none, and name the token after them."""
     ws = _ws(tmp_path, source)
     assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
 

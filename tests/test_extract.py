@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 
@@ -270,11 +269,13 @@ def test_prove_corec_all_library_normal_and_sp():
 def _mutate(d: Derivation, path, **changes) -> Derivation:
     """d with the node at `path` replaced by a copy with `changes`."""
     if not path:
-        return dataclasses.replace(d, **changes)
+        fields = dict(rule=d.rule, conclusion=d.conclusion, premises=d.premises,
+                      attrs=d.attrs)
+        return Derivation(**{**fields, **changes})
     i = path[0]
     prems = d.premises[:i] + (_mutate(d.premises[i], path[1:], **changes),) \
         + d.premises[i + 1:]
-    return dataclasses.replace(d, premises=prems)
+    return Derivation(d.rule, d.conclusion, prems, d.attrs)
 
 
 def _with_attr(node: Derivation, key: str, value) -> tuple:
@@ -399,7 +400,7 @@ def test_every_member_of_a_schema_checks():
     compiled = compile_schema(bundle, ds)
     from coeq.logic import DataAtom
     for m in ("f1", "f6", "f12"):
-        proof = prove_corec(dataclasses.replace(bundle, principal=m), ds)
+        proof = prove_corec(CorecBundle(bundle.strata, m), ds)
         res = check_proof(ds, compiled, proof)
         assert res.ok, (m, res.violations[:3])
         assert res.conclusion == DataAtom("S", Fun(m, (Var("x1"),)))
@@ -925,7 +926,7 @@ def _proofs_digest():
         for stratum in bundle.strata:
             members = stratum.functions if isinstance(stratum, CorecSchema) else (stratum,)
             for m in members:
-                member = dataclasses.replace(bundle, principal=m.name)
+                member = CorecBundle(bundle.strata, m.name)
                 h.update(repr(prove_corec(member, ds)).encode())
     return h.hexdigest()
 

@@ -845,6 +845,35 @@ def test_a_detour_over_a_body_ten_thousand_levels_deep_normalizes():
     assert n.rule == "assume" and n.attr("label") == "a"
 
 
+def test_assert_sp_proof_scans_a_proof_ten_thousand_levels_deep_in_linear_time():
+    """The scan is breadth first with a parent link per node, and builds only
+    the offender's path.  In a chain of 10,000 nested imp-elims every major
+    premise concludes an implication, and the shallowest is reported; under
+    10,000 single-premise nodes, the one offending leaf is."""
+    x = v("x")
+    chain = assume("h", S(x))
+    for _ in range(10_000):
+        chain = imp_elim(assume("k", Imp(S(x), S(x))), chain)
+    deep, clean = assume("k", Imp(S(x), S(x))), assume("h", S(x))
+    for _ in range(10_000):
+        deep, clean = sep(deep, S(x)), sep(clean, S(x))
+    start = time.perf_counter()
+    assert assert_sp_proof(chain) == ((0,), Imp(S(x), S(x)))
+    assert assert_sp_proof(deep) == ((0,) * 10_000, Imp(S(x), S(x)))
+    assert assert_sp_proof(clean) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_assert_sp_proof_reports_the_shallowest_then_leftmost_offender():
+    x = v("x")
+    node = lambda *premises: Derivation("sep", S(x), premises)
+    bad = lambda label: assume(label, Imp(S(x), B(x)))
+    d = node(node(refl(x), bad("a")), node(bad("b"), refl(x)))
+    assert assert_sp_proof(d) == ((0, 1), Imp(S(x), B(x)))
+    d = node(node(refl(x), node(bad("a"))), node(refl(x), bad("b")))
+    assert assert_sp_proof(d) == ((1, 1), Imp(S(x), B(x)))
+
+
 def test_normalize_raises_past_its_contraction_bound(monkeypatch):
     x = v("x")
     d = inject_detours(and_intro(assume("h", S(x)), refl(x)), 1)

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from helpers import (COLIST, MIXED, ONE, SM, WORD, ZERO, cons, fn, flip_program,
                      is_idempotent, term_size, v)
 
@@ -259,3 +261,25 @@ def test_at_most_one_equation_matches_ground_terms():
             n = sum(1 for e in prog.equations_of(prog.principal)
                     if matches(e, list(combo)))
             assert n <= 1
+
+
+def test_a_deep_destructor_prints_as_a_composition_and_checks_its_indices():
+    assert str(deep_destructor([])) == "id"
+    assert str(deep_destructor([1, 2, 2])) == "pi1∘pi2∘pi2"
+    with pytest.raises(ValueError, match="destructor index 3 outside 1..2"):
+        deep_destructor([1, 3], SM)
+
+
+def test_validate_names_arity_pattern_and_principal_violations():
+    f = lambda *args: Fun("f", args)
+    eqs = [Equation("f", (v("x"),), ZERO),
+           Equation("f", (v("x"), v("y")), f(v("x"), v("y"))),
+           Equation("f", (f(v("z")),), Con("cons", (ZERO,)))]
+    rep = validate_program(assemble_program(SM, eqs, "f", arity=3), SM)
+    codes = [x.code for x in rep.violations]
+    for code in ("arity-mismatch", "non-base-pattern", "constructor-arity",
+                 "principal-arity"):
+        assert code in codes, code
+    assert codes.count("arity-mismatch") == 2   # in a definiendum and in a call
+    rep = validate_program(assemble_program(SM, eqs[:1], "g"), SM)
+    assert [x.code for x in rep.violations] == ["no-principal"]

@@ -1,0 +1,197 @@
+"""coeq's record classes against the dataclasses they replace.
+
+Every record is a `coeq.terms.Record`: importing coeq generates no code,
+so it loads neither `dataclasses` nor `inspect`.  The table below is each
+record's constructor as the dataclass declared it (a default factory shows
+as None).  For each, a reference dataclass with the same fields is built
+here, and the record must match it in repr, equality, hash and
+(im)mutability."""
+import ast
+import dataclasses
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from coeq.logic import And, DataAtom, Or
+from coeq.terms import Con, Fun, Record, Var
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (module, class, constructor parameters, frozen)
+RECORDS = [
+    ("terms", "Var", "name", True),
+    ("terms", "Con", "name args=()", True),
+    ("terms", "Fun", "name args=()", True),
+    ("logic", "DataAtom", "predicate term", True),
+    ("logic", "EqAtom", "left right", True),
+    ("logic", "And", "left right", True),
+    ("logic", "Or", "left right", True),
+    ("logic", "Imp", "left right", True),
+    ("logic", "Exists", "var body", True),
+    ("logic", "Forall", "var body", True),
+    ("logic", "Derivation", "rule conclusion premises=() attrs=()", True),
+    ("logic", "ProofViolation", "path message", True),
+    ("logic", "CheckResult", "ok conclusion assumptions violations", False),
+    ("system", "Constructor", "name arity", True),
+    ("system", "DataPredicate", "name kind index", True),
+    ("system", "ConstructorType", "constructor argument_predicates result_predicate", True),
+    ("system", "DataSystem", "vocabulary predicates types", True),
+    ("system", "Violation", "code message", True),
+    ("system", "ValidationReport", "violations=()", True),
+    ("system", "CotermNode", "constructor children=()", True),
+    ("system", "RegularCoterm", "nodes entry=0", True),
+    ("evaluation", "GeneratorBinding", "program principal args=()", True),
+    ("evaluation", "DiagramEnv", "bindings=()", True),
+    ("evaluation", "StallReason", "kind steps=None", True),
+    ("evaluation", "ApproxNode", "constructor children depth", True),
+    ("evaluation", "Cut", "depth", True),
+    ("evaluation", "Stalled", "term reason depth", True),
+    ("evaluation", "OmegaResult", "status path=() reason=None", True),
+    ("program", "Equation", "function patterns rhs", True),
+    ("program", "Program", "body principal arity", True),
+    ("program", "Compatibility", "compatible witness=None", True),
+    ("program", "DeepDestructor", "path", True),
+    ("corec", "Component", "arity term", True),
+    ("corec", "PlainSlot", "component", True),
+    ("corec", "RecSlot", "target args", True),
+    ("corec", "SchemaFun", "name arity slots produced=None selector=None", True),
+    ("corec", "CorecSchema", "functions", True),
+    ("corec", "CompositionDef", "name arity component", True),
+    ("corec", "CorecBundle", "strata principal", True),
+    ("corec", "ProductivityVerdict", "accepted bundle=None reason=None offending=None", True),
+    ("corec", "StockEntry", "name program arity description", True),
+    ("realize", "RealizabilityJudgment",
+     "program ds env eta realizer formula depth budget=10000", True),
+    ("realize", "RealizeResult", "status path=() detail=''", True),
+    ("extract", "ProofTemplate", "arg_sorts result_sort derivation", True),
+    ("extract", "Leaf", "term", True),
+    ("extract", "Pair", "head rest", True),
+    ("extract", "ConsR", "head_term tail", True),
+    ("extract", "Case", "bit left right", True),
+    ("extract", "_State", "skel params bit=None succ=() nxt=None", False),
+    ("extract", "ExtractionCertificate", "lines=None split_chain=0 coinductions=0", False),
+    ("extract", "ExtractionResult",
+     "bundle program value_params realizer_params certificate", False),
+    ("extract", "StageResult", "stage ok detail=''", False),
+    ("extract", "RoundtripReport", "depth entries", False),
+    ("cli", "Workspace", "system=None system_name='' programs=None envs=None proofs=None",
+     False),
+]
+
+
+def _params(spec: str) -> list[tuple[str, object]]:
+    """(name, default or inspect.Parameter.empty) for each parameter."""
+    out = []
+    for p in spec.split():
+        name, eq, default = p.partition("=")
+        out.append((name, ast.literal_eval(default) if eq else inspect.Parameter.empty))
+    return out
+
+
+def _record_classes() -> set[type]:
+    """Every Record subclass that nothing in coeq subclasses further."""
+    for module in {m for m, *_ in RECORDS}:
+        importlib.import_module(f"coeq.{module}")
+    out, todo = set(), [Record]
+    while todo:
+        cls = todo.pop()
+        subs = [c for c in cls.__subclasses__() if c.__module__.startswith("coeq.")]
+        todo += subs
+        if not subs and cls._fields:
+            out.add(cls)
+    return out
+
+
+def test_importing_coeq_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, coeq, coeq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def test_the_table_covers_every_record_class():
+    assert {(c.__module__, c.__name__) for c in _record_classes()} == \
+        {(f"coeq.{m}", name) for m, name, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("module, name, spec, frozen", RECORDS,
+                         ids=[name for _m, name, *_ in RECORDS])
+def test_a_record_behaves_as_the_dataclass_it_replaces(module, name, spec, frozen):
+    cls = getattr(importlib.import_module(f"coeq.{module}"), name)
+    params = _params(spec)
+    sig = inspect.signature(cls)
+    assert [(p.name, p.default) for p in sig.parameters.values()] == params
+    assert cls._fields == tuple(p for p, _ in params)
+
+    ref = dataclasses.make_dataclass(name, [(p, object) for p, _ in params], frozen=frozen)
+    values = [f"{p}-{i}" for i, (p, _) in enumerate(params)]
+    other = values[:-1] + [("another", 1)]
+    a, b, c = cls(*values), cls(*values), cls(*other)
+    ra, rb, rc = ref(*values), ref(*values), ref(*other)
+
+    assert repr(a) == repr(ra) and repr(c) == repr(rc)
+    assert (a == b, a == c, a != c) == (ra == rb, ra == rc, ra != rc) == (True, False, True)
+    assert a.__eq__(values[0]) is NotImplemented and a != values[0]
+    twin = type("Twin", (cls,), {"__slots__": ()})(*values)   # same fields, another class
+    rtwin = type("Twin", (ref,), {})(*values)
+    assert (a == twin, twin == a) == (ra == rtwin, rtwin == ra) == (False, False)
+    if frozen:
+        assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)
+        for obj in (a, ra):
+            with pytest.raises(AttributeError):
+                setattr(obj, params[0][0], "changed")
+            with pytest.raises(AttributeError):
+                delattr(obj, params[0][0])
+        assert getattr(a, params[0][0]) == values[0]
+    else:
+        assert type(a).__hash__ is None and type(ra).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, params[0][0], "changed")
+        setattr(ra, params[0][0], "changed")
+        assert repr(a) == repr(ra)
+
+
+@pytest.mark.parametrize("left, right", [
+    (Con("0"), Fun("0")),
+    (Fun("f", (Var("x"),)), Con("f", (Var("x"),))),
+    (And(DataAtom("S", Var("x")), DataAtom("B", Var("y"))),
+     Or(DataAtom("S", Var("x")), DataAtom("B", Var("y")))),
+], ids=["con-fun", "fun-con", "and-or"])
+def test_records_of_two_classes_with_equal_fields_differ(left, right):
+    assert left != right and right != left
+
+
+def test_records_of_every_two_classes_with_the_same_fields_differ():
+    """Any two record classes, given the same values for the same fields,
+    build unequal records."""
+    by_fields: dict[tuple[str, ...], list[type]] = {}
+    for cls in _record_classes():
+        by_fields.setdefault(cls._fields, []).append(cls)
+    pairs = 0
+    for fields, classes in by_fields.items():
+        values = [f"{f}-{i}" for i, f in enumerate(fields)]
+        built = [cls(*values) for cls in classes]
+        for i, x in enumerate(built):
+            for y in built[i + 1:]:
+                assert x != y and y != x
+                pairs += 1
+    assert pairs >= 8   # EqAtom, And, Or and Imp; Con and Fun; Exists and Forall
+
+
+def test_a_program_keeps_its_validation_reports_on_the_instance():
+    """Program is the one record with a __dict__: validate_program caches
+    its reports there.  The cache is not a field."""
+    from helpers import SM, flip_program
+    from coeq.program import validate_program
+    p = flip_program()
+    assert validate_program(p, SM) is validate_program(p, SM)
+    assert "_reports" in p.__dict__ and "_reports" not in repr(p)
+    assert p == flip_program() and hash(p) == hash(flip_program())

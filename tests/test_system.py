@@ -198,3 +198,40 @@ def test_inductive_membership_agrees_with_enumeration():
 def test_coterm_validate():
     ct = stream_coterm([1, 0], loop_to=1)
     assert ct.validate(SM).ok
+
+
+def test_every_structural_violation_of_a_system_is_named():
+    b = DataPredicate("B", Kind.INDUCTIVE, 0)
+    b2 = DataPredicate("B", Kind.INDUCTIVE, 2)
+    ghost_p = DataPredicate("G", Kind.INDUCTIVE, 1)
+    zero, ghost_c = Constructor("0", 0), Constructor("g", 0)
+    ds = DataSystem((zero,), (b, b2), (ConstructorType(ghost_c, (), b),
+                                      ConstructorType(zero, (), ghost_p)))
+    rep = validate_system(ds)
+    assert [x.code for x in rep.violations] == [
+        "dup-predicate", "bad-indices", "unknown-constructor", "unknown-predicate"]
+    assert str(rep).splitlines()[0] == "[dup-predicate] predicate 'B' declared more than once"
+    assert str(validate_system(SM)) == "ok"
+
+
+def test_coterm_validate_names_bad_constructors_children_and_entry():
+    ct = RegularCoterm((CotermNode("nope"), CotermNode("cons", (0, 5))), entry=2)
+    assert [x.code for x in ct.validate(SM).violations] == [
+        "unknown-constructor", "dangling-child", "bad-entry"]
+    with pytest.raises(ValueError):
+        stream_coterm([0, 1], loop_to=2)
+
+
+def test_membership_of_cycles_references_and_finite_coinductive_values():
+    """An inductive predicate has no member with an infinite descent; a
+    reference to another binding is a leaf verified only up to itself; a
+    coinductive value is never certified outright, even a finite one."""
+    n, j = MIXED.predicate("N"), MIXED.predicate("J")
+    loop = RegularCoterm((CotermNode("s", (0,)),), 0)   # rec x. s(x)
+    assert canonical_member(MIXED, n, loop, 5) == "no"
+    assert canonical_member(MIXED, j, loop, 5) == "yes-up-to-depth"
+    ref = RegularCoterm((CotermNode("0"), CotermNode("cons", (0, "w"))), 1)
+    assert canonical_member(SM, S, ref, 5) == "yes-up-to-depth"
+    from helpers import COLIST
+    nil = RegularCoterm((CotermNode("nil"),), 0)
+    assert canonical_member(COLIST, COLIST.predicate("L"), nil, 5) == "yes-up-to-depth"
