@@ -37,7 +37,7 @@ from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
                          Stalled, derives_omega, first_stall)
 from .extract import ExtractError, extract, prove_corec_program, roundtrip_report
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
-                    Formula, Imp, Or, check_proof, classify_formula,
+                    Formula, Imp, Or, _run, check_proof, classify_formula,
                     has_detour, normalize)
 from .program import (Equation, Program, assemble_program, reserved_function,
                       standard_functions, validate_program)
@@ -521,50 +521,59 @@ class Parser:
     # -- formulas and proofs ---------------------------------------------------------------
 
     def parse_formula(self) -> Formula:
+        return _run(self._formula())
+
+    def _formula(self):   # run by _run, so that no nesting depth recurses
         ds = self._need_system()
         self.expect("(")
         head_tok = self.next() if self.peek().text == "=" else self.ident_tok("formula head")
         head = head_tok.text
         if head == "and" or head == "or" or head == "imp":
-            left = self.parse_formula()
-            right = self.parse_formula()
+            left = yield self._formula()
+            right = yield self._formula()
             self.expect(")")
             cls = {"and": And, "or": Or, "imp": Imp}[head]
             return cls(left, right)
         if head in ("ex", "all"):
             var = self.ident("variable")
-            body = self.parse_formula()
+            body = yield self._formula()
             self.expect(")")
             return (Exists if head == "ex" else Forall)(var, body)
         if head == "=":
-            left = self.parse_sexp_term()
-            right = self.parse_sexp_term()
+            left = yield self._sexp_term()
+            right = yield self._sexp_term()
             self.expect(")")
             return EqAtom(left, right)
         if ds.predicate(head) is None:
             raise self.fail(f"unknown predicate '{head}'", head_tok)
-        term = self.parse_sexp_term()
+        term = yield self._sexp_term()
         self.expect(")")
         return DataAtom(head, term)
 
     def parse_sexp_term(self) -> Term:
         """`name` or `(name term ...)`: a constructor at its arity, a call
         if applied or among the functions, else a variable."""
+        return _run(self._sexp_term())
+
+    def _sexp_term(self):   # run by _run
         ds = self._need_system()
         applied = self.peek().text == "("
+        args = []
         if applied:
             self.next()
             name = self.ident("term head")
-            args = tuple(self.until_close(self.parse_sexp_term))
+            while self.peek().text != ")":
+                args.append((yield self._sexp_term()))
+            self.expect(")")
         else:
-            name, args = self.ident("term"), ()
+            name = self.ident("term")
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}")
-            return Con(name, args)
+            return Con(name, tuple(args))
         if applied or name in self.functions:
-            return Fun(name, args)
+            return Fun(name, tuple(args))
         return Var(name)
 
     def parse_proof(self) -> None:

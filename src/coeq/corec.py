@@ -5,8 +5,9 @@ A schema component is a closed combination of constructors, destructors,
 the discriminator, and previously accepted functions, represented as a
 term over argument variables x1..xk.  Definitions by cases on input
 patterns are merged into single components by compiling the case analysis
-into discriminator dispatch; the merge demands exhaustive patterns, which
-is what separates total corecursive case analysis from partial programs.
+into discriminator dispatch where the cases differ; the merge demands
+exhaustive patterns, which is what separates total corecursive case
+analysis from partial programs.
 
 The recognizer splits the functions into strongly connected components of
 the call graph.  A non-recursive one is a composition; a recursive one,
@@ -202,10 +203,10 @@ def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
                  equation: Equation | None) -> Term:
     """Compile case-analyzing rows into one term over the subjects.
 
-    Each row is (patterns aligned with subjects, result term).  Splits are
-    discriminator dispatches; a split position's cases must cover the
-    constructor set of some predicate, otherwise the definition is partial
-    and is rejected.
+    Each row is (patterns aligned with subjects, result term).  A split
+    position's cases must cover the constructor set of some predicate,
+    otherwise the definition is partial and is rejected.  A split is a
+    discriminator dispatch, or the one term of the branches rows reach.
     """
     # every function has an equation, and `branch` merges no empty row set
     assert rows
@@ -224,13 +225,11 @@ def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
     subject = subjects[split_at]
     demanded = {r[0][split_at].name for r in rows if not isinstance(r[0][split_at], Var)}
     has_var_row = any(isinstance(r[0][split_at], Var) for r in rows)
-    if not has_var_row:
-        covered = any(demanded == {c.name for c in ds.constructors_of(p)}
-                      for p in ds.predicates)
-        if not covered:
-            raise _Reject(
-                f"non-exhaustive patterns: cases {{{', '.join(sorted(demanded))}}} at "
-                f"'{subject}' match no predicate's constructor set", equation)
+    if not has_var_row and not any(demanded == {c.name for c in ds.constructors_of(p)}
+                                   for p in ds.predicates):
+        raise _Reject(
+            f"non-exhaustive patterns: cases {{{', '.join(sorted(demanded))}}} at "
+            f"'{subject}' match no predicate's constructor set", equation)
 
     def branch(cname: str, r: int) -> Term:
         new_subjects = (subjects[:split_at]
@@ -249,10 +248,10 @@ def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
             return subject  # unreachable on canonical data
         return _merge_cases(ds, new_rows, new_subjects, fresh, equation)
 
-    if len(demanded) == 1 and not has_var_row:
-        c = ds.constructor(next(iter(demanded)))
-        return branch(c.name, c.arity)
     branches = tuple(branch(c.name, c.arity) for c in ds.vocabulary)
+    live = {b for c, b in zip(ds.vocabulary, branches) if has_var_row or c.name in demanded}
+    if len(live) == 1:
+        return live.pop()
     return Fun(DELTA, (subject,) + branches)
 
 

@@ -203,6 +203,10 @@ class Session:
         k = self.k = kernel.KernelSession()
         for c in ds.vocabulary:
             k.sym(c.name, CON, c.arity)
+        # before any rule is encoded, so that `mk` flags every term calling one;
+        # validation made their rules the standard ones
+        for i in range(1, ds.max_arity + 1):
+            k.projections.add(k.sym(pi_name(i), FUN, 1))
         for prog in [program] + [v.program for _, v in self.env.bindings
                                  if isinstance(v, GeneratorBinding)]:
             eqs = [e for e in prog.body if k.sym_ids.get(e.function) not in k.rules]
@@ -211,8 +215,6 @@ class Session:
             for e in eqs:
                 k.add_rule(k.sym_ids[e.function],
                            tuple(self.encode(p) for p in e.patterns), self.encode(e.rhs))
-        for i in range(1, ds.max_arity + 1):   # validation made their rules the standard ones
-            k.projections.add(k.sym_ids[pi_name(i)])
         for name, value in self.env.bindings:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):

@@ -108,9 +108,6 @@ class Prover:
         tpl = self.registry.get(t.name)
         if tpl is None:
             raise ExtractError(f"no typing available for '{t.name}'")
-        # one label per argument is drawn and unused, so that proofs keep
-        # the label numbers their pinned digests record
-        self.labels.n += len(t.args)
         return subst_derivation(
             tpl.derivation, {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
             {f"h{i + 1}": self.typing(arg, sorts, hyp_labels)

@@ -64,7 +64,9 @@ class KernelSession:
         self.env = {}           # env fn sid -> unfold tid
         self.memo = {}          # tid -> whnf tid (successes)
         self.nomatch = {}       # tid -> stuck tid (definitive no-match stalls)
-        self.projections = set()   # fn sids of the destructors pi_i
+        self.projections = set()   # fn sids of the destructors pi_i, declared
+                                   # before any term that calls one is interned
+        self.with_projection = set()   # tids of terms with a call of a pi_i in them
         self.reduced = {}       # tid -> tid with its projections of known data reduced,
                                 # as known when tid was first walked
         self.steps_total = 0
@@ -116,6 +118,8 @@ class KernelSession:
         self.t_kind.append(kind)
         self.t_sym.append(sid)
         self.t_args.append(args)
+        if sid in self.projections or not self.with_projection.isdisjoint(args):
+            self.with_projection.add(tid)
         return tid
 
     def var(self, name):
@@ -259,6 +263,7 @@ class KernelSession:
         memo held when the subterm was first walked: a projection of a call
         forced only later stays as it was."""
         red, t_args, t_sym = self.reduced, self.t_args, self.t_sym
+        with_proj = self.with_projection
         stack = [tid]
         while stack:
             t = stack[len(stack) - 1]
@@ -266,7 +271,7 @@ class KernelSession:
                 stack.pop()
                 continue
             args = t_args[t]
-            todo = [a for a in args if t_args[a] and a not in red]
+            todo = [a for a in args if a in with_proj and a not in red]
             if todo:
                 stack += todo
                 continue
@@ -325,7 +330,7 @@ class KernelSession:
             out = memo.get(cur, -1)
             if out < 0 and cur not in nomatch:
                 nxt = self.reduced.get(cur, -1)
-                if nxt < 0 and self.t_args[cur] and self.t_sym[cur] in self.rules:
+                if nxt < 0 and cur in self.with_projection and self.t_sym[cur] in self.rules:
                     nxt, steps = self._reduce_projections(cur, steps, budget)
                     if nxt < 0:
                         break

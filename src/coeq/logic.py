@@ -243,37 +243,31 @@ def classify_formula(f: Formula) -> PolarityClass:
     """Tightest of strongly-positive < positive < unipolar < general.
 
     Negative occurrences are those under an odd number of left sides of
-    implications; only data atoms carry polarity.
+    implications; only data atoms carry polarity.  The walk keeps its own
+    stack, so no formula depth reaches the recursion limit.
     """
-    occs: list[tuple[str, int]] = []
-    flags = {"imp": False, "forall": False}
-
-    def walk(g: Formula, sign: int) -> None:
+    signed: tuple[set[str], set[str]] = (set(), set())   # predicates at + and at -
+    imp_or_all = False
+    stack = [(f, 0)]
+    while stack:
+        g, neg = stack.pop()
         if isinstance(g, DataAtom):
-            occs.append((g.predicate, sign))
-        elif isinstance(g, EqAtom):
-            pass
+            signed[neg].add(g.predicate)
         elif isinstance(g, (And, Or)):
-            walk(g.left, sign)
-            walk(g.right, sign)
+            stack += ((g.left, neg), (g.right, neg))
         elif isinstance(g, Imp):
-            flags["imp"] = True
-            walk(g.left, -sign)
-            walk(g.right, sign)
-        elif isinstance(g, Exists):
-            walk(g.body, sign)
+            imp_or_all = True
+            stack += ((g.left, 1 - neg), (g.right, neg))
+        elif isinstance(g, (Exists, Forall)):
+            imp_or_all = imp_or_all or isinstance(g, Forall)
+            stack.append((g.body, neg))
         else:
-            assert isinstance(g, Forall)
-            flags["forall"] = True
-            walk(g.body, sign)
-
-    walk(f, 1)
-    if not flags["imp"] and not flags["forall"]:
+            assert isinstance(g, EqAtom)
+    if not imp_or_all:
         return PolarityClass.STRONGLY_POSITIVE
-    if all(s > 0 for _, s in occs):
+    if not signed[1]:
         return PolarityClass.POSITIVE
-    both = {p for p, s in occs if s > 0} & {p for p, s in occs if s < 0}
-    if not both:
+    if not signed[0] & signed[1]:
         return PolarityClass.UNIPOLAR
     return PolarityClass.GENERAL
 

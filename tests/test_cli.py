@@ -418,7 +418,7 @@ def test_tagged_format(ws_file, capsys):
 
 # SHA-256 of the exit codes, stdout and written files of the invocations
 # below; error invocations are left out.
-TRANSCRIPT_SHA256 = "e72f6e5c253abb167fae29266244334c470cbc51bbe66898dd0584145c6284dc"
+TRANSCRIPT_SHA256 = "884fab1990ebbeb35e46a02e935b305b6153193cdec6f6156f785bf4f9ecdbaf"
 
 STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
                   / "workspaces" / "streams.cds")
@@ -732,6 +732,17 @@ def test_cmd_eval_parses_a_term_ten_thousand_levels_deep(capsys, term, budget, o
     parentheses or conses reaches the interpreter's recursion limit."""
     assert run_main(capsys, "eval", STREAMS_CDS, term, "--depth", "4", "--env", "E",
                     "--budget", budget) == (0, out, "")
+
+
+@pytest.mark.parametrize("formula", [
+    "(and (S x) " * 10_000 + "(S x)" + ")" * 10_000,
+    "(S " + "(flip " * 10_000 + "x" + ")" * 10_000 + ")",
+], ids=["nested-and", "nested-calls"])
+def test_cmd_classify_reads_a_formula_ten_thousand_levels_deep(capsys, formula):
+    """The formula and s-expression readers run on their own stack, and so
+    does the classification."""
+    assert run_main(capsys, "--format=tagged", "classify", STREAMS_CDS, formula) == (
+        0, "CLASS\tstrongly-positive\n", "")
 
 
 @pytest.mark.parametrize("binding", [

@@ -343,6 +343,29 @@ def test_every_rejection_names_its_reason_and_equation(system, body, reason, off
     assert verdict.report() == f"rejected: {reason}\n  at equation: {offending}"
 
 
+BOOL_SYSTEM = """system Bool {
+  inductive B; constructor 0 : B; constructor 1 : B;
+}
+"""
+
+
+@pytest.mark.parametrize("system, body, compiled", [
+    # both cases recur on the tail: only the head bit dispatches
+    (SM_SYSTEM, "f(cons(0, w)) = cons(1, f(w)); f(cons(1, w)) = cons(0, f(w));",
+     "f(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), f(pi2(x1)))"),
+    # a variable row reaches every branch of x1, and they agree
+    (BOOL_SYSTEM, "f(0, 0) = 1; f(1, 0) = 1; f(x, 1) = 1;", "f(x1, x2) = 1"),
+    (BOOL_SYSTEM, "f(0, 0) = 1; f(1, 0) = 1; f(x, 1) = x;", "f(x1, x2) = delta(x2, 1, x1)"),
+    (BOOL_SYSTEM, "f(0, 0) = 0; f(1, 0) = 1; f(x, 1) = 1;",
+     "f(x1, x2) = delta(x1, delta(x2, 0, 1), 1)"),
+], ids=["tail", "all-agree", "outer-agrees", "inner-agrees"])
+def test_a_split_dispatches_only_where_the_branches_rows_reach_differ(system, body, compiled):
+    ws = parse_workspace(system + "program f {\n" + body + "\n}\n")
+    v1, prog, v2, _ = compile_roundtrip(ws.programs["f"], ws.system)
+    assert [str(e) for e in prog.equations_of("f")] == [compiled]
+    assert bundle_equal(v1.bundle, v2.bundle)
+
+
 @pytest.mark.parametrize("program", [
     "program f {\n  cocase100000(x) = x;\n"
     "  f(s(w)) = t(f(cocase100000(w))); f(t(w)) = s(f(w));\n}\n",

@@ -14,7 +14,7 @@ from coeq.kernel import CON, FUN, STALL_BUDGET, WHNF, KernelSession
 from coeq.program import (assemble_program, Equation, is_pi, pi_name, reserved_function,
                           standard_functions)
 from coeq.system import CotermNode, RegularCoterm
-from coeq.terms import Con, Fun, Var, substitute
+from coeq.terms import Con, Fun, Var, substitute, subterms
 
 
 def test_flip_observation_depth_4():
@@ -646,6 +646,33 @@ def test_projections_of_unknown_data_wait_for_their_call():
     assert (status, steps) == (WHNF, 3)
     node = fn("v_a@3")
     assert sess.decode(out) == cons(fn("pi1", node), fn("ident", fn("pi2", node)))
+
+
+def test_a_term_that_calls_no_projection_skips_the_projection_walk(monkeypatch):
+    """Criterion 2's stall f(s(s(0))) -> f(s(s(s(0)))) -> ... calls no
+    projection, so none of its 10,000 steps enters the walk; a call with a
+    projection in it does.  The flag is set where a term is interned, for a
+    rule's right-hand side too: the projections are declared first."""
+    entered = []
+    walk = KernelSession._reduce_projections
+    monkeypatch.setattr(KernelSession, "_reduce_projections",
+                        lambda self, tid, *rest: entered.append(tid) or walk(self, tid, *rest))
+    prog, nat = nat_program()
+    sess = Session(prog, nat)
+    k = sess.k
+    status, _, steps = k.head_normalize(
+        sess.encode(fn("f", Con("s", (Con("s", (Con("0"),)),)))), 10_000)
+    assert (status, steps, entered) == (STALL_BUDGET, 10_000, [])
+    status, out, steps = k.head_normalize(
+        sess.encode(fn("f", fn("pi1", Con("s", (Con("0"),))))), 10)
+    assert (status, sess.decode(out), steps) == (WHNF, Con("0"), 2)
+    assert len(entered) == 1
+    sess = _stock_session("even", DiagramEnv.of({"v_a": stream_coterm([0, 1], 0)}))
+    k = sess.k
+    for sid, rules in k.rules.items():
+        for _, rhs in rules:
+            calls = {u.name for u in subterms(sess.decode(rhs)) if isinstance(u, Fun)}
+            assert (rhs in k.with_projection) == any(map(is_pi, calls)), k.sym_names[sid]
 
 
 def _stock_union(*names):

@@ -253,6 +253,21 @@ def test_prove_corec_identity_and_flip():
         assert res.ok, (name, res.violations[:3])
 
 
+def test_flip_proves_and_extracts_its_tail_without_a_dispatch():
+    """Both of flip's cases recur on the tail, so its compiled tail is
+    pi2(x1): the proof types it by one destructor elimination, and the
+    extracted runner is the compiled equation renamed."""
+    d, compiled, _ = _prove("flip")
+    assert [str(e) for e in compiled.equations_of("flip")] == [
+        "flip(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), flip(pi2(x1)))"]
+    res = check_proof(SM, compiled, d)
+    assert res.ok, res.violations[:3]
+    assert sum(1 for _ in d.preorder()) == 28
+    result, _ = _extract("flip")
+    assert [str(e) for e in result.program.equations_of("run1")] == [
+        "run1(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), run1(pi2(x1)))"]
+
+
 def test_prove_corec_all_library_normal_and_sp():
     for name in stock_library():
         d, compiled, _ = _prove(name)
@@ -564,9 +579,9 @@ def test_extract_realizes_conclusion():
 # Kernel steps of `realizes` at depth 8 on each stock entry's extraction: the
 # stream tails at the bound are not forced, since they cannot end nullary,
 # and a tail's projections of input nodes are reduced when it is forced, so
-# the tails of ident, even, odd, merge and zipxor recur with the input's
-# period.
-REALIZE_STEPS_DEPTH_8 = {"ident": 11, "even": 8, "odd": 10, "flip": 49, "merge": 28,
+# the tails of ident, even, odd, flip, merge and zipxor recur with the
+# input's period.
+REALIZE_STEPS_DEPTH_8 = {"ident": 11, "even": 8, "odd": 10, "flip": 12, "merge": 28,
                          "zeros": 3, "ones": 3, "zipxor": 28, "alt": 5}
 
 
@@ -674,6 +689,16 @@ def _steps_to_depth(result, ds, arity, depth):
     out = sess.observe(lhs, depth, budget=1_000_000)
     assert len(approx_bits(out)) == depth
     return sess.k.steps_total
+
+
+@pytest.mark.parametrize("name", list(stock_library()))
+def test_a_stock_program_and_its_extraction_cost_as_much_at_depth_256_as_at_64(name):
+    """On the first input the roundtrip draws, every stock program and its
+    extraction recur with the input's period before depth 64."""
+    result, entry = _extract(name)
+    extracted = [_steps_to_depth(result, SM, entry.arity, d) for d in (64, 256)]
+    original = [_original_steps(entry.program, SM, entry.arity, d) for d in (64, 256)]
+    assert extracted[0] == extracted[1] and original[0] == original[1], (extracted, original)
 
 
 def test_extracted_programs_cost_linear_steps():
@@ -945,9 +970,9 @@ def _extractions_digest():
 
 def test_proofs_are_pinned():
     assert _proofs_digest() == (
-        "2829e94b4f1bb9c1a40efa8b370cd2e6e1e552aa2408ccf626eb2a6d3341e24c")
+        "23410eaefca5ef03003c058f45f6d3afb6e1a4b0d4a3101649d89d5157d55aa9")
 
 
 def test_extractions_are_pinned():
     assert _extractions_digest() == (
-        "5e8c4a4bffa9e999f64cf3442aaa231d312f4a66a88c0a8790cdf88eee8c6826")
+        "0154961893ba21081ac9583761e4aa855735ff848b6e6de4479270a0394216d1")

@@ -864,6 +864,19 @@ def test_assert_sp_proof_scans_a_proof_ten_thousand_levels_deep_in_linear_time()
     assert time.perf_counter() - start < 0.5
 
 
+def test_assert_sp_proof_classifies_a_conclusion_two_thousand_levels_deep():
+    """classify_formula keeps its own stack: a 2,000-deep conjunction of
+    data atoms is strongly positive, and one over an implication is not."""
+    x = v("x")
+    sp, general = S(x), Imp(S(x), S(x))
+    for _ in range(2_000):
+        sp, general = And(S(x), sp), And(S(x), general)
+    assert assert_sp_proof(assume("h", sp)) is None
+    path, offender = assert_sp_proof(assume("h", general))
+    assert path == () and offender is general
+    assert classify_formula(general) is PolarityClass.GENERAL
+
+
 def test_assert_sp_proof_reports_the_shallowest_then_leftmost_offender():
     x = v("x")
     node = lambda *premises: Derivation("sep", S(x), premises)
