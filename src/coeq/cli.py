@@ -109,15 +109,7 @@ class Workspace(Record, frozen=False):
         self.envs = {} if envs is None else envs
         self.proofs = {} if proofs is None else proofs
 
-    def sole_program(self) -> tuple[str, Program]:
-        if len(self.programs) != 1:
-            raise ValueError(f"workspace defines {len(self.programs)} programs; "
-                             f"pass --program")
-        return next(iter(self.programs.items()))
-
-    def pick_program(self, name: str | None) -> Program:
-        if name is None:
-            return self.sole_program()[1]
+    def pick_program(self, name: str) -> Program:
         if name not in self.programs:
             raise ValueError(f"unknown program '{name}'")
         return self.programs[name]
@@ -129,7 +121,7 @@ class Workspace(Record, frozen=False):
         if not self.programs:
             raise ValueError("workspace defines no programs")
         if len(self.programs) == 1:
-            return self.sole_program()[1]
+            return next(iter(self.programs.values()))
         eqs: list[Equation] = []
         seen: set[str] = set()
         principal = next(iter(self.programs))
@@ -317,10 +309,7 @@ class Parser:
         eqs: list[Equation] = []
         while self.peek().text != "}":
             fn = self.ident("function name")
-            patterns: list[Term] = []
-            if self.peek().text == "(":
-                self.next()
-                patterns = self.commas(lambda: self.parse_pattern(ds))
+            patterns = _run(self._args(lambda: self._pattern(ds)))
             # a name the patterns bind is a variable on the right-hand side
             self.functions = known - variables(Fun(fn, tuple(patterns)))
             self.expect("=")
@@ -342,11 +331,11 @@ class Parser:
             j += 1
         return heads
 
-    def parse_pattern(self, ds: DataSystem) -> Term:
+    def _pattern(self, ds: DataSystem):   # run by _run
         """A term with no call; read with no function names, so a bare
         name in it is a variable."""
         self.functions = frozenset()
-        t = self.parse_term(ds)
+        t = yield self._term(ds)
         for u in subterms(t):
             if isinstance(u, Fun):
                 raise self.fail(f"'{u.name}' is not a constructor")
@@ -354,44 +343,36 @@ class Parser:
 
     def parse_term(self, ds: DataSystem) -> Term:
         """`atom (':' term)?`, where an atom is `(term)`, `name` or
-        `name(term, ...)`.  Open parentheses, open argument lists and the
-        left operands of ':' wait on an explicit stack, so any nesting
-        depth parses without recursion."""
-        stack: list[tuple] = []   # ("(",), ("call", name, args) or (":", left)
-        while True:
-            if self.peek().text == "(":   # an atom starts
-                self.next()
-                stack.append(("(",))
-                continue
+        `name(term, ...)`; read on `_run`'s stack, so any nesting depth
+        parses without recursion."""
+        return _run(self._term(ds))
+
+    def _term(self, ds: DataSystem):   # run by _run
+        if self.peek().text == "(":
+            self.next()
+            t = yield self._term(ds)
+            self.expect(")")
+        else:
             name = self.ident("term")
-            if self.peek().text == "(":
-                self.next()
-                if self.peek().text != ")":
-                    stack.append(("call", name, []))
-                    continue
-                self.next()
-            t = self._atom(ds, name, [])
-            while True:   # t is a complete atom
-                if self.peek().text == ":":
-                    self._need_cons(ds, self.next())
-                    stack.append((":", t))
-                    break
-                while stack and stack[-1][0] == ":":   # t ends the right operand of each ':'
-                    t = Con("cons", (stack.pop()[1], t))
-                if not stack:
-                    return t
-                frame = stack[-1]
-                if frame[0] == "(":
-                    stack.pop()
-                    self.expect(")")
-                    continue
-                frame[2].append(t)
-                if self.peek().text == ",":
+            t = self._atom(ds, name, (yield self._args(lambda: self._term(ds))))
+        if self.peek().text == ":":
+            self._need_cons(ds, self.next())
+            t = Con("cons", (t, (yield self._term(ds))))
+        return t
+
+    def _args(self, item):   # run by _run
+        """`(item, ...)` through its closing paren, or nothing where no paren
+        follows: the values of the walks `item()` makes."""
+        out = []
+        if self.peek().text == "(":
+            self.next()
+            if self.peek().text != ")":
+                out.append((yield item()))
+                while self.peek().text == ",":
                     self.next()
-                    break
-                self.expect(")")
-                stack.pop()
-                t = self._atom(ds, frame[1], frame[2])
+                    out.append((yield item()))
+            self.expect(")")
+        return out
 
     def _need_cons(self, ds: DataSystem, colon: Tok) -> None:
         c = ds.constructor("cons")
@@ -441,82 +422,54 @@ class Parser:
                 raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
                                 f"applied to {len(args)} arguments", t)
             return GeneratorBinding(prog, prog.principal, tuple(args))
-        # `atom (':' chain)?`, where an atom is `(chain)`, `rec x. chain`, a
-        # constructor and its children, a cycle variable or a binding's name.
-        # Open atoms, ("(",), ("rec", slot, tok, recvars) and ("con", c, kids, tok),
-        # and the left operands of ':', (":", left, slot), wait on a stack, so
-        # any nesting depth parses without recursion.  A node takes its slot
-        # when its ':' or rec is read, or once its constructor's children are.
         nodes: list[CotermNode | None] = []
-        stack: list[tuple] = []
-        recvars: dict[str, int] = {}
+        v = _run(self._coterm(ds, nodes, {}))
+        if not isinstance(v, int):
+            raise self.fail("a binding must start with a constructor, rec, or a program call")
+        return RegularCoterm(tuple(nodes), v)
 
-        def made(c: Constructor, kids: list, tok: Tok) -> int:
-            if len(kids) != c.arity:
-                raise self.fail(f"constructor '{c.name}' has arity {c.arity}, "
-                                f"got {len(kids)} children", tok)
-            nodes.append(CotermNode(c.name, tuple(kids)))
-            return len(nodes) - 1
-
-        while True:
-            tok = self.peek()   # an atom starts
-            if tok.text == "(":
-                self.next()
-                stack.append(("(",))
-                continue
-            if tok.text == "rec":
-                self.next()
-                stack.append(("rec", len(nodes), tok, recvars))
-                recvars = {**recvars, self.ident("cycle variable"): len(nodes)}
-                self.expect(".")
-                nodes.append(None)
-                continue
+    def _coterm(self, ds: DataSystem, nodes: list, recvars: dict):   # run by _run
+        """`atom (':' chain)?`, where an atom is `(chain)`, `rec x. chain`, a
+        constructor and its children, a cycle variable or a binding's name:
+        that name, or the chain's slot in `nodes`.  A node takes its slot when
+        its ':' or rec is read, or once its constructor's children are."""
+        tok = self.peek()
+        if tok.text == "(":
+            self.next()
+            v = yield self._coterm(ds, nodes, recvars)
+            self.expect(")")
+        elif tok.text == "rec":
+            self.next()
+            slot = len(nodes)
+            inner = {**recvars, self.ident("cycle variable"): slot}
+            self.expect(".")
+            nodes.append(None)
+            v = yield self._coterm(ds, nodes, inner)
+            if not isinstance(v, int) or v == slot:
+                raise self.fail("a cycle must pass through a constructor", tok)
+            if nodes[v] is None:
+                raise self.fail("degenerate cycle", tok)
+            nodes[slot] = nodes[v]
+            v = slot
+        else:
             tok = self.ident_tok("coterm")
             c = ds.constructor(tok.text)
             if c is None:
                 v = recvars.get(tok.text, tok.text)   # else another binding's name
             else:
-                if self.peek().text == "(":
-                    self.next()
-                    if self.peek().text != ")":
-                        stack.append(("con", c, [], tok))
-                        continue
-                    self.next()
-                v = made(c, [], tok)
-            while True:   # v is a complete atom
-                if self.peek().text == ":":
-                    self._need_cons(ds, self.next())
-                    stack.append((":", v, len(nodes)))
-                    nodes.append(None)
-                    break
-                while stack and stack[-1][0] == ":":   # v ends the right operand of each ':'
-                    _, left, slot = stack.pop()
-                    nodes[slot] = CotermNode("cons", (left, v))
-                    v = slot
-                if not stack:
-                    if not isinstance(v, int):
-                        raise self.fail("a binding must start with a constructor, rec, "
-                                        "or a program call")
-                    return RegularCoterm(tuple(nodes), v)
-                frame = stack.pop()
-                if frame[0] == "(":
-                    self.expect(")")
-                elif frame[0] == "rec":
-                    _, slot, rec_tok, recvars = frame
-                    if not isinstance(v, int) or v == slot:
-                        raise self.fail("a cycle must pass through a constructor", rec_tok)
-                    if nodes[v] is None:
-                        raise self.fail("degenerate cycle", rec_tok)
-                    nodes[slot] = nodes[v]
-                    v = slot
-                else:
-                    frame[2].append(v)
-                    if self.peek().text == ",":
-                        self.next()
-                        stack.append(frame)
-                        break
-                    self.expect(")")
-                    v = made(frame[1], frame[2], frame[3])
+                kids = yield self._args(lambda: self._coterm(ds, nodes, recvars))
+                if len(kids) != c.arity:
+                    raise self.fail(f"constructor '{c.name}' has arity {c.arity}, "
+                                    f"got {len(kids)} children", tok)
+                nodes.append(CotermNode(c.name, tuple(kids)))
+                v = len(nodes) - 1
+        if self.peek().text == ":":
+            self._need_cons(ds, self.next())
+            slot = len(nodes)
+            nodes.append(None)
+            nodes[slot] = CotermNode("cons", (v, (yield self._coterm(ds, nodes, recvars))))
+            v = slot
+        return v
 
     # -- formulas and proofs ---------------------------------------------------------------
 
@@ -580,17 +533,20 @@ class Parser:
         name = self.ident("proof name")
         self.expect("{")
         self.functions = self.ws.known_names()
-        d = self.parse_derivation()
+        d = _run(self._derivation())
         self.expect("}")
         self.ws.proofs[name] = d
 
-    def parse_derivation(self) -> Derivation:
+    def _derivation(self):   # run by _run
         ds = self._need_system()
         self.expect("(")
         rule = self.ident("rule name")
-        conclusion = self.parse_formula()
+        conclusion = yield self._formula()
         self.expect("(")
-        premises = self.until_close(self.parse_derivation)
+        premises = []
+        while self.peek().text != ")":
+            premises.append((yield self._derivation()))
+        self.expect(")")
         attrs: list[tuple[str, object]] = []
         self.expect("{")
         while self.peek().text != "}":
@@ -656,7 +612,10 @@ def parse_workspace(source: str) -> Workspace:
 def parse_files(paths: list[str]) -> Workspace:
     """One workspace from all files; a parse error names its file and is
     numbered within it."""
-    texts = [open(p, encoding="utf-8").read() for p in paths]
+    texts = []
+    for p in paths:
+        with open(p, encoding="utf-8") as fh:
+            texts.append(fh.read())
     try:
         return parse_workspace("\n".join(texts))
     except ParseError as e:
@@ -774,14 +733,28 @@ def show_attr_value(key: str, v) -> str:
 
 
 def show_derivation(d: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    attrs = " ".join(f"{k.replace('_', '-')} {show_attr_value(k, v)}"
-                     for k, v in d.attrs)
-    if not d.premises:
-        return f"{pad}({d.rule} {show_formula(d.conclusion)} () {{{attrs}}})"
-    inner = "\n".join(show_derivation(p, indent + 1) for p in d.premises)
-    return (f"{pad}({d.rule} {show_formula(d.conclusion)} (\n{inner}\n"
-            f"{pad}) {{{attrs}}})")
+    """A node with premises opens a line, its premises follow one level
+    deeper, and a line closes it; written in one pass with an explicit
+    stack, so any proof depth prints in time linear in the text."""
+    lines: list[str] = []
+    todo: list = [(d, indent)]   # nodes to print, and closing lines
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        d, depth = item
+        pad = "  " * depth
+        attrs = " ".join(f"{k.replace('_', '-')} {show_attr_value(k, v)}"
+                         for k, v in d.attrs)
+        head, tail = f"{pad}({d.rule} {show_formula(d.conclusion)} (", f") {{{attrs}}})"
+        if d.premises:
+            lines.append(head)
+            todo.append(pad + tail)
+            todo.extend((p, depth + 1) for p in reversed(d.premises))
+        else:
+            lines.append(head + tail)
+    return "\n".join(lines)
 
 
 def show_approximation(a: Approximation) -> str:
@@ -964,12 +937,14 @@ def cmd_normalize(args, ws: Workspace, r: Reporter) -> int:
         r.kv("VERDICT", "invalid")
         return 1
     n = normalize(d)
-    out = show_derivation(n)
-    r.text(out)
     r.kv("VERDICT", "ok")
     r.kv("DETOUR-FREE", str(not has_detour(n)).lower())
-    if args.out:
-        _write(args.out, out)
+    # rendered only to be read: a proof d levels deep prints O(d²) characters
+    if args.out or not r.tagged:
+        out = show_derivation(n)
+        r.text(out)
+        if args.out:
+            _write(args.out, out)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import GeneratorType
 
 from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     PlainSlot, RecSlot, SchemaFun, Stratum, arg_vars,
@@ -29,9 +30,9 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
-                    and_elim, and_intro, assert_sp_proof, assume, build_dcm,
-                    check_proof, coinduction, data_elim, data_intro, ex_elim,
-                    ex_intro, fv, has_detour, induction, normalize,
+                    _path, _run, and_elim, and_intro, assert_sp_proof, assume,
+                    build_dcm, check_proof, coinduction, data_elim, data_intro,
+                    ex_elim, ex_intro, fv, has_detour, induction, normalize,
                     or_elim, or_intro, refl, rewrite, subst_derivation,
                     subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
@@ -669,12 +670,15 @@ class Extractor:
 
     # -- the walk ----------------------------------------------------------------
 
-    def extract(self, d: Derivation, ctx: dict, path: tuple[int, ...] = ()) -> SymR:
-        rule = d.rule
-        handler = getattr(self, "_x_" + rule.replace("-", "_"), None)
+    def extract(self, d: Derivation, ctx: dict, path=()):   # run by _run
+        """The realizer of d in ctx.  A handler with premises to walk yields
+        a walk per premise; the others return the realizer.  `path` is the
+        node's link (see logic._path)."""
+        handler = getattr(self, "_x_" + d.rule.replace("-", "_"), None)
         if handler is None:
-            raise ExtractError(f"rule '{rule}' outside the supported extraction set")
-        return handler(d, ctx, path)
+            raise ExtractError(f"rule '{d.rule}' outside the supported extraction set")
+        out = handler(d, ctx, path)
+        return (yield from out) if isinstance(out, GeneratorType) else out
 
     def _x_assume(self, d, ctx, path):
         label = d.attr("label")
@@ -684,36 +688,36 @@ class Extractor:
             raise ExtractError(f"no realizer for open assumption '{label}'")
 
     def _x_and_intro(self, d, ctx, path):
-        a = self.extract(d.premises[0], ctx, path + (0,))
-        b = self.extract(d.premises[1], ctx, path + (1,))
+        a = yield self.extract(d.premises[0], ctx, (path, 0))
+        b = yield self.extract(d.premises[1], ctx, (path, 1))
         return Pair(a, Pair(b, ZEROS_R))
 
     def _x_and_elim(self, d, ctx, path):
-        w = self.extract(d.premises[0], ctx, path + (0,))
+        w = yield self.extract(d.premises[0], ctx, (path, 0))
         return even_r(w) if d.attr("i") == 1 else sigma1(w)
 
     def _x_or_intro(self, d, ctx, path):
-        r = self.extract(d.premises[0], ctx, path + (0,))
+        r = yield self.extract(d.premises[0], ctx, (path, 0))
         bit = "0" if d.attr("i") == 1 else "1"
         return ConsR(Con(bit), r)
 
     def _x_or_elim(self, d, ctx, path):
-        w = self.extract(d.premises[0], ctx, path + (0,))
+        w = yield self.extract(d.premises[0], ctx, (path, 0))
         bit = head_term_of(w)
         tail = tail_r(w)
         static = _const_bit(bit)
         if static is not None:
             pick = 1 if static == "0" else 2
             ctx2 = _extend(ctx, realizers={d.attr(f"label{pick}"): tail})
-            return self.extract(d.premises[pick], ctx2, path + (pick,))
-        r1 = self.extract(d.premises[1], _extend(
-            ctx, realizers={d.attr("label1"): _known(tail, bit, "0")}), path + (1,))
-        r2 = self.extract(d.premises[2], _extend(
-            ctx, realizers={d.attr("label2"): _known(tail, bit, "1")}), path + (2,))
+            return (yield self.extract(d.premises[pick], ctx2, (path, pick)))
+        r1 = yield self.extract(d.premises[1], _extend(
+            ctx, realizers={d.attr("label1"): _known(tail, bit, "0")}), (path, 1))
+        r2 = yield self.extract(d.premises[2], _extend(
+            ctx, realizers={d.attr("label2"): _known(tail, bit, "1")}), (path, 2))
         return case(bit, r1, r2)
 
     def _x_ex_intro(self, d, ctx, path):
-        body_r = self.extract(d.premises[0], ctx, path + (0,))
+        body_r = yield self.extract(d.premises[0], ctx, (path, 0))
         concl = d.conclusion
         wt = self.value_term(d.attr("witness"), ctx)
         if var_sorts(concl.body, self.ds, None).get(concl.var) == "B":
@@ -723,7 +727,7 @@ class Extractor:
         return Pair(wit_r, Pair(body_r, ZEROS_R))
 
     def _x_ex_elim(self, d, ctx, path):
-        w = self.extract(d.premises[0], ctx, path + (0,))
+        w = yield self.extract(d.premises[0], ctx, (path, 0))
         major = d.premises[0].conclusion
         eigen = d.attr("eigen")
         v0 = even_r(w)
@@ -733,7 +737,7 @@ class Extractor:
             value = ("S", v0)
         ctx2 = _extend(ctx, values={eigen: value},
                        realizers={d.attr("label"): sigma1(w)})
-        return self.extract(d.premises[1], ctx2, path + (1,))
+        return (yield self.extract(d.premises[1], ctx2, (path, 1)))
 
     def _x_refl(self, d, ctx, path):
         t = d.conclusion.left
@@ -744,7 +748,7 @@ class Extractor:
         return Leaf(vt)
 
     def _x_rewrite(self, d, ctx, path):
-        return self.extract(d.premises[0], ctx, path + (0,))
+        return (yield self.extract(d.premises[0], ctx, (path, 0)))
 
     def _x_data_intro(self, d, ctx, path):
         ct = d.attr("type")
@@ -753,7 +757,7 @@ class Extractor:
         return ConsR(Con(ct.constructor.name), ZEROS_R)
 
     def _x_data_elim(self, d, ctx, path):
-        w = self.extract(d.premises[0], ctx, path + (0,))
+        w = yield self.extract(d.premises[0], ctx, (path, 0))
         ct, i = d.attr("type"), d.attr("i")
         if ct.argument_predicates[i - 1].inductive:
             if i == 1:
@@ -766,9 +770,10 @@ class Extractor:
     def _x_induction(self, d, ctx, path):
         if d.attr("pred") != "B":
             raise ExtractError("extraction supports induction over booleans only")
-        major = self.extract(d.premises[0], ctx, path + (0,))
-        cases = [self.extract(p, ctx, path + (1 + i,))
-                 for i, p in enumerate(d.premises[1:])]
+        major = yield self.extract(d.premises[0], ctx, (path, 0))
+        cases = []
+        for i, p in enumerate(d.premises[1:]):
+            cases.append((yield self.extract(p, ctx, (path, 1 + i))))
         return case(head_term_of(major), cases[0], cases[1])
 
     def _x_coinduction(self, d, ctx, path):
@@ -783,7 +788,7 @@ class Extractor:
         constant on every reachable realizer is read at run time instead,
         by the one runner of the state that stops there."""
         hole, label, phi = d.attr("var"), d.attr("label"), d.attr("formula")
-        g = self.extract(d.premises[0], ctx, path + (0,))
+        g = yield self.extract(d.premises[0], ctx, (path, 0))
         items_v = sorted(ctx["values"].items())
         items_r = sorted(ctx["realizers"].items())
         n_ctx = len(items_v) + len(items_r)
@@ -797,10 +802,10 @@ class Extractor:
         hctx["values"][hole] = ("S", Leaf(u_param))
         fixed = [x.name for x in xs]
 
-        def step(v: SymR) -> tuple[Term, Term, SymR]:
+        def step(v: SymR):   # run by _run
             """Head bit, next subject and next realizer of one step."""
-            h = self.extract(d.premises[1], _extend(hctx, realizers={label: v}),
-                             path + (1,))
+            h = yield self.extract(d.premises[1], _extend(hctx, realizers={label: v}),
+                                 (path, 1))
             return (head_term_of(even_r(h)), mat(even_r(sigma1(h))),
                     even_r(sigma1(sigma1(sigma1(h)))))
 
@@ -808,7 +813,7 @@ class Extractor:
         # next realizer is a shape a state's evidence can take.  Runners
         # nested in the step are emitted by the state steps only
         emitted = len(self.defs), len(self.cert.lines)
-        probe = _alternatives([step(Leaf(Var(f"x{n_ctx + 2}")))[2]])
+        probe = _alternatives([(yield step(Leaf(Var(f"x{n_ctx + 2}"))))[2]])
         del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
         probe_paths = [_or_path(a, phi, ())[0] for a in probe]
 
@@ -841,7 +846,7 @@ class Extractor:
                 skel = st.skel
                 for b in reversed(key):
                     skel = ConsR(Con(b), skel)
-                st.bit, unext, vnext = step(skel)
+                st.bit, unext, vnext = yield step(skel)
                 st.succ, st.nxt = enter(vnext)
                 st.nxt.update({x: Var(x) for x in fixed[:n_ctx]})
                 st.nxt[u_param.name] = unext
@@ -877,7 +882,7 @@ class Extractor:
         self.defs.append(CorecSchema(tuple(funs)))
         evidence = sum(q not in fixed for p in states for q in live[p])
         runners = ", ".join(f"{names[p]}/{len(live[p])}" for p in states)
-        self.cert.note(path, d.rule, f"runner{'s' if len(states) > 1 else ''} "
+        self.cert.note(_path(path), d.rule, f"runner{'s' if len(states) > 1 else ''} "
                                      f"{runners} with {evidence} evidence parameters")
         return Leaf(Fun(names[start], tuple(first[q] for q in live[start])))
 
@@ -923,7 +928,7 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
                 ctx["values"][v2] = ("S", Leaf(xs[i]))
         for i, (label, f) in enumerate(assumptions):
             ctx["realizers"][label] = Leaf(xs[len(free) + i])
-        out = ex.extract(d, ctx)
+        out = _run(ex.extract(d, ctx))
     except SortError as e:
         raise ExtractError(str(e)) from None
     f0 = ex.fresh_name("f0_") if "f0" in program.functions() else "f0"

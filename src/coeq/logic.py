@@ -580,7 +580,7 @@ class ProofChecker:
         self.violations: list[ProofViolation] = []
 
     def bad(self, path, msg) -> Counter:
-        self.violations.append(ProofViolation(path, msg))
+        self.violations.append(ProofViolation(_path(path), msg))
         return Counter()
 
     def discharge(self, open_: Counter, label: str, f: Formula, path) -> Counter:
@@ -595,17 +595,17 @@ class ProofChecker:
                     self.bad(path, f"discharge of '{label}' expects {f}, found {g}")
         return out
 
-    def check(self, d: Derivation, path: tuple[int, ...] = ()) -> Counter:
-        opens = [self.check(p, path + (i,)) for i, p in enumerate(d.premises)]
-        rule = d.rule
-        f = d.conclusion
-        try:
-            handler = getattr(self, "_r_" + rule.replace("-", "_"))
-        except AttributeError:
-            return self.bad(path, f"unknown rule '{rule}'")
-        return handler(d, f, opens, path)
+    def check(self, d: Derivation, path=()):   # run by _run, so any depth checks
+        opens = []
+        for i, p in enumerate(d.premises):
+            opens.append((yield self.check(p, (path, i))))
+        handler = getattr(self, "_r_" + d.rule.replace("-", "_"), None)
+        if handler is None:
+            return self.bad(path, f"unknown rule '{d.rule}'")
+        return handler(d, d.conclusion, opens, path)
 
-    # each handler returns the node's open-assumption multiset
+    # each handler returns the node's open-assumption multiset; `path` is
+    # the node's link (see _path)
 
     def _r_assume(self, d, f, opens, path):
         label = d.attr("label")
@@ -910,7 +910,7 @@ class ProofChecker:
 
 def check_proof(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
     checker = ProofChecker(ds, program)
-    opens = checker.check(d)
+    opens = _run(checker.check(d))
     ok = not checker.violations
     return CheckResult(ok, d.conclusion if ok else None,
                        opens if ok else Counter(), checker.violations)
@@ -946,6 +946,16 @@ def _scopes(d: Derivation) -> dict:
         return {**{1 + k: (tuple(labs), tuple(vs)) for k, (labs, vs) in enumerate(cases)},
                 "formula": ((), (a("var"),))}
     return {}
+
+
+def _path(link) -> tuple[int, ...]:
+    """The path that a link `(parent's link, premise index)`, or () at the
+    root, ends: a walk that keeps links holds O(1), not O(depth), per level."""
+    path = []
+    while link:
+        link, i = link
+        path.append(i)
+    return tuple(reversed(path))
 
 
 def _run(gen):

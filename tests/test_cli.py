@@ -657,9 +657,13 @@ ONE_LINE_SYSTEM = ("system Sm { inductive B; coinductive S; constructor 0 : B; "
      "2:20: unknown predicate 'Q' (found 'Q')"),
     ("program f { f(x) = x; }", "1:9: no system declared yet (found 'f')"),
     ("env E { a = rec x. 0 : x; }", "1:5: no system declared yet (found 'E')"),
+    ("system X inductive B; }", "1:10: expected '{' (found 'inductive')"),
+    ("sytem X { }", "1:1: expected system, program, env or proof (found 'sytem')"),
+    ("system X { predicate B; }",
+     "1:12: expected inductive, coinductive or constructor (found 'predicate')"),
 ], ids=["character", "two-systems", "reserved", "arity", "system-predicate", "rebound",
         "cycle", "degenerate", "type-predicate", "formula-predicate", "no-system",
-        "env-no-system"])
+        "env-no-system", "expected-token", "stanza-keyword", "declaration"])
 def test_a_malformed_workspace_is_reported_at_the_offending_token(tmp_path, capsys,
                                                                   source, error):
     """A parse error names its line and column, and the token there: the
@@ -692,14 +696,18 @@ NO_CONS_SYSTEM = "system X { inductive B; coinductive S; constructor 0 : B; }\n"
      "2:19: ':' needs a binary constructor named 'cons' (found ':')"),
     (ONE_LINE_SYSTEM + "program f { g = 0; }",
      "2:21: program 'f' does not define 'f' (at end)"),
+    (ONE_LINE_SYSTEM + "proof p { (refl (= (cons 0) (cons 0)) () {}) }",
+     "2:29: constructor 'cons' has arity 2 (found '(')"),
 ], ids=["type-arity", "type-undeclared", "pos", "number", "coterm-arity",
-        "coterm-leaf-arity", "binding-start", "coterm-cons", "term-cons", "no-principal"])
+        "coterm-leaf-arity", "binding-start", "coterm-cons", "term-cons", "no-principal",
+        "sexp-arity"])
 def test_a_malformed_attribute_coterm_or_program_is_reported_where_it_is_found(
         tmp_path, capsys, source, error):
     """These errors are found once the construct is read.  Each names the
     construct's own token: the constructor of a type or coterm node, the
-    number, the ':'.  A binding that is a bare name and a program without
-    its principal function have none, and name the token after them."""
+    number, the ':'.  A binding that is a bare name, a program without its
+    principal function and an s-expression constructor at the wrong arity
+    name the token after them."""
     ws = _ws(tmp_path, source)
     assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
 
@@ -810,3 +818,90 @@ def test_a_predicate_list_and_a_parenthesised_term_parse():
                          "program f { f(x) = (x); }\n")
     assert [p.name for p in ws.system.predicates] == ["B", "N", "S"]
     assert ws.programs["f"].body[0].rhs == Var("x")
+
+
+@pytest.mark.parametrize("source, error", [
+    ("# no stanza\n", "no system declared"),
+    ("system X { inductive B, B; }\n",
+     "system 'X': [dup-predicate] predicate 'B' declared more than once"),
+    (ONE_LINE_SYSTEM + "program f { f(x) = x; f(y) = cons(0, y); }\n",
+     "program 'f': [overlap] equations 'f(x) = x' and 'f(y) = cons(0, y)' overlap; "
+     "unifier {x -> y}"),
+], ids=["no-system", "system", "program"])
+def test_a_workspace_without_a_valid_system_or_program_does_not_resolve(tmp_path, capsys,
+                                                                        source, error):
+    ws = _ws(tmp_path, source)
+    assert run_main(capsys, "check", ws) == (2, "", f"error: {error}\n")
+
+
+def test_a_command_that_needs_a_program_on_a_workspace_without_one(tmp_path, capsys):
+    ws = _ws(tmp_path, SYSTEM_SOURCE + "env E { a = rec r. 0 : r; }\n")
+    assert run_main(capsys, "eval", ws, "a") == (2, "", "error: workspace defines no programs\n")
+
+
+def test_a_depth_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["eval", STREAMS_CDS, "v_a", "--depth", "four"])
+    assert e.value.code == 2
+    assert "argument --depth: expected an integer >= 0, not 'four'" in capsys.readouterr().err
+
+
+ZEROS_PROGRAM = "program zeros { zeros = cons(0, zeros); }\n"
+
+
+def imp_elim_chain(n: int) -> str:
+    """A proof stanza of n nested imp-elims, each applying an assumption
+    (S x) -> (S x) to the one below, over an assumption S(x).  It is one
+    line, so the text grows linearly with n."""
+    return ("proof p { " + "(imp-elim (S x) ((assume (imp (S x) (S x)) () {label f}) " * n
+            + "(assume (S x) () {label h})" + ") {})" * n + " }\n")
+
+
+def rewrite_chain(n: int) -> str:
+    """A proof stanza of n nested rewrites by zeros = cons(0, zeros),
+    alternately unfolding and folding zeros, over an assumption S(zeros);
+    one line, like imp_elim_chain."""
+    heads = ("(rewrite (S (zeros)) (", "(rewrite (S (cons 0 (zeros))) (")
+    closes = (") {fn zeros idx 0 dir rl pos (1)})", ") {fn zeros idx 0 dir lr pos (1)})")
+    return ("proof p { " + "".join(heads[k % 2] for k in range(n, 0, -1))
+            + "(assume (S (zeros)) () {label h})"
+            + "".join(closes[k % 2] for k in range(1, n + 1)) + " }\n")
+
+
+@pytest.mark.parametrize("chain, command, out", [
+    (imp_elim_chain, "check-proof",
+     "VERDICT\tok\nJUDGMENT\t{f: (S(x) -> S(x)), h: S(x)} |- S(x)\n"),
+    (imp_elim_chain, "normalize", "VERDICT\tok\nDETOUR-FREE\ttrue\n"),
+    (rewrite_chain, "check-proof", "VERDICT\tok\nJUDGMENT\t{h: S(zeros)} |- S(zeros)\n"),
+    (rewrite_chain, "normalize", "VERDICT\tok\nDETOUR-FREE\ttrue\n"),
+    (rewrite_chain, "extract", "VERDICT\textracted\nPRINCIPAL\tf0\n"
+                               "CERT\tcoinductions\t0\nCERT\tmax-split-chain\t0\n"),
+], ids=["imp-elim-check", "imp-elim-normalize", "rewrite-check", "rewrite-normalize",
+        "rewrite-extract"])
+def test_a_proof_ten_thousand_levels_deep(tmp_path, capsys, chain, command, out):
+    """The proof reader, the checker, normalize and the extractor each walk
+    a proof on `_run`'s stack: no proof depth reaches the interpreter's
+    recursion limit."""
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + ZEROS_PROGRAM + chain(10_000))
+    assert run_main(capsys, "--format=tagged", command, ws, "p") == (0, out, "")
+
+
+def test_a_proof_two_thousand_levels_deep_prints_and_reads_back():
+    """show_derivation prints any depth, one line per leaf and two per
+    other node, and the reader reads its text back to the same proof."""
+    head = ONE_LINE_SYSTEM + ZEROS_PROGRAM
+    d = parse_workspace(head + imp_elim_chain(2_000)).proofs["p"]
+    shown = show_derivation(d)
+    lines = shown.splitlines()
+    assert len(lines) == 3 * 2_000 + 1
+    assert lines[2_000 * 2] == "  " * 2_000 + "(assume (S x) () {label h})"
+    again = parse_workspace(head + "proof p {\n" + shown + "\n}\n").proofs["p"]
+    assert show_derivation(again) == shown
+
+
+def test_implications_universals_and_nullary_calls_print_and_read_back():
+    head = ONE_LINE_SYSTEM + ZEROS_PROGRAM
+    text = "(assume (imp (all y (S y)) (ex z (= (zeros) z))) () {label h})"
+    d = parse_workspace(head + f"proof p {{ {text} }}").proofs["p"]
+    assert show_derivation(d) == text
+    assert parse_workspace(head + f"proof p {{ {show_derivation(d)} }}").proofs["p"] == d
