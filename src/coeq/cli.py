@@ -35,7 +35,8 @@ from .corec import check_primitive_corecursive
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
                          DiagramEnv, EvalError, GeneratorBinding, Session,
                          Stalled, derives_omega, first_stall)
-from .extract import ExtractError, extract, prove_corec_program, roundtrip_report
+from .extract import (ExtractError, extract, prove_corec_program, require_check,
+                      roundtrip_report)
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
                     Formula, Imp, Or, _run, check_proof, classify_formula,
                     has_detour, normalize)
@@ -353,7 +354,7 @@ class Parser:
             t = yield self._term(ds)
             self.expect(")")
         else:
-            name = self.ident("term")
+            name = self.ident_tok("term")
             t = self._atom(ds, name, (yield self._args(lambda: self._term(ds))))
         if self.peek().text == ":":
             self._need_cons(ds, self.next())
@@ -379,15 +380,16 @@ class Parser:
         if c is None or c.arity != 2:
             raise self.fail("':' needs a binary constructor named 'cons'", colon)
 
-    def _atom(self, ds: DataSystem, name: str, args: list[Term]) -> Term:
+    def _atom(self, ds: DataSystem, tok: Tok, args: list[Term]) -> Term:
         """`name(args)` once its closing paren is read: a constructor at its
         arity, a call, or, with no arguments and not among the functions, a
         variable."""
+        name = tok.text
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}, "
-                                f"applied to {len(args)} arguments")
+                                f"applied to {len(args)} arguments", tok)
             return Con(name, tuple(args))
         if args or name in self.functions:
             return Fun(name, tuple(args))
@@ -514,16 +516,17 @@ class Parser:
         args = []
         if applied:
             self.next()
-            name = self.ident("term head")
+            tok = self.ident_tok("term head")
             while self.peek().text != ")":
                 args.append((yield self._sexp_term()))
             self.expect(")")
         else:
-            name = self.ident("term")
+            tok = self.ident_tok("term")
+        name = tok.text
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
-                raise self.fail(f"constructor '{name}' has arity {c.arity}")
+                raise self.fail(f"constructor '{name}' has arity {c.arity}", tok)
             return Con(name, tuple(args))
         if applied or name in self.functions:
             return Fun(name, tuple(args))
@@ -715,7 +718,7 @@ def show_sexp_term(t: Term) -> str:
     return f"({t.name} {' '.join(show_sexp_term(a) for a in t.args)})"
 
 
-def show_attr_value(key: str, v) -> str:
+def show_attr_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, ConstructorType):
@@ -732,12 +735,12 @@ def show_attr_value(key: str, v) -> str:
     return str(v)
 
 
-def show_derivation(d: Derivation, indent: int = 0) -> str:
+def show_derivation(d: Derivation) -> str:
     """A node with premises opens a line, its premises follow one level
     deeper, and a line closes it; written in one pass with an explicit
     stack, so any proof depth prints in time linear in the text."""
     lines: list[str] = []
-    todo: list = [(d, indent)]   # nodes to print, and closing lines
+    todo: list = [(d, 0)]   # nodes to print, and closing lines
     while todo:
         item = todo.pop()
         if isinstance(item, str):
@@ -745,7 +748,7 @@ def show_derivation(d: Derivation, indent: int = 0) -> str:
             continue
         d, depth = item
         pad = "  " * depth
-        attrs = " ".join(f"{k.replace('_', '-')} {show_attr_value(k, v)}"
+        attrs = " ".join(f"{k.replace('_', '-')} {show_attr_value(v)}"
                          for k, v in d.attrs)
         head, tail = f"{pad}({d.rule} {show_formula(d.conclusion)} (", f") {{{attrs}}})"
         if d.premises:
@@ -959,14 +962,14 @@ def cmd_classify(args, ws: Workspace, r: Reporter) -> int:
 def cmd_extract(args, ws: Workspace, r: Reporter) -> int:
     try:
         if args.name in ws.proofs:
-            prog = _program(ws, args)
-            d = normalize(ws.proofs[args.name])
+            d, prog = ws.proofs[args.name], _program(ws, args)
         elif args.name in ws.programs:
             d, prog = prove_corec_program(ws.programs[args.name], ws.system)
-            d = normalize(d)
         else:
             raise ResolutionError(f"'{args.name}' names no proof or program")
-        result = extract(d, prog, ws.system)
+        # `normalize` expects a derivation that checks
+        require_check(ws.system, prog, d)
+        result = extract(normalize(d), prog, ws.system)
     except ExtractError as e:
         r.text(f"extraction failed: {e}")
         r.kv("VERDICT", "failed")

@@ -33,6 +33,7 @@ the offending subterm named.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
@@ -189,17 +190,8 @@ class _Reject(Exception):
 
 # -- case merging -------------------------------------------------------------
 
-class _Fresh:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def var(self) -> Var:
-        self.n += 1
-        return Var(f"_w{self.n}")
-
-
 def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
-                 subjects: list[Term], fresh: _Fresh,
+                 subjects: list[Term], fresh: Iterator[int],
                  equation: Equation | None) -> Term:
     """Compile case-analyzing rows into one term over the subjects.
 
@@ -239,7 +231,7 @@ def _merge_cases(ds: DataSystem, rows: list[tuple[tuple[Term, ...], Term]],
         for pats, rhs in rows:
             p = pats[split_at]
             if isinstance(p, Var):
-                wilds = tuple(fresh.var() for _ in range(r))
+                wilds = tuple(Var(f"_w{next(fresh)}") for _ in range(r))
                 new_rows.append((pats[:split_at] + wilds + pats[split_at + 1:],
                                  substitute(rhs, {p.name: subject})))
             elif p.name == cname:
@@ -368,7 +360,7 @@ def _component(ds: DataSystem, eqs: list[Equation], results: list[Term],
     recursive call only gets here from a cocase selector."""
     k = len(eqs[0].patterns)
     merged = _merge_cases(ds, [(e.patterns, t) for e, t in zip(eqs, results)],
-                          list(arg_vars(k)), _Fresh(), eqs[0])
+                          list(arg_vars(k)), itertools.count(1), eqs[0])
     for u in subterms(merged):
         if isinstance(u, Fun) and not reserved_function(u.name) and u.name not in accepted:
             raise _Reject(

@@ -29,12 +29,12 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     bundle_equal, check_primitive_corecursive, compile_schema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
-from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
-                    _path, _run, and_elim, and_intro, assert_sp_proof, assume,
-                    build_dcm, check_proof, coinduction, data_elim, data_intro,
-                    ex_elim, ex_intro, fv, has_detour, induction, normalize,
-                    or_elim, or_intro, refl, rewrite, subst_derivation,
-                    subst_formula)
+from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
+                    Formula, Or, _path, _run, and_elim, and_intro,
+                    assert_sp_proof, assume, build_dcm, check_proof, coinduction,
+                    data_elim, data_intro, ex_elim, ex_intro, fv, has_detour,
+                    induction, normalize, or_elim, or_intro, refl, rewrite,
+                    subst_derivation, subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function)
 from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
@@ -45,7 +45,12 @@ from .terms import Con, Fun, Record, Term, Var, _set, fresh_name, substitute, va
 
 
 class ExtractError(Exception):
-    pass
+    """`condition` names the condition of `extract`'s gate that failed:
+    "check", "detour" or "strongly-positive"; None for a failure past it."""
+
+    def __init__(self, message: str, condition: str | None = None):
+        super().__init__(message)
+        self.condition = condition
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +68,13 @@ class ProofTemplate(Record):
         _set(self, "derivation", derivation)
 
 
-class _Labels:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self) -> str:
-        self.n += 1
-        return f"q{self.n}"
-
-
 class Prover:
     """Builds derivations about the programs `compile_schema` emits."""
 
     def __init__(self, ds: DataSystem):
         self.ds = ds
         self.registry: dict[str, ProofTemplate] = {}
-        self.labels = _Labels()
+        self.labels = map("q{}".format, itertools.count(1))
         b = ds.predicate("B")
         s = ds.predicate("S")
         if b is None or s is None or not b.inductive or s.inductive:
@@ -214,8 +210,8 @@ class Prover:
         labs = ["w"]
         lefts = []
         for i in range(n - 1):
-            l1 = self.labels.fresh()
-            labs.append(self.labels.fresh())
+            l1 = next(self.labels)
+            labs.append(next(self.labels))
             lefts.append((l1, self._dcm_case(fns, phi, zz, i, assume(l1, inst[i]))))
         d = self._dcm_case(fns, phi, zz, n - 1, assume(labs[-1], inst[-1]))
         for i in range(n - 2, -1, -1):
@@ -229,10 +225,10 @@ class Prover:
         decomposition of zz."""
         fj = fns[j]
         k = fj.arity
-        es = [f"e{self.labels.fresh()}" for _ in range(k)]
+        es = [f"e{next(self.labels)}" for _ in range(k)]
         e_args = tuple(Var(e) for e in es)
         # peel the existentials, then the conjunction chain
-        a_label = self.labels.fresh()
+        a_label = next(self.labels)
         cur: Derivation = assume(a_label, _chain(fj.name, Var(zz), e_args))
         s_proofs: list[Derivation] = []
         for _ in range(k):
@@ -247,7 +243,7 @@ class Prover:
                           EqAtom(Var(zz), Con(fj.produced, (head_term, tail_term))))
         # typings, from hypotheses S(e) later grafted with the chain's proofs
         sorts = {e: "S" for e in es}
-        hyp_labels = {e: self.labels.fresh() for e in es}
+        hyp_labels = {e: next(self.labels) for e in es}
         typed = [self.typing(a, sorts, hyp_labels) for a in [head_term] + tail_args]
         chain = {hyp_labels[e]: sp for e, sp in zip(es, s_proofs)}
         typed = [subst_derivation(tp, {}, chain) for tp in typed]
@@ -278,7 +274,7 @@ class Prover:
 
         # ex_elim i opens ys[i] as es[i]; its minor premise assumes
         # remaining(i + 1) under labs[i], the innermost one the chain itself
-        labs = [self.labels.fresh() for _ in range(k - 1)] + [a_label]
+        labs = [next(self.labels) for _ in range(k - 1)] + [a_label]
         d = core
         for i in range(k - 1, 0, -1):
             d = ex_elim(assume(labs[i - 1], remaining(i)), es[i], labs[i], d)
@@ -897,19 +893,29 @@ def _extend(ctx: dict, values: dict | None = None,
     return out
 
 
+def require_check(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
+    """`check_proof`'s result on a derivation that checks; else an
+    ExtractError naming its first violation."""
+    res = check_proof(ds, program, d)
+    if not res.ok:
+        raise ExtractError(f"derivation does not check: {res.violations[0]}", "check")
+    return res
+
+
 def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult:
     """Lemma-2 extraction from a detour-free, all-strongly-positive
     derivation: a primitive-corecursive program whose principal maps values
     of the judgment's free variables plus realizers of its open assumptions
-    to a realizer of the conclusion."""
-    res = check_proof(ds, program, d)
-    if not res.ok:
-        raise ExtractError(f"derivation does not check: {res.violations[0]}")
+    to a realizer of the conclusion.  This is the one gate that decides a
+    derivation can be extracted: it checks, has no detour and is strongly
+    positive, else an ExtractError names the condition that fails."""
+    res = require_check(ds, program, d)
     if has_detour(d):
-        raise ExtractError("derivation has logical detours; normalize first")
+        raise ExtractError("derivation has logical detours; normalize first", "detour")
     offending = assert_sp_proof(d)
     if offending is not None:
-        raise ExtractError(f"non-strongly-positive node at {offending[0]}")
+        raise ExtractError(f"non-strongly-positive node at {offending[0]}",
+                           "strongly-positive")
     assumptions = sorted(res.assumptions.keys(), key=lambda kv: kv[0])
     free = sorted(fv(d.conclusion) | {v for _l, f in assumptions for v in fv(f)})
     ex = Extractor(ds, program)
@@ -1001,6 +1007,11 @@ def _rename_functions(program: Program, suffix: str, ds: DataSystem) -> Program:
 
 ROUNDTRIP_BUDGET = 100_000   # steps for each case of the bisimulation stage
 
+# the stage that each condition of `extract`'s gate decides for the normal
+# form of a proof that checked
+_GATE_STAGE = {"check": "normalize", "detour": "normalize",
+               "strongly-positive": "sp-scan"}
+
 
 def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
                      library: dict | None = None, seed: int = 20240817,
@@ -1036,23 +1047,15 @@ def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
                                   "" if chk.ok else str(chk.violations[0])))
         if not chk.ok:
             continue
-        normal = normalize(proof)
-        chk2 = check_proof(ds, compiled, normal)
-        ok_norm = chk2.ok and not has_detour(normal)
-        stages.append(StageResult("normalize", ok_norm,
-                                  "" if ok_norm else "detour or check failure"))
-        if not ok_norm:
-            continue
-        sp = assert_sp_proof(normal)
-        stages.append(StageResult("sp-scan", sp is None,
-                                  "" if sp is None else f"offender at {sp[0]}"))
-        if sp is not None:
-            continue
         try:
-            extraction = extract(normal, compiled, ds)
+            extraction = extract(normalize(proof), compiled, ds)
         except ExtractError as e:
-            stages.append(StageResult("extract", False, str(e)))
+            failed = _GATE_STAGE.get(e.condition, "extract")
+            passed = ("normalize", "sp-scan", "extract").index(failed)
+            stages += [StageResult(s, True) for s in ("normalize", "sp-scan")[:passed]]
+            stages.append(StageResult(failed, False, str(e)))
             continue
+        stages += [StageResult("normalize", True), StageResult("sp-scan", True)]
         rec = check_primitive_corecursive(extraction.program, ds)
         stages.append(StageResult("extract", rec.accepted,
                                   rec.reason or ""))

@@ -123,7 +123,7 @@ def test_print_then_parse_identity():
         return "\n\n".join(
             [show_system(ws)]
             + [show_program(name, p) for name, p in ws.programs.items()]
-            + [f"proof {name} {{\n{show_derivation(d, 1)}\n}}"
+            + [f"proof {name} {{\n{show_derivation(d)}\n}}"
                for name, d in ws.proofs.items()])
 
     ws = parse_workspace(PROOF_SOURCE)
@@ -362,6 +362,25 @@ def test_cmd_extract_rejected_program_fails_cleanly(tmp_path, capsys):
                               str(mt), "mt")
     assert code2 == 1
     assert "VERDICT\tfailed" in out2
+
+
+def test_cmd_extract_of_a_proof_that_does_not_check_is_a_verdict(tmp_path, capsys):
+    """The proof is checked before it is normalized: normalizing this one
+    would index a premise that the malformed `and-intro` lacks."""
+    f = tmp_path / "bad.cds"
+    f.write_text(SM_SOURCE + """
+program ident { ident(x) = x; }
+proof bad { (and-elim (S x) ((and-intro (and (S x) (S x))
+                               ((assume (S x) () {label h})) {})) {i 2}) }
+""")
+    violation = "at 0: conjunction introduction malformed"
+    assert run_main(capsys, "--format=tagged", "check-proof", str(f), "bad") == (
+        1, f"VIOLATION\t{violation}\nVERDICT\tinvalid\n", "")
+    code, out, err = run_main(capsys, "--format=tagged", "extract", str(f), "bad")
+    assert (code, out, err) == (1, "VERDICT\tfailed\n", "")
+    code, out, err = run_main(capsys, "extract", str(f), "bad")
+    assert (code, out, err) == (
+        1, f"extraction failed: derivation does not check: {violation}\n", "")
 
 
 SORTS_SOURCE = SM_SOURCE + """
@@ -697,17 +716,18 @@ NO_CONS_SYSTEM = "system X { inductive B; coinductive S; constructor 0 : B; }\n"
     (ONE_LINE_SYSTEM + "program f { g = 0; }",
      "2:21: program 'f' does not define 'f' (at end)"),
     (ONE_LINE_SYSTEM + "proof p { (refl (= (cons 0) (cons 0)) () {}) }",
-     "2:29: constructor 'cons' has arity 2 (found '(')"),
+     "2:21: constructor 'cons' has arity 2 (found 'cons')"),
+    (ONE_LINE_SYSTEM + "program g { g(x) = cons(0); }",
+     "2:20: constructor 'cons' has arity 2, applied to 1 arguments (found 'cons')"),
 ], ids=["type-arity", "type-undeclared", "pos", "number", "coterm-arity",
         "coterm-leaf-arity", "binding-start", "coterm-cons", "term-cons", "no-principal",
-        "sexp-arity"])
+        "sexp-arity", "term-arity"])
 def test_a_malformed_attribute_coterm_or_program_is_reported_where_it_is_found(
         tmp_path, capsys, source, error):
     """These errors are found once the construct is read.  Each names the
-    construct's own token: the constructor of a type or coterm node, the
-    number, the ':'.  A binding that is a bare name, a program without its
-    principal function and an s-expression constructor at the wrong arity
-    name the token after them."""
+    construct's own token: the constructor of a type, coterm node, term or
+    s-expression, the number, the ':'.  A binding that is a bare name and a
+    program without its principal function name the token after them."""
     ws = _ws(tmp_path, source)
     assert run_main(capsys, "check", ws) == (2, "", f"error: {ws}:{error}\n")
 

@@ -1,5 +1,7 @@
 import gc
 import random
+from importlib import import_module
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,13 +11,13 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
 from coeq.cli import parse_workspace
 from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
                         SchemaFun, StockEntry, check_primitive_corecursive,
-                        compile_schema, stock_library)
+                        compile_schema, morse_thue_program, stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
 from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
                           prove_corec_program, roundtrip_report)
 from coeq.logic import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
-                        assert_sp_proof, assume, check_proof, classify_formula,
-                        has_detour, normalize)
+                        and_elim, and_intro, assert_sp_proof, assume, check_proof,
+                        classify_formula, has_detour, imp_intro, normalize, refl)
 from coeq.program import Equation, assemble_program
 from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
@@ -501,16 +503,30 @@ def test_extract_passes_recognizer():
     assert verdict.accepted, verdict.reason
 
 
+_S_X1 = DataAtom("S", Var("x1"))
+
+# a derivation that fails each condition of `extract`'s gate, and the
+# message naming it
+GATE_FAILURES = {
+    "check": (Derivation("refl", EqAtom(Var("x"), Var("y")), (), ()),
+              "derivation does not check: at root: reflexivity concludes t = t only"),
+    "detour": (and_elim(1, and_intro(assume("h1", _S_X1), refl(Var("t")))),
+               "derivation has logical detours; normalize first"),
+    "strongly-positive": (imp_intro("h1", _S_X1, assume("h1", _S_X1)),
+                          "non-strongly-positive node at ()"),
+}
+
+
 def test_extract_rejects_detours_and_non_sp():
-    import pytest
-    from coeq.logic import and_elim, and_intro, assume, DataAtom, refl
+    """`extract` alone decides extractability, and names the condition
+    that fails."""
     entry = stock_library()["ident"]
     verdict = check_primitive_corecursive(entry.program, SM)
     compiled = compile_schema(verdict.bundle, SM)
-    detour = and_elim(1, and_intro(assume("h1", DataAtom("S", Var("x1"))),
-                                   refl(Var("t"))))
-    with pytest.raises(ExtractError):
-        extract(detour, compiled, SM)
+    for condition, (d, message) in GATE_FAILURES.items():
+        with pytest.raises(ExtractError) as e:
+            extract(d, compiled, SM)
+        assert (e.value.condition, str(e.value)) == (condition, message)
 
 
 def test_extraction_certificate_renders():
@@ -887,6 +903,82 @@ def test_bisim_stage_builds_one_session_per_entry(monkeypatch):
     assert len(made) == 1
 
 
+def _raises(e):
+    def f(*_args):
+        raise e
+    return f
+
+
+def _returns(make):
+    return lambda *_args: make()
+
+
+# a name of coeq.extract, what stands in for it, and the stage that then
+# fails with the detail it prints; the stages before it pass
+_GATE_STAGE = {"check": "normalize", "detour": "normalize", "strongly-positive": "sp-scan"}
+_SORTS = and_intro(assume("a", DataAtom("B", Var("y"))),
+                   assume("b", DataAtom("S", Var("y"))))
+ROUNDTRIP_FAILURES = [
+    ("compile_schema", _returns(lambda: stock_library()["flip"].program),
+     "compile", "re-extraction differs"),
+    ("prove_corec", _raises(ExtractError("no typing available for 'g'")),
+     "prove-corec", "no typing available for 'g'"),
+    ("prove_corec", _returns(lambda: GATE_FAILURES["check"][0]),
+     "prove-corec", "at root: reflexivity concludes t = t only"),
+] + [("normalize", _returns(lambda d=d: d), _GATE_STAGE[c], message)
+     for c, (d, message) in GATE_FAILURES.items()] + [
+    ("normalize", _returns(lambda: _SORTS),
+     "extract", "variable 'y' used at both sorts in '(B(y) & S(y))'"),
+    ("extract", _returns(lambda: SimpleNamespace(program=morse_thue_program())),
+     "extract", "recursive occurrence under non-component context: 'mt' in "
+                "'merge(mt, notf(mt))'"),
+    ("extract", _returns(lambda: _extract("flip")[0]),
+     "bisim", "case 0: differs(path [1])"),
+]
+
+
+@pytest.mark.parametrize("name, stand_in, stage, detail", ROUNDTRIP_FAILURES,
+                         ids=["compile", "prover-raises", "prover-does-not-check",
+                              "check", "detour", "strongly-positive", "past-the-gate",
+                              "extraction-rejected", "not-bisimilar"])
+def test_roundtrip_reports_each_failing_stage(monkeypatch, name, stand_in, stage,
+                                              detail):
+    """The normalize and sp-scan verdicts are read from `extract`'s gate;
+    past the gate, the recognizer must accept the extraction, and it must
+    be the original observationally (flip's extraction is not ident)."""
+    monkeypatch.setattr(import_module("coeq.extract"), name, stand_in)
+    report = roundtrip_report(depth=8, library={"ident": stock_library()["ident"]})
+    stages = ["recognize", "compile", "prove-corec", "normalize", "sp-scan",
+              "extract", "bisim"]
+    lines = [f"  {s}\tok" for s in stages[:stages.index(stage)]]
+    assert report.render().splitlines() == ["ident\tFAIL"] + lines + [
+        f"  {stage}\tFAIL\t{detail}"]
+
+
+def test_roundtrip_walks_each_proof_as_often_as_the_gate_needs(monkeypatch):
+    """Per passing entry: the prover's proof is checked once, and its
+    normal form is checked, scanned for detours and scanned for strong
+    positivity once each, all inside `extract`."""
+    mod = import_module("coeq.extract")
+    calls = {"check_proof": 0, "has_detour": 0, "assert_sp_proof": 0}
+
+    def counting(name):
+        walk = getattr(mod, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return walk(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(mod, name, counting(name))
+    library = stock_library()
+    report = roundtrip_report(depth=8, library=library, inputs_per_entry=1)
+    assert report.ok, report.render()
+    n = len(library)
+    assert calls == {"check_proof": 2 * n, "has_detour": n, "assert_sp_proof": n}
+
+
 @pytest.mark.parametrize("kwargs", [{"inputs_per_entry": 0}, {"depth": -3}])
 def test_roundtrip_rejects_a_vacuous_run(kwargs):
     """With no inputs, no case of an entry of positive arity is compared."""
@@ -905,7 +997,6 @@ def test_roundtrip_passes_on_a_rotate_family_of_ten_or_more_arguments(n):
 
 
 def test_roundtrip_includes_rejection_of_morse_thue():
-    from coeq.corec import morse_thue_program
     lib = stock_library()
     lib = dict(lib)
     lib["morse_thue"] = StockEntry("morse_thue", morse_thue_program(), 0,
