@@ -124,13 +124,13 @@ class Workspace(Record, frozen=False):
         if len(self.programs) == 1:
             return next(iter(self.programs.values()))
         eqs: list[Equation] = []
-        seen: set[str] = set()
+        seen: set[Equation] = set()
         principal = next(iter(self.programs))
         for prog in self.programs.values():
             for e in prog.body:
-                if reserved_function(e.function) or str(e) in seen:
+                if reserved_function(e.function) or e in seen:
                     continue
-                seen.add(str(e))
+                seen.add(e)
                 eqs.append(e)
         return assemble_program(self.system, eqs, principal)
 
@@ -973,6 +973,7 @@ def cmd_extract(args, ws: Workspace, r: Reporter) -> int:
     except ExtractError as e:
         r.text(f"extraction failed: {e}")
         r.kv("VERDICT", "failed")
+        r.kv("REASON", str(e))
         return 1
     text = show_program(result.principal, result.program)
     if args.out:

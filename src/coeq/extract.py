@@ -34,7 +34,7 @@ from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
                     assert_sp_proof, assume, build_dcm, check_proof, coinduction,
                     data_elim, data_intro, ex_elim, ex_intro, fv, has_detour,
                     induction, normalize, or_elim, or_intro, refl, rewrite,
-                    subst_derivation, subst_formula)
+                    show_path, subst_derivation, subst_formula)
 from .program import (DELTA, Equation, Program, assemble_program, pi_name,
                       reserved_function)
 from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
@@ -914,7 +914,7 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
         raise ExtractError("derivation has logical detours; normalize first", "detour")
     offending = assert_sp_proof(d)
     if offending is not None:
-        raise ExtractError(f"non-strongly-positive node at {offending[0]}",
+        raise ExtractError(f"non-strongly-positive node at {show_path(offending[0])}",
                            "strongly-positive")
     assumptions = sorted(res.assumptions.keys(), key=lambda kv: kv[0])
     free = sorted(fv(d.conclusion) | {v for _l, f in assumptions for v in fv(f)})

@@ -194,37 +194,41 @@ def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
 
 def _validate(p: Program, ds: DataSystem) -> ValidationReport:
     out: list[Violation] = []
+
+    def bad(code: str, e: Equation, message: str) -> None:
+        # The equation is printed only here: most programs have no violation.
+        out.append(Violation(code, f"equation '{e}': {message}"))
+
     arities: dict[str, int] = {}
     for e in p.body:
-        where = f"equation '{e}'"
         known = arities.setdefault(e.function, len(e.patterns))
         if known != len(e.patterns):
-            out.append(Violation("arity-mismatch", f"{where}: '{e.function}' used with {len(e.patterns)} and {known} arguments"))
+            bad("arity-mismatch", e, f"'{e.function}' used with {len(e.patterns)} and {known} arguments")
         seen_vars: list[str] = []
         for pat in e.patterns:
             if has_fun(pat):
-                out.append(Violation("non-base-pattern", f"{where}: pattern '{pat}' contains a function symbol"))
+                bad("non-base-pattern", e, f"pattern '{pat}' contains a function symbol")
             for u in subterms(pat):
                 if isinstance(u, Var):
                     if u.name in seen_vars:
-                        out.append(Violation("non-linear", f"{where}: variable '{u.name}' repeated in definiendum"))
+                        bad("non-linear", e, f"variable '{u.name}' repeated in definiendum")
                     seen_vars.append(u.name)
         for v in sorted(variables(e.rhs)):
             if v not in seen_vars:
-                out.append(Violation("unbound-variable", f"{where}: rhs variable '{v}' not bound by the patterns"))
+                bad("unbound-variable", e, f"rhs variable '{v}' not bound by the patterns")
         for u in chain(subterms(e.definiendum), subterms(e.rhs)):
             if isinstance(u, Con):
                 c = ds.constructor(u.name)
                 if c is None:
-                    out.append(Violation("unknown-constructor", f"{where}: unknown constructor '{u.name}'"))
+                    bad("unknown-constructor", e, f"unknown constructor '{u.name}'")
                 elif c.arity != len(u.args):
-                    out.append(Violation("constructor-arity", f"{where}: '{u.name}' has arity {c.arity}, used with {len(u.args)}"))
+                    bad("constructor-arity", e, f"'{u.name}' has arity {c.arity}, used with {len(u.args)}")
     for e in p.body:
         for u in subterms(e.rhs):
             if isinstance(u, Fun) and u.name not in arities:
-                out.append(Violation("unknown-function", f"equation '{e}': unknown function '{u.name}'"))
+                bad("unknown-function", e, f"unknown function '{u.name}'")
             if isinstance(u, Fun) and u.name in arities and arities[u.name] != len(u.args):
-                out.append(Violation("arity-mismatch", f"equation '{e}': '{u.name}' used with {len(u.args)} arguments, defined with {arities[u.name]}"))
+                bad("arity-mismatch", e, f"'{u.name}' used with {len(u.args)} arguments, defined with {arities[u.name]}")
     # Pairwise compatibility within each function symbol; two distinct
     # standard equations are compatible by construction.
     by_fn: dict[str, list[Equation]] = {}

@@ -6,6 +6,7 @@ base-terms add variables, program-terms add defined function symbols.
 """
 from __future__ import annotations
 
+import weakref
 from operator import attrgetter
 from typing import Iterator
 
@@ -23,20 +24,18 @@ class Record:
     ``Name(field=value, ...)``, as a dataclass's are.  A frozen record
     refuses assignment; a mutable one has no hash.
 
-    Terms, formulas and derivations spell out ``__eq__`` and ``__hash__``:
-    they run hundreds of thousands of times in a proof pass, and a tuple
-    display of the fields is about twice as fast as the generic getter.
-    Each of those classes has its own copy, even where a base could share
-    one: CPython specializes an attribute read for one class, and a method
-    shared by classes that alternate (And and Or, Con and Fun) ran about
-    9 % slower per call.
+    Terms and formulas are hash-consed instead: their ``__new__`` returns
+    the one live record of its class with those field values (`_intern`),
+    so structurally equal ones are one object, and ``==`` and ``hash``
+    are ``object``'s, by identity, in constant time at any depth.
     """
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = [f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__"]
+        own = [f for f in cls.__dict__.get("__slots__", ())
+               if f not in ("__dict__", "__weakref__")]
         if own:
             cls._fields = fields = cls._fields + tuple(own)
             get = attrgetter(*fields)
@@ -65,8 +64,30 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_interned_ref = _interned.data.get   # a hit skips WeakValueDictionary.get's frame
+
+
+def _intern(key: tuple):
+    """The one live record of class key[0] whose field values are key[1:];
+    a record leaves the table when nothing else holds it."""
+    ref = _interned_ref(key)
+    if ref is not None:
+        r = ref()
+        if r is not None:
+            return r
+    cls = key[0]
+    r = object.__new__(cls)
+    for field, value in zip(cls._fields, key[1:]):
+        _set(r, field, value)
+    _interned[key] = r
+    return r
+
+
 class Term(Record):
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def args(self) -> tuple["Term", ...]:
@@ -76,29 +97,19 @@ class Term(Record):
 class Var(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
+    def __new__(cls, name: str):
+        return _intern((cls, name))
 
     def __str__(self) -> str:
         return self.name
 
 
 class _Apply(Term):
-    """A constructor or function symbol applied to arguments.  Con and Fun
-    each have their own __eq__ and __hash__ (see Record)."""
+    """A constructor or function symbol applied to arguments."""
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: tuple[Term, ...] = ()):
-        _set(self, "name", name)
-        _set(self, "args", args)
+    def __new__(cls, name: str, args: tuple[Term, ...] = ()):
+        return _intern((cls, name, args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -109,25 +120,9 @@ class _Apply(Term):
 class Con(_Apply):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.args))
-
 
 class Fun(_Apply):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.args))
 
 
 Subst = dict[str, Term]

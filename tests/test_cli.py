@@ -377,7 +377,8 @@ proof bad { (and-elim (S x) ((and-intro (and (S x) (S x))
     assert run_main(capsys, "--format=tagged", "check-proof", str(f), "bad") == (
         1, f"VIOLATION\t{violation}\nVERDICT\tinvalid\n", "")
     code, out, err = run_main(capsys, "--format=tagged", "extract", str(f), "bad")
-    assert (code, out, err) == (1, "VERDICT\tfailed\n", "")
+    assert (code, out, err) == (
+        1, f"VERDICT\tfailed\nREASON\tderivation does not check: {violation}\n", "")
     code, out, err = run_main(capsys, "extract", str(f), "bad")
     assert (code, out, err) == (
         1, f"extraction failed: derivation does not check: {violation}\n", "")
@@ -437,7 +438,7 @@ def test_tagged_format(ws_file, capsys):
 
 # SHA-256 of the exit codes, stdout and written files of the invocations
 # below; error invocations are left out.
-TRANSCRIPT_SHA256 = "884fab1990ebbeb35e46a02e935b305b6153193cdec6f6156f785bf4f9ecdbaf"
+TRANSCRIPT_SHA256 = "8201e75379de408345e62b3f21363738f3a044a2b6b1e42d37e5a0063443e675"
 
 STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
                   / "workspaces" / "streams.cds")
@@ -784,6 +785,20 @@ def test_cmd_eval_observes_an_env_binding_ten_thousand_levels_deep(tmp_path, cap
     ws = _ws(tmp_path, FLIP_SOURCE + f"env E {{ v_c = {binding}; v_b = rec a. 1 : a; }}\n")
     out = "0:0:0:0:<cut@4>\n" if binding.startswith(("0", "cons")) else "0:1:1:1:<cut@4>\n"
     assert run_main(capsys, "eval", ws, "v_c", "--depth", "4") == (0, out, "")
+
+
+_DEEP = "cons(0, " * 5_000 + "x" + ")" * 5_000
+
+
+@pytest.mark.parametrize("equation", [f"deep(x) = {_DEEP}", f"deep({_DEEP}) = x"],
+                         ids=["right-hand-side", "pattern"])
+def test_cmd_check_accepts_an_equation_five_thousand_levels_deep(tmp_path, capsys,
+                                                                 equation):
+    """Validation prints an equation only when it reports a violation, and
+    terms are hash-consed, so no check walks the term by recursion."""
+    ws = _ws(tmp_path, SM_SOURCE + f"program deep {{ {equation}; }}\n")
+    code, out, err = run_main(capsys, "--format=tagged", "check", ws)
+    assert (code, err) == (0, "") and "PROGRAM deep\tok\n" in out
 
 
 def test_a_bare_name_is_a_call_where_the_workspace_or_its_program_defines_it():

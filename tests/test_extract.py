@@ -513,7 +513,7 @@ GATE_FAILURES = {
     "detour": (and_elim(1, and_intro(assume("h1", _S_X1), refl(Var("t")))),
                "derivation has logical detours; normalize first"),
     "strongly-positive": (imp_intro("h1", _S_X1, assume("h1", _S_X1)),
-                          "non-strongly-positive node at ()"),
+                          "non-strongly-positive node at root"),
 }
 
 

@@ -5,9 +5,11 @@ so it loads neither `dataclasses` nor `inspect`.  The table below is each
 record's constructor as the dataclass declared it (a default factory shows
 as None).  For each, a reference dataclass with the same fields is built
 here, and the record must match it in repr, equality, hash and
-(im)mutability."""
+(im)mutability.  Terms and formulas are hash-consed, so their hash is by
+identity: two of them built alike are one object."""
 import ast
 import dataclasses
+import gc
 import importlib
 import inspect
 import os
@@ -17,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from coeq.logic import And, DataAtom, Or
-from coeq.terms import Con, Fun, Record, Var
+from coeq.logic import And, DataAtom, Formula, Or
+from coeq.terms import Con, Fun, Record, Term, Var
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -143,7 +145,10 @@ def test_a_record_behaves_as_the_dataclass_it_replaces(module, name, spec, froze
     rtwin = type("Twin", (ref,), {})(*values)
     assert (a == twin, twin == a) == (ra == rtwin, rtwin == ra) == (False, False)
     if frozen:
-        assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)
+        if issubclass(cls, (Term, Formula)):   # hash-consed: built alike, one object
+            assert a is b and hash(a) == hash(b) and c is not a
+        else:
+            assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)
         for obj in (a, ra):
             with pytest.raises(AttributeError):
                 setattr(obj, params[0][0], "changed")
@@ -195,3 +200,32 @@ def test_a_program_keeps_its_validation_reports_on_the_instance():
     assert validate_program(p, SM) is validate_program(p, SM)
     assert "_reports" in p.__dict__ and "_reports" not in repr(p)
     assert p == flip_program() and hash(p) == hash(flip_program())
+
+
+def test_terms_and_formulas_are_hash_consed_at_any_depth():
+    """A 10,000-deep term or formula built twice is one object, and it hashes
+    and goes in a set without walking its depth.  The intern table holds
+    its records weakly: a term nothing else holds leaves it."""
+    def cons_chain():
+        t = Var("x")
+        for _ in range(10_000):
+            t = Con("cons", (Con("0"), t))
+        return t
+
+    def or_chain():
+        f = DataAtom("S", Var("x"))
+        for _ in range(10_000):
+            f = Or(DataAtom("B", Var("y")), f)
+        return f
+
+    for build in (cons_chain, or_chain):
+        a, b = build(), build()
+        assert hash(a) == hash(b) and {a, b} == {a} and a is b
+
+    from coeq.terms import _interned
+    key = (Fun, "dropped", (Var("x"),))
+    t = Fun("dropped", (Var("x"),))
+    assert _interned[key] is t
+    del t
+    gc.collect()
+    assert key not in _interned
