@@ -693,29 +693,23 @@ def show_program(name: str, prog: Program) -> str:
     return "\n".join(lines)
 
 
+_HEADS = {And: "and", Or: "or", Imp: "imp", Exists: "ex", Forall: "all"}
+
+
 def show_formula(f: Formula) -> str:
     if isinstance(f, DataAtom):
         return f"({f.predicate} {show_sexp_term(f.term)})"
     if isinstance(f, EqAtom):
         return f"(= {show_sexp_term(f.left)} {show_sexp_term(f.right)})"
-    if isinstance(f, And):
-        return f"(and {show_formula(f.left)} {show_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {show_formula(f.left)} {show_formula(f.right)})"
-    if isinstance(f, Imp):
-        return f"(imp {show_formula(f.left)} {show_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"(ex {f.var} {show_formula(f.body)})"
-    assert isinstance(f, Forall)
-    return f"(all {f.var} {show_formula(f.body)})"
+    if isinstance(f, (Exists, Forall)):
+        return f"({_HEADS[type(f)]} {f.var} {show_formula(f.body)})"
+    return f"({_HEADS[type(f)]} {show_formula(f.left)} {show_formula(f.right)})"
 
 
 def show_sexp_term(t: Term) -> str:
-    if not t.args and isinstance(t, (Var, Con)):
-        return t.name
-    if not t.args and isinstance(t, Fun):
-        return f"({t.name})"
-    return f"({t.name} {' '.join(show_sexp_term(a) for a in t.args)})"
+    if t.args or isinstance(t, Fun):
+        return f"({' '.join([t.name] + [show_sexp_term(a) for a in t.args])})"
+    return t.name
 
 
 def show_attr_value(v) -> str:
@@ -782,12 +776,8 @@ def show_approximation(a: Approximation) -> str:
         elif not a.children:
             out.append(a.constructor)
         else:
-            out.append(f"{a.constructor}(")
-            todo.append(")")
-            for i in reversed(range(len(a.children))):
-                todo.append(a.children[i])
-                if i:
-                    todo.append(", ")
+            pieces = [x for c in a.children for x in (", ", c)][1:]   # c1, ", ", c2, ...
+            todo += [")"] + pieces[::-1] + [f"{a.constructor}("]
     return "".join(out)
 
 
@@ -1062,10 +1052,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_arg_parser: argparse.ArgumentParser | None = None   # main's, built on first use
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command: exit 0 for a positive verdict, 1 for a negative
     one, 2 for an error, reported as one line on stderr."""
-    args = build_arg_parser().parse_args(argv)
+    global _arg_parser
+    _arg_parser = _arg_parser or build_arg_parser()
+    args = _arg_parser.parse_args(argv)
     r = Reporter(args.format == "tagged")
     try:
         ws = parse_files(args.files) if "files" in args else None

@@ -201,6 +201,7 @@ class Session:
         if clash:
             raise EvalError(clash)
         k = self.k = kernel.KernelSession()
+        self.tids: dict[Term, int] = {}   # the tid of each term encoded
         for c in ds.vocabulary:
             k.sym(c.name, CON, c.arity)
         # before any rule is encoded, so that `mk` flags every term calling one;
@@ -238,69 +239,59 @@ class Session:
     # -- term translation ---------------------------------------------------
 
     def encode(self, t: Term) -> int:
-        """The tid of t, interned bottom-up and left to right; an explicit
-        stack keeps any nesting depth clear of the recursion limit."""
-        k = self.k
+        """The tid of t, interned bottom-up and left to right on an explicit
+        stack, so any nesting depth encodes.  Terms are hash-consed: the
+        session keeps each encoded term's tid, and walks only what is new."""
+        k, tids = self.k, self.tids
         done: list[int] = []   # tids of the finished subterms, in order
-        stack: list[tuple[Term, bool]] = [(t, False)]
+        stack: list = [t]   # terms to encode, and (term,) once its arguments are done
         while stack:
-            u, args_done = stack.pop()
-            if isinstance(u, Var):
-                done.append(k.var(u.name))
-                continue
-            if not args_done:
-                stack.append((u, True))
-                stack.extend((a, False) for a in reversed(u.args))
-                continue
-            cut = len(done) - len(u.args)
-            args = tuple(done[cut:])
-            del done[cut:]
-            sid = k.sym_ids.get(u.name, -1)
-            if isinstance(u, Con):
-                if sid < 0 or k.sym_kinds[sid] != CON:
-                    raise EvalError(f"unknown constructor '{u.name}'")
-                done.append(k.mk(CON, sid, args))
-                continue
-            if sid < 0:
-                sid = k.sym(u.name, FUN, len(args))
-            elif k.sym_kinds[sid] == CON:
-                raise EvalError(f"'{u.name}' is a constructor, not a function")
-            elif k.sym_arities[sid] != len(args):
-                raise EvalError(f"function '{u.name}' has arity {k.sym_arities[sid]}, "
-                                f"applied to {len(args)} arguments")
-            done.append(k.mk(FUN, sid, args))
+            u = stack.pop()
+            if isinstance(u, tuple):
+                u, = u
+                cut = len(done) - len(u.args)
+                args = tuple(done[cut:])
+                del done[cut:]
+                sid = k.sym_ids.get(u.name, -1)
+                if isinstance(u, Con):
+                    if sid < 0 or k.sym_kinds[sid] != CON:
+                        raise EvalError(f"unknown constructor '{u.name}'")
+                elif sid < 0:
+                    sid = k.sym(u.name, FUN, len(args))
+                elif k.sym_kinds[sid] == CON:
+                    raise EvalError(f"'{u.name}' is a constructor, not a function")
+                elif k.sym_arities[sid] != len(args):
+                    raise EvalError(f"function '{u.name}' has arity {k.sym_arities[sid]}, "
+                                    f"applied to {len(args)} arguments")
+                tids[u] = k.mk(CON if isinstance(u, Con) else FUN, sid, args)
+            elif u not in tids:
+                if not isinstance(u, Var):
+                    stack.append((u,))
+                    stack.extend(reversed(u.args))
+                    continue
+                tids[u] = k.var(u.name)
+            done.append(tids[u])
         return done[0]
 
     def decode(self, tid: int) -> Term:
         """Interned term back to a tree, iteratively; subterms deeper than
         64 print as the variable '...' (stalled terms can be huge)."""
-        k = self.k
-        stack: list[tuple[int, int, list[Term], int]] = [(tid, 64, [], 0)]
-        result: Term | None = None
+        k, done = self.k, []   # the decoded subterms, in order
+        stack: list = [(tid, 64)]   # (tid, depth left); (tid, None) once its arguments are
         while stack:
-            cur, dd, acc, idx = stack.pop()
-            if result is not None:
-                acc.append(result)
-                result = None
+            cur, left = stack.pop()
             args = k.t_args[cur]
-            if idx < len(args):
-                stack.append((cur, dd, acc, idx + 1))
-                child = args[idx]
-                if dd <= 1 and k.t_args[child]:
-                    result = Var("...")
+            if left is not None and args:
+                if left <= 0:
+                    done.append(Var("..."))
                 else:
-                    stack.append((child, dd - 1, [], 0))
+                    stack.append((cur, None))
+                    stack += [(a, left - 1) for a in reversed(args)]
                 continue
-            kind = k.t_kind[cur]
-            name = k.sym_names[k.t_sym[cur]]
-            if kind == VAR:
-                result = Var(name)
-            elif kind == CON:
-                result = Con(name, tuple(acc))
-            else:
-                result = Fun(name, tuple(acc))
-        assert result is not None
-        return result
+            cut, kind, name = len(done) - len(args), k.t_kind[cur], k.sym_names[k.t_sym[cur]]
+            done[cut:] = [Var(name) if kind == VAR
+                          else (Con if kind == CON else Fun)(name, tuple(done[cut:]))]
+        return done[0]
 
     # -- observation ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
 from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
-                    Formula, Or, _path, _run, and_elim, and_intro,
+                    Formula, Or, _path, _run, _scopes, and_elim, and_intro,
                     assert_sp_proof, assume, build_dcm, check_proof, coinduction,
                     data_elim, data_intro, ex_elim, ex_intro, fv, has_detour,
                     induction, normalize, or_elim, or_intro, refl, rewrite,
@@ -504,17 +504,13 @@ def _shape(rs: list[SymR]) -> SymR:
     return Leaf(_HOLE)
 
 
-def _number(shape: SymR, first: int) -> SymR:
-    """The shape with a parameter x<first>, x<first + 1>, ... in each hole."""
-    names = itertools.count(first)
-
-    def go(s: SymR) -> SymR:
-        if isinstance(s, Pair):
-            return Pair(go(s.head), go(s.rest))
-        q = Var(f"x{next(names)}")
-        return ConsR(q, go(s.tail)) if isinstance(s, ConsR) else Leaf(q)
-
-    return go(shape)
+def _number(shape: SymR, names: itertools.count) -> SymR:
+    """The shape with a parameter x<n> in each hole, n drawn from `names`
+    in preorder."""
+    if isinstance(shape, Pair):
+        return Pair(_number(shape.head, names), _number(shape.rest, names))
+    q = Var(f"x{next(names)}")
+    return ConsR(q, _number(shape.tail, names)) if isinstance(shape, ConsR) else Leaf(q)
 
 
 def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
@@ -677,11 +673,12 @@ class Extractor:
         return (yield from out) if isinstance(out, GeneratorType) else out
 
     def _x_assume(self, d, ctx, path):
-        label = d.attr("label")
-        try:
-            return ctx["realizers"][label]
-        except KeyError:
+        # keyed by label if a binder made it, else by (label, formula)
+        label, realizers = d.attr("label"), ctx["realizers"]
+        r = realizers.get(label, realizers.get((label, d.conclusion)))
+        if r is None:
             raise ExtractError(f"no realizer for open assumption '{label}'")
+        return r
 
     def _x_and_intro(self, d, ctx, path):
         a = yield self.extract(d.premises[0], ctx, (path, 0))
@@ -786,7 +783,8 @@ class Extractor:
         hole, label, phi = d.attr("var"), d.attr("label"), d.attr("formula")
         g = yield self.extract(d.premises[0], ctx, (path, 0))
         items_v = sorted(ctx["values"].items())
-        items_r = sorted(ctx["realizers"].items())
+        items_r = sorted(ctx["realizers"].items(), key=lambda kv: (
+            (kv[0], "") if isinstance(kv[0], str) else (kv[0][0], str(kv[0][1]))))
         n_ctx = len(items_v) + len(items_r)
         xs = arg_vars(n_ctx + 1)
         hctx = {"values": {}, "realizers": {}}
@@ -830,7 +828,7 @@ class Extractor:
                 if key not in states:
                     fits = [_drop(a, len(key)) for a, ap in zip(probe, probe_paths)
                             if ap[:len(key)] == key[:len(ap)]]
-                    skel = _number(_shape(fits or [rest]), n_ctx + 2)
+                    skel = _number(_shape(fits or [rest]), itertools.count(n_ctx + 2))
                     states[key] = _State(skel, fixed + list(_project(rest, skel, {})))
                 return key, _project(rest, states[key].skel, {})
 
@@ -893,6 +891,28 @@ def _extend(ctx: dict, values: dict | None = None,
     return out
 
 
+def _proof_only_sorts(d: Derivation, free: set[str], ds: DataSystem) -> dict[str, str]:
+    """The variables, in no binder above and not in `free`, of the values the
+    extractor reads (an ex-intro's witness, a refl's or a coinduction's
+    term), each with the sort its positions in that node's formula give."""
+    sorts: dict[str, str] = {}
+    todo = [(d, frozenset(free))]   # a node, and the names free or bound above it
+    while todo:
+        node, known = todo.pop()
+        if node.rule in ("ex-intro", "refl", "coinduction"):
+            f = node.premises[0].conclusion if node.rule == "ex-intro" else node.conclusion
+            t = node.attr("witness") if node.rule == "ex-intro" \
+                else f.left if node.rule == "refl" else f.term
+            names = variables(t) - known - sorts.keys()
+            if names:
+                at = var_sorts(f, ds, None)
+                sorts.update((n, at.get(n, "S")) for n in names)
+        scopes = _scopes(node)
+        todo += [(p, known.union(scopes.get(i, ((), ()))[1]))
+                 for i, p in enumerate(node.premises)]
+    return sorts
+
+
 def require_check(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
     """`check_proof`'s result on a derivation that checks; else an
     ExtractError naming its first violation."""
@@ -932,8 +952,12 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
                 ctx["values"][v2] = ("B", Fun(pi_name(1), (xs[i],)))
             else:
                 ctx["values"][v2] = ("S", Leaf(xs[i]))
-        for i, (label, f) in enumerate(assumptions):
-            ctx["realizers"][label] = Leaf(xs[len(free) + i])
+        for i, key in enumerate(assumptions):
+            ctx["realizers"][key] = Leaf(xs[len(free) + i])
+        # a variable free only inside the proof takes a closed value of its
+        # sort: the judgment holds for every value
+        for v2, s in _proof_only_sorts(d, set(free), ds).items():
+            ctx["values"][v2] = ("B", Con("0")) if s == "B" else ("S", Leaf(zeros_term()))
         out = _run(ex.extract(d, ctx))
     except SortError as e:
         raise ExtractError(str(e)) from None
@@ -990,19 +1014,21 @@ class RoundtripReport(Record, frozen=False):
 
 def _rename_functions(program: Program, suffix: str, ds: DataSystem) -> Program:
     mapping = {f: f + suffix for f in program.user_functions()}
-
-    def ren(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        args = tuple(ren(a) for a in t.args)
-        if isinstance(t, Fun) and t.name in mapping:
-            return Fun(mapping[t.name], args)
-        return type(t)(t.name, args)
-
     eqs = [Equation(mapping.get(e.function, e.function),
-                    tuple(ren(p) for p in e.patterns), ren(e.rhs))
+                    tuple(_rename_calls(p, mapping) for p in e.patterns),
+                    _rename_calls(e.rhs, mapping))
            for e in program.body if not reserved_function(e.function)]
     return assemble_program(ds, eqs, mapping[program.principal])
+
+
+def _rename_calls(t: Term, mapping: dict[str, str]) -> Term:
+    """t with each call of a function in `mapping` renamed."""
+    if isinstance(t, Var):
+        return t
+    args = tuple(_rename_calls(a, mapping) for a in t.args)
+    if isinstance(t, Fun) and t.name in mapping:
+        return Fun(mapping[t.name], args)
+    return type(t)(t.name, args)
 
 
 ROUNDTRIP_BUDGET = 100_000   # steps for each case of the bisimulation stage

@@ -17,6 +17,7 @@ strongly positive, which `assert_sp_proof` scans for.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from collections import Counter
 
@@ -47,11 +48,14 @@ class DataAtom(Formula):
 
 
 class _Binary(Formula):
-    """The fields of an equation and of a binary connective."""
+    """The fields of an equation and of a binary connective (printed infix)."""
     __slots__ = ("left", "right")
 
     def __new__(cls, left, right):
         return _intern((cls, left, right))
+
+    def __str__(self) -> str:
+        return f"({self.left} {self.sign} {self.right})"
 
 
 class EqAtom(_Binary):
@@ -63,23 +67,17 @@ class EqAtom(_Binary):
 
 class And(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
+    sign = "&"
 
 
 class Or(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
+    sign = "|"
 
 
 class Imp(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"({self.left} -> {self.right})"
+    sign = "->"
 
 
 class _Quantified(Formula):
@@ -88,19 +86,18 @@ class _Quantified(Formula):
     def __new__(cls, var: str, body: Formula):
         return _intern((cls, var, body))
 
+    def __str__(self) -> str:
+        return f"({self.sign} {self.var}. {self.body})"
+
 
 class Exists(_Quantified):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"(ex {self.var}. {self.body})"
+    sign = "ex"
 
 
 class Forall(_Quantified):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"(all {self.var}. {self.body})"
+    sign = "all"
 
 
 def fv(f: Formula) -> set[str]:
@@ -141,31 +138,36 @@ def subst_formula(f: Formula, s: dict[str, Term]) -> Formula:
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
-    def go(x: Formula, y: Formula, env: tuple[tuple[str, str], ...]) -> bool:
+    """Whether two formulas are equal up to the names of bound variables.
+    The walk keeps its own stack; a binder pairs its two names in an env
+    link `(name in a, name in b, enclosing link)`, None outside binders."""
+    if a is b:
+        return True
+    stack = [(a, b, None)]
+    while stack:
+        x, y, env = stack.pop()
         if type(x) is not type(y):
             return False
-        if isinstance(x, DataAtom):
-            return x.predicate == y.predicate and _teq(x.term, y.term, env)
-        if isinstance(x, EqAtom):
-            return _teq(x.left, y.left, env) and _teq(x.right, y.right, env)
-        if isinstance(x, (And, Or, Imp)):
-            return go(x.left, y.left, env) and go(x.right, y.right, env)
-        assert isinstance(x, (Exists, Forall))
-        return go(x.body, y.body, env + ((x.var, y.var),))
-
-    def _teq(s: Term, t: Term, env) -> bool:
-        if isinstance(s, Var) or isinstance(t, Var):
-            if not (isinstance(s, Var) and isinstance(t, Var)):
+        if x is y and env is None:
+            continue
+        if isinstance(x, Var):
+            while env is not None and x.name != env[0] and y.name != env[1]:
+                env = env[2]
+            if (x.name, y.name) != (env[:2] if env else (x.name, x.name)):
+                return False   # bound to another name, or free and renamed
+        elif isinstance(x, (Con, Fun)):
+            if x.name != y.name or len(x.args) != len(y.args):
                 return False
-            for xa, xb in reversed(env):
-                if s.name == xa or t.name == xb:
-                    return s.name == xa and t.name == xb
-            return s.name == t.name
-        if type(s) is not type(t) or s.name != t.name or len(s.args) != len(t.args):
-            return False
-        return all(_teq(a2, b2, env) for a2, b2 in zip(s.args, t.args))
-
-    return a is b or go(a, b, ())
+            stack += zip(x.args, y.args, (env,) * len(x.args))
+        elif isinstance(x, DataAtom):
+            if x.predicate != y.predicate:
+                return False
+            stack.append((x.term, y.term, env))
+        elif isinstance(x, _Quantified):
+            stack.append((x.body, y.body, (x.var, y.var, env)))
+        else:
+            stack += ((x.left, y.left, env), (x.right, y.right, env))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +273,6 @@ class Derivation(Record):
         _set(self, "conclusion", conclusion)
         _set(self, "premises", premises)
         _set(self, "attrs", attrs)
-
-    # Structural, spelled out: a tuple display of the fields is about twice
-    # as fast as Record's generic getter, and a proof pass compares many.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rule, self.conclusion, self.premises, self.attrs) == \
-                (other.rule, other.conclusion, other.premises, other.attrs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rule, self.conclusion, self.premises, self.attrs))
 
     def attr(self, key: str, default=None):
         for k, v in self.attrs:
@@ -506,15 +497,11 @@ def _atom_get(f: DataAtom | EqAtom, pos: tuple[int, ...]) -> Term | None:
 def _atom_put(f: DataAtom | EqAtom, pos: tuple[int, ...], new: Term) -> Formula:
     """The atom with its subterm at `pos`, a position `_atom_get` found in
     it, replaced by `new`."""
-    def put(t: Term, rest: tuple[int, ...]) -> Term:
-        if not rest:
-            return new
-        args = list(t.args)
-        args[rest[0] - 1] = put(t.args[rest[0] - 1], rest[1:])
-        return type(t)(t.name, tuple(args))
-
     slots = _atom_slots(f)
-    slots[pos[0] - 1] = put(slots[pos[0] - 1], pos[1:])
+    for n in range(len(pos) - 1, 0, -1):   # up the path, from new's parent
+        t, i = _atom_get(f, pos[:n]), pos[n]
+        new = type(t)(t.name, t.args[:i - 1] + (new,) + t.args[i:])
+    slots[pos[0] - 1] = new
     if isinstance(f, DataAtom):
         return DataAtom(f.predicate, slots[0])
     return EqAtom(slots[0], slots[1])
@@ -928,66 +915,69 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
     names it binds; a binder above a replaced occurrence that binds a label
     or variable free in what is inserted there is renamed within its
     scope.  Subtrees that do not change are shared."""
-    opened: dict[str, tuple[set[str], set[str]]] = {}
+    return _run(_subst(d, terms, proofs, {}))   # {}: label -> _open of its proof
 
-    def inserted(terms, proofs) -> tuple[set[str], set[str]]:
-        labels, names = set(), set()
-        for t in terms.values():
-            names |= variables(t)
-        for lab, p in proofs.items():
-            if lab not in opened:
-                opened[lab] = ({p}, set()) if isinstance(p, str) else _open(p)
-            labels |= opened[lab][0]
-            names |= opened[lab][1]
-        return labels, names
 
-    def drop(m: dict, names) -> dict:
-        if not any(n in m for n in names):
-            return m
-        return {k: v for k, v in m.items() if k not in names}
+def _inserted(terms, proofs, opened: dict) -> tuple[set[str], set[str]]:
+    """What `terms` and `proofs` insert: its free labels and variables."""
+    labels, names = set(), set()
+    for t in terms.values():
+        names |= variables(t)
+    for lab, p in proofs.items():
+        if lab not in opened:
+            opened[lab] = ({p}, set()) if isinstance(p, str) else _open(p)
+        labels |= opened[lab][0]
+        names |= opened[lab][1]
+    return labels, names
 
-    def go(node: Derivation, terms, proofs):   # run by _run
-        if not terms and not proofs:
-            return node
-        if node.rule == "assume":
-            label = node.attr("label")
-            new = proofs.get(label, label)
-            if isinstance(new, Derivation):
-                return new
-            f = subst_formula(node.conclusion, terms)
-            return node if new == label and f is node.conclusion else assume(new, f)
-        scopes = _scopes(node)
-        parts: dict = dict(enumerate(node.premises))
-        if "formula" in scopes:
-            parts["formula"] = node.attr("formula")
-        # an eigenvariable must also stay out of parts it does not scope,
-        # such as the major premise of ex-elim, so every part counts
-        bound_labels = {lab for labs, _xs in scopes.values() for lab in labs}
-        bound_names = {x for _labs, xs in scopes.values() for x in xs}
-        done = {}
-        for k, part in parts.items():
-            labels, names = scopes.get(k, ((), ()))
-            t, p = drop(terms, names), drop(proofs, labels)
-            done[k] = subst_formula(part, t) if k == "formula" else (yield go(part, t, p))
-            if done[k] is not part and scopes:
-                free_labels, free_names = inserted(t, p)
-                caught_labels = free_labels & bound_labels
-                caught_names = free_names & bound_names
-                if caught_labels or caught_names:
-                    node = _rename_binder(node, caught_labels, caught_names,
-                                          free_labels | free_names)
-                    return (yield go(node, terms, proofs))
-        prems = tuple(done[i] for i in range(len(node.premises)))
-        attrs = tuple((k, done["formula"] if k == "formula"
-                       else substitute(v, terms) if isinstance(v, Term) else v)
-                      for k, v in node.attrs)
+
+def _without(m: dict, names) -> dict:
+    if not any(n in m for n in names):
+        return m
+    return {k: v for k, v in m.items() if k not in names}
+
+
+def _subst(node: Derivation, terms, proofs, opened: dict):   # run by _run
+    if not terms and not proofs:
+        return node
+    if node.rule == "assume":
+        label = node.attr("label")
+        new = proofs.get(label, label)
+        if isinstance(new, Derivation):
+            return new
         f = subst_formula(node.conclusion, terms)
-        if f is node.conclusion and all(map(operator.is_, prems, node.premises)) \
-                and all(a[1] is b[1] for a, b in zip(attrs, node.attrs)):
-            return node
-        return Derivation(node.rule, f, prems, attrs)
-
-    return _run(go(d, terms, proofs))
+        return node if new == label and f is node.conclusion else assume(new, f)
+    scopes = _scopes(node)
+    parts: dict = dict(enumerate(node.premises))
+    if "formula" in scopes:
+        parts["formula"] = node.attr("formula")
+    # an eigenvariable must also stay out of parts it does not scope,
+    # such as the major premise of ex-elim, so every part counts
+    bound_labels = {lab for labs, _xs in scopes.values() for lab in labs}
+    bound_names = {x for _labs, xs in scopes.values() for x in xs}
+    done = {}
+    for k, part in parts.items():
+        labels, names = scopes.get(k, ((), ()))
+        t, p = _without(terms, names), _without(proofs, labels)
+        done[k] = subst_formula(part, t) if k == "formula" \
+            else (yield _subst(part, t, p, opened))
+        if done[k] is not part and scopes:
+            free_labels, free_names = _inserted(t, p, opened)
+            caught_labels = free_labels & bound_labels
+            caught_names = free_names & bound_names
+            if caught_labels or caught_names:
+                node = _rename_binder(node, caught_labels, caught_names,
+                                      free_labels | free_names)
+                return (yield _subst(node, terms, proofs, opened))
+    prems = tuple(done[i] for i in range(len(node.premises)))
+    attrs = tuple((k, done["formula"] if k == "formula"
+                   else substitute(v, terms) if isinstance(v, Term) else v)
+                  for k, v in node.attrs)
+    f = subst_formula(node.conclusion, terms)
+    if f is node.conclusion and all(map(operator.is_, prems, node.premises)) \
+            and all(a[1] is b[1] for a, b in zip(attrs, node.attrs)):
+        return node
+    return Derivation(node.rule, f, prems, attrs)
 
 
 def _rename_binder(node: Derivation, labels: set[str], names: set[str],
@@ -1079,27 +1069,26 @@ def normalize(d: Derivation) -> Derivation:
     """The detour-free form of d, in one bottom-up pass: premises first, then
     the node's own detour is contracted and the contractum normalized in
     turn.  Raises NormalizationLimit after NORMALIZE_MAX_STEPS contractions."""
-    normal: dict[int, Derivation] = {}   # id -> node known normal; keeps it alive
-    steps = 0
+    # id -> node known normal (the entry keeps it alive), and the count of
+    # contractions made
+    return _run(_normalize(d, {}, itertools.count(1)))
 
-    def go(node: Derivation):   # run by _run
-        nonlocal steps
-        while id(node) not in normal:
-            prems = []
-            for p in node.premises:
-                prems.append((yield go(p)))
-            if not all(map(operator.is_, prems, node.premises)):
-                node = Derivation(node.rule, node.conclusion, tuple(prems), node.attrs)
-            if not _is_detour(node):
-                normal[id(node)] = node
-                continue
-            steps += 1
-            if steps > NORMALIZE_MAX_STEPS:
-                raise NormalizationLimit(f"no normal form within {steps - 1} contractions")
-            node = _reduce_node(node)
-        return node
 
-    return _run(go(d))
+def _normalize(node: Derivation, normal: dict[int, Derivation],
+               contractions: itertools.count):   # run by _run
+    while id(node) not in normal:
+        prems = []
+        for p in node.premises:
+            prems.append((yield _normalize(p, normal, contractions)))
+        if not all(map(operator.is_, prems, node.premises)):
+            node = Derivation(node.rule, node.conclusion, tuple(prems), node.attrs)
+        if not _is_detour(node):
+            normal[id(node)] = node
+            continue
+        if next(contractions) > NORMALIZE_MAX_STEPS:
+            raise NormalizationLimit(f"no normal form within {NORMALIZE_MAX_STEPS} contractions")
+        node = _reduce_node(node)
+    return node
 
 
 def has_detour(d: Derivation) -> bool:

@@ -230,89 +230,76 @@ HOLDS = RealizeResult("holds-up-to-depth")
 def realizes(j: RealizabilityJudgment) -> RealizeResult:
     """Finite-depth realizability per the clause set: atoms compare values
     observationally, conjunction and existentials split the realizer,
-    disjunction selects by the head bit."""
+    disjunction selects by the head bit.  One loop over a stack of
+    (formula, realizer, eta, path) visits the atoms left to right and
+    returns at the first that fails or stalls."""
     if classify_formula(j.formula) is not PolarityClass.STRONGLY_POSITIVE:
         raise ValueError("realizability is defined for strongly-positive formulas only")
     program = with_algebra(j.program, j.ds)
     session = Session(program, j.ds, j.env)
     var_sorts(j.formula, j.ds, None)  # raises on a variable used at both sorts
-
-    def head_bit(t: Term) -> str | None:
-        """Name of the head constructor of a value, None on stall."""
-        a = session.observe(t, 1, j.budget)
-        return a.constructor if isinstance(a, ApproxNode) else None
-
-    def bool_value(t: Term) -> str | None:
-        """A boolean-valued term's constant, None on stall."""
-        a = session.observe(t, 1, j.budget)
-        return a.constructor if isinstance(a, ApproxNode) and not a.children else None
-
-    def equal(a: Term, b: Term) -> OmegaResult:
-        return derives_omega(program, None, a, b, j.depth, j.budget, session=session)
-
-    def go(f: Formula, sigma: Term, eta: dict[str, Term],
-           path: tuple[str, ...]) -> RealizeResult:
-        if isinstance(f, DataAtom):
-            pred = j.ds.predicate(f.predicate)
-            tv = substitute(f.term, eta)
-            if pred is not None and pred.inductive:
-                b = bool_value(tv)
-                h = bool_value(Fun(pi_name(1), (sigma,)))
-                if b is None or h is None:
-                    return RealizeResult("stalled", path, f"observing {f}")
-                if b != h:
-                    return RealizeResult("fails", path,
-                                         f"head encodes {h}, value is {b}")
-                return HOLDS
-            r = equal(sigma, tv)
-            if r.equal:
-                return HOLDS
-            status = "stalled" if r.status == "stalled" else "fails"
-            return RealizeResult(status, path, f"{f}: {r}")
-        if isinstance(f, EqAtom):
-            lv, rv = substitute(f.left, eta), substitute(f.right, eta)
-            head = head_bit(lv)
-            if head is None:
-                return RealizeResult("stalled", path, f"observing {f.left}")
-            if head in ("0", "1"):
-                bl = bool_value(lv)
-                br = bool_value(rv)
-                hs = bool_value(Fun(pi_name(1), (sigma,)))
-                if None in (bl, br, hs):
-                    return RealizeResult("stalled", path, f"observing {f}")
-                if bl == br == hs:
-                    return HOLDS
-                return RealizeResult("fails", path,
-                                     f"{f}: values {bl}, {br}, head {hs}")
-            r1 = equal(lv, rv)
-            if not r1.equal:
-                status = "stalled" if r1.status == "stalled" else "fails"
-                return RealizeResult(status, path, f"{f}: {r1}")
-            r2 = equal(sigma, lv)
-            if not r2.equal:
-                status = "stalled" if r2.status == "stalled" else "fails"
-                return RealizeResult(status, path, f"realizer != value: {r2}")
-            return HOLDS
+    stack = [(j.formula, j.realizer, dict(j.eta), ())]
+    while stack:
+        f, sigma, eta, path = stack.pop()
+        head = Fun(pi_name(1), (sigma,))
         if isinstance(f, And):
-            r = go(f.left, split_term(sigma, 0), eta, path + ("and-left",))
-            if not r.holds:
-                return r
-            return go(f.right, split_term(sigma, 1), eta, path + ("and-right",))
-        if isinstance(f, Or):
-            bit = bool_value(Fun(pi_name(1), (sigma,)))
-            if bit is None:
+            stack.append((f.right, split_term(sigma, 1), eta, path + ("and-right",)))
+            stack.append((f.left, split_term(sigma, 0), eta, path + ("and-left",)))
+        elif isinstance(f, Or):
+            bit, constant = _head(session, head, j.budget)
+            if not constant:
                 return RealizeResult("stalled", path, "selector head")
             if bit not in ("0", "1"):
                 return RealizeResult("fails", path, f"selector head is '{bit}'")
-            side = f.left if bit == "0" else f.right
-            tag = "or-left" if bit == "0" else "or-right"
-            return go(side, Fun(pi_name(2), (sigma,)), eta, path + (tag,))
-        assert isinstance(f, Exists)
-        witness_value = split_term(sigma, 0)
-        if var_sorts(f.body, j.ds, None).get(f.var) == "B":
-            witness_value = Fun(pi_name(1), (witness_value,))
-        eta2 = dict(eta)
-        eta2[f.var] = witness_value
-        return go(f.body, split_term(sigma, 1), eta2, path + ("exists",))
+            side, tag = (f.left, "or-left") if bit == "0" else (f.right, "or-right")
+            stack.append((side, Fun(pi_name(2), (sigma,)), eta, path + (tag,)))
+        elif isinstance(f, Exists):
+            witness_value = split_term(sigma, 0)
+            if var_sorts(f.body, j.ds, None).get(f.var) == "B":
+                witness_value = Fun(pi_name(1), (witness_value,))
+            stack.append((f.body, split_term(sigma, 1), {**eta, f.var: witness_value},
+                          path + ("exists",)))
+        elif isinstance(f, DataAtom):
+            pred = j.ds.predicate(f.predicate)
+            tv = substitute(f.term, eta)
+            if pred is not None and pred.inductive:
+                (b, bc), (h, hc) = _head(session, tv, j.budget), _head(session, head, j.budget)
+                if not (bc and hc):
+                    return RealizeResult("stalled", path, f"observing {f}")
+                if b != h:
+                    return RealizeResult("fails", path, f"head encodes {h}, value is {b}")
+            else:
+                r = derives_omega(program, None, sigma, tv, j.depth, j.budget, session=session)
+                if not r.equal:
+                    return _unequal(r, path, f"{f}: {r}")
+        else:
+            lv, rv = substitute(f.left, eta), substitute(f.right, eta)
+            bl, lc = _head(session, lv, j.budget)
+            if bl is None:
+                return RealizeResult("stalled", path, f"observing {f.left}")
+            if bl in ("0", "1"):
+                br, rc = _head(session, rv, j.budget)
+                hs, hc = _head(session, head, j.budget)
+                if not (lc and rc and hc):
+                    return RealizeResult("stalled", path, f"observing {f}")
+                if not (bl == br == hs):
+                    return RealizeResult("fails", path, f"{f}: values {bl}, {br}, head {hs}")
+                continue
+            r = derives_omega(program, None, lv, rv, j.depth, j.budget, session=session)
+            if not r.equal:
+                return _unequal(r, path, f"{f}: {r}")
+            r = derives_omega(program, None, sigma, lv, j.depth, j.budget, session=session)
+            if not r.equal:
+                return _unequal(r, path, f"realizer != value: {r}")
+    return HOLDS
 
-    return go(j.formula, j.realizer, dict(j.eta), ())
+
+def _head(session: Session, t: Term, budget: int) -> tuple[str | None, bool]:
+    """A value's head constructor and whether it is a constant (a boolean
+    value); (None, False) on stall."""
+    a = session.observe(t, 1, budget)
+    return (a.constructor, not a.children) if isinstance(a, ApproxNode) else (None, False)
+
+
+def _unequal(r: OmegaResult, path: tuple[str, ...], detail: str) -> RealizeResult:
+    return RealizeResult("stalled" if r.status == "stalled" else "fails", path, detail)

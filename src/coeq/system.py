@@ -259,56 +259,50 @@ def canonical_member(ds: DataSystem, pred: DataPredicate, v: RegularCoterm,
     at best 'yes-up-to-depth'.  Checked against a least-fixpoint oracle by
     tests/test_system.py::test_inductive_membership_agrees_with_enumeration.
     """
-    # key: (node index, predicate name); value on stack marker for the
-    # least-fixpoint reading of inductive recursion.
-    on_stack: set[tuple[int, str]] = set()
+    return _member(ds, v, set(), v.entry, pred, depth)
 
-    def best(a: str, b: str) -> str:
-        return a if _RANK[a] >= _RANK[b] else b
 
-    def worst(a: str, b: str) -> str:
-        return a if _RANK[a] <= _RANK[b] else b
-
-    def check(i: object, p: DataPredicate, d: int) -> str:
-        if isinstance(i, str):
-            # Cross-binding reference: not resolvable here; treat as an
-            # unverified leaf (membership only up to this point).
+def _member(ds: DataSystem, v: RegularCoterm, on_stack: set[tuple[int, str]],
+            i: object, p: DataPredicate, d: int) -> str:
+    """Membership of node i of v in p to depth d; `on_stack` holds the (node,
+    predicate) pairs being decided, for the least-fixpoint reading."""
+    if isinstance(i, str):
+        # Cross-binding reference: not resolvable here; treat as an
+        # unverified leaf (membership only up to this point).
+        return _YES_UPTO
+    assert isinstance(i, int)
+    if p.inductive:
+        if (i, p.name) in on_stack:
+            return _NO  # infinite descent through an inductive position
+    else:
+        if d <= 0:
             return _YES_UPTO
-        assert isinstance(i, int)
-        if p.inductive:
-            if (i, p.name) in on_stack:
-                return _NO  # infinite descent through an inductive position
-        else:
-            if d <= 0:
-                return _YES_UPTO
-        node = v.nodes[i]
-        types = [t for t in ds.types_of(node.constructor) if t.result_predicate == p]
-        if not types:
-            return _NO
-        result = _NO
-        key = (i, p.name)
-        if p.inductive:
-            on_stack.add(key)
-        try:
-            for t in types:
-                acc = _YES
-                for child, ep in zip(node.children, t.argument_predicates):
-                    nd = d - 1 if not p.inductive else d
-                    acc = worst(acc, check(child, ep, nd))
-                    if acc == _NO:
-                        break
-                if not p.inductive and acc == _YES:
-                    # Coinductive membership is never certified outright.
-                    acc = _YES_UPTO
-                result = best(result, acc)
-                if result == _YES:
+    node = v.nodes[i]
+    types = [t for t in ds.types_of(node.constructor) if t.result_predicate == p]
+    if not types:
+        return _NO
+    result = _NO
+    key = (i, p.name)
+    if p.inductive:
+        on_stack.add(key)
+    try:
+        for t in types:
+            acc = _YES
+            for child, ep in zip(node.children, t.argument_predicates):
+                nd = d - 1 if not p.inductive else d
+                acc = min(acc, _member(ds, v, on_stack, child, ep, nd), key=_RANK.get)
+                if acc == _NO:
                     break
-        finally:
-            if p.inductive:
-                on_stack.discard(key)
-        return result
-
-    return check(v.entry, pred, depth)
+            if not p.inductive and acc == _YES:
+                # Coinductive membership is never certified outright.
+                acc = _YES_UPTO
+            result = max(result, acc, key=_RANK.get)
+            if result == _YES:
+                break
+    finally:
+        if p.inductive:
+            on_stack.discard(key)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,15 @@ class _Apply(Term):
         return _intern((cls, name, args))
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
+        out, stack = [], [self]   # terms to print, and text to emit
+        while stack:
+            u = stack.pop()
+            if isinstance(u, str) or not u.args:
+                out.append(u if isinstance(u, str) else u.name)
+            else:
+                pieces = [x for a in u.args for x in (", ", a)][1:]   # a1, ", ", a2, ...
+                stack += [")"] + pieces[::-1] + [u.name + "("]
+        return "".join(out)
 
 
 class Con(_Apply):
@@ -146,15 +152,25 @@ def has_fun(t: Term) -> bool:
 
 
 def substitute(t: Term, s: Subst) -> Term:
-    """Apply a substitution.  Variables not in s are left alone."""
-    if isinstance(t, Var):
-        return s.get(t.name, t)
+    """Apply a substitution, on an explicit stack.  Variables not in s are left alone."""
     if not t.args:
-        return t
-    new_args = tuple(substitute(a, s) for a in t.args)
-    if new_args == t.args:
-        return t
-    return type(t)(t.name, new_args)
+        return s.get(t.name, t) if isinstance(t, Var) else t
+    stack = [(t, [])]   # a term, and its arguments substituted so far
+    while True:
+        u, new = stack[-1]
+        if len(new) < len(u.args):
+            a = u.args[len(new)]
+            if a.args:
+                stack.append((a, []))
+            else:
+                new.append(s.get(a.name, a) if isinstance(a, Var) else a)
+            continue
+        stack.pop()
+        new = tuple(new)
+        r = u if new == u.args else type(u)(u.name, new)
+        if not stack:
+            return r
+        stack[-1][1].append(r)
 
 
 def compose(outer: Subst, inner: Subst) -> Subst:

@@ -80,29 +80,38 @@ def report(hits: dict[str, set[int]]) -> str:
     return "\n".join(lines)
 
 
+class _Lines:
+    """The local trace function of one module's frames: it records the
+    lines they run.  One per module, and it holds no reference to itself,
+    so tracing leaves no reference cycle per frame behind."""
+
+    def __init__(self, seen: set[int]):
+        self.seen = seen
+
+    def __call__(self, frame, event, _arg):
+        if event == "line":
+            self.seen.add(frame.f_lineno)
+        return self
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
     prefix = str(PACKAGE) + os.sep
     hits: dict[str, set[int]] = {}
-    # code file name -> its absolute path inside the package, or None
-    inside: dict[str, str | None] = {}
+    # code file name -> the local trace function of a module in the package,
+    # or None
+    local: dict[str, _Lines | None] = {}
 
     def trace(frame, event, _arg):
         name = frame.f_code.co_filename
-        if name not in inside:
+        if name not in local:
             full = os.path.abspath(name)
-            inside[name] = full if full.startswith(prefix) else None
-        if inside[name] is None:
-            return None
-        seen = hits.setdefault(inside[name], set())
-        seen.add(frame.f_lineno)
-
-        def local(frame, event, _arg):
-            if event == "line":
-                seen.add(frame.f_lineno)
-            return local
-        return local
+            local[name] = _Lines(hits.setdefault(full, set())) \
+                if full.startswith(prefix) else None
+        if local[name] is not None:
+            local[name].seen.add(frame.f_lineno)
+        return local[name]
 
     threading.settrace(trace)
     sys.settrace(trace)

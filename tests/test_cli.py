@@ -410,6 +410,41 @@ def test_cmd_extract_sort_conflict_is_a_verdict(tmp_path, capsys):
     assert "VERDICT\tfailed" in out.splitlines()
 
 
+LABEL_AND_INNER_VARIABLE_PROOFS = """
+proof twice {
+  (and-intro (and (S x) (S y)) (
+    (assume (S x) () {label h})
+    (assume (S y) () {label h})
+  ) {})
+}
+
+proof inner {
+  (ex-intro (ex p (= p p)) (
+    (refl (= y y) () {})
+  ) {witness y})
+}
+"""
+
+
+@pytest.mark.parametrize("name, f0", [
+    ("twice", "f0(x1, x2, x3, x4) = split_merge(x3, split_merge(x4, split_zeros));"),
+    ("inner", "f0 = split_merge(split_zeros, split_merge(split_zeros, split_zeros));"),
+])
+def test_cmd_extract_of_one_label_on_two_assumptions_and_of_a_proof_only_variable(
+        tmp_path, capsys, name, f0):
+    """`twice` opens `h: S(x)` and `h: S(y)`: each gets its own realizer
+    parameter (x3 and x4).  In `inner`, y is free in the proof but not in
+    its judgment `{} |- (ex p. p = p)`: it takes the closed value
+    split_zeros.  Both extractions are primitive corecursive."""
+    ws = _ws(tmp_path, SM_SOURCE + LABEL_AND_INNER_VARIABLE_PROOFS)
+    written = tmp_path / "f0.cds"
+    code, out, err = run_main(capsys, "extract", ws, name, "--out", str(written))
+    assert (code, err) == (0, "")
+    assert f"  {f0}\n" in written.read_text()
+    assert run_main(capsys, "--format=tagged", "productive", str(written), "f0") == \
+        (0, "VERDICT\tprimitive-corecursive\n", "")
+
+
 def test_cmd_prove_corec_sort_conflict_reasons(tmp_path, capsys):
     f = tmp_path / "sorts.cds"
     f.write_text(SORTS_SOURCE)
@@ -799,6 +834,19 @@ def test_cmd_check_accepts_an_equation_five_thousand_levels_deep(tmp_path, capsy
     ws = _ws(tmp_path, SM_SOURCE + f"program deep {{ {equation}; }}\n")
     code, out, err = run_main(capsys, "--format=tagged", "check", ws)
     assert (code, err) == (0, "") and "PROGRAM deep\tok\n" in out
+
+
+@pytest.mark.parametrize("equation, verdict", [
+    (f"deep(x) = {_DEEP}", (0, "VERDICT\tprimitive-corecursive\n")),
+    (f"deep({_DEEP}) = x", (1, "VERDICT\trejected\nREASON\tnon-exhaustive patterns: "
+                            "cases {0} at 'pi1(x1)' match no predicate's constructor set\n")),
+], ids=["right-hand-side", "pattern"])
+def test_cmd_productive_decides_an_equation_five_thousand_levels_deep(tmp_path, capsys,
+                                                                     equation, verdict):
+    """Term substitution and printing keep their own stacks, so the
+    recognizer's verdict on a deep equation is a verdict, not an error."""
+    ws = _ws(tmp_path, SM_SOURCE + f"program deep {{ {equation}; }}\n")
+    assert run_main(capsys, "--format=tagged", "productive", ws, "deep") == verdict + ("",)
 
 
 def test_a_bare_name_is_a_call_where_the_workspace_or_its_program_defines_it():

@@ -213,6 +213,26 @@ def test_component_algebra():
     assert Component(0, Con("0")).apply(()) == Con("0")
 
 
+def test_component_arity_errors_and_the_empty_composition():
+    pair = Component(2, Fun("f", (Var("x1"), Var("x2"))))
+    with pytest.raises(ValueError, match="^composition arity mismatch$"):
+        Component.compose(pair, [Component.projection(1, 1)])
+    with pytest.raises(ValueError, match="^inner component arities disagree$"):
+        Component.compose(pair, [Component.projection(1, 1), Component.projection(2, 1)])
+    with pytest.raises(ValueError, match="^component applied at wrong arity$"):
+        pair.apply((ZERO,))
+    assert Component.compose(Component(0, ZERO), []) == Component(0, ZERO)
+
+
+def test_an_invalid_program_is_rejected_as_invalid():
+    unbound = assemble_program(SM, [Equation("f", (Var("x"),), Var("y"))], "f")
+    verdict = check_primitive_corecursive(unbound, SM)
+    assert not verdict.accepted
+    assert verdict.reason == (
+        "invalid program: [unbound-variable] equation 'f(x) = y': "
+        "rhs variable 'y' not bound by the patterns")
+
+
 def _word_system():
     from coeq.system import (Constructor, ConstructorType, DataPredicate,
                              DataSystem, Kind)

@@ -557,6 +557,65 @@ def test_a_bound_name_reused_at_two_sorts_extracts():
     assert realizes(j).holds
 
 
+def test_one_label_on_two_open_assumptions_extracts_one_realizer_each():
+    """`h` names two open assumptions of different formulas: each gets its
+    own realizer parameter, in the judgment's order, and the extraction
+    realizes the conclusion."""
+    from coeq.logic import DataAtom, and_intro
+    d = and_intro(assume("h", DataAtom("S", _x)), assume("h", DataAtom("S", _y)))
+    program = stock_library()["ident"].program
+    assert check_proof(SM, program, d).judgment() == "{h: S(x), h: S(y)} |- (S(x) & S(y))"
+    result = extract(d, program, SM)
+    assert (result.value_params, result.realizer_params) == (("x", "y"), ("h", "h"))
+    assert check_primitive_corecursive(result.program, SM).accepted
+    env = DiagramEnv.of({"a": alternating_stream(), "b": stream_coterm([1, 1, 0], 1)})
+    j = RealizabilityJudgment.of(result.program, SM, env, {"x": fn("a"), "y": fn("b")},
+                                 Fun(result.principal, (fn("a"), fn("b"), fn("a"), fn("b"))),
+                                 d.conclusion, 8)
+    assert realizes(j).holds
+
+
+@pytest.mark.parametrize("witness_sort", ["S", "B"])
+def test_a_variable_free_only_inside_the_proof_takes_a_closed_value(witness_sort):
+    """`y` is free in the proof but not in its judgment: the extraction gives
+    it a closed value of its sort (split_zeros, or 0 where it is a head), so
+    f0's parameters are the judgment's free variables, the recognizer
+    accepts it and it realizes the conclusion."""
+    from coeq.logic import EqAtom, ex_intro, refl
+    p = Var("p")
+    if witness_sort == "S":
+        d = ex_intro("p", EqAtom(p, p), _y, refl(_y))
+        f0 = "f0 = split_merge(split_zeros, split_merge(split_zeros, split_zeros))"
+    else:
+        q = Var("q")
+        d = ex_intro("p", EqAtom(cons(p, q), cons(p, q)), _y, refl(cons(_y, q)))
+        f0 = "f0(x1) = split_merge(cons(0, split_zeros), split_merge(cons(0, x1), split_zeros))"
+    program = stock_library()["ident"].program
+    assert check_proof(SM, program, d).ok
+    result = extract(d, program, SM)
+    assert [str(e) for e in result.program.equations_of(result.principal)] == [f0]
+    free = () if witness_sort == "S" else ("q",)
+    assert (result.value_params, result.realizer_params) == (free, ())
+    assert check_primitive_corecursive(result.program, SM).accepted
+    env = DiagramEnv.of({"a": alternating_stream()})
+    j = RealizabilityJudgment.of(result.program, SM, env, {x: fn("a") for x in free},
+                                 Fun(result.principal, tuple(fn("a") for _ in free)),
+                                 d.conclusion, 8)
+    assert realizes(j).holds
+
+
+def test_realizes_a_conjunction_two_thousand_levels_deep():
+    """The walk keeps its own stack, and a session encodes a term that
+    shares an encoded subterm by its new part only."""
+    from coeq.logic import And, DataAtom
+    f = DataAtom("S", _ZEROS)
+    for _ in range(2000):
+        f = And(DataAtom("S", _ZEROS), f)
+    j = RealizabilityJudgment.of(stock_library()["ident"].program, SM, None, {},
+                                 _ZEROS, f, 8)
+    assert realizes(j) == HOLDS
+
+
 def test_var_sorts_scopes_bound_variables():
     from coeq.logic import And, DataAtom, Exists, Forall
     from coeq.realize import SortError, var_sorts

@@ -127,3 +127,25 @@ def test_every_definition_is_referenced():
     assert kept == set(CHECKED_BY_TESTS), "allowlisted but used elsewhere or gone"
     unchecked = [key for key, test in CHECKED_BY_TESTS.items() if not _mentions(test, key[1])]
     assert not unchecked, f"allowlisted but not checked by the named test: {unchecked}"
+
+
+def test_no_nested_function_refers_to_itself_or_a_sibling():
+    """A nested function that names itself or another function nested in the
+    same body holds a closure cell that points back at a function, a
+    reference cycle that each call would leave for the cyclic collector.
+    Such helpers live at module level, or the walk is a loop."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    cyclic = []
+    for path in sorted((ROOT / "src" / "coeq").glob("*.py")):
+        for outer in ast.walk(_parse(path)):
+            if not isinstance(outer, functions):
+                continue
+            nested = [node for stmt in outer.body for node in ast.walk(stmt)
+                      if isinstance(node, functions)]
+            names = {node.name for node in nested}
+            for node in nested:
+                named = names & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if named:
+                    cyclic.append(f"{path.name}:{node.lineno} {outer.name}.{node.name} "
+                                  f"names {sorted(named)}")
+    assert not cyclic, "\n".join(cyclic)

@@ -140,6 +140,19 @@ def test_build_dcm_two_unary_successors():
     assert alpha_eq(dcm, want)
 
 
+def test_build_dcm_rejects_an_unknown_or_uninhabited_predicate():
+    from coeq.system import Constructor, DataPredicate, DataSystem, Kind
+    stop = Constructor("stop", 0)
+    p = DataPredicate("P", Kind.COINDUCTIVE, 0)
+    q = DataPredicate("Q", Kind.COINDUCTIVE, 1)
+    ds = DataSystem((stop,), (p, q), (ConstructorType(stop, (), p),))
+    phi = EqAtom(v("q"), v("q"))
+    with pytest.raises(ValueError, match="^unknown predicate 'R'$"):
+        build_dcm(ds, "R", phi, "q", "x")
+    with pytest.raises(ValueError, match="^predicate 'Q' has an empty constructor set$"):
+        build_dcm(ds, "Q", phi, "q", "x")
+
+
 # -- check_proof --------------------------------------------------------------
 
 def _check(d, program=None):
@@ -698,6 +711,27 @@ def test_alpha_eq_walks_bound_names():
     assert alpha_eq(Exists("u", Exists("u", S(v("u")))), Exists("z", Exists("y", S(v("y")))))
     assert not alpha_eq(Exists("u", Exists("u", S(v("u")))),
                         Exists("z", Exists("y", S(v("z")))))
+
+
+def test_alpha_eq_of_two_thousand_quantifiers():
+    """The walk keeps its own stack: formulas of any quantifier depth
+    compare."""
+    def quantified(names, free="w"):
+        # the innermost and the outermost binder, and a free variable
+        f = EqAtom(v(names[-1]), fn("f", v(names[0]), v(free)))
+        for i, name in enumerate(reversed(names)):
+            f = (Exists if i % 2 else Forall)(name, f)
+        return f
+
+    a = quantified([f"a{i}" for i in range(2000)])
+    b = quantified([f"b{i}" for i in range(2000)])
+    assert alpha_eq(a, b)
+    assert alpha_eq(a, quantified([f"b{i}" for i in range(1999)] + ["a0"]))
+    assert not alpha_eq(a, quantified([f"b{i}" for i in range(2000)], free="u"))
+    assert not alpha_eq(a, quantified(["b0"] * 2000))
+    # a part that is the same record on both sides, outside every binder
+    assert alpha_eq(And(a, S(v("x"))), And(b, S(v("x"))))
+    assert not alpha_eq(And(S(v("x")), a), And(S(v("y")), a))
 
 
 def test_all_elim_instantiates_without_capture():
