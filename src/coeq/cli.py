@@ -40,8 +40,7 @@ from .extract import (ExtractError, extract, prove_corec_program, require_check,
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
                     Formula, Imp, Or, _run, check_proof, classify_formula,
                     has_detour, normalize)
-from .program import (Equation, Program, assemble_program, reserved_function,
-                      standard_functions, validate_program)
+from .program import Equation, Program, assemble_program, standard_functions, validate_program
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm, validate_system)
 from .terms import Con, Fun, Record, Term, Var, subterms, variables
@@ -128,7 +127,7 @@ class Workspace(Record, frozen=False):
         principal = next(iter(self.programs))
         for prog in self.programs.values():
             for e in prog.body:
-                if reserved_function(e.function) or e in seen:
+                if e in seen:
                     continue
                 seen.add(e)
                 eqs.append(e)
@@ -684,8 +683,6 @@ def show_system(ws: Workspace) -> str:
 def show_program(name: str, prog: Program) -> str:
     lines = [f"program {name} {{"]
     for e in prog.body:
-        if reserved_function(e.function):
-            continue
         args = ", ".join(str(p) for p in e.patterns)
         head = f"{e.function}({args})" if e.patterns else e.function
         lines.append(f"  {head} = {e.rhs};")

@@ -303,7 +303,7 @@ def check_primitive_corecursive(program: Program, ds: DataSystem) -> Productivit
     rep = validate_program(program, ds)
     if not rep.ok:
         return ProductivityVerdict(False, reason=f"invalid program: {rep}")
-    order = program.user_functions()
+    order = program.functions()
     decl_index = {f: i for i, f in enumerate(order)}
     deps = {f: {g for e in program.equations_of(f) for g in _used_functions(e.rhs)
                 if g in decl_index}

@@ -22,7 +22,7 @@ from collections import Counter, deque
 
 from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
-from .program import Program, pi_name, validate_program
+from .program import Program, pi_name, standard_functions, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
 from .terms import Con, Fun, Record, Term, Var, _set
 
@@ -76,10 +76,10 @@ class DiagramEnv(Record):
         return ValidationReport(tuple(out))
 
     def collision(self, ds: DataSystem, programs) -> str | None:
-        """The error for the first binding named like a constructor, or like
-        a function of one of `programs` or of a generator program; None if
-        there is none.  Sessions and workspace resolution both ask this."""
-        taken = {c.name for c in ds.vocabulary}
+        """The error for the first binding named like a constructor, a
+        standard function, or a function of one of `programs` or of a
+        generator program; None if there is none.  Sessions and workspace resolution both ask this."""
+        taken = {c.name for c in ds.vocabulary} | {e.function for e in standard_functions(ds)}
         for prog in list(programs) + [v.program for _, v in self.bindings
                                       if isinstance(v, GeneratorBinding)]:
             taken.update(prog.functions())
@@ -175,8 +175,9 @@ class Session:
     environments and systems themselves are immutable and shareable.
 
     The kernel's symbol table is the one record of what a name means: the
-    constructors, then the functions of the main program and of every
-    generator program (a function already defined keeps its equations),
+    constructors, then the functions of the main program, the data
+    system's standard ones, and those of every generator program (a
+    function already defined keeps its equations),
     then the bindings, none of which may reuse a name declared before.
     A coterm binding `a` is its entry node: `a` unfolds to the entry's
     constructor layer, and a child that is the entry is `a` itself.  A leaf
@@ -208,9 +209,10 @@ class Session:
         # validation made their rules the standard ones
         for i in range(1, ds.max_arity + 1):
             k.projections.add(k.sym(pi_name(i), FUN, 1))
-        for prog in [program] + [v.program for _, v in self.env.bindings
-                                 if isinstance(v, GeneratorBinding)]:
-            eqs = [e for e in prog.body if k.sym_ids.get(e.function) not in k.rules]
+        # the data system's standard equations follow the main program's own
+        for body in [program.body + tuple(standard_functions(ds))] + [
+                v.program.body for _, v in self.env.bindings if isinstance(v, GeneratorBinding)]:
+            eqs = [e for e in body if k.sym_ids.get(e.function) not in k.rules]
             for e in eqs:
                 k.sym(e.function, FUN, len(e.patterns))
             for e in eqs:

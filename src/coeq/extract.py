@@ -35,8 +35,7 @@ from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
                     data_elim, data_intro, ex_elim, ex_intro, fv, has_detour,
                     induction, normalize, or_elim, or_intro, refl, rewrite,
                     show_path, subst_derivation, subst_formula)
-from .program import (DELTA, Equation, Program, assemble_program, pi_name,
-                      reserved_function)
+from .program import DELTA, Equation, Program, assemble_program, pi_name
 from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
                       even_term, merge_term, odd_term, term_sort, var_sorts,
                       zeros_term)
@@ -965,13 +964,12 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     ex.defs.append(CompositionDef(f0, n_in, Component(n_in, mat(out))))
     bundle = CorecBundle(tuple(algebra_strata()) + tuple(ex.defs), f0)
     compiled = compile_schema(bundle, ds)
-    base = [e for e in program.body if not reserved_function(e.function)]
-    extra = [e for e in compiled.body if not reserved_function(e.function)
-             and e.function not in {b.function for b in base}]
+    own = set(program.functions())
+    extra = [e for e in compiled.body if e.function not in own]
     ex.cert.coinductions = sum(isinstance(s, CorecSchema) for s in ex.defs)
     ex.cert.split_chain = max(_split_chain(e.rhs) for e in extra
                               if e.function not in (EVEN, ODD, MERGE, ZEROS))
-    merged = assemble_program(ds, base + extra, f0)
+    merged = assemble_program(ds, list(program.body) + extra, f0)
     return ExtractionResult(bundle, merged, tuple(free),
                             tuple(l for l, _f in assumptions), ex.cert)
 
@@ -1013,11 +1011,10 @@ class RoundtripReport(Record, frozen=False):
 
 
 def _rename_functions(program: Program, suffix: str, ds: DataSystem) -> Program:
-    mapping = {f: f + suffix for f in program.user_functions()}
-    eqs = [Equation(mapping.get(e.function, e.function),
-                    tuple(_rename_calls(p, mapping) for p in e.patterns),
+    mapping = {f: f + suffix for f in program.functions()}
+    eqs = [Equation(mapping[e.function], tuple(_rename_calls(p, mapping) for p in e.patterns),
                     _rename_calls(e.rhs, mapping))
-           for e in program.body if not reserved_function(e.function)]
+           for e in program.body]
     return assemble_program(ds, eqs, mapping[program.principal])
 
 
@@ -1097,9 +1094,8 @@ def _bisim_stage(entry, extraction: ExtractionResult, ds: DataSystem,
                  depth: int, seed: int, inputs_per_entry: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     orig = _rename_functions(entry.program, "_orig", ds)
-    eqs = [e for e in extraction.program.body if not reserved_function(e.function)]
-    eqs += [e for e in orig.body if not reserved_function(e.function)]
-    merged = assemble_program(ds, eqs, extraction.principal)
+    merged = assemble_program(ds, list(extraction.program.body + orig.body),
+                              extraction.principal)
     k = entry.arity
     runs = inputs_per_entry if k > 0 else 1
     # every case's inputs under names of their own, so that one session

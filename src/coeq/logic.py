@@ -21,7 +21,7 @@ import itertools
 import operator
 from collections import Counter
 
-from .program import Program, pi_name
+from .program import Program, pi_name, reserved_function, standard_functions
 from .system import ConstructorType, DataSystem
 from .terms import (Con, Fun, Record, Term, Var, _intern, _set, fresh_name,
                     substitute, variables)
@@ -511,6 +511,8 @@ class ProofChecker:
     def __init__(self, ds: DataSystem, program: Program):
         self.ds = ds
         self.program = program
+        # a rewrite's idx counts in this order for pi_i and delta
+        self.standard = standard_functions(ds)
         self.violations: list[ProofViolation] = []
 
     def bad(self, path, msg) -> Counter:
@@ -693,7 +695,8 @@ class ProofChecker:
         prem = d.premises[0].conclusion
         if not isinstance(prem, (DataAtom, EqAtom)) or not isinstance(f, (DataAtom, EqAtom)):
             return self.bad(path, "rewrite acts on atomic formulas")
-        eqs = self.program.equations_of(fn) if isinstance(fn, str) else []
+        supplied = isinstance(fn, str) and reserved_function(fn)
+        eqs = [e for e in (self.standard if supplied else self.program.body) if e.function == fn]
         if not isinstance(idx, int) or not (0 <= idx < len(eqs)):
             return self.bad(path, f"no equation {fn}#{idx} in the program")
         eq = eqs[idx]

@@ -1,10 +1,10 @@
 """Equational programs: pattern equations, definiendum compatibility via
-unification, and the standard destructor/discriminator equations every
-program carries.
+unification, and the standard destructor/discriminator equations that the
+data system supplies to every program.  A program's body holds only its own
+equations; validation, evaluation and proof checking add the standard ones.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from itertools import chain, combinations
 
 from .system import DataSystem, ValidationReport, Violation
@@ -60,9 +60,6 @@ class Program(Record):
             if e.function not in out:
                 out.append(e.function)
         return out
-
-    def user_functions(self) -> list[str]:
-        return [f for f in self.functions() if not reserved_function(f)]
 
 
 def unify(t1: Term, t2: Term) -> Subst | None:
@@ -166,19 +163,16 @@ def deep_destructor(path: list[int] | tuple[int, ...], ds: DataSystem | None = N
     return DeepDestructor(tuple(path))
 
 
-def _missing_standard(ds: DataSystem, body: Iterable[Equation]) -> list[Equation]:
-    present = set(body)
-    return [e for e in standard_functions(ds) if e not in present]
-
-
-def assemble_program(ds: DataSystem, equations: list[Equation], principal: str,
-                     arity: int | None = None) -> Program:
-    """Build a program, adding the standard equations if absent."""
-    body = list(equations) + _missing_standard(ds, equations)
-    if arity is None:
-        own = [e for e in body if e.function == principal]
-        arity = len(own[0].patterns) if own else 0
-    return Program(tuple(body), principal, arity)
+def assemble_program(ds: DataSystem, equations: list[Equation], principal: str) -> Program:
+    """Build a program of its own equations.  The data system supplies the
+    standard ones, so each that `equations` spells is dropped once (a
+    second copy stays, and overlaps the supplied one)."""
+    body = list(equations)
+    for e in standard_functions(ds):
+        if e in body:
+            body.remove(e)
+    own = [e for e in body if e.function == principal]
+    return Program(tuple(body), principal, len(own[0].patterns) if own else 0)
 
 
 def validate_program(p: Program, ds: DataSystem) -> ValidationReport:
@@ -199,8 +193,10 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
         # The equation is printed only here: most programs have no violation.
         out.append(Violation(code, f"equation '{e}': {message}"))
 
+    standard = standard_functions(ds)
+    eqs = list(p.body) + standard
     arities: dict[str, int] = {}
-    for e in p.body:
+    for e in eqs:
         known = arities.setdefault(e.function, len(e.patterns))
         if known != len(e.patterns):
             bad("arity-mismatch", e, f"'{e.function}' used with {len(e.patterns)} and {known} arguments")
@@ -223,7 +219,7 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
                     bad("unknown-constructor", e, f"unknown constructor '{u.name}'")
                 elif c.arity != len(u.args):
                     bad("constructor-arity", e, f"'{u.name}' has arity {c.arity}, used with {len(u.args)}")
-    for e in p.body:
+    for e in eqs:
         for u in subterms(e.rhs):
             if isinstance(u, Fun) and u.name not in arities:
                 bad("unknown-function", e, f"unknown function '{u.name}'")
@@ -232,21 +228,18 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
     # Pairwise compatibility within each function symbol; two distinct
     # standard equations are compatible by construction.
     by_fn: dict[str, list[Equation]] = {}
-    for e in p.body:
+    for e in eqs:
         by_fn.setdefault(e.function, []).append(e)
-    standard = set(standard_functions(ds))
-    for eqs in by_fn.values():
-        for e1, e2 in combinations(eqs, 2):
-            if e1 != e2 and e1 in standard and e2 in standard:
+    supplied = set(standard)
+    for group in by_fn.values():
+        for e1, e2 in combinations(group, 2):
+            if e1 != e2 and e1 in supplied and e2 in supplied:
                 continue
             comp = check_compatibility(e1, e2)
             if not comp.compatible:
                 w = ", ".join(f"{v} -> {t}" for v, t in sorted(comp.witness.items()))
                 out.append(Violation(
                     "overlap", f"equations '{e1}' and '{e2}' overlap; unifier {{{w}}}"))
-    # Standard functions must be present verbatim.
-    for e in _missing_standard(ds, p.body):
-        out.append(Violation("missing-standard", f"standard equation '{e}' missing"))
     if p.principal not in arities:
         out.append(Violation("no-principal", f"principal function '{p.principal}' has no equations"))
     elif arities.get(p.principal) != p.arity:

@@ -18,7 +18,7 @@ from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
 from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
                     PolarityClass, classify_formula)
-from .program import DELTA, Program, assemble_program, pi_name, reserved_function
+from .program import DELTA, Program, assemble_program, pi_name
 from .system import DataPredicate, DataSystem
 from .terms import Con, Fun, Record, Term, Var, _set, substitute
 
@@ -54,12 +54,10 @@ def with_algebra(program: Program, ds: DataSystem) -> Program:
     """Extend a program with the split algebra (idempotent)."""
     have = {e.function for e in program.body}
     algebra = compile_schema(CorecBundle(tuple(algebra_strata()), ZEROS), ds)
-    extra = [e for e in algebra.body
-             if not reserved_function(e.function) and e.function not in have]
+    extra = [e for e in algebra.body if e.function not in have]
     if not extra:
         return program
-    return assemble_program(ds, list(program.body) + extra, program.principal,
-                            program.arity)
+    return assemble_program(ds, list(program.body) + extra, program.principal)
 
 
 def even_term(t: Term) -> Term:

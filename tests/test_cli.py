@@ -895,6 +895,36 @@ def test_programs_that_define_a_function_differently_conflict(tmp_path, capsys):
                "'g(x) = cons(0, x)' overlap; unifier {x -> x'}\n")
 
 
+_SPELLS = ("program ev {{\n{}  ev(x) = pi1(x) : ev(pi2(pi2(x)));\n}}\n"
+           "env E {{ v_r = rec a. 0 : 1 : a; }}\n")
+
+
+def test_a_program_that_spells_a_standard_equation(tmp_path, capsys):
+    """The data system supplies the standard equations: a program may spell
+    one once, and a second copy overlaps the first."""
+    pi2 = "  pi2(cons(x1, x2)) = x2;\n"
+    ws = _ws(tmp_path, SYSTEM_SOURCE + _SPELLS.format(pi2))
+    assert run_main(capsys, "--format=tagged", "eval", ws, "ev(v_r)", "--env", "E",
+                    "--depth", "8") == (0, "APPROXIMATION\t0:0:0:0:0:0:0:0:<cut@8>\n"
+                                           "STALL\tnone\n", "")
+    ws = _ws(tmp_path, SYSTEM_SOURCE + _SPELLS.format(pi2 * 2))
+    assert run_main(capsys, "check", ws) == (
+        2, "", "error: program 'ev': [overlap] equations 'pi2(cons(x1, x2)) = x2' and "
+               "'pi2(cons(x1, x2)) = x2' overlap; unifier {x1 -> x1', x2 -> x2'}\n")
+
+
+@pytest.mark.parametrize("name", ["pi1", "delta"])
+def test_a_binding_named_like_a_standard_function_collides(tmp_path, capsys, name):
+    ws = _ws(tmp_path, FLIP_SOURCE + f"env E {{ {name} = rec a. 0 : a; }}\n")
+    err = f"error: binding '{name}' collides with a function or constructor\n"
+    assert run_main(capsys, "eval", ws, "flip(0 : 1)", "--env", "E", "--depth", "2") \
+        == (2, "", err)
+    w = parse_workspace(FLIP_SOURCE)
+    env = DiagramEnv.of({name: RegularCoterm((CotermNode("0", ()),), 0)})
+    with pytest.raises(Exception, match=err[7:-1]):
+        Session(w.programs["flip"], w.system, env)
+
+
 def test_a_predicate_list_and_a_parenthesised_term_parse():
     ws = parse_workspace("system X { inductive B, N; coinductive S; constructor 0 : B; "
                          "constructor 1 : B; constructor cons : B * S -> S; }\n"

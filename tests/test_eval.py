@@ -11,7 +11,7 @@ from coeq.evaluation import (BUDGET_EXHAUSTED, DEFAULT_BUDGET, NO_MATCH, ApproxN
                              StallReason, Stalled, derives_omega, first_stall,
                              restrict)
 from coeq.kernel import CON, FUN, STALL_BUDGET, WHNF, KernelSession
-from coeq.program import (assemble_program, Equation, is_pi, pi_name, reserved_function,
+from coeq.program import (assemble_program, Equation, Program, is_pi, pi_name, reserved_function,
                           standard_functions)
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var, substitute, subterms
@@ -102,7 +102,7 @@ def _unary_word_system():
 
 def test_heads_differ_at_root_unary_words():
     ds, env = _unary_word_system()
-    prog = assemble_program(ds, [], "pi1", 1)
+    prog = Program((), "pi1", 1)
     r = derives_omega(prog, env, fn("v_a"), fn("v_b"), 1, 10_000, ds=ds)
     assert r.status == "differs"
     assert r.path == ()

@@ -18,7 +18,7 @@ from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
 from coeq.logic import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
                         and_elim, and_intro, assert_sp_proof, assume, check_proof,
                         classify_formula, has_detour, imp_intro, normalize, refl)
-from coeq.program import Equation, assemble_program
+from coeq.program import Equation, assemble_program, standard_functions
 from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
 from coeq.system import (Constructor, ConstructorType, DataSystem,
@@ -325,7 +325,8 @@ def _break(node: Derivation, program) -> dict | None:
     if rule == "coinduction":
         return {"attrs": _with_attr(node, "label", "w2")}
     if rule == "rewrite":
-        n = len(program.equations_of(node.attr("fn")))
+        n = sum(e.function == node.attr("fn")
+                for e in program.body + tuple(standard_functions(SM)))
         if n > 1:
             return {"attrs": _with_attr(node, "idx", (node.attr("idx") + 1) % n)}
     if rule == "data-elim":
@@ -843,7 +844,7 @@ def _canonical_runners(program, schema_names):
             order.append(f)
         for e in program.equations_of(f):
             todo += [u.name for u in subterms(e.rhs) if isinstance(u, Fun)
-                     and u.name in program.user_functions()]
+                     and u.name in program.functions()]
     index = {f: f"F{i}" for i, f in enumerate(order)}
 
     def ren(t):
@@ -1125,4 +1126,4 @@ def test_proofs_are_pinned():
 
 def test_extractions_are_pinned():
     assert _extractions_digest() == (
-        "0154961893ba21081ac9583761e4aa855735ff848b6e6de4479270a0394216d1")
+        "f5d3c7fce313f9018288b21a41127df1528543eb7974cf9509cd8533a6ebfbe0")

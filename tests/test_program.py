@@ -174,10 +174,18 @@ def test_validate_unknown_function():
     assert any(x.code == "unknown-function" for x in rep.violations)
 
 
-def test_validate_missing_standard_functions():
-    p = Program((Equation("f", (v("x"),), v("x")),), "f", 1)
-    rep = validate_program(p, SM)
-    assert any(x.code == "missing-standard" for x in rep.violations)
+def test_a_program_of_its_own_equations_validates_and_evaluates_pi_and_delta():
+    """The data system supplies pi_i and delta: a body without their
+    equations is valid, and a session rewrites them by the standard ones."""
+    from coeq.evaluation import ApproxNode, Session
+    x = v("x")
+    head = Fun(DELTA, (Fun(pi_name(1), (x,)), ONE, ZERO, ZERO))
+    p = Program((Equation("f", (x,), cons(head, Fun(pi_name(2), (x,)))),), "f", 1)
+    assert validate_program(p, SM).ok
+    a = Session(p, SM).observe(fn("f", cons(ZERO, cons(ONE, ZERO))), 2)
+    assert isinstance(a, ApproxNode) and a.constructor == "cons"
+    assert [c.constructor for c in a.children] == ["1", "cons"]
+    assert [c.constructor for c in a.children[1].children] == ["1", "0"]
 
 
 def test_validate_rejects_nonlinear_and_unbound():
@@ -275,7 +283,7 @@ def test_validate_names_arity_pattern_and_principal_violations():
     eqs = [Equation("f", (v("x"),), ZERO),
            Equation("f", (v("x"), v("y")), f(v("x"), v("y"))),
            Equation("f", (f(v("z")),), Con("cons", (ZERO,)))]
-    rep = validate_program(assemble_program(SM, eqs, "f", arity=3), SM)
+    rep = validate_program(Program(tuple(eqs), "f", 3), SM)
     codes = [x.code for x in rep.violations]
     for code in ("arity-mismatch", "non-base-pattern", "constructor-arity",
                  "principal-arity"):
