@@ -122,16 +122,8 @@ class Workspace(Record, frozen=False):
             raise ValueError("workspace defines no programs")
         if len(self.programs) == 1:
             return next(iter(self.programs.values()))
-        eqs: list[Equation] = []
-        seen: set[Equation] = set()
-        principal = next(iter(self.programs))
-        for prog in self.programs.values():
-            for e in prog.body:
-                if e in seen:
-                    continue
-                seen.add(e)
-                eqs.append(e)
-        return assemble_program(self.system, eqs, principal)
+        eqs = dict.fromkeys(e for prog in self.programs.values() for e in prog.body)
+        return assemble_program(self.system, list(eqs), next(iter(self.programs)))
 
     def known_names(self) -> set[str]:
         """Names that denote functions rather than variables: the programs'

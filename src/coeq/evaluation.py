@@ -78,7 +78,8 @@ class DiagramEnv(Record):
     def collision(self, ds: DataSystem, programs) -> str | None:
         """The error for the first binding named like a constructor, a
         standard function, or a function of one of `programs` or of a
-        generator program; None if there is none.  Sessions and workspace resolution both ask this."""
+        generator program; None if there is none.  Sessions and workspace
+        resolution both ask this."""
         taken = {c.name for c in ds.vocabulary} | {e.function for e in standard_functions(ds)}
         for prog in list(programs) + [v.program for _, v in self.bindings
                                       if isinstance(v, GeneratorBinding)]:
@@ -210,7 +211,7 @@ class Session:
         for i in range(1, ds.max_arity + 1):
             k.projections.add(k.sym(pi_name(i), FUN, 1))
         # the data system's standard equations follow the main program's own
-        for body in [program.body + tuple(standard_functions(ds))] + [
+        for body in [program.body + standard_functions(ds)] + [
                 v.program.body for _, v in self.env.bindings if isinstance(v, GeneratorBinding)]:
             eqs = [e for e in body if k.sym_ids.get(e.function) not in k.rules]
             for e in eqs:

@@ -426,14 +426,18 @@ def _over(r: Case, f) -> SymR:
 
 
 def mat(r: SymR) -> Term:
+    return r.term if isinstance(r, Leaf) else _run(_mat(r))
+
+
+def _mat(r: SymR):   # run by _run, so a realizer of any depth materializes
     if isinstance(r, Leaf):
         return r.term
-    if isinstance(r, Pair):
-        return merge_term(mat(r.head), mat(r.rest))
     if isinstance(r, ConsR):
-        return Con("cons", (r.head_term, mat(r.tail)))
-    left = mat(r.left)
-    return Fun(DELTA, (r.bit, left, mat(r.right), left))
+        return Con("cons", (r.head_term, (yield _mat(r.tail))))
+    if isinstance(r, Pair):
+        return merge_term((yield _mat(r.head)), (yield _mat(r.rest)))
+    left = yield _mat(r.left)
+    return Fun(DELTA, (r.bit, left, (yield _mat(r.right)), left))
 
 
 def even_r(r: SymR) -> SymR:
@@ -459,8 +463,6 @@ def sigma1(r: SymR) -> SymR:
 def head_term_of(r: SymR) -> Term:
     if isinstance(r, ConsR):
         return r.head_term
-    if isinstance(r, Pair):
-        return head_term_of(r.head)
     if isinstance(r, Case):
         left, right = head_term_of(r.left), head_term_of(r.right)
         return left if left == right else Fun(DELTA, (r.bit, left, right, left))
@@ -470,8 +472,6 @@ def head_term_of(r: SymR) -> Term:
 def tail_r(r: SymR) -> SymR:
     if isinstance(r, ConsR):
         return r.tail
-    if isinstance(r, Pair):
-        return Pair(r.rest, tail_r(r.head))
     if isinstance(r, Case):
         return _over(r, tail_r)
     return Leaf(Fun(pi_name(2), (mat(r),)))
@@ -608,8 +608,7 @@ class ExtractionCertificate(Record, frozen=False):
         self.coinductions = coinductions
 
     def note(self, path: tuple[int, ...], rule: str, what: str) -> None:
-        where = "/".join(str(i) for i in path) or "root"
-        self.lines.append(f"{where}\t{rule}\t{what}")
+        self.lines.append(f"{show_path(path)}\t{rule}\t{what}")
 
     def render(self) -> str:
         head = [f"coinductions\t{self.coinductions}",

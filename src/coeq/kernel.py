@@ -181,16 +181,22 @@ class KernelSession:
     # -- substitution on interned terms ------------------------------------
 
     def subst(self, tid, binds):
-        k = self.t_kind[tid]
-        if k == VAR:
-            return binds.get(tid, tid)
-        args = self.t_args[tid]
-        if not args:
-            return tid
-        new_args = tuple(self.subst(a, binds) for a in args)
-        if new_args == args:
-            return tid
-        return self.mk(k, self.t_sym[tid], new_args)
+        """tid with each variable in `binds` replaced, bottom-up and left
+        to right on an explicit stack, so a right-hand side of any height
+        substitutes.  A subterm that does not change keeps its tid."""
+        t_args, done, stack = self.t_args, [], [tid]
+        while stack:   # tids to visit, and ~tid once its arguments' results end `done`
+            u = stack.pop()
+            if u < 0:
+                u = ~u
+                cut = len(done) - len(t_args[u])
+                new = tuple(done[cut:])
+                done[cut:] = [u if new == t_args[u] else self.mk(self.t_kind[u], self.t_sym[u], new)]
+            elif t_args[u]:
+                stack += (~u, *reversed(t_args[u]))
+            else:   # a variable, or a constant, which no binding names
+                done.append(binds.get(u, u))
+        return done[0]
 
     # -- matching ----------------------------------------------------------
 

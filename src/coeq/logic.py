@@ -101,14 +101,22 @@ class Forall(_Quantified):
 
 
 def fv(f: Formula) -> set[str]:
-    if isinstance(f, DataAtom):
-        return variables(f.term)
-    if isinstance(f, EqAtom):
-        return variables(f.left) | variables(f.right)
-    if isinstance(f, (And, Or, Imp)):
-        return fv(f.left) | fv(f.right)
-    assert isinstance(f, (Exists, Forall))
-    return fv(f.body) - {f.var}
+    """The free variables of f, on an explicit stack: any depth."""
+    out: set[str] = set()
+    bound: dict[str, int] = {}   # the binders of each name around the walk
+    stack: list = [f]   # formulas to visit; a name leaves one of its binders
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            bound[g] -= 1
+        elif isinstance(g, (DataAtom, EqAtom)):
+            out.update(v for t in _atom_slots(g) for v in variables(t) if not bound.get(v))
+        elif isinstance(g, (Exists, Forall)):
+            bound[g.var] = bound.get(g.var, 0) + 1
+            stack += [g.var, g.body]
+        else:
+            stack += [g.left, g.right]
+    return out
 
 
 def subst_formula(f: Formula, s: dict[str, Term]) -> Formula:
@@ -440,9 +448,9 @@ class ProofViolation(Record):
         return f"at {show_path(self.path)}: {self.message}"
 
 
-def show_path(path: tuple[int, ...]) -> str:
-    """A proof position as violations print it: `root`, or premise indices
-    joined by `/`."""
+def show_path(path: tuple) -> str:
+    """A position as violations print it: `root`, or its steps (premise
+    indices, or a realizer's) joined by `/`."""
     return "/".join(str(i) for i in path) or "root"
 
 

@@ -5,9 +5,10 @@ equations; validation, evaluation and proof checking add the standard ones.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 
-from .system import DataSystem, ValidationReport, Violation
+from .system import Constructor, DataSystem, ValidationReport, Violation
 from .terms import (Con, Fun, Record, Subst, Term, Var, _set, compose, has_fun,
                     rename_apart, substitute, subterms, variables)
 
@@ -55,11 +56,7 @@ class Program(Record):
         return [e for e in self.body if e.function == fn]
 
     def functions(self) -> list[str]:
-        out: list[str] = []
-        for e in self.body:
-            if e.function not in out:
-                out.append(e.function)
-        return out
+        return list(dict.fromkeys(e.function for e in self.body))
 
 
 def unify(t1: Term, t2: Term) -> Subst | None:
@@ -111,28 +108,34 @@ def check_compatibility(e1: Equation, e2: Equation) -> Compatibility:
     return Compatibility(False, w)
 
 
-def standard_functions(ds: DataSystem) -> list[Equation]:
-    """Destructor and discriminator equations for the vocabulary.
+def standard_functions(ds: DataSystem) -> tuple[Equation, ...]:
+    """Destructor and discriminator equations for the vocabulary, built
+    once per vocabulary.
 
     With m the maximal arity and constructors c_1..c_k (declaration order):
       pi_i(c(x_1..x_r)) = x_i            for i <= r
       pi_i(c(x_1..x_r)) = c(x_1..x_r)    for r < i <= m
       delta(c_i(y_1..y_r), x_1..x_k) = x_i
     """
-    m = ds.max_arity
-    k = len(ds.vocabulary)
+    return _standard(ds.vocabulary)
+
+
+@lru_cache(maxsize=16)   # a tuple: every caller shares it
+def _standard(vocabulary: tuple[Constructor, ...]) -> tuple[Equation, ...]:
+    m = max((c.arity for c in vocabulary), default=0)
+    k = len(vocabulary)
     eqs: list[Equation] = []
-    for c in ds.vocabulary:
+    for c in vocabulary:
         xs = tuple(Var(f"x{j + 1}") for j in range(c.arity))
         pat = Con(c.name, xs)
         for i in range(1, m + 1):
             rhs = xs[i - 1] if i <= c.arity else pat
             eqs.append(Equation(pi_name(i), (pat,), rhs))
     sel = tuple(Var(f"x{j + 1}") for j in range(k))
-    for i, c in enumerate(ds.vocabulary):
+    for i, c in enumerate(vocabulary):
         ys = tuple(Var(f"y{j + 1}") for j in range(c.arity))
         eqs.append(Equation(DELTA, (Con(c.name, ys),) + sel, sel[i]))
-    return eqs
+    return tuple(eqs)
 
 
 class DeepDestructor(Record):
@@ -193,10 +196,9 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
         # The equation is printed only here: most programs have no violation.
         out.append(Violation(code, f"equation '{e}': {message}"))
 
-    standard = standard_functions(ds)
-    eqs = list(p.body) + standard
+    every = p.body + standard_functions(ds)
     arities: dict[str, int] = {}
-    for e in eqs:
+    for e in every:
         known = arities.setdefault(e.function, len(e.patterns))
         if known != len(e.patterns):
             bad("arity-mismatch", e, f"'{e.function}' used with {len(e.patterns)} and {known} arguments")
@@ -219,7 +221,7 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
                     bad("unknown-constructor", e, f"unknown constructor '{u.name}'")
                 elif c.arity != len(u.args):
                     bad("constructor-arity", e, f"'{u.name}' has arity {c.arity}, used with {len(u.args)}")
-    for e in eqs:
+    for e in every:
         for u in subterms(e.rhs):
             if isinstance(u, Fun) and u.name not in arities:
                 bad("unknown-function", e, f"unknown function '{u.name}'")
@@ -228,12 +230,12 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
     # Pairwise compatibility within each function symbol; two distinct
     # standard equations are compatible by construction.
     by_fn: dict[str, list[Equation]] = {}
-    for e in eqs:
+    for e in every:
         by_fn.setdefault(e.function, []).append(e)
-    supplied = set(standard)
-    for group in by_fn.values():
-        for e1, e2 in combinations(group, 2):
-            if e1 != e2 and e1 in supplied and e2 in supplied:
+    standard = set(standard_functions(ds))
+    for eqs in by_fn.values():
+        for e1, e2 in combinations(eqs, 2):
+            if e1 != e2 and e1 in standard and e2 in standard:
                 continue
             comp = check_compatibility(e1, e2)
             if not comp.compatible:

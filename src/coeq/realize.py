@@ -17,7 +17,7 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
 from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
-                    PolarityClass, classify_formula)
+                    PolarityClass, classify_formula, show_path)
 from .program import DELTA, Program, assemble_program, pi_name
 from .system import DataPredicate, DataSystem
 from .terms import Con, Fun, Record, Term, Var, _set, substitute
@@ -218,8 +218,7 @@ class RealizeResult(Record):
     def __str__(self) -> str:
         if self.holds:
             return self.status
-        where = "/".join(self.path) or "root"
-        return f"{self.status} at {where}: {self.detail}"
+        return f"{self.status} at {show_path(self.path)}: {self.detail}"
 
 
 HOLDS = RealizeResult("holds-up-to-depth")

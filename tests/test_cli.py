@@ -13,7 +13,7 @@ from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
 from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, GeneratorBinding,
                              Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
-from coeq.logic import check_proof
+from coeq.logic import DataAtom, and_intro, assume, check_proof, or_intro
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
@@ -454,6 +454,48 @@ def test_cmd_prove_corec_sort_conflict_reasons(tmp_path, capsys):
         code, out, _ = run_main(capsys, "--format=tagged", "prove-corec", str(f), name)
         assert code == 1
         assert out.splitlines() == ["VERDICT\tfailed", f"REASON\t{reason}"]
+
+
+def test_cmd_prove_corec_of_a_proof_that_does_not_check(tmp_path, capsys):
+    """The prover's proof of a constant head projected from a constant
+    fails the checker: a failed verdict, not a traceback."""
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + "program f { f = cons(pi1(0), f); }\n")
+    assert run_main(capsys, "prove-corec", ws, "f") == (
+        1, "generated proof failed to check\n", "")
+    assert run_main(capsys, "--format=tagged", "prove-corec", ws, "f") == (
+        1, "VERDICT\tfailed\n", "")
+
+
+_EX_ELIM = ("(ex-elim (ex p (B p)) ((assume (ex p (B p)) () {label m}) "
+            "(ex-intro (ex p (B p)) ((assume (B q) () {label k})) {witness q})) "
+            "{eigen q label k})")
+
+
+@pytest.mark.parametrize("proof", ["(refl (= 0 0) () {})", "(assume (B x) () {label h})",
+                                   _EX_ELIM], ids=["refl-of-a-bit", "open-bit", "ex-elim-of-a-bit"])
+def test_cmd_extract_of_a_bit_sorted_proof(tmp_path, capsys, proof):
+    """A refl of a bit, an open assumption on a bit, and the elimination of
+    an existential over bits each extract a program the recognizer accepts."""
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + IDENT + f"proof p {{ {proof} }}\n")
+    out = str(tmp_path / "out.cds")
+    code, text, err = run_main(capsys, "--format=tagged", "extract", ws, "p", "--out", out)
+    assert (code, err) == (0, "") and "VERDICT\textracted\n" in text
+    assert run_main(capsys, "--format=tagged", "productive", out, "f0") == (
+        0, "VERDICT\tprimitive-corecursive\n", "")
+
+
+@pytest.mark.parametrize("rule, proof", [
+    ("inj", "(inj (= x x2) ((assume (= (cons x y) (cons x2 y2)) () {label h})) {i 1})"),
+    ("sep", "(sep (S x) ((assume (= 0 1) () {label h})) {})"),
+])
+def test_cmd_extract_refuses_injectivity_and_separation(tmp_path, capsys, rule, proof):
+    """A checked, detour-free, strongly positive proof with an `inj` or a
+    `sep` node is outside the extraction set: a failed verdict."""
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + IDENT + f"proof p {{ {proof} }}\n")
+    assert run_main(capsys, "--format=tagged", "check-proof", ws, "p")[0] == 0
+    assert run_main(capsys, "--format=tagged", "extract", ws, "p") == (
+        1, f"VERDICT\tfailed\nREASON\trule '{rule}' outside the supported extraction set\n",
+        "")
 
 
 def test_cmd_roundtrip_small(capsys):
@@ -925,6 +967,13 @@ def test_a_binding_named_like_a_standard_function_collides(tmp_path, capsys, nam
         Session(w.programs["flip"], w.system, env)
 
 
+def test_programs_that_define_a_function_alike_share_it(tmp_path, capsys):
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + "program f { f(x) = g(x); g(x) = x; }\n"
+             "program h { h(x) = g(x); g(x) = x; }\nenv E { a = rec r. 0 : r; }\n")
+    assert run_main(capsys, "eval", ws, "h(f(a))", "--env", "E", "--depth", "2") == (
+        0, "0:0:<cut@2>\n", "")
+
+
 def test_a_predicate_list_and_a_parenthesised_term_parse():
     ws = parse_workspace("system X { inductive B, N; coinductive S; constructor 0 : B; "
                          "constructor 1 : B; constructor cons : B * S -> S; }\n"
@@ -997,6 +1046,35 @@ def test_a_proof_ten_thousand_levels_deep(tmp_path, capsys, chain, command, out)
     recursion limit."""
     ws = _ws(tmp_path, ONE_LINE_SYSTEM + ZEROS_PROGRAM + chain(10_000))
     assert run_main(capsys, "--format=tagged", command, ws, "p") == (0, out, "")
+
+
+@pytest.mark.parametrize("intro", ["and-intro", "or-intro"])
+def test_cmd_extract_of_an_introduction_chain_two_thousand_levels_deep(monkeypatch, capsys,
+                                                                      intro):
+    """The extractor builds a realizer's term, and a conclusion's free
+    variables, on explicit stacks.  A chain's text grows with the square of
+    its depth (24 MB at 2,000 levels), so the workspace is built in memory
+    and stands in for the file the command reads."""
+    ws = parse_workspace(ONE_LINE_SYSTEM + IDENT)
+    h = assume("h", DataAtom(ws.system.predicate("S"), Var("x")))
+    d = h
+    for _ in range(2_000):
+        d = and_intro(d, h) if intro == "and-intro" else or_intro(1, d, h.conclusion)
+    ws.proofs["p"] = d
+    monkeypatch.setattr(import_module("coeq.cli"), "parse_files", lambda paths: ws)
+    code, out, err = run_main(capsys, "--format=tagged", "extract", "ws.cds", "p")
+    assert (code, err) == (0, "")
+    assert out == ("VERDICT\textracted\nPRINCIPAL\tf0\n"
+                   "CERT\tcoinductions\t0\nCERT\tmax-split-chain\t0\n")
+
+
+def test_cmd_eval_of_a_right_hand_side_five_thousand_levels_deep(tmp_path, capsys):
+    """The kernel substitutes into a right-hand side on its own stack."""
+    ws = _ws(tmp_path, SYSTEM_SOURCE + f"program deep {{ deep(x) = {_DEEP}; }}\n"
+             "env E { v_a = 0 : v_b; v_b = 1 : v_a; }\n")
+    assert run_main(capsys, "--format=tagged", "eval", ws, "deep(v_a)", "--env", "E",
+                    "--depth", "8") == (
+        0, "APPROXIMATION\t0:0:0:0:0:0:0:0:<cut@8>\nSTALL\tnone\n", "")
 
 
 def test_a_proof_two_thousand_levels_deep_prints_and_reads_back():

@@ -326,7 +326,7 @@ def _break(node: Derivation, program) -> dict | None:
         return {"attrs": _with_attr(node, "label", "w2")}
     if rule == "rewrite":
         n = sum(e.function == node.attr("fn")
-                for e in program.body + tuple(standard_functions(SM)))
+                for e in program.body + standard_functions(SM))
         if n > 1:
             return {"attrs": _with_attr(node, "idx", (node.attr("idx") + 1) % n)}
     if rule == "data-elim":

@@ -6,7 +6,7 @@ import gc
 import io
 import pathlib
 
-from helpers import SM, fn, stream_family
+from helpers import SM, fn, inject_detours, stream_family
 
 from coeq.cli import main
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
@@ -60,6 +60,8 @@ def test_the_pipeline_and_the_commands_leave_no_cyclic_garbage():
     try:
         _realize_extraction(stock_library()["merge"].program)
         _realize_extraction(stream_family("mutual", 4))
+        d = prove_corec(check_primitive_corecursive(stream_family("mutual", 4), SM).bundle, SM)
+        assert normalize(inject_detours(d, 3)) == d
         report = roundtrip_report(depth=8, library={"flip": stock_library()["flip"]},
                                   inputs_per_entry=2)
         codes = _commands()
