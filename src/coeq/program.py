@@ -5,10 +5,9 @@ equations; validation, evaluation and proof checking add the standard ones.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations
 
-from .system import Constructor, DataSystem, ValidationReport, Violation
+from .system import DataSystem, ValidationReport, Violation
 from .terms import (Con, Fun, Record, Subst, Term, Var, _set, compose, has_fun,
                     rename_apart, substitute, subterms, variables)
 
@@ -109,33 +108,32 @@ def check_compatibility(e1: Equation, e2: Equation) -> Compatibility:
 
 
 def standard_functions(ds: DataSystem) -> tuple[Equation, ...]:
-    """Destructor and discriminator equations for the vocabulary, built
-    once per vocabulary.
+    """Destructor and discriminator equations for the vocabulary.  A data
+    system is immutable, so they are built once and kept on it.
 
     With m the maximal arity and constructors c_1..c_k (declaration order):
       pi_i(c(x_1..x_r)) = x_i            for i <= r
       pi_i(c(x_1..x_r)) = c(x_1..x_r)    for r < i <= m
       delta(c_i(y_1..y_r), x_1..x_k) = x_i
     """
-    return _standard(ds.vocabulary)
-
-
-@lru_cache(maxsize=16)   # a tuple: every caller shares it
-def _standard(vocabulary: tuple[Constructor, ...]) -> tuple[Equation, ...]:
-    m = max((c.arity for c in vocabulary), default=0)
-    k = len(vocabulary)
+    hit = ds.__dict__.get("_standard")
+    if hit is not None:
+        return hit
+    m = ds.max_arity
+    k = len(ds.vocabulary)
     eqs: list[Equation] = []
-    for c in vocabulary:
+    for c in ds.vocabulary:
         xs = tuple(Var(f"x{j + 1}") for j in range(c.arity))
         pat = Con(c.name, xs)
         for i in range(1, m + 1):
             rhs = xs[i - 1] if i <= c.arity else pat
             eqs.append(Equation(pi_name(i), (pat,), rhs))
     sel = tuple(Var(f"x{j + 1}") for j in range(k))
-    for i, c in enumerate(vocabulary):
+    for i, c in enumerate(ds.vocabulary):
         ys = tuple(Var(f"y{j + 1}") for j in range(c.arity))
         eqs.append(Equation(DELTA, (Con(c.name, ys),) + sel, sel[i]))
-    return tuple(eqs)
+    hit = ds.__dict__["_standard"] = tuple(eqs)
+    return hit
 
 
 class DeepDestructor(Record):

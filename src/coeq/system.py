@@ -52,7 +52,8 @@ class ConstructorType(Record):
 
 
 class DataSystem(Record):
-    __slots__ = ("vocabulary", "predicates", "types")
+    # standard_functions keeps the system's equations in the instance's __dict__
+    __slots__ = ("vocabulary", "predicates", "types", "__dict__")
 
     def __init__(self, vocabulary: tuple[Constructor, ...],
                  predicates: tuple[DataPredicate, ...],
