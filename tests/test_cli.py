@@ -10,8 +10,8 @@ from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
                       parse_files, parse_workspace, resolve_workspace,
                       show_approximation, show_derivation, show_program,
                       show_system, tokenize)
-from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, GeneratorBinding,
-                             Session, StallReason, Stalled)
+from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, EvalError,
+                             GeneratorBinding, Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
 from coeq.logic import DataAtom, and_intro, assume, check_proof, or_intro
 from coeq.system import CotermNode, RegularCoterm
@@ -958,12 +958,12 @@ def test_a_program_that_spells_a_standard_equation(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["pi1", "delta"])
 def test_a_binding_named_like_a_standard_function_collides(tmp_path, capsys, name):
     ws = _ws(tmp_path, FLIP_SOURCE + f"env E {{ {name} = rec a. 0 : a; }}\n")
-    err = f"error: binding '{name}' collides with a function or constructor\n"
+    message = f"binding '{name}' collides with a function or constructor"
     assert run_main(capsys, "eval", ws, "flip(0 : 1)", "--env", "E", "--depth", "2") \
-        == (2, "", err)
+        == (2, "", f"error: {message}\n")
     w = parse_workspace(FLIP_SOURCE)
     env = DiagramEnv.of({name: RegularCoterm((CotermNode("0", ()),), 0)})
-    with pytest.raises(Exception, match=err[7:-1]):
+    with pytest.raises(EvalError, match=message):
         Session(w.programs["flip"], w.system, env)
 
 
