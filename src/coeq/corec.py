@@ -55,27 +55,6 @@ class Component(Record):
         _set(self, "arity", arity)
         _set(self, "term", term)
 
-    @staticmethod
-    def destructor(i: int) -> "Component":
-        return Component(1, Fun(pi_name(i), (Var("x1"),)))
-
-    @staticmethod
-    def projection(arity: int, i: int) -> "Component":
-        return Component(arity, Var(f"x{i}"))
-
-    @staticmethod
-    def compose(outer: "Component", inners: list["Component"]) -> "Component":
-        if outer.arity != len(inners):
-            raise ValueError("composition arity mismatch")
-        if inners:
-            k = inners[0].arity
-            if any(c.arity != k for c in inners):
-                raise ValueError("inner component arities disagree")
-        else:
-            k = 0
-        binding = {f"x{i + 1}": c.term for i, c in enumerate(inners)}
-        return Component(k, substitute(outer.term, binding))
-
     def apply(self, args: tuple[Term, ...]) -> Term:
         if len(args) != self.arity:
             raise ValueError("component applied at wrong arity")

@@ -36,11 +36,11 @@ from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
                     induction, normalize, or_elim, or_intro, refl, rewrite,
                     show_path, subst_derivation, subst_formula)
 from .program import DELTA, Equation, Program, assemble_program, pi_name
-from .realize import (EVEN, MERGE, ODD, ZEROS, SortError, algebra_strata,
-                      even_term, merge_term, odd_term, term_sort, var_sorts,
-                      zeros_term)
+from .realize import (ALGEBRA, EVEN, ODD, SortError, even_term, merge_term,
+                      odd_term, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import Con, Fun, Record, Term, Var, _set, fresh_name, substitute, variables
+from .terms import (Con, Fun, Record, Term, Var, _set, fresh_name, substitute, subterms,
+                    variables)
 
 
 class ExtractError(Exception):
@@ -961,13 +961,14 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
         raise ExtractError(str(e)) from None
     f0 = ex.fresh_name("f0_") if "f0" in program.functions() else "f0"
     ex.defs.append(CompositionDef(f0, n_in, Component(n_in, mat(out))))
-    bundle = CorecBundle(tuple(algebra_strata()) + tuple(ex.defs), f0)
-    compiled = compile_schema(bundle, ds)
+    bundle = CorecBundle(tuple(ex.defs), f0)
     own = set(program.functions())
-    extra = [e for e in compiled.body if e.function not in own]
+    extra = [e for e in compile_schema(bundle, ds).body if e.function not in own]
     ex.cert.coinductions = sum(isinstance(s, CorecSchema) for s in ex.defs)
-    ex.cert.split_chain = max(_split_chain(e.rhs) for e in extra
-                              if e.function not in (EVEN, ODD, MERGE, ZEROS))
+    ex.cert.split_chain = max(_split_chain(e.rhs) for e in extra)
+    split = {e.function for e in ALGEBRA}
+    if any(u.name in split for e in extra for u in subterms(e.rhs)):
+        extra = [e for e in ALGEBRA if e.function not in own] + extra
     merged = assemble_program(ds, list(program.body) + extra, f0)
     return ExtractionResult(bundle, merged, tuple(free),
                             tuple(l for l, _f in assumptions), ex.cert)

@@ -11,14 +11,11 @@ values ride in stream heads.
 """
 from __future__ import annotations
 
-
-from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
-                    PlainSlot, RecSlot, SchemaFun, Stratum, compile_schema)
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
 from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
                     PolarityClass, classify_formula, show_path)
-from .program import DELTA, Program, assemble_program, pi_name
+from .program import DELTA, Equation, Program, assemble_program, pi_name
 from .system import DataPredicate, DataSystem
 from .terms import Con, Fun, Record, Term, Var, _set, substitute
 
@@ -26,38 +23,6 @@ EVEN = "split_even"
 ODD = "split_odd"
 MERGE = "split_merge"
 ZEROS = "split_zeros"
-
-
-def algebra_strata() -> list[Stratum]:
-    """The split algebra as schemas: split_even takes every second element,
-    split_odd = split_even . pi2, split_merge interleaves two streams and
-    split_zeros is 0:0:0:..."""
-    p1 = Component.destructor(1)
-    p2 = Component.destructor(2)
-    tl2 = Component.compose(p2, [p2])
-    return [
-        CorecSchema((SchemaFun(EVEN, 1, (PlainSlot(p1), RecSlot(1, (tl2,))),
-                               produced="cons"),)),
-        CompositionDef(ODD, 1, Component(1, Fun(EVEN, (Fun(pi_name(2), (Var("x1"),)),)))),
-        CorecSchema((SchemaFun(MERGE, 2,
-                               (PlainSlot(Component(2, Fun(pi_name(1), (Var("x1"),)))),
-                                RecSlot(1, (Component.projection(2, 2),
-                                            Component(2, Fun(pi_name(2), (Var("x1"),)))))),
-                               produced="cons"),)),
-        CorecSchema((SchemaFun(ZEROS, 0,
-                               (PlainSlot(Component(0, Con("0"))), RecSlot(1, ())),
-                               produced="cons"),)),
-    ]
-
-
-def with_algebra(program: Program, ds: DataSystem) -> Program:
-    """Extend a program with the split algebra (idempotent)."""
-    have = {e.function for e in program.body}
-    algebra = compile_schema(CorecBundle(tuple(algebra_strata()), ZEROS), ds)
-    extra = [e for e in algebra.body if e.function not in have]
-    if not extra:
-        return program
-    return assemble_program(ds, list(program.body) + extra, program.principal)
 
 
 def even_term(t: Term) -> Term:
@@ -83,6 +48,33 @@ def split_term(sigma: Term, i: int) -> Term:
     for _ in range(i):
         t = odd_term(t)
     return even_term(t)
+
+
+def _pi(i: int, t: Term) -> Term:
+    return Fun(pi_name(i), (t,))
+
+
+_X1, _X2 = Var("x1"), Var("x2")
+
+# The split algebra: split_even takes every second element, split_odd =
+# split_even . pi2, split_merge interleaves two streams and split_zeros is
+# 0:0:0:...
+ALGEBRA = (
+    Equation(EVEN, (_X1,), Con("cons", (_pi(1, _X1), even_term(_pi(2, _pi(2, _X1)))))),
+    Equation(ODD, (_X1,), even_term(_pi(2, _X1))),
+    Equation(MERGE, (_X1, _X2), Con("cons", (_pi(1, _X1), merge_term(_X2, _pi(2, _X1))))),
+    Equation(ZEROS, (), Con("cons", (Con("0"), zeros_term()))),
+)
+
+
+def with_algebra(program: Program, ds: DataSystem) -> Program:
+    """Extend a program with the split algebra's equations for the
+    functions it does not define (idempotent)."""
+    have = set(program.functions())
+    extra = [e for e in ALGEBRA if e.function not in have]
+    if not extra:
+        return program
+    return assemble_program(ds, list(program.body) + extra, program.principal)
 
 
 # ---------------------------------------------------------------------------

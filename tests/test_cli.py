@@ -515,7 +515,7 @@ def test_tagged_format(ws_file, capsys):
 
 # SHA-256 of the exit codes, stdout and written files of the invocations
 # below; error invocations are left out.
-TRANSCRIPT_SHA256 = "8201e75379de408345e62b3f21363738f3a044a2b6b1e42d37e5a0063443e675"
+TRANSCRIPT_SHA256 = "04a4ede239fc9e3c6fb6c9e70b941a39ec3e4982222f6a98871cb4e5db746e2e"
 
 STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
                   / "workspaces" / "streams.cds")

@@ -89,8 +89,8 @@ def test_rejection_stability_recursion_under_defined_function():
 def test_identity_schema_compiles_to_identity_equations():
     schema = CorecSchema((SchemaFun(
         "ident", 1,
-        (PlainSlot(Component.destructor(1)),
-         RecSlot(1, (Component.destructor(2),))),
+        (PlainSlot(Component(1, Fun("pi1", (Var("x1"),)))),
+         RecSlot(1, (Component(1, Fun("pi2", (Var("x1"),))),))),
         produced="cons"),))
     prog = compile_schema(CorecBundle((schema,), "ident"), SM)
     assert validate_program(prog, SM).ok
@@ -201,27 +201,11 @@ def test_soundness_sweep_small():
             assert first_stall(a) is None, name
 
 
-def test_component_algebra():
-    d1 = Component.destructor(1)
-    k3 = Component(4, Fun("delta", (Var("x1"), Var("x2"), Var("x3"), Var("x4"))))
-    comp = Component.compose(k3, [d1, Component.projection(1, 1),
-                                  Component.projection(1, 1),
-                                  Component.projection(1, 1)])
-    assert comp.arity == 1
-    assert comp.term == Fun("delta", (Fun("pi1", (Var("x1"),)),
-                                      Var("x1"), Var("x1"), Var("x1")))
+def test_component_apply_checks_arity():
     assert Component(0, Con("0")).apply(()) == Con("0")
-
-
-def test_component_arity_errors_and_the_empty_composition():
     pair = Component(2, Fun("f", (Var("x1"), Var("x2"))))
-    with pytest.raises(ValueError, match="^composition arity mismatch$"):
-        Component.compose(pair, [Component.projection(1, 1)])
-    with pytest.raises(ValueError, match="^inner component arities disagree$"):
-        Component.compose(pair, [Component.projection(1, 1), Component.projection(2, 1)])
     with pytest.raises(ValueError, match="^component applied at wrong arity$"):
         pair.apply((ZERO,))
-    assert Component.compose(Component(0, ZERO), []) == Component(0, ZERO)
 
 
 def test_an_invalid_program_is_rejected_as_invalid():

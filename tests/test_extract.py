@@ -87,14 +87,18 @@ def test_merge_constant_streams():
 
 def test_split_algebra_has_one_definition():
     """The split equations a realizer session evaluates are, as text, the
-    ones extraction emits."""
+    ones an extraction that calls the algebra carries; an extraction that
+    calls none carries none."""
     def split_eqs(program):
         return [str(e) for e in program.body if e.function.startswith("split_")]
 
     ident = stock_library()["ident"].program
-    emitted = _extract_program(ident, SM).program
+    d = and_intro(assume("h", DataAtom("S", _x)), assume("h", DataAtom("S", _y)))
+    emitted = extract(d, ident, SM).program
     assert split_eqs(with_algebra(ident, SM)) == split_eqs(emitted)
     assert len(split_eqs(emitted)) == 4
+    for name, entry in stock_library().items():
+        assert split_eqs(_extract_program(entry.program, SM).program) == [], name
 
 
 # -- realizes -------------------------------------------------------------------
@@ -1126,4 +1130,4 @@ def test_proofs_are_pinned():
 
 def test_extractions_are_pinned():
     assert _extractions_digest() == (
-        "f5d3c7fce313f9018288b21a41127df1528543eb7974cf9509cd8533a6ebfbe0")
+        "a62229baf7ada53f86d32c9f86f143f71d7285fe528c8b26f6a1bdfb8e895b41")
