@@ -638,7 +638,6 @@ class Extractor:
         self.defs: list[Stratum] = []
         self.counter = itertools.count(1)
         self.cert = ExtractionCertificate()
-        self.cons_name = "cons"
         self.taken = set(program.functions())
 
     def fresh_name(self, base: str) -> str:
@@ -870,7 +869,7 @@ class Extractor:
                  RecSlot(order.index(st.succ) + 1,
                          tuple(Component(k, substitute(st.nxt[q], rename))
                                for q in live[st.succ]))),
-                produced=self.cons_name))
+                produced="cons"))
         self.defs.append(CorecSchema(tuple(funs)))
         evidence = sum(q not in fixed for p in states for q in live[p])
         runners = ", ".join(f"{names[p]}/{len(live[p])}" for p in states)
@@ -926,7 +925,10 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     of the judgment's free variables plus realizers of its open assumptions
     to a realizer of the conclusion.  This is the one gate that decides a
     derivation can be extracted: it checks, has no detour and is strongly
-    positive, else an ExtractError names the condition that fails."""
+    positive, else an ExtractError names the condition that fails.  It
+    expects the boolean-stream system, in its usual declaration order."""
+    if ds != boolean_stream_system():
+        raise ExtractError("extraction expects a boolean-stream system")
     res = require_check(ds, program, d)
     if has_detour(d):
         raise ExtractError("derivation has logical detours; normalize first", "detour")

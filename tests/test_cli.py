@@ -1096,3 +1096,31 @@ def test_implications_universals_and_nullary_calls_print_and_read_back():
     d = parse_workspace(head + f"proof p {{ {text} }}").proofs["p"]
     assert show_derivation(d) == text
     assert parse_workspace(head + f"proof p {{ {show_derivation(d)} }}").proofs["p"] == d
+
+
+_WORDS = ("system W { inductive A; coinductive Wd; constructor a : A; constructor b : A; "
+          "constructor nil : Wd; constructor c : A * Wd -> Wd; }\n"
+          "program ident { ident(x) = x; }\n"
+          "proof p { (or-intro (or (Wd x) (Wd y)) ((assume (Wd x) () {label h})) {i 1}) }\n")
+
+_SWAP = ("proof p { (or-elim (or (S y) (S x)) ((assume (or (S x) (S y)) () {label h}) "
+         "(or-intro (or (S y) (S x)) ((assume (S x) () {label l})) {i 2}) "
+         "(or-intro (or (S y) (S x)) ((assume (S y) () {label r})) {i 1})) "
+         "{label1 l label2 r}) }\n")
+
+
+@pytest.mark.parametrize("source", [
+    _WORDS,
+    ONE_LINE_SYSTEM.replace("constructor 0 : B; constructor 1 : B;",
+                            "constructor 1 : B; constructor 0 : B;") + IDENT + _SWAP,
+], ids=["words", "sm-declaring-1-before-0"])
+def test_cmd_extract_refuses_a_system_other_than_sm(tmp_path, capsys, source):
+    """The extractor writes realizers over cons and the bits, and places a
+    dispatch's branches by Sm's constructor order.  On another system, or
+    on Sm declared in another order, the proof checks but extraction is a
+    failed verdict (it used to print a program that does not check, or one
+    that does not realize the proof's conclusion)."""
+    ws = _ws(tmp_path, source)
+    assert run_main(capsys, "--format=tagged", "check-proof", ws, "p")[0] == 0
+    assert run_main(capsys, "--format=tagged", "extract", ws, "p") == (
+        1, "VERDICT\tfailed\nREASON\textraction expects a boolean-stream system\n", "")
