@@ -414,7 +414,7 @@ class Parser:
             if len(args) != prog.arity:
                 raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
                                 f"applied to {len(args)} arguments", t)
-            return GeneratorBinding(prog, prog.principal, tuple(args))
+            return GeneratorBinding(prog, tuple(args))
         nodes: list[CotermNode | None] = []
         v = _run(self._coterm(ds, nodes, {}))
         if not isinstance(v, int):
@@ -682,23 +682,29 @@ def show_program(name: str, prog: Program) -> str:
     return "\n".join(lines)
 
 
-_HEADS = {And: "and", Or: "or", Imp: "imp", Exists: "ex", Forall: "all"}
+_HEADS = {And: "and", Or: "or", Imp: "imp", Exists: "ex", Forall: "all", EqAtom: "="}
 
 
-def show_formula(f: Formula) -> str:
-    if isinstance(f, DataAtom):
-        return f"({f.predicate} {show_sexp_term(f.term)})"
-    if isinstance(f, EqAtom):
-        return f"(= {show_sexp_term(f.left)} {show_sexp_term(f.right)})"
-    if isinstance(f, (Exists, Forall)):
-        return f"({_HEADS[type(f)]} {f.var} {show_formula(f.body)})"
-    return f"({_HEADS[type(f)]} {show_formula(f.left)} {show_formula(f.right)})"
-
-
-def show_sexp_term(t: Term) -> str:
-    if t.args or isinstance(t, Fun):
-        return f"({' '.join([t.name] + [show_sexp_term(a) for a in t.args])})"
-    return t.name
+def show_sexp(x: Formula | Term) -> str:
+    """A formula or a term as an s-expression, written on an explicit
+    stack: any depth."""
+    out, stack = [], [x]   # formulas and terms to print, and text to emit
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Term):
+            if u.args or isinstance(u, Fun):
+                stack += [")"] + [y for a in reversed(u.args) for y in (a, " ")] + ["(" + u.name]
+            else:
+                out.append(u.name)
+        elif isinstance(u, DataAtom):
+            stack += [")", u.term, f"({u.predicate} "]
+        elif isinstance(u, (Exists, Forall)):
+            stack += [")", u.body, f"({_HEADS[type(u)]} {u.var} "]
+        else:
+            stack += [")", u.right, " ", u.left, f"({_HEADS[type(u)]} "]
+    return "".join(out)
 
 
 def show_attr_value(v) -> str:
@@ -707,10 +713,8 @@ def show_attr_value(v) -> str:
     if isinstance(v, ConstructorType):
         names = [p.name for p in v.argument_predicates] + [v.result_predicate.name]
         return f"({v.constructor.name} {' '.join(names)})"
-    if isinstance(v, Term):
-        return show_sexp_term(v)
-    if isinstance(v, Formula):
-        return show_formula(v)
+    if isinstance(v, (Term, Formula)):
+        return show_sexp(v)
     if isinstance(v, tuple):
         if v and isinstance(v[0], tuple):
             return "(" + " ".join("(" + " ".join(x) + ")" for x in v) + ")"
@@ -733,7 +737,7 @@ def show_derivation(d: Derivation) -> str:
         pad = "  " * depth
         attrs = " ".join(f"{k.replace('_', '-')} {show_attr_value(v)}"
                          for k, v in d.attrs)
-        head, tail = f"{pad}({d.rule} {show_formula(d.conclusion)} (", f") {{{attrs}}})"
+        head, tail = f"{pad}({d.rule} {show_sexp(d.conclusion)} (", f") {{{attrs}}})"
         if d.premises:
             lines.append(head)
             todo.append(pad + tail)

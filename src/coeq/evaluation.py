@@ -22,7 +22,7 @@ from collections import Counter, deque
 
 from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
-from .program import Program, pi_name, standard_functions, validate_program
+from .program import Equation, Program, pi_name, standard_functions, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
 from .terms import Con, Fun, Record, Term, Var, _set
 
@@ -34,11 +34,10 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 class GeneratorBinding(Record):
     """v = f(w_1 ... w_k): the binding unfolds to a call of a program's
     principal function on other environment identifiers."""
-    __slots__ = ("program", "principal", "args")
+    __slots__ = ("program", "args")
 
-    def __init__(self, program: Program, principal: str, args: tuple[str, ...] = ()):
+    def __init__(self, program: Program, args: tuple[str, ...] = ()):
         _set(self, "program", program)
-        _set(self, "principal", principal)
         _set(self, "args", args)
 
 
@@ -177,9 +176,10 @@ class Session:
 
     The kernel's symbol table is the one record of what a name means: the
     constructors, then the functions of the main program, the data
-    system's standard ones, and those of every generator program (a
-    function already defined keeps its equations),
-    then the bindings, none of which may reuse a name declared before.
+    system's standard ones, and those of every generator program (which
+    is validated, and may repeat but not change the equations of a
+    function defined before it), then the bindings, none of which may
+    reuse a name declared before.
     A coterm binding `a` is its entry node: `a` unfolds to the entry's
     constructor layer, and a child that is the entry is `a` itself.  A leaf
     node (a nullary constructor) is that constant wherever it is a child,
@@ -211,10 +211,21 @@ class Session:
         for i in range(1, ds.max_arity + 1):
             k.projections.add(k.sym(pi_name(i), FUN, 1))
         # the data system's standard equations follow the main program's own
-        for body in [program.body + standard_functions(ds)] + [
-                v.program.body for _, v in self.env.bindings if isinstance(v, GeneratorBinding)]:
-            eqs = [e for e in body if k.sym_ids.get(e.function) not in k.rules]
+        have: dict[str, set[Equation]] = {}   # the equations of each function
+        bodies = [(None, program.body + standard_functions(ds))]
+        for name, v in self.env.bindings:
+            if isinstance(v, GeneratorBinding):
+                rep = validate_program(v.program, ds)
+                if not rep.ok:
+                    raise EvalError(f"binding '{name}': invalid program: {rep}")
+                bodies.append((name, v.program.body))
+        for name, body in bodies:
+            for e in body:
+                if e.function in have and e not in have[e.function]:
+                    raise EvalError(f"binding '{name}': its program redefines '{e.function}'")
+            eqs = [e for e in body if e.function not in have]
             for e in eqs:
+                have.setdefault(e.function, set()).add(e)
                 k.sym(e.function, FUN, len(e.patterns))
             for e in eqs:
                 k.add_rule(k.sym_ids[e.function],
@@ -223,7 +234,7 @@ class Session:
             sid = k.sym(name, FUN, 0)
             if isinstance(value, GeneratorBinding):
                 k.set_env(sid, self.encode(
-                    Fun(value.principal, tuple(Fun(a) for a in value.args))))
+                    Fun(value.program.principal, tuple(Fun(a) for a in value.args))))
                 continue
             nodes, entry = value.nodes, value.entry
             # each node as a child: a leaf is its constant, the entry node is

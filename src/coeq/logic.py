@@ -36,15 +36,29 @@ class Formula(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __str__(self) -> str:
+        """Infix text, written on an explicit stack: any depth."""
+        out, stack = [], [self]   # formulas to print, and text to emit
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                out.append(g)
+            elif isinstance(g, DataAtom):
+                out.append(f"{g.predicate}({g.term})")
+            elif isinstance(g, EqAtom):
+                out.append(f"{g.left} = {g.right}")
+            elif isinstance(g, _Quantified):
+                stack += [")", g.body, f"({g.sign} {g.var}. "]
+            else:
+                stack += [")", g.right, f" {g.sign} ", g.left, "("]
+        return "".join(out)
+
 
 class DataAtom(Formula):
     __slots__ = ("predicate", "term")
 
     def __new__(cls, predicate: str, term: Term):
         return _intern((cls, predicate, term))
-
-    def __str__(self) -> str:
-        return f"{self.predicate}({self.term})"
 
 
 class _Binary(Formula):
@@ -54,15 +68,9 @@ class _Binary(Formula):
     def __new__(cls, left, right):
         return _intern((cls, left, right))
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.sign} {self.right})"
-
 
 class EqAtom(_Binary):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.left} = {self.right}"
 
 
 class And(_Binary):
@@ -85,9 +93,6 @@ class _Quantified(Formula):
 
     def __new__(cls, var: str, body: Formula):
         return _intern((cls, var, body))
-
-    def __str__(self) -> str:
-        return f"({self.sign} {self.var}. {self.body})"
 
 
 class Exists(_Quantified):
@@ -121,28 +126,43 @@ def fv(f: Formula) -> set[str]:
 
 def subst_formula(f: Formula, s: dict[str, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution of s[x] for the free
-    occurrences of each variable x in s.  Unchanged subformulas are shared."""
-    if isinstance(f, DataAtom):
-        t = substitute(f.term, s)
-        return f if t is f.term else DataAtom(f.predicate, t)
-    if isinstance(f, EqAtom):
-        left, right = substitute(f.left, s), substitute(f.right, s)
-        return f if left is f.left and right is f.right else EqAtom(left, right)
-    if isinstance(f, (And, Or, Imp)):
-        left, right = subst_formula(f.left, s), subst_formula(f.right, s)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    assert isinstance(f, (Exists, Forall))
-    if f.var in s:
-        s = {x: t for x, t in s.items() if x != f.var}
-    if any(f.var in variables(t) for t in s.values()):
-        body_fv = fv(f.body)
-        s = {x: t for x, t in s.items() if x in body_fv}
-        if any(f.var in variables(t) for t in s.values()):
-            tvars = set().union(*(variables(t) for t in s.values()))
-            fresh = fresh_name(f.var, tvars | body_fv | set(s))
-            return type(f)(fresh, subst_formula(f.body, {**s, f.var: Var(fresh)}))
-    body = subst_formula(f.body, s)
-    return f if body is f.body else type(f)(f.var, body)
+    occurrences of each variable x in s.  Unchanged subformulas are shared.
+    The walk keeps its own stack: any depth."""
+    done: list[Formula] = []   # the substituted subformulas, in postorder
+    # a formula to substitute, with its substitution; or a connective to
+    # rebuild from its results (None), or a quantifier over the binder named
+    todo: list = [(f, s)]
+    while todo:
+        g, s = todo.pop()
+        if s is None:
+            right, left = done.pop(), done.pop()
+            done.append(g if left is g.left and right is g.right else type(g)(left, right))
+        elif type(s) is str:
+            body = done.pop()
+            done.append(g if body is g.body and s == g.var else type(g)(s, body))
+        elif not s:
+            done.append(g)
+        elif isinstance(g, DataAtom):
+            t = substitute(g.term, s)
+            done.append(g if t is g.term else DataAtom(g.predicate, t))
+        elif isinstance(g, EqAtom):
+            left, right = substitute(g.left, s), substitute(g.right, s)
+            done.append(g if left is g.left and right is g.right else EqAtom(left, right))
+        elif isinstance(g, _Quantified):
+            var = g.var
+            if var in s:
+                s = {x: t for x, t in s.items() if x != var}
+            if any(var in variables(t) for t in s.values()):
+                body_fv = fv(g.body)
+                s = {x: t for x, t in s.items() if x in body_fv}
+                if any(var in variables(t) for t in s.values()):
+                    tvars = set().union(*(variables(t) for t in s.values()))
+                    var = fresh_name(var, tvars | body_fv | set(s))
+                    s = {**s, g.var: Var(var)}
+            todo += [(g, var), (g.body, s)]
+        else:
+            todo += [(g, None), (g.right, s), (g.left, s)]
+    return done[0]
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:

@@ -13,7 +13,7 @@ from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
 from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, EvalError,
                              GeneratorBinding, Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
-from coeq.logic import DataAtom, and_intro, assume, check_proof, or_intro
+from coeq.logic import And, DataAtom, and_intro, assume, check_proof, ex_intro, or_intro
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
@@ -246,6 +246,22 @@ def test_cmd_eval_binding_may_not_hide_a_generator_programs_function(tmp_path, c
     for program in (("--program", "ident"), ()):
         assert run_main(capsys, "eval", ws, "g", *program, "--env", "E",
                         "--depth", "4") == (2, "", err)
+
+
+def test_cmd_eval_of_a_generator_whose_program_redefines_a_function(tmp_path, capsys):
+    """Binding `g` unfolds to `b`'s principal, which calls `b`'s own `f`.
+    A session of `a`, whose `f` differs, is an error, where it used to
+    evaluate `g` with `a`'s `f` and stall."""
+    ws = _ws(tmp_path, SYSTEM_SOURCE
+             + "program a { a(x) = f(x); f(cons(0, w)) = cons(1, f(w)); }\n"
+             + "program b { b(x) = f(x); f(cons(1, w)) = cons(0, f(w)); }\n"
+             + "env E { v = 1 : v; g = b(v); }\n")
+    run = ("--format=tagged", "eval", ws, "g", "--env", "E", "--depth", "4")
+    assert run_main(capsys, *run, "--program", "a") == (
+        2, "", "error: binding 'g': its program redefines 'f'\n")
+    for program in (("--program", "b"), ()):
+        assert run_main(capsys, *run, *program) == (
+            0, "APPROXIMATION\t0:0:0:0:<cut@4>\nSTALL\tnone\n", "")
 
 
 def test_program_after_an_env_reads_its_pattern_variables_as_variables(tmp_path, capsys):
@@ -1066,6 +1082,65 @@ def test_cmd_extract_of_an_introduction_chain_two_thousand_levels_deep(monkeypat
     assert (code, err) == (0, "")
     assert out == ("VERDICT\textracted\nPRINCIPAL\tf0\n"
                    "CERT\tcoinductions\t0\nCERT\tmax-split-chain\t0\n")
+
+
+def _and_chain(atom, n: int):
+    """((atom & atom) & ... & atom), n conjunctions deep, and its text."""
+    f = atom
+    for _ in range(n):
+        f = And(f, atom)
+    return f, "(" * n + str(atom) + f" & {atom})" * n
+
+
+_S_X = DataAtom("S", Var("x"))
+_CHAIN_2000 = _and_chain(_S_X, 2_000)[1]
+_CHAIN_3000 = _and_chain(_S_X, 3_000)[1]
+
+
+def _intro_chain_2000():
+    h = assume("h", _S_X)
+    d = h
+    for _ in range(2_000):
+        d = and_intro(d, h)
+    return d
+
+
+def _ex_intro_of_a_chain_3000():
+    """ex p. of a 3,000-deep `and` chain of S(p), from an assumption of its
+    instance at x."""
+    return ex_intro("p", _and_chain(DataAtom("S", Var("p")), 3_000)[0], Var("x"),
+                    assume("h", _and_chain(_S_X, 3_000)[0]))
+
+
+@pytest.mark.parametrize("proof, argv, expected", [
+    (_intro_chain_2000, ("check-proof",), f"{{h: S(x)}} |- {_CHAIN_2000}\n"),
+    (_intro_chain_2000, ("--format=tagged", "check-proof"),
+     f"VERDICT\tok\nJUDGMENT\t{{h: S(x)}} |- {_CHAIN_2000}\n"),
+    (_intro_chain_2000, ("normalize",), None),
+    (_ex_intro_of_a_chain_3000, ("--format=tagged", "check-proof"),
+     f"VERDICT\tok\nJUDGMENT\t{{h: {_CHAIN_3000}}} |- "
+     f"(ex p. {_CHAIN_3000.replace('S(x)', 'S(p)')})\n"),
+    (_ex_intro_of_a_chain_3000, ("--format=tagged", "extract"),
+     "VERDICT\textracted\nPRINCIPAL\tf0\nCERT\tcoinductions\t0\n"
+     "CERT\tmax-split-chain\t0\n"),
+], ids=["and-chain-check", "and-chain-check-tagged", "and-chain-normalize",
+        "ex-intro-check-tagged", "ex-intro-extract-tagged"])
+def test_a_formula_thousands_of_levels_deep_prints_and_substitutes(monkeypatch, capsys,
+                                                                   proof, argv, expected):
+    """Formulas print, infix and as s-expressions, and substitute on
+    explicit stacks.  The workspace is built in memory, because reading
+    such a proof's text is slow."""
+    ws = parse_workspace(ONE_LINE_SYSTEM + IDENT)
+    ws.proofs["p"] = proof()
+    monkeypatch.setattr(import_module("coeq.cli"), "parse_files", lambda paths: ws)
+    code, out, err = run_main(capsys, *argv, "ws.cds", "p")
+    assert (code, err) == (0, "")
+    if expected is None:   # the normal form is the proof: one line per leaf, two per node
+        lines = out.splitlines()
+        assert len(lines) == 3 * 2_000 + 1
+        assert lines[0] == "(and-intro " + "(and " * 2_000 + "(S x)" + " (S x))" * 2_000 + " ("
+    else:
+        assert out == expected
 
 
 def test_cmd_eval_of_a_right_hand_side_five_thousand_levels_deep(tmp_path, capsys):

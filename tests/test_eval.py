@@ -225,7 +225,7 @@ def test_derives_omega_collapses_to_plain_derivability_on_data_terms():
 def test_generator_binding():
     env = DiagramEnv.of({
         "a": alternating_stream(),
-        "fa": GeneratorBinding(flip_program(), "flip", ("a",)),
+        "fa": GeneratorBinding(flip_program(), ("a",)),
     })
     sess = Session(flip_program(), SM, env)
     out = sess.observe(fn("fa"), 6)
@@ -265,10 +265,32 @@ def test_binding_named_like_an_equation_variable():
 
 def test_binding_may_not_hide_a_generator_programs_function():
     lib = stock_library()
-    env = DiagramEnv.of({"g": GeneratorBinding(lib["ones"].program, "ones"),
+    env = DiagramEnv.of({"g": GeneratorBinding(lib["ones"].program),
                          "ones": stream_coterm([0], loop_to=0)})
     with pytest.raises(EvalError, match="binding 'ones' collides with a function"):
         Session(lib["ident"].program, SM, env)
+
+
+def _calls_f(name: str, head, out) -> Program:
+    """name(x) = f(x); f(cons(head, w)) = cons(out, f(w))."""
+    return assemble_program(SM, [Equation(name, (v("x"),), fn("f", v("x"))),
+                                 Equation("f", (cons(head, v("w")),),
+                                          cons(out, fn("f", v("w"))))], name)
+
+
+def test_a_generator_program_is_validated_and_keeps_its_own_functions():
+    """A generator program may not define a function the session has by
+    other equations: `g` would unfold with the session's `f`, not its
+    program's."""
+    a, b = _calls_f("a", ZERO, ONE), _calls_f("b", ONE, ZERO)
+    env = DiagramEnv.of({"v": stream_coterm([1], loop_to=0), "g": GeneratorBinding(b, ("v",))})
+    with pytest.raises(EvalError, match="^binding 'g': its program redefines 'f'$"):
+        Session(a, SM, env)
+    assert approx_bits(Session(b, SM, env).observe(fn("g"), 4)) == [0, 0, 0, 0]
+    unbound = Program((Equation("u", (), v("y")),), "u", 0)
+    with pytest.raises(EvalError, match="^binding 'g': invalid program: "
+                                        r"\[unbound-variable\]"):
+        Session(b, SM, DiagramEnv.of({"g": GeneratorBinding(unbound)}))
 
 
 BAD_COTERM = RegularCoterm((CotermNode("cons", (0,)),), entry=0)
@@ -282,7 +304,7 @@ INVALID_ENVS = [
      "has arity 2, node has 1 children"),
     ((("a", coterm_layer(0, "nope")),),
      "[unknown-binding] binding 'a': unknown binding 'nope'"),
-    ((("a", GeneratorBinding(flip_program(), "flip", ("nope",))),),
+    ((("a", GeneratorBinding(flip_program(), ("nope",))),),
      "[unknown-binding] binding 'a': unknown binding 'nope'"),
 ]
 
@@ -298,7 +320,7 @@ def test_invalid_environment_rejected(bindings, violation):
 
 def test_a_call_of_the_wrong_arity_is_an_error():
     env = DiagramEnv.of({"a": alternating_stream(),
-                         "g": GeneratorBinding(flip_program(), "flip", ("a", "a"))})
+                         "g": GeneratorBinding(flip_program(), ("a", "a"))})
     with pytest.raises(EvalError, match="function 'flip' has arity 1, applied to 2"):
         Session(flip_program(), SM, env)
     sess = Session(flip_program(), SM, flip_env())
@@ -476,7 +498,7 @@ def test_never_nullary_follows_right_hand_sides():
     cons node and a function with no rule cannot; odd calls even, which is
     resolved by the fixpoint."""
     env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
-                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+                         "v_f": GeneratorBinding(flip_program(), ("v_a",))})
     lib = stock_library()
     eqs = [e for p in (lib["odd"].program, flip_program()) for e in p.body
            if not reserved_function(e.function)]
@@ -509,7 +531,7 @@ def test_never_nullary_sees_a_rule_added_after_it_was_asked():
 
 def test_a_generator_binding_or_a_cons_node_at_the_bound_is_not_forced():
     env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
-                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+                         "v_f": GeneratorBinding(flip_program(), ("v_a",))})
     sess = Session(flip_program(), SM, env)
     for t in (fn("v_f"), fn("v_a")):
         assert sess.observe(cons(ZERO, t), 1) == ApproxNode(
@@ -635,7 +657,7 @@ def test_projections_of_unknown_data_wait_for_their_call():
     yet forced is not reduced: only ident's rule fires.  A projection of a coterm names
     the node it reaches."""
     env = DiagramEnv.of({"v_a": stream_coterm([0, 1], loop_to=0),
-                         "v_f": GeneratorBinding(flip_program(), "flip", ("v_a",))})
+                         "v_f": GeneratorBinding(flip_program(), ("v_a",))})
     sess = _stock_session("ident", env)
     for p in (fn("pi1", fn("v_f")), fn("pi2", Var("q")), fn("pi2", fn("flip", fn("v_a")))):
         status, out, steps = sess.k.head_normalize(sess.encode(fn("ident", p)), 1)

@@ -47,7 +47,7 @@ RECORDS = [
     ("system", "ValidationReport", "violations=()", True),
     ("system", "CotermNode", "constructor children=()", True),
     ("system", "RegularCoterm", "nodes entry=0", True),
-    ("evaluation", "GeneratorBinding", "program principal args=()", True),
+    ("evaluation", "GeneratorBinding", "program args=()", True),
     ("evaluation", "DiagramEnv", "bindings=()", True),
     ("evaluation", "StallReason", "kind steps=None", True),
     ("evaluation", "ApproxNode", "constructor children depth", True),
