@@ -686,18 +686,16 @@ _HEADS = {And: "and", Or: "or", Imp: "imp", Exists: "ex", Forall: "all", EqAtom:
 
 
 def show_sexp(x: Formula | Term) -> str:
-    """A formula or a term as an s-expression, written on an explicit
-    stack: any depth."""
+    """A formula or a term as an s-expression, on an explicit stack."""
     out, stack = [], [x]   # formulas and terms to print, and text to emit
     while stack:
         u = stack.pop()
         if isinstance(u, str):
             out.append(u)
+        elif isinstance(u, (Var, Con)) and not u.args:
+            out.append(u.name)
         elif isinstance(u, Term):
-            if u.args or isinstance(u, Fun):
-                stack += [")"] + [y for a in reversed(u.args) for y in (a, " ")] + ["(" + u.name]
-            else:
-                out.append(u.name)
+            stack += [")"] + [y for a in reversed(u.args) for y in (a, " ")] + ["(" + u.name]
         elif isinstance(u, DataAtom):
             stack += [")", u.term, f"({u.predicate} "]
         elif isinstance(u, (Exists, Forall)):

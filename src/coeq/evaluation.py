@@ -55,21 +55,22 @@ class DiagramEnv(Record):
         return [n for n, _ in self.bindings]
 
     def validate(self, ds: DataSystem) -> ValidationReport:
-        """Each name bound once, each coterm well formed, and every coterm
-        child and generator argument a bound name."""
+        """Each name bound once, each coterm and generator program well
+        formed, and every coterm child and generator argument a bound name."""
         names = self.names()
         out = [Violation("duplicate-binding", f"binding '{n}': bound more than once")
                for n, c in Counter(names).items() if c > 1]
         bound = set(names)
         for name, value in self.bindings:
             if isinstance(value, GeneratorBinding):
+                code, rep = "bad-program", validate_program(value.program, ds)
                 refs = value.args
             else:
-                rep = value.validate(ds)
-                if not rep.ok:
-                    out.append(Violation("bad-coterm", f"binding '{name}': {rep}"))
+                code, rep = "bad-coterm", value.validate(ds)
                 refs = tuple(ch for node in value.nodes for ch in node.children
                              if isinstance(ch, str))
+            if not rep.ok:
+                out.append(Violation(code, f"binding '{name}': {rep}"))
             out.extend(Violation("unknown-binding", f"binding '{name}': unknown binding '{r}'")
                        for r in refs if r not in bound)
         return ValidationReport(tuple(out))
@@ -177,9 +178,8 @@ class Session:
     The kernel's symbol table is the one record of what a name means: the
     constructors, then the functions of the main program, the data
     system's standard ones, and those of every generator program (which
-    is validated, and may repeat but not change the equations of a
-    function defined before it), then the bindings, none of which may
-    reuse a name declared before.
+    may repeat, not change, the equations of a function defined before
+    it), then the bindings, none of which may reuse a name declared before.
     A coterm binding `a` is its entry node: `a` unfolds to the entry's
     constructor layer, and a child that is the entry is `a` itself.  A leaf
     node (a nullary constructor) is that constant wherever it is a child,
@@ -212,14 +212,8 @@ class Session:
             k.projections.add(k.sym(pi_name(i), FUN, 1))
         # the data system's standard equations follow the main program's own
         have: dict[str, set[Equation]] = {}   # the equations of each function
-        bodies = [(None, program.body + standard_functions(ds))]
-        for name, v in self.env.bindings:
-            if isinstance(v, GeneratorBinding):
-                rep = validate_program(v.program, ds)
-                if not rep.ok:
-                    raise EvalError(f"binding '{name}': invalid program: {rep}")
-                bodies.append((name, v.program.body))
-        for name, body in bodies:
+        for name, body in [(None, program.body + standard_functions(ds))] + [
+                (n, v.program.body) for n, v in self.env.bindings if isinstance(v, GeneratorBinding)]:
             for e in body:
                 if e.function in have and e not in have[e.function]:
                     raise EvalError(f"binding '{name}': its program redefines '{e.function}'")

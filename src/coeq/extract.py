@@ -924,9 +924,8 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     derivation: a primitive-corecursive program whose principal maps values
     of the judgment's free variables plus realizers of its open assumptions
     to a realizer of the conclusion.  This is the one gate that decides a
-    derivation can be extracted: it checks, has no detour and is strongly
-    positive, else an ExtractError names the condition that fails.  It
-    expects the boolean-stream system, in its usual declaration order."""
+    derivation can be extracted: its system is Sm, it checks, has no detour
+    and is strongly positive, else an ExtractError names what fails."""
     if ds != boolean_stream_system():
         raise ExtractError("extraction expects a boolean-stream system")
     res = require_check(ds, program, d)

@@ -129,8 +129,8 @@ def subst_formula(f: Formula, s: dict[str, Term]) -> Formula:
     occurrences of each variable x in s.  Unchanged subformulas are shared.
     The walk keeps its own stack: any depth."""
     done: list[Formula] = []   # the substituted subformulas, in postorder
-    # a formula to substitute, with its substitution; or a connective to
-    # rebuild from its results (None), or a quantifier over the binder named
+    # (formula, substitution) to visit, or a node to rebuild from its
+    # results: (connective, None) or (quantifier, its binder's name)
     todo: list = [(f, s)]
     while todo:
         g, s = todo.pop()

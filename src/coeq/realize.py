@@ -70,8 +70,7 @@ ALGEBRA = (
 def with_algebra(program: Program, ds: DataSystem) -> Program:
     """Extend a program with the split algebra's equations for the
     functions it does not define (idempotent)."""
-    have = set(program.functions())
-    extra = [e for e in ALGEBRA if e.function not in have]
+    extra = [e for e in ALGEBRA if e.function not in program.functions()]
     if not extra:
         return program
     return assemble_program(ds, list(program.body) + extra, program.principal)
