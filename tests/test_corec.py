@@ -201,11 +201,22 @@ def test_soundness_sweep_small():
             assert first_stall(a) is None, name
 
 
-def test_component_apply_checks_arity():
+def test_component_algebra():
+    # Composition is application to argument terms over the inner variables.
+    k3 = Component(4, Fun("delta", (Var("x1"), Var("x2"), Var("x3"), Var("x4"))))
+    comp = k3.apply((Fun("pi1", (Var("x1"),)), Var("x1"), Var("x1"), Var("x1")))
+    assert comp == Fun("delta", (Fun("pi1", (Var("x1"),)),
+                                 Var("x1"), Var("x1"), Var("x1")))
     assert Component(0, Con("0")).apply(()) == Con("0")
+
+
+def test_component_arity_errors_and_the_empty_composition():
     pair = Component(2, Fun("f", (Var("x1"), Var("x2"))))
     with pytest.raises(ValueError, match="^component applied at wrong arity$"):
         pair.apply((ZERO,))
+    with pytest.raises(ValueError, match="^component applied at wrong arity$"):
+        pair.apply((ZERO, ZERO, ZERO))
+    assert Component(0, ZERO).apply(()) == ZERO
 
 
 def test_an_invalid_program_is_rejected_as_invalid():
