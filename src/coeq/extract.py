@@ -3,9 +3,10 @@
 `prove_corec` turns a recognized corecursive definition into a checked
 natural-deduction proof that its functions map streams to streams: one
 coinduction per schema, with the invariant "z is a value of some vector
-member on stream arguments", and component typings synthesized bottom-up
-(destructor eliminations, boolean case analysis for discriminator
-dispatch, and grafted proofs of previously defined functions).
+member on stream arguments" (a balanced disjunction), and component
+typings synthesized bottom-up (destructor eliminations, boolean case
+analysis for discriminator dispatch, and grafted proofs of previously
+defined functions).
 
 `extract` walks a detour-free, all-strongly-positive derivation and emits
 a primitive-corecursive program realizing its conclusion: logical rules
@@ -36,8 +37,8 @@ from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
                     induction, normalize, or_elim, or_intro, refl, rewrite,
                     show_path, subst_derivation, subst_formula)
 from .program import DELTA, Equation, Program, assemble_program, pi_name
-from .realize import (ALGEBRA, EVEN, ODD, SortError, even_term, merge_term,
-                      odd_term, term_sort, var_sorts, zeros_term)
+from .realize import (ALGEBRA, EVEN, ODD, SortError, check_algebra, even_term,
+                      merge_term, odd_term, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
 from .terms import (Con, Fun, Record, Term, Var, _set, fresh_name, substitute, subterms,
                     variables)
@@ -45,7 +46,7 @@ from .terms import (Con, Fun, Record, Term, Var, _set, fresh_name, substitute, s
 
 class ExtractError(Exception):
     """`condition` names the condition of `extract`'s gate that failed:
-    "check", "detour" or "strongly-positive"; None for a failure past it."""
+    "check", "detour", "strongly-positive" or "sort"; None otherwise."""
 
     def __init__(self, message: str, condition: str | None = None):
         super().__init__(message)
@@ -157,7 +158,8 @@ class Prover:
         zz = "zz"
         phi = _disjunction(_disjuncts(fns, Var(zz)))
         # phi is the same for every member, so one decomposition premise serves all
-        d_dcm = self._dcm_proof(fns, phi, zz)
+        d_dcm = self._dcm_proof(fns, build_dcm(self.ds, "S", phi, zz, zz), zz,
+                                "w", phi, 0, len(fns))
         out: dict[str, Derivation] = {}
         for p, f in enumerate(fns):
             d = self._member_proof(fns, p, phi, zz, d_dcm)
@@ -184,13 +186,7 @@ class Prover:
             d = and_intro(pd, d)
         d = self._intro_exists(ys, _chain(f.name, val, [Var(y) for y in ys]),
                                arg_values, d)
-        # now select disjunct p inside the right-associated chain
-        inst = _disjuncts(fns, val)
-        if p < len(fns) - 1:
-            d = or_intro(1, d, _disjunction(inst[p + 1:]))
-        for i in range(p - 1, -1, -1):
-            d = or_intro(2, d, inst[i])
-        return d
+        return _select(_disjunction(_disjuncts(fns, val)), len(fns), p, d)
 
     def _member_proof(self, fns, p: int, phi: Formula, zz: str,
                       d_dcm: Derivation) -> Derivation:
@@ -201,27 +197,23 @@ class Prover:
         premise1 = self._intro_member(fns, p, t, xs, arg_proofs)
         return coinduction("S", zz, phi, t, "w", premise1, d_dcm)
 
-    def _dcm_proof(self, fns, phi: Formula, zz: str) -> Derivation:
-        inst = _disjuncts(fns, Var(zz))
-        # or-elimination i splits the disjunction of inst[i:], assumed under
-        # labs[i], into disjunct i and the rest; labels are drawn front to back
-        n = len(fns)
-        labs = ["w"]
-        lefts = []
-        for i in range(n - 1):
-            l1 = next(self.labels)
-            labs.append(next(self.labels))
-            lefts.append((l1, self._dcm_case(fns, phi, zz, i, assume(l1, inst[i]))))
-        d = self._dcm_case(fns, phi, zz, n - 1, assume(labs[-1], inst[-1]))
-        for i in range(n - 2, -1, -1):
-            l1, left = lefts[i]
-            d = or_elim(assume(labs[i], _disjunction(inst[i:])), l1, left, labs[i + 1], d)
-        return d
+    def _dcm_proof(self, fns, dcm: Formula, zz: str, label: str, tree: Formula,
+                   lo: int, n: int) -> Derivation:
+        """The decomposition `dcm` of zz from `tree`, the disjunction of
+        disjuncts lo..lo+n-1, assumed under `label`: one or-elimination per
+        split, its two labels drawn before its left subtree."""
+        if n == 1:
+            return self._dcm_case(fns, dcm, zz, lo, assume(label, tree))
+        m = n // 2
+        l1, l2 = next(self.labels), next(self.labels)
+        left = self._dcm_proof(fns, dcm, zz, l1, tree.left, lo, m)
+        right = self._dcm_proof(fns, dcm, zz, l2, tree.right, lo + m, n - m)
+        return or_elim(assume(label, tree), l1, left, l2, right)
 
-    def _dcm_case(self, fns, phi: Formula, zz: str, j: int,
+    def _dcm_case(self, fns, dcm: Formula, zz: str, j: int,
                   d_j: Derivation) -> Derivation:
         """From a proof of disjunct j (zz is f_j on streams), derive the
-        decomposition of zz."""
+        decomposition `dcm` of zz."""
         fj = fns[j]
         k = fj.arity
         es = [f"e{next(self.labels)}" for _ in range(k)]
@@ -249,12 +241,11 @@ class Prover:
         d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,
                                         tail_args, typed[1:])
         body = and_intro(typed[0], and_intro(d_phi_tail, stepped))
-        dcm_shape = build_dcm(self.ds, "S", phi, zz, zz)
         z_names = []
-        while isinstance(dcm_shape, Exists):
-            z_names.append(dcm_shape.var)
-            dcm_shape = dcm_shape.body
-        d = self._intro_exists(z_names, dcm_shape, [head_term, tail_term], body)
+        while isinstance(dcm, Exists):
+            z_names.append(dcm.var)
+            dcm = dcm.body
+        d = self._intro_exists(z_names, dcm, [head_term, tail_term], body)
         return self._close_exists(fj.name, zz, es, a_label, d, d_j)
 
     def _close_exists(self, fn: str, zz: str, es: list[str], a_label: str,
@@ -296,11 +287,23 @@ def _closure(names, body: Formula) -> Formula:
 
 
 def _disjunction(fs) -> Formula:
-    """fs[0] | (fs[1] | ... | fs[-1]), nested to the right."""
-    out = fs[-1]
-    for g in reversed(fs[:-1]):
-        out = Or(g, out)
-    return out
+    """The disjunction of fs as a balanced tree: the first len // 2 on the
+    left, the rest on the right (for three or fewer, nested to the right)."""
+    if len(fs) == 1:
+        return fs[0]
+    m = len(fs) // 2
+    return Or(_disjunction(fs[:m]), _disjunction(fs[m:]))
+
+
+def _select(tree: Formula, n: int, p: int, d: Derivation) -> Derivation:
+    """d, a proof of disjunct p of `tree` (`_disjunction` of n disjuncts),
+    as a proof of `tree`: one or-introduction per level."""
+    if n == 1:
+        return d
+    m = n // 2
+    if p < m:
+        return or_intro(1, _select(tree.left, m, p, d), tree.right)
+    return or_intro(2, _select(tree.right, n - m, p - m, d), tree.left)
 
 
 def _disjuncts(fns, val: Term) -> list[Formula]:
@@ -928,6 +931,10 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     and is strongly positive, else an ExtractError names what fails."""
     if ds != boolean_stream_system():
         raise ExtractError("extraction expects a boolean-stream system")
+    try:
+        check_algebra(program)
+    except ValueError as e:
+        raise ExtractError(str(e)) from None
     res = require_check(ds, program, d)
     if has_detour(d):
         raise ExtractError("derivation has logical detours; normalize first", "detour")
@@ -942,10 +949,7 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     n_in = len(free) + len(assumptions)
     xs = arg_vars(n_in)
     try:
-        sorts = var_sorts(d.conclusion, ds, None)
-        for (label, f) in assumptions:
-            for v2, s in var_sorts(f, ds, None).items():
-                sorts.setdefault(v2, s)
+        sorts = var_sorts((d.conclusion,) + tuple(f for _l, f in assumptions), ds, None)
         for i, v2 in enumerate(free):
             if sorts.get(v2) == "B":
                 ctx["values"][v2] = ("B", Fun(pi_name(1), (xs[i],)))
@@ -959,7 +963,7 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
             ctx["values"][v2] = ("B", Con("0")) if s == "B" else ("S", Leaf(zeros_term()))
         out = _run(ex.extract(d, ctx))
     except SortError as e:
-        raise ExtractError(str(e)) from None
+        raise ExtractError(str(e), "sort") from None
     f0 = ex.fresh_name("f0_") if "f0" in program.functions() else "f0"
     ex.defs.append(CompositionDef(f0, n_in, Component(n_in, mat(out))))
     bundle = CorecBundle(tuple(ex.defs), f0)
@@ -1020,13 +1024,22 @@ def _rename_functions(program: Program, suffix: str, ds: DataSystem) -> Program:
 
 
 def _rename_calls(t: Term, mapping: dict[str, str]) -> Term:
-    """t with each call of a function in `mapping` renamed."""
-    if isinstance(t, Var):
-        return t
-    args = tuple(_rename_calls(a, mapping) for a in t.args)
-    if isinstance(t, Fun) and t.name in mapping:
-        return Fun(mapping[t.name], args)
-    return type(t)(t.name, args)
+    """t with each call of a function in `mapping` renamed, on an explicit
+    stack."""
+    stack = [(t, [])]   # a term, and its arguments renamed so far
+    while True:
+        u, new = stack[-1]
+        if len(new) < len(u.args):
+            stack.append((u.args[len(new)], []))
+            continue
+        stack.pop()
+        if isinstance(u, Fun):
+            u = Fun(mapping.get(u.name, u.name), tuple(new))
+        elif isinstance(u, Con):
+            u = Con(u.name, tuple(new))
+        if not stack:
+            return u
+        stack[-1][1].append(u)
 
 
 ROUNDTRIP_BUDGET = 100_000   # steps for each case of the bisimulation stage

@@ -67,9 +67,21 @@ ALGEBRA = (
 )
 
 
+def check_algebra(program: Program) -> None:
+    """A ValueError if the program defines a function of the split algebra
+    by other equations than the algebra's."""
+    for a in ALGEBRA:
+        own = [e for e in program.body if e.function == a.function]
+        if own and own != [a]:
+            raise ValueError(f"the program defines '{a.function}' other than "
+                             f"the split algebra does")
+
+
 def with_algebra(program: Program, ds: DataSystem) -> Program:
     """Extend a program with the split algebra's equations for the
-    functions it does not define (idempotent)."""
+    functions it does not define (idempotent).  A ValueError if it defines
+    one of them otherwise (`check_algebra`)."""
+    check_algebra(program)
     extra = [e for e in ALGEBRA if e.function not in program.functions()]
     if not extra:
         return program
@@ -111,35 +123,38 @@ def _parts(u: Term | Formula, ds: DataSystem, signature: dict | None) -> list:
     return [(a, None) for a in u.args]
 
 
-def var_sorts(x: Term | Formula, ds: DataSystem,
+def var_sorts(x: Term | Formula | tuple[Formula, ...], ds: DataSystem,
               signature: dict | None) -> dict[str, str]:
-    """The sorts of the free variables of a term or formula, from the
-    positions they occur at: arguments of a constructor with one declared
-    type, the stream a projection reads, a delta's selector, the arguments
-    of a function `signature` types (it maps a name to a record with
-    `arg_sorts` and `result_sort`, or is None) and data atoms.  A variable
-    at no such position is left out; callers take it to be 'S'.  A
-    quantifier's variable is sorted from its own body, apart from any other
-    variable of that name: it is left out too, and `var_sorts(q.body, ...)`
-    gives its sort.  The walk is preorder, left to right, so the first
-    conflicting variable is the one reported."""
+    """The sorts of the free variables of a term or formula, or of a tuple
+    of formulas sorted together (a judgment: one sort per variable across
+    all of them), from the positions they occur at: arguments of a
+    constructor with one declared type, the stream a projection reads, a
+    delta's selector, the arguments of a function `signature` types (it
+    maps a name to a record with `arg_sorts` and `result_sort`, or is None)
+    and data atoms.  A variable at no such position is left out; callers
+    take it to be 'S'.  A quantifier's variable is sorted from its own
+    body, apart from any other variable of that name: it is left out too,
+    and `var_sorts(q.body, ...)` gives its sort.  The walk is preorder, left
+    to right, so the first conflicting variable is the one reported, with
+    the term or formula of the walk where it conflicts."""
     sorts: dict[str, str] = {}
     # a bound name -> the sorts of its enclosing binders, innermost last
     scopes: dict[str, list[dict[str, str]]] = {}
-    stack: list = [(x, None)]
-    while stack:
-        u, s = stack.pop()
-        if isinstance(u, str):
-            scopes[u].pop()  # the end of a binder's scope
-        elif isinstance(u, Var):
-            table = scopes[u.name][-1] if scopes.get(u.name) else sorts
-            if s and table.setdefault(u.name, s) != s:
-                raise SortError(f"variable '{u.name}' used at both sorts in '{x}'")
-        else:
-            if isinstance(u, (Exists, Forall)):
-                scopes.setdefault(u.var, []).append({})
-                stack.append((u.var, None))
-            stack.extend(reversed(_parts(u, ds, signature)))
+    for root in x if isinstance(x, tuple) else (x,):
+        stack: list = [(root, None)]
+        while stack:
+            u, s = stack.pop()
+            if isinstance(u, str):
+                scopes[u].pop()  # the end of a binder's scope
+            elif isinstance(u, Var):
+                table = scopes[u.name][-1] if scopes.get(u.name) else sorts
+                if s and table.setdefault(u.name, s) != s:
+                    raise SortError(f"variable '{u.name}' used at both sorts in '{root}'")
+            else:
+                if isinstance(u, (Exists, Forall)):
+                    scopes.setdefault(u.var, []).append({})
+                    stack.append((u.var, None))
+                stack.extend(reversed(_parts(u, ds, signature)))
     return sorts
 
 

@@ -426,6 +426,33 @@ def test_cmd_extract_sort_conflict_is_a_verdict(tmp_path, capsys):
     assert "VERDICT\tfailed" in out.splitlines()
 
 
+def test_cmd_extract_refuses_a_variable_at_two_sorts_across_the_judgment(tmp_path, capsys):
+    """`h: B(x)` makes x a bit and `a: S(x)` a stream: the judgment gives
+    each variable one sort, so this is a sort conflict, not an extraction
+    that fails to realize its conclusion."""
+    ws = _ws(tmp_path, SM_SOURCE + """
+program flip { flip(cons(0, w)) = cons(1, flip(w)); flip(cons(1, w)) = cons(0, flip(w)); }
+proof p { (and-intro (and (B x) (ex p (S p))) (
+  (assume (B x) () {label h})
+  (ex-intro (ex p (S p)) ((assume (S x) () {label a})) {witness x})) {}) }
+""")
+    assert run_main(capsys, "--format=tagged", "check-proof", ws, "p")[0] == 0
+    assert run_main(capsys, "--format=tagged", "extract", ws, "p") == (
+        1, "VERDICT\tfailed\nREASON\tvariable 'x' used at both sorts in 'S(x)'\n", "")
+
+
+def test_cmd_extract_refuses_a_program_that_replaces_the_split_algebra(tmp_path, capsys):
+    """The program's own split_even would stand in for the algebra's in
+    the extraction; the extraction is refused instead."""
+    ws = _ws(tmp_path, SM_SOURCE + """
+program ident { ident(x) = pi1(x) : ident(pi2(x)); split_even(x1) = x1; }
+proof p { (and-elim (S x) ((assume (and (S x) (S y)) () {label h})) {i 1}) }
+""")
+    assert run_main(capsys, "--format=tagged", "extract", ws, "p") == (
+        1, "VERDICT\tfailed\nREASON\tthe program defines 'split_even' other than "
+           "the split algebra does\n", "")
+
+
 LABEL_AND_INNER_VARIABLE_PROOFS = """
 proof twice {
   (and-intro (and (S x) (S y)) (

@@ -428,6 +428,19 @@ def test_every_member_of_a_schema_checks():
         assert res.conclusion == DataAtom("S", Fun(m, (Var("x1"),)))
 
 
+def test_member_proof_of_a_hundred_member_schema_is_n_log_n():
+    """The invariant is a balanced disjunction, so selecting a member takes
+    one or-introduction per level: at most ceil(log2 100) = 7 on any
+    root-to-leaf path, and at most 3,000 nodes in one member's proof."""
+    bundle = check_primitive_corecursive(stream_family("mutual", 100), SM).bundle
+    d = prove_corec(bundle, SM)
+    depth: dict[tuple, int] = {}
+    for path, node in d.nodes():
+        depth[path] = depth.get(path[:-1], 0) + (node.rule == "or-intro")
+    assert len(depth) <= 3000
+    assert max(depth.values()) <= 7
+
+
 def test_prove_corec_leaves_no_prover_alive():
     """The prover holds no reference cycle, so it is freed as soon as
     prove_corec returns, without waiting for the cycle collector."""
@@ -632,6 +645,60 @@ def test_var_sorts_scopes_bound_variables():
     assert var_sorts(Exists("y", And(B("y"), S("x"))).body, SM, None) == {"y": "B", "x": "S"}
     with pytest.raises(SortError, match="variable 'y' used at both sorts"):
         var_sorts(And(S("x"), Exists("y", And(B("y"), S("y")))), SM, None)
+
+
+def test_a_variable_at_two_sorts_across_the_judgment_is_a_sort_error():
+    """A tuple of formulas is sorted together: x a bit in one formula and a
+    stream in another is the conflict it is within one formula, named with
+    the formula where it conflicts.  `extract` sorts its judgment so, and
+    gives the conflict the condition "sort"."""
+    from coeq.logic import Exists, ex_intro
+    from coeq.realize import SortError, var_sorts
+    bx, sx = DataAtom("B", Var("x")), DataAtom("S", Var("x"))
+    assert var_sorts((bx, DataAtom("S", Var("y"))), SM, None) == {"x": "B", "y": "S"}
+    message = "variable 'x' used at both sorts in 'S(x)'"
+    with pytest.raises(SortError) as e:
+        var_sorts((bx, sx), SM, None)
+    assert str(e.value) == message
+    d = and_intro(assume("h", bx), ex_intro("p", DataAtom("S", Var("p")), Var("x"),
+                                            assume("a", sx)))
+    assert d.conclusion == And(bx, Exists("p", DataAtom("S", Var("p"))))
+    with pytest.raises(ExtractError) as e:
+        extract(d, stock_library()["flip"].program, SM)
+    assert (e.value.condition, str(e.value)) == ("sort", message)
+
+
+def test_a_program_that_defines_a_split_function_otherwise_is_refused():
+    """The split algebra is not the program's to replace: `with_algebra`,
+    so `realizes`, raises a ValueError and `extract` an ExtractError.  A
+    program that carries exactly the algebra is unaffected."""
+    ident = stock_library()["ident"].program
+    own = Equation("split_even", (Var("x1"),), Var("x1"))
+    program = assemble_program(SM, list(ident.body) + [own], "ident")
+    h = assume("h", And(DataAtom("S", Var("x")), DataAtom("S", Var("y"))))
+    d = and_elim(1, h)
+    with pytest.raises(ValueError, match="'split_even'"):
+        with_algebra(program, SM)
+    with pytest.raises(ValueError, match="'split_even'"):
+        realizes(RealizabilityJudgment.of(program, SM, None, {"x": _ZEROS},
+                                          _ZEROS, d.conclusion, 8))
+    with pytest.raises(ExtractError, match="'split_even'"):
+        extract(d, program, SM)
+    full = with_algebra(ident, SM)
+    assert with_algebra(full, SM) is full
+    result = extract(d, full, SM)
+    assert check_primitive_corecursive(result.program, SM).accepted
+
+
+def test_rename_functions_of_a_right_hand_side_three_thousand_calls_deep():
+    from coeq.extract import _rename_functions
+    rhs, renamed = Var("x"), Var("x")
+    for _ in range(3000):
+        rhs, renamed = Fun("g", (rhs,)), Fun("g_orig", (renamed,))
+    program = assemble_program(SM, [Equation("g", (Var("x"),), rhs)], "g")
+    out = _rename_functions(program, "_orig", SM)
+    assert out.principal == "g_orig"
+    assert list(out.body) == [Equation("g_orig", (Var("x"),), renamed)]
 
 
 def test_extract_realizes_conclusion():
@@ -1125,7 +1192,7 @@ def _extractions_digest():
 
 def test_proofs_are_pinned():
     assert _proofs_digest() == (
-        "23410eaefca5ef03003c058f45f6d3afb6e1a4b0d4a3101649d89d5157d55aa9")
+        "08c18d9612f0c9511527d36566eb8b0b70f472d7191b8f88d93d1e4087128530")
 
 
 def test_extractions_are_pinned():
