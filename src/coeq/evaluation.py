@@ -104,7 +104,35 @@ class StallReason(Record):
 
 
 class Approximation(Record):
+    """An observation: an `ApproxNode` tree with `Cut` and `Stalled`
+    leaves.  A tree is as deep as its observation, so equality, hash and
+    repr walk it on explicit stacks.  Equality and repr are Record's; the
+    hash agrees with equality."""
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self))) if _inner(self) else Record.__hash__(self)
+
+    def __repr__(self) -> str:
+        out, stack = [], [self]   # text emitted, and nodes and text to emit
+        while stack:
+            a = stack.pop()
+            if isinstance(a, str):
+                out.append(a)
+            elif not _inner(a):
+                out.append(Record.__repr__(a))
+            else:
+                pieces = [x for c in a.children for x in (", ", c)][1:]   # c1, ", ", c2, ...
+                close = ",)" if len(a.children) == 1 else ")"
+                stack.append(f"{close}, depth={a.depth!r})")
+                stack += pieces[::-1]
+                stack.append(f"{type(a).__qualname__}(constructor={a.constructor!r}, children=(")
+        return "".join(out)
 
 
 class ApproxNode(Approximation):
@@ -132,6 +160,26 @@ class Stalled(Approximation):
         _set(self, "depth", depth)
 
 
+def _inner(a: Approximation) -> bool:
+    """Whether a is a node with a tuple of children to walk."""
+    return isinstance(a, ApproxNode) and isinstance(a.children, tuple)
+
+
+def _preorder(a: Approximation) -> list[tuple]:
+    """a's nodes in preorder, each as its class and fields, with an inner
+    node's children replaced by their number: equal approximations, and
+    only they, give equal lists."""
+    out, stack = [], [a]
+    while stack:
+        x = stack.pop()
+        if _inner(x):
+            out.append((type(x), x.constructor, len(x.children), x.depth))
+            stack += reversed(x.children)
+        else:
+            out.append((type(x),) + x._values(x))
+    return out
+
+
 def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
     """Truncate an approximation to a smaller depth.
 
@@ -139,19 +187,31 @@ def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
     nullary constructor survives *at* the boundary (it costs no depth).
     Criterion 10 (tests/test_acceptance.py::
     test_criterion_10_approximation_consistency) checks that restricting a
-    depth d+1 observation to d gives the depth d observation.
+    depth d+1 observation to d gives the depth d observation.  An explicit
+    stack of open nodes (node, depth, children restricted so far) keeps
+    any depth clear of the recursion limit.
     """
     if depth <= 0:
         return Cut(0)
-    if isinstance(a, ApproxNode):
-        if at < depth or not a.children:
-            return ApproxNode(a.constructor,
-                              tuple(restrict(c, depth, at + 1) for c in a.children),
-                              a.depth)
-        return Cut(at)
-    if at >= depth:
-        return Cut(at)
-    return a
+    open_nodes: list[tuple[ApproxNode, int, list[Approximation]]] = []
+    while True:
+        if isinstance(a, ApproxNode) and a.children and at < depth:
+            open_nodes.append((a, at, []))
+            a, at = a.children[0], at + 1
+            continue
+        nullary = isinstance(a, ApproxNode) and not a.children   # it costs no depth
+        node = a if at < depth or nullary else Cut(at)
+        # close every node whose last child this was, then go right
+        while open_nodes:
+            parent, at, children = open_nodes[-1]
+            children.append(node)
+            if len(children) < len(parent.children):
+                a, at = parent.children[len(children)], at + 1
+                break
+            open_nodes.pop()
+            node = ApproxNode(parent.constructor, tuple(children), parent.depth)
+        else:
+            return node
 
 
 def first_stall(a: Approximation) -> tuple[tuple[int, ...], Stalled] | None:

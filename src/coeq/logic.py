@@ -213,11 +213,12 @@ def classify_formula(f: Formula) -> PolarityClass:
     """Tightest of strongly-positive < positive < unipolar < general.
 
     Negative occurrences are those under an odd number of left sides of
-    implications; only data atoms carry polarity.  The walk keeps its own
-    stack, so no formula depth reaches the recursion limit.
+    implications; only data atoms carry polarity.  The walks keep their
+    own stacks, so no formula depth reaches the recursion limit.
     """
+    if _strongly_positive(f, set()):
+        return PolarityClass.STRONGLY_POSITIVE
     signed: tuple[set[str], set[str]] = (set(), set())   # predicates at + and at -
-    imp_or_all = False
     stack = [(f, 0)]
     while stack:
         g, neg = stack.pop()
@@ -226,20 +227,36 @@ def classify_formula(f: Formula) -> PolarityClass:
         elif isinstance(g, (And, Or)):
             stack += ((g.left, neg), (g.right, neg))
         elif isinstance(g, Imp):
-            imp_or_all = True
             stack += ((g.left, 1 - neg), (g.right, neg))
         elif isinstance(g, (Exists, Forall)):
-            imp_or_all = imp_or_all or isinstance(g, Forall)
             stack.append((g.body, neg))
         else:
             assert isinstance(g, EqAtom)
-    if not imp_or_all:
-        return PolarityClass.STRONGLY_POSITIVE
     if not signed[1]:
         return PolarityClass.POSITIVE
     if not signed[0] & signed[1]:
         return PolarityClass.UNIPOLAR
     return PolarityClass.GENERAL
+
+
+def _strongly_positive(f: Formula, known: set[Formula]) -> bool:
+    """Whether f is strongly positive: no `Imp` and no `Forall` in it.
+    `known` holds formulas already found so, and the walk skips them; when
+    f is strongly positive, every subformula it walked joins `known`."""
+    walked, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in known or g in walked:
+            continue
+        if isinstance(g, (Imp, Forall)):
+            return False
+        walked.add(g)
+        if isinstance(g, (And, Or)):
+            stack += (g.left, g.right)
+        elif isinstance(g, Exists):
+            stack.append(g.body)
+    known |= walked
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1130,10 +1147,13 @@ def assert_sp_proof(d: Derivation) -> tuple[tuple[int, ...], Formula] | None:
     """None when every node formula is strongly positive; otherwise the
     shallowest, leftmost offending node (path, formula).  The walk is
     breadth first, so that node is the first offender it meets, and it
-    keeps a parent link per node, so only that node's path is built."""
+    keeps a parent link per node, so only that node's path is built.
+    Formulas are hash-consed, so each distinct one found strongly positive
+    is walked once per call."""
+    known: set[Formula] = set()   # the formulas found strongly positive
     nodes, parent, first = [d], [0], []   # first[k]: where nodes[k]'s premises start
     for k, node in enumerate(nodes):   # the loop reaches what it appends
-        if classify_formula(node.conclusion) is not PolarityClass.STRONGLY_POSITIVE:
+        if not _strongly_positive(node.conclusion, known):
             path = []
             while k:
                 path.append(k - first[parent[k]])

@@ -4,7 +4,7 @@ typing of constructors, and depth-bounded membership in the canonical model.
 from __future__ import annotations
 
 import enum
-from .terms import Con, Fun, Record, Term, Var, _set
+from .terms import Con, Fun, Record, Term, Var, _intern, _set
 
 
 class Kind(enum.Enum):
@@ -186,22 +186,26 @@ def syntactic_class(t: Term, ds: DataSystem) -> str:
 # Regular coterms: possibly-infinite constructor trees with finitely many
 # distinct subtrees, as finite cyclic graphs.  A child may also be a named
 # reference to another environment binding (resolved by the eval session).
+# Nodes and coterms are hash-consed, as terms are: equal ones are one object.
 # ---------------------------------------------------------------------------
 
 class CotermNode(Record):
-    __slots__ = ("constructor", "children")
+    __slots__ = ("constructor", "children", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, constructor: str, children: tuple[object, ...] = ()):
-        _set(self, "constructor", constructor)
-        _set(self, "children", children)   # each: int (node index) or str (binding ref)
+    def __new__(cls, constructor: str, children: tuple[object, ...] = ()):
+        # each child: int (node index) or str (binding ref)
+        return _intern((cls, constructor, children))
 
 
 class RegularCoterm(Record):
-    __slots__ = ("nodes", "entry")
+    __slots__ = ("nodes", "entry", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, nodes: tuple[CotermNode, ...], entry: int = 0):
-        _set(self, "nodes", nodes)
-        _set(self, "entry", entry)
+    def __new__(cls, nodes: tuple[CotermNode, ...], entry: int = 0):
+        return _intern((cls, nodes, entry))
 
     def validate(self, ds: DataSystem) -> ValidationReport:
         out: list[Violation] = []

@@ -24,10 +24,11 @@ class Record:
     ``Name(field=value, ...)``, as a dataclass's are.  A frozen record
     refuses assignment; a mutable one has no hash.
 
-    Terms and formulas are hash-consed instead: their ``__new__`` returns
-    the one live record of its class with those field values (`_intern`),
-    so structurally equal ones are one object, and ``==`` and ``hash``
-    are ``object``'s, by identity, in constant time at any depth.
+    Terms, formulas, coterm nodes and coterms are hash-consed instead:
+    their ``__new__`` returns the one live record of its class with those
+    field values (`_intern`), so structurally equal ones are one object,
+    and ``==`` and ``hash`` are ``object``'s, by identity, in constant
+    time at any depth.
     """
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -162,6 +163,40 @@ def test_approximation_consistency_random_envs():
         deep = s1.observe(t, d + 1)
         shallow = s2.observe(t, d)
         assert restrict(deep, d) == shallow
+
+
+def _streams_session() -> Session:
+    from coeq.cli import parse_files
+    ws = parse_files([str(pathlib.Path(__file__).resolve().parents[1]
+                          / "workspaces" / "streams.cds")])
+    return Session(ws.merged_program(), ws.system, ws.envs["E"])
+
+
+def test_observations_five_thousand_deep_compare_hash_and_print():
+    """Two observations of flip(v_a) to depth 5,000, from two sessions, are
+    equal and hash equal, and print as Record prints: the approximation's
+    equality, hash and repr keep their own stacks."""
+    t = fn("flip", fn("v_a"))
+    a, b = (_streams_session().observe(t, 5000) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b) and {a, b} == {a}
+    assert a != _streams_session().observe(t, 4999)
+    shallow = _streams_session().observe(t, 2)
+    assert repr(shallow) == (
+        "ApproxNode(constructor='cons', children=(ApproxNode(constructor='1', children=(), "
+        "depth=1), ApproxNode(constructor='cons', children=(ApproxNode(constructor='0', "
+        "children=(), depth=2), Cut(depth=2)), depth=1)), depth=0)")
+    text = repr(a)
+    assert text.startswith(repr(shallow)[:60]) and text.endswith("depth=0)")
+    assert text.count("Cut(depth=5000)") == 1
+
+
+def test_restricting_an_observation_five_thousand_deep():
+    """Criterion 10 at depth: restrict keeps its own stack, so the depth
+    5,000 observation restricted to 4,999 is the depth 4,999 observation."""
+    t = fn("flip", fn("v_a"))
+    deep = _streams_session().observe(t, 5000)
+    assert restrict(deep, 4999) == _streams_session().observe(t, 4999)
+    assert restrict(deep, 5000) == deep
 
 
 def test_budget_monotonicity():

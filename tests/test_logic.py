@@ -921,6 +921,29 @@ def test_assert_sp_proof_reports_the_shallowest_then_leftmost_offender():
     assert assert_sp_proof(d) == ((1, 1), Imp(S(x), B(x)))
 
 
+def test_assert_sp_proof_reports_the_first_offender_past_shared_strongly_positive_parts():
+    """The scan walks each strongly-positive formula once per call.  A part
+    it has found so, shared by the early nodes, hides no `Imp` or `Forall`
+    in a deeper node that holds it: the offender is still the shallowest,
+    then leftmost one, as a scan that classifies every node afresh finds."""
+    x, y = v("x"), v("y")
+    shared = And(S(x), Exists("y", And(B(y), EqAtom(y, x))))
+    node = lambda f, *premises: Derivation("sep", f, premises)
+
+    def afresh(d):
+        bad = [(len(p), p, n.conclusion) for p, n in d.nodes()
+               if classify_formula(n.conclusion) is not PolarityClass.STRONGLY_POSITIVE]
+        return min(bad)[1:] if bad else None
+
+    late = (node(And(shared, Imp(S(x), B(x)))), node(Forall("y", shared)))
+    for first, second in (late, late[::-1]):
+        d = node(And(shared, S(x)),
+                 node(Or(shared, B(x)), node(shared), first),
+                 node(shared, second, node(And(shared, Imp(B(x), S(x))))))
+        assert assert_sp_proof(d) == afresh(d) == ((0, 1), first.conclusion)
+    assert assert_sp_proof(node(And(shared, S(x)), node(shared), node(shared))) is None
+
+
 def test_normalize_raises_past_its_contraction_bound(monkeypatch):
     x = v("x")
     d = inject_detours(and_intro(assume("h", S(x)), refl(x)), 1)

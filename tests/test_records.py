@@ -5,8 +5,9 @@ so it loads neither `dataclasses` nor `inspect`.  The table below is each
 record's constructor as the dataclass declared it (a default factory shows
 as None).  For each, a reference dataclass with the same fields is built
 here, and the record must match it in repr, equality, hash and
-(im)mutability.  Terms and formulas are hash-consed, so their hash is by
-identity: two of them built alike are one object."""
+(im)mutability.  Terms, formulas, coterm nodes and coterms are
+hash-consed, so their hash is by identity: two of them built alike are
+one object."""
 import ast
 import dataclasses
 import gc
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from coeq.logic import And, DataAtom, Formula, Or
+from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Record, Term, Var
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,7 +147,8 @@ def test_a_record_behaves_as_the_dataclass_it_replaces(module, name, spec, froze
     rtwin = type("Twin", (ref,), {})(*values)
     assert (a == twin, twin == a) == (ra == rtwin, rtwin == ra) == (False, False)
     if frozen:
-        if issubclass(cls, (Term, Formula)):   # hash-consed: built alike, one object
+        hash_consed = (Term, Formula, CotermNode, RegularCoterm)
+        if issubclass(cls, hash_consed):   # built alike, one object
             assert a is b and hash(a) == hash(b) and c is not a
         else:
             assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)

@@ -235,3 +235,48 @@ def test_membership_of_cycles_references_and_finite_coinductive_values():
     from helpers import COLIST
     nil = RegularCoterm((CotermNode("nil"),), 0)
     assert canonical_member(COLIST, COLIST.predicate("L"), nil, 5) == "yes-up-to-depth"
+
+
+def test_stream_coterms_are_hash_consed():
+    """Building a stream twice gives one coterm, and two different streams
+    share their equal nodes: the bit leaves and any equal cons node."""
+    a, b = stream_coterm([0, 1, 1], 1), stream_coterm([0, 1, 1], 1)
+    assert a is b and a == b and hash(a) == hash(b)
+    c = stream_coterm([0, 1, 1, 1], 1)   # loops back from a fourth position
+    assert c is not a and c != a
+    assert all(x is y for x, y in zip(c.nodes[:4], a.nodes))   # 0, 1, 0:@3, 1:@4
+    assert c.nodes[2] is CotermNode("cons", (0, 3)) and c.nodes[4] is not a.nodes[4]
+    assert RegularCoterm(tuple(CotermNode(n.constructor, n.children) for n in a.nodes),
+                         a.entry) is a
+
+
+def test_a_coterm_read_from_an_env_stanza_is_interned():
+    """The parser builds coterms through the same constructors, so an env
+    read twice, or its coterm rebuilt node by node, is the same object."""
+    from coeq.cli import parse_workspace
+    source = ("system Sm { inductive B; coinductive S; constructor 0 : B; "
+              "constructor 1 : B; constructor cons : B * S -> S; }\n"
+              "env E { v = rec a. 0 : 1 : a; w = 1 : v; }\n")
+    one, two = (dict(parse_workspace(source).envs["E"].bindings) for _ in range(2))
+    for name in ("v", "w"):
+        ct = one[name]
+        assert ct is two[name]
+        rebuilt = RegularCoterm(tuple(CotermNode(n.constructor, n.children)
+                                      for n in ct.nodes), ct.entry)
+        assert rebuilt is ct and all(x is y for x, y in zip(rebuilt.nodes, ct.nodes))
+
+
+def test_a_coterm_nothing_holds_leaves_the_intern_table():
+    """The intern table holds coterms and their nodes weakly."""
+    import gc
+    from coeq.terms import _interned
+    node = CotermNode("cons", (0, "dropped"))
+    ct = RegularCoterm((CotermNode("0"), node), 1)
+    node_key, ct_key = (CotermNode, "cons", (0, "dropped")), (RegularCoterm, ct.nodes, 1)
+    assert _interned[node_key] is node and _interned[ct_key] is ct
+    del ct
+    gc.collect()
+    assert ct_key not in _interned and _interned[node_key] is node
+    del node, ct_key
+    gc.collect()
+    assert node_key not in _interned
