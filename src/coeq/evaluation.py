@@ -105,9 +105,9 @@ class StallReason(Record):
 
 class Approximation(Record):
     """An observation: an `ApproxNode` tree with `Cut` and `Stalled`
-    leaves.  A tree is as deep as its observation, so equality, hash and
-    repr walk it on explicit stacks.  Equality and repr are Record's; the
-    hash agrees with equality."""
+    leaves.  A tree is as deep as its observation, so equality and hash
+    walk it on explicit stacks, as Record's repr does; the hash agrees
+    with equality."""
     __slots__ = ()
 
     def __eq__(self, other):
@@ -117,22 +117,6 @@ class Approximation(Record):
 
     def __hash__(self):
         return hash(tuple(_preorder(self))) if _inner(self) else Record.__hash__(self)
-
-    def __repr__(self) -> str:
-        out, stack = [], [self]   # text emitted, and nodes and text to emit
-        while stack:
-            a = stack.pop()
-            if isinstance(a, str):
-                out.append(a)
-            elif not _inner(a):
-                out.append(Record.__repr__(a))
-            else:
-                pieces = [x for c in a.children for x in (", ", c)][1:]   # c1, ", ", c2, ...
-                close = ",)" if len(a.children) == 1 else ")"
-                stack.append(f"{close}, depth={a.depth!r})")
-                stack += pieces[::-1]
-                stack.append(f"{type(a).__qualname__}(constructor={a.constructor!r}, children=(")
-        return "".join(out)
 
 
 class ApproxNode(Approximation):

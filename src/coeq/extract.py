@@ -40,8 +40,8 @@ from .program import DELTA, Equation, Program, assemble_program, pi_name
 from .realize import (ALGEBRA, EVEN, ODD, SortError, check_algebra, even_term,
                       merge_term, odd_term, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import (Con, Fun, Record, Term, Var, _set, fresh_name, substitute, subterms,
-                    variables)
+from .terms import (Con, Fun, Interned, Record, Term, Var, _intern, _set, fresh_name,
+                    substitute, subterms, variables)
 
 
 class ExtractError(Exception):
@@ -357,31 +357,29 @@ def prove_corec_program(program: Program, ds: DataSystem) -> tuple[Derivation, P
 # Extraction: symbolic realizers
 # ---------------------------------------------------------------------------
 
-class SymR(Record):
+class SymR(Interned):
     __slots__ = ()
 
 
 class Leaf(SymR):
     __slots__ = ("term",)
 
-    def __init__(self, term: Term):
-        _set(self, "term", term)
+    def __new__(cls, term: Term):
+        return _intern((cls, term))
 
 
 class Pair(SymR):
     __slots__ = ("head", "rest")
 
-    def __init__(self, head: SymR, rest: SymR):
-        _set(self, "head", head)
-        _set(self, "rest", rest)
+    def __new__(cls, head: SymR, rest: SymR):
+        return _intern((cls, head, rest))
 
 
 class ConsR(SymR):
     __slots__ = ("head_term", "tail")
 
-    def __init__(self, head_term: Term, tail: SymR):
-        _set(self, "head_term", head_term)
-        _set(self, "tail", tail)
+    def __new__(cls, head_term: Term, tail: SymR):
+        return _intern((cls, head_term, tail))
 
 
 class Case(SymR):
@@ -389,10 +387,8 @@ class Case(SymR):
     `right` where it is 1."""
     __slots__ = ("bit", "left", "right")
 
-    def __init__(self, bit: Term, left: SymR, right: SymR):
-        _set(self, "bit", bit)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    def __new__(cls, bit: Term, left: SymR, right: SymR):
+        return _intern((cls, bit, left, right))
 
 
 def _const_bit(t: Term) -> str | None:

@@ -23,18 +23,16 @@ from collections import Counter
 
 from .program import Program, pi_name, reserved_function, standard_functions
 from .system import ConstructorType, DataSystem
-from .terms import (Con, Fun, Record, Term, Var, _intern, _set, fresh_name,
-                    substitute, variables)
+from .terms import (Con, Fun, Interned, Record, Term, Var, _intern, _run, _set,
+                    fresh_name, substitute, variables)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
 
-class Formula(Record):
-    __slots__ = ("__weakref__",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+class Formula(Interned):
+    __slots__ = ()
 
     def __str__(self) -> str:
         """Infix text, written on an explicit stack: any depth."""
@@ -510,16 +508,19 @@ class CheckResult(Record, frozen=False):
 
 
 def _match_extend(pattern: Term, subject: Term, binds: dict[str, Term]) -> bool:
-    if isinstance(pattern, Var):
-        if pattern.name in binds:
-            return binds[pattern.name] == subject
-        binds[pattern.name] = subject
-        return True
-    if type(pattern) is not type(subject) or pattern.name != subject.name \
-            or len(pattern.args) != len(subject.args):
-        return False
-    return all(_match_extend(p, s, binds)
-               for p, s in zip(pattern.args, subject.args))
+    """Extend binds so that pattern under it is subject, on an explicit
+    stack of (pattern, subject) pairs: any depth."""
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            if binds.setdefault(p.name, s) is not s:
+                return False
+        elif type(p) is not type(s) or p.name != s.name or len(p.args) != len(s.args):
+            return False
+        else:
+            stack += zip(p.args, s.args)
+    return True
 
 
 def _atom_slots(f: DataAtom | EqAtom) -> list[Term]:
@@ -938,20 +939,6 @@ def _path(link) -> tuple[int, ...]:
         link, i = link
         path.append(i)
     return tuple(reversed(path))
-
-
-def _run(gen):
-    """The value of a generator that yields a generator per recursive call
-    and is sent its value: recursion on our own stack, of any depth."""
-    stack, value = [gen], None
-    while stack:
-        try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as stop:
-            stack.pop()
-            value = stop.value
-    return value
 
 
 def subst_derivation(d: Derivation, terms: dict[str, Term],

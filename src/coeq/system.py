@@ -4,7 +4,7 @@ typing of constructors, and depth-bounded membership in the canonical model.
 from __future__ import annotations
 
 import enum
-from .terms import Con, Fun, Record, Term, Var, _intern, _set
+from .terms import Con, Fun, Interned, Record, Term, Var, _intern, _run, _set
 
 
 class Kind(enum.Enum):
@@ -189,20 +189,16 @@ def syntactic_class(t: Term, ds: DataSystem) -> str:
 # Nodes and coterms are hash-consed, as terms are: equal ones are one object.
 # ---------------------------------------------------------------------------
 
-class CotermNode(Record):
-    __slots__ = ("constructor", "children", "__weakref__")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+class CotermNode(Interned):
+    __slots__ = ("constructor", "children")
 
     def __new__(cls, constructor: str, children: tuple[object, ...] = ()):
         # each child: int (node index) or str (binding ref)
         return _intern((cls, constructor, children))
 
 
-class RegularCoterm(Record):
-    __slots__ = ("nodes", "entry", "__weakref__")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+class RegularCoterm(Interned):
+    __slots__ = ("nodes", "entry")
 
     def __new__(cls, nodes: tuple[CotermNode, ...], entry: int = 0):
         return _intern((cls, nodes, entry))
@@ -264,11 +260,11 @@ def canonical_member(ds: DataSystem, pred: DataPredicate, v: RegularCoterm,
     at best 'yes-up-to-depth'.  Checked against a least-fixpoint oracle by
     tests/test_system.py::test_inductive_membership_agrees_with_enumeration.
     """
-    return _member(ds, v, set(), v.entry, pred, depth)
+    return _run(_member(ds, v, set(), v.entry, pred, depth))
 
 
 def _member(ds: DataSystem, v: RegularCoterm, on_stack: set[tuple[int, str]],
-            i: object, p: DataPredicate, d: int) -> str:
+            i: object, p: DataPredicate, d: int):   # run by _run, so any depth decides
     """Membership of node i of v in p to depth d; `on_stack` holds the (node,
     predicate) pairs being decided, for the least-fixpoint reading."""
     if isinstance(i, str):
@@ -276,37 +272,30 @@ def _member(ds: DataSystem, v: RegularCoterm, on_stack: set[tuple[int, str]],
         # unverified leaf (membership only up to this point).
         return _YES_UPTO
     assert isinstance(i, int)
-    if p.inductive:
-        if (i, p.name) in on_stack:
-            return _NO  # infinite descent through an inductive position
-    else:
-        if d <= 0:
-            return _YES_UPTO
-    node = v.nodes[i]
-    types = [t for t in ds.types_of(node.constructor) if t.result_predicate == p]
-    if not types:
-        return _NO
-    result = _NO
     key = (i, p.name)
+    if p.inductive and key in on_stack:
+        return _NO  # infinite descent through an inductive position
+    if not p.inductive and d <= 0:
+        return _YES_UPTO
+    node, result = v.nodes[i], _NO
     if p.inductive:
         on_stack.add(key)
-    try:
-        for t in types:
-            acc = _YES
-            for child, ep in zip(node.children, t.argument_predicates):
-                nd = d - 1 if not p.inductive else d
-                acc = min(acc, _member(ds, v, on_stack, child, ep, nd), key=_RANK.get)
-                if acc == _NO:
-                    break
-            if not p.inductive and acc == _YES:
-                # Coinductive membership is never certified outright.
-                acc = _YES_UPTO
-            result = max(result, acc, key=_RANK.get)
-            if result == _YES:
+    for t in ds.types_of(node.constructor):
+        if t.result_predicate != p:
+            continue
+        acc = _YES
+        for child, ep in zip(node.children, t.argument_predicates):
+            nd = d if p.inductive else d - 1
+            acc = min(acc, (yield _member(ds, v, on_stack, child, ep, nd)), key=_RANK.get)
+            if acc == _NO:
                 break
-    finally:
-        if p.inductive:
-            on_stack.discard(key)
+        if not p.inductive and acc == _YES:
+            # Coinductive membership is never certified outright.
+            acc = _YES_UPTO
+        result = max(result, acc, key=_RANK.get)
+        if result == _YES:
+            break
+    on_stack.discard(key)
     return result
 
 

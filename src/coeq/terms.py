@@ -22,13 +22,8 @@ class Record:
     declared ``frozen=False``.  Records of one class are equal when their
     field tuples are, the hash is the field tuple's, and the repr is
     ``Name(field=value, ...)``, as a dataclass's are.  A frozen record
-    refuses assignment; a mutable one has no hash.
-
-    Terms, formulas, coterm nodes and coterms are hash-consed instead:
-    their ``__new__`` returns the one live record of its class with those
-    field values (`_intern`), so structurally equal ones are one object,
-    and ``==`` and ``hash`` are ``object``'s, by identity, in constant
-    time at any depth.
+    refuses assignment; a mutable one has no hash.  `Interned` records
+    are hash-consed instead.
     """
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -55,14 +50,49 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % fv for fv in zip(self._fields, self._values(self))))
+        """Written on an explicit stack: records, tuples and lists nested
+        to any depth print."""
+        out, stack = [], [(self,)]   # text emitted; text to emit, and (value,) to print
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            v, = x
+            cls = type(v)
+            if cls is tuple or cls is list:
+                items, names = v, [""] * len(v)
+                opening, close = ("(", ",)" if len(v) == 1 else ")") if cls is tuple \
+                    else ("[", "]")
+            elif isinstance(v, Record) and cls.__repr__ is Record.__repr__:
+                items, names = v._values(v), [f + "=" for f in cls._fields]
+                opening, close = cls.__qualname__ + "(", ")"
+            else:
+                out.append(repr(v))
+                continue
+            stack.append(close)
+            for i in range(len(items) - 1, -1, -1):
+                stack += [(items[i],), ", " * (i > 0) + names[i]]
+            stack.append(opening)
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interned(Record):
+    """Base of the hash-consed records: terms, formulas, coterm nodes,
+    coterms and the extractor's symbolic realizers.  A subclass's
+    ``__new__`` returns ``_intern((cls, *fields))``, the one live record of
+    its class with those field values, so structurally equal ones are one
+    object, and ``==`` and ``hash`` are ``object``'s, by identity, in
+    constant time at any depth."""
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -85,10 +115,22 @@ def _intern(key: tuple):
     return r
 
 
-class Term(Record):
-    __slots__ = ("__weakref__",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+def _run(gen):
+    """The value of a generator that yields a generator per recursive call
+    and is sent its value: recursion on our own stack, of any depth."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+    return value
+
+
+class Term(Interned):
+    __slots__ = ()
 
     @property
     def args(self) -> tuple["Term", ...]:

@@ -2,15 +2,18 @@
 
     python tests/linecov.py [pytest arguments]
 
-runs pytest in this process under a `sys.settrace` line collector, then
-prints, for each module of src/coeq, the statements that never ran, as
-line ranges, and the totals.  Without arguments it runs the whole suite.
+runs pytest in this process under a line collector, then prints, for
+each module of src/coeq, the statements that never ran, as line ranges,
+and the totals.  Without arguments it runs the whole suite.  On Python
+3.12 and later the collector takes `sys.monitoring` LINE events and turns
+each line's off after its first hit, so a line costs once; on 3.10 and
+3.11 it is a `sys.settrace` function, which runs on every line.
 
 A statement counts as run when a line of its own (for a compound
 statement, of its header) executed; docstrings and other statements that
 compile to no code are not counted.  This is not a test module: pytest
-does not collect it, and the tier-1 run leaves it out, because tracing
-makes the suite several times slower and would break the suite's wall
+does not collect it, and the tier-1 run leaves it out, because a settrace
+collector makes the suite several times slower and would break its wall
 clock bounds.
 """
 from __future__ import annotations
@@ -94,35 +97,77 @@ class _Lines:
         return self
 
 
-def main(argv: list[str]) -> int:
-    import pytest
-
+def _package_lines(hits: dict[str, set[int]]):
+    """A function from a code file name to the set of lines run in it, or
+    None for a file outside the package; each answer is computed once."""
     prefix = str(PACKAGE) + os.sep
-    hits: dict[str, set[int]] = {}
-    # code file name -> the local trace function of a module in the package,
-    # or None
+    known: dict[str, set[int] | None] = {}
+
+    def lines_of(name: str) -> set[int] | None:
+        if name not in known:
+            full = os.path.abspath(name)
+            known[name] = hits.setdefault(full, set()) if full.startswith(prefix) else None
+        return known[name]
+    return lines_of
+
+
+def _monitor(hits: dict[str, set[int]]):
+    """Collect with `sys.monitoring` (Python 3.12+); returns the stop function."""
+    mon, lines_of = sys.monitoring, _package_lines(hits)
+    tool = mon.COVERAGE_ID
+
+    def line(code, lineno):
+        seen = lines_of(code.co_filename)
+        if seen is not None:
+            seen.add(lineno)
+        return mon.DISABLE   # this line of this code reports no more
+
+    mon.use_tool_id(tool, "linecov")
+    mon.register_callback(tool, mon.events.LINE, line)
+    mon.set_events(tool, mon.events.LINE)
+
+    def stop():
+        mon.set_events(tool, mon.events.NO_EVENTS)
+        mon.register_callback(tool, mon.events.LINE, None)
+        mon.free_tool_id(tool)
+    return stop
+
+
+def _settrace(hits: dict[str, set[int]]):
+    """Collect with `sys.settrace` (Python 3.10, 3.11); returns the stop function."""
+    lines_of = _package_lines(hits)
+    # code file name -> the local trace function of a module in the package, or None
     local: dict[str, _Lines | None] = {}
 
     def trace(frame, event, _arg):
         name = frame.f_code.co_filename
         if name not in local:
-            full = os.path.abspath(name)
-            local[name] = _Lines(hits.setdefault(full, set())) \
-                if full.startswith(prefix) else None
+            seen = lines_of(name)
+            local[name] = None if seen is None else _Lines(seen)
         if local[name] is not None:
             local[name].seen.add(frame.f_lineno)
         return local[name]
 
     threading.settrace(trace)
     sys.settrace(trace)
+
+    def stop():
+        sys.settrace(None)
+        threading.settrace(None)
+    return stop
+
+
+def main(argv: list[str]) -> int:
+    import pytest
+
+    hits: dict[str, set[int]] = {}
+    stop = (_monitor if hasattr(sys, "monitoring") else _settrace)(hits)
     try:
         code = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        stop()
     print(report(hits))
     return int(code)
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

@@ -1091,6 +1091,20 @@ def test_a_proof_ten_thousand_levels_deep(tmp_path, capsys, chain, command, out)
     assert run_main(capsys, "--format=tagged", command, ws, "p") == (0, out, "")
 
 
+
+def test_cmd_check_proof_of_a_rewrite_by_an_equation_three_thousand_levels_deep(tmp_path,
+                                                                               capsys):
+    """The checker matches an equation's sides against the rewritten atom
+    on an explicit stack: no equation depth reaches the recursion limit."""
+    n = 3_000
+    body = "cons(0, " * n + "x" + ")" * n
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + "program deep { deep(x) = " + body + "; }\n"
+             + "proof p { (rewrite (S " + "(cons 0 " * n + "x" + ")" * n + ") "
+             "((assume (S (deep x)) () {label h})) {fn deep idx 0 dir lr pos (1)}) }\n")
+    code, out, err = run_main(capsys, "--format=tagged", "check-proof", ws, "p")
+    assert (code, err) == (0, "")
+    assert out == f"VERDICT\tok\nJUDGMENT\t{{h: S(deep(x))}} |- S({body})\n"
+
 @pytest.mark.parametrize("intro", ["and-intro", "or-intro"])
 def test_cmd_extract_of_an_introduction_chain_two_thousand_levels_deep(monkeypatch, capsys,
                                                                       intro):

@@ -701,6 +701,37 @@ def test_rename_functions_of_a_right_hand_side_three_thousand_calls_deep():
     assert list(out.body) == [Equation("g_orig", (Var("x"),), renamed)]
 
 
+
+def test_symbolic_realizers_are_hash_consed():
+    """Leaf, Pair, ConsR and Case are interned, as terms are: realizers
+    built alike are one object, and `==` and `hash` are by identity, in
+    constant time at any depth."""
+    from coeq.extract import Case, ConsR, Leaf, Pair
+    x, bit = Var("x"), Fun("pi1", (Var("y"),))
+    assert Leaf(x) is Leaf(x) and Leaf(x) is not Leaf(Var("y"))
+    assert Pair(Leaf(x), Leaf(x)) is Pair(Leaf(x), Leaf(x))
+    assert Case(bit, Leaf(x), ConsR(ZERO, Leaf(x))) is Case(bit, Leaf(x), ConsR(ZERO, Leaf(x)))
+
+    def chain():
+        r = Leaf(x)
+        for i in range(3_000):
+            r = ConsR(ONE if i % 2 else ZERO, r)
+        return r
+
+    a, b = chain(), chain()
+    assert a is b and a == b and hash(a) == hash(b) and {a, b} == {a}
+
+
+def test_a_realizer_nothing_holds_leaves_the_intern_table():
+    from coeq.extract import Leaf, Pair
+    from coeq.terms import _interned
+    r = Pair(Leaf(Var("dropped")), Leaf(Var("x")))
+    key = (Pair, r.head, r.rest)
+    assert _interned[key] is r
+    del r
+    gc.collect()
+    assert key not in _interned
+
 def test_extract_realizes_conclusion():
     """Extraction soundness at desk scale: for every library entry, the
     extracted function applied to input realizers (the argument streams

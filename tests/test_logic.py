@@ -311,6 +311,23 @@ def test_rewrite_position_zero_is_outside_the_atom():
     assert [x.message for x in res.violations] == ["rewrite position outside the atom"]
 
 
+
+def test_rewrite_by_an_equation_three_thousand_levels_deep():
+    """The rewrite rule matches an equation's sides against the atom on an
+    explicit stack: no equation depth reaches the recursion limit."""
+    body = v("x")
+    for _ in range(3_000):
+        body = cons(ZERO, body)
+    prog = assemble_program(SM, [Equation("deep", (v("x"),), body)], "deep")
+    d = rewrite("deep", 0, "lr", (1,), assume("h", S(fn("deep", v("x")))), S(body))
+    res = _check(d, prog)
+    assert res.ok and res.conclusion is S(body)
+    wrong = rewrite("deep", 0, "lr", (1,), assume("h", S(fn("deep", v("x")))),
+                    S(cons(ZERO, cons(ONE, body.args[1].args[1]))))
+    assert [x.message for x in _check(wrong, prog).violations] == [
+        f"no instance of '{prog.body[0]}' rewrites 'deep(x)' to "
+        f"'{wrong.conclusion.term}'"]
+
 def _rejections():
     """(system, malformed node, the one violation it gets, at the root):
     one case for each way a rule rejects a node."""

@@ -5,9 +5,9 @@ so it loads neither `dataclasses` nor `inspect`.  The table below is each
 record's constructor as the dataclass declared it (a default factory shows
 as None).  For each, a reference dataclass with the same fields is built
 here, and the record must match it in repr, equality, hash and
-(im)mutability.  Terms, formulas, coterm nodes and coterms are
-hash-consed, so their hash is by identity: two of them built alike are
-one object."""
+(im)mutability.  Terms, formulas, coterm nodes, coterms and the
+extractor's symbolic realizers are hash-consed (`coeq.terms.Interned`), so
+their hash is by identity: two of them built alike are one object."""
 import ast
 import dataclasses
 import gc
@@ -20,9 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from coeq.logic import And, DataAtom, Formula, Or
-from coeq.system import CotermNode, RegularCoterm
-from coeq.terms import Con, Fun, Record, Term, Var
+from coeq.logic import And, DataAtom, Or, ProofViolation
+from coeq.terms import Con, Fun, Interned, Record, Var
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -147,8 +146,7 @@ def test_a_record_behaves_as_the_dataclass_it_replaces(module, name, spec, froze
     rtwin = type("Twin", (ref,), {})(*values)
     assert (a == twin, twin == a) == (ra == rtwin, rtwin == ra) == (False, False)
     if frozen:
-        hash_consed = (Term, Formula, CotermNode, RegularCoterm)
-        if issubclass(cls, hash_consed):   # built alike, one object
+        if issubclass(cls, Interned):   # built alike, one object
             assert a is b and hash(a) == hash(b) and c is not a
         else:
             assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)
@@ -232,3 +230,17 @@ def test_terms_and_formulas_are_hash_consed_at_any_depth():
     del t
     gc.collect()
     assert key not in _interned
+
+
+def test_a_term_and_a_formula_three_thousand_deep_print_as_records():
+    """Record's repr walks nested records, tuples and lists on an explicit
+    stack, in the dataclass text: any depth."""
+    t, f = Var("x"), DataAtom("S", Var("x"))
+    for _ in range(3_000):
+        t, f = Con("s", (t,)), Or(DataAtom("B", Var("y")), f)
+    assert repr(t) == "Con(name='s', args=(" * 3_000 + "Var(name='x')" + ",))" * 3_000
+    assert repr(f) == ("Or(left=DataAtom(predicate='B', term=Var(name='y')), right=" * 3_000
+                       + "DataAtom(predicate='S', term=Var(name='x'))" + ")" * 3_000)
+    value = ([Con("0"), ()], (Var("x"),), [])
+    ref = dataclasses.make_dataclass("ProofViolation", ["path", "message"])
+    assert repr(ProofViolation((), value)) == repr(ref((), value))

@@ -96,6 +96,12 @@ def test_cyclic_stream_membership_up_to_depth():
     assert canonical_member(SM, S, ct, 64) == "yes-up-to-depth"
 
 
+
+def test_cyclic_stream_membership_two_thousand_deep():
+    """canonical_member decides on `_run`'s stack: any depth."""
+    ct = stream_coterm([0, 1], loop_to=0)
+    assert canonical_member(SM, S, ct, 2_000) == "yes-up-to-depth"
+
 def test_cyclic_value_not_inductive_member():
     ct = stream_coterm([0, 1], loop_to=0)
     assert canonical_member(SM, B, ct, 5) == "no"
