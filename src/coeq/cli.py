@@ -38,12 +38,12 @@ from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
 from .extract import (ExtractError, extract, prove_corec_program, require_check,
                       roundtrip_report)
 from .logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
-                    Formula, Imp, Or, _run, check_proof, classify_formula,
-                    has_detour, normalize)
+                    Formula, Imp, Or, check_proof, classify_formula, has_detour,
+                    normalize)
 from .program import Equation, Program, assemble_program, standard_functions, validate_program
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm, validate_system)
-from .terms import Con, Fun, Record, Term, Var, subterms, variables
+from .terms import Con, Fun, Record, Term, Var, _run, subterms, variables
 
 FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 

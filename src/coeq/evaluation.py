@@ -164,7 +164,7 @@ def _preorder(a: Approximation) -> list[tuple]:
     return out
 
 
-def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
+def restrict(a: Approximation, depth: int) -> Approximation:
     """Truncate an approximation to a smaller depth.
 
     Mirrors the observation rule: nodes survive below the boundary, and a
@@ -177,6 +177,7 @@ def restrict(a: Approximation, depth: int, at: int = 0) -> Approximation:
     """
     if depth <= 0:
         return Cut(0)
+    at = 0
     open_nodes: list[tuple[ApproxNode, int, list[Approximation]]] = []
     while True:
         if isinstance(a, ApproxNode) and a.children and at < depth:

@@ -317,11 +317,11 @@ class Derivation(Record):
         _set(self, "premises", premises)
         _set(self, "attrs", attrs)
 
-    def attr(self, key: str, default=None):
+    def attr(self, key: str):
         for k, v in self.attrs:
             if k == key:
                 return v
-        return default
+        return None
 
     def nodes(self):
         """All nodes with their paths, preorder."""

@@ -4,24 +4,21 @@
 
 runs pytest in this process under a line collector, then prints, for
 each module of src/coeq, the statements that never ran, as line ranges,
-and the totals.  Without arguments it runs the whole suite.  On Python
-3.12 and later the collector takes `sys.monitoring` LINE events and turns
-each line's off after its first hit, so a line costs once; on 3.10 and
-3.11 it is a `sys.settrace` function, which runs on every line.
+and the totals.  Without arguments it runs the whole suite.  It exits 1
+when any statement is unrun, else with pytest's exit code.  It needs
+Python 3.12 or later: the collector takes `sys.monitoring` LINE events
+and turns each line's off after its first hit, so a line costs once.
 
 A statement counts as run when a line of its own (for a compound
 statement, of its header) executed; docstrings and other statements that
 compile to no code are not counted.  This is not a test module: pytest
-does not collect it, and the tier-1 run leaves it out, because a settrace
-collector makes the suite several times slower and would break its wall
-clock bounds.
+does not collect it, and the tier-1 run leaves it out.
 """
 from __future__ import annotations
 
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,7 +62,8 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def report(hits: dict[str, set[int]]) -> str:
+def report(hits: dict[str, set[int]]) -> tuple[str, int]:
+    """The report's text and the number of unrun statements."""
     lines, total, unrun_total = [], 0, 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -80,46 +78,23 @@ def report(hits: dict[str, set[int]]) -> str:
         lines.append(f"{path.name}\t{len(unrun)} of {len(counted)} unrun"
                      + (f"\t{_ranges(unrun)}" if unrun else ""))
     lines.append(f"total\t{unrun_total} of {total} unrun")
-    return "\n".join(lines)
-
-
-class _Lines:
-    """The local trace function of one module's frames: it records the
-    lines they run.  One per module, and it holds no reference to itself,
-    so tracing leaves no reference cycle per frame behind."""
-
-    def __init__(self, seen: set[int]):
-        self.seen = seen
-
-    def __call__(self, frame, event, _arg):
-        if event == "line":
-            self.seen.add(frame.f_lineno)
-        return self
-
-
-def _package_lines(hits: dict[str, set[int]]):
-    """A function from a code file name to the set of lines run in it, or
-    None for a file outside the package; each answer is computed once."""
-    prefix = str(PACKAGE) + os.sep
-    known: dict[str, set[int] | None] = {}
-
-    def lines_of(name: str) -> set[int] | None:
-        if name not in known:
-            full = os.path.abspath(name)
-            known[name] = hits.setdefault(full, set()) if full.startswith(prefix) else None
-        return known[name]
-    return lines_of
+    return "\n".join(lines), unrun_total
 
 
 def _monitor(hits: dict[str, set[int]]):
-    """Collect with `sys.monitoring` (Python 3.12+); returns the stop function."""
-    mon, lines_of = sys.monitoring, _package_lines(hits)
+    """Collect with `sys.monitoring` LINE events; returns the stop function."""
+    mon, prefix = sys.monitoring, str(PACKAGE) + os.sep
     tool = mon.COVERAGE_ID
+    # code file name -> the set of lines run in it, or None outside the package
+    known: dict[str, set[int] | None] = {}
 
     def line(code, lineno):
-        seen = lines_of(code.co_filename)
-        if seen is not None:
-            seen.add(lineno)
+        name = code.co_filename
+        if name not in known:
+            full = os.path.abspath(name)
+            known[name] = hits.setdefault(full, set()) if full.startswith(prefix) else None
+        if known[name] is not None:
+            known[name].add(lineno)
         return mon.DISABLE   # this line of this code reports no more
 
     mon.use_tool_id(tool, "linecov")
@@ -133,41 +108,21 @@ def _monitor(hits: dict[str, set[int]]):
     return stop
 
 
-def _settrace(hits: dict[str, set[int]]):
-    """Collect with `sys.settrace` (Python 3.10, 3.11); returns the stop function."""
-    lines_of = _package_lines(hits)
-    # code file name -> the local trace function of a module in the package, or None
-    local: dict[str, _Lines | None] = {}
-
-    def trace(frame, event, _arg):
-        name = frame.f_code.co_filename
-        if name not in local:
-            seen = lines_of(name)
-            local[name] = None if seen is None else _Lines(seen)
-        if local[name] is not None:
-            local[name].seen.add(frame.f_lineno)
-        return local[name]
-
-    threading.settrace(trace)
-    sys.settrace(trace)
-
-    def stop():
-        sys.settrace(None)
-        threading.settrace(None)
-    return stop
-
-
 def main(argv: list[str]) -> int:
+    if not hasattr(sys, "monitoring"):
+        print("linecov needs Python 3.12 or later (sys.monitoring)", file=sys.stderr)
+        return 2
     import pytest
 
     hits: dict[str, set[int]] = {}
-    stop = (_monitor if hasattr(sys, "monitoring") else _settrace)(hits)
+    stop = _monitor(hits)
     try:
         code = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         stop()
-    print(report(hits))
-    return int(code)
+    text, unrun = report(hits)
+    print(text)
+    return 1 if unrun else int(code)
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

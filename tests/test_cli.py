@@ -307,6 +307,23 @@ def test_internal_error_exits_2_with_one_line(ws_file, capsys, monkeypatch):
         == (2, "", "internal error: RuntimeError: boom\n")
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (("eval", "flip(v_a)", "--env", "E", "--depth", "4"), 0, "1:0:1:0:<cut@4>\n"),
+    (("bisim", "v_a", "v_b", "--env", "E", "--depth", "4"), 1, None)])
+def test_the_module_run_as_a_script_exits_with_mains_code(ws_file, capsys, monkeypatch,
+                                                          argv, code, out):
+    """`python -m coeq.cli ...` runs main on sys.argv and exits with its code."""
+    import runpy
+    import warnings
+    monkeypatch.setattr(sys, "argv", ["coeq", argv[0], ws_file, *argv[1:]])
+    with pytest.raises(SystemExit) as e, warnings.catch_warnings():
+        # runpy warns that coeq.cli is imported already, as the tests import it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("coeq.cli", run_name="__main__")
+    assert e.value.code == code
+    assert out is None or capsys.readouterr().out == out
+
+
 def test_cmd_bisim(ws_file, capsys):
     code, out, _ = run_main(capsys, "bisim", ws_file, "flip(v_a)", "v_b",
                             "--depth", "32", "--env", "E")

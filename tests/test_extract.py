@@ -456,6 +456,36 @@ def test_prove_corec_leaves_no_prover_alive():
         assert alive == 0, name
 
 
+_COCASE2 = ("cocase2(0, v1, v2) = 0; cocase2(1, v1, v2) = 1; "
+            "cocase2(cons(y1, y2), v1, v2) = cons(v1, v2); ")
+
+
+@pytest.mark.parametrize("principal, equations, message", [
+    ("g", "g(x) = cons(0, x);", "cannot type constructor term 'cons(0, x1)'"),
+    ("g", _COCASE2 + "g(x) = cocase2(cons(0, x), pi1(x), x);",
+     "no typing available for 'cocase2'"),
+    ("f", _COCASE2 + "f(x) = cocase2(cons(pi1(x), x), pi1(x), f(pi2(x)));",
+     "'f': only stream-form schemas generate proofs"),
+    ("f", "f(x) = cons(g(x), x); g(x) = cons(0, f(x));",
+     "'f': expected one head component and one corecursive call"),
+])
+def test_prover_refuses_an_accepted_program_it_has_no_proof_for(principal, equations,
+                                                                 message):
+    """The recognizer accepts these over Sm; the prover names what it
+    cannot type or which schema shape it does not prove."""
+    program, ds = _parse_program(principal, equations)
+    assert check_primitive_corecursive(program, ds).accepted
+    with pytest.raises(ExtractError) as e:
+        prove_corec_program(program, ds)
+    assert str(e.value) == message
+
+
+def test_prove_corec_refuses_a_bundle_without_its_principal():
+    bundle = check_primitive_corecursive(stock_library()["flip"].program, SM).bundle
+    with pytest.raises(ExtractError, match="^principal 'nope' not defined by the bundle$"):
+        prove_corec(CorecBundle(bundle.strata, "nope"), SM)
+
+
 # -- extraction -------------------------------------------------------------------
 
 def _extract_program(program, ds):
@@ -620,6 +650,82 @@ def test_a_variable_free_only_inside_the_proof_takes_a_closed_value(witness_sort
                                  Fun(result.principal, tuple(fn("a") for _ in free)),
                                  d.conclusion, 8)
     assert realizes(j).holds
+
+
+def test_a_dispatch_nested_on_the_same_bit_is_resolved_in_its_branch():
+    """Two nested or-eliminations of one open h: S(a) | S(b), the inner
+    branches or-introductions of opposite sides: inside each outer branch
+    h's head bit is known, so the inner dispatch takes that branch and the
+    extraction dispatches once.  It realizes the conclusion with h as 0:a
+    and as 1:b."""
+    from coeq.logic import or_elim, or_intro
+    sa, sb = DataAtom("S", Var("a")), DataAtom("S", Var("b"))
+
+    def inner():
+        return or_elim(assume("h", Or(sa, sb)), "k1", or_intro(1, assume("k1", sa), sb),
+                       "k2", or_intro(2, assume("k2", sb), sa))
+    d = or_elim(assume("h", Or(sa, sb)), "l1", inner(), "l2", inner())
+    program = stock_library()["ident"].program
+    assert check_proof(SM, program, d).judgment() == "{h: (S(a) | S(b))} |- (S(a) | S(b))"
+    result = extract(d, program, SM)
+    assert [str(e) for e in result.program.equations_of(result.principal)] == [
+        "f0(x1, x2, x3) = delta(pi1(x3), cons(0, pi2(x3)), cons(1, pi2(x3)), "
+        "cons(0, pi2(x3)))"]
+    assert check_primitive_corecursive(result.program, SM).accepted
+    env = DiagramEnv.of({"a": alternating_stream(), "b": stream_coterm([1, 1, 0], 1)})
+    for h in (cons(ZERO, fn("a")), cons(ONE, fn("b"))):
+        j = RealizabilityJudgment.of(result.program, SM, env, {"a": fn("a"), "b": fn("b")},
+                                     Fun(result.principal, (fn("a"), fn("b"), h)),
+                                     d.conclusion, 8)
+        assert realizes(j).holds, h
+
+
+@pytest.mark.parametrize("bit, f0", [(0, "f0(x1, x2, x3, x4) = x3"),
+                                     (1, "f0(x1, x2, x3, x4) = x4")])
+def test_induction_on_a_constant_bit_takes_its_case(bit, f0):
+    """Induction over B whose major premise is `data-intro` of a constant:
+    the case of that constant is the realizer, with no dispatch.  The cases
+    are delta rewrites of h: S(x) and k: S(y)."""
+    from coeq.logic import data_intro, induction, rewrite
+    delta = lambda sel: Fun("delta", (sel, _x, _y, _x))
+    cases = tuple(rewrite("delta", i, "rl", (1,), assume(lab, DataAtom("S", var)),
+                          DataAtom("S", delta(c)))
+                  for i, (c, lab, var) in enumerate([(ZERO, "h", _x), (ONE, "k", _y)]))
+    d = induction("B", "q", DataAtom("S", delta(Var("q"))), data_intro(SM.types[bit], ()),
+                  cases, ((), ()), ((), ()))
+    program = stock_library()["ident"].program
+    assert check_proof(SM, program, d).judgment() == \
+        f"{{h: S(x), k: S(y)}} |- S(delta({bit}, x, y, x))"
+    result = extract(d, program, SM)
+    assert [str(e) for e in result.program.equations_of(result.principal)] == [f0]
+    env = DiagramEnv.of({"a": alternating_stream(), "b": stream_coterm([1, 1, 0], 1)})
+    j = RealizabilityJudgment.of(result.program, SM, env, {"x": fn("a"), "y": fn("b")},
+                                 Fun(result.principal, (fn("a"), fn("b"), fn("a"), fn("b"))),
+                                 d.conclusion, 8)
+    assert realizes(j).holds
+
+
+def test_an_open_assumption_without_a_realizer_is_an_internal_error():
+    """Every assumption a checked proof leaves open gets a realizer, so a
+    miss is the extractor's fault: a KeyError, not an ExtractError that
+    would read as a refusal."""
+    from coeq.terms import _run
+    ex = Extractor(SM, stock_library()["ident"].program)
+    with pytest.raises(KeyError):
+        _run(ex.extract(assume("h", DataAtom("S", _x)), {"values": {}, "realizers": {}}))
+
+
+def test_extract_sorts_each_quantifier_once(monkeypatch):
+    """Every ex-intro and ex-elim of one quantifier shares one sort lookup,
+    so within one extraction `var_sorts` runs once per distinct formula."""
+    mod = import_module("coeq.extract")
+    verdict = check_primitive_corecursive(stream_family("mutual", 8), SM)
+    compiled = compile_schema(verdict.bundle, SM)
+    d = normalize(prove_corec(verdict.bundle, SM))
+    calls, sort = [], mod.var_sorts
+    monkeypatch.setattr(mod, "var_sorts", lambda x, *rest: calls.append(x) or sort(x, *rest))
+    extract(d, compiled, SM)
+    assert len(calls) == len(set(calls)) > 8
 
 
 def test_realizes_a_conjunction_two_thousand_levels_deep():
