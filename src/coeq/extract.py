@@ -59,10 +59,11 @@ class ExtractError(Exception):
 
 class ProofTemplate(Record):
     """A typed function f/k: `derivation` proves result_sort(f(x1..xk)) from
-    assumptions h_i: arg_sorts[i - 1](x_i)."""
+    assumptions h_i: arg_sorts[i - 1](x_i). A schema member's holds what
+    `Prover._member_proof` needs until `Prover.proof` builds it."""
     __slots__ = ("arg_sorts", "result_sort", "derivation")
 
-    def __init__(self, arg_sorts: tuple[str, ...], result_sort: str, derivation: Derivation):
+    def __init__(self, arg_sorts: tuple[str, ...], result_sort: str, derivation):
         _set(self, "arg_sorts", arg_sorts)
         _set(self, "result_sort", result_sort)
         _set(self, "derivation", derivation)
@@ -106,7 +107,7 @@ class Prover:
         if tpl is None:
             raise ExtractError(f"no typing available for '{t.name}'")
         return subst_derivation(
-            tpl.derivation, {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
+            self.proof(t.name), {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
             {f"h{i + 1}": self.typing(arg, sorts, hyp_labels)
              for i, arg in enumerate(t.args)})
 
@@ -129,9 +130,17 @@ class Prover:
                          tuple(() for _ in self.b_types),
                          tuple(() for _ in self.b_types))
 
+    def proof(self, name: str) -> Derivation:
+        """`name`'s derivation; a schema member's is built when first asked for."""
+        tpl = self.registry[name]
+        if isinstance(tpl.derivation, tuple):
+            tpl = self.registry[name] = ProofTemplate(
+                tpl.arg_sorts, tpl.result_sort, self._member_proof(*tpl.derivation))
+        return tpl.derivation
+
     # -- compositions ------------------------------------------------------------
 
-    def register_composition(self, cdef: CompositionDef) -> Derivation:
+    def register_composition(self, cdef: CompositionDef) -> None:
         term = cdef.component.term
         xs = arg_vars(cdef.arity)
         found = var_sorts(term, self.ds, self.registry)
@@ -141,11 +150,10 @@ class Prover:
         # compile_schema emits one equation per definition, so its index is 0
         d = rewrite(cdef.name, 0, "rl", (1,), body_d, DataAtom(result, Fun(cdef.name, xs)))
         self.registry[cdef.name] = ProofTemplate(tuple(sorts.values()), result, d)
-        return d
 
     # -- schemas (the corecursion-to-coinduction proof) ---------------------------
 
-    def register_schema(self, schema: CorecSchema) -> dict[str, Derivation]:
+    def register_schema(self, schema: CorecSchema) -> None:
         fns = schema.functions
         for f in fns:
             if f.selector is not None or f.produced != self.cons_type.constructor.name:
@@ -160,12 +168,8 @@ class Prover:
         # phi is the same for every member, so one decomposition premise serves all
         d_dcm = self._dcm_proof(fns, build_dcm(self.ds, "S", phi, zz, zz), zz,
                                 "w", phi, 0, len(fns))
-        out: dict[str, Derivation] = {}
         for p, f in enumerate(fns):
-            d = self._member_proof(fns, p, phi, zz, d_dcm)
-            out[f.name] = d
-            self.registry[f.name] = ProofTemplate(("S",) * f.arity, "S", d)
-        return out
+            self.registry[f.name] = ProofTemplate(("S",) * f.arity, "S", (fns, p, phi, zz, d_dcm))
 
     def _intro_exists(self, names: list[str], body: Formula,
                       witnesses: list[Term], d: Derivation) -> Derivation:
@@ -322,25 +326,20 @@ def _disjuncts(fns, val: Term) -> list[Formula]:
 def prove_corec(bundle: CorecBundle, ds: DataSystem) -> Derivation:
     """The corecursion-to-coinduction proof: a derivation of S(f(x1..xk))
     from assumptions S(x1)..S(xk), for the compiled program of the bundle.
-    It is not checked here; its callers check it with `check_proof`."""
+    Member proofs are built on demand, each once: the principal's and those
+    a later stratum calls. Its callers check it with `check_proof`."""
     prover = Prover(ds)
-    principal = bundle.principal
-    result: Derivation | None = None
     try:
         for stratum in bundle.strata:
             if isinstance(stratum, CompositionDef):
-                d = prover.register_composition(stratum)
-                if stratum.name == principal:
-                    result = d
+                prover.register_composition(stratum)
             else:
-                ds_map = prover.register_schema(stratum)
-                if principal in ds_map:
-                    result = ds_map[principal]
+                prover.register_schema(stratum)
     except SortError as e:
         raise ExtractError(str(e)) from None
-    if result is None:
-        raise ExtractError(f"principal '{principal}' not defined by the bundle")
-    return result
+    if bundle.principal not in prover.registry:
+        raise ExtractError(f"principal '{bundle.principal}' not defined by the bundle")
+    return prover.proof(bundle.principal)
 
 
 def prove_corec_program(program: Program, ds: DataSystem) -> tuple[Derivation, Program]:

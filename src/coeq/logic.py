@@ -23,7 +23,7 @@ from collections import Counter
 
 from .program import Program, pi_name, reserved_function, standard_functions
 from .system import ConstructorType, DataSystem
-from .terms import (Con, Fun, Interned, Record, Term, Var, _intern, _run, _set,
+from .terms import (Con, Fun, Interned, Record, Term, Tree, Var, _intern, _run, _set,
                     fresh_name, substitute, variables)
 
 
@@ -307,7 +307,7 @@ def build_dcm(ds: DataSystem, pred_name: str, phi: Formula, hole: str,
 Attrs = tuple[tuple[str, object], ...]
 
 
-class Derivation(Record):
+class Derivation(Tree):
     __slots__ = ("rule", "conclusion", "premises", "attrs")
 
     def __init__(self, rule: str, conclusion: Formula,

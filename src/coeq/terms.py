@@ -95,6 +95,35 @@ class Interned(Record):
     __hash__ = object.__hash__
 
 
+class Tree(Record):
+    """A record whose ``premises`` are a tuple of records of its kind, as a
+    derivation's are.  ``==`` walks two trees in step on an explicit stack,
+    past the subtrees they share, and stops at the first difference; the
+    hash is the root's other fields', and ``==`` decides the rest.  (It is
+    here, not in logic.py, because a longer logic.py leaves more memory
+    behind when it is compiled at import.)"""
+    __slots__ = ()
+
+    def _own(self):
+        return (self.__class__, len(self.premises),
+                *(getattr(self, f) for f in self._fields if f != "premises"))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a._own() != b._own():
+                    return False
+                stack += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self):
+        return hash(self._own())
+
+
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _interned_ref = _interned.data.get   # a hit skips WeakValueDictionary.get's frame
 

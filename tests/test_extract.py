@@ -417,6 +417,44 @@ def test_schema_builds_one_decomposition_case_per_member(monkeypatch):
     assert sorted(calls) == list(range(12))
 
 
+def _counting_member_proofs(monkeypatch) -> list:
+    calls = []
+    original = Prover._member_proof
+
+    def counting(self, fns, p, *args):
+        calls.append(fns[p].name)
+        return original(self, fns, p, *args)
+
+    monkeypatch.setattr(Prover, "_member_proof", counting)
+    return calls
+
+
+def test_prove_corec_builds_only_the_principals_member_proof(monkeypatch):
+    """A member's coinduction is built on demand: for a schema that is the
+    last stratum, only the principal's."""
+    bundle, ds = _mutual_family(12)
+    calls = _counting_member_proofs(monkeypatch)
+    prove_corec(bundle, ds)
+    assert calls == ["f1"]
+
+
+def test_a_later_stratum_calling_another_member_builds_its_proof_once(monkeypatch):
+    """g calls f2 twice, so f2's proof is built once, on demand, and
+    grafted twice; f1's is never built."""
+    program, ds = _parse_program(
+        "g", "f1(x) = cons(pi1(x), f2(pi2(x))); f2(x) = cons(delta(pi1(x), 1, 0, 0), "
+             "f1(pi2(x))); g(x) = f2(f2(pi2(x)));")
+    verdict = check_primitive_corecursive(program, ds)
+    assert verdict.accepted, verdict.reason
+    calls = _counting_member_proofs(monkeypatch)
+    proof = prove_corec(verdict.bundle, ds)
+    assert calls == ["f2"]
+    res = check_proof(ds, compile_schema(verdict.bundle, ds), proof)
+    assert res.ok, res.violations[:3]
+    assert res.conclusion == DataAtom("S", Fun("g", (Var("x1"),)))
+    assert [d.rule for d in proof.preorder()].count("coinduction") == 2
+
+
 def test_every_member_of_a_schema_checks():
     bundle, ds = _mutual_family(12)
     compiled = compile_schema(bundle, ds)

@@ -870,6 +870,26 @@ def test_a_proof_ten_thousand_levels_deep_normalizes():
     assert n.rule == "assume" and n.attr("label") == "h"
 
 
+@pytest.mark.parametrize("depth", [500, 3_000, 10_000])
+def test_derivations_compare_and_hash_by_structure_at_any_depth(depth):
+    """`==` walks two separately built trees in step, not by recursion, and
+    `hash` reads the root; a difference at the deepest leaf decides."""
+    def chain(leaf_label):
+        d = assume(leaf_label, S(v("x")))
+        for _ in range(depth):
+            d = and_intro(d, assume("h", S(v("x"))))
+        return d
+
+    a, b, c = chain("h"), chain("h"), chain("k")
+    try:
+        verdicts = (a is b, a == b, hash(a) == hash(b), a == c, a == a.premises[0],
+                    and_intro(a, c) == and_intro(b, c), and_intro(a, c) == and_intro(c, a),
+                    len({a, b, c}))
+    except RecursionError:   # caught, or the report prints every frame's trees
+        verdicts = "RecursionError"
+    assert verdicts == (False, True, True, False, False, True, False, 2)
+
+
 def test_has_detour_scans_a_proof_ten_thousand_levels_deep_in_linear_time():
     """`has_detour` walks the premises without building each node's path."""
     x = v("x")

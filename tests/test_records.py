@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from coeq.logic import And, DataAtom, Or, ProofViolation
-from coeq.terms import Con, Fun, Interned, Record, Var
+from coeq.terms import Con, Fun, Interned, Record, Tree, Var
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,6 +148,8 @@ def test_a_record_behaves_as_the_dataclass_it_replaces(module, name, spec, froze
     if frozen:
         if issubclass(cls, Interned):   # built alike, one object
             assert a is b and hash(a) == hash(b) and c is not a
+        elif issubclass(cls, Tree):   # hashes the root's own fields, not its premises'
+            assert hash(a) == hash(b)
         else:
             assert hash(a) == hash(b) == hash(ra) and hash(c) == hash(rc)
         for obj in (a, ra):
