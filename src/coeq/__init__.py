@@ -11,12 +11,13 @@ coinduction proofs via realizability.
 from .corec import (CorecBundle, CorecSchema, ProductivityVerdict,
                     check_primitive_corecursive, compile_schema, stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
-from .extract import extract, prove_corec, roundtrip_report
+from .extract import extract, roundtrip_report
+from .formulas import build_dcm, classify_formula
 from .kernel import KERNEL_BACKEND
-from .logic import (assert_sp_proof, build_dcm, check_proof, classify_formula,
-                    normalize)
+from .logic import assert_sp_proof, check_proof, normalize
 from .program import (check_compatibility, deep_destructor, standard_functions,
                       unify, validate_program)
+from .prove import prove_corec
 from .realize import RealizabilityJudgment, realizes
 from .system import canonical_member, syntactic_class, validate_system
 

@@ -1,12 +1,4 @@
-"""Between corecursion and coinduction proofs.
-
-`prove_corec` turns a recognized corecursive definition into a checked
-natural-deduction proof that its functions map streams to streams: one
-coinduction per schema, with the invariant "z is a value of some vector
-member on stream arguments" (a balanced disjunction), and component
-typings synthesized bottom-up (destructor eliminations, boolean case
-analysis for discriminator dispatch, and grafted proofs of previously
-defined functions).
+"""From coinduction proofs to corecursion, and the round trip.
 
 `extract` walks a detour-free, all-strongly-positive derivation and emits
 a primitive-corecursive program realizing its conclusion: logical rules
@@ -16,8 +8,9 @@ schema of fresh corecursive functions, one per member state the invariant
 realizer reaches, each producing head bits while stepping the
 decomposition evidence, one parameter per evidence component.
 
-`roundtrip_report` drives the full pipeline over the stock library and
-checks the extracted programs against the originals observationally.
+`roundtrip_report` drives the full pipeline over the stock library, from
+`prove.prove_corec` to `extract`, and checks the extracted programs
+against the originals observationally.
 """
 from __future__ import annotations
 
@@ -30,318 +23,22 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     bundle_equal, check_primitive_corecursive, compile_schema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
-from .logic import (And, CheckResult, DataAtom, Derivation, EqAtom, Exists,
-                    Formula, Or, _path, _scopes, and_elim, and_intro,
-                    assert_sp_proof, assume, build_dcm, check_proof, coinduction,
-                    data_elim, data_intro, ex_elim, ex_intro, fv, has_detour,
-                    induction, normalize, or_elim, or_intro, refl, rewrite,
-                    show_path, subst_derivation, subst_formula)
-from .program import DELTA, Equation, Program, assemble_program, pi_name
-from .realize import (ALGEBRA, EVEN, ODD, SortError, check_algebra, even_term,
-                      merge_term, odd_term, term_sort, var_sorts, zeros_term)
+from .formulas import Derivation, Formula, Or, fv, show_path
+from .logic import (CheckResult, _path, _scopes, assert_sp_proof, check_proof,
+                    has_detour, normalize)
+from .program import Equation, Program, assemble_program, pi_name
+from .prove import ExtractError, prove_corec
+from .realize import (ALGEBRA, EVEN, ODD, ZEROS_R, ConsR, Leaf, Pair, SortError, SymR,
+                      _alternatives, _const_bit, _drop, _known, _number, _or_path,
+                      _project, _shape, case, check_algebra, even_r, head_term_of, mat,
+                      sigma1, tail_r, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import (Con, Fun, Interned, Record, Term, Var, _intern, _run, _set,
-                    fresh_name, substitute, subterms, variables)
+from .terms import (Con, Fun, Record, Term, Var, _run, substitute, subterms,
+                    variables)
 
 
-class ExtractError(Exception):
-    """`condition` names the condition of `extract`'s gate that failed:
-    "check", "detour", "strongly-positive" or "sort"; None otherwise."""
-
-    def __init__(self, message: str, condition: str | None = None):
-        super().__init__(message)
-        self.condition = condition
-
-
-# ---------------------------------------------------------------------------
-# Component typing proofs
-# ---------------------------------------------------------------------------
-
-class ProofTemplate(Record):
-    """A typed function f/k: `derivation` proves result_sort(f(x1..xk)) from
-    assumptions h_i: arg_sorts[i - 1](x_i). A schema member's holds what
-    `Prover._member_proof` needs until `Prover.proof` builds it."""
-    __slots__ = ("arg_sorts", "result_sort", "derivation")
-
-    def __init__(self, arg_sorts: tuple[str, ...], result_sort: str, derivation):
-        _set(self, "arg_sorts", arg_sorts)
-        _set(self, "result_sort", result_sort)
-        _set(self, "derivation", derivation)
-
-
-class Prover:
-    """Builds derivations about the programs `compile_schema` emits."""
-
-    def __init__(self, ds: DataSystem):
-        self.ds = ds
-        self.registry: dict[str, ProofTemplate] = {}
-        self.labels = map("q{}".format, itertools.count(1))
-        b = ds.predicate("B")
-        s = ds.predicate("S")
-        if b is None or s is None or not b.inductive or s.inductive:
-            raise ExtractError("proof generation expects a boolean-stream system")
-        self.cons_type = next(t for t in ds.types_for_result(s))
-        self.b_types = ds.types_for_result(b)
-
-    # -- the synthesizer -------------------------------------------------------
-
-    def typing(self, t: Term, sorts: dict[str, str],
-               hyp_labels: dict[str, str]) -> Derivation:
-        """Derivation of Pred(t) from labeled hypotheses Pred_v(v)."""
-        if isinstance(t, Var):
-            return assume(hyp_labels[t.name], DataAtom(sorts[t.name], t))
-        if isinstance(t, Con):
-            types = [ty for ty in self.ds.types_of(t.name)
-                     if ty.result_predicate.inductive]
-            if not types or t.args:
-                raise ExtractError(f"cannot type constructor term '{t}'")
-            return data_intro(types[0], ())
-        assert isinstance(t, Fun)
-        if t.name in (pi_name(1), pi_name(2)):
-            inner = self.typing(t.args[0], sorts, hyp_labels)
-            i = 1 if t.name == pi_name(1) else 2
-            return data_elim(self.cons_type, i, inner)
-        if t.name == DELTA:
-            return self._delta_typing(t, sorts, hyp_labels)
-        tpl = self.registry.get(t.name)
-        if tpl is None:
-            raise ExtractError(f"no typing available for '{t.name}'")
-        return subst_derivation(
-            self.proof(t.name), {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
-            {f"h{i + 1}": self.typing(arg, sorts, hyp_labels)
-             for i, arg in enumerate(t.args)})
-
-    def _delta_typing(self, t: Term, sorts, hyp_labels) -> Derivation:
-        sel = t.args[0]
-        sel_d = self.typing(sel, sorts, hyp_labels)
-        target = term_sort(t, sorts, self.ds, self.registry)
-        hole = fresh_name("q0", variables(t))
-        phi = DataAtom(target, Fun(DELTA, (Var(hole),) + t.args[1:]))
-        cases = []
-        delta_positions = {c.name: i for i, c in enumerate(self.ds.vocabulary)}
-        for ct in self.b_types:
-            cname = ct.constructor.name
-            idx = delta_positions[cname]
-            branch = t.args[1 + idx]
-            inner = self.typing(branch, sorts, hyp_labels)
-            concl = DataAtom(target, Fun(DELTA, (Con(cname),) + t.args[1:]))
-            cases.append(rewrite(DELTA, idx, "rl", (1,), inner, concl))
-        return induction("B", hole, phi, sel_d, tuple(cases),
-                         tuple(() for _ in self.b_types),
-                         tuple(() for _ in self.b_types))
-
-    def proof(self, name: str) -> Derivation:
-        """`name`'s derivation; a schema member's is built when first asked for."""
-        tpl = self.registry[name]
-        if isinstance(tpl.derivation, tuple):
-            tpl = self.registry[name] = ProofTemplate(
-                tpl.arg_sorts, tpl.result_sort, self._member_proof(*tpl.derivation))
-        return tpl.derivation
-
-    # -- compositions ------------------------------------------------------------
-
-    def register_composition(self, cdef: CompositionDef) -> None:
-        term = cdef.component.term
-        xs = arg_vars(cdef.arity)
-        found = var_sorts(term, self.ds, self.registry)
-        sorts = {x.name: found.get(x.name, "S") for x in xs}
-        body_d = self.typing(term, sorts, {x.name: f"h{i + 1}" for i, x in enumerate(xs)})
-        result = term_sort(term, sorts, self.ds, self.registry)
-        # compile_schema emits one equation per definition, so its index is 0
-        d = rewrite(cdef.name, 0, "rl", (1,), body_d, DataAtom(result, Fun(cdef.name, xs)))
-        self.registry[cdef.name] = ProofTemplate(tuple(sorts.values()), result, d)
-
-    # -- schemas (the corecursion-to-coinduction proof) ---------------------------
-
-    def register_schema(self, schema: CorecSchema) -> None:
-        fns = schema.functions
-        for f in fns:
-            if f.selector is not None or f.produced != self.cons_type.constructor.name:
-                raise ExtractError(
-                    f"'{f.name}': only stream-form schemas generate proofs")
-            if len(f.slots) != 2 or not isinstance(f.slots[0], PlainSlot) \
-                    or not isinstance(f.slots[1], RecSlot):
-                raise ExtractError(
-                    f"'{f.name}': expected one head component and one corecursive call")
-        zz = "zz"
-        phi = _disjunction(_disjuncts(fns, Var(zz)))
-        # phi is the same for every member, so one decomposition premise serves all
-        d_dcm = self._dcm_proof(fns, build_dcm(self.ds, "S", phi, zz, zz), zz,
-                                "w", phi, 0, len(fns))
-        for p, f in enumerate(fns):
-            self.registry[f.name] = ProofTemplate(("S",) * f.arity, "S", (fns, p, phi, zz, d_dcm))
-
-    def _intro_exists(self, names: list[str], body: Formula,
-                      witnesses: list[Term], d: Derivation) -> Derivation:
-        for i in range(len(names) - 1, -1, -1):
-            partial = subst_formula(_closure(names[i + 1:], body),
-                                    dict(zip(names[:i], witnesses[:i])))
-            d = ex_intro(names[i], partial, witnesses[i], d)
-        return d
-
-    def _intro_member(self, fns, p: int, val: Term, arg_values: list[Term],
-                      arg_proofs: list[Derivation]) -> Derivation:
-        """phi[zz := val] via disjunct p: the existentials and conjunctions
-        of 'val is f_p on streams arg_values'."""
-        f = fns[p]
-        ys = [f"y{i + 1}" for i in range(f.arity)]
-        d = refl(val)
-        for pd in reversed(arg_proofs):
-            d = and_intro(pd, d)
-        d = self._intro_exists(ys, _chain(f.name, val, [Var(y) for y in ys]),
-                               arg_values, d)
-        return _select(_disjunction(_disjuncts(fns, val)), len(fns), p, d)
-
-    def _member_proof(self, fns, p: int, phi: Formula, zz: str,
-                      d_dcm: Derivation) -> Derivation:
-        fp = fns[p]
-        xs = [Var(f"x{i + 1}") for i in range(fp.arity)]
-        t = Fun(fp.name, tuple(xs))
-        arg_proofs = [assume(f"h{i + 1}", DataAtom("S", x)) for i, x in enumerate(xs)]
-        premise1 = self._intro_member(fns, p, t, xs, arg_proofs)
-        return coinduction("S", zz, phi, t, "w", premise1, d_dcm)
-
-    def _dcm_proof(self, fns, dcm: Formula, zz: str, label: str, tree: Formula,
-                   lo: int, n: int) -> Derivation:
-        """The decomposition `dcm` of zz from `tree`, the disjunction of
-        disjuncts lo..lo+n-1, assumed under `label`: one or-elimination per
-        split, its two labels drawn before its left subtree."""
-        if n == 1:
-            return self._dcm_case(fns, dcm, zz, lo, assume(label, tree))
-        m = n // 2
-        l1, l2 = next(self.labels), next(self.labels)
-        left = self._dcm_proof(fns, dcm, zz, l1, tree.left, lo, m)
-        right = self._dcm_proof(fns, dcm, zz, l2, tree.right, lo + m, n - m)
-        return or_elim(assume(label, tree), l1, left, l2, right)
-
-    def _dcm_case(self, fns, dcm: Formula, zz: str, j: int,
-                  d_j: Derivation) -> Derivation:
-        """From a proof of disjunct j (zz is f_j on streams), derive the
-        decomposition `dcm` of zz."""
-        fj = fns[j]
-        k = fj.arity
-        es = [f"e{next(self.labels)}" for _ in range(k)]
-        e_args = tuple(Var(e) for e in es)
-        # peel the existentials, then the conjunction chain
-        a_label = next(self.labels)
-        cur: Derivation = assume(a_label, _chain(fj.name, Var(zz), e_args))
-        s_proofs: list[Derivation] = []
-        for _ in range(k):
-            s_proofs.append(and_elim(1, cur))
-            cur = and_elim(2, cur)
-        # rewrite the call one step: zz = cons(head, f_l(tailargs))
-        head_term = fj.slots[0].component.apply(e_args)
-        tail_slot = fj.slots[1]
-        tail_args = [c.apply(e_args) for c in tail_slot.args]
-        tail_term = Fun(fns[tail_slot.target - 1].name, tuple(tail_args))
-        stepped = rewrite(fj.name, 0, "lr", (2,), cur,
-                          EqAtom(Var(zz), Con(fj.produced, (head_term, tail_term))))
-        # typings, from hypotheses S(e) later grafted with the chain's proofs
-        sorts = {e: "S" for e in es}
-        hyp_labels = {e: next(self.labels) for e in es}
-        typed = [self.typing(a, sorts, hyp_labels) for a in [head_term] + tail_args]
-        chain = {hyp_labels[e]: sp for e, sp in zip(es, s_proofs)}
-        typed = [subst_derivation(tp, {}, chain) for tp in typed]
-        d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,
-                                        tail_args, typed[1:])
-        body = and_intro(typed[0], and_intro(d_phi_tail, stepped))
-        z_names = []
-        while isinstance(dcm, Exists):
-            z_names.append(dcm.var)
-            dcm = dcm.body
-        d = self._intro_exists(z_names, dcm, [head_term, tail_term], body)
-        return self._close_exists(fj.name, zz, es, a_label, d, d_j)
-
-    def _close_exists(self, fn: str, zz: str, es: list[str], a_label: str,
-                      core: Derivation, d_j: Derivation) -> Derivation:
-        """Wrap `core` (built from the innermost chain assumption labeled
-        a_label) in existential eliminations for e_1..e_k, majored by d_j."""
-        k = len(es)
-        if k == 0:
-            return subst_derivation(core, {}, {a_label: d_j})
-        ys = [f"y{i + 1}" for i in range(k)]
-
-        def remaining(i: int) -> Formula:
-            """ex ys[i]..ys[k-1]. chain, with ys[0..i-1] already e's."""
-            vs = [Var(e) for e in es[:i]] + [Var(y) for y in ys[i:]]
-            return _closure(ys[i:], _chain(fn, Var(zz), vs))
-
-        # ex_elim i opens ys[i] as es[i]; its minor premise assumes
-        # remaining(i + 1) under labs[i], the innermost one the chain itself
-        labs = [next(self.labels) for _ in range(k - 1)] + [a_label]
-        d = core
-        for i in range(k - 1, 0, -1):
-            d = ex_elim(assume(labs[i - 1], remaining(i)), es[i], labs[i], d)
-        return ex_elim(d_j, es[0], labs[0], d)
-
-
-def _chain(fn: str, lhs: Term, vs) -> Formula:
-    """S(v1) & ... & S(vk) & lhs = fn(v1..vk)."""
-    out: Formula = EqAtom(lhs, Fun(fn, tuple(vs)))
-    for v in reversed(vs):
-        out = And(DataAtom("S", v), out)
-    return out
-
-
-def _closure(names, body: Formula) -> Formula:
-    """ex names[0] ... ex names[-1]. body"""
-    for y in reversed(names):
-        body = Exists(y, body)
-    return body
-
-
-def _disjunction(fs) -> Formula:
-    """The disjunction of fs as a balanced tree: the first len // 2 on the
-    left, the rest on the right (for three or fewer, nested to the right)."""
-    if len(fs) == 1:
-        return fs[0]
-    m = len(fs) // 2
-    return Or(_disjunction(fs[:m]), _disjunction(fs[m:]))
-
-
-def _select(tree: Formula, n: int, p: int, d: Derivation) -> Derivation:
-    """d, a proof of disjunct p of `tree` (`_disjunction` of n disjuncts),
-    as a proof of `tree`: one or-introduction per level."""
-    if n == 1:
-        return d
-    m = n // 2
-    if p < m:
-        return or_intro(1, _select(tree.left, m, p, d), tree.right)
-    return or_intro(2, _select(tree.right, n - m, p - m, d), tree.left)
-
-
-def _disjuncts(fns, val: Term) -> list[Formula]:
-    """For each member f/k of the vector: ex y1..yk. S(y1) & ... & val = f(y...)."""
-    out = []
-    for f in fns:
-        ys = [f"y{i + 1}" for i in range(f.arity)]
-        out.append(_closure(ys, _chain(f.name, val, [Var(y) for y in ys])))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# prove_corec
-# ---------------------------------------------------------------------------
-
-def prove_corec(bundle: CorecBundle, ds: DataSystem) -> Derivation:
-    """The corecursion-to-coinduction proof: a derivation of S(f(x1..xk))
-    from assumptions S(x1)..S(xk), for the compiled program of the bundle.
-    Member proofs are built on demand, each once: the principal's and those
-    a later stratum calls. Its callers check it with `check_proof`."""
-    prover = Prover(ds)
-    try:
-        for stratum in bundle.strata:
-            if isinstance(stratum, CompositionDef):
-                prover.register_composition(stratum)
-            else:
-                prover.register_schema(stratum)
-    except SortError as e:
-        raise ExtractError(str(e)) from None
-    if bundle.principal not in prover.registry:
-        raise ExtractError(f"principal '{bundle.principal}' not defined by the bundle")
-    return prover.proof(bundle.principal)
-
-
+# here, not in prove.py, so that its calls resolve in this module's names,
+# which the benchmark's tracer wraps for `roundtrip_report` already
 def prove_corec_program(program: Program, ds: DataSystem) -> tuple[Derivation, Program]:
     """Recognize, compile, prove: the derivation plus the compiled program
     it is checked against."""
@@ -350,201 +47,6 @@ def prove_corec_program(program: Program, ds: DataSystem) -> tuple[Derivation, P
         raise ExtractError(f"not primitive corecursive: {verdict.reason}")
     compiled = compile_schema(verdict.bundle, ds)
     return prove_corec(verdict.bundle, ds), compiled
-
-
-# ---------------------------------------------------------------------------
-# Extraction: symbolic realizers
-# ---------------------------------------------------------------------------
-
-class SymR(Interned):
-    __slots__ = ()
-
-
-class Leaf(SymR):
-    __slots__ = ("term",)
-
-    def __new__(cls, term: Term):
-        return _intern((cls, term))
-
-
-class Pair(SymR):
-    __slots__ = ("head", "rest")
-
-    def __new__(cls, head: SymR, rest: SymR):
-        return _intern((cls, head, rest))
-
-
-class ConsR(SymR):
-    __slots__ = ("head_term", "tail")
-
-    def __new__(cls, head_term: Term, tail: SymR):
-        return _intern((cls, head_term, tail))
-
-
-class Case(SymR):
-    """Discriminator dispatch on a boolean term: `left` where it is 0,
-    `right` where it is 1."""
-    __slots__ = ("bit", "left", "right")
-
-    def __new__(cls, bit: Term, left: SymR, right: SymR):
-        return _intern((cls, bit, left, right))
-
-
-def _const_bit(t: Term) -> str | None:
-    if isinstance(t, Con) and not t.args and t.name in ("0", "1"):
-        return t.name
-    return None
-
-
-def _known(r: SymR, bit: Term, value: str) -> SymR:
-    """r on the runs where `bit` is `value`: dispatches on it are resolved."""
-    if isinstance(r, Case):
-        if r.bit == bit:
-            return _known(r.left if value == "0" else r.right, bit, value)
-        return Case(r.bit, _known(r.left, bit, value), _known(r.right, bit, value))
-    if isinstance(r, Pair):
-        return Pair(_known(r.head, bit, value), _known(r.rest, bit, value))
-    if isinstance(r, ConsR):
-        return ConsR(r.head_term, _known(r.tail, bit, value))
-    return r
-
-
-def case(bit: Term, left: SymR, right: SymR) -> SymR:
-    const = _const_bit(bit)
-    if const is not None:
-        return left if const == "0" else right
-    left, right = _known(left, bit, "0"), _known(right, bit, "1")
-    return left if left == right else Case(bit, left, right)
-
-
-def _over(r: Case, f) -> SymR:
-    """f distributed over the branches of a dispatch."""
-    left, right = f(r.left), f(r.right)
-    return left if left == right else Case(r.bit, left, right)
-
-
-def mat(r: SymR) -> Term:
-    return r.term if isinstance(r, Leaf) else _run(_mat(r))
-
-
-def _mat(r: SymR):   # run by _run, so a realizer of any depth materializes
-    if isinstance(r, Leaf):
-        return r.term
-    if isinstance(r, ConsR):
-        return Con("cons", (r.head_term, (yield _mat(r.tail))))
-    if isinstance(r, Pair):
-        return merge_term((yield _mat(r.head)), (yield _mat(r.rest)))
-    left = yield _mat(r.left)
-    return Fun(DELTA, (r.bit, left, (yield _mat(r.right)), left))
-
-
-def even_r(r: SymR) -> SymR:
-    if isinstance(r, Pair):
-        return r.head
-    if isinstance(r, Case):
-        return _over(r, even_r)
-    return Leaf(even_term(mat(r)))
-
-
-def odd_r(r: SymR) -> SymR:
-    if isinstance(r, Pair):
-        return r.rest
-    if isinstance(r, Case):
-        return _over(r, odd_r)
-    return Leaf(odd_term(mat(r)))
-
-
-def sigma1(r: SymR) -> SymR:
-    return even_r(odd_r(r))
-
-
-def head_term_of(r: SymR) -> Term:
-    if isinstance(r, ConsR):
-        return r.head_term
-    if isinstance(r, Case):
-        left, right = head_term_of(r.left), head_term_of(r.right)
-        return left if left == right else Fun(DELTA, (r.bit, left, right, left))
-    return Fun(pi_name(1), (mat(r),))
-
-
-def tail_r(r: SymR) -> SymR:
-    if isinstance(r, ConsR):
-        return r.tail
-    if isinstance(r, Case):
-        return _over(r, tail_r)
-    return Leaf(Fun(pi_name(2), (mat(r),)))
-
-
-ZEROS_R = Leaf(zeros_term())
-
-
-# -- runner parameters: the skeleton of a realizer -------------------------------
-
-_HOLE = Var("_")
-
-
-def _alternatives(rs: list[SymR]) -> list[SymR]:
-    out: list[SymR] = []
-    for r in rs:
-        out += _alternatives([r.left, r.right]) if isinstance(r, Case) else [r]
-    return out
-
-
-def _shape(rs: list[SymR]) -> SymR:
-    """The Pair/ConsR structure that every alternative of `rs` has, with
-    holes where they disagree."""
-    rs = _alternatives(rs)
-    if all(isinstance(r, Pair) for r in rs):
-        return Pair(_shape([r.head for r in rs]), _shape([r.rest for r in rs]))
-    if all(isinstance(r, ConsR) for r in rs):
-        return ConsR(_HOLE, _shape([r.tail for r in rs]))
-    return Leaf(_HOLE)
-
-
-def _number(shape: SymR, names: itertools.count) -> SymR:
-    """The shape with a parameter x<n> in each hole, n drawn from `names`
-    in preorder."""
-    if isinstance(shape, Pair):
-        return Pair(_number(shape.head, names), _number(shape.rest, names))
-    q = Var(f"x{next(names)}")
-    return ConsR(q, _number(shape.tail, names)) if isinstance(shape, ConsR) else Leaf(q)
-
-
-def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
-    """The value of each parameter of `skel` when the realizer is r.  By
-    the merge/even/odd laws the skeleton over these values is r again."""
-    if isinstance(skel, Leaf):
-        out[skel.term.name] = mat(r)
-    elif isinstance(skel, Pair):
-        _project(even_r(r), skel.head, out)
-        _project(odd_r(r), skel.rest, out)
-    else:
-        out[skel.head_term.name] = head_term_of(r)
-        _project(tail_r(r), skel.tail, out)
-    return out
-
-
-def _drop(r: SymR, n: int) -> SymR:
-    for _ in range(n):
-        r = tail_r(r)
-    return r
-
-
-def _or_path(r: SymR, phi: Formula,
-             dynamic) -> tuple[tuple[str, ...], SymR, Formula]:
-    """The constant head bits by which r selects a disjunct of the
-    disjunction tree phi, the rest of r, and the formula that rest
-    realizes.  The path ends at a disjunct, at a position in `dynamic`, or
-    at a head that is not a constant bit."""
-    path: tuple[str, ...] = ()
-    while isinstance(phi, Or) and path not in dynamic:
-        bit = _const_bit(head_term_of(r))
-        if bit is None:
-            break
-        path += (bit,)
-        phi = phi.left if bit == "0" else phi.right
-        r = tail_r(r)
-    return path, r, phi
 
 
 class _State(Record, frozen=False):

@@ -1,5 +1,6 @@
-"""Realizer streams: the even/odd split algebra and finite-depth
-realizability checking for strongly-positive formulas.
+"""Realizer streams: the even/odd split algebra, finite-depth
+realizability checking for strongly-positive formulas, and the symbolic
+realizers `extract` builds before it writes them as terms.
 
 A realizer is a stream value; evidence for a compound formula is packed
 into one stream by interleaving.  With sigma_0 = even(sigma) and
@@ -11,13 +12,15 @@ values ride in stream heads.
 """
 from __future__ import annotations
 
+import itertools
+
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
-from .logic import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
-                    PolarityClass, classify_formula, show_path)
+from .formulas import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
+                       PolarityClass, classify_formula, show_path)
 from .program import DELTA, Equation, Program, assemble_program, pi_name
 from .system import DataPredicate, DataSystem
-from .terms import Con, Fun, Record, Term, Var, _set, substitute
+from .terms import Con, Fun, Interned, Record, Term, Var, _intern, _run, _set, substitute
 
 EVEN = "split_even"
 ODD = "split_odd"
@@ -306,3 +309,208 @@ def _head(session: Session, t: Term, budget: int) -> tuple[str | None, bool]:
 
 def _unequal(r: OmegaResult, path: tuple[str, ...], detail: str) -> RealizeResult:
     return RealizeResult("stalled" if r.status == "stalled" else "fails", path, detail)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic realizers, as the extractor builds them
+# ---------------------------------------------------------------------------
+
+class SymR(Interned):
+    __slots__ = ()
+
+
+class Leaf(SymR):
+    __slots__ = ("term",)
+
+    def __new__(cls, term: Term):
+        return _intern((cls, term))
+
+
+class Pair(SymR):
+    __slots__ = ("head", "rest")
+
+    def __new__(cls, head: SymR, rest: SymR):
+        return _intern((cls, head, rest))
+
+
+class ConsR(SymR):
+    __slots__ = ("head_term", "tail")
+
+    def __new__(cls, head_term: Term, tail: SymR):
+        return _intern((cls, head_term, tail))
+
+
+class Case(SymR):
+    """Discriminator dispatch on a boolean term: `left` where it is 0,
+    `right` where it is 1."""
+    __slots__ = ("bit", "left", "right")
+
+    def __new__(cls, bit: Term, left: SymR, right: SymR):
+        return _intern((cls, bit, left, right))
+
+
+def _const_bit(t: Term) -> str | None:
+    if isinstance(t, Con) and not t.args and t.name in ("0", "1"):
+        return t.name
+    return None
+
+
+def _known(r: SymR, bit: Term, value: str) -> SymR:
+    """r on the runs where `bit` is `value`: dispatches on it are resolved,
+    each shared node once, on `_run`'s stack: any depth."""
+    return _run(_resolve(r, bit, value, {}))
+
+
+def _resolve(r: SymR, bit: Term, value: str, memo: dict):   # run by _run
+    if isinstance(r, Leaf) or r in memo:
+        return memo.get(r, r)
+    if isinstance(r, Case) and r.bit == bit:
+        out = yield _resolve(r.left if value == "0" else r.right, bit, value, memo)
+    elif isinstance(r, Case):
+        out = Case(r.bit, (yield _resolve(r.left, bit, value, memo)),
+                   (yield _resolve(r.right, bit, value, memo)))
+    elif isinstance(r, Pair):
+        out = Pair((yield _resolve(r.head, bit, value, memo)),
+                   (yield _resolve(r.rest, bit, value, memo)))
+    else:
+        out = ConsR(r.head_term, (yield _resolve(r.tail, bit, value, memo)))
+    memo[r] = out
+    return out
+
+
+def case(bit: Term, left: SymR, right: SymR) -> SymR:
+    const = _const_bit(bit)
+    if const is not None:
+        return left if const == "0" else right
+    left, right = _known(left, bit, "0"), _known(right, bit, "1")
+    return left if left == right else Case(bit, left, right)
+
+
+def _over(r: Case, f) -> SymR:
+    """f distributed over the branches of a dispatch."""
+    left, right = f(r.left), f(r.right)
+    return left if left == right else Case(r.bit, left, right)
+
+
+def mat(r: SymR) -> Term:
+    return r.term if isinstance(r, Leaf) else _run(_mat(r))
+
+
+def _mat(r: SymR):   # run by _run, so a realizer of any depth materializes
+    if isinstance(r, Leaf):
+        return r.term
+    if isinstance(r, ConsR):
+        return Con("cons", (r.head_term, (yield _mat(r.tail))))
+    if isinstance(r, Pair):
+        return merge_term((yield _mat(r.head)), (yield _mat(r.rest)))
+    left = yield _mat(r.left)
+    return Fun(DELTA, (r.bit, left, (yield _mat(r.right)), left))
+
+
+def even_r(r: SymR) -> SymR:
+    if isinstance(r, Pair):
+        return r.head
+    if isinstance(r, Case):
+        return _over(r, even_r)
+    return Leaf(even_term(mat(r)))
+
+
+def odd_r(r: SymR) -> SymR:
+    if isinstance(r, Pair):
+        return r.rest
+    if isinstance(r, Case):
+        return _over(r, odd_r)
+    return Leaf(odd_term(mat(r)))
+
+
+def sigma1(r: SymR) -> SymR:
+    return even_r(odd_r(r))
+
+
+def head_term_of(r: SymR) -> Term:
+    if isinstance(r, ConsR):
+        return r.head_term
+    if isinstance(r, Case):
+        left, right = head_term_of(r.left), head_term_of(r.right)
+        return left if left == right else Fun(DELTA, (r.bit, left, right, left))
+    return Fun(pi_name(1), (mat(r),))
+
+
+def tail_r(r: SymR) -> SymR:
+    if isinstance(r, ConsR):
+        return r.tail
+    if isinstance(r, Case):
+        return _over(r, tail_r)
+    return Leaf(Fun(pi_name(2), (mat(r),)))
+
+
+ZEROS_R = Leaf(zeros_term())
+
+
+# -- runner parameters: the skeleton of a realizer -------------------------------
+
+_HOLE = Var("_")
+
+
+def _alternatives(rs: list[SymR]) -> list[SymR]:
+    out: list[SymR] = []
+    for r in rs:
+        out += _alternatives([r.left, r.right]) if isinstance(r, Case) else [r]
+    return out
+
+
+def _shape(rs: list[SymR]) -> SymR:
+    """The Pair/ConsR structure that every alternative of `rs` has, with
+    holes where they disagree."""
+    rs = _alternatives(rs)
+    if all(isinstance(r, Pair) for r in rs):
+        return Pair(_shape([r.head for r in rs]), _shape([r.rest for r in rs]))
+    if all(isinstance(r, ConsR) for r in rs):
+        return ConsR(_HOLE, _shape([r.tail for r in rs]))
+    return Leaf(_HOLE)
+
+
+def _number(shape: SymR, names: itertools.count) -> SymR:
+    """The shape with a parameter x<n> in each hole, n drawn from `names`
+    in preorder."""
+    if isinstance(shape, Pair):
+        return Pair(_number(shape.head, names), _number(shape.rest, names))
+    q = Var(f"x{next(names)}")
+    return ConsR(q, _number(shape.tail, names)) if isinstance(shape, ConsR) else Leaf(q)
+
+
+def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
+    """The value of each parameter of `skel` when the realizer is r.  By
+    the merge/even/odd laws the skeleton over these values is r again."""
+    if isinstance(skel, Leaf):
+        out[skel.term.name] = mat(r)
+    elif isinstance(skel, Pair):
+        _project(even_r(r), skel.head, out)
+        _project(odd_r(r), skel.rest, out)
+    else:
+        out[skel.head_term.name] = head_term_of(r)
+        _project(tail_r(r), skel.tail, out)
+    return out
+
+
+def _drop(r: SymR, n: int) -> SymR:
+    for _ in range(n):
+        r = tail_r(r)
+    return r
+
+
+def _or_path(r: SymR, phi: Formula,
+             dynamic) -> tuple[tuple[str, ...], SymR, Formula]:
+    """The constant head bits by which r selects a disjunct of the
+    disjunction tree phi, the rest of r, and the formula that rest
+    realizes.  The path ends at a disjunct, at a position in `dynamic`, or
+    at a head that is not a constant bit."""
+    path: tuple[str, ...] = ()
+    while isinstance(phi, Or) and path not in dynamic:
+        bit = _const_bit(head_term_of(r))
+        if bit is None:
+            break
+        path += (bit,)
+        phi = phi.left if bit == "0" else phi.right
+        r = tail_r(r)
+    return path, r, phi

@@ -100,8 +100,9 @@ class Tree(Record):
     derivation's are.  ``==`` walks two trees in step on an explicit stack,
     past the subtrees they share, and stops at the first difference; the
     hash is the root's other fields', and ``==`` decides the rest.  (It is
-    here, not in logic.py, because a longer logic.py leaves more memory
-    behind when it is compiled at import.)"""
+    here, in a small module compiled early, because the longest module's
+    compile sets the peak memory of a start from source; see
+    tests/test_kernel_source.py::test_no_module_is_longer_than_700_lines.)"""
     __slots__ = ()
 
     def _own(self):

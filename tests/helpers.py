@@ -9,7 +9,7 @@ import random
 
 from coeq.corec import check_primitive_corecursive, cocase_equations, compile_schema
 from coeq.evaluation import DiagramEnv
-from coeq.logic import Derivation, assume, imp_elim, imp_intro
+from coeq.formulas import Derivation, assume, imp_elim, imp_intro
 from coeq.program import DELTA, Equation, Program, assemble_program, pi_name
 from coeq.system import (Constructor, ConstructorType, CotermNode,
                          DataPredicate, DataSystem, Kind, RegularCoterm,

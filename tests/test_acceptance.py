@@ -15,12 +15,12 @@ from coeq.corec import (check_primitive_corecursive, compile_schema,
                         morse_thue_program, stock_library)
 from coeq.evaluation import (DiagramEnv, Session, Stalled, derives_omega,
                              first_stall, restrict)
-from coeq.extract import prove_corec, roundtrip_report
-from coeq.logic import (Derivation, EqAtom, Exists, assert_sp_proof, assume,
-                        and_intro, build_dcm, check_proof, coinduction,
-                        data_intro, ex_intro, has_detour, normalize, refl,
-                        subst_formula)
+from coeq.extract import roundtrip_report
+from coeq.formulas import (Derivation, EqAtom, Exists, and_intro, assume, build_dcm,
+                           coinduction, data_intro, ex_intro, refl, subst_formula)
+from coeq.logic import assert_sp_proof, check_proof, has_detour, normalize
 from coeq.program import assemble_program
+from coeq.prove import prove_corec
 from coeq.realize import (even_term, merge_term, odd_term, split_term,
                           with_algebra)
 from coeq.system import random_stream_coterm

@@ -6,14 +6,15 @@ from importlib import import_module
 
 import pytest
 
-from coeq.cli import (ParseError, Parser, ResolutionError, Workspace, main,
-                      parse_files, parse_workspace, resolve_workspace,
-                      show_approximation, show_derivation, show_program,
-                      show_system, tokenize)
+from coeq.cli import (ResolutionError, main, parse_files, parse_workspace,
+                      resolve_workspace, show_approximation, show_derivation,
+                      show_program, show_system)
 from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, EvalError,
                              GeneratorBinding, Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
-from coeq.logic import And, DataAtom, and_intro, assume, check_proof, ex_intro, or_intro
+from coeq.formulas import And, DataAtom, and_intro, assume, ex_intro, or_intro
+from coeq.logic import check_proof
+from coeq.reader import ParseError, Parser, Workspace, tokenize
 from coeq.system import CotermNode, RegularCoterm
 from coeq.terms import Con, Fun, Var
 
@@ -144,7 +145,7 @@ def test_proof_parses_and_checks():
 
 def test_generated_proof_roundtrips_through_text():
     from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
-    from coeq.extract import prove_corec
+    from coeq.prove import prove_corec
     ws = parse_workspace(SM_SOURCE)
     entry = stock_library()["even"]
     verdict = check_primitive_corecursive(entry.program, ws.system)

@@ -13,12 +13,13 @@ from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
                         SchemaFun, StockEntry, check_primitive_corecursive,
                         compile_schema, morse_thue_program, stock_library)
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
-from coeq.extract import (ExtractError, Extractor, Prover, extract, prove_corec,
-                          prove_corec_program, roundtrip_report)
-from coeq.logic import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
-                        and_elim, and_intro, assert_sp_proof, assume, check_proof,
-                        classify_formula, has_detour, imp_intro, normalize, refl)
+from coeq.extract import Extractor, extract, prove_corec_program, roundtrip_report
+from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
+                           and_elim, and_intro, assume, classify_formula, imp_intro,
+                           refl)
+from coeq.logic import assert_sp_proof, check_proof, has_detour, normalize
 from coeq.program import Equation, assemble_program, standard_functions
+from coeq.prove import ExtractError, Prover, prove_corec
 from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
 from coeq.system import (Constructor, ConstructorType, DataSystem,
@@ -104,7 +105,7 @@ def test_split_algebra_has_one_definition():
 # -- realizes -------------------------------------------------------------------
 
 def test_realizes_stream_atom():
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     lib = stock_library()
     env = DiagramEnv.of({"a": alternating_stream()})
     prog = lib["flip"].program
@@ -119,7 +120,7 @@ def test_realizes_stream_atom():
 
 
 def test_realizes_disjunction_selects_by_head():
-    from coeq.logic import EqAtom, Or, DataAtom
+    from coeq.formulas import DataAtom, EqAtom, Or
     lib = stock_library()
     env = DiagramEnv.of({"a": alternating_stream()})
     prog = lib["zeros"].program
@@ -134,7 +135,7 @@ def test_realizes_disjunction_selects_by_head():
 
 
 def test_realizes_exists_conjunction():
-    from coeq.logic import And, DataAtom, EqAtom, Exists
+    from coeq.formulas import And, DataAtom, EqAtom, Exists
     lib = stock_library()
     env = DiagramEnv.of({"a": alternating_stream()})
     prog = lib["ident"].program
@@ -150,7 +151,7 @@ def test_realizes_exists_conjunction():
 
 
 def test_realizes_rejects_non_sp():
-    from coeq.logic import DataAtom, Imp
+    from coeq.formulas import DataAtom, Imp
     import pytest
     lib = stock_library()
     phi = Imp(DataAtom("S", Var("x")), DataAtom("S", Var("x")))
@@ -247,7 +248,7 @@ def test_prove_corec_even_checks():
     d, compiled, _ = _prove("even")
     res = check_proof(SM, compiled, d)
     assert res.ok, res.violations[:3]
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     assert res.conclusion == DataAtom("S", Fun("even", (Var("x1"),)))
     assert set(res.assumptions) == {("h1", DataAtom("S", Var("x1")))}
 
@@ -308,7 +309,7 @@ def _break(node: Derivation, program) -> dict | None:
     index, eigenvariable, witness, case variable, rule argument or
     conclusion) that the node's own rule rejects; None when the node has
     no such change here (say, both conjuncts are the same formula)."""
-    from coeq.logic import EqAtom, alpha_eq, fv
+    from coeq.formulas import EqAtom, alpha_eq, fv
     rule, c = node.rule, node.conclusion
     if rule == "assume":
         return {"attrs": _with_attr(node, "label", "")}
@@ -458,7 +459,7 @@ def test_a_later_stratum_calling_another_member_builds_its_proof_once(monkeypatc
 def test_every_member_of_a_schema_checks():
     bundle, ds = _mutual_family(12)
     compiled = compile_schema(bundle, ds)
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     for m in ("f1", "f6", "f12"):
         proof = prove_corec(CorecBundle(bundle.strata, m), ds)
         res = check_proof(ds, compiled, proof)
@@ -628,7 +629,7 @@ def test_a_bound_name_reused_at_two_sorts_extracts():
     each quantifier's variable is sorted from its own body, so the proof
     extracts, the extraction is primitive corecursive, and it realizes the
     conclusion."""
-    from coeq.logic import DataAtom, and_intro, data_intro, ex_intro
+    from coeq.formulas import DataAtom, and_intro, data_intro, ex_intro
     d = and_intro(ex_intro("y", DataAtom("B", Var("y")), ZERO, data_intro(SM.types[0], ())),
                   ex_intro("y", DataAtom("S", Var("y")), Var("x"),
                            assume("h", DataAtom("S", Var("x")))))
@@ -647,7 +648,7 @@ def test_one_label_on_two_open_assumptions_extracts_one_realizer_each():
     """`h` names two open assumptions of different formulas: each gets its
     own realizer parameter, in the judgment's order, and the extraction
     realizes the conclusion."""
-    from coeq.logic import DataAtom, and_intro
+    from coeq.formulas import DataAtom, and_intro
     d = and_intro(assume("h", DataAtom("S", _x)), assume("h", DataAtom("S", _y)))
     program = stock_library()["ident"].program
     assert check_proof(SM, program, d).judgment() == "{h: S(x), h: S(y)} |- (S(x) & S(y))"
@@ -667,7 +668,7 @@ def test_a_variable_free_only_inside_the_proof_takes_a_closed_value(witness_sort
     it a closed value of its sort (split_zeros, or 0 where it is a head), so
     f0's parameters are the judgment's free variables, the recognizer
     accepts it and it realizes the conclusion."""
-    from coeq.logic import EqAtom, ex_intro, refl
+    from coeq.formulas import EqAtom, ex_intro, refl
     p = Var("p")
     if witness_sort == "S":
         d = ex_intro("p", EqAtom(p, p), _y, refl(_y))
@@ -696,7 +697,7 @@ def test_a_dispatch_nested_on_the_same_bit_is_resolved_in_its_branch():
     h's head bit is known, so the inner dispatch takes that branch and the
     extraction dispatches once.  It realizes the conclusion with h as 0:a
     and as 1:b."""
-    from coeq.logic import or_elim, or_intro
+    from coeq.formulas import or_elim, or_intro
     sa, sb = DataAtom("S", Var("a")), DataAtom("S", Var("b"))
 
     def inner():
@@ -724,7 +725,7 @@ def test_induction_on_a_constant_bit_takes_its_case(bit, f0):
     """Induction over B whose major premise is `data-intro` of a constant:
     the case of that constant is the realizer, with no dispatch.  The cases
     are delta rewrites of h: S(x) and k: S(y)."""
-    from coeq.logic import data_intro, induction, rewrite
+    from coeq.formulas import data_intro, induction, rewrite
     delta = lambda sel: Fun("delta", (sel, _x, _y, _x))
     cases = tuple(rewrite("delta", i, "rl", (1,), assume(lab, DataAtom("S", var)),
                           DataAtom("S", delta(c)))
@@ -769,7 +770,7 @@ def test_extract_sorts_each_quantifier_once(monkeypatch):
 def test_realizes_a_conjunction_two_thousand_levels_deep():
     """The walk keeps its own stack, and a session encodes a term that
     shares an encoded subterm by its new part only."""
-    from coeq.logic import And, DataAtom
+    from coeq.formulas import And, DataAtom
     f = DataAtom("S", _ZEROS)
     for _ in range(2000):
         f = And(DataAtom("S", _ZEROS), f)
@@ -779,7 +780,7 @@ def test_realizes_a_conjunction_two_thousand_levels_deep():
 
 
 def test_var_sorts_scopes_bound_variables():
-    from coeq.logic import And, DataAtom, Exists, Forall
+    from coeq.formulas import And, DataAtom, Exists, Forall
     from coeq.realize import SortError, var_sorts
     B = lambda name: DataAtom("B", Var(name))
     S = lambda name: DataAtom("S", Var(name))
@@ -796,7 +797,7 @@ def test_a_variable_at_two_sorts_across_the_judgment_is_a_sort_error():
     stream in another is the conflict it is within one formula, named with
     the formula where it conflicts.  `extract` sorts its judgment so, and
     gives the conflict the condition "sort"."""
-    from coeq.logic import Exists, ex_intro
+    from coeq.formulas import Exists, ex_intro
     from coeq.realize import SortError, var_sorts
     bx, sx = DataAtom("B", Var("x")), DataAtom("S", Var("x"))
     assert var_sorts((bx, DataAtom("S", Var("y"))), SM, None) == {"x": "B", "y": "S"}
@@ -850,7 +851,7 @@ def test_symbolic_realizers_are_hash_consed():
     """Leaf, Pair, ConsR and Case are interned, as terms are: realizers
     built alike are one object, and `==` and `hash` are by identity, in
     constant time at any depth."""
-    from coeq.extract import Case, ConsR, Leaf, Pair
+    from coeq.realize import Case, ConsR, Leaf, Pair
     x, bit = Var("x"), Fun("pi1", (Var("y"),))
     assert Leaf(x) is Leaf(x) and Leaf(x) is not Leaf(Var("y"))
     assert Pair(Leaf(x), Leaf(x)) is Pair(Leaf(x), Leaf(x))
@@ -866,8 +867,24 @@ def test_symbolic_realizers_are_hash_consed():
     assert a is b and a == b and hash(a) == hash(b) and {a, b} == {a}
 
 
+def test_a_dispatch_is_resolved_in_a_realizer_three_thousand_levels_deep():
+    """`case` resolves the dispatches on its bit inside each branch on a
+    stack of its own, so a branch of any depth resolves."""
+    from coeq.realize import Case, ConsR, Leaf, case
+    bit, y = Fun("pi1", (Var("b"),)), Leaf(Var("y"))
+
+    def chain(last):
+        for i in range(3_000):
+            last = ConsR(ONE if i % 2 else ZERO, last)
+        return last
+
+    r = chain(Case(bit, Leaf(Var("u")), Leaf(Var("w"))))
+    assert case(bit, r, y) is Case(bit, chain(Leaf(Var("u"))), y)
+    assert case(bit, y, r) is Case(bit, y, chain(Leaf(Var("w"))))
+
+
 def test_a_realizer_nothing_holds_leaves_the_intern_table():
-    from coeq.extract import Leaf, Pair
+    from coeq.realize import Leaf, Pair
     from coeq.terms import _interned
     r = Pair(Leaf(Var("dropped")), Leaf(Var("x")))
     key = (Pair, r.head, r.rest)
@@ -880,7 +897,7 @@ def test_extract_realizes_conclusion():
     """Extraction soundness at desk scale: for every library entry, the
     extracted function applied to input realizers (the argument streams
     themselves) realizes the conclusion at half the input depth."""
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     for name in stock_library():
         result, entry = _extract(name)
         rng = random.Random(101)
@@ -909,7 +926,7 @@ REALIZE_STEPS_DEPTH_8 = {"ident": 11, "even": 8, "odd": 10, "flip": 12, "merge":
 
 def test_realizability_at_depth_8_steps_are_pinned(monkeypatch):
     from importlib import import_module
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     sessions = []
 
     class RecordingSession(Session):
@@ -1044,7 +1061,7 @@ def test_rotate_by_two_realizes_within_budget():
     """rot(x1..x12) = cons(pi1(x1), rot(x3, ..., x12, pi2(x1), pi2(x2))):
     its extracted program realizes S(rot(x)) at depth 8 within a
     200,000-step budget."""
-    from coeq.logic import DataAtom
+    from coeq.formulas import DataAtom
     n = 12
     xs = [f"x{i + 1}" for i in range(n)]
     rest = ", ".join(xs[2:] + ["pi2(x1)", "pi2(x2)"])

@@ -7,17 +7,16 @@ from helpers import (MIXED, SM, ZERO, ONE, cons, fn, flip_program, inject_detour
 
 from coeq import logic
 from coeq.corec import check_primitive_corecursive, stock_library
-from coeq.extract import prove_corec
-
-from coeq.logic import (And, DataAtom, Derivation, EqAtom, Exists, Forall,
-                        Imp, Or, PolarityClass, alpha_eq, and_elim, and_intro,
-                        assert_sp_proof, assume, build_dcm, check_proof,
-                        classify_formula, coinduction, data_elim, data_intro,
-                        ex_elim, ex_intro, fv, has_detour, imp_elim,
-                        imp_intro, induction, inj, normalize, or_elim,
-                        or_intro, refl, rewrite, sep, subst_formula,
-                        subst_derivation, all_intro, all_elim)
+from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Imp, Or,
+                           PolarityClass, all_elim, all_intro, alpha_eq, and_elim,
+                           and_intro, assume, build_dcm, classify_formula, coinduction,
+                           data_elim, data_intro, ex_elim, ex_intro, fv, imp_elim,
+                           imp_intro, induction, inj, or_elim, or_intro, refl, rewrite,
+                           sep, subst_formula)
+from coeq.logic import (assert_sp_proof, check_proof, has_detour, normalize,
+                        subst_derivation)
 from coeq.program import Equation, assemble_program
+from coeq.prove import prove_corec
 from coeq.system import ConstructorType
 from coeq.terms import Con, Fun, Term, Var
 

@@ -16,11 +16,10 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from helpers import SM, cons, flip_program, v
 
-from coeq.logic import (DataAtom, Exists, Imp, alpha_eq, all_elim, all_intro,
-                        and_elim, and_intro, assume, check_proof, ex_elim,
-                        ex_intro, fv, has_detour, imp_elim, imp_intro, normalize,
-                        or_elim, or_intro, refl, subst_derivation,
-                        subst_formula)
+from coeq.formulas import (DataAtom, Exists, Imp, all_elim, all_intro, alpha_eq,
+                           and_elim, and_intro, assume, ex_elim, ex_intro, fv, imp_elim,
+                           imp_intro, or_elim, or_intro, refl, subst_formula)
+from coeq.logic import check_proof, has_detour, normalize, subst_derivation
 
 LABELS = st.sampled_from(("a", "h"))
 VARS = st.sampled_from(("x", "y"))

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from coeq.logic import And, DataAtom, Or, ProofViolation
+from coeq.formulas import And, DataAtom, Or
+from coeq.logic import ProofViolation
 from coeq.terms import Con, Fun, Interned, Record, Tree, Var
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -30,14 +31,14 @@ RECORDS = [
     ("terms", "Var", "name", True),
     ("terms", "Con", "name args=()", True),
     ("terms", "Fun", "name args=()", True),
-    ("logic", "DataAtom", "predicate term", True),
-    ("logic", "EqAtom", "left right", True),
-    ("logic", "And", "left right", True),
-    ("logic", "Or", "left right", True),
-    ("logic", "Imp", "left right", True),
-    ("logic", "Exists", "var body", True),
-    ("logic", "Forall", "var body", True),
-    ("logic", "Derivation", "rule conclusion premises=() attrs=()", True),
+    ("formulas", "DataAtom", "predicate term", True),
+    ("formulas", "EqAtom", "left right", True),
+    ("formulas", "And", "left right", True),
+    ("formulas", "Or", "left right", True),
+    ("formulas", "Imp", "left right", True),
+    ("formulas", "Exists", "var body", True),
+    ("formulas", "Forall", "var body", True),
+    ("formulas", "Derivation", "rule conclusion premises=() attrs=()", True),
     ("logic", "ProofViolation", "path message", True),
     ("logic", "CheckResult", "ok conclusion assumptions violations", False),
     ("system", "Constructor", "name arity", True),
@@ -71,18 +72,18 @@ RECORDS = [
     ("realize", "RealizabilityJudgment",
      "program ds env eta realizer formula depth budget=10000", True),
     ("realize", "RealizeResult", "status path=() detail=''", True),
-    ("extract", "ProofTemplate", "arg_sorts result_sort derivation", True),
-    ("extract", "Leaf", "term", True),
-    ("extract", "Pair", "head rest", True),
-    ("extract", "ConsR", "head_term tail", True),
-    ("extract", "Case", "bit left right", True),
+    ("realize", "Leaf", "term", True),
+    ("realize", "Pair", "head rest", True),
+    ("realize", "ConsR", "head_term tail", True),
+    ("realize", "Case", "bit left right", True),
+    ("prove", "ProofTemplate", "arg_sorts result_sort derivation", True),
     ("extract", "_State", "skel params bit=None succ=() nxt=None", False),
     ("extract", "ExtractionCertificate", "lines=None split_chain=0 coinductions=0", False),
     ("extract", "ExtractionResult",
      "bundle program value_params realizer_params certificate", False),
     ("extract", "StageResult", "stage ok detail=''", False),
     ("extract", "RoundtripReport", "depth entries", False),
-    ("cli", "Workspace", "system=None system_name='' programs=None envs=None proofs=None",
+    ("reader", "Workspace", "system=None system_name='' programs=None envs=None proofs=None",
      False),
 ]
 

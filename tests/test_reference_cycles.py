@@ -11,8 +11,10 @@ from helpers import SM, fn, inject_detours, stream_family
 from coeq.cli import main
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv
-from coeq.extract import extract, prove_corec, roundtrip_report
-from coeq.logic import DataAtom, check_proof, normalize
+from coeq.extract import extract, roundtrip_report
+from coeq.formulas import DataAtom
+from coeq.logic import check_proof, normalize
+from coeq.prove import prove_corec
 from coeq.realize import RealizabilityJudgment, realizes
 from coeq.system import stream_coterm
 from coeq.terms import Fun, Var

@@ -10,9 +10,11 @@ from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons,
 from coeq.cli import main
 from coeq.corec import check_primitive_corecursive, compile_schema, stock_library
 from coeq.evaluation import DiagramEnv, Session, derives_omega, first_stall
-from coeq.extract import extract, prove_corec, roundtrip_report
-from coeq.logic import DataAtom, assume, check_proof, normalize
+from coeq.extract import extract, roundtrip_report
+from coeq.formulas import DataAtom, assume
+from coeq.logic import check_proof, normalize
 from coeq.program import deep_destructor
+from coeq.prove import prove_corec
 from coeq.realize import RealizabilityJudgment, realizes
 from coeq.system import random_stream_coterm
 from coeq.terms import Fun, Var
