@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .corec import check_primitive_corecursive
-from .evaluation import (DEFAULT_BUDGET, ApproxNode, Approximation, Cut,
+from .evaluation import (DEFAULT_BUDGET, NO_MATCH, ApproxNode, Approximation, Cut,
                          EvalError, Session, Stalled, derives_omega, first_stall)
 from .extract import (ExtractError, extract, prove_corec_program, require_check,
                       roundtrip_report)
@@ -181,7 +181,7 @@ def show_approximation(a: Approximation) -> str:
         elif isinstance(a, Cut):
             out.append(f"<cut@{a.depth}>")
         elif isinstance(a, Stalled):
-            out.append("<stall:no-match>" if a.reason.kind == "no-matching-equation"
+            out.append("<stall:no-match>" if a.reason.kind == NO_MATCH
                        else f"<stall:budget@{a.reason.steps}>")
         elif a.constructor == "cons" and len(a.children) == 2 \
                 and isinstance(a.children[0], ApproxNode) \

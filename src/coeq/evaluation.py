@@ -24,7 +24,7 @@ from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
 from .program import Equation, Program, pi_name, standard_functions, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
-from .terms import Con, Fun, Record, Term, Var, _set
+from .terms import Con, Fun, Record, Term, Tree, Var, _path, _set
 
 DEFAULT_BUDGET = 10_000
 NO_MATCH = "no-matching-equation"
@@ -103,24 +103,17 @@ class StallReason(Record):
         return self.kind
 
 
-class Approximation(Record):
+class Approximation(Tree):
     """An observation: an `ApproxNode` tree with `Cut` and `Stalled`
-    leaves.  A tree is as deep as its observation, so equality and hash
-    walk it on explicit stacks, as Record's repr does; the hash agrees
-    with equality."""
+    leaves.  A tree is as deep as its observation, so `Tree` compares,
+    walks and searches it, and Record's repr prints it, on explicit
+    stacks."""
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _preorder(self) == _preorder(other)
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self))) if _inner(self) else Record.__hash__(self)
 
 
 class ApproxNode(Approximation):
     __slots__ = ("constructor", "children", "depth")
+    _branches = "children"
 
     def __init__(self, constructor: str, children: tuple[Approximation, ...], depth: int):
         _set(self, "constructor", constructor)
@@ -142,26 +135,6 @@ class Stalled(Approximation):
         _set(self, "term", term)
         _set(self, "reason", reason)
         _set(self, "depth", depth)
-
-
-def _inner(a: Approximation) -> bool:
-    """Whether a is a node with a tuple of children to walk."""
-    return isinstance(a, ApproxNode) and isinstance(a.children, tuple)
-
-
-def _preorder(a: Approximation) -> list[tuple]:
-    """a's nodes in preorder, each as its class and fields, with an inner
-    node's children replaced by their number: equal approximations, and
-    only they, give equal lists."""
-    out, stack = [], [a]
-    while stack:
-        x = stack.pop()
-        if _inner(x):
-            out.append((type(x), x.constructor, len(x.children), x.depth))
-            stack += reversed(x.children)
-        else:
-            out.append((type(x),) + x._values(x))
-    return out
 
 
 def restrict(a: Approximation, depth: int) -> Approximation:
@@ -201,15 +174,8 @@ def restrict(a: Approximation, depth: int) -> Approximation:
 
 def first_stall(a: Approximation) -> tuple[tuple[int, ...], Stalled] | None:
     """Shallowest, leftmost stalled leaf, with its destructor path."""
-    queue: deque[tuple[tuple[int, ...], Approximation]] = deque([((), a)])
-    while queue:
-        p, node = queue.popleft()
-        if isinstance(node, Stalled):
-            return p, node
-        if isinstance(node, ApproxNode):
-            for i, c in enumerate(node.children):
-                queue.append((p + (i + 1,), c))
-    return None
+    found = a.first(lambda node: isinstance(node, Stalled))
+    return found and (tuple(i + 1 for i in found[0]), found[1])
 
 
 class EvalError(Exception):
@@ -445,7 +411,9 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
     there is forced only if neither side is `never_nullary`, and its right
     side only if the left one ended nullary.  A pair of
     term ids met before is skipped: BFS first met it no deeper, so its
-    subtree was already compared at least as far.  Depth 0 forces nothing.
+    subtree was already compared at least as far.  A pair keeps a link to
+    its path (see `_path`), so only the answer's path is built.  Depth 0
+    forces nothing.
 
     Where no forcing runs out of budget, the verdict is that of observing
     both terms to `depth` and comparing the trees breadth first, for no
@@ -462,7 +430,7 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
     queue = deque([((), session.encode(t), session.encode(t2), 0)])
     seen: set[tuple[int, int]] = set()
     while queue:
-        path, x, y, at = queue.popleft()
+        link, x, y, at = queue.popleft()
         if (x, y) in seen:
             continue
         seen.add((x, y))
@@ -478,12 +446,12 @@ def derives_omega(program: Program, env: DiagramEnv | None, t: Term, t2: Term,
         else:
             hx, rx = session.force(x, budget)
             if rx is not None:
-                return OmegaResult("stalled", path, rx)
+                return OmegaResult("stalled", _path(link), rx)
             hy, ry = session.force(y, budget)
             if ry is not None:
-                return OmegaResult("stalled", path, ry)
+                return OmegaResult("stalled", _path(link), ry)
         if k.t_sym[hx] != k.t_sym[hy]:
-            return OmegaResult("differs", path)
-        queue.extend((path + (i + 1,), cx, cy, at + 1)
+            return OmegaResult("differs", _path(link))
+        queue.extend(((link, i + 1), cx, cy, at + 1)
                      for i, (cx, cy) in enumerate(zip(k.t_args[hx], k.t_args[hy])))
     return EQUAL

@@ -24,8 +24,8 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
 from .formulas import Derivation, Formula, Or, fv, show_path
-from .logic import (CheckResult, _path, _scopes, assert_sp_proof, check_proof,
-                    has_detour, normalize)
+from .logic import (CheckResult, _scopes, assert_sp_proof, check_proof, has_detour,
+                    normalize)
 from .program import Equation, Program, assemble_program, pi_name
 from .prove import ExtractError, prove_corec
 from .realize import (ALGEBRA, EVEN, ODD, ZEROS_R, ConsR, Leaf, Pair, SortError, SymR,
@@ -33,7 +33,7 @@ from .realize import (ALGEBRA, EVEN, ODD, ZEROS_R, ConsR, Leaf, Pair, SortError,
                       _project, _shape, case, check_algebra, even_r, head_term_of, mat,
                       sigma1, tail_r, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import (Con, Fun, Record, Term, Var, _run, substitute, subterms,
+from .terms import (Con, Fun, Record, Term, Var, _path, _run, substitute, subterms,
                     variables)
 
 
@@ -169,7 +169,7 @@ class Extractor:
     def extract(self, d: Derivation, ctx: dict, path=()):   # run by _run
         """The realizer of d in ctx.  A handler with premises to walk yields
         a walk per premise; the others return the realizer.  `path` is the
-        node's link (see logic._path)."""
+        node's link (see terms._path)."""
         handler = getattr(self, "_x_" + d.rule.replace("-", "_"), None)
         if handler is None:
             raise ExtractError(f"rule '{d.rule}' outside the supported extraction set")

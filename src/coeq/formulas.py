@@ -328,6 +328,7 @@ Attrs = tuple[tuple[str, object], ...]
 
 class Derivation(Tree):
     __slots__ = ("rule", "conclusion", "premises", "attrs")
+    _branches = "premises"
 
     def __init__(self, rule: str, conclusion: Formula,
                  premises: tuple[Derivation, ...] = (), attrs: Attrs = ()):
@@ -350,15 +351,6 @@ class Derivation(Tree):
             yield path, d
             for i in range(len(d.premises) - 1, -1, -1):
                 stack.append((path + (i,), d.premises[i]))
-
-    def preorder(self):
-        """All nodes, preorder, without the paths `nodes` builds: a scan of
-        a proof d levels deep costs O(d), not O(d²)."""
-        stack = [self]
-        while stack:
-            d = stack.pop()
-            yield d
-            stack.extend(reversed(d.premises))
 
 
 def show_path(path: tuple) -> str:

@@ -27,7 +27,8 @@ from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formul
 from .formulas import imp_elim, imp_intro
 from .program import Program, pi_name, reserved_function, standard_functions
 from .system import ConstructorType, DataSystem
-from .terms import Con, Fun, Record, Term, Var, _run, _set, fresh_name, substitute, variables
+from .terms import (Con, Fun, Record, Term, Var, _path, _run, _set, fresh_name, substitute,
+                    variables)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +458,6 @@ def _scopes(d: Derivation) -> dict:
     return {}
 
 
-def _path(link) -> tuple[int, ...]:
-    """The path that a link `(parent's link, premise index)`, or () at the
-    root, ends: a walk that keeps links holds O(1), not O(depth), per level."""
-    path = []
-    while link:
-        link, i = link
-        path.append(i)
-    return tuple(reversed(path))
-
-
 def subst_derivation(d: Derivation, terms: dict[str, Term],
                      proofs: dict[str, Derivation | str]) -> Derivation:
     """Simultaneous capture-avoiding substitution: each free variable x in
@@ -658,21 +649,9 @@ def has_detour(d: Derivation) -> bool:
 
 def assert_sp_proof(d: Derivation) -> tuple[tuple[int, ...], Formula] | None:
     """None when every node formula is strongly positive; otherwise the
-    shallowest, leftmost offending node (path, formula).  The walk is
-    breadth first, so that node is the first offender it meets, and it
-    keeps a parent link per node, so only that node's path is built.
-    Formulas are hash-consed, so each distinct one found strongly positive
-    is walked once per call."""
+    shallowest, leftmost offending node (path, formula), found by
+    `Tree.first`.  Formulas are hash-consed, so each distinct one found
+    strongly positive is walked once per call."""
     known: set[Formula] = set()   # the formulas found strongly positive
-    nodes, parent, first = [d], [0], []   # first[k]: where nodes[k]'s premises start
-    for k, node in enumerate(nodes):   # the loop reaches what it appends
-        if not _strongly_positive(node.conclusion, known):
-            path = []
-            while k:
-                path.append(k - first[parent[k]])
-                k = parent[k]
-            return tuple(reversed(path)), node.conclusion
-        first.append(len(nodes))
-        nodes.extend(node.premises)
-        parent.extend([k] * len(node.premises))
-    return None
+    found = d.first(lambda node: not _strongly_positive(node.conclusion, known))
+    return found and (found[0], found[1].conclusion)

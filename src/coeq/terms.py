@@ -7,6 +7,7 @@ base-terms add variables, program-terms add defined function symbols.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from operator import attrgetter
 from typing import Iterator
 
@@ -96,18 +97,24 @@ class Interned(Record):
 
 
 class Tree(Record):
-    """A record whose ``premises`` are a tuple of records of its kind, as a
-    derivation's are.  ``==`` walks two trees in step on an explicit stack,
-    past the subtrees they share, and stops at the first difference; the
-    hash is the root's other fields', and ``==`` decides the rest.  (It is
-    here, in a small module compiled early, because the longest module's
-    compile sets the peak memory of a start from source; see
-    tests/test_kernel_source.py::test_no_module_is_longer_than_700_lines.)"""
+    """A record whose field named by ``_branches`` is a tuple of records of
+    its kind: a derivation's ``premises``, an observation node's
+    ``children``.  A leaf class names none.  ``==`` walks two trees in step
+    on an explicit stack, past the subtrees they share, and stops at the
+    first difference; the hash is the root's other fields', and ``==``
+    decides the rest.  (It is here, in a small module compiled early,
+    because the longest module's compile sets the peak memory of a start
+    from source; see tests/test_kernel_source.py::
+    test_no_module_is_longer_than_700_lines.)"""
     __slots__ = ()
+    _branches: str | None = None
+
+    def _kids(self) -> tuple:
+        return getattr(self, self._branches) if self._branches else ()
 
     def _own(self):
-        return (self.__class__, len(self.premises),
-                *(getattr(self, f) for f in self._fields if f != "premises"))
+        return (self.__class__, len(self._kids()),
+                *(getattr(self, f) for f in self._fields if f != self._branches))
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -118,11 +125,43 @@ class Tree(Record):
             if a is not b:
                 if a._own() != b._own():
                     return False
-                stack += zip(a.premises, b.premises)
+                stack += zip(a._kids(), b._kids())
         return True
 
     def __hash__(self):
         return hash(self._own())
+
+    def preorder(self):
+        """All nodes, preorder, without paths: a scan of a tree d levels
+        deep costs O(d), not O(d²)."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t
+            stack.extend(reversed(t._kids()))
+
+    def first(self, pred):
+        """The shallowest, leftmost node for which pred holds, as (its path
+        of 0-based child indices, the node), or None.  The walk is breadth
+        first and keeps a link per node (see `_path`), so only the answer's
+        path is built."""
+        queue = deque([((), self)])
+        while queue:
+            link, t = queue.popleft()
+            if pred(t):
+                return _path(link), t
+            queue += [((link, i), c) for i, c in enumerate(t._kids())]
+        return None
+
+
+def _path(link) -> tuple[int, ...]:
+    """The path that a link `(parent's link, index)`, or () at the root,
+    ends: a walk that keeps links holds O(1), not O(depth), per level."""
+    path = []
+    while link:
+        link, i = link
+        path.append(i)
+    return tuple(reversed(path))
 
 
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

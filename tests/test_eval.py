@@ -1,5 +1,6 @@
 import pathlib
 import random
+import time
 
 import pytest
 from helpers import (MIXED, SM, ZERO, ONE, alternating_stream, approx_bits,
@@ -188,6 +189,27 @@ def test_observations_five_thousand_deep_compare_hash_and_print():
     text = repr(a)
     assert text.startswith(repr(shallow)[:60]) and text.endswith("depth=0)")
     assert text.count("Cut(depth=5000)") == 1
+
+
+def test_stall_and_difference_paths_fifty_thousand_and_five_thousand_deep():
+    """first_stall and derives_omega build a path only for the node that
+    answers, so a 50,000-deep stall is found in linear time, and the first
+    difference of two streams at element 5,000 is reported at its path."""
+    leaf = Stalled(Var("x"), StallReason(NO_MATCH), 50_000)
+    a = leaf
+    for d in range(49_999, -1, -1):
+        a = ApproxNode("cons", (ApproxNode("0", (), d + 1), a), d)
+    start = time.perf_counter()
+    path, found = first_stall(a)
+    assert time.perf_counter() - start < 1.0
+    assert path == (2,) * 50_000 and found is leaf
+
+    bits = [0] * 5_000
+    env = DiagramEnv.of({"u": stream_coterm(bits, 0),
+                         "w": stream_coterm(bits[:-1] + [1], 0)})
+    sess = Session(flip_program(), SM, env)
+    r = derives_omega(sess.program, None, fn("u"), fn("w"), 6_000, session=sess)
+    assert (r.status, r.path) == ("differs", (2,) * 4_999 + (1,))
 
 
 def test_restricting_an_observation_five_thousand_deep():
