@@ -5,6 +5,7 @@ prints its verdict.  `roundtrip --depth` and `--inputs` must be at least 1.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .corec import check_primitive_corecursive
@@ -16,13 +17,13 @@ from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formul
                        Or, classify_formula)
 from .logic import check_proof, has_detour, normalize
 from .program import Program, validate_program
-from .reader import ParseError, Parser, Workspace, tokenize
+from .reader import ParseError, Parser, Workspace
 from .system import ConstructorType, validate_system
 from .terms import Con, Term, Var
 
 
 def parse_workspace(source: str) -> Workspace:
-    ws = Parser(tokenize(source)).parse_workspace()
+    ws = Parser(source).parse_workspace()
     resolve_workspace(ws)
     return ws
 
@@ -30,21 +31,30 @@ def parse_workspace(source: str) -> Workspace:
 def parse_files(paths: list[str]) -> Workspace:
     """One workspace from all files; a parse error names its file and is
     numbered within it."""
-    texts = []
-    for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            texts.append(fh.read())
+    texts = [_read(p) for p in paths]
     try:
         return parse_workspace("\n".join(texts))
     except ParseError as e:
-        line = e.line
+        pos = e.pos
         for path, text in zip(paths, texts):
-            # each file spans its own lines and the joining newline
-            lines = text.count("\n") + 1
-            if line <= lines:
+            if pos <= len(text):   # each file is followed by the joining newline
                 break
-            line -= lines
-        raise ParseError(e.message, line, e.col, path) from None
+            pos -= len(text) + 1
+        raise ParseError(e.message, text, pos, path) from None
+
+
+def _read(path: str) -> str:
+    """A file's text; a byte that is not UTF-8 is a parse error where it stands."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        # read again with each undecodable byte as the lone surrogate U+DC80-U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        pos = re.search("[\udc80-\udcff]", text).start()
+        raise ParseError(f"invalid UTF-8 byte 0x{ord(text[pos]) & 0xff:02x}", text, pos,
+                         path) from None
 
 
 class ResolutionError(Exception):
@@ -257,7 +267,7 @@ def _session(ws: Workspace, args) -> Session:
 
 
 def _parse_cli_term(ws: Workspace, text: str) -> Term:
-    p = Parser(tokenize(text), ws, ws.known_names())
+    p = Parser(text, ws, ws.known_names())
     t = p.parse_term(ws.system)
     if not p.at_end():
         raise p.fail("trailing input after term")
@@ -357,7 +367,7 @@ def cmd_normalize(args, ws: Workspace, r: Reporter) -> int:
 
 
 def cmd_classify(args, ws: Workspace, r: Reporter) -> int:
-    p = Parser(tokenize(args.formula), ws, ws.known_names())
+    p = Parser(args.formula, ws, ws.known_names())
     cls = classify_formula(p.parse_formula())
     r.text(cls.value)
     r.kv("CLASS", cls.value)

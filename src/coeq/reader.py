@@ -26,7 +26,7 @@ name, `(f)` or `(f x)`, is always a call.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .evaluation import DiagramEnv, GeneratorBinding
 from .formulas import And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula, Imp, Or
@@ -39,46 +39,41 @@ FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, path: str | None = None):
-        where = f"{path}:{line}:{col}" if path else f"{line}:{col}"
+    """An error at offset `pos` of `src`, shown at its line and column: both
+    count from 1, and a column counts characters."""
+
+    def __init__(self, message: str, src: str, pos: int, path: str | None = None):
+        bol = src.rfind("\n", 0, pos) + 1
+        self.message, self.pos = message, pos
+        self.line, self.col = src.count("\n", 0, bol) + 1, pos - bol + 1
+        where = f"{path}:{self.line}:{self.col}" if path else f"{self.line}:{self.col}"
         super().__init__(f"{where}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 # ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
 
-# A name may hold '-' before another of its characters.
-_TOKEN = re.compile(r"(?P<blank>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<punct>->|[{}(),;:*=.])"
-                    r"|(?P<ident>(?:[\w'\[\]$@]|-(?=[\w'\[\]$@]))+)", re.ASCII)
+PUNCT = frozenset(("->", "{", "}", "(", ")", ",", ";", ":", "*", "=", "."))
+# A name may hold '-' before another of its characters, so `-y` is a name.
+_NAME = r"(?:[\w'\[\]$@]|-(?=[\w'\[\]$@]))+"
+# Blanks and comments, then one token: punctuation, a name, the end of input
+# (as ''), or else an unexpected character, which takes the rest of the
+# input with it.  The token group matches wherever the blanks end, so no
+# match backtracks and the matches tile the input.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*(->|[{}(),;:*=.]|" + _NAME + r"|\Z|[\s\S]+)",
+                    re.ASCII)
+_IS_NAME = re.compile(_NAME, re.ASCII).fullmatch
 
 
-class Tok(NamedTuple):
-    kind: str   # "ident" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(src: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, bol, end = 1, 0, 0   # the line, the offset it begins at, the end of the last match
-    for m in _TOKEN.finditer(src):
-        if m.start() != end:
-            break
-        kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "blank" and "\n" in text:
-            line += text.count("\n")
-            bol = m.start() + text.rindex("\n") + 1
-        elif kind in ("punct", "ident"):
-            toks.append(Tok(kind, text, line, m.start() - bol + 1))
-    if end < len(src):
-        raise ParseError(f"unexpected character {src[end]!r}", line, end - bol + 1)
-    # the end of input is at the column after the last line's text, or at a comment
-    toks.append(Tok("eof", "", line, len(src[bol:].partition("#")[0]) + 1))
+def tokenize(src: str) -> list[str]:
+    """The token texts of `src`, ending in '' for the end of input."""
+    toks = _TOKEN.findall(src)
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()   # the end of input, matched after trailing blanks and as an empty match
+    if len(toks) > 1 and toks[-2] not in PUNCT and not _IS_NAME(toks[-2]):
+        raise ParseError(f"unexpected character {toks[-2][0]!r}", src,
+                         len(src) - len(toks[-2]))
     return toks
 
 
@@ -127,9 +122,12 @@ class Workspace(Record, frozen=False):
 
 
 class Parser:
-    def __init__(self, toks: list[Tok], ws: Workspace | None = None,
+    """Reads `src` token by token; `i` is the index of the next token."""
+
+    def __init__(self, src: str, ws: Workspace | None = None,
                  functions: set[str] | frozenset[str] = frozenset()):
-        self.toks = toks
+        self.src = src
+        self.toks = tokenize(src)
         self.i = 0
         self.ws = ws or Workspace()
         # the names a bare name is read as a call of rather than as a
@@ -138,46 +136,52 @@ class Parser:
 
     # -- cursor ----------------------------------------------------------------
 
-    def peek(self) -> Tok:
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self) -> Tok:
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def fail(self, msg: str, at: Tok | None = None) -> ParseError:
-        """An error at token `at`, by default the next one."""
-        t = at or self.peek()
-        return ParseError(msg + (f" (found {t.text!r})" if t.text else " (at end)"),
-                          t.line, t.col)
+    def fail(self, msg: str, at: int | None = None) -> ParseError:
+        """An error at the token with index `at`, by default the next one;
+        its offset is found by reading the source again up to it."""
+        at = self.i if at is None else at
+        if self.toks[at]:
+            pos = next(islice(_TOKEN.finditer(self.src), at, None)).start(1)
+            return ParseError(f"{msg} (found {self.toks[at]!r})", self.src, pos)
+        # the end of input is at the column after the last line's text, or at a comment
+        bol = self.src.rfind("\n") + 1
+        return ParseError(f"{msg} (at end)", self.src,
+                          bol + len(self.src[bol:].partition("#")[0]))
 
-    def expect(self, text: str) -> Tok:
-        t = self.next()
-        if t.text != text:
-            self.i -= 1
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
             raise self.fail(f"expected {text!r}")
-        return t
-
-    def ident_tok(self, what: str = "identifier") -> Tok:
-        t = self.next()
-        if t.kind != "ident":
-            self.i -= 1
-            raise self.fail(f"expected {what}")
-        return t
+        self.i += 1
 
     def ident(self, what: str = "identifier") -> str:
-        return self.ident_tok(what).text
+        t = self.toks[self.i]
+        if not t or t in PUNCT:
+            raise self.fail(f"expected {what}")
+        self.i += 1
+        return t
+
+    def _name_at(self, what: str) -> int:
+        """Reads a name; its token index, for an error found later."""
+        self.ident(what)
+        return self.i - 1
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return not self.toks[self.i]
 
     def commas(self, item) -> list:
         """`item, item, ... )`, possibly empty, through the closing paren."""
         out = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             out.append(item())
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 out.append(item())
         self.expect(")")
@@ -186,7 +190,7 @@ class Parser:
     def until_close(self, item) -> list:
         """`item item ... )`, possibly empty, through the closing paren."""
         out = []
-        while self.peek().text != ")":
+        while self.peek() != ")":
             out.append(item())
         self.expect(")")
         return out
@@ -194,89 +198,78 @@ class Parser:
     # -- stanzas ------------------------------------------------------------------
 
     def parse_workspace(self) -> Workspace:
+        stanzas = {"system": self.parse_system, "program": self.parse_program,
+                   "env": self.parse_env, "proof": self.parse_proof}
         while not self.at_end():
             kw = self.ident("stanza keyword")
-            if kw == "system":
-                self.parse_system()
-            elif kw == "program":
-                self.parse_program()
-            elif kw == "env":
-                self.parse_env()
-            elif kw == "proof":
-                self.parse_proof()
-            else:
-                self.i -= 1
-                raise self.fail("expected system, program, env or proof")
+            if kw not in stanzas:
+                raise self.fail("expected system, program, env or proof", self.i - 1)
+            stanzas[kw]()
         return self.ws
 
     def parse_system(self) -> None:
-        name = self.ident_tok("system name")
+        name = self.ident("system name")
         if self.ws.system is not None:
-            raise self.fail("a workspace holds one system", name)
+            raise self.fail("a workspace holds one system", self.i - 1)
         self.expect("{")
         preds: list[DataPredicate] = []
         cons: dict[str, Constructor] = {}
-        vocab_order: list[str] = []
-        types: list[tuple[str, list[Tok], Tok]] = []
-        while self.peek().text != "}":
+        types: list[tuple[str, list[int], int]] = []   # predicates by token index
+        while self.peek() != "}":
             kw = self.ident("declaration")
             if kw in ("inductive", "coinductive"):
+                kind = Kind.INDUCTIVE if kw == "inductive" else Kind.COINDUCTIVE
                 while True:
-                    pname = self.ident_tok("predicate name")
-                    if pname.text in FORMULA_HEADS:
-                        raise self.fail(f"'{pname.text}' is reserved", pname)
-                    preds.append(DataPredicate(
-                        pname.text,
-                        Kind.INDUCTIVE if kw == "inductive" else Kind.COINDUCTIVE,
-                        len(preds)))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+                    pname = self.ident("predicate name")
+                    if pname in FORMULA_HEADS:
+                        raise self.fail(f"'{pname}' is reserved", self.i - 1)
+                    preds.append(DataPredicate(pname, kind, len(preds)))
+                    if self.peek() != ",":
+                        break
+                    self.next()
                 self.expect(";")
             elif kw == "constructor":
-                ctok = self.ident_tok("constructor name")
-                cname = ctok.text
+                at = self.i
+                cname = self.ident("constructor name")
                 self.expect(":")
-                args: list[Tok] = []
-                first = self.ident_tok("predicate name")
-                if self.peek().text in ("*", "->"):
+                args: list[int] = []
+                first = self._name_at("predicate name")
+                if self.peek() in ("*", "->"):
                     args.append(first)
-                    while self.peek().text == "*":
+                    while self.peek() == "*":
                         self.next()
-                        args.append(self.ident_tok("predicate name"))
+                        args.append(self._name_at("predicate name"))
                     self.expect("->")
-                    result = self.ident_tok("predicate name")
+                    result = self._name_at("predicate name")
                 else:
                     result = first
                 self.expect(";")
                 if cname not in cons:
                     cons[cname] = Constructor(cname, len(args))
-                    vocab_order.append(cname)
                 elif cons[cname].arity != len(args):
                     raise self.fail(f"constructor '{cname}' redeclared at a "
-                                    f"different arity", ctok)
+                                    f"different arity", at)
                 types.append((cname, args, result))
             else:
-                self.i -= 1
-                raise self.fail("expected inductive, coinductive or constructor")
+                raise self.fail("expected inductive, coinductive or constructor", self.i - 1)
         self.expect("}")
-        by_name = {p.name: p for p in preds}
-
-        def pred(tok: Tok) -> DataPredicate:
-            if tok.text not in by_name:
-                raise self.fail(f"unknown predicate '{tok.text}'", tok)
-            return by_name[tok.text]
-
+        pred = {p.name: p for p in preds}.get
         self.ws.system = DataSystem(
-            vocabulary=tuple(cons[c] for c in vocab_order),
+            vocabulary=tuple(cons.values()),
             predicates=tuple(preds),
-            types=tuple(ConstructorType(cons[c], tuple(pred(a) for a in args),
-                                        pred(res))
+            types=tuple(ConstructorType(cons[c], tuple(self._predicate(pred, a) for a in args),
+                                        self._predicate(pred, res))
                         for c, args, res in types))
-        self.ws.system_name = name.text
+        self.ws.system_name = name
 
-    def _need_system(self, at: Tok | None = None) -> DataSystem:
+    def _predicate(self, find, at: int) -> DataPredicate:
+        """The predicate `find` gives for the name at token `at`."""
+        p = find(self.toks[at])
+        if p is None:
+            raise self.fail(f"unknown predicate '{self.toks[at]}'", at)
+        return p
+
+    def _need_system(self, at: int | None = None) -> DataSystem:
         if self.ws.system is None:
             raise self.fail("no system declared yet", at)
         return self.ws.system
@@ -284,12 +277,12 @@ class Parser:
     # -- programs --------------------------------------------------------------------
 
     def parse_program(self) -> None:
-        name_tok = self.ident_tok("program name")
-        name, ds = name_tok.text, self._need_system(name_tok)
+        name = self.ident("program name")
+        ds = self._need_system(self.i - 1)
         self.expect("{")
         known = self.ws.known_names() | self._equation_heads()
         eqs: list[Equation] = []
-        while self.peek().text != "}":
+        while self.peek() != "}":
             fn = self.ident("function name")
             patterns = _run(self._args(lambda: self._pattern(ds)))
             # a name the patterns bind is a variable on the right-hand side
@@ -306,10 +299,10 @@ class Parser:
     def _equation_heads(self) -> set[str]:
         """The functions a program defines: the names that open its
         equations, read ahead to its closing brace."""
-        heads, j = set(), self.i   # the token after '{'
-        while self.toks[j].text != "}" and self.toks[j].kind != "eof":
-            if self.toks[j - 1].text in ("{", ";") and self.toks[j].kind == "ident":
-                heads.add(self.toks[j].text)
+        heads, j, toks = set(), self.i, self.toks   # j: the token after '{'
+        while toks[j] != "}" and toks[j]:
+            if toks[j - 1] in ("{", ";") and toks[j] not in PUNCT:
+                heads.add(toks[j])
             j += 1
         return heads
 
@@ -330,15 +323,15 @@ class Parser:
         return _run(self._term(ds))
 
     def _term(self, ds: DataSystem):   # run by _run
-        if self.peek().text == "(":
+        if self.peek() == "(":
             self.next()
             t = yield self._term(ds)
             self.expect(")")
         else:
-            name = self.ident_tok("term")
-            t = self._atom(ds, name, (yield self._args(lambda: self._term(ds))))
-        if self.peek().text == ":":
-            self._need_cons(ds, self.next())
+            at = self._name_at("term")
+            t = self._atom(ds, at, (yield self._args(lambda: self._term(ds))))
+        if self.peek() == ":":
+            self._need_cons(ds)
             t = Con("cons", (t, (yield self._term(ds))))
         return t
 
@@ -346,31 +339,33 @@ class Parser:
         """`(item, ...)` through its closing paren, or nothing where no paren
         follows: the values of the walks `item()` makes."""
         out = []
-        if self.peek().text == "(":
+        if self.peek() == "(":
             self.next()
-            if self.peek().text != ")":
+            if self.peek() != ")":
                 out.append((yield item()))
-                while self.peek().text == ",":
+                while self.peek() == ",":
                     self.next()
                     out.append((yield item()))
             self.expect(")")
         return out
 
-    def _need_cons(self, ds: DataSystem, colon: Tok) -> None:
+    def _need_cons(self, ds: DataSystem) -> None:
+        """Reads a ':', which needs a binary `cons`."""
         c = ds.constructor("cons")
         if c is None or c.arity != 2:
-            raise self.fail("':' needs a binary constructor named 'cons'", colon)
+            raise self.fail("':' needs a binary constructor named 'cons'")
+        self.i += 1
 
-    def _atom(self, ds: DataSystem, tok: Tok, args: list[Term]) -> Term:
+    def _atom(self, ds: DataSystem, at: int, args: list[Term]) -> Term:
         """`name(args)` once its closing paren is read: a constructor at its
         arity, a call, or, with no arguments and not among the functions, a
         variable."""
-        name = tok.text
+        name = self.toks[at]
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
                 raise self.fail(f"constructor '{name}' has arity {c.arity}, "
-                                f"applied to {len(args)} arguments", tok)
+                                f"applied to {len(args)} arguments", at)
             return Con(name, tuple(args))
         if args or name in self.functions:
             return Fun(name, tuple(args))
@@ -379,31 +374,31 @@ class Parser:
     # -- environments -------------------------------------------------------------------
 
     def parse_env(self) -> None:
-        name = self.ident_tok("env name")
-        ds = self._need_system(name)
+        name = self.ident("env name")
+        ds = self._need_system(self.i - 1)
         self.expect("{")
         bindings: dict[str, RegularCoterm | GeneratorBinding] = {}
-        while self.peek().text != "}":
-            v = self.ident_tok("binding name")
-            if v.text in bindings:
-                raise self.fail(f"binding '{v.text}' rebound", v)
+        while self.peek() != "}":
+            v = self.ident("binding name")
+            if v in bindings:
+                raise self.fail(f"binding '{v}' rebound", self.i - 1)
             self.expect("=")
-            bindings[v.text] = self.parse_binding_rhs(ds)
+            bindings[v] = self.parse_binding_rhs(ds)
             self.expect(";")
         self.expect("}")
-        self.ws.envs[name.text] = DiagramEnv.of(bindings)
+        self.ws.envs[name] = DiagramEnv.of(bindings)
 
     def parse_binding_rhs(self, ds: DataSystem):
-        t = self.peek()
-        if t.kind == "ident" and ds.constructor(t.text) is None and t.text != "rec" \
-                and t.text in self.ws.programs:
-            gen_name = self.next().text
+        at, gen_name = self.i, self.peek()
+        if gen_name in self.ws.programs and ds.constructor(gen_name) is None \
+                and gen_name != "rec":
+            self.next()
             self.expect("(")
             args = self.commas(lambda: self.ident("binding name"))
             prog = self.ws.programs[gen_name]
             if len(args) != prog.arity:
                 raise self.fail(f"program '{gen_name}' has arity {prog.arity}, "
-                                f"applied to {len(args)} arguments", t)
+                                f"applied to {len(args)} arguments", at)
             return GeneratorBinding(prog, tuple(args))
         nodes: list[CotermNode | None] = []
         v = _run(self._coterm(ds, nodes, {}))
@@ -416,12 +411,12 @@ class Parser:
         constructor and its children, a cycle variable or a binding's name:
         that name, or the chain's slot in `nodes`.  A node takes its slot when
         its ':' or rec is read, or once its constructor's children are."""
-        tok = self.peek()
-        if tok.text == "(":
+        at = self.i
+        if self.peek() == "(":
             self.next()
             v = yield self._coterm(ds, nodes, recvars)
             self.expect(")")
-        elif tok.text == "rec":
+        elif self.peek() == "rec":
             self.next()
             slot = len(nodes)
             inner = {**recvars, self.ident("cycle variable"): slot}
@@ -429,25 +424,25 @@ class Parser:
             nodes.append(None)
             v = yield self._coterm(ds, nodes, inner)
             if not isinstance(v, int) or v == slot:
-                raise self.fail("a cycle must pass through a constructor", tok)
+                raise self.fail("a cycle must pass through a constructor", at)
             if nodes[v] is None:
-                raise self.fail("degenerate cycle", tok)
+                raise self.fail("degenerate cycle", at)
             nodes[slot] = nodes[v]
             v = slot
         else:
-            tok = self.ident_tok("coterm")
-            c = ds.constructor(tok.text)
+            name = self.ident("coterm")
+            c = ds.constructor(name)
             if c is None:
-                v = recvars.get(tok.text, tok.text)   # else another binding's name
+                v = recvars.get(name, name)   # else another binding's name
             else:
                 kids = yield self._args(lambda: self._coterm(ds, nodes, recvars))
                 if len(kids) != c.arity:
                     raise self.fail(f"constructor '{c.name}' has arity {c.arity}, "
-                                    f"got {len(kids)} children", tok)
+                                    f"got {len(kids)} children", at)
                 nodes.append(CotermNode(c.name, tuple(kids)))
                 v = len(nodes) - 1
-        if self.peek().text == ":":
-            self._need_cons(ds, self.next())
+        if self.peek() == ":":
+            self._need_cons(ds)
             slot = len(nodes)
             nodes.append(None)
             nodes[slot] = CotermNode("cons", (v, (yield self._coterm(ds, nodes, recvars))))
@@ -457,57 +452,55 @@ class Parser:
     # -- formulas and proofs ---------------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        return _run(self._formula())
+        return _run(self._formula(self._need_system()))
 
-    def _formula(self):   # run by _run, so that no nesting depth recurses
-        ds = self._need_system()
+    def _formula(self, ds: DataSystem):   # run by _run, so that no nesting depth recurses
         self.expect("(")
-        head_tok = self.next() if self.peek().text == "=" else self.ident_tok("formula head")
-        head = head_tok.text
+        at = self.i
+        head = self.next() if self.peek() == "=" else self.ident("formula head")
         if head == "and" or head == "or" or head == "imp":
-            left = yield self._formula()
-            right = yield self._formula()
+            left = yield self._formula(ds)
+            right = yield self._formula(ds)
             self.expect(")")
             cls = {"and": And, "or": Or, "imp": Imp}[head]
             return cls(left, right)
         if head in ("ex", "all"):
             var = self.ident("variable")
-            body = yield self._formula()
+            body = yield self._formula(ds)
             self.expect(")")
             return (Exists if head == "ex" else Forall)(var, body)
         if head == "=":
-            left = yield self._sexp_term()
-            right = yield self._sexp_term()
+            left = yield self._sexp_term(ds)
+            right = yield self._sexp_term(ds)
             self.expect(")")
             return EqAtom(left, right)
         if ds.predicate(head) is None:
-            raise self.fail(f"unknown predicate '{head}'", head_tok)
-        term = yield self._sexp_term()
+            raise self.fail(f"unknown predicate '{head}'", at)
+        term = yield self._sexp_term(ds)
         self.expect(")")
         return DataAtom(head, term)
 
     def parse_sexp_term(self) -> Term:
         """`name` or `(name term ...)`: a constructor at its arity, a call
         if applied or among the functions, else a variable."""
-        return _run(self._sexp_term())
+        return _run(self._sexp_term(self._need_system()))
 
-    def _sexp_term(self):   # run by _run
-        ds = self._need_system()
-        applied = self.peek().text == "("
+    def _sexp_term(self, ds: DataSystem):   # run by _run
+        applied = self.peek() == "("
         args = []
         if applied:
             self.next()
-            tok = self.ident_tok("term head")
-            while self.peek().text != ")":
-                args.append((yield self._sexp_term()))
+            at = self._name_at("term head")
+            while self.peek() != ")":
+                args.append((yield self._sexp_term(ds)))
             self.expect(")")
         else:
-            tok = self.ident_tok("term")
-        name = tok.text
+            at = self._name_at("term")
+        name = self.toks[at]
         c = ds.constructor(name)
         if c is not None:
             if len(args) != c.arity:
-                raise self.fail(f"constructor '{name}' has arity {c.arity}", tok)
+                raise self.fail(f"constructor '{name}' has arity {c.arity}", at)
             return Con(name, tuple(args))
         if applied or name in self.functions:
             return Fun(name, tuple(args))
@@ -515,39 +508,38 @@ class Parser:
 
     def parse_proof(self) -> None:
         name = self.ident("proof name")
+        ds = self._need_system(self.i - 1)
         self.expect("{")
         self.functions = self.ws.known_names()
-        d = _run(self._derivation())
+        d = _run(self._derivation(ds))
         self.expect("}")
         self.ws.proofs[name] = d
 
-    def _derivation(self):   # run by _run
-        ds = self._need_system()
+    def _derivation(self, ds: DataSystem):   # run by _run
         self.expect("(")
         rule = self.ident("rule name")
-        conclusion = yield self._formula()
+        conclusion = yield self._formula(ds)
         self.expect("(")
         premises = []
-        while self.peek().text != ")":
-            premises.append((yield self._derivation()))
+        while self.peek() != ")":
+            premises.append((yield self._derivation(ds)))
         self.expect(")")
         attrs: list[tuple[str, object]] = []
         self.expect("{")
-        while self.peek().text != "}":
-            key = self.ident("attribute key")
-            attrs.append((key.replace("-", "_"), self.parse_attr_value(key, ds)))
+        while self.peek() != "}":
+            key = self.ident("attribute key").replace("-", "_")
+            attrs.append((key, self.parse_attr_value(key, ds)))
         self.expect("}")
         self.expect(")")
         return Derivation(rule, conclusion, tuple(premises), tuple(attrs))
 
     def _number(self, msg: str) -> int:
-        n = self.ident_tok("number")
-        if not n.text.isdigit():
-            raise self.fail(msg, n)
-        return int(n.text)
+        n = self.ident("number")
+        if not n.isdigit():
+            raise self.fail(msg, self.i - 1)
+        return int(n)
 
     def parse_attr_value(self, key: str, ds: DataSystem):
-        key = key.replace("-", "_")
         if key in ("i", "idx"):
             return self._number(f"attribute '{key}' needs a number")
         if key == "witness":
@@ -556,16 +548,15 @@ class Parser:
             return self.parse_formula()
         if key == "type":
             self.expect("(")
-            ctok = self.ident_tok("constructor")
-            preds = self.until_close(lambda: self.ident_tok("predicate"))
-            c = ds.constructor(ctok.text)
+            at = self._name_at("constructor")
+            preds = self.until_close(lambda: self._name_at("predicate"))
+            c = ds.constructor(self.toks[at])
             if c is None or len(preds) != c.arity + 1:
-                raise self.fail(f"bad constructor type for '{ctok.text}'", ctok)
-            ct = ConstructorType(
-                c, tuple(_pred_of(ds, p, self) for p in preds[:-1]),
-                _pred_of(ds, preds[-1], self))
+                raise self.fail(f"bad constructor type for '{self.toks[at]}'", at)
+            *args, res = (self._predicate(ds.predicate, j) for j in preds)
+            ct = ConstructorType(c, tuple(args), res)
             if ct not in ds.types:
-                raise self.fail(f"type '{ct}' is not declared by the system", ctok)
+                raise self.fail(f"type '{ct}' is not declared by the system", at)
             return ct
         if key == "pos":
             self.expect("(")
@@ -578,10 +569,3 @@ class Parser:
             self.expect("(")
             return tuple(self.until_close(group))
         return self.ident("attribute value")
-
-
-def _pred_of(ds: DataSystem, name: Tok, p: Parser) -> DataPredicate:
-    out = ds.predicate(name.text)
-    if out is None:
-        raise p.fail(f"unknown predicate '{name.text}'", name)
-    return out

@@ -111,6 +111,19 @@ def test_parse_error_names_its_file(tmp_path, capsys):
     assert err == f"error: {b}:5:20: expected term (found ';')\n"
 
 
+def test_a_byte_that_is_not_utf8_is_reported_where_it_stands(tmp_path, capsys):
+    """The first undecodable byte is a parse error at its line and column,
+    counted as the reader counts them: CRLF ends one line, and a column
+    counts characters, so 'é' before the byte is one column."""
+    a, b = tmp_path / "a.cds", tmp_path / "b.cds"
+    a.write_bytes(b"system X { inductive B; }\n\xff\n")
+    b.write_bytes(b"system X {\r\n  # caf\xc3\xa9 \xe2\x82\n}\n")
+    assert run_main(capsys, "check", str(a)) == (
+        2, "", f"error: {a}:2:1: invalid UTF-8 byte 0xff\n")
+    assert run_main(capsys, "check", str(b)) == (
+        2, "", f"error: {b}:2:10: invalid UTF-8 byte 0xe2\n")
+
+
 def test_unknown_constructor_in_pattern_rejected():
     with pytest.raises(ParseError) as e:
         parse_workspace(SM_SOURCE + "\nprogram bad { f(g(x)) = 0; }")
@@ -781,7 +794,8 @@ def test_an_ill_sorted_tail_is_forced_at_the_depth_bound(tmp_path, capsys):
     ("y", 8, "<stall:no-match>\n", 1),
     ("nosuch(v_a)", 8, "<stall:no-match>\n", 1),
     ("nosuch(v_a) : nosuch(v_a)", 2, "cons(<stall:no-match>, <stall:no-match>)\n", 1),
-    ("0 : y", 1, "0:<cut@1>\n", 0)])
+    ("0 : y", 1, "0:<cut@1>\n", 0),
+    ("flip(-y)", 8, "<stall:no-match>\n", 1)])
 def test_cmd_eval_of_a_variable_or_an_undefined_call(capsys, term, depth, out, code):
     """A variable, and a call with neither equations nor a binding, stall
     with no match; met a second time, the stall comes from the memo.  A
@@ -819,9 +833,16 @@ ONE_LINE_SYSTEM = ("system Sm { inductive B; coinductive S; constructor 0 : B; "
     ("sytem X { }", "1:1: expected system, program, env or proof (found 'sytem')"),
     ("system X { predicate B; }",
      "1:12: expected inductive, coinductive or constructor (found 'predicate')"),
+    ("proof p { (refl (= 0 0) () {}) }", "1:7: no system declared yet (found 'p')"),
+    ("system X { inductive B; \n # trailing", "2:2: expected declaration (at end)"),
+    (ONE_LINE_SYSTEM.rstrip("\n") + "\r\nprogram f { f = % ; }",
+     "2:17: unexpected character '%'"),
+    ("system X {\n\tinductive B; %", "2:15: unexpected character '%'"),
+    ("sytem X { } %", "1:13: unexpected character '%'"),
 ], ids=["character", "two-systems", "reserved", "arity", "system-predicate", "rebound",
         "cycle", "degenerate", "type-predicate", "formula-predicate", "no-system",
-        "env-no-system", "expected-token", "stanza-keyword", "declaration"])
+        "env-no-system", "expected-token", "stanza-keyword", "declaration",
+        "proof-no-system", "end-at-comment", "crlf", "tab", "character-after-syntax-error"])
 def test_a_malformed_workspace_is_reported_at_the_offending_token(tmp_path, capsys,
                                                                   source, error):
     """A parse error names its line and column, and the token there: the
@@ -881,6 +902,7 @@ def test_a_malformed_attribute_coterm_or_program_is_reported_where_it_is_found(
     (("normalize", "nope"), "unknown proof 'nope'"),
     (("extract", "nope"), "'nope' names no proof or program"),
     (("eval", "v_a v_b"), "1:5: trailing input after term (found 'v_b')"),
+    (("eval", "x - y"), "1:3: unexpected character '-'"),
 ])
 def test_an_unknown_name_or_a_malformed_term_is_a_command_error(ws_file, capsys, argv,
                                                                   error):
@@ -958,9 +980,8 @@ def test_a_bare_name_is_a_call_where_the_workspace_or_its_program_defines_it():
     equation's patterns bind it; in a pattern it is a variable; in a proof a
     bare name is a call when the workspace defines it, and an applied one
     always is."""
-    ws = Parser(tokenize(SYSTEM_SOURCE + "program f { f(x) = cons(0, g); g = cons(1, x);"
-                         " h(g) = g; }\nproof p { (refl (= (x) (f g y)) () {}) }\n")
-                ).parse_workspace()
+    ws = Parser(SYSTEM_SOURCE + "program f { f(x) = cons(0, g); g = cons(1, x);"
+                " h(g) = g; }\nproof p { (refl (= (x) (f g y)) () {}) }\n").parse_workspace()
     f_eq, g_eq, h_eq = ws.programs["f"].body[:3]
     assert f_eq.rhs == Con("cons", (Con("0"), Fun("g"))) and f_eq.patterns == (Var("x"),)
     assert g_eq.rhs == Con("cons", (Con("1"), Var("x")))
