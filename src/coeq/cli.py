@@ -18,7 +18,7 @@ from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formul
 from .logic import check_proof, has_detour, normalize
 from .program import Program, validate_program
 from .reader import ParseError, Parser, Workspace
-from .system import ConstructorType, validate_system
+from .system import ConstructorType, ValidationReport, validate_system
 from .terms import Con, Term, Var
 
 
@@ -61,21 +61,25 @@ class ResolutionError(Exception):
     pass
 
 
+def _one_line(rep: ValidationReport) -> str:
+    return "; ".join(str(v) for v in rep.violations)
+
+
 def resolve_workspace(ws: Workspace) -> None:
     """Total name resolution before any command runs."""
     if ws.system is None:
         raise ResolutionError("no system declared")
     rep = validate_system(ws.system)
     if not rep.ok:
-        raise ResolutionError(f"system '{ws.system_name}': {rep}")
+        raise ResolutionError(f"system '{ws.system_name}': {_one_line(rep)}")
     for name, prog in ws.programs.items():
         rep = validate_program(prog, ws.system)
         if not rep.ok:
-            raise ResolutionError(f"program '{name}': {rep}")
+            raise ResolutionError(f"program '{name}': {_one_line(rep)}")
     if len(ws.programs) > 1:
         rep = validate_program(ws.merged_program(), ws.system)
         if not rep.ok:
-            raise ResolutionError(f"programs conflict: {rep}")
+            raise ResolutionError(f"programs conflict: {_one_line(rep)}")
     for name, env in ws.envs.items():
         rep = env.validate(ws.system)
         if not rep.ok:

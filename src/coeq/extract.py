@@ -28,10 +28,10 @@ from .logic import (CheckResult, _scopes, assert_sp_proof, check_proof, has_deto
                     normalize)
 from .program import Equation, Program, assemble_program, pi_name
 from .prove import ExtractError, prove_corec
-from .realize import (ALGEBRA, EVEN, ODD, ZEROS_R, ConsR, Leaf, Pair, SortError, SymR,
-                      _alternatives, _const_bit, _drop, _known, _number, _or_path,
-                      _project, _shape, case, check_algebra, even_r, head_term_of, mat,
-                      sigma1, tail_r, term_sort, var_sorts, zeros_term)
+from .realize import (ALGEBRA, EVEN, ODD, ConsR, Pair, SortError, SymR, _alternatives,
+                      _const_bit, _drop, _known, _or_path, _project, _skeleton, case,
+                      check_algebra, even_r, head_term_of, mat, sigma1, tail_r, term_sort,
+                      var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
 from .terms import (Con, Fun, Record, Term, Var, _path, _run, substitute, subterms,
                     variables)
@@ -57,7 +57,7 @@ class _State(Record, frozen=False):
     parameter."""
     __slots__ = ("skel", "params", "bit", "succ", "nxt")
 
-    def __init__(self, skel: SymR, params: list[str], bit: Term | None = None,
+    def __init__(self, skel: Term | SymR, params: list[str], bit: Term | None = None,
                  succ: tuple[str, ...] = (), nxt: dict[str, Term] | None = None):
         self.skel = skel
         self.params = params
@@ -157,12 +157,8 @@ class Extractor:
         return self.bound[q]
 
     def value_term(self, t: Term, ctx: dict) -> Term:
-        binding = {}
-        for v in variables(t):
-            if v in ctx["values"]:
-                sort, val = ctx["values"][v]
-                binding[v] = val if sort == "B" else mat(val)
-        return substitute(t, binding)
+        values = ctx["values"]
+        return substitute(t, {v: mat(values[v][1]) for v in variables(t) if v in values})
 
     # -- the walk ----------------------------------------------------------------
 
@@ -185,7 +181,7 @@ class Extractor:
     def _x_and_intro(self, d, ctx, path):
         a = yield self.extract(d.premises[0], ctx, (path, 0))
         b = yield self.extract(d.premises[1], ctx, (path, 1))
-        return Pair(a, Pair(b, ZEROS_R))
+        return Pair(a, Pair(b, zeros_term()))
 
     def _x_and_elim(self, d, ctx, path):
         w = yield self.extract(d.premises[0], ctx, (path, 0))
@@ -214,8 +210,8 @@ class Extractor:
     def _x_ex_intro(self, d, ctx, path):
         body_r = yield self.extract(d.premises[0], ctx, (path, 0))
         wt = self.value_term(d.attr("witness"), ctx)
-        wit_r = ConsR(wt, ZEROS_R) if self.bound_sort(d.conclusion) == "B" else Leaf(wt)
-        return Pair(wit_r, Pair(body_r, ZEROS_R))
+        wit_r = ConsR(wt, zeros_term()) if self.bound_sort(d.conclusion) == "B" else wt
+        return Pair(wit_r, Pair(body_r, zeros_term()))
 
     def _x_ex_elim(self, d, ctx, path):
         w = yield self.extract(d.premises[0], ctx, (path, 0))
@@ -233,21 +229,19 @@ class Extractor:
         t = d.conclusion.left
         vt = self.value_term(t, ctx)
         sorts = {v: sort for v, (sort, _val) in ctx["values"].items()}
-        if term_sort(t, sorts, self.ds, None) == "B":
-            return ConsR(vt, ZEROS_R)
-        return Leaf(vt)
+        return ConsR(vt, zeros_term()) if term_sort(t, sorts, self.ds, None) == "B" else vt
 
     def _x_rewrite(self, d, ctx, path):
         return (yield self.extract(d.premises[0], ctx, (path, 0)))
 
     def _x_data_intro(self, d, ctx, path):
         # over Sm the checker admits only 0 : B and 1 : B here
-        return ConsR(d.conclusion.term, ZEROS_R)
+        return ConsR(d.conclusion.term, zeros_term())
 
     def _x_data_elim(self, d, ctx, path):
         # over Sm the one coinductive type is cons : B * S -> S
         w = yield self.extract(d.premises[0], ctx, (path, 0))
-        return ConsR(head_term_of(w), ZEROS_R) if d.attr("i") == 1 else tail_r(w)
+        return ConsR(head_term_of(w), zeros_term()) if d.attr("i") == 1 else tail_r(w)
 
     def _x_induction(self, d, ctx, path):
         # over Sm the one inductive predicate is B, its cases 0 then 1
@@ -275,16 +269,13 @@ class Extractor:
             (kv[0], "") if isinstance(kv[0], str) else (kv[0][0], str(kv[0][1]))))
         n_ctx = len(items_v) + len(items_r)
         xs = arg_vars(n_ctx + 1)
-        hctx = {"values": {}, "realizers": {}}
-        for i, (name, (sort, _val)) in enumerate(items_v):
-            hctx["values"][name] = (sort, xs[i] if sort == "B" else Leaf(xs[i]))
-        for i, (lab, _r) in enumerate(items_r):
-            hctx["realizers"][lab] = Leaf(xs[len(items_v) + i])
         u_param = xs[n_ctx]
-        hctx["values"][hole] = ("S", Leaf(u_param))
+        hctx = {"values": {name: (sort, x) for x, (name, (sort, _v)) in zip(xs, items_v)},
+                "realizers": {lab: x for x, (lab, _r) in zip(xs[len(items_v):], items_r)}}
+        hctx["values"][hole] = ("S", u_param)
         fixed = [x.name for x in xs]
 
-        def step(v: SymR):   # run by _run
+        def step(v: Term | SymR):   # run by _run
             """Head bit, next subject and next realizer of one step."""
             h = yield self.extract(d.premises[1], _extend(hctx, realizers={label: v}),
                                  (path, 1))
@@ -295,7 +286,7 @@ class Extractor:
         # next realizer is a shape a state's evidence can take.  Runners
         # nested in the step are emitted by the state steps only
         emitted = len(self.defs), len(self.cert.lines)
-        probe = _alternatives([(yield step(Leaf(Var(f"x{n_ctx + 2}"))))[2]])
+        probe = _alternatives([(yield step(Var(f"x{n_ctx + 2}")))[2]])
         del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
         probe_paths = [_or_path(a, phi, ())[0] for a in probe]
 
@@ -308,7 +299,7 @@ class Extractor:
         while True:
             states: dict[tuple[str, ...], _State] = {}
 
-            def enter(r: SymR) -> tuple[tuple[str, ...], dict[str, Term]]:
+            def enter(r: Term | SymR) -> tuple[tuple[str, ...], dict[str, Term]]:
                 """The state r realizes and its parameters' values."""
                 key, rest, left = _or_path(r, phi, dynamic)
                 if isinstance(left, Or) and key not in dynamic:
@@ -316,7 +307,7 @@ class Extractor:
                 if key not in states:
                     fits = [_drop(a, len(key)) for a, ap in zip(probe, probe_paths)
                             if ap[:len(key)] == key[:len(ap)]]
-                    skel = _number(_shape(fits or [rest]), itertools.count(n_ctx + 2))
+                    skel = _run(_skeleton(fits or [rest], itertools.count(n_ctx + 2)))
                     states[key] = _State(skel, fixed + list(_project(rest, skel, {})))
                 return key, _project(rest, states[key].skel, {})
 
@@ -337,10 +328,8 @@ class Extractor:
                 break
             del self.defs[emitted[0]:], self.cert.lines[emitted[1]:]
 
-        first.update({x.name: (val if sort == "B" else mat(val))
-                      for x, (_n, (sort, val)) in zip(xs, items_v)})
-        first.update({x.name: mat(r)
-                      for x, (_l, r) in zip(xs[len(items_v):], items_r)})
+        given = [val for _n, (_s, val) in items_v] + [r for _l, r in items_r]
+        first.update({x.name: mat(r) for x, r in zip(xs, given)})
         first[u_param.name] = self.value_term(d.conclusion.term, ctx)
         live = _live(states)
         order = list(states)
@@ -366,7 +355,7 @@ class Extractor:
         runners = ", ".join(f"{names[p]}/{len(live[p])}" for p in states)
         self.cert.note(_path(path), d.rule, f"runner{'s' if len(states) > 1 else ''} "
                                      f"{runners} with {evidence} evidence parameters")
-        return Leaf(Fun(names[start], tuple(first[q] for q in live[start])))
+        return Fun(names[start], tuple(first[q] for q in live[start]))
 
 
 def _extend(ctx: dict, values: dict | None = None,
@@ -433,22 +422,18 @@ def extract(d: Derivation, program: Program, ds: DataSystem) -> ExtractionResult
     assumptions = sorted(res.assumptions.keys(), key=lambda kv: kv[0])
     free = sorted(fv(d.conclusion) | {v for _l, f in assumptions for v in fv(f)})
     ex = Extractor(ds, program)
-    ctx = {"values": {}, "realizers": {}}
     n_in = len(free) + len(assumptions)
     xs = arg_vars(n_in)
+    ctx = {"values": {}, "realizers": dict(zip(assumptions, xs[len(free):]))}
     try:
         sorts = var_sorts((d.conclusion,) + tuple(f for _l, f in assumptions), ds, None)
-        for i, v2 in enumerate(free):
-            if sorts.get(v2) == "B":
-                ctx["values"][v2] = ("B", Fun(pi_name(1), (xs[i],)))
-            else:
-                ctx["values"][v2] = ("S", Leaf(xs[i]))
-        for i, key in enumerate(assumptions):
-            ctx["realizers"][key] = Leaf(xs[len(free) + i])
+        for x, v2 in zip(xs, free):
+            ctx["values"][v2] = ("B", Fun(pi_name(1), (x,))) if sorts.get(v2) == "B" \
+                else ("S", x)
         # a variable free only inside the proof takes a closed value of its
         # sort: the judgment holds for every value
         for v2, s in _proof_only_sorts(d, set(free), ds).items():
-            ctx["values"][v2] = ("B", Con("0")) if s == "B" else ("S", Leaf(zeros_term()))
+            ctx["values"][v2] = ("B", Con("0")) if s == "B" else ("S", zeros_term())
         out = _run(ex.extract(d, ctx))
     except SortError as e:
         raise ExtractError(str(e), "sort") from None

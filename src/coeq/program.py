@@ -197,6 +197,8 @@ def _validate(p: Program, ds: DataSystem) -> ValidationReport:
     every = p.body + standard_functions(ds)
     arities: dict[str, int] = {}
     for e in every:
+        if ds.constructor(e.function) is not None:
+            bad("constructor-as-function", e, f"'{e.function}' is a constructor, not a function")
         known = arities.setdefault(e.function, len(e.patterns))
         if known != len(e.patterns):
             bad("arity-mismatch", e, f"'{e.function}' used with {len(e.patterns)} and {known} arguments")

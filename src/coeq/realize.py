@@ -312,31 +312,25 @@ def _unequal(r: OmegaResult, path: tuple[str, ...], detail: str) -> RealizeResul
 
 
 # ---------------------------------------------------------------------------
-# Symbolic realizers, as the extractor builds them
+# Symbolic realizers, as the extractor builds them: a realizer is a term, or
+# a Pair, ConsR or Case over realizers
 # ---------------------------------------------------------------------------
 
 class SymR(Interned):
     __slots__ = ()
 
 
-class Leaf(SymR):
-    __slots__ = ("term",)
-
-    def __new__(cls, term: Term):
-        return _intern((cls, term))
-
-
 class Pair(SymR):
     __slots__ = ("head", "rest")
 
-    def __new__(cls, head: SymR, rest: SymR):
+    def __new__(cls, head: Term | SymR, rest: Term | SymR):
         return _intern((cls, head, rest))
 
 
 class ConsR(SymR):
     __slots__ = ("head_term", "tail")
 
-    def __new__(cls, head_term: Term, tail: SymR):
+    def __new__(cls, head_term: Term, tail: Term | SymR):
         return _intern((cls, head_term, tail))
 
 
@@ -345,7 +339,7 @@ class Case(SymR):
     `right` where it is 1."""
     __slots__ = ("bit", "left", "right")
 
-    def __new__(cls, bit: Term, left: SymR, right: SymR):
+    def __new__(cls, bit: Term, left: Term | SymR, right: Term | SymR):
         return _intern((cls, bit, left, right))
 
 
@@ -355,14 +349,14 @@ def _const_bit(t: Term) -> str | None:
     return None
 
 
-def _known(r: SymR, bit: Term, value: str) -> SymR:
+def _known(r: Term | SymR, bit: Term, value: str) -> Term | SymR:
     """r on the runs where `bit` is `value`: dispatches on it are resolved,
     each shared node once, on `_run`'s stack: any depth."""
     return _run(_resolve(r, bit, value, {}))
 
 
-def _resolve(r: SymR, bit: Term, value: str, memo: dict):   # run by _run
-    if isinstance(r, Leaf) or r in memo:
+def _resolve(r: Term | SymR, bit: Term, value: str, memo: dict):   # run by _run
+    if isinstance(r, Term) or r in memo:
         return memo.get(r, r)
     if isinstance(r, Case) and r.bit == bit:
         out = yield _resolve(r.left if value == "0" else r.right, bit, value, memo)
@@ -378,7 +372,7 @@ def _resolve(r: SymR, bit: Term, value: str, memo: dict):   # run by _run
     return out
 
 
-def case(bit: Term, left: SymR, right: SymR) -> SymR:
+def case(bit: Term, left: Term | SymR, right: Term | SymR) -> Term | SymR:
     const = _const_bit(bit)
     if const is not None:
         return left if const == "0" else right
@@ -386,121 +380,115 @@ def case(bit: Term, left: SymR, right: SymR) -> SymR:
     return left if left == right else Case(bit, left, right)
 
 
-def _over(r: Case, f) -> SymR:
-    """f distributed over the branches of a dispatch."""
-    left, right = f(r.left), f(r.right)
-    return left if left == right else Case(r.bit, left, right)
+def _delta(bit: Term, left: Term, right: Term) -> Term:
+    return Fun(DELTA, (bit, left, right, left))
 
 
-def mat(r: SymR) -> Term:
-    return r.term if isinstance(r, Leaf) else _run(_mat(r))
+def mat(r: Term | SymR) -> Term:
+    return r if isinstance(r, Term) else _run(_mat(r))
 
 
-def _mat(r: SymR):   # run by _run, so a realizer of any depth materializes
-    if isinstance(r, Leaf):
-        return r.term
+def _mat(r: Term | SymR):   # run by _run, so a realizer of any depth materializes
+    if isinstance(r, Term):
+        return r
     if isinstance(r, ConsR):
         return Con("cons", (r.head_term, (yield _mat(r.tail))))
     if isinstance(r, Pair):
         return merge_term((yield _mat(r.head)), (yield _mat(r.rest)))
-    left = yield _mat(r.left)
-    return Fun(DELTA, (r.bit, left, (yield _mat(r.right)), left))
+    return _delta(r.bit, (yield _mat(r.left)), (yield _mat(r.right)))
 
 
-def even_r(r: SymR) -> SymR:
-    if isinstance(r, Pair):
-        return r.head
-    if isinstance(r, Case):
-        return _over(r, even_r)
-    return Leaf(even_term(mat(r)))
+def _below(r: Term | SymR, part, join=Case):
+    """part(x) for each realizer x below r's dispatches, with each dispatch
+    rebuilt over its branches' parts by join(bit, left, right), or left
+    alone where both parts are one."""
+    return _run(_walk(r, part, join, {})) if isinstance(r, Case) else part(r)
 
 
-def odd_r(r: SymR) -> SymR:
-    if isinstance(r, Pair):
-        return r.rest
-    if isinstance(r, Case):
-        return _over(r, odd_r)
-    return Leaf(odd_term(mat(r)))
+def _walk(r: Term | SymR, part, join, memo: dict):   # run by _run; a shared dispatch once
+    if not isinstance(r, Case):
+        return part(r)
+    if r not in memo:
+        left = yield _walk(r.left, part, join, memo)
+        right = yield _walk(r.right, part, join, memo)
+        memo[r] = left if left == right else join(r.bit, left, right)
+    return memo[r]
 
 
-def sigma1(r: SymR) -> SymR:
+def even_r(r: Term | SymR) -> Term | SymR:
+    return _below(r, lambda x: x.head if isinstance(x, Pair) else even_term(mat(x)))
+
+
+def odd_r(r: Term | SymR) -> Term | SymR:
+    return _below(r, lambda x: x.rest if isinstance(x, Pair) else odd_term(mat(x)))
+
+
+def sigma1(r: Term | SymR) -> Term | SymR:
     return even_r(odd_r(r))
 
 
-def head_term_of(r: SymR) -> Term:
-    if isinstance(r, ConsR):
-        return r.head_term
-    if isinstance(r, Case):
-        left, right = head_term_of(r.left), head_term_of(r.right)
-        return left if left == right else Fun(DELTA, (r.bit, left, right, left))
-    return Fun(pi_name(1), (mat(r),))
+def head_term_of(r: Term | SymR) -> Term:
+    return _below(r, lambda x: x.head_term if isinstance(x, ConsR) else _pi(1, mat(x)),
+                  _delta)
 
 
-def tail_r(r: SymR) -> SymR:
-    if isinstance(r, ConsR):
-        return r.tail
-    if isinstance(r, Case):
-        return _over(r, tail_r)
-    return Leaf(Fun(pi_name(2), (mat(r),)))
-
-
-ZEROS_R = Leaf(zeros_term())
+def tail_r(r: Term | SymR) -> Term | SymR:
+    return _below(r, lambda x: x.tail if isinstance(x, ConsR) else _pi(2, mat(x)))
 
 
 # -- runner parameters: the skeleton of a realizer -------------------------------
 
-_HOLE = Var("_")
-
-
-def _alternatives(rs: list[SymR]) -> list[SymR]:
-    out: list[SymR] = []
-    for r in rs:
-        out += _alternatives([r.left, r.right]) if isinstance(r, Case) else [r]
+def _alternatives(rs: list[Term | SymR]) -> list[Term | SymR]:
+    """The realizers below the dispatches of `rs`, left to right."""
+    out, stack = [], rs[::-1]
+    while stack:
+        r = stack.pop()
+        if isinstance(r, Case):
+            stack += (r.right, r.left)
+        else:
+            out.append(r)
     return out
 
 
-def _shape(rs: list[SymR]) -> SymR:
-    """The Pair/ConsR structure that every alternative of `rs` has, with
-    holes where they disagree."""
+def _skeleton(rs: list[Term | SymR], names: itertools.count):   # run by _run
+    """The Pair/ConsR structure that every alternative of `rs` has, with a
+    parameter x<n> at each ConsR head and where they disagree, n drawn from
+    `names` in preorder."""
     rs = _alternatives(rs)
     if all(isinstance(r, Pair) for r in rs):
-        return Pair(_shape([r.head for r in rs]), _shape([r.rest for r in rs]))
-    if all(isinstance(r, ConsR) for r in rs):
-        return ConsR(_HOLE, _shape([r.tail for r in rs]))
-    return Leaf(_HOLE)
-
-
-def _number(shape: SymR, names: itertools.count) -> SymR:
-    """The shape with a parameter x<n> in each hole, n drawn from `names`
-    in preorder."""
-    if isinstance(shape, Pair):
-        return Pair(_number(shape.head, names), _number(shape.rest, names))
+        return Pair((yield _skeleton([r.head for r in rs], names)),
+                    (yield _skeleton([r.rest for r in rs], names)))
     q = Var(f"x{next(names)}")
-    return ConsR(q, _number(shape.tail, names)) if isinstance(shape, ConsR) else Leaf(q)
+    if all(isinstance(r, ConsR) for r in rs):
+        return ConsR(q, (yield _skeleton([r.tail for r in rs], names)))
+    return q
 
 
-def _project(r: SymR, skel: SymR, out: dict[str, Term]) -> dict[str, Term]:
-    """The value of each parameter of `skel` when the realizer is r.  By
-    the merge/even/odd laws the skeleton over these values is r again."""
-    if isinstance(skel, Leaf):
-        out[skel.term.name] = mat(r)
-    elif isinstance(skel, Pair):
-        _project(even_r(r), skel.head, out)
-        _project(odd_r(r), skel.rest, out)
-    else:
-        out[skel.head_term.name] = head_term_of(r)
-        _project(tail_r(r), skel.tail, out)
+def _project(r: Term | SymR, skel: Term | SymR, out: dict[str, Term]) -> dict[str, Term]:
+    """The value of each parameter of `skel`, in preorder, when the
+    realizer is r.  By the merge/even/odd laws the skeleton over these
+    values is r again."""
+    stack = [(r, skel)]
+    while stack:
+        r, skel = stack.pop()
+        if isinstance(skel, Pair):
+            stack += [(odd_r(r), skel.rest), (even_r(r), skel.head)]
+        elif isinstance(skel, ConsR):
+            out[skel.head_term.name] = head_term_of(r)
+            stack.append((tail_r(r), skel.tail))
+        else:
+            out[skel.name] = mat(r)
     return out
 
 
-def _drop(r: SymR, n: int) -> SymR:
+def _drop(r: Term | SymR, n: int) -> Term | SymR:
     for _ in range(n):
         r = tail_r(r)
     return r
 
 
-def _or_path(r: SymR, phi: Formula,
-             dynamic) -> tuple[tuple[str, ...], SymR, Formula]:
+def _or_path(r: Term | SymR, phi: Formula,
+             dynamic) -> tuple[tuple[str, ...], Term | SymR, Formula]:
     """The constant head bits by which r selects a disjunct of the
     disjunction tree phi, the rest of r, and the formula that rest
     realizes.  The path ends at a disjunct, at a position in `dynamic`, or

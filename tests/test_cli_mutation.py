@@ -4,7 +4,7 @@ Each run makes 1-3 token edits (delete, duplicate, replace by any token or by
 one of the same class, swap two neighbours) to `workspaces/streams.cds` or to the
 printed proof of flip or even, and runs one of eleven commands on the result
 in process.  Every run must end in a verdict (exit 0 or 1, with its result
-lines) or in a user error (exit 2, `error:` on stderr): never in an
+lines) or in a user error (exit 2, one `error:` line on stderr): never in an
 `internal error`, an uncaught exception or a hang.
 """
 import pathlib
@@ -100,7 +100,8 @@ def test_a_mutated_workspace_ends_in_a_verdict_or_a_located_error(tmp_path, caps
                 signal.alarm(0)
             out, err = capsys.readouterr()
             if code == 2:
-                assert out == "" and err.startswith("error: "), (err, text)
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, \
+                    (err, text)
             else:
                 assert code in (0, 1) and err == "", (code, err, text)
                 assert out and all("\t" in line for line in out.splitlines()), (out, text)

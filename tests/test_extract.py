@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from importlib import import_module
 from types import SimpleNamespace
@@ -848,17 +849,17 @@ def test_rename_functions_of_a_right_hand_side_three_thousand_calls_deep():
 
 
 def test_symbolic_realizers_are_hash_consed():
-    """Leaf, Pair, ConsR and Case are interned, as terms are: realizers
-    built alike are one object, and `==` and `hash` are by identity, in
-    constant time at any depth."""
-    from coeq.realize import Case, ConsR, Leaf, Pair
+    """A realizer is a term, or a Pair, ConsR or Case over realizers, and
+    each is interned: realizers built alike are one object, and `==` and
+    `hash` are by identity, in constant time at any depth."""
+    from coeq.realize import Case, ConsR, Pair
     x, bit = Var("x"), Fun("pi1", (Var("y"),))
-    assert Leaf(x) is Leaf(x) and Leaf(x) is not Leaf(Var("y"))
-    assert Pair(Leaf(x), Leaf(x)) is Pair(Leaf(x), Leaf(x))
-    assert Case(bit, Leaf(x), ConsR(ZERO, Leaf(x))) is Case(bit, Leaf(x), ConsR(ZERO, Leaf(x)))
+    assert x is Var("x") and x is not Var("y")
+    assert Pair(x, x) is Pair(x, x)
+    assert Case(bit, x, ConsR(ZERO, x)) is Case(bit, x, ConsR(ZERO, x))
 
     def chain():
-        r = Leaf(x)
+        r = x
         for i in range(3_000):
             r = ConsR(ONE if i % 2 else ZERO, r)
         return r
@@ -870,23 +871,58 @@ def test_symbolic_realizers_are_hash_consed():
 def test_a_dispatch_is_resolved_in_a_realizer_three_thousand_levels_deep():
     """`case` resolves the dispatches on its bit inside each branch on a
     stack of its own, so a branch of any depth resolves."""
-    from coeq.realize import Case, ConsR, Leaf, case
-    bit, y = Fun("pi1", (Var("b"),)), Leaf(Var("y"))
+    from coeq.realize import Case, ConsR, case
+    bit, y = Fun("pi1", (Var("b"),)), Var("y")
 
     def chain(last):
         for i in range(3_000):
             last = ConsR(ONE if i % 2 else ZERO, last)
         return last
 
-    r = chain(Case(bit, Leaf(Var("u")), Leaf(Var("w"))))
-    assert case(bit, r, y) is Case(bit, chain(Leaf(Var("u"))), y)
-    assert case(bit, y, r) is Case(bit, y, chain(Leaf(Var("w"))))
+    r = chain(Case(bit, Var("u"), Var("w")))
+    assert case(bit, r, y) is Case(bit, chain(Var("u")), y)
+    assert case(bit, y, r) is Case(bit, y, chain(Var("w")))
+
+
+def test_the_projections_reach_below_three_thousand_nested_dispatches():
+    """`even_r`, `tail_r` and `head_term_of` apply below every dispatch and
+    rebuild the dispatches on `_run`'s stack, so a nest of any depth
+    projects."""
+    from coeq.realize import Case, ConsR, Pair, even_r, head_term_of, tail_r
+
+    def nest(below, join=Case):
+        r = below(3_000)
+        for i in range(3_000):
+            r = join(Fun("pi1", (Var(f"b{i}"),)), below(i), r)
+        return r
+
+    u = lambda i: Var(f"u{i}")
+    assert even_r(nest(lambda i: Pair(u(i), ZERO))) is nest(u)
+    assert tail_r(nest(lambda i: ConsR(ZERO, u(i)))) is nest(u)
+    delta = lambda bit, left, right: Fun("delta", (bit, left, right, left))
+    assert head_term_of(nest(lambda i: ConsR(u(i), ZERO))) is nest(u, delta)
+
+
+def test_the_skeleton_of_a_realizer_six_thousand_levels_deep():
+    """`_skeleton` runs on `_run`'s stack and `_project` on a loop: the
+    skeleton of a realizer of any depth numbers its parameters in preorder,
+    and projecting the realizer onto it gives each parameter's value."""
+    from coeq.realize import ConsR, Pair, _project, _skeleton
+    from coeq.terms import _run
+    n = 3_000
+    r, skel = Var("z"), Var(f"x{2 * n + 1}")
+    for j in reversed(range(n)):
+        r = Pair(Var(f"e{j}"), ConsR(Var(f"h{j}"), r))
+        skel = Pair(Var(f"x{2 * j + 1}"), ConsR(Var(f"x{2 * j + 2}"), skel))
+    assert _run(_skeleton([r], itertools.count(1))) is skel
+    values = [(f"x{2 * j + 1 + k}", Var(f"{'eh'[k]}{j}")) for j in range(n) for k in (0, 1)]
+    assert list(_project(r, skel, {}).items()) == values + [(f"x{2 * n + 1}", Var("z"))]
 
 
 def test_a_realizer_nothing_holds_leaves_the_intern_table():
-    from coeq.realize import Leaf, Pair
+    from coeq.realize import Pair
     from coeq.terms import _interned
-    r = Pair(Leaf(Var("dropped")), Leaf(Var("x")))
+    r = Pair(Var("dropped"), Var("x"))
     key = (Pair, r.head, r.rest)
     assert _interned[key] is r
     del r

@@ -282,12 +282,14 @@ def test_validate_names_arity_pattern_and_principal_violations():
     f = lambda *args: Fun("f", args)
     eqs = [Equation("f", (v("x"),), ZERO),
            Equation("f", (v("x"), v("y")), f(v("x"), v("y"))),
-           Equation("f", (f(v("z")),), Con("cons", (ZERO,)))]
+           Equation("f", (f(v("z")),), Con("cons", (ZERO,))),
+           Equation("1", (v("x"),), v("x"))]
     rep = validate_program(Program(tuple(eqs), "f", 3), SM)
     codes = [x.code for x in rep.violations]
     for code in ("arity-mismatch", "non-base-pattern", "constructor-arity",
-                 "principal-arity"):
+                 "principal-arity", "constructor-as-function"):
         assert code in codes, code
+    assert "equation '1(x) = x': '1' is a constructor, not a function" in str(rep)
     assert codes.count("arity-mismatch") == 2   # in a definiendum and in a call
     rep = validate_program(assemble_program(SM, eqs[:1], "g"), SM)
     assert [x.code for x in rep.violations] == ["no-principal"]

@@ -72,7 +72,6 @@ RECORDS = [
     ("realize", "RealizabilityJudgment",
      "program ds env eta realizer formula depth budget=10000", True),
     ("realize", "RealizeResult", "status path=() detail=''", True),
-    ("realize", "Leaf", "term", True),
     ("realize", "Pair", "head rest", True),
     ("realize", "ConsR", "head_term tail", True),
     ("realize", "Case", "bit left right", True),
