@@ -20,10 +20,11 @@ from .program import (check_compatibility, deep_destructor, standard_functions,
 from .prove import prove_corec
 from .realize import RealizabilityJudgment, realizes
 from .system import canonical_member, syntactic_class, validate_system
+from .terms import Error
 
 __version__ = "0.1.0"
 __all__ = [
-    "KERNEL_BACKEND", "__version__",
+    "Error", "KERNEL_BACKEND", "__version__",
     "validate_system", "syntactic_class", "canonical_member",
     "unify", "check_compatibility", "standard_functions", "deep_destructor",
     "validate_program",

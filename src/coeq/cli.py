@@ -10,7 +10,7 @@ import sys
 
 from .corec import check_primitive_corecursive
 from .evaluation import (DEFAULT_BUDGET, NO_MATCH, ApproxNode, Approximation, Cut,
-                         EvalError, Session, Stalled, derives_omega, first_stall)
+                         Session, Stalled, derives_omega, first_stall)
 from .extract import (ExtractError, extract, prove_corec_program, require_check,
                       roundtrip_report)
 from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula, Imp,
@@ -19,7 +19,7 @@ from .logic import check_proof, has_detour, normalize
 from .program import Program, validate_program
 from .reader import ParseError, Parser, Workspace
 from .system import ConstructorType, ValidationReport, validate_system
-from .terms import Con, Term, Var
+from .terms import Con, Error, Term, Var
 
 
 def parse_workspace(source: str) -> Workspace:
@@ -57,10 +57,6 @@ def _read(path: str) -> str:
                          path) from None
 
 
-class ResolutionError(Exception):
-    pass
-
-
 def _one_line(rep: ValidationReport) -> str:
     return "; ".join(str(v) for v in rep.violations)
 
@@ -68,25 +64,25 @@ def _one_line(rep: ValidationReport) -> str:
 def resolve_workspace(ws: Workspace) -> None:
     """Total name resolution before any command runs."""
     if ws.system is None:
-        raise ResolutionError("no system declared")
+        raise Error("no system declared")
     rep = validate_system(ws.system)
     if not rep.ok:
-        raise ResolutionError(f"system '{ws.system_name}': {_one_line(rep)}")
+        raise Error(f"system '{ws.system_name}': {_one_line(rep)}")
     for name, prog in ws.programs.items():
         rep = validate_program(prog, ws.system)
         if not rep.ok:
-            raise ResolutionError(f"program '{name}': {_one_line(rep)}")
+            raise Error(f"program '{name}': {_one_line(rep)}")
     if len(ws.programs) > 1:
         rep = validate_program(ws.merged_program(), ws.system)
         if not rep.ok:
-            raise ResolutionError(f"programs conflict: {_one_line(rep)}")
+            raise Error(f"programs conflict: {_one_line(rep)}")
     for name, env in ws.envs.items():
         rep = env.validate(ws.system)
         if not rep.ok:
-            raise ResolutionError(f"env '{name}', {rep.violations[0].message}")
+            raise Error(f"env '{name}', {rep.violations[0].message}")
         clash = env.collision(ws.system, ws.programs.values())
         if clash:
-            raise ResolutionError(clash)
+            raise Error(clash)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def _program(ws: Workspace, args) -> Program:
 
 def _proof(ws: Workspace, name: str) -> Derivation:
     if name not in ws.proofs:
-        raise ResolutionError(f"unknown proof '{name}'")
+        raise Error(f"unknown proof '{name}'")
     return ws.proofs[name]
 
 
@@ -263,7 +259,7 @@ def _session(ws: Workspace, args) -> Session:
     env = None
     if args.env:
         if args.env not in ws.envs:
-            raise ResolutionError(f"unknown env '{args.env}'")
+            raise Error(f"unknown env '{args.env}'")
         env = ws.envs[args.env]
     elif len(ws.envs) == 1:
         env = next(iter(ws.envs.values()))
@@ -385,7 +381,7 @@ def cmd_extract(args, ws: Workspace, r: Reporter) -> int:
         elif args.name in ws.programs:
             d, prog = prove_corec_program(ws.programs[args.name], ws.system)
         else:
-            raise ResolutionError(f"'{args.name}' names no proof or program")
+            raise Error(f"'{args.name}' names no proof or program")
         # `normalize` expects a derivation that checks
         require_check(ws.system, prog, d)
         result = extract(normalize(d), prog, ws.system)
@@ -486,7 +482,8 @@ _arg_parser: argparse.ArgumentParser | None = None   # main's, built on first us
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: exit 0 for a positive verdict, 1 for a negative
-    one, 2 for an error, reported as one line on stderr."""
+    one, 2 for an error, reported as one line on stderr: `error:` for a
+    fault of the input (an `Error` or an OSError), else `internal error:`."""
     global _arg_parser
     _arg_parser = _arg_parser or build_arg_parser()
     args = _arg_parser.parse_args(argv)
@@ -494,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ws = parse_files(args.files) if "files" in args else None
         code = args.fn(args, ws, r)
-    except (ParseError, ResolutionError, EvalError, ValueError, OSError) as e:
+    except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -24,7 +24,7 @@ from . import kernel
 from .kernel import CON, FUN, STALL_NOMATCH, VAR, WHNF
 from .program import Equation, Program, pi_name, standard_functions, validate_program
 from .system import DataSystem, RegularCoterm, ValidationReport, Violation
-from .terms import Con, Fun, Record, Term, Tree, Var, _path, _set
+from .terms import Con, Error, Fun, Record, Term, Tree, Var, _path, _set
 
 DEFAULT_BUDGET = 10_000
 NO_MATCH = "no-matching-equation"
@@ -178,7 +178,7 @@ def first_stall(a: Approximation) -> tuple[tuple[int, ...], Stalled] | None:
     return found and (tuple(i + 1 for i in found[0]), found[1])
 
 
-class EvalError(Exception):
+class EvalError(Error):
     pass
 
 

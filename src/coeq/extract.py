@@ -33,7 +33,7 @@ from .realize import (ALGEBRA, EVEN, ODD, ConsR, Pair, SortError, SymR, _alterna
                       check_algebra, even_r, head_term_of, mat, sigma1, tail_r, term_sort,
                       var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
-from .terms import (Con, Fun, Record, Term, Var, _path, _run, substitute, subterms,
+from .terms import (Con, Error, Fun, Record, Term, Var, _path, _run, substitute, subterms,
                     variables)
 
 
@@ -527,8 +527,8 @@ def roundtrip_report(depth: int = 64, ds: DataSystem | None = None,
                      library: dict | None = None, seed: int = 20240817,
                      inputs_per_entry: int = 10) -> RoundtripReport:
     if depth < 1 or inputs_per_entry < 1:
-        raise ValueError(f"roundtrip needs depth >= 1 and at least one input per "
-                         f"entry (depth {depth}, inputs {inputs_per_entry})")
+        raise Error(f"roundtrip needs depth >= 1 and at least one input per "
+                    f"entry (depth {depth}, inputs {inputs_per_entry})")
     ds = ds or boolean_stream_system()
     library = library or stock_library()
     report = RoundtripReport(depth, {})

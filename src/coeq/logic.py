@@ -27,8 +27,8 @@ from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formul
 from .formulas import imp_elim, imp_intro
 from .program import Program, pi_name, reserved_function, standard_functions
 from .system import ConstructorType, DataSystem
-from .terms import (Con, Fun, Record, Term, Var, _path, _run, _set, fresh_name, substitute,
-                    variables)
+from .terms import (Con, Error, Fun, Record, Term, Var, _path, _run, _set, fresh_name,
+                    substitute, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +397,8 @@ class ProofChecker:
         pred = self.ds.predicate(pred_name) if isinstance(pred_name, str) else None
         if pred is None or pred.inductive or not isinstance(phi, Formula):
             return self.bad(path, "coinduction needs a coinductive predicate and a formula")
+        if not self.ds.types_for_result(pred):
+            return self.bad(path, f"predicate '{pred_name}' has an empty constructor set")
         if classify_formula(phi) is not PolarityClass.STRONGLY_POSITIVE:
             return self.bad(path, "coinduction invariant must be strongly positive")
         if len(d.premises) != 2:
@@ -431,10 +433,6 @@ def check_proof(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 NORMALIZE_MAX_STEPS = 10_000
-
-
-class NormalizationLimit(Exception):
-    """normalize needed more than NORMALIZE_MAX_STEPS contractions: a kernel bug."""
 
 
 def _scopes(d: Derivation) -> dict:
@@ -620,7 +618,8 @@ def _reduce_node(d: Derivation) -> Derivation:
 def normalize(d: Derivation) -> Derivation:
     """The detour-free form of d, in one bottom-up pass: premises first, then
     the node's own detour is contracted and the contractum normalized in
-    turn.  Raises NormalizationLimit after NORMALIZE_MAX_STEPS contractions."""
+    turn.  A proof that needs more than NORMALIZE_MAX_STEPS contractions is
+    too large for it, an input error: it raises Error."""
     # id -> node known normal (the entry keeps it alive), and the count of
     # contractions made
     return _run(_normalize(d, {}, itertools.count(1)))
@@ -638,7 +637,7 @@ def _normalize(node: Derivation, normal: dict[int, Derivation],
             normal[id(node)] = node
             continue
         if next(contractions) > NORMALIZE_MAX_STEPS:
-            raise NormalizationLimit(f"no normal form within {NORMALIZE_MAX_STEPS} contractions")
+            raise Error(f"no normal form within {NORMALIZE_MAX_STEPS} contractions")
         node = _reduce_node(node)
     return node
 

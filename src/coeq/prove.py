@@ -22,10 +22,10 @@ from .logic import subst_derivation
 from .program import DELTA, pi_name
 from .realize import SortError, term_sort, var_sorts
 from .system import DataSystem
-from .terms import Con, Fun, Record, Term, Var, _set, fresh_name, variables
+from .terms import Con, Error, Fun, Record, Term, Var, _set, fresh_name, variables
 
 
-class ExtractError(Exception):
+class ExtractError(Error):
     """Raised by `prove_corec` and `extract`.  `condition` names the
     condition of `extract`'s gate that failed: "check", "detour",
     "strongly-positive" or "sort"; None otherwise."""

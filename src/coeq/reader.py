@@ -33,12 +33,12 @@ from .formulas import And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula
 from .program import Equation, Program, assemble_program, standard_functions
 from .system import (Constructor, ConstructorType, CotermNode, DataPredicate,
                      DataSystem, Kind, RegularCoterm)
-from .terms import Con, Fun, Record, Term, Var, _run, subterms, variables
+from .terms import Con, Error, Fun, Record, Term, Var, _run, subterms, variables
 
 FORMULA_HEADS = ("and", "or", "imp", "ex", "all", "=")
 
 
-class ParseError(Exception):
+class ParseError(Error):
     """An error at offset `pos` of `src`, shown at its line and column: both
     count from 1, and a column counts characters."""
 
@@ -96,7 +96,7 @@ class Workspace(Record, frozen=False):
 
     def pick_program(self, name: str) -> Program:
         if name not in self.programs:
-            raise ValueError(f"unknown program '{name}'")
+            raise Error(f"unknown program '{name}'")
         return self.programs[name]
 
     def merged_program(self) -> Program:
@@ -104,7 +104,7 @@ class Workspace(Record, frozen=False):
         Distinct programs defining the same function differently surface
         as overlap violations."""
         if not self.programs:
-            raise ValueError("workspace defines no programs")
+            raise Error("workspace defines no programs")
         if len(self.programs) == 1:
             return next(iter(self.programs.values()))
         eqs = dict.fromkeys(e for prog in self.programs.values() for e in prog.body)

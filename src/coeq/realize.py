@@ -20,7 +20,8 @@ from .formulas import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
                        PolarityClass, classify_formula, show_path)
 from .program import DELTA, Equation, Program, assemble_program, pi_name
 from .system import DataPredicate, DataSystem
-from .terms import Con, Fun, Interned, Record, Term, Var, _intern, _run, _set, substitute
+from .terms import (Con, Error, Fun, Interned, Record, Term, Var, _intern, _run, _set,
+                    substitute)
 
 EVEN = "split_even"
 ODD = "split_odd"
@@ -96,7 +97,7 @@ def with_algebra(program: Program, ds: DataSystem) -> Program:
 # one ('S') is its own realizer
 # ---------------------------------------------------------------------------
 
-class SortError(ValueError):
+class SortError(Error):
     """A variable, or the boolean branches of a delta, used at both sorts."""
 
 

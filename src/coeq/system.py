@@ -4,7 +4,7 @@ typing of constructors, and depth-bounded membership in the canonical model.
 from __future__ import annotations
 
 import enum
-from .terms import Con, Fun, Interned, Record, Term, Var, _intern, _run, _set
+from .terms import Con, Error, Fun, Interned, Record, Term, Var, _intern, _run, _set
 
 
 class Kind(enum.Enum):
@@ -155,10 +155,6 @@ def validate_system(ds: DataSystem) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-class UnknownIdentifierError(Exception):
-    pass
-
-
 def syntactic_class(t: Term, ds: DataSystem) -> str:
     """Smallest of the classes 'data' < 'base' < 'program' containing t.
     Checked by tests/test_system.py::test_syntactic_class."""
@@ -169,9 +165,9 @@ def syntactic_class(t: Term, ds: DataSystem) -> str:
         if isinstance(u, Con):
             c = ds.constructor(u.name)
             if c is None:
-                raise UnknownIdentifierError(f"unknown constructor '{u.name}'")
+                raise Error(f"unknown constructor '{u.name}'")
             if c.arity != len(u.args):
-                raise UnknownIdentifierError(
+                raise Error(
                     f"constructor '{u.name}' used with {len(u.args)} arguments, arity is {c.arity}")
         elif isinstance(u, Var):
             if cls == "data":

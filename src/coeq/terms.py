@@ -14,6 +14,10 @@ from typing import Iterator
 _set = object.__setattr__   # how a frozen record's __init__ assigns a field
 
 
+class Error(ValueError):
+    """A fault of coeq's input, which `coeq` reports as `error: <message>`."""
+
+
 class Record:
     """Base of coeq's record classes, in place of frozen dataclasses.
 

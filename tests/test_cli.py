@@ -6,9 +6,9 @@ from importlib import import_module
 
 import pytest
 
-from coeq.cli import (ResolutionError, main, parse_files, parse_workspace,
-                      resolve_workspace, show_approximation, show_derivation,
-                      show_program, show_system)
+from coeq import Error, logic
+from coeq.cli import (main, parse_files, parse_workspace, resolve_workspace,
+                      show_approximation, show_derivation, show_program, show_system)
 from coeq.evaluation import (NO_MATCH, ApproxNode, Cut, DiagramEnv, EvalError,
                              GeneratorBinding, Session, StallReason, Stalled)
 from coeq.extract import prove_corec_program
@@ -307,7 +307,7 @@ def test_resolve_workspace_reports_an_ill_formed_env(bindings, message):
     runs is called on a built one."""
     ws = parse_workspace(SM_SOURCE)
     ws.envs["E"] = DiagramEnv(bindings)
-    with pytest.raises(ResolutionError) as e:
+    with pytest.raises(Error) as e:
         resolve_workspace(ws)
     assert str(e.value) == message
 
@@ -319,6 +319,17 @@ def test_internal_error_exits_2_with_one_line(ws_file, capsys, monkeypatch):
     monkeypatch.setattr(Session, "observe", boom)
     assert run_main(capsys, "eval", ws_file, "flip(v_a)", "--env", "E") \
         == (2, "", "internal error: RuntimeError: boom\n")
+
+
+def test_a_value_error_that_is_not_an_error_is_internal(ws_file, capsys, monkeypatch):
+    """Only `coeq.Error` (and an OSError) is the input's fault: a bare
+    ValueError raised inside a command is coeq's own."""
+    def boom(self, *args, **kwargs):
+        raise ValueError("x")
+
+    monkeypatch.setattr(Session, "observe", boom)
+    assert run_main(capsys, "eval", ws_file, "flip(v_a)", "--env", "E") \
+        == (2, "", "internal error: ValueError: x\n")
 
 
 @pytest.mark.parametrize("argv, code, out", [
@@ -1099,6 +1110,39 @@ def imp_elim_chain(n: int) -> str:
     line, so the text grows linearly with n."""
     return ("proof p { " + "(imp-elim (S x) ((assume (imp (S x) (S x)) () {label f}) " * n
             + "(assume (S x) () {label h})" + ") {})" * n + " }\n")
+
+
+def detour_chain(n: int) -> str:
+    """A proof stanza of n nested detours imp-elim(imp-intro h: S(x). h, .)
+    over an assumption S(x), on one line: each is one contraction."""
+    return ("proof p { " + "(imp-elim (S x) ((imp-intro (imp (S x) (S x)) "
+            "((assume (S x) () {label h})) {label h}) " * n
+            + "(assume (S x) () {label k})" + ") {})" * n + " }\n")
+
+
+@pytest.mark.parametrize("command, out", [
+    ("normalize", "VERDICT\tok\nDETOUR-FREE\ttrue\n"),
+    ("extract", "VERDICT\textracted\nPRINCIPAL\tf0\n"
+                "CERT\tcoinductions\t0\nCERT\tmax-split-chain\t0\n"),
+], ids=["normalize", "extract"])
+def test_a_proof_past_the_contraction_limit_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                              command, out):
+    """normalize stops after NORMALIZE_MAX_STEPS contractions (here 50, in
+    place of 10,000): a proof that needs more is too large, an `error:`."""
+    monkeypatch.setattr(logic, "NORMALIZE_MAX_STEPS", 50)
+    for n, result in ((50, (0, out, "")),
+                      (51, (2, "", "error: no normal form within 50 contractions\n"))):
+        ws = _ws(tmp_path, ONE_LINE_SYSTEM + ZEROS_PROGRAM + detour_chain(n))
+        assert run_main(capsys, "--format=tagged", command, ws, "p") == result
+
+
+def test_a_coinduction_over_a_predicate_without_constructors_is_invalid(tmp_path, capsys):
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM.replace("coinductive S;", "coinductive S; coinductive T;")
+             + ZEROS_PROGRAM + "proof p { (coinduction (T x) ((assume (S x) () {label h}) "
+             "(assume (S z) () {label k})) {pred T var z formula (S z) label w}) }\n")
+    assert run_main(capsys, "--format=tagged", "check-proof", ws, "p") == (
+        1, "VIOLATION\tat root: predicate 'T' has an empty constructor set\n"
+           "VERDICT\tinvalid\n", "")
 
 
 def rewrite_chain(n: int) -> str:

@@ -1,10 +1,11 @@
 """The rewrite kernel is one interpreter module, git holds only sources (no
 generated C, no built extensions, no stale test logs), no module is longer
-than 700 lines, and every definition in the package is used by the package
-or the benchmark, or is on the short list of paper definitions that only a
-test checks."""
+than 700 lines, every exception class of the package is a `coeq.Error`, and
+every definition in the package is used by the package or the benchmark, or
+is on the short list of paper definitions that only a test checks."""
 import ast
 import fnmatch
+import importlib
 import pathlib
 import shutil
 import subprocess
@@ -32,6 +33,22 @@ def test_no_generated_artifacts_in_git():
                  if any(fnmatch.fnmatch(pathlib.PurePath(path).name, pattern)
                         for pattern in GENERATED)]
     assert generated == []
+
+
+def test_every_exception_class_is_an_input_error():
+    """`coeq` reports a `coeq.Error` as the input's fault and any other
+    exception as an internal error, so a module raises no exception class
+    of its own outside that base.  The recognizer's `_Reject` never leaves
+    `check_primitive_corecursive`."""
+    outside = []
+    for path in sorted((ROOT / "src" / "coeq").glob("[!_]*.py")):
+        module = importlib.import_module(f"coeq.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException) \
+                    and value.__module__ == module.__name__ \
+                    and not issubclass(value, coeq.Error):
+                outside.append(f"{path.name} {name}")
+    assert outside == ["corec.py _Reject"]
 
 
 MAX_MODULE_LINES = 700

@@ -5,7 +5,7 @@ import pytest
 from helpers import (MIXED, SM, ZERO, ONE, cons, fn, flip_program, inject_detours,
                      stream_family, v)
 
-from coeq import logic
+from coeq import Error, logic
 from coeq.corec import check_primitive_corecursive, stock_library
 from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Imp, Or,
                            PolarityClass, all_elim, all_intro, alpha_eq, and_elim,
@@ -350,11 +350,14 @@ def _rejections():
     m = v("m")
     # cons : B * S -> S next to pair : S * S -> S, so that destructor-shape
     # elimination of the first argument cannot tell B from S
-    from coeq.system import Constructor, DataSystem
+    from coeq.system import Constructor, DataPredicate, DataSystem, Kind
     pair_c = Constructor("pair", 2)
     b_p, s_p = SM.predicates
     two = DataSystem(SM.vocabulary + (pair_c,), SM.predicates,
                      SM.types + (ConstructorType(pair_c, (s_p, s_p), s_p),))
+    # a coinductive T that no constructor builds
+    bare = DataSystem(SM.vocabulary,
+                      SM.predicates + (DataPredicate("T", Kind.COINDUCTIVE, 2),), SM.types)
     phi = EqAtom(v("z"), v("z"))
     sm, mixed = SM, MIXED
     return [
@@ -460,6 +463,8 @@ def _rejections():
          "coinduction needs a coinductive predicate and a formula"),
         (sm, coinduction("S", "z", Imp(S(v("z")), S(v("z"))), t, "w", refl(t), refl(t)),
          "coinduction invariant must be strongly positive"),
+        (bare, coinduction("T", "z", S(v("z")), x, "w", u, assume("k", S(v("z")))),
+         "predicate 'T' has an empty constructor set"),
         (sm, node("coinduction", B(t), [refl(t), refl(t)], pred="S", var="z", formula=phi,
                   label="w"), "conclusion is not the coinductive atom"),
         (sm, coinduction("S", "z", phi, t, "w", refl(y), refl(t)),
@@ -985,7 +990,7 @@ def test_normalize_raises_past_its_contraction_bound(monkeypatch):
     d = inject_detours(and_intro(assume("h", S(x)), refl(x)), 1)
     assert sum(1 for _p, node in d.nodes() if node.rule == "imp-elim") == 3
     monkeypatch.setattr(logic, "NORMALIZE_MAX_STEPS", 2)
-    with pytest.raises(logic.NormalizationLimit):
+    with pytest.raises(Error, match="^no normal form within 2 contractions$"):
         normalize(d)
     monkeypatch.setattr(logic, "NORMALIZE_MAX_STEPS", 3)
     assert normalize(d) == and_intro(assume("h", S(x)), refl(x))

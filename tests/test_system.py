@@ -7,8 +7,8 @@ from helpers import MIXED, SM, ZERO, cons, v
 from coeq.system import (Constructor, ConstructorType, DataPredicate,
                          DataSystem, Kind, RegularCoterm, CotermNode,
                          canonical_member, stream_coterm, syntactic_class,
-                         validate_system, UnknownIdentifierError)
-from coeq.terms import Con, Fun, Var, substitute
+                         validate_system)
+from coeq.terms import Con, Error, Fun, Var, substitute
 
 
 def test_mixed_example_system_validates():
@@ -51,9 +51,9 @@ def test_syntactic_class():
 
 
 def test_syntactic_class_rejects_unknown():
-    with pytest.raises(UnknownIdentifierError):
+    with pytest.raises(Error, match="^unknown constructor 'nope'$"):
         syntactic_class(Con("nope"), SM)
-    with pytest.raises(UnknownIdentifierError):
+    with pytest.raises(Error, match="^constructor 'cons' used with 1 arguments, arity is 2$"):
         syntactic_class(Con("cons", (ZERO,)), SM)
 
 
