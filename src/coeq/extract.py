@@ -229,7 +229,7 @@ class Extractor:
         t = d.conclusion.left
         vt = self.value_term(t, ctx)
         sorts = {v: sort for v, (sort, _val) in ctx["values"].items()}
-        return ConsR(vt, zeros_term()) if term_sort(t, sorts, self.ds, None) == "B" else vt
+        return ConsR(vt, zeros_term()) if term_sort(t, sorts, self.ds) == "B" else vt
 
     def _x_rewrite(self, d, ctx, path):
         return (yield self.extract(d.premises[0], ctx, (path, 0)))

@@ -462,32 +462,13 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
     `terms` becomes terms[x], and each open assumption labelled l in
     `proofs` becomes the derivation proofs[l] (or, when proofs[l] is a
     label, the same assumption under that label).  A binder shadows the
-    names it binds; a binder above a replaced occurrence that binds a label
-    or variable free in what is inserted there is renamed within its
-    scope.  Subtrees that do not change are shared."""
-    return _run(_subst(d, terms, proofs, {}))   # {}: label -> _open of its proof
+    names it binds; a binder that would catch a label or variable free in
+    what is inserted below it is renamed within its scopes, in the same
+    walk.  Parts that the substitution does not reach are shared, unwalked."""
+    return _run(_subst(d, terms, proofs, {}))   # {}: _free's memos
 
 
-def _inserted(terms, proofs, opened: dict) -> tuple[set[str], set[str]]:
-    """What `terms` and `proofs` insert: its free labels and variables."""
-    labels, names = set(), set()
-    for t in terms.values():
-        names |= variables(t)
-    for lab, p in proofs.items():
-        if lab not in opened:
-            opened[lab] = ({p}, set()) if isinstance(p, str) else _open(p)
-        labels |= opened[lab][0]
-        names |= opened[lab][1]
-    return labels, names
-
-
-def _without(m: dict, names) -> dict:
-    if not any(n in m for n in names):
-        return m
-    return {k: v for k, v in m.items() if k not in names}
-
-
-def _subst(node: Derivation, terms, proofs, opened: dict):   # run by _run
+def _subst(node: Derivation, terms, proofs, memo: dict):   # run by _run
     if not terms and not proofs:
         return node
     if node.rule == "assume":
@@ -501,28 +482,28 @@ def _subst(node: Derivation, terms, proofs, opened: dict):   # run by _run
     parts: dict = dict(enumerate(node.premises))
     if "formula" in scopes:
         parts["formula"] = node.attr("formula")
-    # an eigenvariable must also stay out of parts it does not scope,
-    # such as the major premise of ex-elim, so every part counts
-    bound_labels = {lab for labs, _xs in scopes.values() for lab in labs}
-    bound_names = {x for _labs, xs in scopes.values() for x in xs}
+    free = {k: (set(), fv(part)) if k == "formula" else _free(part, memo)
+            for k, part in parts.items()}
+    subs = {}   # part -> the entries that reach it, less those its scope binds
+    for k, (labels, names) in free.items():
+        labs, xs = scopes.get(k, ((), ()))
+        subs[k] = ({x: t for x, t in terms.items() if x in names and x not in xs},
+                   {lab: p for lab, p in proofs.items() if lab in labels and lab not in labs})
+    new_labels, new_names = _renaming(node, scopes, subs.values(), memo) if scopes else ({}, {})
+    for k, (labs, xs) in scopes.items():   # a renaming rides along in the scope
+        labels, names = free[k]
+        subs[k][0].update((x, Var(new_names[x])) for x in names.intersection(xs, new_names))
+        subs[k][1].update((lab, new_labels[lab]) for lab in labels.intersection(labs, new_labels))
     done = {}
-    for k, part in parts.items():
-        labels, names = scopes.get(k, ((), ()))
-        t, p = _without(terms, names), _without(proofs, labels)
-        done[k] = subst_formula(part, t) if k == "formula" \
-            else (yield _subst(part, t, p, opened))
-        if done[k] is not part and scopes:
-            free_labels, free_names = _inserted(t, p, opened)
-            caught_labels = free_labels & bound_labels
-            caught_names = free_names & bound_names
-            if caught_labels or caught_names:
-                node = _rename_binder(node, caught_labels, caught_names,
-                                      free_labels | free_names)
-                return (yield _subst(node, terms, proofs, opened))
-    prems = tuple(done[i] for i in range(len(node.premises)))
-    attrs = tuple((k, done["formula"] if k == "formula"
-                   else substitute(v, terms) if isinstance(v, Term) else v)
-                  for k, v in node.attrs)
+    for k, (t, p) in subs.items():
+        if t or p:
+            done[k] = subst_formula(parts[k], t) if k == "formula" \
+                else (yield _subst(parts[k], t, p, memo))
+    prems = tuple(done.get(i, p) for i, p in enumerate(node.premises))
+    attrs = tuple((k, done.get(k, v) if k == "formula"
+                   else substitute(v, terms) if isinstance(v, Term)
+                   else _renamed(k, v, new_labels, new_names) if new_labels or new_names
+                   else v) for k, v in node.attrs)
     f = subst_formula(node.conclusion, terms)
     if f is node.conclusion and all(map(operator.is_, prems, node.premises)) \
             and all(a[1] is b[1] for a, b in zip(attrs, node.attrs)):
@@ -530,60 +511,76 @@ def _subst(node: Derivation, terms, proofs, opened: dict):   # run by _run
     return Derivation(node.rule, f, prems, attrs)
 
 
-def _rename_binder(node: Derivation, labels: set[str], names: set[str],
-                   avoid: set[str]) -> Derivation:
-    """Rename the `labels` and variables `names` that `node` binds, within
-    their scopes, to names outside `avoid` and those occurring in `node`."""
-    taken = set(avoid)
+def _renaming(node: Derivation, scopes: dict, subs, memo: dict):
+    """The labels and the variables that `node` binds and that `subs`, a
+    (terms, proofs) pair per part, inserts, each mapped to a name outside
+    what it inserts and the names occurring in `node`.  An eigenvariable
+    must also stay out of parts it does not scope, such as the major
+    premise of ex-elim, so every part counts."""
+    labels, names = set(), set()
+    for terms, proofs in subs:
+        for t in terms.values():
+            names |= variables(t)
+        for p in proofs.values():
+            if isinstance(p, str):
+                labels.add(p)
+            else:   # what a binder can catch: p's assumptions and conclusion
+                p_labels, p_names = _free(p, memo, full=False)
+                labels |= p_labels
+                names |= p_names | fv(p.conclusion)
+    caught_labels = labels.intersection(lab for labs, _xs in scopes.values() for lab in labs)
+    caught_names = names.intersection(x for _labs, xs in scopes.values() for x in xs)
+    if not caught_labels and not caught_names:
+        return {}, {}
+    taken = labels | names
     for n in node.preorder():
         taken |= fv(n.conclusion)
         taken.update(v for _k, v in n.attrs if isinstance(v, str))
-
-    def fresh(olds: set[str]) -> dict[str, str]:
-        out = {}
+    new_labels, new_names = {}, {}
+    for olds, new in ((caught_labels, new_labels), (caught_names, new_names)):
         for old in sorted(olds):
-            out[old] = fresh_name(old, taken)
-            taken.add(out[old])
-        return out
-
-    new_labels, new_names = fresh(labels), fresh(names)
-    prems = list(node.premises)
-    attrs = dict(node.attrs)
-    for k, (labs, xs) in _scopes(node).items():
-        t = {x: Var(new_names[x]) for x in xs if x in new_names}
-        if k == "formula":
-            attrs[k] = subst_formula(attrs[k], t)
-        else:
-            prems[k] = subst_derivation(
-                prems[k], t, {lab: new_labels[lab] for lab in labs if lab in new_labels})
-    for keys, new in ((("label", "label1", "label2"), new_labels),
-                      (("eigen", "var"), new_names)):
-        for k in keys:
-            if k in attrs:
-                attrs[k] = new.get(attrs[k], attrs[k])
-    for k, new in (("case_labels", new_labels), ("case_vars", new_names)):
-        if k in attrs:
-            attrs[k] = tuple(tuple(new.get(x, x) for x in xs) for xs in attrs[k])
-    return Derivation(node.rule, node.conclusion, tuple(prems), tuple(attrs.items()))
+            new[old] = fresh_name(old, taken)
+            taken.add(new[old])
+    return new_labels, new_names
 
 
-def _open(d: Derivation) -> tuple[set[str], set[str]]:
-    """The labels of d's open assumptions, and the variables free in its
-    conclusion or in those assumptions."""
-    labels, names = set(), fv(d.conclusion)
-    todo = [(d, frozenset(), frozenset())]
-    while todo:
-        node, bound_labels, bound_names = todo.pop()
-        if node.rule == "assume":
-            if node.attr("label") not in bound_labels:
-                labels.add(node.attr("label"))
-                names |= fv(node.conclusion) - bound_names
+def _renamed(key: str, v, new_labels: dict, new_names: dict):
+    """A binder's attribute `key` = v, its bound names renamed."""
+    new = new_labels if "label" in key else new_names if key in ("eigen", "var", "case_vars") \
+        else {}
+    return tuple(tuple(new.get(x, x) for x in xs) for xs in v) if key.startswith("case_") \
+        else new.get(v, v)
+
+
+def _free(d: Derivation, memo: dict, full: bool = True) -> tuple[set[str], set[str]]:
+    """The labels of d's open assumptions, and the variables free in d:
+    with `full`, in any conclusion, term attribute or invariant, which is
+    what a substitution can change; else in its assumptions only.
+    Kept in memo[full] by id for each node below d, built bottom up on an
+    explicit stack: one walk per substitution, whose proof and inserted
+    proofs keep every node it keys alive."""
+    memo = memo.setdefault(full, {})
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        todo = [p for p in node.premises if id(p) not in memo]
+        if todo:
+            stack += [node, *todo]
             continue
         scopes = _scopes(node)
+        labels = {node.attr("label")} if node.rule == "assume" else set()
+        names = fv(node.conclusion) if full or node.rule == "assume" else set()
         for i, p in enumerate(node.premises):
             labs, xs = scopes.get(i, ((), ()))
-            todo.append((p, bound_labels.union(labs), bound_names.union(xs)))
-    return labels, names
+            labels |= memo[id(p)][0].difference(labs)
+            names |= memo[id(p)][1].difference(xs)
+        for k, v in node.attrs if full else ():
+            if isinstance(v, (Term, Formula)):
+                names |= variables(v) if isinstance(v, Term) else fv(v) - {node.attr("var")}
+        memo[id(node)] = labels, names
+    return memo[id(d)]
 
 
 # Detours: an elimination whose major premise is its matching introduction.

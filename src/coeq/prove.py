@@ -20,9 +20,9 @@ from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
                        refl, rewrite, subst_formula)
 from .logic import subst_derivation
 from .program import DELTA, pi_name
-from .realize import SortError, term_sort, var_sorts
+from .realize import SortError, var_sorts
 from .system import DataSystem
-from .terms import Con, Error, Fun, Record, Term, Var, _set, fresh_name, variables
+from .terms import Con, Error, Fun, Record, Term, Var, _run, _set, fresh_name, variables
 
 
 class ExtractError(Error):
@@ -67,50 +67,50 @@ class Prover:
 
     # -- the synthesizer -------------------------------------------------------
 
-    def typing(self, t: Term, sorts: dict[str, str],
-               hyp_labels: dict[str, str]) -> Derivation:
-        """Derivation of Pred(t) from labeled hypotheses Pred_v(v)."""
+    def typing(self, t: Term, sorts: dict[str, str], hyp_labels: dict[str, str]):
+        """Derivation of Pred(t) from labeled hypotheses Pred_v(v); Pred is
+        t's sort.  Run by _run, so a term of any depth types."""
         if isinstance(t, Var):
             return assume(hyp_labels[t.name], DataAtom(sorts[t.name], t))
         if isinstance(t, Con):
-            types = [ty for ty in self.ds.types_of(t.name)
-                     if ty.result_predicate.inductive]
+            types = [ty for ty in self.ds.types_of(t.name) if ty.result_predicate.inductive]
             if not types or t.args:
                 raise ExtractError(f"cannot type constructor term '{t}'")
             return data_intro(types[0], ())
         assert isinstance(t, Fun)
         if t.name in (pi_name(1), pi_name(2)):
-            inner = self.typing(t.args[0], sorts, hyp_labels)
-            i = 1 if t.name == pi_name(1) else 2
-            return data_elim(self.cons_type, i, inner)
+            inner = yield self.typing(t.args[0], sorts, hyp_labels)
+            return data_elim(self.cons_type, 1 if t.name == pi_name(1) else 2, inner)
         if t.name == DELTA:
-            return self._delta_typing(t, sorts, hyp_labels)
-        tpl = self.registry.get(t.name)
-        if tpl is None:
+            return (yield self._delta_typing(t, sorts, hyp_labels))
+        if t.name not in self.registry:
             raise ExtractError(f"no typing available for '{t.name}'")
-        return subst_derivation(
-            self.proof(t.name), {f"x{i + 1}": arg for i, arg in enumerate(t.args)},
-            {f"h{i + 1}": self.typing(arg, sorts, hyp_labels)
-             for i, arg in enumerate(t.args)})
+        proof, hyps = self.proof(t.name), {}
+        for i, arg in enumerate(t.args):
+            hyps[f"h{i + 1}"] = yield self.typing(arg, sorts, hyp_labels)
+        return subst_derivation(proof, {f"x{i + 1}": a for i, a in enumerate(t.args)}, hyps)
 
-    def _delta_typing(self, t: Term, sorts, hyp_labels) -> Derivation:
-        sel = t.args[0]
-        sel_d = self.typing(sel, sorts, hyp_labels)
-        target = term_sort(t, sorts, self.ds, self.registry)
+    def _delta_typing(self, t: Term, sorts, hyp_labels):   # run by _run
+        """By induction on the selector: one case per boolean constructor,
+        its branch's typing rewritten.  The target is the predicate that
+        the branch typings conclude."""
+        sel_d = yield self.typing(t.args[0], sorts, hyp_labels)
+        delta_positions = {c.name: i for i, c in enumerate(self.ds.vocabulary)}
+        branches = []
+        for ct in self.b_types:
+            idx = delta_positions[ct.constructor.name]
+            inner = yield self.typing(t.args[1 + idx], sorts, hyp_labels)
+            branches.append((ct.constructor.name, idx, inner))
+        targets = {inner.conclusion.predicate for _c, _idx, inner in branches}
+        if len(targets) != 1:
+            raise SortError(f"mixed branch sorts in '{t}'")
+        target = targets.pop()
         hole = fresh_name("q0", variables(t))
         phi = DataAtom(target, Fun(DELTA, (Var(hole),) + t.args[1:]))
-        cases = []
-        delta_positions = {c.name: i for i, c in enumerate(self.ds.vocabulary)}
-        for ct in self.b_types:
-            cname = ct.constructor.name
-            idx = delta_positions[cname]
-            branch = t.args[1 + idx]
-            inner = self.typing(branch, sorts, hyp_labels)
-            concl = DataAtom(target, Fun(DELTA, (Con(cname),) + t.args[1:]))
-            cases.append(rewrite(DELTA, idx, "rl", (1,), inner, concl))
-        return induction("B", hole, phi, sel_d, tuple(cases),
-                         tuple(() for _ in self.b_types),
-                         tuple(() for _ in self.b_types))
+        cases = tuple(rewrite(DELTA, idx, "rl", (1,), inner,
+                              DataAtom(target, Fun(DELTA, (Con(cname),) + t.args[1:])))
+                      for cname, idx, inner in branches)
+        return induction("B", hole, phi, sel_d, cases, ((),) * len(cases), ((),) * len(cases))
 
     def proof(self, name: str) -> Derivation:
         """`name`'s derivation; a schema member's is built when first asked for."""
@@ -127,8 +127,8 @@ class Prover:
         xs = arg_vars(cdef.arity)
         found = var_sorts(term, self.ds, self.registry)
         sorts = {x.name: found.get(x.name, "S") for x in xs}
-        body_d = self.typing(term, sorts, {x.name: f"h{i + 1}" for i, x in enumerate(xs)})
-        result = term_sort(term, sorts, self.ds, self.registry)
+        body_d = _run(self.typing(term, sorts, {x.name: f"h{i + 1}" for i, x in enumerate(xs)}))
+        result = body_d.conclusion.predicate
         # compile_schema emits one equation per definition, so its index is 0
         d = rewrite(cdef.name, 0, "rl", (1,), body_d, DataAtom(result, Fun(cdef.name, xs)))
         self.registry[cdef.name] = ProofTemplate(tuple(sorts.values()), result, d)
@@ -221,7 +221,7 @@ class Prover:
         # typings, from hypotheses S(e) later grafted with the chain's proofs
         sorts = {e: "S" for e in es}
         hyp_labels = {e: next(self.labels) for e in es}
-        typed = [self.typing(a, sorts, hyp_labels) for a in [head_term] + tail_args]
+        typed = [_run(self.typing(a, sorts, hyp_labels)) for a in [head_term] + tail_args]
         chain = {hyp_labels[e]: sp for e, sp in zip(es, s_proofs)}
         typed = [subst_derivation(tp, {}, chain) for tp in typed]
         d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,

@@ -162,29 +162,32 @@ def var_sorts(x: Term | Formula | tuple[Formula, ...], ds: DataSystem,
     return sorts
 
 
-def term_sort(t: Term, var_sorts: dict[str, str], ds: DataSystem,
-              signature: dict | None) -> str:
+def term_sort(t: Term, var_sorts: dict[str, str], ds: DataSystem) -> str:
     """The sort of a term: a variable's from `var_sorts` ('S' if absent), a
-    constructor's from its first declared type, 'B' for a stream's head and
-    'S' for its tail, a delta's from its boolean branches, which must agree,
-    and a function's from `signature` ('S' if it does not type it)."""
-    if isinstance(t, Var):
-        return var_sorts.get(t.name, "S")
-    if isinstance(t, Con):
-        types = ds.types_of(t.name)
-        return _sort(types[0].result_predicate if types else None)
-    if t.name == DELTA:
-        sorts = {term_sort(t.args[1 + i], var_sorts, ds, signature)
-                 for i, c in enumerate(ds.vocabulary)
-                 if any(ty.result_predicate.inductive for ty in ds.types_of(c.name))}
-        if len(sorts) != 1:
-            raise SortError(f"mixed branch sorts in '{t}'")
-        return sorts.pop()
-    if t.name == pi_name(1):
-        return "B"
-    if signature and t.name in signature:
-        return signature[t.name].result_sort
-    return "S"
+    constructor's from its first declared type, 'B' for a stream's head, a
+    delta's from its boolean branches, which must agree (a loop sorts them
+    before their delta: any depth), and 'S' for any other function."""
+    sorts: list[str] = []   # the sorts found, in postorder
+    stack: list = [(t, None)]   # a term to sort, or a delta and its number of branches
+    while stack:
+        u, n = stack.pop()
+        if n is not None:
+            found = set(sorts[len(sorts) - n:])
+            if len(found) != 1:
+                raise SortError(f"mixed branch sorts in '{u}'")
+            sorts[len(sorts) - n:] = found
+        elif isinstance(u, Var):
+            sorts.append(var_sorts.get(u.name, "S"))
+        elif isinstance(u, Con):
+            types = ds.types_of(u.name)
+            sorts.append(_sort(types[0].result_predicate if types else None))
+        elif u.name == DELTA:
+            own = [u.args[1 + i] for i, c in enumerate(ds.vocabulary)
+                   if any(ty.result_predicate.inductive for ty in ds.types_of(c.name))]
+            stack += [(u, len(own))] + [(b, None) for b in reversed(own)]
+        else:
+            sorts.append("B" if u.name == pi_name(1) else "S")
+    return sorts[0]
 
 
 # ---------------------------------------------------------------------------

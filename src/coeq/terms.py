@@ -256,7 +256,7 @@ def subterms(t: Term) -> Iterator[Term]:
     while stack:
         u = stack.pop()
         yield u
-        stack.extend(reversed(u.args))
+        stack += u.args[::-1]
 
 
 def variables(t: Term) -> set[str]:

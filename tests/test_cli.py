@@ -1267,6 +1267,41 @@ def test_a_formula_thousands_of_levels_deep_prints_and_substitutes(monkeypatch, 
         assert out == expected
 
 
+def _nested(n: int, outer: str, leaf: str) -> str:
+    """`outer` with {} replaced by itself n times, then by `leaf`."""
+    text = leaf
+    for _ in range(n):
+        text = outer.format(text)
+    return text
+
+
+@pytest.mark.parametrize("workspace, command, name, verdict", [
+    ("program f { f(x) = cons(pi1(" + _nested(1_000, "pi2({})", "x") + "), f(pi2(x))); }",
+     "extract", "f", "extracted"),
+    ("program f { f(x) = cons(" + _nested(500, "delta(pi1(x), {}, 1, 0)", "0")
+     + ", f(pi2(x))); }", "prove-corec", "f", "proved"),
+    ("program f { g(x) = pi2(x); f(x) = cons(pi1(x), f(" + _nested(500, "g({})", "x")
+     + ")); }", "extract", "f", "extracted"),
+    (ZEROS_PROGRAM + "proof p { (refl (= " + " ".join([_nested(500, "(delta x {} 0 0)", "0")] * 2)
+     + ") () {}) }", "extract", "p", "extracted"),
+], ids=["head-1000-projections", "500-nested-dispatches", "500-nested-composition-calls",
+        "refl-of-a-500-deep-dispatch"])
+def test_the_prover_types_and_the_extractor_sorts_a_term_of_any_depth(
+        tmp_path, capsys, workspace, command, name, verdict):
+    """The prover types a component, and the extractor sorts a refl's
+    term, on explicit stacks: a term's depth reaches no recursion limit.
+    Each depth is a little above the least at which the recursive walks
+    gave up (950 and 480 under pytest).  The nested dispatch stops at the
+    checked proof, since `extract` checks it twice, which takes seconds.
+    A composition `f(x) = g(g(...g(x)...))` of a corecursive g runs in CI
+    only: each call's graft walks the typing it inserts, so 500 calls take
+    2.6 s under `-X dev`."""
+    ws = _ws(tmp_path, ONE_LINE_SYSTEM + workspace + "\n")
+    code, out, err = run_main(capsys, "--format=tagged", command, ws, name)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"VERDICT\t{verdict}\n")
+
+
 def test_cmd_eval_of_a_right_hand_side_five_thousand_levels_deep(tmp_path, capsys):
     """The kernel substitutes into a right-hand side on its own stack."""
     ws = _ws(tmp_path, SYSTEM_SOURCE + f"program deep {{ deep(x) = {_DEEP}; }}\n"

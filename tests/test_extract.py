@@ -18,6 +18,7 @@ from coeq.extract import Extractor, extract, prove_corec_program, roundtrip_repo
 from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
                            and_elim, and_intro, assume, classify_formula, imp_intro,
                            refl)
+from coeq import logic
 from coeq.logic import assert_sp_proof, check_proof, has_detour, normalize
 from coeq.program import Equation, assemble_program, standard_functions
 from coeq.prove import ExtractError, Prover, prove_corec
@@ -455,6 +456,35 @@ def test_a_later_stratum_calling_another_member_builds_its_proof_once(monkeypatc
     assert res.ok, res.violations[:3]
     assert res.conclusion == DataAtom("S", Fun("g", (Var("x1"),)))
     assert [d.rule for d in proof.preorder()].count("coinduction") == 2
+
+
+def _neg_chain(levels: int) -> str:
+    """f(x) = cons(0, f(neg(...neg(pi2(x))...))), with `levels` calls of the
+    corecursive negation neg."""
+    return ("neg(x) = cons(delta(pi1(x), 1, 0, 0), neg(pi2(x)));\n  f(x) = cons(0, f("
+            + "neg(" * levels + "pi2(x)" + ")" * levels + "));")
+
+
+def test_grafting_under_nested_coinductions_renames_each_in_the_same_walk(monkeypatch):
+    """The typing of f's tail nests a coinduction per neg, each binding the
+    hole zz that the chain assumption grafted into it mentions, so each is
+    renamed.  The renaming rides along in the walk that grafts: the walks
+    grow with the levels (112 at 4, 216 at 8), where a walk restarted for
+    each renamed binder doubled them per level (964 at 4, 14,516 at 8)."""
+    walks = []
+    original = logic._subst
+
+    def counting(*args):
+        walks[-1] += 1
+        return original(*args)
+
+    monkeypatch.setattr(logic, "_subst", counting)
+    for levels in (4, 8):
+        walks.append(0)
+        program, ds = _parse_program("f", _neg_chain(levels))
+        d, compiled = prove_corec_program(program, ds)
+        assert check_proof(ds, compiled, d).ok
+    assert walks[1] <= 3 * walks[0], walks
 
 
 def test_every_member_of_a_schema_checks():
