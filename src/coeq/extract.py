@@ -23,15 +23,15 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     bundle_equal, check_primitive_corecursive, compile_schema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
-from .formulas import Derivation, Formula, Or, fv, show_path
-from .logic import (CheckResult, _scopes, assert_sp_proof, check_proof, has_detour,
-                    normalize)
+from .formulas import Derivation, Formula, Or, ex_intro, fv, refl, show_path
+from .logic import CheckResult, assert_sp_proof, check_proof, has_detour, normalize
 from .program import Equation, Program, assemble_program, pi_name
 from .prove import ExtractError, prove_corec
 from .realize import (ALGEBRA, EVEN, ODD, ConsR, Pair, SortError, SymR, _alternatives,
                       _const_bit, _drop, _known, _or_path, _project, _skeleton, case,
                       check_algebra, even_r, head_term_of, mat, sigma1, tail_r, term_sort,
                       var_sorts, zeros_term)
+from .substitution import _scopes
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
 from .terms import (Con, Error, Fun, Record, Term, Var, _path, _run, substitute, subterms,
                     variables)
@@ -213,6 +213,10 @@ class Extractor:
         wit_r = ConsR(wt, zeros_term()) if self.bound_sort(d.conclusion) == "B" else wt
         return Pair(wit_r, Pair(body_r, zeros_term()))
 
+    def _x_ex_refl(self, d, ctx, path):
+        q, t = d.conclusion, d.conclusion.body.right   # realized as ex-intro of refl(t)
+        return self._x_ex_intro(ex_intro(q.var, q.body, t, refl(t)), ctx, path)
+
     def _x_ex_elim(self, d, ctx, path):
         w = yield self.extract(d.premises[0], ctx, (path, 0))
         eigen = d.attr("eigen")
@@ -233,6 +237,8 @@ class Extractor:
 
     def _x_rewrite(self, d, ctx, path):
         return (yield self.extract(d.premises[0], ctx, (path, 0)))
+
+    _x_replace = _x_rewrite   # the realizer of its atom premise
 
     def _x_data_intro(self, d, ctx, path):
         # over Sm the checker admits only 0 : B and 1 : B here
@@ -370,16 +376,17 @@ def _extend(ctx: dict, values: dict | None = None,
 
 def _proof_only_sorts(d: Derivation, free: set[str], ds: DataSystem) -> dict[str, str]:
     """The variables, in no binder above and not in `free`, of the values the
-    extractor reads (an ex-intro's witness, a refl's or a coinduction's
-    term), each with the sort its positions in that node's formula give."""
+    extractor reads (an ex-intro's witness, a refl's, an ex-refl's or a
+    coinduction's term), each with the sort its positions in its formula give."""
     sorts: dict[str, str] = {}
     todo = [(d, frozenset(free))]   # a node, and the names free or bound above it
     while todo:
         node, known = todo.pop()
-        if node.rule in ("ex-intro", "refl", "coinduction"):
+        if node.rule in ("ex-intro", "refl", "coinduction", "ex-refl"):
             f = node.premises[0].conclusion if node.rule == "ex-intro" else node.conclusion
             t = node.attr("witness") if node.rule == "ex-intro" \
-                else f.left if node.rule == "refl" else f.term
+                else f.left if node.rule == "refl" \
+                else f.body.right if node.rule == "ex-refl" else f.term
             names = variables(t) - known - sorts.keys()
             if names:
                 at = var_sorts(f, ds, None)

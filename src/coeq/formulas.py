@@ -423,6 +423,16 @@ def refl(t: Term) -> Derivation:
     return Derivation("refl", EqAtom(t, t))
 
 
+def ex_refl(var: str, t: Term) -> Derivation:   # var not free in t
+    return Derivation("ex-refl", Exists(var, EqAtom(Var(var), t)))
+
+
+def replace(position: tuple[int, ...], d: Derivation, d_eq: Derivation) -> Derivation:
+    """d's atom with r, at `position`, replaced by l, where d_eq proves l = r."""
+    return Derivation("replace", _atom_put(d.conclusion, position, d_eq.conclusion.left),
+                      (d, d_eq), (("pos", tuple(position)),))
+
+
 def inj(i: int, d: Derivation) -> Derivation:
     """Checked by tests/test_logic.py::test_separation_and_injectivity."""
     eq = d.conclusion

@@ -3,10 +3,10 @@
 Derivations (`formulas.Derivation`) are checked nodewise: logical rules,
 data introduction for inductive predicates, data elimination for
 coinductive ones (constructor and destructor shape),
-injectivity/separation/reflexivity for equations, program equations as
-atomic rewrite inferences, induction, and coinduction restricted to
-strongly-positive invariant formulas with the decomposition premise
-required.
+injectivity/separation/reflexivity, `ex u. u = t` and replacement inside
+an atom for equations, program equations as atomic rewrite inferences,
+induction, and coinduction restricted to strongly-positive invariant
+formulas with the decomposition premise required.
 
 `normalize` removes logical detours in one bottom-up pass, each
 contraction counted against `NORMALIZE_MAX_STEPS`; on detour-free
@@ -15,20 +15,21 @@ strongly positive, which `assert_sp_proof` scans for.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
 
 from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula, Imp,
                        Or, PolarityClass, _atom_get, _atom_put, _strongly_positive,
-                       alpha_eq, assume, build_dcm, classify_formula, fv, show_path,
+                       alpha_eq, build_dcm, classify_formula, fv, show_path,
                        subst_formula)
-# the benchmark builds its detours with these two from here
-from .formulas import imp_elim, imp_intro
+# the benchmark builds its detours with these three from here
+from .formulas import assume, imp_elim, imp_intro
 from .program import Program, pi_name, reserved_function, standard_functions
+from .substitution import subst_derivation
 from .system import ConstructorType, DataSystem
-from .terms import (Con, Error, Fun, Record, Term, Var, _path, _run, _set, fresh_name,
-                    substitute, variables)
+from .terms import Con, Error, Fun, Record, Term, Var, _path, _run, _set, variables
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,8 @@ class ProofChecker:
         # a rewrite's idx counts in this order for pi_i and delta
         self.standard = standard_functions(ds)
         self.violations: list[ProofViolation] = []
+        self.fv = functools.cache(fv)   # these two once per record, for one check
+        self.instance = functools.cache(lambda f, x, w: subst_formula(f, {x: w}))
 
     def bad(self, path, msg) -> Counter:
         self.violations.append(ProofViolation(_path(path), msg))
@@ -185,7 +188,7 @@ class ProofChecker:
         w = d.attr("witness")
         if not isinstance(f, Exists) or len(d.premises) != 1 or not isinstance(w, Term):
             return self.bad(path, "existential introduction malformed")
-        if not alpha_eq(d.premises[0].conclusion, subst_formula(f.body, {f.var: w})):
+        if not alpha_eq(d.premises[0].conclusion, self.instance(f.body, f.var, w)):
             return self.bad(path, "premise is not the body at the witness")
         return opens[0]
 
@@ -200,10 +203,10 @@ class ProofChecker:
         rest = self.discharge(opens[1], d.attr("label"), inst, path)
         if not alpha_eq(d.premises[1].conclusion, f):
             return self.bad(path, "conclusion does not match the minor premise")
-        if eigen in fv(f) or eigen in fv(major):
+        if eigen in self.fv(f) or eigen in self.fv(major):
             return self.bad(path, f"eigenvariable '{eigen}' escapes")
         for (lab, g) in rest:
-            if eigen in fv(g):
+            if eigen in self.fv(g):
                 return self.bad(path, f"eigenvariable '{eigen}' free in open assumption '{lab}'")
         return opens[0] + rest
 
@@ -214,10 +217,10 @@ class ProofChecker:
         if not alpha_eq(d.premises[0].conclusion,
                         subst_formula(f.body, {f.var: Var(eigen)})):
             return self.bad(path, "premise is not the body at the eigenvariable")
-        if eigen in fv(f):
+        if eigen in self.fv(f):
             return self.bad(path, f"eigenvariable '{eigen}' free in conclusion")
         for (lab, g) in opens[0]:
-            if eigen in fv(g):
+            if eigen in self.fv(g):
                 return self.bad(path, f"eigenvariable '{eigen}' free in open assumption '{lab}'")
         return opens[0]
 
@@ -233,6 +236,15 @@ class ProofChecker:
     def _r_refl(self, d, f, opens, path):
         if not isinstance(f, EqAtom) or f.left != f.right or d.premises:
             return self.bad(path, "reflexivity concludes t = t only")
+        return Counter()
+
+    def _r_ex_refl(self, d, f, opens, path):
+        if d.premises:
+            return self.bad(path, "ex-refl takes no premises")
+        if type(f) is not Exists or type(f.body) is not EqAtom or f.body.left != Var(f.var):
+            return self.bad(path, "ex-refl concludes ex u. u = t only")
+        if f.var in variables(f.body.right):
+            return self.bad(path, f"'{f.var}' is free in the term of ex-refl")
         return Counter()
 
     def _r_inj(self, d, f, opens, path):
@@ -289,6 +301,23 @@ class ProofChecker:
         if _atom_put(prem, pos, to) != f:
             return self.bad(path, "rewrite changes more than the stated position")
         return opens[0]
+
+    def _r_replace(self, d, f, opens, path):
+        """An atom, with l for r at `pos` by an equation l = r."""
+        eq = d.premises[1].conclusion if len(d.premises) == 2 else None
+        if not isinstance(eq, EqAtom):
+            return self.bad(path, "replace needs an atom and an equation")
+        prem, pos, atoms = d.premises[0].conclusion, d.attr("pos"), (DataAtom, EqAtom)
+        at, to = (_atom_get(prem, pos), _atom_get(f, pos)) if isinstance(pos, tuple) \
+            and isinstance(prem, atoms) and isinstance(f, atoms) else (None, None)
+        if at is None or to is None:
+            return self.bad(path, "replace position is not in an atom")
+        if (at, to) != (eq.right, eq.left):
+            return self.bad(path, f"replace puts '{eq.left}' for '{eq.right}', "
+                                  f"not '{to}' for '{at}'")
+        if _atom_put(prem, pos, to) != f:
+            return self.bad(path, "replace changes more than the stated position")
+        return opens[0] + opens[1]
 
     def _r_data_intro(self, d, f, opens, path):
         ct = d.attr("type")
@@ -378,12 +407,12 @@ class ProofChecker:
                 hyp = subst_formula(phi, {hole: Var(vs[j])}) if ei.name == pred_name \
                     else DataAtom(ei.name, Var(vs[j]))
                 rest = self.discharge(rest, labs[j], hyp, path)
-            bad_vs = set(vs) & (fv(phi) - {hole})
+            bad_vs = set(vs) & (self.fv(phi) - {hole})
             if bad_vs:
                 return self.bad(path, f"case {k + 1}: eigenvariables {sorted(bad_vs)} "
                                       f"occur in the invariant")
             for (lab, g) in rest:
-                if set(vs) & fv(g):
+                if set(vs) & self.fv(g):
                     return self.bad(path, f"case {k + 1}: eigenvariable escapes into "
                                           f"open assumption '{lab}'")
             total += rest
@@ -414,7 +443,7 @@ class ProofChecker:
                                   f"{d.premises[1].conclusion}, wants {want_dcm}")
         rest = self.discharge(opens[1], label, phi, path)
         for (lab, g) in rest:
-            if hole in fv(g):
+            if hole in self.fv(g):
                 return self.bad(path, f"subject variable '{hole}' free in open "
                                       f"assumption '{lab}' of the decomposition premise")
         return opens[0] + rest
@@ -433,154 +462,6 @@ def check_proof(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 NORMALIZE_MAX_STEPS = 10_000
-
-
-def _scopes(d: Derivation) -> dict:
-    """Where `d` binds: premise index, or "formula" for the hole of an
-    (co)induction invariant -> (labels, variables) bound there."""
-    a = d.attr
-    if d.rule == "imp-intro":
-        return {0: ((a("label"),), ())}
-    if d.rule == "or-elim":
-        return {1: ((a("label1"),), ()), 2: ((a("label2"),), ())}
-    if d.rule == "ex-elim":
-        return {1: ((a("label"),), (a("eigen"),))}
-    if d.rule == "all-intro":
-        return {0: ((), (a("eigen"),))}
-    if d.rule == "coinduction":
-        return {1: ((a("label"),), (a("var"),)), "formula": ((), (a("var"),))}
-    if d.rule == "induction":
-        cases = zip(a("case_labels") or (), a("case_vars") or ())
-        return {**{1 + k: (tuple(labs), tuple(vs)) for k, (labs, vs) in enumerate(cases)},
-                "formula": ((), (a("var"),))}
-    return {}
-
-
-def subst_derivation(d: Derivation, terms: dict[str, Term],
-                     proofs: dict[str, Derivation | str]) -> Derivation:
-    """Simultaneous capture-avoiding substitution: each free variable x in
-    `terms` becomes terms[x], and each open assumption labelled l in
-    `proofs` becomes the derivation proofs[l] (or, when proofs[l] is a
-    label, the same assumption under that label).  A binder shadows the
-    names it binds; a binder that would catch a label or variable free in
-    what is inserted below it is renamed within its scopes, in the same
-    walk.  Parts that the substitution does not reach are shared, unwalked."""
-    return _run(_subst(d, terms, proofs, {}))   # {}: _free's memos
-
-
-def _subst(node: Derivation, terms, proofs, memo: dict):   # run by _run
-    if not terms and not proofs:
-        return node
-    if node.rule == "assume":
-        label = node.attr("label")
-        new = proofs.get(label, label)
-        if isinstance(new, Derivation):
-            return new
-        f = subst_formula(node.conclusion, terms)
-        return node if new == label and f is node.conclusion else assume(new, f)
-    scopes = _scopes(node)
-    parts: dict = dict(enumerate(node.premises))
-    if "formula" in scopes:
-        parts["formula"] = node.attr("formula")
-    free = {k: (set(), fv(part)) if k == "formula" else _free(part, memo)
-            for k, part in parts.items()}
-    subs = {}   # part -> the entries that reach it, less those its scope binds
-    for k, (labels, names) in free.items():
-        labs, xs = scopes.get(k, ((), ()))
-        subs[k] = ({x: t for x, t in terms.items() if x in names and x not in xs},
-                   {lab: p for lab, p in proofs.items() if lab in labels and lab not in labs})
-    new_labels, new_names = _renaming(node, scopes, subs.values(), memo) if scopes else ({}, {})
-    for k, (labs, xs) in scopes.items():   # a renaming rides along in the scope
-        labels, names = free[k]
-        subs[k][0].update((x, Var(new_names[x])) for x in names.intersection(xs, new_names))
-        subs[k][1].update((lab, new_labels[lab]) for lab in labels.intersection(labs, new_labels))
-    done = {}
-    for k, (t, p) in subs.items():
-        if t or p:
-            done[k] = subst_formula(parts[k], t) if k == "formula" \
-                else (yield _subst(parts[k], t, p, memo))
-    prems = tuple(done.get(i, p) for i, p in enumerate(node.premises))
-    attrs = tuple((k, done.get(k, v) if k == "formula"
-                   else substitute(v, terms) if isinstance(v, Term)
-                   else _renamed(k, v, new_labels, new_names) if new_labels or new_names
-                   else v) for k, v in node.attrs)
-    f = subst_formula(node.conclusion, terms)
-    if f is node.conclusion and all(map(operator.is_, prems, node.premises)) \
-            and all(a[1] is b[1] for a, b in zip(attrs, node.attrs)):
-        return node
-    return Derivation(node.rule, f, prems, attrs)
-
-
-def _renaming(node: Derivation, scopes: dict, subs, memo: dict):
-    """The labels and the variables that `node` binds and that `subs`, a
-    (terms, proofs) pair per part, inserts, each mapped to a name outside
-    what it inserts and the names occurring in `node`.  An eigenvariable
-    must also stay out of parts it does not scope, such as the major
-    premise of ex-elim, so every part counts."""
-    labels, names = set(), set()
-    for terms, proofs in subs:
-        for t in terms.values():
-            names |= variables(t)
-        for p in proofs.values():
-            if isinstance(p, str):
-                labels.add(p)
-            else:   # what a binder can catch: p's assumptions and conclusion
-                p_labels, p_names = _free(p, memo, full=False)
-                labels |= p_labels
-                names |= p_names | fv(p.conclusion)
-    caught_labels = labels.intersection(lab for labs, _xs in scopes.values() for lab in labs)
-    caught_names = names.intersection(x for _labs, xs in scopes.values() for x in xs)
-    if not caught_labels and not caught_names:
-        return {}, {}
-    taken = labels | names
-    for n in node.preorder():
-        taken |= fv(n.conclusion)
-        taken.update(v for _k, v in n.attrs if isinstance(v, str))
-    new_labels, new_names = {}, {}
-    for olds, new in ((caught_labels, new_labels), (caught_names, new_names)):
-        for old in sorted(olds):
-            new[old] = fresh_name(old, taken)
-            taken.add(new[old])
-    return new_labels, new_names
-
-
-def _renamed(key: str, v, new_labels: dict, new_names: dict):
-    """A binder's attribute `key` = v, its bound names renamed."""
-    new = new_labels if "label" in key else new_names if key in ("eigen", "var", "case_vars") \
-        else {}
-    return tuple(tuple(new.get(x, x) for x in xs) for xs in v) if key.startswith("case_") \
-        else new.get(v, v)
-
-
-def _free(d: Derivation, memo: dict, full: bool = True) -> tuple[set[str], set[str]]:
-    """The labels of d's open assumptions, and the variables free in d:
-    with `full`, in any conclusion, term attribute or invariant, which is
-    what a substitution can change; else in its assumptions only.
-    Kept in memo[full] by id for each node below d, built bottom up on an
-    explicit stack: one walk per substitution, whose proof and inserted
-    proofs keep every node it keys alive."""
-    memo = memo.setdefault(full, {})
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in memo:
-            continue
-        todo = [p for p in node.premises if id(p) not in memo]
-        if todo:
-            stack += [node, *todo]
-            continue
-        scopes = _scopes(node)
-        labels = {node.attr("label")} if node.rule == "assume" else set()
-        names = fv(node.conclusion) if full or node.rule == "assume" else set()
-        for i, p in enumerate(node.premises):
-            labs, xs = scopes.get(i, ((), ()))
-            labels |= memo[id(p)][0].difference(labs)
-            names |= memo[id(p)][1].difference(xs)
-        for k, v in node.attrs if full else ():
-            if isinstance(v, (Term, Formula)):
-                names |= variables(v) if isinstance(v, Term) else fv(v) - {node.attr("var")}
-        memo[id(node)] = labels, names
-    return memo[id(d)]
 
 
 # Detours: an elimination whose major premise is its matching introduction.

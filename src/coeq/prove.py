@@ -10,17 +10,18 @@ defined functions).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .corec import (CompositionDef, CorecBundle, CorecSchema, PlainSlot, RecSlot,
                     arg_vars)
 from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Formula, Or,
                        and_elim, and_intro, assume, build_dcm, coinduction, data_elim,
-                       data_intro, ex_elim, ex_intro, induction, or_elim, or_intro,
-                       refl, rewrite, subst_formula)
-from .logic import subst_derivation
+                       data_intro, ex_elim, ex_intro, ex_refl, induction, or_elim, or_intro,
+                       refl, replace, rewrite, subst_formula)
 from .program import DELTA, pi_name
 from .realize import SortError, var_sorts
+from .substitution import subst_derivation
 from .system import DataSystem
 from .terms import Con, Error, Fun, Record, Term, Var, _run, _set, fresh_name, variables
 
@@ -58,6 +59,9 @@ class Prover:
         self.ds = ds
         self.registry: dict[str, ProofTemplate] = {}
         self.labels = map("q{}".format, itertools.count(1))
+        # the formulas every decomposition case shares, built once per prover
+        self.instance = functools.cache(lambda f, pairs: subst_formula(f, dict(pairs)))
+        self.tree = functools.cache(lambda fns, val: _disjunction(_disjuncts(fns, val)))
         b = ds.predicate("B")
         s = ds.predicate("S")
         if b is None or s is None or not b.inductive or s.inductive:
@@ -146,7 +150,7 @@ class Prover:
                 raise ExtractError(
                     f"'{f.name}': expected one head component and one corecursive call")
         zz = "zz"
-        phi = _disjunction(_disjuncts(fns, Var(zz)))
+        phi = self.tree(fns, Var(zz))
         # phi is the same for every member, so one decomposition premise serves all
         d_dcm = self._dcm_proof(fns, build_dcm(self.ds, "S", phi, zz, zz), zz,
                                 "w", phi, 0, len(fns))
@@ -156,23 +160,23 @@ class Prover:
     def _intro_exists(self, names: list[str], body: Formula,
                       witnesses: list[Term], d: Derivation) -> Derivation:
         for i in range(len(names) - 1, -1, -1):
-            partial = subst_formula(_closure(names[i + 1:], body),
-                                    dict(zip(names[:i], witnesses[:i])))
-            d = ex_intro(names[i], partial, witnesses[i], d)
+            # its binder renamed where a witness would be caught by it
+            q = self.instance(_closure(names[i:], body), tuple(zip(names[:i], witnesses[:i])))
+            d = ex_intro(q.var, q.body, witnesses[i], d)
         return d
 
-    def _intro_member(self, fns, p: int, val: Term, arg_values: list[Term],
+    def _intro_member(self, fns, p: int, d_eq: Derivation, arg_values: list[Term],
                       arg_proofs: list[Derivation]) -> Derivation:
-        """phi[zz := val] via disjunct p: the existentials and conjunctions
-        of 'val is f_p on streams arg_values'."""
-        f = fns[p]
+        """phi[zz := val] via disjunct p, where d_eq proves val = f_p(arg_values):
+        the existentials and conjunctions of 'val is f_p on streams arg_values'."""
+        f, val = fns[p], d_eq.conclusion.left
         ys = [f"y{i + 1}" for i in range(f.arity)]
-        d = refl(val)
+        d = d_eq
         for pd in reversed(arg_proofs):
             d = and_intro(pd, d)
         d = self._intro_exists(ys, _chain(f.name, val, [Var(y) for y in ys]),
                                arg_values, d)
-        return _select(_disjunction(_disjuncts(fns, val)), len(fns), p, d)
+        return _select(self.tree(fns, val), len(fns), p, d)
 
     def _member_proof(self, fns, p: int, phi: Formula, zz: str,
                       d_dcm: Derivation) -> Derivation:
@@ -180,7 +184,7 @@ class Prover:
         xs = [Var(f"x{i + 1}") for i in range(fp.arity)]
         t = Fun(fp.name, tuple(xs))
         arg_proofs = [assume(f"h{i + 1}", DataAtom("S", x)) for i, x in enumerate(xs)]
-        premise1 = self._intro_member(fns, p, t, xs, arg_proofs)
+        premise1 = self._intro_member(fns, p, refl(t), xs, arg_proofs)
         return coinduction("S", zz, phi, t, "w", premise1, d_dcm)
 
     def _dcm_proof(self, fns, dcm: Formula, zz: str, label: str, tree: Formula,
@@ -199,16 +203,20 @@ class Prover:
     def _dcm_case(self, fns, dcm: Formula, zz: str, j: int,
                   d_j: Derivation) -> Derivation:
         """From a proof of disjunct j (zz is f_j on streams), derive the
-        decomposition `dcm` of zz."""
+        decomposition `dcm` of zz, its tail the u of ex u. u = t_j for the
+        tail term t_j: every case proves one phi[zz := u]."""
         fj = fns[j]
-        k = fj.arity
-        es = [f"e{next(self.labels)}" for _ in range(k)]
+        # peel the existentials under their own names, so that the formulas the
+        # peeling assumes are the invariant's, then the conjunction chain
+        es, bodies = [], [d_j.conclusion]
+        while isinstance(bodies[-1], Exists):
+            es.append(bodies[-1].var)
+            bodies.append(bodies[-1].body)
         e_args = tuple(Var(e) for e in es)
-        # peel the existentials, then the conjunction chain
         a_label = next(self.labels)
-        cur: Derivation = assume(a_label, _chain(fj.name, Var(zz), e_args))
+        cur: Derivation = assume(a_label, bodies[-1])
         s_proofs: list[Derivation] = []
-        for _ in range(k):
+        for _ in es:
             s_proofs.append(and_elim(1, cur))
             cur = and_elim(2, cur)
         # rewrite the call one step: zz = cons(head, f_l(tailargs))
@@ -224,36 +232,31 @@ class Prover:
         typed = [_run(self.typing(a, sorts, hyp_labels)) for a in [head_term] + tail_args]
         chain = {hyp_labels[e]: sp for e, sp in zip(es, s_proofs)}
         typed = [subst_derivation(tp, {}, chain) for tp in typed]
-        d_phi_tail = self._intro_member(fns, tail_slot.target - 1, tail_term,
-                                        tail_args, typed[1:])
-        body = and_intro(typed[0], and_intro(d_phi_tail, stepped))
+        u = "u"   # also the label of u = t_j: no assumption it meets is named so
+        u_eq = assume(u, EqAtom(Var(u), tail_term))
+        d_phi_tail = self._intro_member(fns, tail_slot.target - 1, u_eq, tail_args, typed[1:])
+        body = and_intro(typed[0], and_intro(d_phi_tail, replace((2, 2), stepped, u_eq)))
         z_names = []
         while isinstance(dcm, Exists):
             z_names.append(dcm.var)
             dcm = dcm.body
-        d = self._intro_exists(z_names, dcm, [head_term, tail_term], body)
-        return self._close_exists(fj.name, zz, es, a_label, d, d_j)
+        d = self._intro_exists(z_names, dcm, [head_term, Var(u)], body)
+        d = ex_elim(ex_refl(u, tail_term), u, u, d)
+        return self._close_exists(es, bodies, a_label, d, d_j)
 
-    def _close_exists(self, fn: str, zz: str, es: list[str], a_label: str,
+    def _close_exists(self, es: list[str], bodies: list[Formula], a_label: str,
                       core: Derivation, d_j: Derivation) -> Derivation:
-        """Wrap `core` (built from the innermost chain assumption labeled
-        a_label) in existential eliminations for e_1..e_k, majored by d_j."""
+        """Wrap `core` (from the innermost chain assumption a_label) in ex-elims
+        of es, majored by d_j; bodies[i] is d_j's conclusion below i binders."""
         k = len(es)
         if k == 0:
             return subst_derivation(core, {}, {a_label: d_j})
-        ys = [f"y{i + 1}" for i in range(k)]
-
-        def remaining(i: int) -> Formula:
-            """ex ys[i]..ys[k-1]. chain, with ys[0..i-1] already e's."""
-            vs = [Var(e) for e in es[:i]] + [Var(y) for y in ys[i:]]
-            return _closure(ys[i:], _chain(fn, Var(zz), vs))
-
-        # ex_elim i opens ys[i] as es[i]; its minor premise assumes
-        # remaining(i + 1) under labs[i], the innermost one the chain itself
+        # ex_elim i opens es[i]; its minor premise assumes bodies[i + 1]
+        # under labs[i], the innermost one the chain itself
         labs = [next(self.labels) for _ in range(k - 1)] + [a_label]
         d = core
         for i in range(k - 1, 0, -1):
-            d = ex_elim(assume(labs[i - 1], remaining(i)), es[i], labs[i], d)
+            d = ex_elim(assume(labs[i - 1], bodies[i]), es[i], labs[i], d)
         return ex_elim(d_j, es[0], labs[0], d)
 
 

@@ -600,7 +600,7 @@ def test_tagged_format(ws_file, capsys):
 
 # SHA-256 of the exit codes, stdout and written files of the invocations
 # below; error invocations are left out.
-TRANSCRIPT_SHA256 = "04a4ede239fc9e3c6fb6c9e70b941a39ec3e4982222f6a98871cb4e5db746e2e"
+TRANSCRIPT_SHA256 = "8b50b3209d1ff660b3ac301fb63fd71c279437c1ab9a42c3e2c0391745c4d1b1"
 
 STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
                   / "workspaces" / "streams.cds")

@@ -18,15 +18,15 @@ from coeq.extract import Extractor, extract, prove_corec_program, roundtrip_repo
 from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Or, PolarityClass,
                            and_elim, and_intro, assume, classify_formula, imp_intro,
                            refl)
-from coeq import logic
 from coeq.logic import assert_sp_proof, check_proof, has_detour, normalize
 from coeq.program import Equation, assemble_program, standard_functions
 from coeq.prove import ExtractError, Prover, prove_corec
 from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
+from coeq import substitution
 from coeq.system import (Constructor, ConstructorType, DataSystem,
                          random_stream_coterm, stream_coterm)
-from coeq.terms import Con, Fun, Var, subterms
+from coeq.terms import Con, Fun, Var, _interned, subterms
 
 
 # -- split/merge algebra -------------------------------------------------------
@@ -271,7 +271,7 @@ def test_flip_proves_and_extracts_its_tail_without_a_dispatch():
         "flip(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), flip(pi2(x1)))"]
     res = check_proof(SM, compiled, d)
     assert res.ok, res.violations[:3]
-    assert sum(1 for _ in d.preorder()) == 28
+    assert sum(1 for _ in d.preorder()) == 32
     result, _ = _extract("flip")
     assert [str(e) for e in result.program.equations_of("run1")] == [
         "run1(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), run1(pi2(x1)))"]
@@ -311,7 +311,7 @@ def _break(node: Derivation, program) -> dict | None:
     index, eigenvariable, witness, case variable, rule argument or
     conclusion) that the node's own rule rejects; None when the node has
     no such change here (say, both conjuncts are the same formula)."""
-    from coeq.formulas import EqAtom, alpha_eq, fv
+    from coeq.formulas import EqAtom, Exists, alpha_eq, fv
     rule, c = node.rule, node.conclusion
     if rule == "assume":
         return {"attrs": _with_attr(node, "label", "")}
@@ -329,6 +329,10 @@ def _break(node: Derivation, program) -> dict | None:
         return {"attrs": _with_attr(node, "witness", Var("w_new"))}
     if rule == "ex-elim":
         return {"attrs": _with_attr(node, "eigen", "e_new")}
+    if rule == "ex-refl":
+        return {"conclusion": Exists(c.var, EqAtom(Var(c.var), Var(c.var)))}
+    if rule == "replace":
+        return {"attrs": _with_attr(node, "pos", (3,))}
     if rule == "coinduction":
         return {"attrs": _with_attr(node, "label", "w2")}
     if rule == "rewrite":
@@ -374,7 +378,8 @@ def test_checker_names_the_mutated_node_of_a_prove_corec_proof():
     # the one rewrite outside a DCM premise (in odd) uses odd's only
     # equation, so no other index names an equation of odd
     assert broken == kinds - {("rewrite", False)}
-    assert len(broken) == 19
+    assert {("ex-refl", True), ("replace", True)} <= broken
+    assert len(broken) == 20
 
 
 def test_prove_corec_uses_strongly_positive_invariant():
@@ -466,25 +471,29 @@ def _neg_chain(levels: int) -> str:
 
 
 def test_grafting_under_nested_coinductions_renames_each_in_the_same_walk(monkeypatch):
-    """The typing of f's tail nests a coinduction per neg, each binding the
-    hole zz that the chain assumption grafted into it mentions, so each is
-    renamed.  The renaming rides along in the walk that grafts: the walks
-    grow with the levels (112 at 4, 216 at 8), where a walk restarted for
-    each renamed binder doubled them per level (964 at 4, 14,516 at 8)."""
+    """The typing of f's tail nests a coinduction per neg.  The chain
+    assumption grafted into each mentions the hole zz that it binds, but
+    only in its instance premise, which the hole does not scope, so no hole
+    is renamed.  The walks grow with the levels: 40 at 4 and 72 at 8.  When
+    every nested hole was renamed, in the walk that grafts, they were 112
+    and 216, and when a walk restarted for each renamed binder, 964 and
+    14,516."""
     walks = []
-    original = logic._subst
+    original = substitution._subst
 
     def counting(*args):
         walks[-1] += 1
         return original(*args)
 
-    monkeypatch.setattr(logic, "_subst", counting)
+    monkeypatch.setattr(substitution, "_subst", counting)
     for levels in (4, 8):
         walks.append(0)
         program, ds = _parse_program("f", _neg_chain(levels))
         d, compiled = prove_corec_program(program, ds)
         assert check_proof(ds, compiled, d).ok
     assert walks[1] <= 3 * walks[0], walks
+    holes = [node.attr("var") for node in d.preorder() if node.rule == "coinduction"]
+    assert len(holes) == 9 and set(holes) == {"zz"}, holes
 
 
 def test_every_member_of_a_schema_checks():
@@ -501,14 +510,53 @@ def test_every_member_of_a_schema_checks():
 def test_member_proof_of_a_hundred_member_schema_is_n_log_n():
     """The invariant is a balanced disjunction, so selecting a member takes
     one or-introduction per level: at most ceil(log2 100) = 7 on any
-    root-to-leaf path, and at most 3,000 nodes in one member's proof."""
+    root-to-leaf path, and at most 3,400 nodes in one member's proof (3,364:
+    each decomposition case proves its tail through the witness of an
+    ex-refl, four nodes more than the 2,964 of a proof that copies the
+    invariant into every case)."""
     bundle = check_primitive_corecursive(stream_family("mutual", 100), SM).bundle
     d = prove_corec(bundle, SM)
     depth: dict[tuple, int] = {}
     for path, node in d.nodes():
         depth[path] = depth.get(path[:-1], 0) + (node.rule == "or-intro")
-    assert len(depth) <= 3000
+    assert len(depth) <= 3400
     assert max(depth.values()) <= 7
+
+
+def _records_one_member_adds(n: int) -> int:
+    """The interned records that one member's proof of the n-member mutual
+    family adds, counted after a collection while the proof is alive."""
+    bundle = check_primitive_corecursive(stream_family("mutual", n), SM).bundle
+    gc.collect()
+    before = len(_interned)
+    d = prove_corec(bundle, SM)
+    gc.collect()
+    assert d.rule == "coinduction"
+    return len(_interned) - before
+
+
+def test_every_decomposition_case_concludes_one_copy_of_the_invariant():
+    """Each case proves its tail through the same witness variable u, so
+    the N cases conclude one interned phi(u), and opens phi's existentials
+    under phi's own names: one member adds O(N) records (2,348 at N = 100
+    and 4,648 at N = 200), where a copy of phi per case made them O(N^2)
+    (43,488 and 166,954)."""
+    at100, at200 = _records_one_member_adds(100), _records_one_member_adds(200)
+    assert at100 <= 5000, at100
+    assert at200 <= 2.1 * at100, (at100, at200)
+
+
+def test_prove_corec_proofs_are_normal():
+    """An ex-refl opened by ex-elim is no detour, so normalize leaves the
+    prover's proofs as they are.  An ex-intro of refl in its place would be
+    one, and its contraction would copy the invariant into every case
+    again."""
+    programs = [entry.program for entry in stock_library().values()]
+    programs += [stream_family(kind, n) for kind in ("mutual", "cycle", "rotate")
+                 for n in range(1, 9)]
+    for program in programs:
+        d = prove_corec(check_primitive_corecursive(program, SM).bundle, SM)
+        assert not has_detour(d) and normalize(d) == d, program
 
 
 def test_prove_corec_leaves_no_prover_alive():
@@ -842,6 +890,16 @@ def test_a_variable_at_two_sorts_across_the_judgment_is_a_sort_error():
     with pytest.raises(ExtractError) as e:
         extract(d, stock_library()["flip"].program, SM)
     assert (e.value.condition, str(e.value)) == ("sort", message)
+
+
+def test_a_refl_of_a_delta_with_mixed_branch_sorts_is_a_sort_error():
+    """`extract` sorts the term of a refl it realizes: a delta whose boolean
+    branches are a bit and a stream is a sort error, condition "sort"."""
+    t = Fun("delta", (Var("x"), ZERO, Var("y"), Var("y")))
+    with pytest.raises(ExtractError) as e:
+        extract(refl(t), stock_library()["flip"].program, SM)
+    assert (e.value.condition, str(e.value)) == (
+        "sort", "mixed branch sorts in 'delta(x, 0, y, y)'")
 
 
 def test_a_program_that_defines_a_split_function_otherwise_is_refused():
@@ -1450,7 +1508,7 @@ def _extractions_digest():
 
 def test_proofs_are_pinned():
     assert _proofs_digest() == (
-        "08c18d9612f0c9511527d36566eb8b0b70f472d7191b8f88d93d1e4087128530")
+        "8cb1a113f9f614b05e9f157ab314ab107b321f7f657d2a9e85c02435f244e663")
 
 
 def test_extractions_are_pinned():

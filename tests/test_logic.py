@@ -13,10 +13,10 @@ from coeq.formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Im
                            data_elim, data_intro, ex_elim, ex_intro, fv, imp_elim,
                            imp_intro, induction, inj, or_elim, or_intro, refl, rewrite,
                            sep, subst_formula)
-from coeq.logic import (assert_sp_proof, check_proof, has_detour, normalize,
-                        subst_derivation)
+from coeq.logic import assert_sp_proof, check_proof, has_detour, normalize
 from coeq.program import Equation, assemble_program
 from coeq.prove import prove_corec
+from coeq.substitution import subst_derivation
 from coeq.system import ConstructorType
 from coeq.terms import Con, Fun, Term, Var
 
@@ -335,6 +335,7 @@ def _rejections():
     f_imp = assume("f", Imp(S(x), S(y)))
     pair = assume("p", EqAtom(cons(v("a"), v("b")), cons(v("c"), v("d"))))
     flip_redex = fn("flip", cons(ZERO, v("w")))
+    y_x = assume("e", EqAtom(y, x))
 
     def node(rule, concl, premises=(), **attrs):
         return Derivation(rule, concl, tuple(premises), tuple(attrs.items()))
@@ -402,6 +403,17 @@ def _rejections():
         (sm, node("all-elim", S(y), [assume("f", Forall("q", S(q)))], witness=x),
          "conclusion is not the body at the witness"),
         (sm, node("refl", EqAtom(x, y)), "reflexivity concludes t = t only"),
+        (sm, node("ex-refl", Exists("u", EqAtom(v("u"), x)), [u]), "ex-refl takes no premises"),
+        (sm, node("ex-refl", Exists("u", EqAtom(x, v("u")))),
+         "ex-refl concludes ex u. u = t only"),
+        (sm, node("ex-refl", Exists("u", EqAtom(v("u"), fn("flip", v("u"))))),
+         "'u' is free in the term of ex-refl"),
+        (sm, node("replace", S(y), [u, u], pos=(1,)), "replace needs an atom and an equation"),
+        (sm, node("replace", S(y), [u, y_x], pos=(2,)), "replace position is not in an atom"),
+        (sm, node("replace", S(x), [assume("k", S(y)), y_x], pos=(1,)),
+         "replace puts 'y' for 'x', not 'x' for 'y'"),
+        (sm, node("replace", EqAtom(y, y), [assume("k", EqAtom(x, x)), y_x], pos=(1,)),
+         "replace changes more than the stated position"),
         (sm, node("inj", EqAtom(x, x), [u], i=1), "injectivity needs c(...) = c(...)"),
         (sm, node("inj", EqAtom(x, x), [pair], i=3), "injectivity index out of range"),
         (sm, node("inj", EqAtom(v("b"), v("d")), [pair], i=1),

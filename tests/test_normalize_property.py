@@ -19,7 +19,8 @@ from helpers import SM, cons, flip_program, v
 from coeq.formulas import (DataAtom, Exists, Imp, all_elim, all_intro, alpha_eq,
                            and_elim, and_intro, assume, ex_elim, ex_intro, fv, imp_elim,
                            imp_intro, or_elim, or_intro, refl, subst_formula)
-from coeq.logic import check_proof, has_detour, normalize, subst_derivation
+from coeq.logic import check_proof, has_detour, normalize
+from coeq.substitution import subst_derivation
 
 LABELS = st.sampled_from(("a", "h"))
 VARS = st.sampled_from(("x", "y"))
