@@ -123,7 +123,7 @@ def _parts(u: Term | Formula, ds: DataSystem, signature: dict | None) -> list:
     elif u.name == DELTA:
         return [(u.args[0], "B")] + [(a, None) for a in u.args[1:]]
     elif signature and u.name in signature:
-        return list(zip(u.args, signature[u.name].arg_sorts))
+        return list(zip(u.args, signature[u.name]))
     return [(a, None) for a in u.args]
 
 
@@ -134,11 +134,11 @@ def var_sorts(x: Term | Formula | tuple[Formula, ...], ds: DataSystem,
     all of them), from the positions they occur at: arguments of a
     constructor with one declared type, the stream a projection reads, a
     delta's selector, the arguments of a function `signature` types (it
-    maps a name to a record with `arg_sorts` and `result_sort`, or is None)
-    and data atoms.  A variable at no such position is left out; callers
-    take it to be 'S'.  A quantifier's variable is sorted from its own
-    body, apart from any other variable of that name: it is left out too,
-    and `var_sorts(q.body, ...)` gives its sort.  The walk is preorder, left
+    maps a name to its argument sorts, or is None) and data atoms.  A
+    variable at no such position is left out; callers take it to be 'S'.
+    A quantifier's variable is sorted from its own body, apart from any
+    other variable of that name: it is left out too, and
+    `var_sorts(q.body, ...)` gives its sort.  The walk is preorder, left
     to right, so the first conflicting variable is the one reported, with
     the term or formula of the walk where it conflicts."""
     sorts: dict[str, str] = {}

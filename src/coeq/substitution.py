@@ -1,5 +1,5 @@
-"""Capture-avoiding substitution into derivations, in one walk: the
-prover grafts typings with it, and `logic.normalize` contracts detours."""
+"""Capture-avoiding substitution into derivations, in one walk:
+`logic.normalize` contracts detours with it."""
 from __future__ import annotations
 
 import operator
@@ -38,12 +38,10 @@ def subst_derivation(d: Derivation, terms: dict[str, Term],
     names it binds; a binder that would catch a label or variable free in
     what is inserted below it is renamed within its scopes, in the same
     walk.  Parts that the substitution does not reach are shared, unwalked."""
-    return _run(_subst(d, terms, proofs, {}))   # {}: _free's memos
+    return _run(_subst(d, terms, proofs, {}))   # {}: _free's memo
 
 
 def _subst(node: Derivation, terms, proofs, memo: dict):   # run by _run
-    if not terms and not proofs:
-        return node
     if node.rule == "assume":
         label = node.attr("label")
         new = proofs.get(label, label)
@@ -99,10 +97,10 @@ def _renaming(node: Derivation, scopes: dict, subs: dict, memo: dict):
         for p in proofs.values():
             if isinstance(p, str):
                 labs.add(p)
-            else:   # what a binder can catch: p's assumptions and conclusion
-                p_labels, p_names = _free(p, memo, full=False)
+            else:   # what a binder can catch: any name free in p
+                p_labels, p_names = _free(p, memo)
                 labs |= p_labels
-                xs |= p_names | fv(p.conclusion)
+                xs |= p_names
         bound_labels, bound_names = scopes.get(k, ((), ()))
         caught_labels |= labs.intersection(bound_labels)
         caught_names |= xs.intersection(bound_names) | (xs & eigen)
@@ -128,14 +126,12 @@ def _renamed(key: str, v, new_labels: dict, new_names: dict):
         else new.get(v, v)
 
 
-def _free(d: Derivation, memo: dict, full: bool = True) -> tuple[set[str], set[str]]:
-    """The labels of d's open assumptions, and the variables free in d:
-    with `full`, in any conclusion, term attribute or invariant, which is
-    what a substitution can change; else in its assumptions only.
-    Kept in memo[full] by id for each node below d, built bottom up on an
-    explicit stack: one walk per substitution, whose proof and inserted
+def _free(d: Derivation, memo: dict) -> tuple[set[str], set[str]]:
+    """The labels of d's open assumptions, and the variables free in d, in
+    any conclusion, term attribute or invariant: what a substitution can
+    change.  Kept in memo by id for each node below d, built bottom up on
+    an explicit stack: one walk per substitution, whose proof and inserted
     proofs keep every node it keys alive."""
-    memo = memo.setdefault(full, {})
     stack = [d]
     while stack:
         node = stack.pop()
@@ -147,12 +143,12 @@ def _free(d: Derivation, memo: dict, full: bool = True) -> tuple[set[str], set[s
             continue
         scopes = _scopes(node)
         labels = {node.attr("label")} if node.rule == "assume" else set()
-        names = fv(node.conclusion) if full or node.rule == "assume" else set()
+        names = fv(node.conclusion)
         for i, p in enumerate(node.premises):
             labs, xs = scopes.get(i, ((), ()))
             labels |= memo[id(p)][0].difference(labs)
             names |= memo[id(p)][1].difference(xs)
-        for k, v in node.attrs if full else ():
+        for k, v in node.attrs:
             if isinstance(v, (Term, Formula)):
                 names |= variables(v) if isinstance(v, Term) else fv(v) - {node.attr("var")}
         memo[id(node)] = labels, names

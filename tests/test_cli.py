@@ -1282,10 +1282,12 @@ def _nested(n: int, outer: str, leaf: str) -> str:
      + ", f(pi2(x))); }", "prove-corec", "f", "proved"),
     ("program f { g(x) = pi2(x); f(x) = cons(pi1(x), f(" + _nested(500, "g({})", "x")
      + ")); }", "extract", "f", "extracted"),
+    ("program f { g(x) = cons(pi1(x), g(pi2(x))); f(x) = " + _nested(600, "g({})", "x")
+     + "; }", "prove-corec", "f", "proved"),
     (ZEROS_PROGRAM + "proof p { (refl (= " + " ".join([_nested(500, "(delta x {} 0 0)", "0")] * 2)
      + ") () {}) }", "extract", "p", "extracted"),
 ], ids=["head-1000-projections", "500-nested-dispatches", "500-nested-composition-calls",
-        "refl-of-a-500-deep-dispatch"])
+        "600-nested-corecursive-calls", "refl-of-a-500-deep-dispatch"])
 def test_the_prover_types_and_the_extractor_sorts_a_term_of_any_depth(
         tmp_path, capsys, workspace, command, name, verdict):
     """The prover types a component, and the extractor sorts a refl's
@@ -1293,9 +1295,8 @@ def test_the_prover_types_and_the_extractor_sorts_a_term_of_any_depth(
     Each depth is a little above the least at which the recursive walks
     gave up (950 and 480 under pytest).  The nested dispatch stops at the
     checked proof, since `extract` checks it twice, which takes seconds.
-    A composition `f(x) = g(g(...g(x)...))` of a corecursive g runs in CI
-    only: each call's graft walks the typing it inserts, so 500 calls take
-    2.6 s under `-X dev`."""
+    So does the composition `f(x) = g(g(...g(x)...))` of a corecursive g:
+    each call's coinduction is built in place, at its argument."""
     ws = _ws(tmp_path, ONE_LINE_SYSTEM + workspace + "\n")
     code, out, err = run_main(capsys, "--format=tagged", command, ws, name)
     assert (code, err) == (0, "")

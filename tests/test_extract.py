@@ -23,7 +23,7 @@ from coeq.program import Equation, assemble_program, standard_functions
 from coeq.prove import ExtractError, Prover, prove_corec
 from coeq.realize import (HOLDS, RealizabilityJudgment, even_term, merge_term,
                           odd_term, realizes, split_term, with_algebra)
-from coeq import substitution
+from coeq import formulas, substitution
 from coeq.system import (Constructor, ConstructorType, DataSystem,
                          random_stream_coterm, stream_coterm)
 from coeq.terms import Con, Fun, Var, _interned, subterms
@@ -427,19 +427,19 @@ def test_schema_builds_one_decomposition_case_per_member(monkeypatch):
 
 def _counting_member_proofs(monkeypatch) -> list:
     calls = []
-    original = Prover._member_proof
+    original = Prover._member_call
 
-    def counting(self, fns, p, *args):
-        calls.append(fns[p].name)
-        return original(self, fns, p, *args)
+    def counting(self, t, *args):
+        calls.append(t.name)
+        return original(self, t, *args)
 
-    monkeypatch.setattr(Prover, "_member_proof", counting)
+    monkeypatch.setattr(Prover, "_member_call", counting)
     return calls
 
 
 def test_prove_corec_builds_only_the_principals_member_proof(monkeypatch):
-    """A member's coinduction is built on demand: for a schema that is the
-    last stratum, only the principal's."""
+    """A member's coinduction is built at each call of it: for a schema
+    that is the last stratum, only the principal's."""
     bundle, ds = _mutual_family(12)
     calls = _counting_member_proofs(monkeypatch)
     prove_corec(bundle, ds)
@@ -447,8 +447,8 @@ def test_prove_corec_builds_only_the_principals_member_proof(monkeypatch):
 
 
 def test_a_later_stratum_calling_another_member_builds_its_proof_once(monkeypatch):
-    """g calls f2 twice, so f2's proof is built once, on demand, and
-    grafted twice; f1's is never built."""
+    """g calls f2 twice, so f2's coinduction is built at each call, and
+    f1's is never built."""
     program, ds = _parse_program(
         "g", "f1(x) = cons(pi1(x), f2(pi2(x))); f2(x) = cons(delta(pi1(x), 1, 0, 0), "
              "f1(pi2(x))); g(x) = f2(f2(pi2(x)));")
@@ -456,7 +456,7 @@ def test_a_later_stratum_calling_another_member_builds_its_proof_once(monkeypatc
     assert verdict.accepted, verdict.reason
     calls = _counting_member_proofs(monkeypatch)
     proof = prove_corec(verdict.bundle, ds)
-    assert calls == ["f2"]
+    assert calls == ["f2", "f2"]
     res = check_proof(ds, compile_schema(verdict.bundle, ds), proof)
     assert res.ok, res.violations[:3]
     assert res.conclusion == DataAtom("S", Fun("g", (Var("x1"),)))
@@ -470,14 +470,11 @@ def _neg_chain(levels: int) -> str:
             + "neg(" * levels + "pi2(x)" + ")" * levels + "));")
 
 
-def test_grafting_under_nested_coinductions_renames_each_in_the_same_walk(monkeypatch):
-    """The typing of f's tail nests a coinduction per neg.  The chain
-    assumption grafted into each mentions the hole zz that it binds, but
-    only in its instance premise, which the hole does not scope, so no hole
-    is renamed.  The walks grow with the levels: 40 at 4 and 72 at 8.  When
-    every nested hole was renamed, in the walk that grafts, they were 112
-    and 216, and when a walk restarted for each renamed binder, 964 and
-    14,516."""
+def test_nested_coinductions_are_built_in_place_each_binding_zz(monkeypatch):
+    """The typing of f's tail nests a coinduction per neg, each built at
+    its call from the typings of the call's argument, so no proof is
+    substituted into.  Every nested hole keeps the name zz.  When each
+    call's proof was grafted, the walks were 40 at 4 levels and 72 at 8."""
     walks = []
     original = substitution._subst
 
@@ -491,9 +488,59 @@ def test_grafting_under_nested_coinductions_renames_each_in_the_same_walk(monkey
         program, ds = _parse_program("f", _neg_chain(levels))
         d, compiled = prove_corec_program(program, ds)
         assert check_proof(ds, compiled, d).ok
-    assert walks[1] <= 3 * walks[0], walks
+    assert walks == [0, 0], walks
     holes = [node.attr("var") for node in d.preorder() if node.rule == "coinduction"]
     assert len(holes) == 9 and set(holes) == {"zz"}, holes
+
+
+def test_prove_corec_substitutes_into_no_proof(monkeypatch):
+    """Each call's lemma is proved where it stands, so the prover makes no
+    proof substitution.  When it grafted a lemma proved at placeholder
+    arguments into each call, its `_subst` walks were 116, 28, 200 and 254
+    for these four programs."""
+    programs = [stream_family(kind, 24) for kind in ("mutual", "rotate")]
+    programs.append(_parse_program("f", _neg_chain(24))[0])
+    programs.append(_parse_program("f", "g(x) = cons(pi1(x), g(pi2(x)));\n  f(x) = "
+                                   + "g(" * 50 + "x" + ")" * 50 + ";")[0])
+    bundles = [check_primitive_corecursive(program, SM).bundle for program in programs]
+    walks = []
+    original = substitution._subst
+
+    def counting(*args):
+        walks[-1] += 1
+        return original(*args)
+
+    monkeypatch.setattr(substitution, "_subst", counting)
+    for bundle in bundles:
+        walks.append(0)
+        prove_corec(bundle, SM)
+    assert walks == [0, 0, 0, 0], walks
+
+
+def _variables_calls_proving_rotate(monkeypatch, k: int) -> int:
+    bundle = check_primitive_corecursive(stream_family("rotate", k), SM).bundle
+    calls = [0]
+    original = formulas.variables
+
+    def counting(t):
+        calls[0] += 1
+        return original(t)
+
+    monkeypatch.setattr(formulas, "variables", counting)
+    prove_corec(bundle, SM)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_the_proof_of_a_k_argument_rotation_is_not_cubic_in_k(monkeypatch):
+    """Each existential level of the rotation's invariant is the level
+    above at one witness, so the capture checks of its instances grow about
+    quadratically in k: 6,528 `variables` calls at k = 50 and 25,553 at
+    k = 100.  When each level was rebuilt by a substitution of all the
+    witnesses above it, they were 48,041 and 358,566, 7.5 times as many."""
+    at50 = _variables_calls_proving_rotate(monkeypatch, 50)
+    at100 = _variables_calls_proving_rotate(monkeypatch, 100)
+    assert at100 <= 4.5 * at50, (at50, at100)
 
 
 def test_every_member_of_a_schema_checks():
@@ -1508,7 +1555,7 @@ def _extractions_digest():
 
 def test_proofs_are_pinned():
     assert _proofs_digest() == (
-        "8cb1a113f9f614b05e9f157ab314ab107b321f7f657d2a9e85c02435f244e663")
+        "ca6ccad765a2e81531224050356b687977e937b2395f8fdf737627b10af08159")
 
 
 def test_extractions_are_pinned():

@@ -75,7 +75,6 @@ RECORDS = [
     ("realize", "Pair", "head rest", True),
     ("realize", "ConsR", "head_term tail", True),
     ("realize", "Case", "bit left right", True),
-    ("prove", "ProofTemplate", "arg_sorts result_sort derivation", True),
     ("extract", "_State", "skel params bit=None succ=() nxt=None", False),
     ("extract", "ExtractionCertificate", "lines=None split_chain=0 coinductions=0", False),
     ("extract", "ExtractionResult",
