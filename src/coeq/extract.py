@@ -23,15 +23,14 @@ from .corec import (Component, CompositionDef, CorecBundle, CorecSchema,
                     bundle_equal, check_primitive_corecursive, compile_schema,
                     stock_library)
 from .evaluation import DiagramEnv, Session, derives_omega
-from .formulas import Derivation, Formula, Or, ex_intro, fv, refl, show_path
+from .formulas import Derivation, Exists, Formula, Or, ex_intro, fv, refl, show_path
 from .logic import CheckResult, assert_sp_proof, check_proof, has_detour, normalize
 from .program import Equation, Program, assemble_program, pi_name
 from .prove import ExtractError, prove_corec
 from .realize import (ALGEBRA, EVEN, ODD, ConsR, Pair, SortError, SymR, _alternatives,
-                      _const_bit, _drop, _known, _or_path, _project, _skeleton, case,
-                      check_algebra, even_r, head_term_of, mat, sigma1, tail_r, term_sort,
-                      var_sorts, zeros_term)
-from .substitution import _scopes
+                      _const_bit, _drop, _known, _or_path, _proof_only_sorts, _project,
+                      _skeleton, case, check_algebra, even_r, head_term_of, mat, sigma1,
+                      tail_r, term_sort, var_sorts, zeros_term)
 from .system import DataSystem, boolean_stream_system, random_stream_coterm
 from .terms import (Con, Error, Fun, Record, Term, Var, _path, _run, substitute, subterms,
                     variables)
@@ -139,7 +138,7 @@ class Extractor:
         self.counter = itertools.count(1)
         self.cert = ExtractionCertificate()
         self.taken = set(program.functions())
-        self.bound: dict[Formula, str | None] = {}   # quantifier -> its variable's sort
+        self.bound: dict[Formula, dict[str, str]] = {}   # a body -> its var_sorts
 
     def fresh_name(self, base: str) -> str:
         while True:
@@ -151,10 +150,15 @@ class Extractor:
     # -- values ---------------------------------------------------------------
 
     def bound_sort(self, q: Formula) -> str | None:
-        """The sort of quantifier q's variable from its body, once per q."""
-        if q not in self.bound:
-            self.bound[q] = var_sorts(q.body, self.ds, None).get(q.var)
-        return self.bound[q]
+        """The sort of quantifier q's variable from its body, sorted once for all
+        the existentials that open it; an inner binder of q's name leaves none."""
+        inner, f = set(), q.body
+        while isinstance(f, Exists):
+            inner.add(f.var)
+            f = f.body
+        if f not in self.bound:
+            self.bound[f] = var_sorts(f, self.ds, None)
+        return None if q.var in inner else self.bound[f].get(q.var)
 
     def value_term(self, t: Term, ctx: dict) -> Term:
         values = ctx["values"]
@@ -208,10 +212,16 @@ class Extractor:
         return case(bit, r1, r2)
 
     def _x_ex_intro(self, d, ctx, path):
-        body_r = yield self.extract(d.premises[0], ctx, (path, 0))
-        wt = self.value_term(d.attr("witness"), ctx)
-        wit_r = ConsR(wt, zeros_term()) if self.bound_sort(d.conclusion) == "B" else wt
-        return Pair(wit_r, Pair(body_r, zeros_term()))
+        """As of one intro per witness, nested: each witness at its binder's sort."""
+        r = yield self.extract(d.premises[0], ctx, (path, 0))
+        ws, qs = d.witnesses(), [d.conclusion]   # qs: the binders, outermost first
+        while len(qs) < len(ws):
+            qs.append(qs[-1].body)
+        for q, w in zip(reversed(qs), reversed(ws)):
+            wt = self.value_term(w, ctx)
+            r = Pair(ConsR(wt, zeros_term()) if self.bound_sort(q) == "B" else wt,
+                     Pair(r, zeros_term()))
+        return r
 
     def _x_ex_refl(self, d, ctx, path):
         q, t = d.conclusion, d.conclusion.body.right   # realized as ex-intro of refl(t)
@@ -372,29 +382,6 @@ def _extend(ctx: dict, values: dict | None = None,
     if realizers:
         out["realizers"].update(realizers)
     return out
-
-
-def _proof_only_sorts(d: Derivation, free: set[str], ds: DataSystem) -> dict[str, str]:
-    """The variables, in no binder above and not in `free`, of the values the
-    extractor reads (an ex-intro's witness, a refl's, an ex-refl's or a
-    coinduction's term), each with the sort its positions in its formula give."""
-    sorts: dict[str, str] = {}
-    todo = [(d, frozenset(free))]   # a node, and the names free or bound above it
-    while todo:
-        node, known = todo.pop()
-        if node.rule in ("ex-intro", "refl", "coinduction", "ex-refl"):
-            f = node.premises[0].conclusion if node.rule == "ex-intro" else node.conclusion
-            t = node.attr("witness") if node.rule == "ex-intro" \
-                else f.left if node.rule == "refl" \
-                else f.body.right if node.rule == "ex-refl" else f.term
-            names = variables(t) - known - sorts.keys()
-            if names:
-                at = var_sorts(f, ds, None)
-                sorts.update((n, at.get(n, "S")) for n in names)
-        scopes = _scopes(node)
-        todo += [(p, known.union(scopes.get(i, ((), ()))[1]))
-                 for i, p in enumerate(node.premises)]
-    return sorts
 
 
 def require_check(ds: DataSystem, program: Program, d: Derivation) -> CheckResult:

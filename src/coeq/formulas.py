@@ -343,6 +343,11 @@ class Derivation(Tree):
                 return v
         return None
 
+    def witnesses(self) -> tuple:
+        """The values of its `witness` attributes, in order: an ex-intro's,
+        outermost binder first."""
+        return tuple(v for k, v in self.attrs if k == "witness")
+
     def nodes(self):
         """All nodes with their paths, preorder."""
         stack = [((), self)]
@@ -394,9 +399,14 @@ def or_elim(d_or: Derivation, label1: str, d1: Derivation,
                       (("label1", label1), ("label2", label2)))
 
 
-def ex_intro(var: str, body: Formula, witness: Term, d: Derivation) -> Derivation:
+def ex_intro(var: str, body: Formula, witness: Term | tuple[Term, ...],
+             d: Derivation) -> Derivation:
+    """ex var. body from d, a proof of body at the witness.  Given k
+    witnesses, outermost first, body opens with k - 1 more existentials,
+    and d proves what lies under all k binders at all k witnesses."""
+    ws = (witness,) if isinstance(witness, Term) else witness
     return Derivation("ex-intro", Exists(var, body), (d,),
-                      (("witness", witness),))
+                      tuple(("witness", w) for w in ws))
 
 
 def ex_elim(d_ex: Derivation, eigen: str, label: str, d_body: Derivation) -> Derivation:

@@ -22,7 +22,7 @@ from collections import Counter
 
 from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula, Imp,
                        Or, PolarityClass, _atom_get, _atom_put, _strongly_positive,
-                       alpha_eq, build_dcm, classify_formula, fv, show_path,
+                       alpha_eq, build_dcm, classify_formula, ex_intro, fv, show_path,
                        subst_formula)
 # the benchmark builds its detours with these three from here
 from .formulas import assume, imp_elim, imp_intro
@@ -89,7 +89,9 @@ class ProofChecker:
         self.standard = standard_functions(ds)
         self.violations: list[ProofViolation] = []
         self.fv = functools.cache(fv)   # these two once per record, for one check
-        self.instance = functools.cache(lambda f, x, w: subst_formula(f, {x: w}))
+        # a body at its binders' witnesses, ((binder, witness), ...): an
+        # inner binder of a name overrides an outer one
+        self.instance = functools.cache(lambda f, s: subst_formula(f, dict(s)))
 
     def bad(self, path, msg) -> Counter:
         self.violations.append(ProofViolation(_path(path), msg))
@@ -114,6 +116,10 @@ class ProofChecker:
         handler = getattr(self, "_r_" + d.rule.replace("-", "_"), None)
         if handler is None:
             return self.bad(path, f"unknown rule '{d.rule}'")
+        keys = [k for k, _v in d.attrs if k != "witness" or d.rule != "ex-intro"]
+        for i, k in enumerate(keys):
+            if k in keys[:i]:
+                return self.bad(path, f"attribute '{k}' given twice")
         return handler(d, d.conclusion, opens, path)
 
     # each handler returns the node's open-assumption multiset; `path` is
@@ -185,11 +191,21 @@ class ProofChecker:
         return opens[0] + o1 + o2
 
     def _r_ex_intro(self, d, f, opens, path):
-        w = d.attr("witness")
-        if not isinstance(f, Exists) or len(d.premises) != 1 or not isinstance(w, Term):
+        """k witnesses, outermost first, for the first k binders of f: the
+        premise is the body under them at all k at once."""
+        ws, binders = d.witnesses(), []
+        if not isinstance(f, Exists) or len(d.premises) != 1 or not ws \
+                or not all(isinstance(w, Term) for w in ws):
             return self.bad(path, "existential introduction malformed")
-        if not alpha_eq(d.premises[0].conclusion, self.instance(f.body, f.var, w)):
-            return self.bad(path, "premise is not the body at the witness")
+        for _w in ws:
+            if not isinstance(f, Exists):
+                return self.bad(path, f"more witnesses ({len(ws)}) than leading "
+                                      f"existentials ({len(binders)})")
+            binders.append(f.var)
+            f = f.body
+        if not alpha_eq(d.premises[0].conclusion, self.instance(f, tuple(zip(binders, ws)))):
+            return self.bad(path, "premise is not the body at the witness"
+                                  + ("es" if len(ws) > 1 else ""))
         return opens[0]
 
     def _r_ex_elim(self, d, f, opens, path):
@@ -486,9 +502,13 @@ def _reduce_node(d: Derivation) -> Derivation:
         i = intro.attr("i")
         label = d.attr("label1") if i == 1 else d.attr("label2")
         return subst_derivation(d.premises[i], {}, {label: intro.premises[0]})
-    if d.rule == "ex-elim":
-        return subst_derivation(d.premises[1], {d.attr("eigen"): intro.attr("witness")},
-                                {d.attr("label"): intro.premises[0]})
+    if d.rule == "ex-elim":   # at the first witness; the rest stay one intro
+        q, (w, *rest), evidence = intro.conclusion, intro.witnesses(), intro.premises[0]
+        if rest:
+            inner = subst_formula(q.body, {q.var: w})
+            evidence = ex_intro(inner.var, inner.body, tuple(rest), evidence)
+        return subst_derivation(d.premises[1], {d.attr("eigen"): w},
+                                {d.attr("label"): evidence})
     return subst_derivation(intro.premises[0],
                             {intro.attr("eigen"): d.attr("witness")}, {})
 

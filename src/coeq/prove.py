@@ -169,17 +169,6 @@ class Prover:
         premise = self._intro_member(fns, p, phi, refl(t), t.args, arg_proofs)
         return coinduction("S", ZZ, phi, t, "w", premise, d_dcm)
 
-    def _intro_exists(self, q: Formula, witnesses, d: Derivation) -> Derivation:
-        """d, a proof of q's body at `witnesses`, as a proof of q: one ex-intro
-        per witness, each level the one above at its witness, a binder that
-        would catch the witness renamed."""
-        levels = [q]
-        for w in witnesses[:-1]:
-            levels.append(self.instance(levels[-1].body, levels[-1].var, w))
-        for q, w in zip(reversed(levels), reversed(witnesses)):
-            d = ex_intro(q.var, q.body, w, d)
-        return d
-
     def _intro_member(self, fns, p: int, phi: Formula, d_eq: Derivation, arg_values,
                       arg_proofs: list[Derivation]) -> Derivation:
         """phi[zz := val] via disjunct p, where d_eq proves val = f_p(arg_values):
@@ -188,7 +177,9 @@ class Prover:
         for pd in reversed(arg_proofs):
             d = and_intro(pd, d)
         tree = self.instance(phi, ZZ, d_eq.conclusion.left)
-        return _select(tree, len(fns), p, lambda q: self._intro_exists(q, arg_values, d))
+        # one ex-intro of all the arguments, none for a member of arity 0
+        return _select(tree, len(fns), p, lambda q: ex_intro(
+            q.var, q.body, tuple(arg_values), d) if arg_values else d)
 
     def _dcm_proof(self, fns, phi: Formula, dcm: Formula, label: str, tree: Formula,
                    lo: int, n: int) -> Derivation:
@@ -235,7 +226,7 @@ class Prover:
         d_phi_tail = self._intro_member(fns, tail_slot.target - 1, phi, u_eq, tail_args,
                                         typed[1:])
         body = and_intro(typed[0], and_intro(d_phi_tail, replace((2, 2), stepped, u_eq)))
-        d = self._intro_exists(dcm, [head_term, Var(u)], body)
+        d = ex_intro(dcm.var, dcm.body, (head_term, Var(u)), body)
         d = ex_elim(ex_refl(u, tail_term), u, u, d)
         return self._close_exists(es, bodies, a_label, d, d_j)
 

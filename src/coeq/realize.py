@@ -16,12 +16,13 @@ import itertools
 
 from .evaluation import (DEFAULT_BUDGET, ApproxNode, DiagramEnv,
                          OmegaResult, Session, derives_omega)
-from .formulas import (And, DataAtom, EqAtom, Exists, Forall, Formula, Imp, Or,
-                       PolarityClass, classify_formula, show_path)
+from .formulas import (And, DataAtom, Derivation, EqAtom, Exists, Forall, Formula, Imp,
+                       Or, PolarityClass, classify_formula, show_path)
 from .program import DELTA, Equation, Program, assemble_program, pi_name
+from .substitution import _scopes
 from .system import DataPredicate, DataSystem
 from .terms import (Con, Error, Fun, Interned, Record, Term, Var, _intern, _run, _set,
-                    substitute)
+                    substitute, variables)
 
 EVEN = "split_even"
 ODD = "split_odd"
@@ -188,6 +189,30 @@ def term_sort(t: Term, var_sorts: dict[str, str], ds: DataSystem) -> str:
         else:
             sorts.append("B" if u.name == pi_name(1) else "S")
     return sorts[0]
+
+
+def _proof_only_sorts(d: Derivation, free: set[str], ds: DataSystem) -> dict[str, str]:
+    """The variables, in no binder above and not in `free`, of the values the
+    extractor reads (an ex-intro's witnesses, sorted in its premise; a refl's,
+    an ex-refl's or a coinduction's term), each with the sort its positions give."""
+    sorts: dict[str, str] = {}
+    todo = [(d, frozenset(free))]   # a node, and the names free or bound above it
+    while todo:
+        node, known = todo.pop()
+        if node.rule in ("ex-intro", "refl", "coinduction", "ex-refl"):
+            f = node.premises[0].conclusion if node.rule == "ex-intro" else node.conclusion
+            ts = node.witnesses() if node.rule == "ex-intro" \
+                else (f.left,) if node.rule == "refl" \
+                else (f.body.right,) if node.rule == "ex-refl" else (f.term,)
+            names = set().union(*map(variables, ts)) - known - sorts.keys()
+            if names:
+                at = var_sorts(f, ds, None)
+                sorts.update((n, at.get(n, "S")) for n in names)
+        scopes = _scopes(node)
+        for i, p in enumerate(node.premises):   # a scope that binds no new name keeps `known`
+            xs = scopes.get(i, ((), ()))[1]
+            todo.append((p, known if known.issuperset(xs) else known.union(xs)))
+    return sorts
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 
 from coeq.corec import check_primitive_corecursive, cocase_equations, compile_schema
 from coeq.evaluation import DiagramEnv
-from coeq.formulas import Derivation, assume, imp_elim, imp_intro
+from coeq.formulas import Derivation, assume, ex_intro, imp_elim, imp_intro, subst_formula
 from coeq.program import DELTA, Equation, Program, assemble_program, pi_name
 from coeq.system import (Constructor, ConstructorType, CotermNode,
                          DataPredicate, DataSystem, Kind, RegularCoterm,
@@ -234,6 +234,29 @@ def inject_detours(d: Derivation, every: int) -> Derivation:
             label = f"_detour{i}"
             node = imp_elim(imp_intro(label, node.conclusion,
                                       assume(label, node.conclusion)), node)
+        built[path] = node
+    return built[()]
+
+
+def nested_intros(d: Derivation) -> Derivation:
+    """d with each ex-intro of k witnesses as k nested intros of one witness
+    each, every level the one above at its witness.  Built bottom-up with a
+    loop over the preorder, like `inject_detours`."""
+    nodes = list(d.nodes())
+    built: dict[tuple[int, ...], Derivation] = {}
+    for i in range(len(nodes) - 1, -1, -1):
+        path, node = nodes[i]
+        prems = tuple(built.pop(path + (k,)) for k in range(len(node.premises)))
+        ws = node.witnesses() if node.rule == "ex-intro" else ()
+        if len(ws) > 1:
+            levels = [node.conclusion]
+            for w in ws[:-1]:
+                levels.append(subst_formula(levels[-1].body, {levels[-1].var: w}))
+            node = prems[0]
+            for q, w in zip(reversed(levels), reversed(ws)):
+                node = ex_intro(q.var, q.body, w, node)
+        elif prems:
+            node = Derivation(node.rule, node.conclusion, prems, node.attrs)
         built[path] = node
     return built[()]
 

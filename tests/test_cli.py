@@ -483,6 +483,22 @@ proof p { (and-intro (and (B x) (ex p (S p))) (
         1, "VERDICT\tfailed\nREASON\tvariable 'x' used at both sorts in 'S(x)'\n", "")
 
 
+def test_cmd_check_proof_names_a_repeated_attribute_and_a_witness_too_many(tmp_path, capsys):
+    """The assumption carries two labels and the intro two witnesses for
+    one existential: check-proof names both violations, and extract
+    refuses the proof at the first."""
+    ws = _ws(tmp_path, SM_SOURCE + IDENT + """
+proof p { (ex-intro (ex p (S p)) ((assume (S x) () {label a label b})) {witness x witness y}) }
+""")
+    assert run_main(capsys, "--format=tagged", "check-proof", ws, "p") == (
+        1, "VIOLATION\tat 0: attribute 'label' given twice\n"
+           "VIOLATION\tat root: more witnesses (2) than leading existentials (1)\n"
+           "VERDICT\tinvalid\n", "")
+    assert run_main(capsys, "--format=tagged", "extract", ws, "p") == (
+        1, "VERDICT\tfailed\nREASON\tderivation does not check: "
+           "at 0: attribute 'label' given twice\n", "")
+
+
 def test_cmd_extract_refuses_a_program_that_replaces_the_split_algebra(tmp_path, capsys):
     """The program's own split_even would stand in for the algebra's in
     the extraction; the extraction is refused instead."""
@@ -600,7 +616,7 @@ def test_tagged_format(ws_file, capsys):
 
 # SHA-256 of the exit codes, stdout and written files of the invocations
 # below; error invocations are left out.
-TRANSCRIPT_SHA256 = "8b50b3209d1ff660b3ac301fb63fd71c279437c1ab9a42c3e2c0391745c4d1b1"
+TRANSCRIPT_SHA256 = "5e58c056e3a7b55635de07e187179a27249176e91ed9840830362d6029705c1a"
 
 STREAMS_CDS = str(pathlib.Path(__file__).resolve().parents[1]
                   / "workspaces" / "streams.cds")

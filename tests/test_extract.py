@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (SM, ZERO, ONE, alternating_stream, approx_bits, cons, fn,
-                     flip_env, pi2, random_stream, stream_family, stream_prefix, v)
+                     flip_env, nested_intros, pi1, pi2, random_stream, stream_family,
+                     stream_prefix, v)
 
 from coeq.cli import parse_workspace
 from coeq.corec import (Component, CorecBundle, CorecSchema, PlainSlot, RecSlot,
@@ -271,10 +272,48 @@ def test_flip_proves_and_extracts_its_tail_without_a_dispatch():
         "flip(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), flip(pi2(x1)))"]
     res = check_proof(SM, compiled, d)
     assert res.ok, res.violations[:3]
-    assert sum(1 for _ in d.preorder()) == 32
+    assert sum(1 for _ in d.preorder()) == 31   # the decomposition's [head, u]: one ex-intro
     result, _ = _extract("flip")
     assert [str(e) for e in result.program.equations_of("run1")] == [
         "run1(x1) = cons(delta(pi1(x1), 1, 0, pi1(x1)), run1(pi2(x1)))"]
+
+
+def test_an_intro_of_k_witnesses_extracts_as_its_k_nested_intros():
+    """Beside flip's proof, an intro of ex y. ex b. S(y) & B(b) at x1 and
+    the bit pi1(x1), and one of ex y. ex y. B(y), whose outer y the inner
+    shadows, at a variable q free only in the proof and at pi1(x1).  The
+    proof and its twin of one-witness intros (flip's decomposition has a
+    two-witness intro too) extract to the same program and certificate,
+    which realizes the conclusion."""
+    from coeq.formulas import Exists, data_elim, ex_intro
+    d_flip, compiled, _ = _prove("flip")
+    cons_t, x1 = SM.types[2], Var("x1")
+    h1 = assume("h1", DataAtom("S", x1))
+    y, b = Var("y"), Var("b")
+    with_bit = ex_intro("y", Exists("b", And(DataAtom("S", y), DataAtom("B", b))),
+                        (x1, pi1(x1)), and_intro(h1, data_elim(cons_t, 1, h1)))
+    shadowed = ex_intro("y", Exists("y", DataAtom("B", y)), (Var("q"), pi1(x1)),
+                        data_elim(cons_t, 1, h1))
+    d = and_intro(d_flip, and_intro(with_bit, shadowed))
+    twin = nested_intros(d)
+    assert max(len(n.witnesses()) for n in twin.preorder()) == 1
+    result, again = extract(d, compiled, SM), extract(twin, compiled, SM)
+    assert repr(result.program) == repr(again.program)
+    # the witness pi1(x1) at a B is a bit, cons(pi1(x1), split_zeros), and
+    # q at the shadowed binder the bare stream split_zeros; B(pi1(x1)) is
+    # realized from h1's realizer x2
+    pair = lambda a, b: f"split_merge({a}, split_merge({b}, split_zeros))"
+    bit, evidence = "cons(pi1(x1), split_zeros)", "cons(pi1(x2), split_zeros)"
+    assert [str(e) for e in result.program.equations_of("f0")] == [
+        "f0(x1, x2) = " + pair("run1(x1)", pair(
+            pair("x1", pair(bit, pair("x2", evidence))),
+            pair("split_zeros", pair(bit, evidence))))]
+    assert result.certificate.render() == again.certificate.render()
+    assert (result.value_params, result.realizer_params) == (("x1",), ("h1",))
+    env = DiagramEnv.of({"u": alternating_stream()})
+    j = RealizabilityJudgment.of(result.program, SM, env, {"x1": fn("u")},
+                                 Fun(result.principal, (fn("u"), fn("u"))), d.conclusion, 8)
+    assert realizes(j).holds
 
 
 def test_prove_corec_all_library_normal_and_sp():
@@ -557,10 +596,11 @@ def test_every_member_of_a_schema_checks():
 def test_member_proof_of_a_hundred_member_schema_is_n_log_n():
     """The invariant is a balanced disjunction, so selecting a member takes
     one or-introduction per level: at most ceil(log2 100) = 7 on any
-    root-to-leaf path, and at most 3,400 nodes in one member's proof (3,364:
+    root-to-leaf path, and at most 3,400 nodes in one member's proof (3,264:
     each decomposition case proves its tail through the witness of an
-    ex-refl, four nodes more than the 2,964 of a proof that copies the
-    invariant into every case)."""
+    ex-refl and introduces its head and tail by one ex-intro, three nodes
+    more than the 2,964 of a proof that copies the invariant into every
+    case)."""
     bundle = check_primitive_corecursive(stream_family("mutual", 100), SM).bundle
     d = prove_corec(bundle, SM)
     depth: dict[tuple, int] = {}
@@ -570,10 +610,10 @@ def test_member_proof_of_a_hundred_member_schema_is_n_log_n():
     assert max(depth.values()) <= 7
 
 
-def _records_one_member_adds(n: int) -> int:
-    """The interned records that one member's proof of the n-member mutual
-    family adds, counted after a collection while the proof is alive."""
-    bundle = check_primitive_corecursive(stream_family("mutual", n), SM).bundle
+def _records_one_member_adds(n: int, kind: str = "mutual") -> int:
+    """The interned records that one member's proof of the n-member family
+    of `kind` adds, counted after a collection while the proof is alive."""
+    bundle = check_primitive_corecursive(stream_family(kind, n), SM).bundle
     gc.collect()
     before = len(_interned)
     d = prove_corec(bundle, SM)
@@ -585,12 +625,23 @@ def _records_one_member_adds(n: int) -> int:
 def test_every_decomposition_case_concludes_one_copy_of_the_invariant():
     """Each case proves its tail through the same witness variable u, so
     the N cases conclude one interned phi(u), and opens phi's existentials
-    under phi's own names: one member adds O(N) records (2,348 at N = 100
-    and 4,648 at N = 200), where a copy of phi per case made them O(N^2)
+    under phi's own names: one member adds O(N) records (2,338 at N = 100
+    and 4,638 at N = 200), where a copy of phi per case made them O(N^2)
     (43,488 and 166,954)."""
     at100, at200 = _records_one_member_adds(100), _records_one_member_adds(200)
     assert at100 <= 5000, at100
     assert at200 <= 2.1 * at100, (at100, at200)
+
+
+def test_the_proof_of_a_k_argument_rotation_holds_o_of_k_records():
+    """Each call of the rotation introduces its invariant's k existentials
+    by one ex-intro of all k witnesses, so no partial formula of the
+    existential prefix is built: the proof adds 691 records at k = 50 and
+    1,341 at k = 100.  One intro per witness built k partial formulas per
+    call, 8,340 and 31,640 records."""
+    at50 = _records_one_member_adds(50, "rotate")
+    at100 = _records_one_member_adds(100, "rotate")
+    assert at100 <= 2.2 * at50, (at50, at100)
 
 
 def test_prove_corec_proofs_are_normal():
@@ -1555,7 +1606,7 @@ def _extractions_digest():
 
 def test_proofs_are_pinned():
     assert _proofs_digest() == (
-        "ca6ccad765a2e81531224050356b687977e937b2395f8fdf737627b10af08159")
+        "704bdcfbe0ea0d83f6da5123646dab60acfdb7ad4406b6c4e65c89c920331417")
 
 
 def test_extractions_are_pinned():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 from helpers import (MIXED, SM, ZERO, ONE, cons, fn, flip_program, inject_detours,
-                     stream_family, v)
+                     nested_intros, stream_family, v)
 
 from coeq import Error, logic
 from coeq.corec import check_primitive_corecursive, stock_library
@@ -361,7 +361,21 @@ def _rejections():
                       SM.predicates + (DataPredicate("T", Kind.COINDUCTIVE, 2),), SM.types)
     phi = EqAtom(v("z"), v("z"))
     sm, mixed = SM, MIXED
+    pair_q = Exists("a", Exists("b", And(S(v("a")), B(v("b")))))   # ex a. ex b. S(a) & B(b)
     return [
+        (sm, Derivation("assume", S(x), (), (("label", "a"), ("label", "b"))),
+         "attribute 'label' given twice"),
+        (sm, Derivation("all-elim", S(x), (assume("f", Forall("q", S(q))),),
+                        (("witness", x), ("witness", y))),
+         "attribute 'witness' given twice"),
+        (sm, Derivation("ex-intro", Exists("z", S(v("z"))), (u,),
+                        (("witness", x), ("witness", y))),
+         "more witnesses (2) than leading existentials (1)"),
+        (sm, ex_intro("a", pair_q.body, (x, y), assume("k", And(S(y), B(x)))),
+         "premise is not the body at the witnesses"),
+        (sm, ex_intro("a", pair_q.body, (x, y),
+                      assume("k", Exists("b", And(S(x), B(v("b")))))),
+         "premise is not the body at the witnesses"),
         (sm, node("cut", S(x)), "unknown rule 'cut'"),
         (sm, node("assume", S(x)), "assumption without a label"),
         (sm, node("imp-intro", S(x), [u], label="u"), "implication introduction malformed"),
@@ -672,6 +686,29 @@ def test_normalize_substitutes_into_the_major_premise_of_a_binder():
     d = ex_elim(ex_intro("y", S(y), x, assume("a", S(x))), "e", "h", inner)
     assert _check(d).judgment() == "{a: S(x)} |- (ex z. S(z))"
     assert _check(normalize(d)).judgment() == _check(d).judgment()
+
+
+def test_an_ex_elim_of_a_three_witness_intro_contracts_at_its_first_witness():
+    """The contraction puts the first witness for the eigenvariable and
+    leaves one intro of the other two, whose own ex-elim in the minor
+    premise then contracts at the second.  The witnesses b and c would be
+    caught by the binders below them, which are renamed.  The normal form
+    checks, and is what the nested intros contract to."""
+    a, b, c, e, e2 = v("a"), v("b"), v("c"), v("e"), v("e2")
+    body = And(S(a), And(EqAtom(b, c), S(c)))
+    q = Exists("a", Exists("b", Exists("c", body)))
+    ws = (b, c, cons(ZERO, v("x")))
+    d_major = ex_intro("a", q.body, ws, assume("p", subst_formula(body, dict(zip("abc", ws)))))
+    h = subst_formula(q.body, {"a": e})                 # ex b. ex c. body at a = e
+    h2 = subst_formula(h.body, {h.var: e2})
+    minor = ex_elim(assume("h", h), "e2", "h2", ex_intro("a", q.body, (e, e2), assume("h2", h2)))
+    d = ex_elim(d_major, "e", "h", minor)
+    assert _check(d).ok and _check(nested_intros(d)).ok
+    n = normalize(d)
+    assert not has_detour(n) and _check(n).judgment() == _check(d).judgment()
+    assert [node.rule for node in n.preorder()] == ["ex-intro", "ex-intro", "assume"]
+    assert [len(node.witnesses()) for node in n.preorder()] == [2, 1, 0]
+    assert nested_intros(n) == normalize(nested_intros(d))
 
 
 def test_normalize_renames_a_capturing_eigenvariable_only_in_its_scope():
